@@ -12,6 +12,7 @@ use dp_opt::budget::{optimal_group_budgets, GroupSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn bench_wht(c: &mut Criterion) {
     let mut group = c.benchmark_group("wht");
@@ -117,7 +118,7 @@ fn bench_end_to_end(c: &mut Criterion) {
             .privacy(PrivacyLevel::Pure { epsilon: 1.0 })
             .compile()
             .unwrap();
-        let session = Session::bind(&plan, &table).unwrap();
+        let session = Session::bind(Arc::new(plan), &table).unwrap();
         group.bench_with_input(
             BenchmarkId::from_parameter(strategy.label()),
             &strategy,

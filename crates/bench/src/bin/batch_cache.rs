@@ -7,6 +7,7 @@
 
 use dp_core::prelude::*;
 use serde::Serialize;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// One measured mode of the batch benchmark.
@@ -43,7 +44,7 @@ fn main() {
     let start = Instant::now();
     for seed in 0..k as u64 {
         let plan = build().compile().expect("plan compiles");
-        let session = Session::bind(&plan, &table).expect("table matches");
+        let session = Session::bind(Arc::new(plan), &table).expect("table matches");
         let _ = session.release(seed).expect("release succeeds");
     }
     let cold = BatchPoint {
@@ -61,7 +62,7 @@ fn main() {
     for _ in 1..k {
         plan = cache.get_or_compile(build()).expect("cache hit");
     }
-    let session = Session::bind(&plan, &table).expect("table matches");
+    let session = Session::bind(plan, &table).expect("table matches");
     let seeds: Vec<u64> = (0..k as u64).collect();
     let releases = session.release_batch(&seeds).expect("batch succeeds");
     let cached = BatchPoint {

@@ -9,6 +9,7 @@ use dp_bench::{write_jsonl, WorkloadFamily};
 use dp_core::metrics::average_relative_error;
 use dp_core::prelude::*;
 use serde::Serialize;
+use std::sync::Arc;
 
 #[derive(Serialize)]
 struct Row {
@@ -59,7 +60,7 @@ fn main() {
                     })
                     .compile()
                     .expect("planning succeeds");
-                let session = Session::bind(&plan, &table).expect("table matches");
+                let session = Session::bind(Arc::new(plan), &table).expect("table matches");
                 let trials = 6u64;
                 let base = 31 + eps.to_bits() % 97;
                 let seeds: Vec<u64> = (0..trials).map(|t| base + t).collect();
@@ -75,7 +76,7 @@ fn main() {
                 print!(" {err:>10.4}");
                 rows.push(Row {
                     workload: family.label(),
-                    method: plan.label(),
+                    method: session.plan().label(),
                     epsilon: eps,
                     delta,
                     relative_error: err,

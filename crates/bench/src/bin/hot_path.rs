@@ -20,6 +20,7 @@ use dp_mech::{GaussianMechanism, LaplaceMechanism, NoiseMechanism};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// One measured metric.
@@ -281,7 +282,7 @@ fn main() {
         .map(|i| (i % 11) as f64)
         .collect();
     let table = ContingencyTable::from_counts(counts);
-    let session = Session::bind(&plan, &table).expect("table matches plan");
+    let session = Session::bind(Arc::new(plan), &table).expect("table matches plan");
     let seeds: Vec<u64> = (0..batch as u64).collect();
     let t_batch = time_best(reps, || {
         let out = session.release_batch(&seeds).expect("batch succeeds");

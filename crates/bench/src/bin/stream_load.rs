@@ -11,7 +11,7 @@
 //! baseline arm is what today's API forces — apply the delta to the raw
 //! counts, then a full `bind()` (re-observe over the whole domain) per
 //! update; the streaming arm replaces each rebind with one
-//! `StreamingSession::ingest` (O(|strategy support|), closed-form marginal
+//! `Session::ingest` (O(|strategy support|), closed-form marginal
 //! /Fourier columns, O(log n) Haar coefficients for ranges). Both arms
 //! draw identical releases from identical observations, so the headline
 //! speedup isolates exactly the update path the tentpole optimizes.
@@ -85,15 +85,16 @@ fn cell_stream(n: usize, mut state: u64) -> impl FnMut() -> u64 {
 }
 
 /// A fresh full bind of `counts` under the plan — the baseline update.
-fn bind_fresh(plan: &Arc<Plan>, counts: &[f64]) -> StreamingSession {
+fn bind_fresh(plan: &Arc<Plan>, counts: &[f64]) -> Session {
     match plan.spec() {
-        WorkloadSpec::Marginals { .. } => StreamingSession::bind(
+        WorkloadSpec::Marginals { .. } => Session::bind(
             Arc::clone(plan),
             &ContingencyTable::from_counts(counts.to_vec()),
         )
         .expect("bind over a fresh table"),
-        WorkloadSpec::Ranges { .. } => StreamingSession::bind_histogram(Arc::clone(plan), counts)
-            .expect("bind over a fresh histogram"),
+        WorkloadSpec::Ranges { .. } => {
+            Session::bind_histogram(Arc::clone(plan), counts).expect("bind over a fresh histogram")
+        }
     }
 }
 
@@ -130,7 +131,7 @@ fn measure(
     let mut next = cell_stream(n, 7);
     let mut update_secs = 0.0;
     let ingest_start = Instant::now();
-    let mut stream = StreamingSession::empty(Arc::clone(&plan)).expect("empty stream");
+    let mut stream = Session::empty(Arc::clone(&plan)).expect("empty stream");
     for epoch in 0..epochs {
         let t0 = Instant::now();
         for _ in 0..updates {
@@ -239,7 +240,7 @@ fn metered_loop(epochs: usize, ingests: usize) -> MeteredLoopPoint {
         let rid = format!("epoch-{epoch}");
         std::hint::black_box(
             service
-                .release_current("publisher", &stream, &[epoch as u64], Some(rid.as_str()))
+                .release("publisher", &stream, &[epoch as u64], Some(rid.as_str()))
                 .expect("keyed release"),
         );
     }
@@ -252,7 +253,7 @@ fn metered_loop(epochs: usize, ingests: usize) -> MeteredLoopPoint {
     for epoch in 0..epochs {
         let rid = format!("epoch-{epoch}");
         service
-            .release_current("publisher", &stream, &[epoch as u64], Some(rid.as_str()))
+            .release("publisher", &stream, &[epoch as u64], Some(rid.as_str()))
             .expect("replayed release");
     }
     let replayed = service.budget_status("publisher").expect("status").charges;

@@ -12,6 +12,7 @@
 use dp_core::analysis::*;
 use dp_core::prelude::*;
 use serde::Serialize;
+use std::sync::Arc;
 
 #[derive(Serialize)]
 struct Row {
@@ -42,7 +43,7 @@ fn measured_noise(
         .privacy(PrivacyLevel::Pure { epsilon: 1.0 })
         .compile()
         .expect("planning succeeds");
-    let session = Session::bind(&plan, table).expect("table matches");
+    let session = Session::bind(Arc::new(plan), table).expect("table matches");
     let seeds: Vec<u64> = (0..trials as u64).map(|t| seed + t).collect();
     let total: f64 = session
         .release_batch(&seeds)

@@ -6,6 +6,7 @@
 use dp_core::metrics::average_relative_error;
 use dp_core::prelude::*;
 use serde::Serialize;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The seven methods of the paper's experiments (Section 5, "Algorithms
@@ -135,24 +136,24 @@ pub fn accuracy_sweep(
                 .for_schema(schema)
                 .compile()
             {
-                Ok(p) => p,
+                Ok(p) => Arc::new(p),
                 Err(e) => {
                     eprintln!("  {}: planning failed: {e}", strategy.label());
                     continue;
                 }
             };
             for (e_idx, &eps) in epsilons.iter().enumerate() {
-                let resolved;
                 let plan = if e_idx == 0 {
-                    &base_plan
+                    Arc::clone(&base_plan)
                 } else {
-                    resolved = base_plan
-                        .resolved_at(PrivacyLevel::Pure { epsilon: eps }, budgeting)
-                        .expect("re-solving a compiled plan at a positive ε succeeds");
-                    &resolved
+                    Arc::new(
+                        base_plan
+                            .resolved_at(PrivacyLevel::Pure { epsilon: eps }, budgeting)
+                            .expect("re-solving a compiled plan at a positive ε succeeds"),
+                    )
                 };
-                let session = Session::bind(plan, table).expect("plan matches the table");
                 let base = seed ^ fxhash(&plan.label());
+                let session = Session::bind(plan, table).expect("plan matches the table");
                 let seeds: Vec<u64> = (0..n_trials)
                     .map(|t| base.wrapping_add((e_idx * 10_000 + t) as u64))
                     .collect();
@@ -172,7 +173,7 @@ pub fn accuracy_sweep(
                 out.push(AccuracyPoint {
                     dataset: dataset.to_string(),
                     workload: family.label(),
-                    method: plan.label(),
+                    method: session.plan().label(),
                     epsilon: eps,
                     relative_error: err_sum / n_trials as f64,
                     trials: n_trials,
@@ -218,7 +219,7 @@ pub fn runtime_sweep(
                 .cluster_config(cluster)
                 .compile()
                 .expect("experiment strategies plan successfully");
-            let session = Session::bind(&plan, table).expect("plan matches the table");
+            let session = Session::bind(Arc::new(plan), table).expect("plan matches the table");
             let _release = session.release(seed).expect("release succeeds");
             out.push(RuntimePoint {
                 workload: family.label(),

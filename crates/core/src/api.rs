@@ -15,10 +15,9 @@
 //!    a histogram), computing the exact observations `z = S·x` once, and
 //!    serves releases: [`Session::release`] for one, or
 //!    [`Session::release_batch`] to fan a whole batch of seeds out with
-//!    rayon. Every release is deterministic in its seed — and byte-identical
-//!    to the legacy single-shot paths (`ReleasePlanner`,
-//!    `plan_range_release`), which are now thin wrappers over the same
-//!    machinery.
+//!    rayon. Every release is deterministic in its seed. The same session
+//!    type also maintains its observations under streamed record-level
+//!    deltas ([`Session::ingest`]), optionally over a sliding window.
 //! 3. [`PlanCache`] memoizes compiled plans keyed by (schema fingerprint,
 //!    workload, strategy, budgeting, privacy, neighbouring), so a service
 //!    handling repeated requests performs the budget solve (and the cluster
@@ -28,6 +27,7 @@
 //! ```
 //! use dp_core::api::{PlanBuilder, Session};
 //! use dp_core::prelude::*;
+//! use std::sync::Arc;
 //!
 //! let schema = Schema::binary(4).unwrap();
 //! let workload = Workload::all_k_way(&schema, 2).unwrap();
@@ -39,7 +39,7 @@
 //! // Phase 2: bind data and serve a deterministic batch of releases.
 //! let records = vec![vec![0, 1, 0, 1], vec![1, 1, 0, 0]];
 //! let table = ContingencyTable::from_records(&schema, &records).unwrap();
-//! let session = Session::bind(&plan, &table).unwrap();
+//! let session = Session::bind(Arc::new(plan), &table).unwrap();
 //! let releases = session.release_batch(&[1, 2, 3]).unwrap();
 //! assert_eq!(releases.len(), 3);
 //! ```
@@ -599,7 +599,7 @@ impl Plan {
 
     /// The solved per-group budgets `η_r` as produced by the Step-2
     /// optimizer, *before* the neighbouring sensitivity factor (releases
-    /// divide by it, exactly as the legacy paths did).
+    /// divide by it).
     pub fn solution(&self) -> &BudgetSolution {
         &self.solution
     }
@@ -730,7 +730,7 @@ impl Answers {
 }
 
 impl SessionRelease {
-    /// Bridges a marginal release to the legacy [`Release`] type (used by
+    /// Bridges a marginal release to the [`Release`] type (used by
     /// the CLI's JSON serializer); `None` for range releases.
     pub fn into_release(self) -> Option<Release> {
         let answers = self.answers.into_marginals()?;
@@ -744,28 +744,102 @@ impl SessionRelease {
     }
 }
 
-/// A plan bound to concrete data: the exact observations `z = S·x` are
-/// computed once at bind time, after which every release only draws noise
-/// and recovers — [`crate::strategy::ReleaseEngine::release_with_solution`]
-/// is pure given (observations, budgets, seed), so batches parallelize
-/// freely and reproduce bit-for-bit.
-pub struct Session<'p> {
-    plan: &'p Plan,
-    observations: Vec<f64>,
+/// A plan bound to concrete data — the one session type, for one-shot
+/// binds and long-lived streams alike.
+///
+/// The exact observations `z = S·x` are computed once at bind time, after
+/// which every release only draws noise and recovers —
+/// [`crate::strategy::ReleaseEngine::release_with_solution`] is pure given
+/// (observations, budgets, seed), so batches parallelize freely and
+/// reproduce bit-for-bit. The session owns its plan through an [`Arc`], so
+/// bound sessions can live in registries and move across worker threads.
+///
+/// The observations can also be maintained **incrementally** under
+/// record-level inserts and deletes. `z = S·x` is linear in the data vector
+/// `x` (the structural fact the whole paper builds on), so adding or
+/// removing one tuple at cell `j` shifts the observations by the sparse
+/// column `±S[·, j]`:
+///
+/// * marginal strategies: one entry per observed marginal (identity /
+///   workload / cluster) or `|support|` signed entries of magnitude
+///   `2^{−d/2}` (Fourier);
+/// * range strategies: one entry (identity), one per tree level
+///   (hierarchical), at most `2·log₂ n + 1` Haar coefficients (wavelet), or
+///   the nonzeros of the sketch column.
+///
+/// [`Session::ingest`] is therefore O(|column|) — never O(2^d) — where a
+/// fresh [`Session::bind`] re-aggregates the full domain. A release from a
+/// streamed-to session is byte-identical to one from a session freshly
+/// bound to the same data (up to float accumulation; see
+/// [`Session::rebase`]).
+///
+/// A **sliding window** ([`Session::with_window`]) keeps a ring of
+/// per-bucket delta logs: [`Session::advance`] closes the current bucket
+/// and retracts the expiring one, so the session always reflects the
+/// currently-filling bucket plus the last `buckets` completed buckets of
+/// the stream — never anything older.
+///
+/// ```
+/// use dp_core::api::{PlanBuilder, Session};
+/// use dp_core::prelude::*;
+/// use std::sync::Arc;
+///
+/// let schema = Schema::binary(4).unwrap();
+/// let workload = Workload::all_k_way(&schema, 2).unwrap();
+/// let plan = Arc::new(
+///     PlanBuilder::marginals(workload, StrategyKind::Fourier)
+///         .compile()
+///         .unwrap(),
+/// );
+/// let mut stream = Session::empty(plan).unwrap();
+/// stream.ingest(3).unwrap(); // O(|support|), not O(2^d)
+/// stream.ingest(5).unwrap();
+/// stream.retract(3).unwrap();
+/// let release = stream.release(7).unwrap();
+/// assert_eq!(release.seed, 7);
+/// ```
+pub struct Session {
+    plan: Arc<Plan>,
+    /// `z = S·x`, shared copy-on-write with any [`Session::snapshot`]
+    /// still in use: an ingest copies the buffer instead of mutating a
+    /// snapshot's view.
+    observations: Arc<Vec<f64>>,
+    /// The data vector `x` (contingency counts or histogram) — backs
+    /// [`Session::rebase`] and the negative-count guard.
+    counts: Arc<Vec<f64>>,
+    window: Option<SlidingWindow>,
 }
 
-impl<'p> Session<'p> {
+/// The owning-session name from before the session types were merged.
+pub type OwnedSession = Session;
+
+/// The streaming-session name from before the session types were merged.
+pub type StreamingSession = Session;
+
+/// Ring of per-bucket delta logs for the sliding-window variant.
+struct SlidingWindow {
+    /// Oldest bucket first; the last entry is the bucket currently filling.
+    buckets: std::collections::VecDeque<Vec<(u64, f64)>>,
+    /// Number of buckets the window spans.
+    capacity: usize,
+}
+
+impl Session {
     /// Binds a **marginal** plan to a contingency table.
     ///
     /// Fails with [`CoreError::InvalidPlan`] for range plans (use
     /// [`Session::bind_histogram`]) and with a shape error when the table's
     /// domain does not match the workload's.
-    pub fn bind(plan: &'p Plan, table: &ContingencyTable) -> Result<Session<'p>, CoreError> {
+    pub fn bind(plan: Arc<Plan>, table: &ContingencyTable) -> Result<Session, CoreError> {
         match plan.compiled() {
-            Compiled::Marginals(c) => Ok(Session {
-                plan,
-                observations: c.observe(table)?,
-            }),
+            Compiled::Marginals(c) => {
+                let observations = c.observe(table)?;
+                Ok(Session::from_parts(
+                    plan,
+                    observations,
+                    table.counts().to_vec(),
+                ))
+            }
             Compiled::Ranges(_) => Err(CoreError::InvalidPlan(
                 "range plans bind to histograms; use Session::bind_histogram",
             )),
@@ -777,21 +851,161 @@ impl<'p> Session<'p> {
     /// Fails with [`CoreError::InvalidPlan`] for marginal plans (use
     /// [`Session::bind`]) and with a shape error when the histogram length
     /// does not match the domain.
-    pub fn bind_histogram(plan: &'p Plan, hist: &[f64]) -> Result<Session<'p>, CoreError> {
+    pub fn bind_histogram(plan: Arc<Plan>, hist: &[f64]) -> Result<Session, CoreError> {
         match plan.compiled() {
-            Compiled::Ranges(c) => Ok(Session {
-                plan,
-                observations: c.observe(hist)?,
-            }),
+            Compiled::Ranges(c) => {
+                let observations = c.observe(hist)?;
+                Ok(Session::from_parts(plan, observations, hist.to_vec()))
+            }
             Compiled::Marginals(_) => Err(CoreError::InvalidPlan(
                 "marginal plans bind to contingency tables; use Session::bind",
             )),
         }
     }
 
+    /// Binds a plan to an **empty** dataset — the usual entry point for a
+    /// stream that begins from nothing.
+    pub fn empty(plan: Arc<Plan>) -> Result<Session, CoreError> {
+        let n = match plan.spec() {
+            WorkloadSpec::Marginals { workload, .. } => 1usize << workload.domain_bits(),
+            WorkloadSpec::Ranges { workload, .. } => workload.domain(),
+        };
+        let counts = vec![0.0; n];
+        let observations = observe_counts(&plan, &counts)?;
+        Ok(Session::from_parts(plan, observations, counts))
+    }
+
+    fn from_parts(plan: Arc<Plan>, observations: Vec<f64>, counts: Vec<f64>) -> Session {
+        Session {
+            plan,
+            observations: Arc::new(observations),
+            counts: Arc::new(counts),
+            window: None,
+        }
+    }
+
+    /// Converts this session into a sliding-window session spanning
+    /// `buckets` buckets (e.g. 60 one-minute buckets for a one-hour
+    /// window). Subsequent ingests land in the current bucket;
+    /// [`Session::advance`] rotates the ring.
+    pub fn with_window(mut self, buckets: usize) -> Session {
+        assert!(buckets > 0, "a sliding window needs at least one bucket");
+        let mut ring = std::collections::VecDeque::with_capacity(buckets + 1);
+        ring.push_back(Vec::new());
+        self.window = Some(SlidingWindow {
+            buckets: ring,
+            capacity: buckets,
+        });
+        self
+    }
+
     /// The bound plan.
-    pub fn plan(&self) -> &'p Plan {
-        self.plan
+    pub fn plan(&self) -> &Arc<Plan> {
+        &self.plan
+    }
+
+    /// The current observation vector `z = S·x` (exposed for the
+    /// delta-vs-full-observe equivalence tests).
+    pub fn observations(&self) -> &[f64] {
+        &self.observations
+    }
+
+    /// The maintained data vector `x`.
+    pub fn counts(&self) -> &[f64] {
+        &self.counts
+    }
+
+    /// An O(1) release-only copy of the current state: it shares the plan,
+    /// observations and counts (copy-on-write, so later ingests into
+    /// `self` leave it untouched) and carries no sliding window. Its
+    /// releases are byte-identical to what `self` released when the
+    /// snapshot was taken — which lets a caller drop the lock guarding a
+    /// live session before drawing.
+    pub fn snapshot(&self) -> Session {
+        Session {
+            plan: Arc::clone(&self.plan),
+            observations: Arc::clone(&self.observations),
+            counts: Arc::clone(&self.counts),
+            window: None,
+        }
+    }
+
+    /// Inserts one tuple at linearized cell `cell`: `x_cell += 1`,
+    /// `z += S[·, cell]`.
+    pub fn ingest(&mut self, cell: u64) -> Result<(), CoreError> {
+        self.ingest_count(cell, 1.0)
+    }
+
+    /// Deletes one tuple at cell `cell`, refusing to drive its count
+    /// negative (retracting a tuple that was never inserted).
+    pub fn retract(&mut self, cell: u64) -> Result<(), CoreError> {
+        self.ingest_count(cell, -1.0)
+    }
+
+    /// Adds `delta` tuples at cell `cell` (negative `delta` retracts).
+    /// O(|S[·, cell]|). Errors leave the session unchanged.
+    pub fn ingest_count(&mut self, cell: u64, delta: f64) -> Result<(), CoreError> {
+        if cell >= self.counts.len() as u64 {
+            return Err(CoreError::Shape {
+                context: "streaming delta cell",
+                expected: self.counts.len(),
+                actual: cell as usize,
+            });
+        }
+        let next = self.counts[cell as usize] + delta;
+        if next < 0.0 {
+            return Err(CoreError::NegativeCount { cell, count: next });
+        }
+        self.plan.compiled().apply_delta(
+            Arc::make_mut(&mut self.observations).as_mut_slice(),
+            cell,
+            delta,
+        )?;
+        Arc::make_mut(&mut self.counts)[cell as usize] = next;
+        if let Some(w) = &mut self.window {
+            w.buckets
+                .back_mut()
+                .expect("window always has a current bucket")
+                .push((cell, delta));
+        }
+        Ok(())
+    }
+
+    /// Closes the current window bucket and opens a new one; once more than
+    /// `buckets` buckets exist, the oldest is expired — every delta it
+    /// logged is retracted, so the session thereafter reflects exactly the
+    /// surviving buckets. Errors unless this is a windowed session.
+    pub fn advance(&mut self) -> Result<(), CoreError> {
+        let w = self.window.as_mut().ok_or(CoreError::InvalidPlan(
+            "advance() needs a sliding window; build with Session::with_window",
+        ))?;
+        w.buckets.push_back(Vec::new());
+        if w.buckets.len() > w.capacity + 1 {
+            let expired = w.buckets.pop_front().expect("ring is non-empty");
+            let observations = Arc::make_mut(&mut self.observations);
+            let counts = Arc::make_mut(&mut self.counts);
+            for (cell, delta) in expired {
+                self.plan
+                    .compiled()
+                    .apply_delta(observations, cell, -delta)?;
+                // Expiry retracts exactly what an earlier ingest logged, so
+                // any negativity is float round-off, not a logic error —
+                // clamp instead of failing mid-rotation.
+                let c = &mut counts[cell as usize];
+                *c = (*c - delta).max(0.0);
+            }
+        }
+        Ok(())
+    }
+
+    /// Re-observes `z = S·x` from the maintained counts, discarding the
+    /// accumulated float drift of the delta path: immediately after
+    /// `rebase()` the observations are **bitwise identical** to a fresh
+    /// [`Session::bind`] of the same data. O(domain) — call it every few
+    /// thousand edits, not per edit.
+    pub fn rebase(&mut self) -> Result<(), CoreError> {
+        self.observations = Arc::new(observe_counts(&self.plan, &self.counts)?);
+        Ok(())
     }
 
     /// Draws one release, deterministic in `seed`: the same (plan, data,
@@ -799,7 +1013,7 @@ impl<'p> Session<'p> {
     /// count or batch position. The budget solution solved at plan-compile
     /// time is reused — no Step-2 solve happens here.
     pub fn release(&self, seed: u64) -> Result<SessionRelease, CoreError> {
-        release_bound(self.plan, &self.observations, seed)
+        release_bound(&self.plan, &self.observations, seed)
     }
 
     /// Draws one release per seed, fanned out with rayon. Each release
@@ -821,9 +1035,9 @@ impl<'p> Session<'p> {
     }
 }
 
-/// The one release path shared by [`Session`] and [`OwnedSession`]: pure in
-/// (plan, observations, seed), so both session types are byte-identical per
-/// seed by construction.
+/// The one release path: pure in (plan, observations, seed), so every
+/// session — bound, streamed or snapshotted — is byte-identical per seed
+/// by construction.
 fn release_bound(
     plan: &Plan,
     observations: &[f64],
@@ -872,295 +1086,8 @@ fn release_bound(
     })
 }
 
-/// A [`Session`] that **owns** its plan through an [`Arc`] — the shape a
-/// long-lived service needs: bound sessions can be stored in registries and
-/// shared across worker threads without borrowing from a plan kept alive
-/// elsewhere. Releases go through the exact same internal path as
-/// [`Session`], so the two are byte-identical per (plan, data, seed).
-pub struct OwnedSession {
-    plan: Arc<Plan>,
-    observations: Vec<f64>,
-}
-
-impl OwnedSession {
-    /// Binds a **marginal** plan to a contingency table (the owning
-    /// counterpart of [`Session::bind`]).
-    pub fn bind(plan: Arc<Plan>, table: &ContingencyTable) -> Result<OwnedSession, CoreError> {
-        match plan.compiled() {
-            Compiled::Marginals(c) => {
-                let observations = c.observe(table)?;
-                Ok(OwnedSession { plan, observations })
-            }
-            Compiled::Ranges(_) => Err(CoreError::InvalidPlan(
-                "range plans bind to histograms; use OwnedSession::bind_histogram",
-            )),
-        }
-    }
-
-    /// Binds a **range** plan to a histogram (the owning counterpart of
-    /// [`Session::bind_histogram`]).
-    pub fn bind_histogram(plan: Arc<Plan>, hist: &[f64]) -> Result<OwnedSession, CoreError> {
-        match plan.compiled() {
-            Compiled::Ranges(c) => {
-                let observations = c.observe(hist)?;
-                Ok(OwnedSession { plan, observations })
-            }
-            Compiled::Marginals(_) => Err(CoreError::InvalidPlan(
-                "marginal plans bind to contingency tables; use OwnedSession::bind",
-            )),
-        }
-    }
-
-    /// The bound plan.
-    pub fn plan(&self) -> &Arc<Plan> {
-        &self.plan
-    }
-
-    /// Draws one release; identical bytes to [`Session::release`] for the
-    /// same (plan, data, seed).
-    pub fn release(&self, seed: u64) -> Result<SessionRelease, CoreError> {
-        release_bound(&self.plan, &self.observations, seed)
-    }
-
-    /// Draws one release per seed, fanned out with rayon; element `i`
-    /// equals `self.release(seeds[i])`. An empty seed list returns
-    /// `Ok(vec![])` without drawing any noise.
-    pub fn release_batch(&self, seeds: &[u64]) -> Result<Vec<SessionRelease>, CoreError> {
-        seeds.par_iter().map(|&s| self.release(s)).collect()
-    }
-}
-
-/// A session that maintains its observation vector **incrementally** under
-/// record-level inserts and deletes — the streaming counterpart of
-/// [`OwnedSession`].
-///
-/// The release `z = S·x` is linear in the data vector `x` (the structural
-/// fact the whole paper builds on), so adding or removing one tuple at cell
-/// `j` shifts the observations by the sparse column `±S[·, j]`:
-///
-/// * marginal strategies: one entry per observed marginal (identity /
-///   workload / cluster) or `|support|` signed entries of magnitude
-///   `2^{−d/2}` (Fourier);
-/// * range strategies: one entry (identity), one per tree level
-///   (hierarchical), at most `2·log₂ n + 1` Haar coefficients (wavelet), or
-///   the nonzeros of the sketch column.
-///
-/// [`StreamingSession::ingest`] is therefore O(|column|) — never O(2^d) —
-/// where a fresh [`Session::bind`] re-aggregates the full domain. Releases
-/// go through the exact same pure path as [`Session`]/[`OwnedSession`], so
-/// a release from a streamed-to session is byte-identical to one from a
-/// session freshly bound to the same data (up to float accumulation; see
-/// [`StreamingSession::rebase`]).
-///
-/// A **sliding window** variant ([`StreamingSession::with_window`]) keeps a
-/// ring of per-bucket delta logs: [`StreamingSession::advance`] closes the
-/// current bucket and retracts the expiring one, so the session always
-/// reflects the currently-filling bucket plus the last `buckets` completed
-/// buckets of the stream — never anything older.
-///
-/// Repeated float adds drift; [`StreamingSession::rebase`] re-observes from
-/// the maintained count vector, restoring bitwise agreement with a fresh
-/// bind at O(domain) cost — amortize it over long edit scripts.
-///
-/// ```
-/// use dp_core::api::{PlanBuilder, StreamingSession};
-/// use dp_core::prelude::*;
-/// use std::sync::Arc;
-///
-/// let schema = Schema::binary(4).unwrap();
-/// let workload = Workload::all_k_way(&schema, 2).unwrap();
-/// let plan = Arc::new(
-///     PlanBuilder::marginals(workload, StrategyKind::Fourier)
-///         .compile()
-///         .unwrap(),
-/// );
-/// let mut stream = StreamingSession::empty(plan).unwrap();
-/// stream.ingest(3).unwrap(); // O(|support|), not O(2^d)
-/// stream.ingest(5).unwrap();
-/// stream.retract(3).unwrap();
-/// let release = stream.release(7).unwrap();
-/// assert_eq!(release.seed, 7);
-/// ```
-pub struct StreamingSession {
-    plan: Arc<Plan>,
-    observations: Vec<f64>,
-    /// The maintained data vector (contingency counts or histogram) —
-    /// backs [`StreamingSession::rebase`] and the negative-count guard.
-    counts: Vec<f64>,
-    window: Option<SlidingWindow>,
-}
-
-/// Ring of per-bucket delta logs for the sliding-window variant.
-struct SlidingWindow {
-    /// Oldest bucket first; the last entry is the bucket currently filling.
-    buckets: std::collections::VecDeque<Vec<(u64, f64)>>,
-    /// Number of buckets the window spans.
-    capacity: usize,
-}
-
-impl StreamingSession {
-    /// Starts a streaming session over an **empty** dataset — the usual
-    /// entry point for a stream that begins from nothing.
-    pub fn empty(plan: Arc<Plan>) -> Result<StreamingSession, CoreError> {
-        let n = match plan.spec() {
-            WorkloadSpec::Marginals { workload, .. } => 1usize << workload.domain_bits(),
-            WorkloadSpec::Ranges { workload, .. } => workload.domain(),
-        };
-        StreamingSession::from_counts(plan, vec![0.0; n])
-    }
-
-    /// Starts from an existing contingency table (marginal plans): one full
-    /// `observe`, after which updates are incremental.
-    pub fn bind(plan: Arc<Plan>, table: &ContingencyTable) -> Result<StreamingSession, CoreError> {
-        if matches!(plan.compiled(), Compiled::Ranges(_)) {
-            return Err(CoreError::InvalidPlan(
-                "range plans bind to histograms; use StreamingSession::bind_histogram",
-            ));
-        }
-        StreamingSession::from_counts(plan, table.counts().to_vec())
-    }
-
-    /// Starts from an existing histogram (range plans).
-    pub fn bind_histogram(plan: Arc<Plan>, hist: &[f64]) -> Result<StreamingSession, CoreError> {
-        if matches!(plan.compiled(), Compiled::Marginals(_)) {
-            return Err(CoreError::InvalidPlan(
-                "marginal plans bind to contingency tables; use StreamingSession::bind",
-            ));
-        }
-        StreamingSession::from_counts(plan, hist.to_vec())
-    }
-
-    fn from_counts(plan: Arc<Plan>, counts: Vec<f64>) -> Result<StreamingSession, CoreError> {
-        let observations = observe_counts(&plan, &counts)?;
-        Ok(StreamingSession {
-            plan,
-            observations,
-            counts,
-            window: None,
-        })
-    }
-
-    /// Converts this session into a sliding-window session spanning
-    /// `buckets` buckets (e.g. 60 one-minute buckets for a one-hour
-    /// window). Subsequent ingests land in the current bucket;
-    /// [`StreamingSession::advance`] rotates the ring.
-    pub fn with_window(mut self, buckets: usize) -> StreamingSession {
-        assert!(buckets > 0, "a sliding window needs at least one bucket");
-        let mut ring = std::collections::VecDeque::with_capacity(buckets + 1);
-        ring.push_back(Vec::new());
-        self.window = Some(SlidingWindow {
-            buckets: ring,
-            capacity: buckets,
-        });
-        self
-    }
-
-    /// The bound plan.
-    pub fn plan(&self) -> &Arc<Plan> {
-        &self.plan
-    }
-
-    /// The incrementally maintained observation vector `z = S·x` (exposed
-    /// for the delta-vs-full-observe equivalence tests).
-    pub fn observations(&self) -> &[f64] {
-        &self.observations
-    }
-
-    /// The maintained data vector `x`.
-    pub fn counts(&self) -> &[f64] {
-        &self.counts
-    }
-
-    /// Inserts one tuple at linearized cell `cell`: `x_cell += 1`,
-    /// `z += S[·, cell]`.
-    pub fn ingest(&mut self, cell: u64) -> Result<(), CoreError> {
-        self.ingest_count(cell, 1.0)
-    }
-
-    /// Deletes one tuple at cell `cell`, refusing to drive its count
-    /// negative (retracting a tuple that was never inserted).
-    pub fn retract(&mut self, cell: u64) -> Result<(), CoreError> {
-        self.ingest_count(cell, -1.0)
-    }
-
-    /// Adds `delta` tuples at cell `cell` (negative `delta` retracts).
-    /// O(|S[·, cell]|). Errors leave the session unchanged.
-    pub fn ingest_count(&mut self, cell: u64, delta: f64) -> Result<(), CoreError> {
-        if cell >= self.counts.len() as u64 {
-            return Err(CoreError::Shape {
-                context: "streaming delta cell",
-                expected: self.counts.len(),
-                actual: cell as usize,
-            });
-        }
-        let next = self.counts[cell as usize] + delta;
-        if next < 0.0 {
-            return Err(CoreError::NegativeCount { cell, count: next });
-        }
-        self.plan
-            .compiled()
-            .apply_delta(&mut self.observations, cell, delta)?;
-        self.counts[cell as usize] = next;
-        if let Some(w) = &mut self.window {
-            w.buckets
-                .back_mut()
-                .expect("window always has a current bucket")
-                .push((cell, delta));
-        }
-        Ok(())
-    }
-
-    /// Closes the current window bucket and opens a new one; once more than
-    /// `buckets` buckets exist, the oldest is expired — every delta it
-    /// logged is retracted, so the session thereafter reflects exactly the
-    /// surviving buckets. Errors unless this is a windowed session.
-    pub fn advance(&mut self) -> Result<(), CoreError> {
-        let w = self.window.as_mut().ok_or(CoreError::InvalidPlan(
-            "advance() needs a sliding window; build with StreamingSession::with_window",
-        ))?;
-        w.buckets.push_back(Vec::new());
-        if w.buckets.len() > w.capacity + 1 {
-            let expired = w.buckets.pop_front().expect("ring is non-empty");
-            for (cell, delta) in expired {
-                self.plan
-                    .compiled()
-                    .apply_delta(&mut self.observations, cell, -delta)?;
-                // Expiry retracts exactly what an earlier ingest logged, so
-                // any negativity is float round-off, not a logic error —
-                // clamp instead of failing mid-rotation.
-                let c = &mut self.counts[cell as usize];
-                *c = (*c - delta).max(0.0);
-            }
-        }
-        Ok(())
-    }
-
-    /// Re-observes `z = S·x` from the maintained counts, discarding the
-    /// accumulated float drift of the delta path: immediately after
-    /// `rebase()` the observations are **bitwise identical** to a fresh
-    /// [`Session::bind`] of the same data. O(domain) — call it every few
-    /// thousand edits, not per edit.
-    pub fn rebase(&mut self) -> Result<(), CoreError> {
-        self.observations = observe_counts(&self.plan, &self.counts)?;
-        Ok(())
-    }
-
-    /// Draws one release from the current observations; deterministic in
-    /// `seed` and byte-identical to [`Session::release`] over the same
-    /// (plan, data, seed) when the observations agree bitwise.
-    pub fn release(&self, seed: u64) -> Result<SessionRelease, CoreError> {
-        release_bound(&self.plan, &self.observations, seed)
-    }
-
-    /// Draws one release per seed (rayon fan-out); element `i` equals
-    /// `self.release(seeds[i])`. Empty seed list → `Ok(vec![])`.
-    pub fn release_batch(&self, seeds: &[u64]) -> Result<Vec<SessionRelease>, CoreError> {
-        seeds.par_iter().map(|&s| self.release(s)).collect()
-    }
-}
-
 /// Full observation of a raw count vector under either workload family —
-/// the bind/rebase path of [`StreamingSession`].
+/// the empty-bind and rebase path of [`Session`].
 fn observe_counts(plan: &Plan, counts: &[f64]) -> Result<Vec<f64>, CoreError> {
     match plan.compiled() {
         Compiled::Marginals(c) => c.observe(&ContingencyTable::from_counts(counts.to_vec())),
@@ -1302,14 +1229,16 @@ mod tests {
             StrategyKind::Fourier,
             StrategyKind::Cluster,
         ] {
-            let plan = PlanBuilder::marginals(workload2(), strategy)
-                .privacy(PrivacyLevel::Pure { epsilon: 1.0 })
-                .compile()
-                .unwrap();
+            let plan = Arc::new(
+                PlanBuilder::marginals(workload2(), strategy)
+                    .privacy(PrivacyLevel::Pure { epsilon: 1.0 })
+                    .compile()
+                    .unwrap(),
+            );
             assert!(plan.achieved_epsilon() <= 1.0 + 1e-9);
             assert_eq!(plan.query_variances().len(), workload2().len());
             let table = small_table();
-            let session = Session::bind(&plan, &table).unwrap();
+            let session = Session::bind(Arc::clone(&plan), &table).unwrap();
             let r = session.release(7).unwrap();
             assert_eq!(r.answers.marginals().unwrap().len(), workload2().len());
             assert_eq!(r.label, plan.label());
@@ -1358,7 +1287,7 @@ mod tests {
                 .unwrap();
             assert!(plan.achieved_epsilon() <= 0.8 + 1e-9);
             let hist: Vec<f64> = (0..32).map(|i| ((i * 13) % 7) as f64).collect();
-            let session = Session::bind_histogram(&plan, &hist).unwrap();
+            let session = Session::bind_histogram(Arc::new(plan), &hist).unwrap();
             let r = session.release(3).unwrap();
             assert_eq!(r.answers.ranges().unwrap().len(), w.ranges().len());
         }
@@ -1366,26 +1295,30 @@ mod tests {
 
     #[test]
     fn binding_the_wrong_data_kind_is_rejected() {
-        let marginal_plan = PlanBuilder::marginals(workload2(), StrategyKind::Fourier)
-            .compile()
-            .unwrap();
+        let marginal_plan = Arc::new(
+            PlanBuilder::marginals(workload2(), StrategyKind::Fourier)
+                .compile()
+                .unwrap(),
+        );
         assert!(matches!(
-            Session::bind_histogram(&marginal_plan, &[0.0; 16]),
+            Session::bind_histogram(marginal_plan, &[0.0; 16]),
             Err(CoreError::InvalidPlan(_))
         ));
-        let range_plan = PlanBuilder::ranges(
-            RangeWorkload::all_prefixes(16).unwrap(),
-            RangeStrategy::Wavelet,
-        )
-        .compile()
-        .unwrap();
+        let range_plan = Arc::new(
+            PlanBuilder::ranges(
+                RangeWorkload::all_prefixes(16).unwrap(),
+                RangeStrategy::Wavelet,
+            )
+            .compile()
+            .unwrap(),
+        );
         assert!(matches!(
-            Session::bind(&range_plan, &small_table()),
+            Session::bind(Arc::clone(&range_plan), &small_table()),
             Err(CoreError::InvalidPlan(_))
         ));
         // Shape mismatches still surface as shape errors.
         assert!(matches!(
-            Session::bind_histogram(&range_plan, &[0.0; 8]),
+            Session::bind_histogram(range_plan, &[0.0; 8]),
             Err(CoreError::Shape { .. })
         ));
     }
@@ -1472,7 +1405,7 @@ mod tests {
             .compile()
             .unwrap();
         let table = small_table();
-        let session = Session::bind(&plan, &table).unwrap();
+        let session = Session::bind(Arc::new(plan), &table).unwrap();
         let seeds = [5u64, 6, 7, 8, 9, 10, 11, 12];
         let batch = session.release_batch(&seeds).unwrap();
         for (r, &seed) in batch.iter().zip(&seeds) {
@@ -1494,22 +1427,25 @@ mod tests {
             .privacy(PrivacyLevel::Pure { epsilon: 1.0 })
             .compile()
             .unwrap();
-        let resolved = base
-            .resolved_at(PrivacyLevel::Pure { epsilon: 0.25 }, Budgeting::Uniform)
-            .unwrap();
-        let fresh = PlanBuilder::marginals(workload2(), StrategyKind::Cluster)
-            .budgeting(Budgeting::Uniform)
-            .privacy(PrivacyLevel::Pure { epsilon: 0.25 })
-            .compile()
-            .unwrap();
+        let resolved = Arc::new(
+            base.resolved_at(PrivacyLevel::Pure { epsilon: 0.25 }, Budgeting::Uniform)
+                .unwrap(),
+        );
+        let fresh = Arc::new(
+            PlanBuilder::marginals(workload2(), StrategyKind::Cluster)
+                .budgeting(Budgeting::Uniform)
+                .privacy(PrivacyLevel::Pure { epsilon: 0.25 })
+                .compile()
+                .unwrap(),
+        );
         assert_eq!(resolved, fresh);
         assert_eq!(resolved.query_variances(), fresh.query_variances());
         let table = small_table();
-        let a = Session::bind(&resolved, &table)
+        let a = Session::bind(Arc::clone(&resolved), &table)
             .unwrap()
             .release(3)
             .unwrap();
-        let b = Session::bind(&fresh, &table).unwrap().release(3).unwrap();
+        let b = Session::bind(fresh, &table).unwrap().release(3).unwrap();
         for (x, y) in a
             .answers
             .marginals()
@@ -1524,35 +1460,8 @@ mod tests {
     }
 
     #[test]
-    fn owned_sessions_match_borrowed_sessions_byte_for_byte() {
+    fn snapshots_keep_their_state_while_the_session_moves_on() {
         let plan = Arc::new(
-            PlanBuilder::marginals(workload2(), StrategyKind::Fourier)
-                .compile()
-                .unwrap(),
-        );
-        let table = small_table();
-        let borrowed = Session::bind(&plan, &table).unwrap();
-        let owned = OwnedSession::bind(Arc::clone(&plan), &table).unwrap();
-        for seed in [0u64, 1, 42, u64::MAX] {
-            let a = borrowed.release(seed).unwrap();
-            let b = owned.release(seed).unwrap();
-            for (ma, mb) in a
-                .answers
-                .marginals()
-                .unwrap()
-                .iter()
-                .zip(b.answers.marginals().unwrap())
-            {
-                assert_eq!(ma.values(), mb.values());
-            }
-            assert_eq!(a.group_budgets, b.group_budgets);
-        }
-        // Wrong-kind binds are rejected like the borrowed session's.
-        assert!(matches!(
-            OwnedSession::bind_histogram(plan, &[0.0; 16]),
-            Err(CoreError::InvalidPlan(_))
-        ));
-        let range_plan = Arc::new(
             PlanBuilder::ranges(
                 RangeWorkload::all_prefixes(16).unwrap(),
                 RangeStrategy::Wavelet,
@@ -1560,17 +1469,29 @@ mod tests {
             .compile()
             .unwrap(),
         );
+        let hist: Vec<f64> = (0..16).map(|i| i as f64).collect();
+        let mut session = Session::bind_histogram(Arc::clone(&plan), &hist).unwrap();
+        let before = session.release(3).unwrap();
+        let snapshot = session.snapshot();
+        assert!(Arc::ptr_eq(&session.observations, &snapshot.observations));
+        session.ingest(5).unwrap();
+        // The ingest copied the shared buffer instead of writing through
+        // the snapshot's view.
+        assert!(!Arc::ptr_eq(&session.observations, &snapshot.observations));
+        assert_eq!(snapshot.counts(), hist.as_slice());
+        let batch = snapshot.release_batch(&[3, 4]).unwrap();
+        assert_eq!(batch[0].answers.ranges(), before.answers.ranges());
+        assert_ne!(
+            session.release(3).unwrap().answers.ranges(),
+            before.answers.ranges()
+        );
+        // A snapshot is release-only: it carries no window to advance.
+        let mut windowed = Session::empty(plan).unwrap().with_window(2);
+        windowed.advance().unwrap();
         assert!(matches!(
-            OwnedSession::bind(Arc::clone(&range_plan), &small_table()),
+            windowed.snapshot().advance(),
             Err(CoreError::InvalidPlan(_))
         ));
-        let hist: Vec<f64> = (0..16).map(|i| i as f64).collect();
-        let owned = OwnedSession::bind_histogram(range_plan, &hist).unwrap();
-        let batch = owned.release_batch(&[3, 4]).unwrap();
-        assert_eq!(
-            batch[0].answers.ranges().unwrap(),
-            owned.release(3).unwrap().answers.ranges().unwrap()
-        );
     }
 
     #[test]
@@ -1578,11 +1499,8 @@ mod tests {
         let plan = PlanBuilder::marginals(workload2(), StrategyKind::Fourier)
             .compile()
             .unwrap();
-        let table = small_table();
-        let session = Session::bind(&plan, &table).unwrap();
+        let session = Session::bind(Arc::new(plan), &small_table()).unwrap();
         assert!(session.release_batch(&[]).unwrap().is_empty());
-        let owned = OwnedSession::bind(Arc::new(plan), &table).unwrap();
-        assert!(owned.release_batch(&[]).unwrap().is_empty());
     }
 
     #[test]
@@ -1592,7 +1510,7 @@ mod tests {
                 .compile()
                 .unwrap(),
         );
-        let mut stream = StreamingSession::empty(Arc::clone(&plan)).unwrap();
+        let mut stream = Session::empty(Arc::clone(&plan)).unwrap();
         let cells = [3u64, 5, 5, 12, 0, 15];
         for &c in &cells {
             stream.ingest(c).unwrap();
@@ -1602,7 +1520,7 @@ mod tests {
         for &c in &[3u64, 5, 12, 0, 15] {
             table.add_count(c, 1.0).unwrap();
         }
-        let fresh = Session::bind(&plan, &table).unwrap();
+        let fresh = Session::bind(Arc::clone(&plan), &table).unwrap();
         // Observations agree to float accumulation; after rebase, bitwise.
         stream.rebase().unwrap();
         let direct = match plan.compiled() {
@@ -1631,7 +1549,7 @@ mod tests {
                 .compile()
                 .unwrap(),
         );
-        let mut stream = StreamingSession::empty(plan).unwrap();
+        let mut stream = Session::empty(plan).unwrap();
         assert!(matches!(stream.ingest(16), Err(CoreError::Shape { .. })));
         assert!(matches!(
             stream.retract(2),
@@ -1652,9 +1570,7 @@ mod tests {
             .compile()
             .unwrap(),
         );
-        let mut stream = StreamingSession::empty(Arc::clone(&plan))
-            .unwrap()
-            .with_window(2);
+        let mut stream = Session::empty(Arc::clone(&plan)).unwrap().with_window(2);
         // Bucket 0 (will expire), bucket 1 and 2 (survive).
         for c in [1u64, 2, 3] {
             stream.ingest(c).unwrap();
@@ -1671,7 +1587,7 @@ mod tests {
             hist[c] += 1.0;
         }
         assert_eq!(stream.counts(), hist.as_slice());
-        let direct = Session::bind_histogram(&plan, &hist).unwrap();
+        let direct = Session::bind_histogram(plan, &hist).unwrap();
         let (a, b) = (stream.release(5).unwrap(), direct.release(5).unwrap());
         let (ra, rb) = (a.answers.ranges().unwrap(), b.answers.ranges().unwrap());
         for (x, y) in ra.iter().zip(rb) {

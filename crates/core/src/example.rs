@@ -182,7 +182,7 @@ mod tests {
             .privacy(dp_mech::PrivacyLevel::Pure { epsilon: EPS })
             .compile()
             .unwrap();
-        let session = Session::bind(&plan, &t).unwrap();
+        let session = Session::bind(std::sync::Arc::new(plan), &t).unwrap();
         let trials = 4000;
         let mut sq = [0.0; 6];
         let seeds: Vec<u64> = (0..trials as u64).map(|s| 99 + s).collect();

@@ -30,6 +30,7 @@
 //!
 //! ```
 //! use dp_core::prelude::*;
+//! use std::sync::Arc;
 //!
 //! // 4 binary attributes, a handful of records.
 //! let schema = Schema::binary(4).unwrap();
@@ -45,7 +46,7 @@
 //!     .unwrap();
 //!
 //! // Phase 2: bind the table and draw a batch of releases.
-//! let session = Session::bind(&plan, &table).unwrap();
+//! let session = Session::bind(Arc::new(plan), &table).unwrap();
 //! let releases = session.release_batch(&[7, 8, 9]).unwrap();
 //! assert_eq!(releases[0].answers.marginals().unwrap().len(), workload.len());
 //! ```
@@ -73,16 +74,13 @@ pub mod workload;
 /// Convenient re-exports of the types most programs need.
 pub mod prelude {
     pub use crate::api::{
-        Answers, OwnedSession, Plan, PlanBuilder, PlanCache, Session, SessionRelease,
-        StreamingSession, WorkloadSpec,
+        Answers, Plan, PlanBuilder, PlanCache, Session, SessionRelease, WorkloadSpec,
     };
     pub use crate::cluster::{CentroidSearch, ClusterConfig};
     pub use crate::marginal::MarginalTable;
     pub use crate::mask::AttrMask;
     pub use crate::metrics::{average_absolute_error, average_relative_error};
     pub use crate::range::{RangeStrategy, RangeWorkload};
-    #[allow(deprecated)] // kept so legacy callers migrate on their own schedule
-    pub use crate::release::ReleasePlanner;
     pub use crate::release::{Budgeting, Release, StrategyKind};
     pub use crate::schema::{Attribute, Schema};
     pub use crate::strategy::{
@@ -94,13 +92,10 @@ pub mod prelude {
 }
 
 pub use crate::api::{
-    Answers, OwnedSession, Plan, PlanBuilder, PlanCache, Session, SessionRelease, StreamingSession,
-    WorkloadSpec,
+    Answers, Plan, PlanBuilder, PlanCache, Session, SessionRelease, WorkloadSpec,
 };
 pub use crate::cluster::{CentroidSearch, ClusterConfig};
 pub use crate::mask::AttrMask;
-#[allow(deprecated)] // kept so legacy callers migrate on their own schedule
-pub use crate::release::ReleasePlanner;
 pub use crate::release::{Budgeting, Release, StrategyKind};
 pub use crate::schema::Schema;
 pub use crate::table::ContingencyTable;

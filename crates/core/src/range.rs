@@ -15,7 +15,7 @@
 //! closed-form Haar diagonalization of their normal matrices (see the
 //! planning section below), so plans compile for domains far beyond the
 //! dense oracle's `n ≲ 4096`. The dense [`crate::framework`] path survives
-//! as the test oracle and inside the deprecated [`plan_range_release`].
+//! as the test oracle.
 //! Every release runs through the shared [`ReleaseEngine`] — observations
 //! `z = S·x` and the GLS recovery are matrix-free [`LinearOperator`]
 //! applications (tree sums, Haar transforms, CSR products) with conjugate
@@ -23,14 +23,13 @@
 
 use crate::framework::{gls_recovery, output_variances, Decomposition};
 use crate::grouping::{detect_grouping, Grouping};
-use crate::strategy::{Budgeting, ReleaseEngine, StrategyOperator};
+use crate::strategy::{ReleaseEngine, StrategyOperator};
 use crate::CoreError;
 use dp_linalg::{
     CgOptions, CsrMatrix, HaarOperator, HierarchicalOperator, IdentityOperator, LinearOperator,
     Matrix,
 };
-use dp_mech::{LaplaceMechanism, Neighboring, NoiseMechanism, PrivacyLevel};
-use dp_opt::budget::{BudgetSolution, GroupSpec};
+use dp_opt::budget::GroupSpec;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
@@ -782,136 +781,56 @@ impl CompiledRangeStrategy {
     }
 }
 
-/// A fully planned range release: group structure, budgets, variance
-/// predictions and the shared release engine, ready to draw noise from.
-#[deprecated(
-    since = "0.3.0",
-    note = "use dp_core::api::{PlanBuilder, Session} with WorkloadSpec::ranges — plans are \
-            data-independent, support (ε,δ) privacy and batch releases"
-)]
-pub struct RangePlan {
-    compiled: CompiledRangeStrategy,
-    epsilon: f64,
-    /// The Step-2 solve performed at plan time; every release reuses it, so
-    /// the published budgets and the noise actually drawn cannot diverge.
-    solution: BudgetSolution,
-    /// The dense decomposition used for planning (with the GLS-optimal `R`)
-    /// — introspection/oracle data; releases never touch it.
-    pub decomposition: Decomposition,
-    /// Grouping of the strategy rows.
-    pub grouping: Grouping,
-    /// Per-row noise budgets.
-    pub row_budgets: Vec<f64>,
-    /// Per-row noise variances implied by the budgets (Laplace).
-    pub row_variances: Vec<f64>,
-    /// Exact per-query output variances of the final recovery.
-    pub query_variances: Vec<f64>,
-}
-
-/// Plans a range release: builds `S`, groups it, computes budgets
-/// (uniform or optimal via `dp-opt`), and predicts the GLS recovery
-/// variances for those budgets (Steps 1–3 of the paper's framework). Pure
-/// ε-DP / Laplace only, and the retained [`Decomposition`] oracle keeps it
-/// dense — the [`crate::api`] path is matrix-free and supports (ε,δ).
-#[deprecated(
-    since = "0.3.0",
-    note = "use dp_core::api::PlanBuilder::ranges(..).compile() — matrix-free planning that \
-            scales past the dense oracle and supports PrivacyLevel::Approx"
-)]
-#[allow(deprecated)]
-pub fn plan_range_release(
-    workload: &RangeWorkload,
-    strategy: RangeStrategy,
-    optimal_budgets: bool,
-    epsilon: f64,
-) -> Result<RangePlan, CoreError> {
-    let n = workload.domain();
-    let compiled = CompiledRangeStrategy::build(workload, strategy)?;
-    let budgeting = if optimal_budgets {
-        Budgeting::Optimal
-    } else {
-        Budgeting::Uniform
-    };
-    let solution = compiled
-        .engine
-        .solve_budgets(PrivacyLevel::Pure { epsilon }, budgeting)?;
-    let row_budgets: Vec<f64> = compiled
-        .grouping
-        .assignment()
-        .iter()
-        .map(|&gid| solution.group_budgets[gid])
-        .collect();
-    let mech = LaplaceMechanism;
-    let row_variances: Vec<f64> = row_budgets
-        .iter()
-        .map(|&e| {
-            if e > 0.0 {
-                mech.variance(e)
-            } else {
-                f64::INFINITY
-            }
-        })
-        .collect();
-    if row_variances.iter().any(|v| !v.is_finite()) {
-        return Err(CoreError::Singular(
-            "a strategy row received zero budget; drop unused rows first",
-        ));
-    }
-
-    // Step 3 (prediction): the GLS recovery for the chosen variances and
-    // its exact per-query output variances, via the dense oracle.
-    let q = workload.query_matrix();
-    let s = strategy_matrix(strategy, n);
-    let r = gls_recovery(&q, &s, &row_variances)?;
-    let query_variances = output_variances(&r, &row_variances)?;
-    let grouping = compiled.grouping.clone();
-    Ok(RangePlan {
-        compiled,
-        epsilon,
-        solution,
-        decomposition: Decomposition { q, s, r },
-        grouping,
-        row_budgets,
-        row_variances,
-        query_variances,
-    })
-}
-
-#[allow(deprecated)]
-impl RangePlan {
-    /// Draws one private release of the range answers for a histogram:
-    /// `z = S·hist` through the matrix-free operator, per-row Laplace noise
-    /// and CG-based GLS recovery through the shared engine.
-    pub fn release<R: Rng + ?Sized>(
-        &self,
-        hist: &[f64],
-        rng: &mut R,
-    ) -> Result<Vec<f64>, CoreError> {
-        let z = self.compiled.observe(hist)?;
-        let out = self.compiled.engine.release_with_solution(
-            &z,
-            PrivacyLevel::Pure {
-                epsilon: self.epsilon,
-            },
-            &self.solution,
-            Neighboring::AddRemove,
-            rng,
-        )?;
-        Ok(out.answer)
-    }
-
-    /// Total predicted output variance.
-    pub fn total_variance(&self) -> f64 {
-        self.query_variances.iter().sum()
-    }
-}
-
 #[cfg(test)]
-#[allow(deprecated)] // the legacy dense planner keeps its behavioral suite
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use crate::api::{Compiled, Plan, PlanBuilder, Session, WorkloadSpec};
+    use crate::strategy::Budgeting;
+    use dp_mech::{LaplaceMechanism, NoiseMechanism, PrivacyLevel};
+    use std::sync::Arc;
+
+    /// A pure-ε plan for a range workload.
+    fn compile(
+        w: &RangeWorkload,
+        strategy: RangeStrategy,
+        optimal: bool,
+        epsilon: f64,
+    ) -> Result<Arc<Plan>, CoreError> {
+        let budgeting = if optimal {
+            Budgeting::Optimal
+        } else {
+            Budgeting::Uniform
+        };
+        PlanBuilder::ranges(w.clone(), strategy)
+            .budgeting(budgeting)
+            .privacy(PrivacyLevel::Pure { epsilon })
+            .compile()
+            .map(Arc::new)
+    }
+
+    /// The dense oracle of a compiled plan: explicit `Q`, `S` and the
+    /// GLS-optimal `R` for the plan's per-row Laplace variances.
+    fn dense_decomposition(plan: &Plan) -> Decomposition {
+        let (Compiled::Ranges(c), WorkloadSpec::Ranges { workload, strategy }) =
+            (plan.compiled(), plan.spec())
+        else {
+            unreachable!("range plans compile range strategies")
+        };
+        let row_variances: Vec<f64> = c
+            .grouping
+            .assignment()
+            .iter()
+            .map(|&g| LaplaceMechanism.variance(plan.solution().group_budgets[g]))
+            .collect();
+        let q = workload.query_matrix();
+        let s = strategy_matrix(*strategy, workload.domain());
+        let r = gls_recovery(&q, &s, &row_variances).unwrap();
+        Decomposition { q, s, r }
+    }
+
+    fn total_variance(plan: &Plan) -> f64 {
+        plan.query_variances().iter().sum()
+    }
 
     fn hist(n: usize) -> Vec<f64> {
         (0..n).map(|i| ((i * 13) % 7) as f64).collect()
@@ -994,13 +913,13 @@ mod tests {
         let w = RangeWorkload::all_prefixes(16).unwrap();
         let h = hist(16);
         let exact = w.true_answers(&h).unwrap();
-        let plan = plan_range_release(&w, RangeStrategy::Hierarchical, true, 1.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(3);
+        let plan = compile(&w, RangeStrategy::Hierarchical, true, 1.0).unwrap();
+        let session = Session::bind_histogram(plan, &h).unwrap();
         let trials = 800;
+        let seeds: Vec<u64> = (3..3 + trials).collect();
         let mut mean = vec![0.0; exact.len()];
-        for _ in 0..trials {
-            let y = plan.release(&h, &mut rng).unwrap();
-            for (m, v) in mean.iter_mut().zip(&y) {
+        for r in session.release_batch(&seeds).unwrap() {
+            for (m, v) in mean.iter_mut().zip(r.answers.ranges().unwrap()) {
                 *m += v / trials as f64;
             }
         }
@@ -1025,9 +944,9 @@ mod tests {
             RangeStrategy::Hierarchical,
             RangeStrategy::Wavelet,
         ] {
-            let plan = plan_range_release(&w, strategy, true, 1e9).unwrap();
-            let mut rng = StdRng::seed_from_u64(5);
-            let y = plan.release(&h, &mut rng).unwrap();
+            let plan = compile(&w, strategy, true, 1e9).unwrap();
+            let session = Session::bind_histogram(plan, &h).unwrap();
+            let y = session.release(5).unwrap().answers.into_ranges().unwrap();
             let exact = w.true_answers(&h).unwrap();
             for (a, b) in y.iter().zip(&exact) {
                 assert!(
@@ -1042,10 +961,15 @@ mod tests {
     fn releases_are_deterministic_per_seed() {
         let w = RangeWorkload::all_prefixes(32).unwrap();
         let h = hist(32);
-        let plan = plan_range_release(&w, RangeStrategy::Wavelet, true, 1.0).unwrap();
+        let plan = compile(&w, RangeStrategy::Wavelet, true, 1.0).unwrap();
+        let session = Session::bind_histogram(plan, &h).unwrap();
         let run = |seed: u64| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            plan.release(&h, &mut rng).unwrap()
+            session
+                .release(seed)
+                .unwrap()
+                .answers
+                .into_ranges()
+                .unwrap()
         };
         assert_eq!(run(77), run(77));
         assert_ne!(run(77), run(78));
@@ -1055,14 +979,9 @@ mod tests {
     fn optimal_budgets_beat_uniform_for_prefix_workloads() {
         let w = RangeWorkload::all_prefixes(32).unwrap();
         for strategy in [RangeStrategy::Hierarchical, RangeStrategy::Wavelet] {
-            let uni = plan_range_release(&w, strategy, false, 1.0).unwrap();
-            let opt = plan_range_release(&w, strategy, true, 1.0).unwrap();
-            assert!(
-                opt.total_variance() <= uni.total_variance() * (1.0 + 1e-9),
-                "{strategy:?}: {} vs {}",
-                opt.total_variance(),
-                uni.total_variance()
-            );
+            let uni = total_variance(&compile(&w, strategy, false, 1.0).unwrap());
+            let opt = total_variance(&compile(&w, strategy, true, 1.0).unwrap());
+            assert!(opt <= uni * (1.0 + 1e-9), "{strategy:?}: {opt} vs {uni}");
         }
     }
 
@@ -1074,9 +993,9 @@ mod tests {
         // growth *rates* rather than absolute dominance.)
         let totals = |n: usize| -> (f64, f64) {
             let w = RangeWorkload::all_prefixes(n).unwrap();
-            let ident = plan_range_release(&w, RangeStrategy::Identity, true, 1.0).unwrap();
-            let tree = plan_range_release(&w, RangeStrategy::Hierarchical, true, 1.0).unwrap();
-            (ident.total_variance(), tree.total_variance())
+            let ident = compile(&w, RangeStrategy::Identity, true, 1.0).unwrap();
+            let tree = compile(&w, RangeStrategy::Hierarchical, true, 1.0).unwrap();
+            (total_variance(&ident), total_variance(&tree))
         };
         let (i32_, t32) = totals(32);
         let (i128, t128) = totals(128);
@@ -1093,12 +1012,13 @@ mod tests {
         // For the invertible Haar strategy, Q = RS must hold exactly and
         // the noiseless release must be exact.
         let w = RangeWorkload::new(16, vec![(0, 5), (3, 11)]).unwrap();
-        let plan = plan_range_release(&w, RangeStrategy::Wavelet, true, 1.0).unwrap();
-        plan.decomposition.validate(1e-8).unwrap();
+        let plan = compile(&w, RangeStrategy::Wavelet, true, 1.0).unwrap();
+        let decomposition = dense_decomposition(&plan);
+        decomposition.validate(1e-8).unwrap();
         let h = hist(16);
         // Zero-noise check through the recovery path: apply R·S directly.
-        let z = plan.decomposition.s.matvec(&h).unwrap();
-        let y = plan.decomposition.r.matvec(&z).unwrap();
+        let z = decomposition.s.matvec(&h).unwrap();
+        let y = decomposition.r.matvec(&z).unwrap();
         let exact = w.true_answers(&h).unwrap();
         for (a, b) in y.iter().zip(&exact) {
             assert!((a - b).abs() < 1e-8);
@@ -1151,13 +1071,13 @@ mod tests {
             buckets: 16,
             seed: 7,
         };
-        let plan = plan_range_release(&w, strategy, true, 1.0).unwrap();
-        plan.decomposition.validate(1e-6).unwrap();
+        let plan = compile(&w, strategy, true, 1.0).unwrap();
+        dense_decomposition(&plan).validate(1e-6).unwrap();
         let h = hist(16);
-        let mut rng = StdRng::seed_from_u64(1);
-        let y = plan.release(&h, &mut rng).unwrap();
+        let session = Session::bind_histogram(Arc::clone(&plan), &h).unwrap();
+        let y = session.release(1).unwrap().answers.into_ranges().unwrap();
         assert_eq!(y.len(), 3);
-        assert!(plan.total_variance().is_finite());
+        assert!(total_variance(&plan).is_finite());
     }
 
     #[test]
@@ -1168,7 +1088,7 @@ mod tests {
             buckets: 4, // 4 rows < N = 16: rank deficient by construction
             seed: 3,
         };
-        assert!(plan_range_release(&w, strategy, true, 1.0).is_err());
+        assert!(compile(&w, strategy, true, 1.0).is_err());
     }
 
     #[test]
@@ -1334,10 +1254,9 @@ mod tests {
     #[test]
     fn histogram_shape_is_validated() {
         let w = RangeWorkload::all_prefixes(16).unwrap();
-        let plan = plan_range_release(&w, RangeStrategy::Hierarchical, true, 1.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(2);
+        let plan = compile(&w, RangeStrategy::Hierarchical, true, 1.0).unwrap();
         assert!(matches!(
-            plan.release(&[1.0; 8], &mut rng),
+            Session::bind_histogram(plan, &[1.0; 8]),
             Err(CoreError::Shape { .. })
         ));
     }

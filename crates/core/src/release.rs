@@ -5,9 +5,8 @@
 //! `CompiledMarginalStrategy` compiles a workload + strategy into the
 //! fully **data-independent** half of the pipeline (group structure,
 //! coefficient spaces, recovery map, observation recipe); binding it to a
-//! table and drawing releases is the job of [`crate::api::Session`]. The
-//! deprecated [`ReleasePlanner`] wraps the same machinery for callers that
-//! still fuse planning to data. Steps 2–3 — budgets, noise,
+//! table and drawing releases is the job of [`crate::api::Session`].
+//! Steps 2–3 — budgets, noise,
 //! generalized-least-squares recovery — live in the engine in
 //! [`crate::strategy`]; the types here only encode what is specific to each
 //! marginal strategy: its group structure and its (Fourier-space) recovery.
@@ -20,9 +19,7 @@ use crate::strategy::{ReleaseEngine, StrategyOperator};
 use crate::table::ContingencyTable;
 use crate::workload::Workload;
 use crate::CoreError;
-use dp_mech::{Neighboring, PrivacyLevel};
 use dp_opt::budget::GroupSpec;
-use rand::Rng;
 use rayon::prelude::*;
 
 pub use crate::strategy::Budgeting;
@@ -114,7 +111,6 @@ impl StrategyOperator for IdentityStrategy {
 /// centroids (`C`). Recovery is GLS in Fourier-coefficient space, where the
 /// normal equations are diagonal (Section 4.3).
 struct MarginalsStrategy {
-    observed: Vec<AttrMask>,
     targets: Vec<AttrMask>,
     space: CoefficientSpace,
     op: ObservationOperator,
@@ -204,8 +200,7 @@ enum ObserveKind {
 
 /// A marginal strategy compiled **without data**: the shared release engine
 /// (group structure + recovery map), the clustering (for `Cluster`), and
-/// the recipe for computing observations once a table arrives. This is the
-/// data-independent half of the old `ReleasePlanner`, and what
+/// the recipe for computing observations once a table arrives — what
 /// [`crate::api::Plan`] embeds for marginal workloads.
 pub(crate) struct CompiledMarginalStrategy {
     pub(crate) engine: ReleaseEngine<MarginalStrategyBox>,
@@ -454,112 +449,6 @@ impl CompiledMarginalStrategy {
     }
 }
 
-/// Precomputed release plan; see the module docs.
-#[deprecated(
-    since = "0.3.0",
-    note = "use dp_core::api::{PlanBuilder, Session}: compile a data-independent Plan once, \
-            bind it to tables with Session, and batch releases"
-)]
-pub struct ReleasePlanner<'a> {
-    workload: &'a Workload,
-    strategy: StrategyKind,
-    budgeting: Budgeting,
-    compiled: CompiledMarginalStrategy,
-    /// Exact strategy observations `z = S x`, precomputed at plan time.
-    observations: Vec<f64>,
-}
-
-#[allow(deprecated)]
-impl<'a> ReleasePlanner<'a> {
-    /// Builds the plan: runs the strategy search (for `Cluster`), computes
-    /// exact strategy answers and the group structure.
-    pub fn new(
-        table: &ContingencyTable,
-        workload: &'a Workload,
-        strategy: StrategyKind,
-        budgeting: Budgeting,
-    ) -> Result<Self, CoreError> {
-        if table.dims() != workload.domain_bits() {
-            return Err(CoreError::Shape {
-                context: "planner domain bits",
-                expected: workload.domain_bits(),
-                actual: table.dims(),
-            });
-        }
-        let compiled =
-            CompiledMarginalStrategy::build(workload, strategy, ClusterConfig::default())?;
-        let observations = compiled.observe(table)?;
-        Ok(ReleasePlanner {
-            workload,
-            strategy,
-            budgeting,
-            compiled,
-            observations,
-        })
-    }
-
-    /// The strategy's group specifications (`C_r`, `s_r`), for inspection.
-    pub fn group_specs(&self) -> &[GroupSpec] {
-        self.compiled.engine.strategy().group_specs()
-    }
-
-    /// The greedy clustering, when the strategy is `Cluster`.
-    pub fn clustering(&self) -> Option<&Clustering> {
-        self.compiled.clustering.as_ref()
-    }
-
-    /// The workload this plan releases.
-    pub fn workload(&self) -> &Workload {
-        self.workload
-    }
-
-    /// Display label, e.g. `"Q+"`.
-    pub fn label(&self) -> String {
-        match self.budgeting {
-            Budgeting::Uniform => self.strategy.label().to_string(),
-            Budgeting::Optimal => format!("{}+", self.strategy.label()),
-        }
-    }
-
-    /// Performs one private release at the given privacy level.
-    ///
-    /// The sensitivity convention is add/remove-one neighbours
-    /// ([`Neighboring::AddRemove`]), matching the paper's experiments; use
-    /// [`ReleasePlanner::release_with_neighboring`] for replace-one.
-    pub fn release<R: Rng + ?Sized>(
-        &self,
-        privacy: PrivacyLevel,
-        rng: &mut R,
-    ) -> Result<Release, CoreError> {
-        self.release_with_neighboring(privacy, Neighboring::AddRemove, rng)
-    }
-
-    /// [`ReleasePlanner::release`] with an explicit neighbouring convention:
-    /// `Replace` halves every budget (doubling the noise), per the factor-2
-    /// sensitivity of Proposition 3.1.
-    pub fn release_with_neighboring<R: Rng + ?Sized>(
-        &self,
-        privacy: PrivacyLevel,
-        neighboring: Neighboring,
-        rng: &mut R,
-    ) -> Result<Release, CoreError> {
-        let out = self.compiled.engine.release_with(
-            &self.observations,
-            privacy,
-            self.budgeting,
-            neighboring,
-            rng,
-        )?;
-        Ok(Release {
-            answers: out.answer,
-            group_budgets: out.group_budgets,
-            predicted_variance: out.predicted_variance,
-            achieved_epsilon: out.achieved_epsilon,
-            label: self.label(),
-        })
-    }
-}
-
 /// Shared construction for the `Workload` and `Cluster` strategies:
 /// coefficient space, observation operator and one group per observed
 /// marginal with `s_r` given by `weights` (aligned index-for-index with
@@ -585,7 +474,6 @@ fn marginals_strategy(
         row_groups.extend(std::iter::repeat_n(g as u32, m.cell_count()));
     }
     Ok(MarginalsStrategy {
-        observed,
         targets,
         space,
         op,
@@ -594,20 +482,12 @@ fn marginals_strategy(
     })
 }
 
-impl MarginalsStrategy {
-    /// The observed (strategy) marginal masks, group order.
-    #[allow(dead_code)] // inspection hook used by tests/diagnostics
-    fn observed(&self) -> &[AttrMask] {
-        &self.observed
-    }
-}
-
 #[cfg(test)]
-#[allow(deprecated)] // the legacy planner keeps its behavioral test suite
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use crate::api::{PlanBuilder, Session};
+    use dp_mech::{Neighboring, PrivacyLevel};
+    use std::sync::Arc;
 
     fn small_table() -> ContingencyTable {
         // 4-bit table with 100 tuples in a skewed pattern.
@@ -621,6 +501,21 @@ mod tests {
     fn workload2() -> Workload {
         let schema = crate::schema::Schema::binary(4).unwrap();
         Workload::all_k_way(&schema, 2).unwrap()
+    }
+
+    /// A plan for `w` bound to [`small_table`].
+    fn session(
+        w: &Workload,
+        strategy: StrategyKind,
+        budgeting: Budgeting,
+        privacy: PrivacyLevel,
+    ) -> Session {
+        let plan = PlanBuilder::marginals(w.clone(), strategy)
+            .budgeting(budgeting)
+            .privacy(privacy)
+            .compile()
+            .unwrap();
+        Session::bind(Arc::new(plan), &small_table()).unwrap()
     }
 
     fn check_consistent(answers: &[MarginalTable]) {
@@ -641,9 +536,7 @@ mod tests {
 
     #[test]
     fn all_strategies_release_and_are_consistent() {
-        let t = small_table();
         let w = workload2();
-        let mut rng = StdRng::seed_from_u64(5);
         for strategy in [
             StrategyKind::Identity,
             StrategyKind::Workload,
@@ -651,73 +544,64 @@ mod tests {
             StrategyKind::Cluster,
         ] {
             for budgeting in [Budgeting::Uniform, Budgeting::Optimal] {
-                let p = ReleasePlanner::new(&t, &w, strategy, budgeting).unwrap();
-                let r = p
-                    .release(PrivacyLevel::Pure { epsilon: 1.0 }, &mut rng)
-                    .unwrap();
-                assert_eq!(r.answers.len(), w.len());
+                let pure = PrivacyLevel::Pure { epsilon: 1.0 };
+                let r = session(&w, strategy, budgeting, pure).release(5).unwrap();
+                let answers = r.answers.marginals().unwrap();
+                assert_eq!(answers.len(), w.len());
                 assert!(r.achieved_epsilon <= 1.0 + 1e-9, "{strategy:?}");
                 assert!(r.predicted_variance > 0.0);
-                check_consistent(&r.answers);
+                check_consistent(answers);
             }
         }
     }
 
     #[test]
     fn gaussian_release_works() {
-        let t = small_table();
         let w = workload2();
-        let mut rng = StdRng::seed_from_u64(6);
+        let approx = PrivacyLevel::Approx {
+            epsilon: 1.0,
+            delta: 1e-5,
+        };
         for strategy in [StrategyKind::Workload, StrategyKind::Fourier] {
-            let p = ReleasePlanner::new(&t, &w, strategy, Budgeting::Optimal).unwrap();
-            let r = p
-                .release(
-                    PrivacyLevel::Approx {
-                        epsilon: 1.0,
-                        delta: 1e-5,
-                    },
-                    &mut rng,
-                )
+            let r = session(&w, strategy, Budgeting::Optimal, approx)
+                .release(6)
                 .unwrap();
             assert!(r.achieved_epsilon <= 1.0 + 1e-9);
-            check_consistent(&r.answers);
+            check_consistent(r.answers.marginals().unwrap());
         }
     }
 
     #[test]
     fn labels() {
-        let t = small_table();
         let w = workload2();
-        let p = ReleasePlanner::new(&t, &w, StrategyKind::Fourier, Budgeting::Optimal).unwrap();
-        assert_eq!(p.label(), "F+");
-        let p = ReleasePlanner::new(&t, &w, StrategyKind::Cluster, Budgeting::Uniform).unwrap();
-        assert_eq!(p.label(), "C");
-        assert!(p.clustering().is_some());
-        assert_eq!(p.workload().len(), w.len());
+        let pure = PrivacyLevel::Pure { epsilon: 1.0 };
+        let s = session(&w, StrategyKind::Fourier, Budgeting::Optimal, pure);
+        assert_eq!(s.plan().label(), "F+");
+        let s = session(&w, StrategyKind::Cluster, Budgeting::Uniform, pure);
+        assert_eq!(s.plan().label(), "C");
+        assert!(s.plan().clustering().is_some());
+        assert_eq!(s.plan().spec().num_queries(), w.len());
     }
 
     #[test]
     fn optimal_budgets_never_increase_predicted_variance() {
-        let t = small_table();
         // A workload with heterogeneous marginal sizes so budgets matter.
         let w = Workload::new(
             4,
             vec![AttrMask(0b0001), AttrMask(0b0111), AttrMask(0b1100)],
         )
         .unwrap();
-        let mut rng = StdRng::seed_from_u64(7);
+        let pure = PrivacyLevel::Pure { epsilon: 0.5 };
         for strategy in [
             StrategyKind::Workload,
             StrategyKind::Fourier,
             StrategyKind::Cluster,
         ] {
-            let uni = ReleasePlanner::new(&t, &w, strategy, Budgeting::Uniform)
-                .unwrap()
-                .release(PrivacyLevel::Pure { epsilon: 0.5 }, &mut rng)
+            let uni = session(&w, strategy, Budgeting::Uniform, pure)
+                .release(7)
                 .unwrap();
-            let opt = ReleasePlanner::new(&t, &w, strategy, Budgeting::Optimal)
-                .unwrap()
-                .release(PrivacyLevel::Pure { epsilon: 0.5 }, &mut rng)
+            let opt = session(&w, strategy, Budgeting::Optimal, pure)
+                .release(8)
                 .unwrap();
             assert!(
                 opt.predicted_variance <= uni.predicted_variance * (1.0 + 1e-9),
@@ -730,24 +614,19 @@ mod tests {
 
     #[test]
     fn replace_neighboring_doubles_noise_scale() {
-        let t = small_table();
-        let w = workload2();
-        let p = ReleasePlanner::new(&t, &w, StrategyKind::Workload, Budgeting::Uniform).unwrap();
-        let mut rng = StdRng::seed_from_u64(8);
-        let add_remove = p
-            .release_with_neighboring(
-                PrivacyLevel::Pure { epsilon: 1.0 },
-                Neighboring::AddRemove,
-                &mut rng,
-            )
-            .unwrap();
-        let replace = p
-            .release_with_neighboring(
-                PrivacyLevel::Pure { epsilon: 1.0 },
-                Neighboring::Replace,
-                &mut rng,
-            )
-            .unwrap();
+        let release = |neighboring: Neighboring| {
+            let plan = PlanBuilder::marginals(workload2(), StrategyKind::Workload)
+                .budgeting(Budgeting::Uniform)
+                .neighboring(neighboring)
+                .compile()
+                .unwrap();
+            Session::bind(Arc::new(plan), &small_table())
+                .unwrap()
+                .release(8)
+                .unwrap()
+        };
+        let add_remove = release(Neighboring::AddRemove);
+        let replace = release(Neighboring::Replace);
         for (a, b) in add_remove.group_budgets.iter().zip(&replace.group_budgets) {
             assert!((a - 2.0 * b).abs() < 1e-12);
         }
@@ -758,16 +637,13 @@ mod tests {
     fn identity_strategy_uniform_equals_optimal() {
         // Single group ⇒ budgeting mode is irrelevant (paper: "for I the
         // optimal noise allocation is always uniform").
-        let t = small_table();
         let w = workload2();
-        let mut rng = StdRng::seed_from_u64(9);
-        let uni = ReleasePlanner::new(&t, &w, StrategyKind::Identity, Budgeting::Uniform)
-            .unwrap()
-            .release(PrivacyLevel::Pure { epsilon: 1.0 }, &mut rng)
+        let pure = PrivacyLevel::Pure { epsilon: 1.0 };
+        let uni = session(&w, StrategyKind::Identity, Budgeting::Uniform, pure)
+            .release(9)
             .unwrap();
-        let opt = ReleasePlanner::new(&t, &w, StrategyKind::Identity, Budgeting::Optimal)
-            .unwrap()
-            .release(PrivacyLevel::Pure { epsilon: 1.0 }, &mut rng)
+        let opt = session(&w, StrategyKind::Identity, Budgeting::Optimal, pure)
+            .release(10)
             .unwrap();
         assert_eq!(uni.group_budgets, opt.group_budgets);
         assert!((uni.predicted_variance - opt.predicted_variance).abs() < 1e-9);
@@ -775,7 +651,6 @@ mod tests {
 
     #[test]
     fn releases_are_deterministic_per_seed() {
-        let t = small_table();
         let w = workload2();
         for strategy in [
             StrategyKind::Identity,
@@ -783,15 +658,12 @@ mod tests {
             StrategyKind::Fourier,
             StrategyKind::Cluster,
         ] {
-            let p = ReleasePlanner::new(&t, &w, strategy, Budgeting::Optimal).unwrap();
-            let run = |seed: u64| {
-                let mut rng = StdRng::seed_from_u64(seed);
-                p.release(PrivacyLevel::Pure { epsilon: 1.0 }, &mut rng)
-                    .unwrap()
-            };
-            let a = run(1234);
-            let b = run(1234);
-            for (ma, mb) in a.answers.iter().zip(&b.answers) {
+            let pure = PrivacyLevel::Pure { epsilon: 1.0 };
+            let s = session(&w, strategy, Budgeting::Optimal, pure);
+            let a = s.release(1234).unwrap();
+            let b = s.release(1234).unwrap();
+            let pairs = a.answers.marginals().unwrap().iter();
+            for (ma, mb) in pairs.zip(b.answers.marginals().unwrap()) {
                 assert_eq!(ma.values(), mb.values(), "{strategy:?}");
             }
         }
@@ -802,23 +674,21 @@ mod tests {
         // Smaller ε must yield larger error on average.
         let t = small_table();
         let w = workload2();
-        let p = ReleasePlanner::new(&t, &w, StrategyKind::Fourier, Budgeting::Optimal).unwrap();
         let exact = w.true_answers(&t);
-        let err = |eps: f64, seed: u64| -> f64 {
-            let mut rng = StdRng::seed_from_u64(seed);
+        let seeds: Vec<u64> = (1..=30).collect();
+        let err = |eps: f64| -> f64 {
+            let pure = PrivacyLevel::Pure { epsilon: eps };
+            let s = session(&w, StrategyKind::Fourier, Budgeting::Optimal, pure);
             let mut total = 0.0;
-            for _ in 0..30 {
-                let r = p
-                    .release(PrivacyLevel::Pure { epsilon: eps }, &mut rng)
-                    .unwrap();
-                for (a, e) in r.answers.iter().zip(&exact) {
+            for r in s.release_batch(&seeds).unwrap() {
+                for (a, e) in r.answers.marginals().unwrap().iter().zip(&exact) {
                     total += a.l1_distance(e).unwrap();
                 }
             }
             total
         };
-        let loose = err(10.0, 1);
-        let tight = err(0.1, 1);
+        let loose = err(10.0);
+        let tight = err(0.1);
         assert!(
             tight > 10.0 * loose,
             "ε=0.1 error {tight} vs ε=10 error {loose}"
@@ -827,10 +697,12 @@ mod tests {
 
     #[test]
     fn mismatched_domain_rejected() {
-        let t = ContingencyTable::zeros(3);
-        let w = workload2();
+        let plan = PlanBuilder::marginals(workload2(), StrategyKind::Identity)
+            .budgeting(Budgeting::Uniform)
+            .compile()
+            .unwrap();
         assert!(matches!(
-            ReleasePlanner::new(&t, &w, StrategyKind::Identity, Budgeting::Uniform),
+            Session::bind(Arc::new(plan), &ContingencyTable::zeros(3)),
             Err(CoreError::Shape { .. })
         ));
     }
@@ -841,16 +713,14 @@ mod tests {
         // (Lemma 3.5: GLS recovery is unbiased).
         let t = small_table();
         let w = Workload::new(4, vec![AttrMask(0b0011), AttrMask(0b0110)]).unwrap();
-        let p = ReleasePlanner::new(&t, &w, StrategyKind::Workload, Budgeting::Optimal).unwrap();
+        let pure = PrivacyLevel::Pure { epsilon: 2.0 };
+        let s = session(&w, StrategyKind::Workload, Budgeting::Optimal, pure);
         let exact = w.true_answers(&t);
-        let mut rng = StdRng::seed_from_u64(11);
         let trials = 3000;
+        let seeds: Vec<u64> = (11..11 + trials).collect();
         let mut mean = [vec![0.0; 4], vec![0.0; 4]];
-        for _ in 0..trials {
-            let r = p
-                .release(PrivacyLevel::Pure { epsilon: 2.0 }, &mut rng)
-                .unwrap();
-            for (acc, ans) in mean.iter_mut().zip(&r.answers) {
+        for r in s.release_batch(&seeds).unwrap() {
+            for (acc, ans) in mean.iter_mut().zip(r.answers.marginals().unwrap()) {
                 for (a, v) in acc.iter_mut().zip(ans.values()) {
                     *a += v / trials as f64;
                 }

@@ -512,7 +512,7 @@ mod tests {
             .privacy(PrivacyLevel::Pure { epsilon: 1.0 })
             .compile()
             .unwrap();
-        let session = Session::bind(&plan, &t).unwrap();
+        let session = Session::bind(std::sync::Arc::new(plan), &t).unwrap();
         let r = session.release(1).unwrap().into_release().unwrap();
         let v = r.serialize_value();
         let back = Release::deserialize_value(&v).unwrap();

@@ -192,30 +192,17 @@ impl<S: StrategyOperator + Sync> ReleaseEngine<S> {
         }
     }
 
-    /// Runs Steps 2–3 for one release: optimal/uniform budgets, calibrated
+    /// Runs Steps 2–3 for one release at a budget solution computed by
+    /// [`ReleaseEngine::solve_budgets`] (e.g. at plan time): calibrated
     /// per-row noise on `observations` (the exact strategy answers
-    /// `z = S x`), and the strategy's GLS recovery.
+    /// `z = S x`) and the strategy's GLS recovery. Repeated releases from
+    /// one plan skip the Step-2 solve and are guaranteed to draw noise at
+    /// the exact budgets the plan published.
     ///
     /// Noise is drawn in `NOISE_CHUNK`-row chunks, each from its own
     /// [`StdRng`] substream seeded sequentially from `rng` — so the output
     /// is deterministic in `rng`'s seed regardless of how many threads the
     /// chunks land on.
-    pub fn release_with<R: Rng + ?Sized>(
-        &self,
-        observations: &[f64],
-        privacy: PrivacyLevel,
-        budgeting: Budgeting,
-        neighboring: Neighboring,
-        rng: &mut R,
-    ) -> Result<EngineRelease<S::Answer>, CoreError> {
-        let solution = self.solve_budgets(privacy, budgeting)?;
-        self.release_with_solution(observations, privacy, &solution, neighboring, rng)
-    }
-
-    /// [`ReleaseEngine::release_with`] for a budget solution that was
-    /// already computed (e.g. at plan time) — repeated releases from one
-    /// plan skip the Step-2 solve and are guaranteed to draw noise at the
-    /// exact budgets the plan published.
     ///
     /// Scratch buffers come from a process-wide pool, so K releases (e.g.
     /// a `release_batch` fan-out) allocate O(workers) buffers rather than
@@ -610,6 +597,19 @@ mod tests {
         }
     }
 
+    /// Steps 2–3 in one call: solve the budgets, then release at them.
+    fn release(
+        engine: &ReleaseEngine<Echo>,
+        observations: &[f64],
+        privacy: PrivacyLevel,
+        budgeting: Budgeting,
+        neighboring: Neighboring,
+        rng: &mut StdRng,
+    ) -> Result<EngineRelease<Vec<f64>>, CoreError> {
+        let solution = engine.solve_budgets(privacy, budgeting)?;
+        engine.release_with_solution(observations, privacy, &solution, neighboring, rng)
+    }
+
     fn echo() -> Echo {
         Echo {
             specs: vec![GroupSpec { c: 1.0, s: 4.0 }, GroupSpec { c: 1.0, s: 1.0 }],
@@ -624,15 +624,15 @@ mod tests {
         let p = PrivacyLevel::Pure { epsilon: 1.0 };
         let run = |seed: u64| {
             let mut rng = StdRng::seed_from_u64(seed);
-            engine
-                .release_with(
-                    &obs,
-                    p,
-                    Budgeting::Optimal,
-                    Neighboring::AddRemove,
-                    &mut rng,
-                )
-                .unwrap()
+            release(
+                &engine,
+                &obs,
+                p,
+                Budgeting::Optimal,
+                Neighboring::AddRemove,
+                &mut rng,
+            )
+            .unwrap()
         };
         let a = run(9);
         let b = run(9);
@@ -647,15 +647,15 @@ mod tests {
         let engine = ReleaseEngine::new(echo()).unwrap();
         let obs = vec![0.0; 4];
         let mut rng = StdRng::seed_from_u64(1);
-        let r = engine
-            .release_with(
-                &obs,
-                PrivacyLevel::Pure { epsilon: 0.7 },
-                Budgeting::Optimal,
-                Neighboring::AddRemove,
-                &mut rng,
-            )
-            .unwrap();
+        let r = release(
+            &engine,
+            &obs,
+            PrivacyLevel::Pure { epsilon: 0.7 },
+            Budgeting::Optimal,
+            Neighboring::AddRemove,
+            &mut rng,
+        )
+        .unwrap();
         assert!((r.achieved_epsilon - 0.7).abs() < 1e-9);
         assert!(r.predicted_variance > 0.0);
     }
@@ -665,7 +665,8 @@ mod tests {
         let engine = ReleaseEngine::new(echo()).unwrap();
         let mut rng = StdRng::seed_from_u64(2);
         assert!(matches!(
-            engine.release_with(
+            release(
+                &engine,
                 &[1.0; 3],
                 PrivacyLevel::Pure { epsilon: 1.0 },
                 Budgeting::Uniform,
@@ -690,15 +691,15 @@ mod tests {
         .unwrap();
         let obs = vec![5.0, 6.0, 7.0, 8.0];
         let mut rng = StdRng::seed_from_u64(3);
-        let r = engine
-            .release_with(
-                &obs,
-                PrivacyLevel::Pure { epsilon: 1.0 },
-                Budgeting::Optimal,
-                Neighboring::AddRemove,
-                &mut rng,
-            )
-            .unwrap();
+        let r = release(
+            &engine,
+            &obs,
+            PrivacyLevel::Pure { epsilon: 1.0 },
+            Budgeting::Optimal,
+            Neighboring::AddRemove,
+            &mut rng,
+        )
+        .unwrap();
         // Group 1 has zero recovery weight → budget 0 → its rows are
         // zeroed by the engine, so even this weights-unaware echo recovery
         // cannot leak the exact values 7.0/8.0.
@@ -804,18 +805,24 @@ mod tests {
         let obs = vec![0.0; 4];
         let p = PrivacyLevel::Pure { epsilon: 1.0 };
         let mut rng = StdRng::seed_from_u64(4);
-        let add = engine
-            .release_with(
-                &obs,
-                p,
-                Budgeting::Uniform,
-                Neighboring::AddRemove,
-                &mut rng,
-            )
-            .unwrap();
-        let rep = engine
-            .release_with(&obs, p, Budgeting::Uniform, Neighboring::Replace, &mut rng)
-            .unwrap();
+        let add = release(
+            &engine,
+            &obs,
+            p,
+            Budgeting::Uniform,
+            Neighboring::AddRemove,
+            &mut rng,
+        )
+        .unwrap();
+        let rep = release(
+            &engine,
+            &obs,
+            p,
+            Budgeting::Uniform,
+            Neighboring::Replace,
+            &mut rng,
+        )
+        .unwrap();
         for (a, b) in add.group_budgets.iter().zip(&rep.group_budgets) {
             assert!((a - 2.0 * b).abs() < 1e-12);
         }

@@ -86,7 +86,7 @@ impl ContingencyTable {
     }
 
     /// Inserts one record: `x_{enc(r)} += 1`. The table-side twin of
-    /// [`crate::api::StreamingSession::ingest`]; equivalent to rebuilding
+    /// [`crate::api::Session::ingest`]; equivalent to rebuilding
     /// with [`ContingencyTable::from_records`] on the extended multiset.
     pub fn add_record(&mut self, schema: &Schema, record: &[usize]) -> Result<u64, SchemaError> {
         let idx = schema.encode(record)?;

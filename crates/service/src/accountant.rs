@@ -68,14 +68,15 @@
 //! `(tenant, request_id, session, seeds, charge)` in the WAL record
 //! itself; every later admission of the same id debits *nothing* and
 //! replays — from the cached response if the release completed, or by
-//! telling the caller to recompute (releases are seed-deterministic, so
-//! recomputation is byte-identical) if the first attempt died between
-//! debit and response. A retry racing the first admission's group commit
+//! telling the caller the response is gone if the first attempt died
+//! between debit and response (or the cache evicted it). The service then
+//! recomputes it for a shared session (releases are seed-deterministic,
+//! so recomputation is byte-identical) and refuses it for a stream, whose
+//! state has moved on. A retry racing the first admission's group commit
 //! waits for that commit's outcome rather than guessing: if the batch
 //! lands the retry replays, if the batch fails the retry re-debits. WAL
 //! replay reconstructs the journal, so the no-double-debit guarantee
-//! survives crash/restart; only the response *cache* is volatile, and
-//! recomputation covers it.
+//! survives crash/restart; only the response *cache* is volatile.
 //!
 //! ## The global ledger
 //!
@@ -104,9 +105,10 @@ use serde::Value;
 /// Completed release responses kept in memory (per tenant) for replay.
 /// The *journal* (which ids were charged, and for what) is never evicted
 /// — it is the exactly-once guarantee and is WAL-backed anyway; the
-/// cached response values are only a shortcut, because an evicted
-/// response is recomputed deterministically from the journaled seeds.
-const RESPONSE_CACHE_CAP: usize = 1024;
+/// cached response values are only a shortcut: an evicted response of a
+/// shared session is recomputed deterministically from the journaled
+/// seeds, and one of a stream is refused (the stream has moved on).
+pub(crate) const RESPONSE_CACHE_CAP: usize = 1024;
 
 /// A point-in-time snapshot of one tenant's budget position.
 #[derive(Debug, Clone, Copy)]
@@ -152,8 +154,9 @@ pub enum ReleaseAdmission {
     /// This id was already charged — debit nothing. `Some` carries the
     /// cached response to return verbatim; `None` means the response was
     /// never stored (the first attempt died between debit and response,
-    /// or the cache evicted it) and the caller must recompute it from the
-    /// same session and seeds, which is byte-identical by determinism.
+    /// or the cache evicted it). The caller recomputes it from the same
+    /// session and seeds when that is byte-identical by determinism (a
+    /// shared session never changes), and refuses otherwise (a stream).
     Replay(Option<Arc<Value>>),
 }
 
@@ -846,8 +849,9 @@ impl Accountant {
     /// Stores the completed response for a journaled release so later
     /// retries of the same `request_id` replay it verbatim — as another
     /// handle on the same `Arc`, never a deep clone. A bounded number of
-    /// responses are cached per tenant; evicted ones are recomputed on
-    /// replay (the journal entry itself is never evicted).
+    /// responses are cached per tenant; an evicted one replays as
+    /// [`ReleaseAdmission::Replay`]`(None)` (the journal entry itself is
+    /// never evicted).
     pub fn record_response(&self, tenant: &str, request_id: &str, response: &Arc<Value>) {
         let Ok(shard) = self.shard(tenant) else {
             return;

@@ -33,8 +33,13 @@ pub enum ServiceError {
         /// The unknown plan id.
         plan_id: String,
     },
-    /// No session with this id has been bound.
+    /// No session with this id has been bound (or it belongs to another
+    /// tenant).
     UnknownSession(String),
+    /// An ingest targeted a shared bound session. Only tenant-owned
+    /// streams take deltas: a shared session serves every tenant that
+    /// registered its plan.
+    ReadOnlySession(String),
     /// The request's credential does not authorize the operation (see
     /// [`crate::auth`] for the policy).
     Unauthorized(String),
@@ -71,6 +76,15 @@ pub enum ServiceError {
         /// The reused request id.
         request_id: String,
     },
+    /// A keyed stream release was re-driven after its response left the
+    /// replay cache (eviction or restart). The id was already charged, and
+    /// the stream has moved on since the original draw, so recomputing
+    /// would hand out fresh, uncharged noise under the old id. Refused
+    /// instead, and never retried.
+    ReplayUnavailable {
+        /// The re-driven request id.
+        request_id: String,
+    },
     /// The persisted ledger file is corrupt (a non-tail record failed to
     /// parse); refusing to guess at spent budget.
     WalCorrupt(String),
@@ -93,6 +107,7 @@ impl ServiceError {
             ServiceError::TenantBudgetMismatch(_) => "tenant_budget_mismatch",
             ServiceError::UnknownPlan { .. } => "unknown_plan",
             ServiceError::UnknownSession(_) => "unknown_session",
+            ServiceError::ReadOnlySession(_) => "read_only_session",
             ServiceError::Unauthorized(_) => "unauthorized",
             ServiceError::FingerprintCollision(_) => "fingerprint_collision",
             ServiceError::UnknownTable(_) => "unknown_table",
@@ -103,6 +118,7 @@ impl ServiceError {
             ServiceError::Timeout(_) => "timeout",
             ServiceError::Overloaded { .. } => "overloaded",
             ServiceError::IdempotencyMismatch { .. } => "idempotency_mismatch",
+            ServiceError::ReplayUnavailable { .. } => "replay_unavailable",
             ServiceError::WalCorrupt(_) => "wal_corrupt",
             ServiceError::Remote { code, .. } => code,
         }
@@ -154,6 +170,10 @@ impl std::fmt::Display for ServiceError {
                 write!(f, "tenant {tenant:?} has no registered plan {plan_id:?}")
             }
             ServiceError::UnknownSession(s) => write!(f, "unknown session {s:?}"),
+            ServiceError::ReadOnlySession(s) => write!(
+                f,
+                "session {s:?} is a shared bound session; only tenant streams take ingests"
+            ),
             ServiceError::Unauthorized(m) => write!(f, "unauthorized: {m}"),
             ServiceError::FingerprintCollision(id) => write!(
                 f,
@@ -172,6 +192,11 @@ impl std::fmt::Display for ServiceError {
             ServiceError::IdempotencyMismatch { request_id } => write!(
                 f,
                 "request id {request_id:?} was already used with different parameters"
+            ),
+            ServiceError::ReplayUnavailable { request_id } => write!(
+                f,
+                "request id {request_id:?} was charged, but its response is no longer cached \
+                 and its stream has moved on; refusing to recompute it"
             ),
             ServiceError::WalCorrupt(e) => write!(f, "corrupt budget ledger file: {e}"),
             ServiceError::Remote { code, message } => {
@@ -265,6 +290,10 @@ mod tests {
             ServiceError::IdempotencyMismatch {
                 request_id: "r".into(),
             },
+            ServiceError::ReplayUnavailable {
+                request_id: "r".into(),
+            },
+            ServiceError::ReadOnlySession("s".into()),
             ServiceError::BudgetExhausted {
                 requested_epsilon: 1.0,
                 requested_delta: 0.0,

@@ -187,9 +187,19 @@ pub fn check(site: &str) -> Result<(), ServiceError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::MutexGuard;
+
+    /// The registry is process-global and the test harness runs tests on
+    /// parallel threads: without this lock one test's `clear_all` wipes
+    /// another's configured site (and its fired count) mid-test.
+    fn serial() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn window_schedules_fire_deterministically() {
+        let _guard = serial();
         clear_all();
         configure(
             "t.window",
@@ -205,6 +215,7 @@ mod tests {
 
     #[test]
     fn seeded_schedules_are_reproducible_and_seed_sensitive() {
+        let _guard = serial();
         clear_all();
         let pattern = |seed: u64| -> Vec<bool> {
             configure(
@@ -229,6 +240,7 @@ mod tests {
 
     #[test]
     fn delay_actions_do_not_error() {
+        let _guard = serial();
         clear_all();
         configure("t.delay", Trigger::nth(0), FailAction::DelayMs(1));
         assert!(check("t.delay").is_ok());

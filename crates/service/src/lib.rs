@@ -10,9 +10,12 @@
 //!    [`dp_core::api::PlanCache`]. Plans are interned by fingerprint, so
 //!    K tenants asking for the same workload shape cost exactly one
 //!    strategy compile and one Step-2 budget solve.
-//! 2. **Session pool** ([`pool::SessionPool`]) — a registered plan bound
-//!    to a loaded table/histogram, observations `z = S·x` computed once,
-//!    serving seed-deterministic releases.
+//! 2. **Session pool** ([`pool::SessionPool`]) — one pool of
+//!    [`dp_core::Session`]s: registered plans bound to a loaded
+//!    table/histogram and shared across tenants (observations `z = S·x`
+//!    computed once), and tenant-owned streams that ingest record-level
+//!    deltas. Both serve seed-deterministic releases through the one
+//!    release path, [`service::DpService::release`].
 //! 3. **Budget accountant** ([`accountant::Accountant`]) — per-tenant
 //!    cumulative (ε, δ) metering via sequential composition
 //!    ([`dp_mech::compose_n`]). Charges are debited atomically **before**
@@ -48,8 +51,8 @@
 //!     )
 //!     .unwrap();
 //! let session = service.bind("alice", &plan_id, "toy").unwrap();
-//! let releases = service.release("alice", &session, &[42]).unwrap();
-//! assert_eq!(releases.len(), 1);
+//! let response = service.release("alice", &session, &[42], None).unwrap();
+//! assert_eq!(response.get_field("releases").and_then(|r| r.as_array()).unwrap().len(), 1);
 //! assert_eq!(service.budget_status("alice").unwrap().spent_epsilon, 0.5);
 //! ```
 //!
@@ -126,7 +129,7 @@ pub use accountant::{Accountant, BudgetStatus, ReleaseAdmission, WalStats, WalSy
 pub use auth::{Auth, AuthPolicy};
 pub use client::{Client, ClientConfig, ClientStats, KeyedRelease, RemoteBudgetStatus};
 pub use error::ServiceError;
-pub use pool::{DataStore, Dataset, SessionPool, StreamPool};
+pub use pool::{DataStore, Dataset, PooledSession, SessionPool};
 pub use registry::Registry;
 pub use server::{Server, ServerLimits};
 pub use service::DpService;

@@ -1,30 +1,32 @@
-//! Loaded datasets, the session pool, and the streaming-session pool.
+//! Loaded datasets and the session pool.
 //!
 //! A [`DataStore`] holds the named tables/histograms the operator loaded
-//! into the server; a [`SessionPool`] holds [`OwnedSession`]s — a
-//! registered plan bound to one dataset, with the observations `z = S·x`
-//! computed exactly once at bind time. Session ids are deterministic
-//! (`"<plan_id>/<table>"`), so binding is idempotent and the pool never
-//! grows with repeated binds. Sessions carry no tenant state (the
-//! observations depend only on plan and data; all per-tenant state lives
-//! in the accountant/registry), so tenants sharing a plan and table also
-//! share the bound session.
+//! into the server. A [`SessionPool`] holds every bound [`Session`], one
+//! pool for both kinds:
 //!
-//! [`StreamPool`] is the mutable counterpart: each entry is a
-//! [`StreamingSession`] a publisher pushes deltas into. Unlike pooled
-//! sessions, streams **must not** be shared across tenants (one tenant's
-//! ingests would silently change what another tenant releases), so stream
-//! ids embed the tenant (`"<tenant>/<plan_id>/<table>"`) and opening is
-//! idempotent *per tenant*: reopening returns the live stream without
-//! resetting its state, which is what lets a crashed publisher reconnect
-//! and resume.
+//! - **Shared** sessions (`owner == None`): a registered plan bound to one
+//!   dataset, with the observations `z = S·x` computed once at bind time.
+//!   Their ids are `"<plan_id>/<table>"`, so binding is idempotent and
+//!   tenants sharing a plan and table share the session (the observations
+//!   depend only on plan and data; per-tenant state lives in the
+//!   accountant and registry). Nothing may ingest into them.
+//! - **Tenant-owned** sessions (streams): a publisher pushes record-level
+//!   deltas into them, so they must never be shared — one tenant's
+//!   ingests would silently change what another tenant releases. Their
+//!   ids embed the tenant (`"<tenant>/<plan_id>/<table>"`, empty table for
+//!   a stream that starts empty), and opening is idempotent *per tenant*:
+//!   reopening returns the live stream without resetting its state, which
+//!   is what lets a crashed publisher reconnect and resume.
+//!
+//! A shared session is a stream that never ingests, so both kinds release
+//! through the same path. Ownership is the entry's `owner` field, never a
+//! parse of the id: tenant `a` owns nothing of tenant `a/b`'s.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::error::ServiceError;
-use dp_core::api::{OwnedSession, StreamingSession};
-use dp_core::{ContingencyTable, Plan};
+use dp_core::{ContingencyTable, Plan, Session};
 
 /// One loadable dataset: a full contingency table or a raw histogram.
 pub enum Dataset {
@@ -93,14 +95,36 @@ impl Default for DataStore {
     }
 }
 
-/// Bound sessions, keyed by deterministic session id.
-pub struct SessionPool {
-    sessions: Mutex<HashMap<String, Arc<OwnedSession>>>,
+/// One pooled session: the live [`Session`] behind its lock, plus the
+/// plan id it was opened from and the tenant that owns it.
+pub struct PooledSession {
+    owner: Option<String>,
+    plan_id: String,
+    session: Mutex<Session>,
 }
 
-/// The deterministic id of a plan bound to a named dataset.
-pub fn session_id(plan_id: &str, table: &str) -> String {
-    format!("{plan_id}/{table}")
+impl PooledSession {
+    /// The tenant that owns this session (a stream), or `None` for a
+    /// shared bound session.
+    pub fn owner(&self) -> Option<&str> {
+        self.owner.as_deref()
+    }
+
+    /// The registered plan id the session was opened from.
+    pub fn plan_id(&self) -> &str {
+        &self.plan_id
+    }
+
+    /// Locks the live session. Hold the guard briefly — to ingest, or to
+    /// take an O(1) [`Session::snapshot`] to release from.
+    pub fn lock(&self) -> MutexGuard<'_, Session> {
+        self.session.lock().expect("session mutex poisoned")
+    }
+}
+
+/// Every bound session, shared or tenant-owned, keyed by its wire id.
+pub struct SessionPool {
+    sessions: Mutex<HashMap<String, Arc<PooledSession>>>,
 }
 
 impl SessionPool {
@@ -111,30 +135,54 @@ impl SessionPool {
         }
     }
 
-    /// Binds `plan` to `dataset`, returning the session id. Idempotent:
-    /// re-binding the same (plan, table) pair reuses the stored session
-    /// and recomputes nothing.
-    pub fn bind(
+    /// Opens (or re-opens) a session of `plan`, returning its wire id:
+    /// `"<plan_id>/<table>"` when `owner` is `None` (a shared bound
+    /// session), `"<owner>/<plan_id>/<table>"` otherwise. `dataset` seeds
+    /// the initial counts; `None` starts empty.
+    ///
+    /// Idempotent and **non-destructive**: if the session already exists,
+    /// its accumulated state is kept untouched and nothing is recomputed.
+    pub fn open(
         &self,
+        owner: Option<&str>,
         plan_id: &str,
-        table: &str,
+        table: Option<&str>,
         plan: Arc<Plan>,
-        dataset: &Dataset,
+        dataset: Option<&Dataset>,
     ) -> Result<String, ServiceError> {
-        let id = session_id(plan_id, table);
+        let table_name = table.unwrap_or("");
+        let id = match owner {
+            None => format!("{plan_id}/{table_name}"),
+            Some(tenant) => format!("{tenant}/{plan_id}/{table_name}"),
+        };
         let mut sessions = self.sessions.lock().expect("session pool mutex poisoned");
-        if !sessions.contains_key(&id) {
-            let session = match dataset {
-                Dataset::Table(t) => OwnedSession::bind(plan, t)?,
-                Dataset::Histogram(h) => OwnedSession::bind_histogram(plan, h)?,
-            };
-            sessions.insert(id.clone(), Arc::new(session));
+        if let Some(existing) = sessions.get(&id) {
+            if existing.owner() != owner || existing.plan_id != plan_id {
+                return Err(ServiceError::Protocol(format!(
+                    "session id {id:?} is already taken by another owner or plan"
+                )));
+            }
+            return Ok(id);
         }
+        let session = match dataset {
+            None => Session::empty(plan)?,
+            Some(Dataset::Table(t)) => Session::bind(plan, t)?,
+            Some(Dataset::Histogram(h)) => Session::bind_histogram(plan, h)?,
+        };
+        sessions.insert(
+            id.clone(),
+            Arc::new(PooledSession {
+                owner: owner.map(str::to_string),
+                plan_id: plan_id.to_string(),
+                session: Mutex::new(session),
+            }),
+        );
         Ok(id)
     }
 
-    /// Fetches a bound session.
-    pub fn get(&self, id: &str) -> Result<Arc<OwnedSession>, ServiceError> {
+    /// Fetches a session by wire id (no ownership check — see
+    /// [`PooledSession::owner`]).
+    pub fn get(&self, id: &str) -> Result<Arc<PooledSession>, ServiceError> {
         self.sessions
             .lock()
             .expect("session pool mutex poisoned")
@@ -143,7 +191,7 @@ impl SessionPool {
             .ok_or_else(|| ServiceError::UnknownSession(id.into()))
     }
 
-    /// Number of bound sessions.
+    /// Number of pooled sessions.
     pub fn len(&self) -> usize {
         self.sessions
             .lock()
@@ -163,95 +211,23 @@ impl Default for SessionPool {
     }
 }
 
-/// The deterministic id of a tenant's stream over a plan, optionally
-/// seeded from a named dataset (`None` → the stream starts empty).
-pub fn stream_id(tenant: &str, plan_id: &str, table: Option<&str>) -> String {
-    format!("{tenant}/{plan_id}/{}", table.unwrap_or(""))
-}
-
-/// Per-tenant mutable streaming sessions, keyed by [`stream_id`].
-pub struct StreamPool {
-    streams: Mutex<HashMap<String, Arc<Mutex<StreamingSession>>>>,
-}
-
-impl StreamPool {
-    /// An empty pool.
-    pub fn new() -> StreamPool {
-        StreamPool {
-            streams: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// Opens (or re-opens) a stream, returning its id. Idempotent and
-    /// **non-destructive**: if the stream already exists, its accumulated
-    /// state is kept untouched — a reconnecting publisher resumes where it
-    /// left off. `dataset` seeds the initial counts; `None` starts empty.
-    pub fn open(
-        &self,
-        tenant: &str,
-        plan_id: &str,
-        table: Option<&str>,
-        plan: Arc<Plan>,
-        dataset: Option<&Dataset>,
-    ) -> Result<String, ServiceError> {
-        let id = stream_id(tenant, plan_id, table);
-        let mut streams = self.streams.lock().expect("stream pool mutex poisoned");
-        if !streams.contains_key(&id) {
-            let session = match dataset {
-                None => StreamingSession::empty(plan)?,
-                Some(Dataset::Table(t)) => StreamingSession::bind(plan, t)?,
-                Some(Dataset::Histogram(h)) => StreamingSession::bind_histogram(plan, h)?,
-            };
-            streams.insert(id.clone(), Arc::new(Mutex::new(session)));
-        }
-        Ok(id)
-    }
-
-    /// Fetches an open stream.
-    pub fn get(&self, id: &str) -> Result<Arc<Mutex<StreamingSession>>, ServiceError> {
-        self.streams
-            .lock()
-            .expect("stream pool mutex poisoned")
-            .get(id)
-            .cloned()
-            .ok_or_else(|| ServiceError::UnknownSession(id.into()))
-    }
-
-    /// Number of open streams.
-    pub fn len(&self) -> usize {
-        self.streams
-            .lock()
-            .expect("stream pool mutex poisoned")
-            .len()
-    }
-
-    /// Whether the pool is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl Default for StreamPool {
-    fn default() -> StreamPool {
-        StreamPool::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dp_core::{PlanBuilder, Schema, StrategyKind, Workload};
 
-    #[test]
-    fn binding_is_idempotent_and_typed_on_misses() {
+    fn plan() -> Arc<Plan> {
         let schema = Schema::binary(3).unwrap();
         let workload = Workload::all_k_way(&schema, 1).unwrap();
-        let plan = Arc::new(
+        Arc::new(
             PlanBuilder::marginals(workload, StrategyKind::Fourier)
                 .compile()
                 .unwrap(),
-        );
+        )
+    }
 
+    #[test]
+    fn binding_is_idempotent_and_typed_on_misses() {
         let store = DataStore::new();
         store.insert_table("toy", ContingencyTable::from_indices(3, &[0, 1, 7, 7]));
         assert!(matches!(
@@ -262,14 +238,16 @@ mod tests {
         let pool = SessionPool::new();
         let dataset = store.get("toy").unwrap();
         let id = pool
-            .bind("abc", "toy", Arc::clone(&plan), &dataset)
+            .open(None, "abc", Some("toy"), plan(), Some(&dataset))
             .unwrap();
         assert_eq!(id, "abc/toy");
-        let again = pool.bind("abc", "toy", plan, &dataset).unwrap();
+        let again = pool
+            .open(None, "abc", Some("toy"), plan(), Some(&dataset))
+            .unwrap();
         assert_eq!(id, again);
         assert_eq!(pool.len(), 1);
 
-        let session = pool.get(&id).unwrap();
+        let session = pool.get(&id).unwrap().lock().snapshot();
         let a = session.release(7).unwrap();
         let b = session.release(7).unwrap();
         assert_eq!(
@@ -285,46 +263,55 @@ mod tests {
 
     #[test]
     fn stream_open_is_idempotent_and_keeps_state() {
-        let schema = Schema::binary(3).unwrap();
-        let workload = Workload::all_k_way(&schema, 1).unwrap();
-        let plan = Arc::new(
-            PlanBuilder::marginals(workload, StrategyKind::Fourier)
-                .compile()
-                .unwrap(),
-        );
-
-        let pool = StreamPool::new();
-        let id = pool
-            .open("acme", "abc", None, Arc::clone(&plan), None)
-            .unwrap();
+        let pool = SessionPool::new();
+        let id = pool.open(Some("acme"), "abc", None, plan(), None).unwrap();
         assert_eq!(id, "acme/abc/");
 
         // Push state in, then re-open: the ingests must survive.
-        pool.get(&id).unwrap().lock().unwrap().ingest(5).unwrap();
-        let again = pool
-            .open("acme", "abc", None, Arc::clone(&plan), None)
-            .unwrap();
+        let stream = pool.get(&id).unwrap();
+        assert_eq!(stream.owner(), Some("acme"));
+        assert_eq!(stream.plan_id(), "abc");
+        stream.lock().ingest(5).unwrap();
+        let again = pool.open(Some("acme"), "abc", None, plan(), None).unwrap();
         assert_eq!(id, again);
         assert_eq!(pool.len(), 1);
-        assert_eq!(pool.get(&id).unwrap().lock().unwrap().counts()[5], 1.0);
+        assert_eq!(pool.get(&id).unwrap().lock().counts()[5], 1.0);
 
-        // Seeding from a dataset and tenant isolation.
+        // Seeding from a dataset, and tenant isolation.
         let table = ContingencyTable::from_indices(3, &[2, 2, 6]);
         let seeded = pool
             .open(
-                "beta",
+                Some("beta"),
                 "abc",
                 Some("toy"),
-                plan,
+                plan(),
                 Some(&Dataset::Table(table)),
             )
             .unwrap();
         assert_eq!(seeded, "beta/abc/toy");
         assert_eq!(pool.len(), 2);
-        assert_eq!(pool.get(&seeded).unwrap().lock().unwrap().counts()[2], 2.0);
+        assert_eq!(pool.get(&seeded).unwrap().lock().counts()[2], 2.0);
         assert!(matches!(
             pool.get("ghost/abc/"),
             Err(ServiceError::UnknownSession(_))
         ));
+    }
+
+    #[test]
+    fn an_id_taken_by_another_owner_is_refused() {
+        // A tenant named like a plan id plus a table name with a slash
+        // would spell a shared session's id; the pool refuses rather
+        // than hand the shared session to the tenant.
+        let pool = SessionPool::new();
+        let table = Dataset::Table(ContingencyTable::from_indices(3, &[1]));
+        let shared = pool
+            .open(None, "abc", Some("x/toy"), plan(), Some(&table))
+            .unwrap();
+        assert_eq!(shared, "abc/x/toy");
+        assert!(matches!(
+            pool.open(Some("abc"), "x", Some("toy"), plan(), Some(&table)),
+            Err(ServiceError::Protocol(_))
+        ));
+        assert_eq!(pool.get(&shared).unwrap().owner(), None);
     }
 }

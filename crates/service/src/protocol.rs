@@ -36,7 +36,10 @@
 //! **uncharged** — deltas only move the exact observations); and
 //! `release_current` draws noisy releases from the stream's *current*
 //! state under the same accountant and `request_id` idempotency as
-//! `release`.
+//! `release` (both ops run one release path). A keyed stream release
+//! whose cached response is gone (evicted, or lost in a restart) is
+//! refused with `replay_unavailable` instead of being recomputed from the
+//! stream's moved-on state.
 //!
 //! Any request line may carry an `"auth"` credential field. Under the
 //! operator auth policy ([`crate::auth`]) it is required: the admin token
@@ -557,6 +560,9 @@ pub fn error_response(error: &ServiceError) -> Value {
     if let ServiceError::Overloaded { scope } = error {
         fields.push(("scope".into(), Value::String(scope.clone())));
     }
+    if let ServiceError::ReplayUnavailable { request_id } = error {
+        fields.push(("request_id".into(), Value::String(request_id.clone())));
+    }
     Value::Object(fields)
 }
 
@@ -602,6 +608,13 @@ pub fn response_to_result(value: Value) -> Result<Value, ServiceError> {
                 return Err(ServiceError::Overloaded {
                     scope: "server".into(),
                 });
+            }
+            if code == "replay_unavailable" {
+                if let Some(rid) = value.get_field("request_id").and_then(Value::as_str) {
+                    return Err(ServiceError::ReplayUnavailable {
+                        request_id: rid.to_string(),
+                    });
+                }
             }
             Err(ServiceError::Remote { code, message })
         }
@@ -826,5 +839,15 @@ mod tests {
         .unwrap_err();
         assert!(matches!(&shed, ServiceError::Overloaded { scope } if scope == "tenant"));
         assert!(shed.is_retryable());
+
+        // A refused stream replay survives as the typed, final refusal.
+        let refused = response_to_result(error_response(&ServiceError::ReplayUnavailable {
+            request_id: "r0".into(),
+        }))
+        .unwrap_err();
+        assert!(
+            matches!(&refused, ServiceError::ReplayUnavailable { request_id } if request_id == "r0")
+        );
+        assert!(!refused.is_retryable());
     }
 }

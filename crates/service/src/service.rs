@@ -1,12 +1,13 @@
 //! The release service core: one object tying the accountant, registry,
 //! data store, and session pool together, independent of any transport.
 //!
-//! The privacy-critical ordering lives in [`DpService::release`]: the
-//! whole batch is composed into one charge ([`dp_mech::compose_n`]) and
-//! debited from the tenant's ledger **before** any noise is drawn. A
-//! rejected debit therefore consumes no randomness and leaks nothing; a
-//! release failure *after* a granted debit burns budget without output,
-//! which is the safe direction (never overspend).
+//! Every release — a shared bound session or a tenant's stream, keyed or
+//! not — runs through the one function [`DpService::release`]:
+//! **admit → draw → record**. The whole batch is composed into one charge
+//! ([`dp_mech::compose_n`]) and debited from the tenant's ledger **before**
+//! any noise is drawn. A rejected debit therefore consumes no randomness
+//! and leaks nothing; a release failure *after* a granted debit burns
+//! budget without output, which is the safe direction (never overspend).
 //!
 //! Authorization is enforced at the wire boundary, [`DpService::handle`],
 //! against the service's [`Auth`] policy; the direct Rust methods
@@ -20,11 +21,10 @@ use crate::accountant::{Accountant, BudgetStatus, ReleaseAdmission};
 use crate::auth::Auth;
 use crate::error::ServiceError;
 use crate::fail_point;
-use crate::pool::{DataStore, SessionPool, StreamPool};
+use crate::pool::{DataStore, PooledSession, SessionPool};
 use crate::protocol::{ok_response, privacy_to_value, session_release_to_value, Request};
-use crate::registry::{plan_id, Registry};
-use dp_core::api::{SessionRelease, StreamingSession};
-use dp_core::{Plan, PlanBuilder};
+use crate::registry::Registry;
+use dp_core::{Plan, PlanBuilder, SessionRelease};
 use dp_mech::{compose_n, PrivacyLevel};
 use serde::Value;
 
@@ -34,7 +34,6 @@ pub struct DpService {
     auth: Auth,
     registry: Registry,
     pool: SessionPool,
-    streams: StreamPool,
     data: DataStore,
     /// Per-tenant cap on wire releases being computed at once (`None` =
     /// unbounded). Excess requests are shed with the typed, retryable
@@ -43,28 +42,21 @@ pub struct DpService {
     inflight: Mutex<HashMap<String, usize>>,
 }
 
-/// The success response for a batch of releases — the one shape both the
-/// fresh path and idempotent replay must produce identically.
-fn release_response(releases: &[SessionRelease]) -> Value {
-    ok_response(vec![(
+/// The success response for a batch of releases. A keyed release echoes
+/// its `request_id`, so pipelined clients can match out-of-order
+/// responses to their requests; fresh draws, cached replays and
+/// recomputations all build this same shape, so replays stay
+/// byte-identical.
+fn release_response(releases: &[SessionRelease], request_id: Option<&str>) -> Value {
+    let mut fields = Vec::with_capacity(2);
+    if let Some(rid) = request_id {
+        fields.push(("request_id".into(), Value::String(rid.into())));
+    }
+    fields.push((
         "releases".into(),
         Value::Array(releases.iter().map(session_release_to_value).collect()),
-    )])
-}
-
-/// The keyed (idempotent) release response: the client's `request_id` is
-/// echoed so pipelined clients can match out-of-order responses to their
-/// requests. Fresh computation, cached replay, and post-restart
-/// recomputation all build this same shape, so replays stay
-/// byte-identical.
-fn keyed_release_response(releases: &[SessionRelease], request_id: &str) -> Value {
-    ok_response(vec![
-        ("request_id".into(), Value::String(request_id.into())),
-        (
-            "releases".into(),
-            Value::Array(releases.iter().map(session_release_to_value).collect()),
-        ),
-    ])
+    ));
+    ok_response(fields)
 }
 
 /// RAII decrement for the per-tenant in-flight release counter.
@@ -104,7 +96,6 @@ impl DpService {
             auth,
             registry: Registry::new(),
             pool: SessionPool::new(),
-            streams: StreamPool::new(),
             data: DataStore::new(),
             tenant_inflight_cap: None,
             inflight: Mutex::new(HashMap::new()),
@@ -187,89 +178,21 @@ impl DpService {
     }
 
     /// Binds a registered plan to a loaded dataset, returning the
-    /// deterministic session id.
+    /// deterministic id of the shared session.
     pub fn bind(&self, tenant: &str, plan_id: &str, table: &str) -> Result<String, ServiceError> {
         self.require_tenant(tenant)?;
         let plan = self.registry.lookup(tenant, plan_id)?;
         let dataset = self.data.get(table)?;
-        self.pool.bind(plan_id, table, plan, &dataset)
+        self.pool
+            .open(None, plan_id, Some(table), plan, Some(&dataset))
     }
 
-    /// Draws one deterministic release per seed. The whole batch is one
-    /// sequential-composition charge, debited before any noise is drawn.
-    pub fn release(
-        &self,
-        tenant: &str,
-        session: &str,
-        seeds: &[u64],
-    ) -> Result<Vec<SessionRelease>, ServiceError> {
-        if seeds.is_empty() {
-            return Ok(Vec::new());
-        }
-        let session = self.pool.get(session)?;
-        // A session is shared across tenants; authorization is against the
-        // tenant's own registration of the underlying plan.
-        let pid = plan_id(session.plan());
-        self.registry.lookup(tenant, &pid)?;
-        let charge = compose_n(session.plan().privacy(), seeds.len());
-        self.accountant.try_debit(tenant, charge)?;
-        session.release_batch(seeds).map_err(Into::into)
-    }
-
-    /// Draws releases under an idempotency key, returning the full wire
-    /// response value (shared, never deep-cloned — replays hand out more
-    /// handles on the same `Arc`). Exactly-once semantics: the first
-    /// admission debits the composed charge and journals
-    /// `(tenant, request_id)` — durably, via the accountant's group
-    /// commit, before any noise is drawn; any retry with the same id
-    /// (same session/seeds) returns the same response value —
-    /// byte-identical on the wire — without a second debit, even if the
-    /// first attempt died after the debit, and even across a server
-    /// restart (the WAL replays the journal; releases are
-    /// seed-deterministic, so a recomputed response matches the lost
-    /// one). The response echoes the `request_id`, so pipelined clients
-    /// can match out-of-order responses.
-    pub fn release_idempotent(
-        &self,
-        tenant: &str,
-        session_id: &str,
-        seeds: &[u64],
-        request_id: &str,
-    ) -> Result<Arc<Value>, ServiceError> {
-        if seeds.is_empty() {
-            return Ok(Arc::new(keyed_release_response(&[], request_id)));
-        }
-        let session = self.pool.get(session_id)?;
-        // A session is shared across tenants; authorization is against the
-        // tenant's own registration of the underlying plan.
-        let pid = plan_id(session.plan());
-        self.registry.lookup(tenant, &pid)?;
-        let charge = compose_n(session.plan().privacy(), seeds.len());
-        match self
-            .accountant
-            .admit_release(tenant, request_id, session_id, seeds, charge)?
-        {
-            ReleaseAdmission::Replay(Some(cached)) => Ok(cached),
-            admission => {
-                if matches!(admission, ReleaseAdmission::Fresh) {
-                    fail_point!("release.post_debit");
-                }
-                let releases = session.release_batch(seeds)?;
-                let response = Arc::new(keyed_release_response(&releases, request_id));
-                self.accountant
-                    .record_response(tenant, request_id, &response);
-                Ok(response)
-            }
-        }
-    }
-
-    /// Opens (or re-opens) a per-tenant streaming session over a
-    /// registered plan, optionally seeded from a loaded dataset, and
-    /// returns the stream id. Idempotent and non-destructive: reopening
-    /// an existing stream keeps every accumulated delta, which is what
-    /// lets a crashed publisher reconnect and resume its schedule.
-    /// Ingests are uncharged — only [`DpService::release_current`]
-    /// touches the budget.
+    /// Opens (or re-opens) a per-tenant stream over a registered plan,
+    /// optionally seeded from a loaded dataset, and returns the stream id.
+    /// Idempotent and non-destructive: reopening an existing stream keeps
+    /// every accumulated delta, which is what lets a crashed publisher
+    /// reconnect and resume its schedule. Ingests are uncharged — only
+    /// releases touch the budget.
     pub fn stream_open(
         &self,
         tenant: &str,
@@ -278,32 +201,28 @@ impl DpService {
     ) -> Result<String, ServiceError> {
         self.require_tenant(tenant)?;
         let compiled = self.registry.lookup(tenant, plan)?;
-        let dataset = match table {
-            Some(name) => Some(self.data.get(name)?),
-            None => None,
-        };
-        self.streams
-            .open(tenant, plan, table, compiled, dataset.as_deref())
+        let dataset = table.map(|name| self.data.get(name)).transpose()?;
+        self.pool
+            .open(Some(tenant), plan, table, compiled, dataset.as_deref())
     }
 
-    /// Looks up `stream` for `tenant`. Stream ids embed the tenant, so
-    /// another tenant's id is as good as unknown — the check keeps one
-    /// tenant's deltas out of another tenant's releases.
-    fn tenant_stream(
-        &self,
-        tenant: &str,
-        stream: &str,
-    ) -> Result<Arc<Mutex<StreamingSession>>, ServiceError> {
-        if !stream.starts_with(&format!("{tenant}/")) {
-            return Err(ServiceError::UnknownSession(stream.into()));
+    /// Looks up session `id` on behalf of `tenant`. Another tenant's
+    /// stream is as good as unknown; a shared session is authorized by the
+    /// tenant's own registration of its plan.
+    fn session_for(&self, tenant: &str, id: &str) -> Result<Arc<PooledSession>, ServiceError> {
+        let entry = self.pool.get(id)?;
+        if entry.owner().is_some_and(|owner| owner != tenant) {
+            return Err(ServiceError::UnknownSession(id.into()));
         }
-        self.streams.get(stream)
+        self.registry.lookup(tenant, entry.plan_id())?;
+        Ok(entry)
     }
 
-    /// Applies one record-level delta to a stream — O(Δ) against the
-    /// compiled strategy, no rebind or recompile. Uncharged: a delta
+    /// Applies one record-level delta to a tenant's stream — O(Δ) against
+    /// the compiled strategy, no rebind or recompile. Uncharged: a delta
     /// changes what a *future* release will say, not what has already
-    /// been released.
+    /// been released. Shared bound sessions refuse deltas with the typed
+    /// [`ServiceError::ReadOnlySession`].
     pub fn stream_ingest(
         &self,
         tenant: &str,
@@ -312,62 +231,73 @@ impl DpService {
         delta: f64,
     ) -> Result<(), ServiceError> {
         self.require_tenant(tenant)?;
-        let stream = self.tenant_stream(tenant, stream)?;
-        let mut session = stream.lock().expect("stream mutex poisoned");
+        let entry = self.session_for(tenant, stream)?;
+        if entry.owner().is_none() {
+            return Err(ServiceError::ReadOnlySession(stream.into()));
+        }
+        let mut session = entry.lock();
         session.ingest_count(cell, delta).map_err(Into::into)
     }
 
-    /// Releases the stream's *current* bound observations — the metered
-    /// step of the continual-release loop. The batch is one composed
-    /// charge debited before any noise is drawn, exactly like
-    /// [`DpService::release`]. With a `request_id` the call is
-    /// idempotent: the first admission journals `(tenant, request_id)`
-    /// durably and any re-drive replays the cached bytes without a
-    /// second debit, so a publisher that crashed mid-schedule can replay
-    /// its whole request-id sequence and be charged exactly once per id.
-    /// The stream lock is held across the release, so the snapshot is
-    /// consistent even while ingests race.
-    pub fn release_current(
+    /// Draws one deterministic release per seed from a pooled session's
+    /// current state and returns the full wire response (shared, never
+    /// deep-cloned — replays hand out more handles on the same `Arc`).
+    /// The one release path behind both wire ops: `release` on a bound
+    /// session and `release_current` on a stream.
+    ///
+    /// 1. **Admit.** The session lock is held only to take an O(1)
+    ///    snapshot; then the batch's composed charge is debited before any
+    ///    noise is drawn. With a `request_id` the admission also journals
+    ///    `(tenant, request_id)` durably (group commit) — exactly once: a
+    ///    retry of the same id (same session and seeds) debits nothing and
+    ///    returns the cached response, byte-identical on the wire, even if
+    ///    the first attempt died after the debit. If that response is gone
+    ///    (evicted, or lost in a restart), a shared session recomputes it
+    ///    byte-identically from the journaled seeds, while a stream —
+    ///    whose state has moved on — refuses with the typed
+    ///    [`ServiceError::ReplayUnavailable`].
+    /// 2. **Draw** from the snapshot, with no lock held.
+    /// 3. **Record** a keyed response for replay.
+    ///
+    /// An empty batch is a well-formed no-op: nothing drawn, nothing
+    /// charged, nothing journaled.
+    pub fn release(
         &self,
         tenant: &str,
-        stream: &str,
+        session: &str,
         seeds: &[u64],
         request_id: Option<&str>,
     ) -> Result<Arc<Value>, ServiceError> {
-        self.require_tenant(tenant)?;
         if seeds.is_empty() {
-            // Mirrors `release`/`release_idempotent`: an empty batch is a
-            // well-formed no-op — nothing drawn, nothing charged.
-            return Ok(Arc::new(match request_id {
-                Some(rid) => keyed_release_response(&[], rid),
-                None => release_response(&[]),
-            }));
+            return Ok(Arc::new(release_response(&[], request_id)));
         }
-        let handle = self.tenant_stream(tenant, stream)?;
-        let session = handle.lock().expect("stream mutex poisoned");
-        let charge = compose_n(session.plan().privacy(), seeds.len());
-        match request_id {
-            None => {
-                self.accountant.try_debit(tenant, charge)?;
-                let releases = session.release_batch(seeds)?;
-                Ok(Arc::new(release_response(&releases)))
+        let entry = self.session_for(tenant, session)?;
+        let snapshot = entry.lock().snapshot();
+        let charge = compose_n(snapshot.plan().privacy(), seeds.len());
+        let Some(rid) = request_id else {
+            self.accountant.try_debit(tenant, charge)?;
+            let releases = snapshot.release_batch(seeds)?;
+            return Ok(Arc::new(release_response(&releases, None)));
+        };
+        match self
+            .accountant
+            .admit_release(tenant, rid, session, seeds, charge)?
+        {
+            ReleaseAdmission::Replay(Some(cached)) => return Ok(cached),
+            ReleaseAdmission::Replay(None) if entry.owner().is_some() => {
+                return Err(ServiceError::ReplayUnavailable {
+                    request_id: rid.into(),
+                })
             }
-            Some(rid) => match self
-                .accountant
-                .admit_release(tenant, rid, stream, seeds, charge)?
-            {
-                ReleaseAdmission::Replay(Some(cached)) => Ok(cached),
-                admission => {
-                    if matches!(admission, ReleaseAdmission::Fresh) {
-                        fail_point!("release.post_debit");
-                    }
-                    let releases = session.release_batch(seeds)?;
-                    let response = Arc::new(keyed_release_response(&releases, rid));
-                    self.accountant.record_response(tenant, rid, &response);
-                    Ok(response)
-                }
-            },
+            ReleaseAdmission::Replay(None) => {}
+            ReleaseAdmission::Fresh => {
+                fail_point!("release.post_debit");
+            }
         }
+        let releases = snapshot.release_batch(seeds)?;
+        let response = Arc::new(release_response(&releases, Some(rid)));
+        self.accountant.record_response(tenant, rid, &response);
+        Ok(response)
     }
 
     /// The tenant's current budget position.
@@ -456,16 +386,16 @@ impl DpService {
                 session,
                 seeds,
                 request_id,
+            }
+            | Request::ReleaseCurrent {
+                tenant,
+                stream: session,
+                seeds,
+                request_id,
             } => {
                 self.auth.check_tenant(&tenant, credential)?;
                 let _slot = self.acquire_inflight(&tenant)?;
-                match request_id {
-                    Some(rid) => self.release_idempotent(&tenant, &session, &seeds, &rid),
-                    None => {
-                        let releases = self.release(&tenant, &session, &seeds)?;
-                        Ok(Arc::new(release_response(&releases)))
-                    }
-                }
+                self.release(&tenant, &session, &seeds, request_id.as_deref())
             }
             Request::StreamOpen {
                 tenant,
@@ -491,16 +421,6 @@ impl DpService {
                     "ingested".into(),
                     Value::Bool(true),
                 )])))
-            }
-            Request::ReleaseCurrent {
-                tenant,
-                stream,
-                seeds,
-                request_id,
-            } => {
-                self.auth.check_tenant(&tenant, credential)?;
-                let _slot = self.acquire_inflight(&tenant)?;
-                self.release_current(&tenant, &stream, &seeds, request_id.as_deref())
             }
             Request::BudgetStatus { tenant } => {
                 self.auth.check_tenant(&tenant, credential)?;
@@ -549,6 +469,14 @@ mod tests {
         service
     }
 
+    fn releases_in(response: &Value) -> usize {
+        response
+            .get_field("releases")
+            .and_then(Value::as_array)
+            .expect("a release response lists its releases")
+            .len()
+    }
+
     fn builder(epsilon: f64) -> PlanBuilder {
         let schema = Schema::binary(3).unwrap();
         let workload = Workload::all_k_way(&schema, 1).unwrap();
@@ -565,19 +493,19 @@ mod tests {
         let plan_id = service.register_compiled("t", builder(0.25)).unwrap();
         let session = service.bind("t", &plan_id, "toy").unwrap();
 
-        let releases = service.release("t", &session, &[1, 2, 3]).unwrap();
-        assert_eq!(releases.len(), 3);
+        let response = service.release("t", &session, &[1, 2, 3], None).unwrap();
+        assert_eq!(releases_in(&response), 3);
         let status = service.budget_status("t").unwrap();
         assert_eq!(status.spent_epsilon, 0.75);
         assert_eq!(status.charges, 1, "a batch is one composed charge");
 
         // 0.25 remains: a 2-seed batch (0.5) must be rejected whole...
         assert!(matches!(
-            service.release("t", &session, &[4, 5]),
+            service.release("t", &session, &[4, 5], None),
             Err(ServiceError::BudgetExhausted { .. })
         ));
         // ...without burning the remainder, which a 1-seed release can use.
-        service.release("t", &session, &[4]).unwrap();
+        service.release("t", &session, &[4], None).unwrap();
         assert_eq!(service.budget_status("t").unwrap().remaining_epsilon, 0.0);
     }
 
@@ -601,7 +529,7 @@ mod tests {
             Err(ServiceError::UnknownTable(_))
         ));
         assert!(matches!(
-            service.release("t", "nope", &[1]),
+            service.release("t", "nope", &[1], None),
             Err(ServiceError::UnknownSession(_))
         ));
     }
@@ -683,7 +611,7 @@ mod tests {
             .open_tenant("carol", PrivacyLevel::Pure { epsilon: 1.0 })
             .unwrap();
         assert!(matches!(
-            service.release("carol", &sa, &[1]),
+            service.release("carol", &sa, &[1], None),
             Err(ServiceError::UnknownPlan { .. })
         ));
     }
@@ -697,14 +625,10 @@ mod tests {
         let plan_id = service.register_compiled("t", builder(0.25)).unwrap();
         let session = service.bind("t", &plan_id, "toy").unwrap();
 
-        let first = service
-            .release_idempotent("t", &session, &[1, 2], "r1")
-            .unwrap();
+        let first = service.release("t", &session, &[1, 2], Some("r1")).unwrap();
         assert_eq!(service.budget_status("t").unwrap().spent_epsilon, 0.5);
         for _ in 0..3 {
-            let again = service
-                .release_idempotent("t", &session, &[1, 2], "r1")
-                .unwrap();
+            let again = service.release("t", &session, &[1, 2], Some("r1")).unwrap();
             assert_eq!(
                 crate::protocol::render_line(&again),
                 crate::protocol::render_line(&first),
@@ -715,16 +639,14 @@ mod tests {
         // fully exhausted, because nothing new is debited.
         assert_eq!(service.budget_status("t").unwrap().spent_epsilon, 0.5);
         service
-            .release_idempotent("t", &session, &[9, 10], "r2")
+            .release("t", &session, &[9, 10], Some("r2"))
             .unwrap();
         assert_eq!(service.budget_status("t").unwrap().remaining_epsilon, 0.0);
-        service
-            .release_idempotent("t", &session, &[1, 2], "r1")
-            .unwrap();
+        service.release("t", &session, &[1, 2], Some("r1")).unwrap();
 
         // Reusing an id with different seeds is the typed client bug.
         assert!(matches!(
-            service.release_idempotent("t", &session, &[3, 4], "r1"),
+            service.release("t", &session, &[3, 4], Some("r1")),
             Err(ServiceError::IdempotencyMismatch { .. })
         ));
     }
@@ -739,13 +661,14 @@ mod tests {
         let session = service.bind("t", &plan_id, "toy").unwrap();
         let stream = service.stream_open("t", &plan_id, None).unwrap();
 
-        assert!(service.release("t", &session, &[]).unwrap().is_empty());
+        let unkeyed = service.release("t", &session, &[], None).unwrap();
+        assert_eq!(releases_in(&unkeyed), 0);
         let keyed = service
-            .release_idempotent("t", &session, &[], "r-empty")
+            .release("t", &session, &[], Some("r-empty"))
             .unwrap();
         assert!(crate::protocol::render_line(&keyed).contains("\"releases\":[]"));
         for rid in [None, Some("s-empty")] {
-            let resp = service.release_current("t", &stream, &[], rid).unwrap();
+            let resp = service.release("t", &stream, &[], rid).unwrap();
             assert!(crate::protocol::render_line(&resp).contains("\"releases\":[]"));
         }
         // No noise drawn, no budget consumed, no charge journaled — an
@@ -754,7 +677,7 @@ mod tests {
         assert_eq!(status.spent_epsilon, 0.0);
         assert_eq!(status.charges, 0);
         service
-            .release_idempotent("t", &session, &[1], "r-empty")
+            .release("t", &session, &[1], Some("r-empty"))
             .unwrap();
     }
 
@@ -771,8 +694,8 @@ mod tests {
         // A stream seeded from a dataset releases exactly what a bound
         // session over that dataset releases.
         let session = service.bind("t", &plan_id, "toy").unwrap();
-        let from_stream = service.release_current("t", &stream, &[42], None).unwrap();
-        let from_session = release_response(&service.release("t", &session, &[42]).unwrap());
+        let from_stream = service.release("t", &stream, &[42], None).unwrap();
+        let from_session = service.release("t", &session, &[42], None).unwrap();
         assert_eq!(
             crate::protocol::render_line(&from_stream),
             crate::protocol::render_line(&from_session),
@@ -784,7 +707,7 @@ mod tests {
             service.stream_ingest("t", &stream, 3, 1.0).unwrap();
         }
         assert_eq!(service.budget_status("t").unwrap().spent_epsilon, spent);
-        let after = service.release_current("t", &stream, &[42], None).unwrap();
+        let after = service.release("t", &stream, &[42], None).unwrap();
         assert_ne!(
             crate::protocol::render_line(&after),
             crate::protocol::render_line(&from_stream),
@@ -793,7 +716,7 @@ mod tests {
         // Reopening never resets: the five ingests survive.
         let again = service.stream_open("t", &plan_id, Some("toy")).unwrap();
         assert_eq!(again, stream);
-        let re_release = service.release_current("t", &stream, &[42], None).unwrap();
+        let re_release = service.release("t", &stream, &[42], None).unwrap();
         assert_eq!(
             crate::protocol::render_line(&re_release),
             crate::protocol::render_line(&after),
@@ -819,7 +742,7 @@ mod tests {
             Err(ServiceError::UnknownSession(_))
         ));
         assert!(matches!(
-            service.release_current("bob", &stream, &[1], None),
+            service.release("bob", &stream, &[1], None),
             Err(ServiceError::UnknownSession(_))
         ));
         // Bob's own open gets a distinct stream.
@@ -836,6 +759,101 @@ mod tests {
     }
 
     #[test]
+    fn stream_ownership_is_the_owner_field_not_an_id_prefix() {
+        // Tenant `a`'s name is a prefix of tenant `a/b`'s stream id. `a`
+        // never registered the plan, so it must get nothing from the
+        // stream: not an ingest, not a release, not a charge on `a/b`.
+        let service = service_with_toy_table();
+        for tenant in ["a", "a/b"] {
+            service
+                .open_tenant(tenant, PrivacyLevel::Pure { epsilon: 1.0 })
+                .unwrap();
+        }
+        let plan_id = service.register_compiled("a/b", builder(0.25)).unwrap();
+        let stream = service.stream_open("a/b", &plan_id, None).unwrap();
+        assert!(stream.starts_with("a/"));
+
+        assert!(matches!(
+            service.stream_ingest("a", &stream, 0, 1.0),
+            Err(ServiceError::UnknownSession(_))
+        ));
+        for request_id in [None, Some("r0")] {
+            assert!(matches!(
+                service.release("a", &stream, &[1], request_id),
+                Err(ServiceError::UnknownSession(_))
+            ));
+        }
+        assert_eq!(service.budget_status("a").unwrap().charges, 0);
+        assert_eq!(service.budget_status("a/b").unwrap().charges, 0);
+        // The owner's stream is untouched and still its own.
+        service.stream_ingest("a/b", &stream, 0, 1.0).unwrap();
+        service.release("a/b", &stream, &[1], None).unwrap();
+        assert_eq!(service.budget_status("a/b").unwrap().charges, 1);
+    }
+
+    #[test]
+    fn shared_sessions_refuse_ingests() {
+        let service = service_with_toy_table();
+        service
+            .open_tenant("t", PrivacyLevel::Pure { epsilon: 1.0 })
+            .unwrap();
+        let plan_id = service.register_compiled("t", builder(0.25)).unwrap();
+        let session = service.bind("t", &plan_id, "toy").unwrap();
+        let before = service.release("t", &session, &[3], None).unwrap();
+        let err = service.stream_ingest("t", &session, 0, 1.0).unwrap_err();
+        assert!(matches!(&err, ServiceError::ReadOnlySession(id) if *id == session));
+        assert_eq!(err.code(), "read_only_session");
+        let after = service.release("t", &session, &[3], None).unwrap();
+        assert_eq!(
+            crate::protocol::render_line(&before),
+            crate::protocol::render_line(&after),
+        );
+    }
+
+    #[test]
+    fn evicted_stream_replays_are_refused_not_recomputed() {
+        let service = service_with_toy_table();
+        service
+            .open_tenant("t", PrivacyLevel::Pure { epsilon: 100.0 })
+            .unwrap();
+        let plan_id = service.register_compiled("t", builder(0.01)).unwrap();
+        let stream = service.stream_open("t", &plan_id, None).unwrap();
+        let session = service.bind("t", &plan_id, "toy").unwrap();
+
+        service.stream_ingest("t", &stream, 1, 1.0).unwrap();
+        service.release("t", &stream, &[7], Some("r0")).unwrap();
+        let shared = service.release("t", &session, &[7], Some("s0")).unwrap();
+        service.stream_ingest("t", &stream, 6, 3.0).unwrap();
+        // Push both responses out of the replay cache with fresh ids.
+        for i in 0..=crate::accountant::RESPONSE_CACHE_CAP {
+            let rid = format!("evict-{i}");
+            service
+                .release("t", &stream, &[i as u64], Some(&rid))
+                .unwrap();
+        }
+        let charges = service.budget_status("t").unwrap().charges;
+
+        // The stream has moved on: a recompute would be fresh, uncharged
+        // noise under the old id. Refused, typed and final.
+        let err = service.release("t", &stream, &[7], Some("r0")).unwrap_err();
+        assert!(
+            matches!(&err, ServiceError::ReplayUnavailable { request_id } if request_id == "r0")
+        );
+        assert!(!err.is_retryable());
+        let wire = crate::protocol::response_to_result(crate::protocol::error_response(&err));
+        assert!(matches!(wire, Err(ServiceError::ReplayUnavailable { .. })));
+
+        // A shared session never changes, so its recompute is sound and
+        // byte-identical.
+        let again = service.release("t", &session, &[7], Some("s0")).unwrap();
+        assert_eq!(
+            crate::protocol::render_line(&again),
+            crate::protocol::render_line(&shared),
+        );
+        assert_eq!(service.budget_status("t").unwrap().charges, charges);
+    }
+
+    #[test]
     fn continual_releases_charge_once_per_request_id() {
         let service = service_with_toy_table();
         service
@@ -845,18 +863,14 @@ mod tests {
         let stream = service.stream_open("t", &plan_id, None).unwrap();
 
         service.stream_ingest("t", &stream, 1, 1.0).unwrap();
-        let first = service
-            .release_current("t", &stream, &[7], Some("pub-1"))
-            .unwrap();
+        let first = service.release("t", &stream, &[7], Some("pub-1")).unwrap();
         assert_eq!(service.budget_status("t").unwrap().spent_epsilon, 0.25);
 
         // The stream moves on, but a re-driven id must replay the bytes
         // from the admitted release — no re-noise, no second debit.
         service.stream_ingest("t", &stream, 6, 3.0).unwrap();
         for _ in 0..3 {
-            let replay = service
-                .release_current("t", &stream, &[7], Some("pub-1"))
-                .unwrap();
+            let replay = service.release("t", &stream, &[7], Some("pub-1")).unwrap();
             assert_eq!(
                 crate::protocol::render_line(&replay),
                 crate::protocol::render_line(&first),
@@ -866,9 +880,7 @@ mod tests {
         assert_eq!(service.budget_status("t").unwrap().charges, 1);
 
         // A fresh id sees the post-ingest state and is a second charge.
-        let second = service
-            .release_current("t", &stream, &[7], Some("pub-2"))
-            .unwrap();
+        let second = service.release("t", &stream, &[7], Some("pub-2")).unwrap();
         assert_ne!(
             crate::protocol::render_line(&second),
             crate::protocol::render_line(&first),
@@ -877,7 +889,7 @@ mod tests {
 
         // Reusing an id with different seeds is the typed client bug.
         assert!(matches!(
-            service.release_current("t", &stream, &[8], Some("pub-1")),
+            service.release("t", &stream, &[8], Some("pub-1")),
             Err(ServiceError::IdempotencyMismatch { .. })
         ));
     }

@@ -188,24 +188,20 @@ fn a_post_debit_crash_retries_into_one_charge() {
 
     failpoint::configure("release.post_debit", Trigger::nth(0), FailAction::Error);
     let err = service
-        .release_idempotent("t", &session, &[3, 4], "r1")
+        .release("t", &session, &[3, 4], Some("r1"))
         .unwrap_err();
     assert!(matches!(err, ServiceError::Io(_)), "got {err:?}");
     let status = service.budget_status("t").unwrap();
     assert_eq!(status.charges, 1, "the debit preceded the crash");
     assert_eq!(status.spent_epsilon, 1.0);
 
-    let response = service
-        .release_idempotent("t", &session, &[3, 4], "r1")
-        .unwrap();
+    let response = service.release("t", &session, &[3, 4], Some("r1")).unwrap();
     let status = service.budget_status("t").unwrap();
     assert_eq!(status.charges, 1, "the retry replayed, not re-debited");
     assert_eq!(status.spent_epsilon, 1.0);
 
     // And a further retry returns the now-cached bytes verbatim.
-    let again = service
-        .release_idempotent("t", &session, &[3, 4], "r1")
-        .unwrap();
+    let again = service.release("t", &session, &[3, 4], Some("r1")).unwrap();
     assert_eq!(render_line(&response), render_line(&again));
     failpoint::clear_all();
 }

@@ -8,6 +8,7 @@
 //! the synthetic stand-in is generated.
 
 use datacube_dp::prelude::*;
+use std::sync::Arc;
 
 fn main() {
     let schema = dp_data::adult_schema();
@@ -68,7 +69,7 @@ fn main() {
             } else {
                 3
             };
-            let session = Session::bind(&plan, &table).expect("table matches");
+            let session = Session::bind(Arc::clone(&plan), &table).expect("table matches");
             let seeds: Vec<u64> = (0..trials).map(|t| 7 + (eps * 10.0) as u64 + t).collect();
             let err: f64 = session
                 .release_batch(&seeds)

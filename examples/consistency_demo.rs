@@ -12,6 +12,7 @@ use dp_core::fourier::{CoefficientSpace, ObservationOperator};
 use dp_core::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 fn main() {
     let d = 5;
@@ -87,7 +88,7 @@ fn main() {
         .privacy(PrivacyLevel::Pure { epsilon: 1.0 })
         .compile()
         .expect("planning succeeds");
-    let session = Session::bind(&plan, &table).expect("table matches");
+    let session = Session::bind(Arc::new(plan), &table).expect("table matches");
     let release = session.release(123).expect("release succeeds");
     println!(
         "\nplan/session release consistent by construction? {}",

@@ -7,6 +7,7 @@
 //! Run with `cargo run --release --example nltcs_workloads`.
 
 use datacube_dp::prelude::*;
+use std::sync::Arc;
 
 fn mean_error(
     table: &ContingencyTable,
@@ -23,7 +24,7 @@ fn mean_error(
         .privacy(PrivacyLevel::Pure { epsilon: eps })
         .compile()
         .expect("planning succeeds");
-    let session = Session::bind(&plan, table).expect("table matches");
+    let session = Session::bind(Arc::new(plan), table).expect("table matches");
     let seeds: Vec<u64> = (0..trials as u64).map(|t| seed + t).collect();
     session
         .release_batch(&seeds)

@@ -6,6 +6,7 @@
 //! Run with `cargo run --release --example quickstart`.
 
 use datacube_dp::prelude::*;
+use std::sync::Arc;
 
 fn main() {
     // A toy relation: 6 binary attributes, 1000 correlated records.
@@ -45,7 +46,7 @@ fn main() {
 
     // Phase 2: bind the table (computes the exact observations once) and
     // draw releases — each one deterministic in its seed.
-    let session = Session::bind(&plan, &table).expect("table matches the plan's domain");
+    let session = Session::bind(Arc::new(plan), &table).expect("table matches the plan's domain");
     let release = session.release(2013).expect("release succeeds");
     let answers = release.answers.marginals().expect("marginal plan");
 

@@ -7,6 +7,7 @@
 //! Run with `cargo run --release --example range_queries`.
 
 use datacube_dp::prelude::*;
+use std::sync::Arc;
 
 fn main() {
     let n = 256;
@@ -44,7 +45,8 @@ fn main() {
                 .privacy(PrivacyLevel::Pure { epsilon: 1.0 })
                 .compile()
                 .expect("planning succeeds");
-            let session = Session::bind_histogram(&plan, &hist).expect("histogram matches");
+            let session =
+                Session::bind_histogram(Arc::new(plan), &hist).expect("histogram matches");
             let seeds: Vec<u64> = (0..trials).map(|t| 99 + t).collect();
             let mae: f64 = session
                 .release_batch(&seeds)
@@ -61,13 +63,13 @@ fn main() {
                 .sum();
             println!(
                 "{:>12} {:>10} {:>16.1} {:>16.2}",
-                plan.label(),
+                session.plan().label(),
                 if budgeting == Budgeting::Optimal {
                     "optimal"
                 } else {
                     "uniform"
                 },
-                plan.query_variances().iter().sum::<f64>(),
+                session.plan().query_variances().iter().sum::<f64>(),
                 mae
             );
         }

@@ -1008,13 +1008,14 @@ mod tests {
     #[test]
     fn release_json_document_is_parseable() {
         use dp_core::prelude::*;
+        use std::sync::Arc;
         let t = ContingencyTable::from_counts(vec![3.0, 1.0, 0.0, 2.0]);
         let w = Workload::new(2, vec![crate::core::AttrMask(0b11)]).unwrap();
         let plan = PlanBuilder::marginals(w, StrategyKind::Fourier)
             .privacy(PrivacyLevel::Pure { epsilon: 1.0 })
             .compile()
             .unwrap();
-        let session = Session::bind(&plan, &t).unwrap();
+        let session = Session::bind(Arc::new(plan), &t).unwrap();
         let release = session.release(4).unwrap().into_release().unwrap();
         let doc = release_to_json(&release);
         let back: dp_core::Release = serde_json::from_str(&doc).unwrap();

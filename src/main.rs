@@ -12,6 +12,7 @@ use datacube_dp::service::{
     protocol, Accountant, Auth, Client, ClientConfig, DpService, Server, ServerLimits, TcpTransport,
 };
 use std::process::ExitCode;
+use std::sync::Arc;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -330,7 +331,7 @@ fn run_release(args: &ReleaseArgs) -> Result<(), String> {
         args.cluster,
     )
     .map_err(|e| e.to_string())?;
-    let session = Session::bind(&plan, &table).map_err(|e| e.to_string())?;
+    let session = Session::bind(Arc::new(plan), &table).map_err(|e| e.to_string())?;
     let seeds: Vec<u64> = (0..args.batch as u64)
         .map(|i| args.seed.wrapping_add(i))
         .collect();

@@ -4,6 +4,7 @@
 
 use datacube_dp::prelude::*;
 use dp_core::consistency::is_consistent;
+use std::sync::Arc;
 
 fn nltcs_small() -> (Schema, ContingencyTable) {
     // A reduced NLTCS (first 10 attributes) keeps the tests fast while
@@ -32,7 +33,7 @@ fn mean_rel_error(
         .privacy(PrivacyLevel::Pure { epsilon: eps })
         .compile()
         .unwrap();
-    let session = Session::bind(&plan, table).unwrap();
+    let session = Session::bind(Arc::new(plan), table).unwrap();
     let seeds: Vec<u64> = (0..trials as u64).map(|t| seed.wrapping_add(t)).collect();
     session
         .release_batch(&seeds)
@@ -62,7 +63,7 @@ fn all_methods_release_consistent_answers_on_nltcs() {
                 .privacy(PrivacyLevel::Pure { epsilon: 0.5 })
                 .compile()
                 .unwrap();
-            let session = Session::bind(&plan, &table).unwrap();
+            let session = Session::bind(Arc::new(plan), &table).unwrap();
             let r = session.release(1).unwrap();
             let answers = r.answers.into_marginals().unwrap();
             assert_eq!(answers.len(), workload.len());
@@ -202,7 +203,7 @@ fn adult_schema_pipeline_smoke() {
         .for_schema(&schema)
         .compile()
         .unwrap();
-    let session = Session::bind(&plan, &table).unwrap();
+    let session = Session::bind(Arc::new(plan), &table).unwrap();
     let answers = session
         .release(6)
         .unwrap()
@@ -235,7 +236,7 @@ fn gaussian_and_laplace_paths_both_work_end_to_end() {
             .privacy(privacy)
             .compile()
             .unwrap();
-        let session = Session::bind(&plan, &table).unwrap();
+        let session = Session::bind(Arc::new(plan), &table).unwrap();
         releases.push(session.release(8).unwrap());
     }
     for r in releases {

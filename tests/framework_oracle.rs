@@ -3,8 +3,6 @@
 //! small domains, and the noise budgets must satisfy Proposition 3.1's
 //! privacy constraints computed from the explicit strategy matrices.
 
-#![allow(deprecated)] // pins the legacy single-shot planner to the oracle
-
 use datacube_dp::prelude::*;
 use dp_core::fourier::{CoefficientSpace, ObservationOperator};
 use dp_core::framework::{gls_recovery, output_variances};
@@ -12,6 +10,7 @@ use dp_linalg::Matrix;
 use dp_mech::privacy::verify_pure_budgets;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 fn random_table(d: usize, seed: u64) -> ContingencyTable {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -134,17 +133,19 @@ fn budgets_satisfy_proposition_31_on_explicit_matrices() {
     let schema = Schema::binary(d).unwrap();
     let w = Workload::k_way_plus_half(&schema, 1).unwrap();
     let eps = 0.7;
-    let mut rng = StdRng::seed_from_u64(4);
 
     for strategy in [
         StrategyKind::Workload,
         StrategyKind::Fourier,
         StrategyKind::Cluster,
     ] {
-        let planner = ReleasePlanner::new(&table, &w, strategy, Budgeting::Optimal).unwrap();
-        let release = planner
-            .release(PrivacyLevel::Pure { epsilon: eps }, &mut rng)
+        let plan = PlanBuilder::marginals(w.clone(), strategy)
+            .budgeting(Budgeting::Optimal)
+            .privacy(PrivacyLevel::Pure { epsilon: eps })
+            .compile()
             .unwrap();
+        let session = Session::bind(Arc::new(plan), &table).unwrap();
+        let release = session.release(4).unwrap();
 
         // Reconstruct the explicit strategy matrix and per-row budgets.
         let (s, row_budgets): (Matrix, Vec<f64>) = match strategy {
@@ -171,7 +172,7 @@ fn budgets_satisfy_proposition_31_on_explicit_matrices() {
                 (m, release.group_budgets.clone())
             }
             StrategyKind::Cluster => {
-                let clustering = planner.clustering().unwrap();
+                let clustering = session.plan().clustering().unwrap();
                 let masks = clustering.centroids().to_vec();
                 let cluster_workload = Workload::new(d, masks.clone()).unwrap();
                 let s = cluster_workload.query_matrix();

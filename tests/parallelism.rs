@@ -5,6 +5,7 @@
 //! not.
 
 use datacube_dp::prelude::*;
+use std::sync::Arc;
 
 fn nltcs_16bit_table() -> (Schema, ContingencyTable) {
     let schema = dp_data::nltcs_schema();
@@ -30,7 +31,7 @@ fn d16_two_way_release_runs_on_multiple_threads() {
             .privacy(PrivacyLevel::Pure { epsilon: 1.0 })
             .compile()
             .unwrap();
-        let session = Session::bind(&plan, &table).unwrap();
+        let session = Session::bind(Arc::new(plan), &table).unwrap();
         // A small batch exercises the seed fan-out on top of the per-release
         // chunked noising.
         let releases = session.release_batch(&[42, 43]).unwrap();
@@ -67,11 +68,14 @@ fn cluster_plan_is_invariant_to_parallel_search_and_thread_count() {
     let serial = compile(ClusterConfig::FAST.serial());
     assert_eq!(parallel.clustering().unwrap(), serial.clustering().unwrap());
     assert_eq!(parallel.solution(), serial.solution());
-    let a = Session::bind(&parallel, &table)
+    let a = Session::bind(Arc::new(parallel), &table)
         .unwrap()
         .release(9)
         .unwrap();
-    let b = Session::bind(&serial, &table).unwrap().release(9).unwrap();
+    let b = Session::bind(Arc::new(serial), &table)
+        .unwrap()
+        .release(9)
+        .unwrap();
     for (x, y) in a
         .answers
         .marginals()
@@ -94,7 +98,7 @@ fn d16_fourier_release_is_accurate_at_loose_epsilon() {
         .privacy(PrivacyLevel::Pure { epsilon: 1e6 })
         .compile()
         .unwrap();
-    let session = Session::bind(&plan, &table).unwrap();
+    let session = Session::bind(Arc::new(plan), &table).unwrap();
     let answers = session
         .release(3)
         .unwrap()

@@ -1,10 +1,10 @@
 //! Integration tests for the two-phase plan/session API: determinism,
-//! byte-identity with the legacy single-shot paths, batch invariance,
-//! serde round-trips and cache behavior.
+//! byte-identity with the retired single-shot paths (pinned as recorded
+//! digests), batch invariance, serde round-trips and cache behavior.
 
 use datacube_dp::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use dp_core::framework::{gls_recovery, output_variances};
+use dp_mech::{LaplaceMechanism, NoiseMechanism};
 use std::sync::Arc;
 
 fn small_table(d: usize, seed: u64) -> ContingencyTable {
@@ -19,13 +19,90 @@ fn hist(n: usize) -> Vec<f64> {
     (0..n).map(|i| ((i * 13) % 7) as f64).collect()
 }
 
+/// FNV-1a over a release's rendered bytes: every field the release
+/// carries, as little-endian `f64` bit patterns (plus the label and the
+/// marginal masks), so any single flipped bit changes the digest.
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Digest {
+        Digest(0xcbf29ce484222325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100000001b3);
+        }
+    }
+
+    fn floats(&mut self, values: &[f64]) {
+        for v in values {
+            self.bytes(&v.to_bits().to_le_bytes());
+        }
+    }
+}
+
+fn marginal_digest(release: &SessionRelease) -> u64 {
+    let mut h = Digest::new();
+    h.bytes(release.label.as_bytes());
+    h.floats(&[release.achieved_epsilon]);
+    h.floats(&release.group_budgets);
+    for m in release.answers.marginals().unwrap() {
+        h.bytes(&m.mask().0.to_le_bytes());
+        h.floats(m.values());
+    }
+    h.0
+}
+
+fn range_digest(answers: &[f64]) -> u64 {
+    let mut h = Digest::new();
+    h.floats(answers);
+    h.0
+}
+
+/// Digests of the retired single-shot marginal planner's releases (seed
+/// 4242, the 6-bit `small_table(6, 1)`, all 2-way marginals), recorded
+/// before it was deleted, in grid order: strategy × budgeting × privacy.
+const LEGACY_MARGINAL_DIGESTS: [u64; 16] = [
+    0xd476e71e032a889a, // I,  uniform, pure
+    0xdc2f992f74bcf13b, // I,  uniform, approx
+    0xa89028537488a8e3, // I+, optimal, pure
+    0x3376ae8804b97f76, // I+, optimal, approx
+    0xc5c0b40a357a0036, // Q
+    0x5dfeb6d7c8de133c,
+    0x720063ef2f3fd506, // Q+
+    0xe1947bb10e4240e1,
+    0x7f1ae034c779b6f6, // F
+    0xcfd6beaab4d4fbea,
+    0x034673b43ec0a9e2, // F+
+    0x3da7ba6665f4fa97,
+    0xed8bd0f0f25448dc, // C
+    0x323f4aa03868658a,
+    0x0af2261af5deab25, // C+
+    0x8376c7d2c08d196b,
+];
+
+/// Digests of the retired single-shot range planner's releases (seed 777,
+/// all prefixes of `hist(64)`, pure ε = 0.8), recorded before it was
+/// deleted, in grid order: strategy × (uniform, optimal).
+const LEGACY_RANGE_DIGESTS: [u64; 8] = [
+    0x0004dbb29a51c568, // I
+    0x0004dbb29a51c568, // I+ (one group: the same budgets)
+    0x28f2a055aae6acdb, // H
+    0x0c48852636353cc6, // H+
+    0x1986c33b496460e8, // W
+    0x4c4c1790029796f9, // W+
+    0x0d5ed14ce75b4fdc, // S
+    0xa4470987d15aac0d, // S+
+];
+
 #[test]
-#[allow(deprecated)] // compares against the legacy path on purpose
 fn session_releases_are_byte_identical_to_legacy_marginal_planner() {
     let d = 6;
     let table = small_table(d, 1);
     let schema = Schema::binary(d).unwrap();
     let w = Workload::all_k_way(&schema, 2).unwrap();
+    let mut expected = LEGACY_MARGINAL_DIGESTS.iter();
     for strategy in [
         StrategyKind::Identity,
         StrategyKind::Workload,
@@ -45,35 +122,26 @@ fn session_releases_are_byte_identical_to_legacy_marginal_planner() {
                     .privacy(privacy)
                     .compile()
                     .unwrap();
-                let session = Session::bind(&plan, &table).unwrap();
-                let new = session.release(4242).unwrap();
-
-                let legacy_planner = ReleasePlanner::new(&table, &w, strategy, budgeting).unwrap();
-                let mut rng = StdRng::seed_from_u64(4242);
-                let legacy = legacy_planner.release(privacy, &mut rng).unwrap();
-
-                assert_eq!(new.group_budgets, legacy.group_budgets);
-                assert_eq!(new.achieved_epsilon, legacy.achieved_epsilon);
-                assert_eq!(new.label, legacy.label);
-                let answers = new.answers.marginals().unwrap();
-                assert_eq!(answers.len(), legacy.answers.len());
-                for (a, b) in answers.iter().zip(&legacy.answers) {
-                    assert_eq!(a.mask(), b.mask());
-                    // Bit-for-bit: the plan/session path must draw the exact
-                    // same noise and recovery as the legacy one.
-                    assert_eq!(a.values(), b.values(), "{strategy:?}/{budgeting:?}");
-                }
+                let session = Session::bind(Arc::new(plan), &table).unwrap();
+                let release = session.release(4242).unwrap();
+                // Bit-for-bit: the session must draw the exact same noise
+                // and recovery the retired planner did.
+                assert_eq!(
+                    marginal_digest(&release),
+                    *expected.next().unwrap(),
+                    "{strategy:?}/{budgeting:?}/{privacy:?}"
+                );
             }
         }
     }
 }
 
 #[test]
-#[allow(deprecated)] // compares against the legacy path on purpose
 fn session_releases_are_byte_identical_to_legacy_range_plan() {
     let n = 64;
     let w = RangeWorkload::all_prefixes(n).unwrap();
     let h = hist(n);
+    let mut expected = LEGACY_RANGE_DIGESTS.iter();
     for strategy in [
         RangeStrategy::Identity,
         RangeStrategy::Hierarchical,
@@ -84,34 +152,33 @@ fn session_releases_are_byte_identical_to_legacy_range_plan() {
             seed: 7,
         },
     ] {
-        for optimal in [false, true] {
-            let budgeting = if optimal {
-                Budgeting::Optimal
-            } else {
-                Budgeting::Uniform
-            };
-            let plan = PlanBuilder::ranges(w.clone(), strategy)
-                .budgeting(budgeting)
-                .privacy(PrivacyLevel::Pure { epsilon: 0.8 })
-                .compile()
-                .unwrap();
-            let session = Session::bind_histogram(&plan, &h).unwrap();
-            let new = session.release(777).unwrap();
-
-            let legacy_plan =
-                dp_core::range::plan_range_release(&w, strategy, optimal, 0.8).unwrap();
-            let mut rng = StdRng::seed_from_u64(777);
-            let legacy = legacy_plan.release(&h, &mut rng).unwrap();
-
-            let answers = new.answers.ranges().unwrap();
-            assert_eq!(answers, &legacy[..], "{strategy:?}/{budgeting:?}");
+        for budgeting in [Budgeting::Uniform, Budgeting::Optimal] {
+            let plan = Arc::new(
+                PlanBuilder::ranges(w.clone(), strategy)
+                    .budgeting(budgeting)
+                    .privacy(PrivacyLevel::Pure { epsilon: 0.8 })
+                    .compile()
+                    .unwrap(),
+            );
+            let session = Session::bind_histogram(Arc::clone(&plan), &h).unwrap();
+            let release = session.release(777).unwrap();
+            assert_eq!(
+                range_digest(release.answers.ranges().unwrap()),
+                *expected.next().unwrap(),
+                "{strategy:?}/{budgeting:?}"
+            );
             // The matrix-free per-query variance predictions must agree
-            // with the legacy plan's dense-oracle ones.
-            for (a, b) in plan
-                .query_variances()
+            // with the dense oracle's exact GLS output variances.
+            let s = dp_core::range::strategy_matrix(strategy, n);
+            let grouping = dp_core::grouping::detect_grouping(&s).unwrap();
+            let row_variances: Vec<f64> = grouping
+                .assignment()
                 .iter()
-                .zip(&legacy_plan.query_variances)
-            {
+                .map(|&g| LaplaceMechanism.variance(plan.solution().group_budgets[g]))
+                .collect();
+            let r = gls_recovery(&w.query_matrix(), &s, &row_variances).unwrap();
+            let oracle = output_variances(&r, &row_variances).unwrap();
+            for (a, b) in plan.query_variances().iter().zip(&oracle) {
                 assert!(
                     (a - b).abs() < 1e-6 * b.max(1e-12),
                     "{strategy:?}: {a} vs {b}"
@@ -131,7 +198,7 @@ fn batch_output_is_independent_of_batch_size_and_thread_count() {
         .privacy(PrivacyLevel::Pure { epsilon: 1.0 })
         .compile()
         .unwrap();
-    let session = Session::bind(&plan, &table).unwrap();
+    let session = Session::bind(Arc::new(plan), &table).unwrap();
 
     let flat = |r: &SessionRelease| -> Vec<f64> {
         r.answers
@@ -176,7 +243,7 @@ proptest::proptest! {
             .privacy(PrivacyLevel::Pure { epsilon: eps })
             .compile()
             .unwrap();
-        let session = Session::bind(&plan, &table).unwrap();
+        let session = Session::bind(Arc::new(plan), &table).unwrap();
         let batch_a = session.release_batch(&seeds).unwrap();
         let batch_b = session.release_batch(&seeds).unwrap();
         for ((a, b), &seed) in batch_a.iter().zip(&batch_b).zip(&seeds) {
@@ -208,9 +275,9 @@ fn cached_plans_serve_byte_identical_releases() {
     assert_eq!(cache.hits(), 1);
 
     // A cached plan serves the same bytes as a freshly compiled one.
-    let fresh = build().compile().unwrap();
-    let from_cache = Session::bind(&first, &table).unwrap().release(11).unwrap();
-    let from_fresh = Session::bind(&fresh, &table).unwrap().release(11).unwrap();
+    let fresh = Arc::new(build().compile().unwrap());
+    let from_cache = Session::bind(first, &table).unwrap().release(11).unwrap();
+    let from_fresh = Session::bind(fresh, &table).unwrap().release(11).unwrap();
     for (a, b) in from_cache
         .answers
         .marginals()
@@ -242,8 +309,11 @@ fn plans_round_trip_through_serde_json_and_release_identically() {
 
     // The shipped plan releases the exact same bytes: budgets were carried
     // over, not re-solved, and the operator recompiles deterministically.
-    let a = Session::bind(&plan, &table).unwrap().release(99).unwrap();
-    let b = Session::bind(&shipped, &table)
+    let a = Session::bind(Arc::new(plan), &table)
+        .unwrap()
+        .release(99)
+        .unwrap();
+    let b = Session::bind(Arc::new(shipped), &table)
         .unwrap()
         .release(99)
         .unwrap();
@@ -273,11 +343,11 @@ fn plans_round_trip_through_serde_json_and_release_identically() {
     let rshipped: Plan = serde_json::from_str(&rdoc).unwrap();
     assert_eq!(rshipped, rplan);
     let h = hist(32);
-    let ra = Session::bind_histogram(&rplan, &h)
+    let ra = Session::bind_histogram(Arc::new(rplan), &h)
         .unwrap()
         .release(5)
         .unwrap();
-    let rb = Session::bind_histogram(&rshipped, &h)
+    let rb = Session::bind_histogram(Arc::new(rshipped), &h)
         .unwrap()
         .release(5)
         .unwrap();
@@ -301,7 +371,7 @@ fn approximate_privacy_ranges_match_engine_accounting() {
         "quadratic constraint tight"
     );
     let h = hist(64);
-    let session = Session::bind_histogram(&plan, &h).unwrap();
+    let session = Session::bind_histogram(Arc::new(plan), &h).unwrap();
     let releases = session.release_batch(&[1, 2, 3, 4]).unwrap();
     assert!(releases
         .iter()
@@ -313,6 +383,6 @@ fn approximate_privacy_ranges_match_engine_accounting() {
         .unwrap();
     assert_ne!(
         laplace.solution().group_budgets,
-        plan.solution().group_budgets
+        session.plan().solution().group_budgets
     );
 }

@@ -4,6 +4,7 @@
 //! one cached plan perform **exactly one** Step-2 budget solve.
 
 use datacube_dp::prelude::*;
+use std::sync::Arc;
 
 #[test]
 fn a_batch_over_a_cached_plan_performs_exactly_one_budget_solve() {
@@ -26,7 +27,7 @@ fn a_batch_over_a_cached_plan_performs_exactly_one_budget_solve() {
     for _ in 1..16 {
         plan = cache.get_or_compile(build()).unwrap();
     }
-    let session = Session::bind(&plan, &table).unwrap();
+    let session = Session::bind(Arc::clone(&plan), &table).unwrap();
     let seeds: Vec<u64> = (0..16).collect();
     let releases = session.release_batch(&seeds).unwrap();
     let after = dp_opt::budget::solve_count();

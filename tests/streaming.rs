@@ -1,4 +1,4 @@
-//! Property tests for [`StreamingSession`]: delta-maintained observations
+//! Property tests for streamed [`Session`]s: delta-maintained observations
 //! must track a fresh `observe()` within float accumulation across random
 //! edit scripts for **every** strategy kind, match it bitwise immediately
 //! after `rebase()`, and the sliding window must equal binding the window's
@@ -48,29 +48,27 @@ fn range_plans() -> &'static Vec<Arc<Plan>> {
 }
 
 /// Opens a streaming session over empty data for either workload family.
-fn open_empty(plan: &Arc<Plan>) -> StreamingSession {
-    StreamingSession::empty(Arc::clone(plan)).unwrap()
+fn open_empty(plan: &Arc<Plan>) -> Session {
+    Session::empty(Arc::clone(plan)).unwrap()
 }
 
 /// A fresh full-observe of `counts` under the plan, via a brand-new
 /// session's bind path.
 fn fresh_observations(plan: &Arc<Plan>, counts: &[f64]) -> Vec<f64> {
     let fresh = match plan.spec() {
-        WorkloadSpec::Marginals { .. } => StreamingSession::bind(
+        WorkloadSpec::Marginals { .. } => Session::bind(
             Arc::clone(plan),
             &ContingencyTable::from_counts(counts.to_vec()),
         )
         .unwrap(),
-        WorkloadSpec::Ranges { .. } => {
-            StreamingSession::bind_histogram(Arc::clone(plan), counts).unwrap()
-        }
+        WorkloadSpec::Ranges { .. } => Session::bind_histogram(Arc::clone(plan), counts).unwrap(),
     };
     fresh.observations().to_vec()
 }
 
 /// Applies a random edit script (ingest with occasional valid retracts) to
 /// the session and to a model count vector; the two must agree.
-fn apply_script(stream: &mut StreamingSession, model: &mut [f64], script: &[(u64, u64)]) {
+fn apply_script(stream: &mut Session, model: &mut [f64], script: &[(u64, u64)]) {
     for &(cell, op) in script {
         let cell = cell % N as u64;
         if op % 3 == 0 && model[cell as usize] > 0.0 {
@@ -164,11 +162,10 @@ fn rebased_stream_releases_are_byte_identical_to_direct_bind() {
         let counts = stream.counts().to_vec();
         let direct = match plan.spec() {
             WorkloadSpec::Marginals { .. } => {
-                StreamingSession::bind(Arc::clone(plan), &ContingencyTable::from_counts(counts))
-                    .unwrap()
+                Session::bind(Arc::clone(plan), &ContingencyTable::from_counts(counts)).unwrap()
             }
             WorkloadSpec::Ranges { .. } => {
-                StreamingSession::bind_histogram(Arc::clone(plan), &counts).unwrap()
+                Session::bind_histogram(Arc::clone(plan), &counts).unwrap()
             }
         };
         for seed in [0u64, 9, 42] {

@@ -1,22 +1,35 @@
 //! Oracle tests for the unified `StrategyOperator` planner: with a seeded
-//! RNG the operator-based release path must match the literal dense-matrix
-//! framework (`dp_core::framework`, explicit `Q`/`S`, Eq.-(7) GLS) applied
-//! to the *identical* noisy observations — for marginal and range
-//! workloads — and the fast Walsh–Hadamard transform must be an involution.
-//!
-//! These tests intentionally drive the **deprecated** single-shot entry
-//! points: they pin the legacy paths to the dense oracle, and the
-//! `plan_session` suite separately pins the new plan/session API
-//! byte-for-byte to the legacy paths.
-#![allow(deprecated)]
+//! RNG the operator-based release path (`PlanBuilder` + `Session`) must
+//! match the literal dense-matrix framework (`dp_core::framework`,
+//! explicit `Q`/`S`, Eq.-(7) GLS) applied to the *identical* noisy
+//! observations — for marginal and range workloads — and the fast
+//! Walsh–Hadamard transform must be an involution.
 
 use datacube_dp::prelude::*;
 use dp_core::framework::gls_recovery;
-use dp_core::range::{plan_range_release, RangeStrategy, RangeWorkload};
+use dp_core::grouping::detect_grouping;
+use dp_core::range::{strategy_matrix, RangeStrategy, RangeWorkload};
 use dp_core::strategy::perturb_observations;
 use dp_linalg::Matrix;
+use dp_mech::{LaplaceMechanism, NoiseMechanism};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
+
+/// A pure-ε plan with optimal budgets, bound to `table`.
+fn marginal_session(
+    table: &ContingencyTable,
+    w: &Workload,
+    strategy: StrategyKind,
+    epsilon: f64,
+) -> Session {
+    let plan = PlanBuilder::marginals(w.clone(), strategy)
+        .budgeting(Budgeting::Optimal)
+        .privacy(PrivacyLevel::Pure { epsilon })
+        .compile()
+        .unwrap();
+    Session::bind(Arc::new(plan), table).unwrap()
+}
 
 fn random_table(d: usize, seed: u64) -> ContingencyTable {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -62,14 +75,13 @@ fn marginal_planner_matches_dense_gls_oracle_with_seeded_rng() {
     )
     .unwrap();
     let seed = 20130402;
-    let privacy = PrivacyLevel::Pure { epsilon: 1.0 };
 
-    let planner =
-        ReleasePlanner::new(&table, &w, StrategyKind::Workload, Budgeting::Optimal).unwrap();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let release = planner.release(privacy, &mut rng).unwrap();
+    let session = marginal_session(&table, &w, StrategyKind::Workload, 1.0);
+    let release = session.release(seed).unwrap();
     let fast: Vec<f64> = release
         .answers
+        .marginals()
+        .unwrap()
         .iter()
         .flat_map(|m| m.values().to_vec())
         .collect();
@@ -118,16 +130,11 @@ fn marginal_releases_are_bitwise_deterministic_per_seed() {
         StrategyKind::Fourier,
         StrategyKind::Cluster,
     ] {
-        let planner = ReleasePlanner::new(&table, &w, strategy, Budgeting::Optimal).unwrap();
-        let run = |seed: u64| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            planner
-                .release(PrivacyLevel::Pure { epsilon: 0.5 }, &mut rng)
-                .unwrap()
-        };
-        let a = run(99);
-        let b = run(99);
-        for (ma, mb) in a.answers.iter().zip(&b.answers) {
+        let session = marginal_session(&table, &w, strategy, 0.5);
+        let a = session.release(99).unwrap();
+        let b = session.release(99).unwrap();
+        let pairs = a.answers.marginals().unwrap().iter();
+        for (ma, mb) in pairs.zip(b.answers.marginals().unwrap()) {
             // Bit-for-bit: the parallel noise path must not depend on
             // scheduling.
             assert_eq!(ma.values(), mb.values(), "{strategy:?}");
@@ -148,24 +155,23 @@ fn range_planner_matches_dense_gls_oracle_with_seeded_rng() {
         RangeStrategy::Hierarchical,
         RangeStrategy::Wavelet,
     ] {
-        let plan = plan_range_release(&w, strategy, true, 1.0).unwrap();
+        let plan = PlanBuilder::ranges(w.clone(), strategy)
+            .budgeting(Budgeting::Optimal)
+            .privacy(PrivacyLevel::Pure { epsilon: 1.0 })
+            .compile()
+            .unwrap();
+        let group_budgets = plan.solution().group_budgets.clone();
         let seed = 7_654_321;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let fast = plan.release(&hist, &mut rng).unwrap();
+        let session = Session::bind_histogram(Arc::new(plan), &hist).unwrap();
+        let release = session.release(seed).unwrap();
+        let fast = release.answers.ranges().unwrap();
 
-        // Replay the identical noisy z: group budgets are the per-row
-        // budgets collapsed by the plan's grouping.
-        let z = plan.decomposition.s.matvec(&hist).unwrap();
-        let row_groups: Vec<u32> = plan
-            .grouping
-            .assignment()
-            .iter()
-            .map(|&g| g as u32)
-            .collect();
-        let mut group_budgets = vec![0.0; plan.grouping.num_groups()];
-        for (i, &g) in plan.grouping.assignment().iter().enumerate() {
-            group_budgets[g] = plan.row_budgets[i];
-        }
+        // Replay the identical noisy z through the dense strategy matrix,
+        // its detected grouping and the plan's group budgets.
+        let s = strategy_matrix(strategy, n);
+        let grouping = detect_grouping(&s).unwrap();
+        let z = s.matvec(&hist).unwrap();
+        let row_groups: Vec<u32> = grouping.assignment().iter().map(|&g| g as u32).collect();
         let mut replay_rng = StdRng::seed_from_u64(seed);
         let noisy = perturb_observations(
             &z,
@@ -175,7 +181,14 @@ fn range_planner_matches_dense_gls_oracle_with_seeded_rng() {
             &mut replay_rng,
         );
 
-        let oracle = plan.decomposition.r.matvec(&noisy).unwrap();
+        // Dense oracle: the GLS-optimal R for the plan's row variances.
+        let row_variances: Vec<f64> = grouping
+            .assignment()
+            .iter()
+            .map(|&g| LaplaceMechanism.variance(group_budgets[g]))
+            .collect();
+        let r = gls_recovery(&w.query_matrix(), &s, &row_variances).unwrap();
+        let oracle = r.matvec(&noisy).unwrap();
         for (a, b) in fast.iter().zip(&oracle) {
             assert!(
                 (a - b).abs() < 1e-5,
