@@ -1,6 +1,5 @@
 //! Streaming-session benchmark: O(Δ) ingest+re-release against the full
-//! rebind+re-release baseline, across domain sizes 2^12..2^20, plus an
-//! accountant-metered continual-release loop through `DpService`.
+//! rebind+re-release baseline, across domain sizes 2^12..2^20.
 //!
 //! Usage: `cargo run -p dp-bench --release --bin stream_load [-- --smoke]`
 //!
@@ -14,15 +13,9 @@
 //! `Session::ingest` (O(|strategy support|), closed-form marginal
 //! /Fourier columns, O(log n) Haar coefficients for ranges). Both arms
 //! draw identical releases from identical observations, so the headline
-//! speedup isolates exactly the update path the tentpole optimizes.
-//!
-//! The metered phase runs the same loop through `DpService`
-//! (`stream_open` → `ingest`* → keyed `release_current`), then re-drives
-//! every request id and asserts the accountant charged exactly once per
-//! id — replays return journaled bytes, not fresh debits.
+//! speedup isolates exactly the update path that `ingest` replaces.
 
 use dp_core::prelude::*;
-use dp_service::{Accountant, DpService};
 use serde::Serialize;
 use std::sync::Arc;
 use std::time::Instant;
@@ -53,24 +46,6 @@ pub struct StreamLoadPoint {
     pub ingest_update_us: f64,
     /// Update-path speedup alone (bind vs ingest, releases excluded).
     pub update_speedup: f64,
-}
-
-/// The metered continual-release loop through `DpService`.
-#[derive(Debug, Clone, Serialize)]
-pub struct MeteredLoopPoint {
-    /// Domain bits of the streamed plan (NLTCS, 2^16 cells).
-    pub domain_bits: usize,
-    /// Keyed release epochs driven.
-    pub epochs: usize,
-    /// Uncharged ingests per epoch.
-    pub ingests_per_epoch: usize,
-    /// Wall-clock seconds for the whole loop.
-    pub seconds: f64,
-    /// Charged releases per second (ingests ride along).
-    pub releases_per_sec: f64,
-    /// Accountant charges after the loop *and* after re-driving every
-    /// request id — must equal `epochs` both times.
-    pub charges: usize,
 }
 
 /// A deterministic cell stream (splitmix64) over `n` cells.
@@ -206,69 +181,6 @@ fn range_plan(n: usize, strategy: RangeStrategy) -> Arc<Plan> {
     )
 }
 
-/// Drives the continual-release loop through `DpService`: uncharged
-/// ingests, keyed charged re-releases, then a full re-drive of every id
-/// to prove replays never debit.
-fn metered_loop(epochs: usize, ingests: usize) -> MeteredLoopPoint {
-    let schema = dp_data::nltcs_schema();
-    let workload = Workload::all_k_way(&schema, 1).expect("Q1 over NLTCS");
-    let per_release = PrivacyLevel::Pure { epsilon: 0.001 };
-    let budget = PrivacyLevel::Pure {
-        epsilon: 0.001 * epochs as f64 * 2.0,
-    };
-
-    let service = DpService::new(Accountant::in_memory());
-    service.open_tenant("publisher", budget).expect("open");
-    let plan_id = service
-        .register_compiled(
-            "publisher",
-            PlanBuilder::marginals(workload, StrategyKind::Fourier).privacy(per_release),
-        )
-        .expect("register");
-    let stream = service
-        .stream_open("publisher", &plan_id, None)
-        .expect("stream_open");
-
-    let mut next = cell_stream(1 << schema.domain_bits(), 11);
-    let start = Instant::now();
-    for epoch in 0..epochs {
-        for _ in 0..ingests {
-            service
-                .stream_ingest("publisher", &stream, next(), 1.0)
-                .expect("ingest");
-        }
-        let rid = format!("epoch-{epoch}");
-        std::hint::black_box(
-            service
-                .release("publisher", &stream, &[epoch as u64], Some(rid.as_str()))
-                .expect("keyed release"),
-        );
-    }
-    let seconds = start.elapsed().as_secs_f64();
-    let charges = service.budget_status("publisher").expect("status").charges;
-    assert_eq!(charges, epochs, "exactly one charge per epoch key");
-
-    // A crashed publisher re-drives its whole schedule: every id replays
-    // from the journal, none debits again.
-    for epoch in 0..epochs {
-        let rid = format!("epoch-{epoch}");
-        service
-            .release("publisher", &stream, &[epoch as u64], Some(rid.as_str()))
-            .expect("replayed release");
-    }
-    let replayed = service.budget_status("publisher").expect("status").charges;
-    assert_eq!(replayed, epochs, "re-driven ids replay without debiting");
-
-    MeteredLoopPoint {
-        domain_bits: schema.domain_bits(),
-        epochs,
-        ingests_per_epoch: ingests,
-        seconds,
-        releases_per_sec: epochs as f64 / seconds,
-        charges: replayed,
-    }
-}
-
 fn main() {
     let smoke = std::env::args().skip(1).any(|a| a == "--smoke");
     let bits: &[usize] = if smoke { &[12] } else { &[12, 14, 16, 18, 20] };
@@ -334,29 +246,7 @@ fn main() {
         }
     }
 
-    let m_epochs = if smoke { 8 } else { 64 };
-    let m_ingests = if smoke { 16 } else { 64 };
-    println!(
-        "\n== metered continual-release loop: DpService, NLTCS Q1 (F+), \
-         {m_ingests} ingests per keyed release =="
-    );
-    let metered = metered_loop(m_epochs, m_ingests);
-    println!(
-        "{} epochs in {:.3}s = {:.1} releases/s ({} charges; re-driving all \
-         {} ids left charges at {})",
-        metered.epochs,
-        metered.seconds,
-        metered.releases_per_sec,
-        metered.epochs,
-        metered.epochs,
-        metered.charges,
-    );
-
     match dp_bench::write_jsonl("stream_load.jsonl", &points) {
-        Ok(p) => eprintln!("wrote {}", p.display()),
-        Err(e) => eprintln!("could not write results file: {e}"),
-    }
-    match dp_bench::write_jsonl("stream_load_metered.jsonl", &[metered]) {
         Ok(p) => eprintln!("wrote {}", p.display()),
         Err(e) => eprintln!("could not write results file: {e}"),
     }

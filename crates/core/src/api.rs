@@ -943,7 +943,9 @@ impl Session {
     }
 
     /// Adds `delta` tuples at cell `cell` (negative `delta` retracts).
-    /// O(|S[·, cell]|). Errors leave the session unchanged.
+    /// O(|S[·, cell]|). A delta that is not finite, or that would make the
+    /// count non-finite or negative, is refused. Errors leave the session
+    /// unchanged.
     pub fn ingest_count(&mut self, cell: u64, delta: f64) -> Result<(), CoreError> {
         if cell >= self.counts.len() as u64 {
             return Err(CoreError::Shape {
@@ -953,6 +955,9 @@ impl Session {
             });
         }
         let next = self.counts[cell as usize] + delta;
+        if !next.is_finite() {
+            return Err(CoreError::NonFiniteDelta { cell, delta });
+        }
         if next < 0.0 {
             return Err(CoreError::NegativeCount { cell, count: next });
         }
@@ -1558,6 +1563,33 @@ mod tests {
         // Failed edits leave the session untouched.
         assert!(stream.observations().iter().all(|&z| z == 0.0));
         assert!(matches!(stream.advance(), Err(CoreError::InvalidPlan(_))));
+    }
+
+    #[test]
+    fn streaming_refuses_non_finite_deltas() {
+        let plan = Arc::new(
+            PlanBuilder::marginals(workload2(), StrategyKind::Workload)
+                .compile()
+                .unwrap(),
+        );
+        let mut stream = Session::empty(plan).unwrap();
+        stream.ingest_count(5, 2.0).unwrap();
+        let before = stream.snapshot();
+        for delta in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            assert!(matches!(
+                stream.ingest_count(5, delta),
+                Err(CoreError::NonFiniteDelta { cell: 5, .. })
+            ));
+        }
+        assert_eq!(stream.counts(), before.counts());
+        assert_eq!(stream.observations(), before.observations());
+        // A finite delta whose sum overflows is refused the same way.
+        stream.ingest_count(1, f64::MAX).unwrap();
+        assert!(matches!(
+            stream.ingest_count(1, f64::MAX),
+            Err(CoreError::NonFiniteDelta { cell: 1, .. })
+        ));
+        assert_eq!(stream.counts()[1], f64::MAX);
     }
 
     #[test]

@@ -143,6 +143,14 @@ pub enum CoreError {
         /// The (negative) count the retraction would have produced.
         count: f64,
     },
+    /// A streaming delta was NaN or infinite, or would overflow the
+    /// cell's count: it would leave every later release non-finite.
+    NonFiniteDelta {
+        /// Linearized domain cell of the offending delta.
+        cell: u64,
+        /// The refused delta.
+        delta: f64,
+    },
 }
 
 impl std::fmt::Display for CoreError {
@@ -173,6 +181,9 @@ impl std::fmt::Display for CoreError {
                 f,
                 "retraction at cell {cell} would drive its count to {count} < 0"
             ),
+            CoreError::NonFiniteDelta { cell, delta } => {
+                write!(f, "delta {delta} at cell {cell} leaves a non-finite count")
+            }
         }
     }
 }
@@ -229,6 +240,10 @@ mod tests {
             CoreError::NegativeCount {
                 cell: 3,
                 count: -1.0,
+            },
+            CoreError::NonFiniteDelta {
+                cell: 3,
+                delta: f64::NAN,
             },
         ];
         for e in errors {

@@ -32,8 +32,6 @@
 //! noise still drawn) only after the batch containing *its* record is
 //! durable, so a restarted service reloads exactly the budget it had
 //! granted and refuses to replay spent budget.
-//! [`Accountant::with_wal_sync`] selects [`WalSync::PerRecord`] to get
-//! the old one-fsync-per-record behavior (the benchmark baseline).
 //!
 //! A batch-level failure (the append or the `sync_data`, see the
 //! `wal.append` / `wal.batch_sync` failpoints) fails **every** waiter in
@@ -187,15 +185,14 @@ impl TenantShard {
 /// A tenant shard plus the condvar pending-entry waiters park on.
 type Shard = Arc<(Mutex<TenantShard>, Condvar)>;
 
-/// When the write-ahead ledger issues `sync_data`.
+/// When the write-ahead ledger issues `sync_data`. Group commit is the
+/// only mode; the type remains because the `perfbench` service benchmark
+/// still names it through [`Accountant::with_wal_sync`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WalSync {
-    /// Group commit (the default): concurrent records are appended in one
-    /// buffered write and synced with **one** `sync_data` per batch.
+    /// Group commit: concurrent records are appended in one buffered
+    /// write and synced with **one** `sync_data` per batch.
     Group,
-    /// One `sync_data` per record, fully serialized — the pre-group-commit
-    /// behavior, kept as the benchmark baseline.
-    PerRecord,
 }
 
 /// Counters describing the batches the group committer has written.
@@ -281,8 +278,7 @@ struct WalQueue {
 }
 
 /// The ledger file plus what is known-durable in it. Locked only by the
-/// active committer (or, in [`WalSync::PerRecord`] mode, by each writer
-/// in turn — which is exactly the serialized-fsync baseline).
+/// active committer.
 struct WalFile {
     file: File,
     /// Bytes known durable; a failed batch truncates back to this.
@@ -294,7 +290,6 @@ struct WalFile {
 
 /// The group-commit write-ahead log (see the module docs).
 struct Wal {
-    sync: WalSync,
     state: Mutex<WalQueue>,
     file: Mutex<WalFile>,
 }
@@ -316,7 +311,6 @@ impl Wal {
         let result = (|| -> Result<(), ServiceError> {
             file.file.write_all(buf.as_bytes())?;
             fail_point!("wal.batch_sync");
-            fail_point!("wal.sync");
             file.file.sync_data()?;
             Ok(())
         })();
@@ -340,14 +334,6 @@ impl Wal {
     /// staged. Returns only once the record's batch is synced (or failed).
     fn commit(&self, record: &Value) -> Result<(), ServiceError> {
         let line = render_line(record);
-        if self.sync == WalSync::PerRecord {
-            let mut file = self.file.lock().expect("wal file mutex poisoned");
-            let result = Self::write_batch(&mut file, std::slice::from_ref(&line));
-            drop(file);
-            let mut state = self.state.lock().expect("wal queue mutex poisoned");
-            state.stats.note(1);
-            return result;
-        }
         let ticket = Arc::new(Ticket::new());
         let lead = {
             let mut state = self.state.lock().expect("wal queue mutex poisoned");
@@ -590,18 +576,10 @@ impl Accountant {
     }
 
     /// Loads (or creates) the write-ahead ledger at `path` with group
-    /// commit (see [`Accountant::with_wal_sync`] for the baseline mode),
-    /// replaying any persisted history so spent budget survives restarts.
-    /// See the module docs for the torn-tail / corrupt-record semantics.
+    /// commit, replaying any persisted history so spent budget survives
+    /// restarts. See the module docs for the torn-tail / corrupt-record
+    /// semantics.
     pub fn with_wal(path: &Path) -> Result<Accountant, ServiceError> {
-        Accountant::with_wal_sync(path, WalSync::Group)
-    }
-
-    /// [`Accountant::with_wal`] with an explicit durability mode:
-    /// [`WalSync::Group`] batches concurrent records under one
-    /// `sync_data`; [`WalSync::PerRecord`] syncs each record by itself
-    /// (the serialized baseline the benchmark compares against).
-    pub fn with_wal_sync(path: &Path, sync: WalSync) -> Result<Accountant, ServiceError> {
         let mut text = String::new();
         if path.exists() {
             File::open(path)?.read_to_string(&mut text)?;
@@ -645,7 +623,6 @@ impl Accountant {
         #[cfg(not(unix))]
         let _ = existed;
         let wal = Wal {
-            sync,
             state: Mutex::new(WalQueue {
                 queue: Vec::new(),
                 committing: false,
@@ -660,8 +637,15 @@ impl Accountant {
         Ok(Accountant::from_parts(tenants, Some(wal)))
     }
 
+    /// The same as [`Accountant::with_wal`]: [`WalSync::Group`] is the
+    /// only mode. Kept because the `perfbench` service benchmark still
+    /// calls it; new code should call [`Accountant::with_wal`].
+    pub fn with_wal_sync(path: &Path, _sync: WalSync) -> Result<Accountant, ServiceError> {
+        Accountant::with_wal(path)
+    }
+
     /// What the group committer has written so far (`None` without a
-    /// WAL). In [`WalSync::PerRecord`] mode every batch has size 1.
+    /// WAL).
     pub fn wal_stats(&self) -> Option<WalStats> {
         self.wal.as_ref().map(Wal::stats)
     }
@@ -986,24 +970,6 @@ mod tests {
             acct.try_debit("t", HALF),
             Err(ServiceError::BudgetExhausted { .. })
         ));
-    }
-
-    #[test]
-    fn per_record_sync_mode_matches_group_commit_semantics() {
-        let path = tmp("per-record");
-        let _ = std::fs::remove_file(&path);
-        {
-            let acct = Accountant::with_wal_sync(&path, WalSync::PerRecord).unwrap();
-            acct.open_tenant("t", EPS1).unwrap();
-            acct.try_debit("t", HALF).unwrap();
-            let stats = acct.wal_stats().unwrap();
-            assert_eq!(stats.records, 2);
-            assert_eq!(stats.max_batch, 1, "per-record mode never batches");
-        }
-        // Either mode reads the other's ledger: the on-disk format is
-        // identical, only the fsync cadence differs.
-        let acct = Accountant::with_wal(&path).unwrap();
-        assert_eq!(acct.status("t").unwrap().spent_epsilon, 0.5);
     }
 
     #[test]

@@ -15,7 +15,6 @@
 //! |----------------------|--------------------------------------------------|
 //! | `wal.append`         | before each ledger record is staged into a batch |
 //! | `wal.batch_sync`     | after a whole batch is written, before its one `sync_data` — fails **every** record in the batch |
-//! | `wal.sync`           | same window as `wal.batch_sync` (kept as the historical per-record site name) |
 //! | `net.recv`           | before a request line is read off a socket       |
 //! | `net.send`           | before a response line is written to a socket (both the in-line and the pipelined writer) |
 //! | `release.post_debit` | after the budget debit, before noise is drawn    |

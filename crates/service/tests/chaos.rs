@@ -168,7 +168,7 @@ fn a_sync_failure_keeps_the_debit_and_refuses_the_release() {
     acct.open_tenant("t", PrivacyLevel::Pure { epsilon: 8.0 })
         .unwrap();
 
-    failpoint::configure("wal.sync", Trigger::nth(0), FailAction::Error);
+    failpoint::configure("wal.batch_sync", Trigger::nth(0), FailAction::Error);
     assert!(acct.try_debit("t", HALF).is_err());
     assert_eq!(acct.status("t").unwrap().spent_epsilon, 0.5);
 
@@ -207,7 +207,10 @@ fn a_post_debit_crash_retries_into_one_charge() {
 }
 
 fn start_server(accountant: Accountant) -> (std::thread::JoinHandle<()>, String) {
-    let service = DpService::new(accountant);
+    serve(DpService::new(accountant))
+}
+
+fn serve(service: DpService) -> (std::thread::JoinHandle<()>, String) {
     service
         .data()
         .insert_table("toy", ContingencyTable::from_indices(3, &[0, 1, 5, 7, 7]));
@@ -373,5 +376,74 @@ fn a_pipelined_storm_with_send_faults_lands_every_release_once() {
     assert_eq!(client.budget_status("t").unwrap().charges, WINDOW);
 
     client.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
+/// An overload storm over TCP: with a per-tenant in-flight cap of 1, one
+/// keyed release is parked after its debit, so a second connection's
+/// keyed releases are certain to be shed. The client retries each shed
+/// under its original id, every call succeeds, and the ledger holds
+/// exactly one charge per logical release — sheds charge nothing.
+#[test]
+fn an_overload_storm_sheds_and_retries_into_one_charge_per_release() {
+    let _guard = serial();
+    const RELEASES: usize = 5;
+    let (handle, addr) = serve(DpService::new(Accountant::in_memory()).with_tenant_inflight_cap(1));
+    let mut holder = Client::connect(&addr).unwrap();
+    let session = register_over_tcp(&mut holder);
+
+    failpoint::configure(
+        "release.post_debit",
+        Trigger::nth(0),
+        FailAction::DelayMs(400),
+    );
+    let held = {
+        let session = session.clone();
+        std::thread::spawn(move || {
+            let released = holder.release_with_id("t", &session, &[99], "held");
+            (holder, released)
+        })
+    };
+    // Wait until the held release is parked inside its in-flight slot.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while failpoint::fired_count("release.post_debit") == 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "held release never parked"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+
+    let mut client = Client::connect_with(
+        &addr,
+        ClientConfig {
+            max_retries: 50,
+            backoff_base: std::time::Duration::from_millis(20),
+            backoff_cap: std::time::Duration::from_millis(100),
+            ..ClientConfig::default()
+        },
+    )
+    .unwrap();
+    for i in 0..RELEASES {
+        let released = client
+            .release_with_id("t", &session, &[i as u64], &format!("storm-{i}"))
+            .unwrap();
+        assert_eq!(released.len(), 1);
+    }
+    let (mut holder, held) = held.join().unwrap();
+    assert_eq!(held.unwrap().len(), 1);
+    failpoint::clear_all();
+
+    assert!(client.stats().sheds >= 1, "the cap must actually have shed");
+    let status = holder.budget_status("t").unwrap();
+    assert_eq!(
+        status.charges,
+        RELEASES + 1,
+        "one charge per logical release, {} sheds notwithstanding",
+        client.stats().sheds
+    );
+
+    drop(client);
+    holder.shutdown().unwrap();
     handle.join().unwrap();
 }

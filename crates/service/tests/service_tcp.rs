@@ -9,7 +9,7 @@ use std::thread::JoinHandle;
 use dp_core::api::{Session, WorkloadSpec};
 use dp_core::{ContingencyTable, PlanBuilder, Schema, StrategyKind, Workload};
 use dp_mech::{Neighboring, PrivacyLevel};
-use dp_service::protocol::{render_line, session_release_to_value};
+use dp_service::protocol::{parse_line, render_line, response_to_result, session_release_to_value};
 use dp_service::{Accountant, Auth, Client, DpService, Server, ServiceError, TcpTransport};
 
 fn toy_table() -> ContingencyTable {
@@ -249,6 +249,63 @@ fn continual_release_loop_streams_deltas_and_charges_once_per_key() {
     let status = client.budget_status("pub").unwrap();
     assert!((status.spent_epsilon - 0.5).abs() < 1e-12);
     assert_eq!(status.charges, 2);
+
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
+/// A wire `ingest` whose delta parses to ±∞ (`1e999`) is refused with a
+/// typed, non-retryable `core` error and leaves the stream untouched: a
+/// later release is byte-identical to one drawn before the bad ingest.
+/// The lines go over a plain socket because `Client` renders a
+/// non-finite number as `null`.
+#[test]
+fn non_finite_ingest_deltas_are_refused_and_leave_the_stream_intact() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let (handle, addr) = start_server();
+    let mut client = Client::connect(&addr).unwrap();
+    client
+        .open_tenant("pub", PrivacyLevel::Pure { epsilon: 2.0 })
+        .unwrap();
+    let plan_id = client
+        .register_compile(
+            "pub",
+            toy_spec(),
+            dp_core::Budgeting::Optimal,
+            PrivacyLevel::Pure { epsilon: 0.25 },
+            Neighboring::AddRemove,
+        )
+        .unwrap();
+    let stream = client.stream_open("pub", &plan_id, Some("toy")).unwrap();
+    let before = client
+        .release_current("pub", &stream, &[5], Some("before"))
+        .unwrap();
+
+    let mut raw = std::net::TcpStream::connect(&addr).unwrap();
+    let mut reader = BufReader::new(raw.try_clone().unwrap());
+    for delta in ["1e999", "-1e999", "1e999"] {
+        writeln!(
+            raw,
+            r#"{{"op": "ingest", "tenant": "pub", "stream": "{stream}", "cell": 9, "delta": {delta}}}"#
+        )
+        .unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let err = response_to_result(parse_line(&line).unwrap()).unwrap_err();
+        assert!(
+            matches!(&err, ServiceError::Remote { code, .. } if code == "core"),
+            "delta {delta}: got {err:?}"
+        );
+        assert!(!err.is_retryable());
+    }
+    drop((raw, reader));
+
+    let after = client
+        .release_current("pub", &stream, &[5], Some("after"))
+        .unwrap();
+    assert_eq!(render_line(&before[0]), render_line(&after[0]));
+    assert_eq!(client.budget_status("pub").unwrap().charges, 2);
 
     client.shutdown().unwrap();
     handle.join().unwrap();
