@@ -1,7 +1,9 @@
 //! Release hot-path throughput gauge: cells-noised/sec for the fused
 //! perturbation pass versus a per-value reference, WHT effective bandwidth
-//! for the lane/blocked kernel versus a scalar reference, and end-to-end
-//! releases/sec through `Session::release_batch`.
+//! for the lane/blocked kernel versus a scalar reference, end-to-end
+//! releases/sec through `Session::release_batch`, and whole range releases
+//! (closed-form GLS recovery) against one conjugate-gradient solve of the
+//! same normal equations.
 //!
 //! Every optimized/reference pair is also checked for **byte identity** on
 //! the measured inputs before timing, so this binary doubles as a
@@ -13,9 +15,12 @@
 //! * `--smoke`: small sizes and few repetitions — for CI.
 //! * `--check`: exit non-zero if a throughput ratio falls below its
 //!   (deliberately conservative, noise-tolerant) threshold.
+//!
+//! Every row carries `nproc`, the core count it was measured on.
 
 use dp_core::prelude::*;
 use dp_core::strategy::{perturb_observations_into, NOISE_CHUNK};
+use dp_linalg::LinearOperator;
 use dp_mech::{GaussianMechanism, LaplaceMechanism, NoiseMechanism};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -26,7 +31,7 @@ use std::time::Instant;
 /// One measured metric.
 #[derive(Debug, Clone, Serialize)]
 struct HotPathRow {
-    /// Benchmark section: `noising`, `wht`, or `release`.
+    /// Benchmark section: `noising`, `wht`, `release`, or `range`.
     section: String,
     /// Metric name within the section.
     metric: String,
@@ -34,6 +39,8 @@ struct HotPathRow {
     value: f64,
     /// Unit of `value`.
     unit: String,
+    /// Cores available to the process.
+    nproc: usize,
 }
 
 fn row(section: &str, metric: &str, value: f64, unit: &str) -> HotPathRow {
@@ -42,6 +49,7 @@ fn row(section: &str, metric: &str, value: f64, unit: &str) -> HotPathRow {
         metric: metric.into(),
         value,
         unit: unit.into(),
+        nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
     }
 }
 
@@ -205,6 +213,87 @@ fn bench_noising(
     ratio
 }
 
+/// Times one `Session::release` of a range plan against one
+/// conjugate-gradient GLS solve on the same operator, weights and (noisy)
+/// observations — the recovery every range release ran before the closed
+/// form. Returns `cg / release`.
+fn bench_range(strategy: RangeStrategy, n: usize, reps: usize, rows: &mut Vec<HotPathRow>) -> f64 {
+    let ranges: Vec<(usize, usize)> = (0..256)
+        .map(|k| {
+            let lo = (k * 7919) % n;
+            (lo, lo + 1 + (k * 104_729) % (n - lo))
+        })
+        .collect();
+    let workload = RangeWorkload::new(n, ranges).expect("ranges are in bounds");
+    let plan = PlanBuilder::ranges(workload, strategy)
+        .budgeting(Budgeting::Optimal)
+        .privacy(PrivacyLevel::Pure { epsilon: 1.0 })
+        .compile()
+        .expect("range plan compiles");
+    let hist: Vec<f64> = (0..n).map(|i| ((i * 13) % 7) as f64).collect();
+    let budgets = plan.solution().group_budgets.clone();
+    let label = plan.label();
+    let session = Session::bind_histogram(Arc::new(plan), &hist).expect("histogram matches");
+
+    // The CG arm's inputs: the plan's row groups and inverse-variance
+    // weights, and the bound observations plus Laplace noise at the
+    // group budgets.
+    let operator = dp_core::range::strategy_operator(strategy, n);
+    let tree = dp_linalg::HierarchicalOperator::new(n);
+    let row_groups: Vec<usize> = (0..operator.rows())
+        .map(|i| match strategy {
+            RangeStrategy::Hierarchical => tree.row_level(i),
+            _ => dp_linalg::haar_level(i),
+        })
+        .collect();
+    let weights: Vec<f64> = row_groups
+        .iter()
+        .map(|&g| 1.0 / LaplaceMechanism.variance(budgets[g]))
+        .collect();
+    let mut rng = StdRng::seed_from_u64(7);
+    let noisy: Vec<f64> = session
+        .observations()
+        .iter()
+        .zip(&row_groups)
+        .map(|(&z, &g)| z + LaplaceMechanism.sample(&mut rng, budgets[g]))
+        .collect();
+
+    let mut seed = 0u64;
+    let t_release = time_best(reps, || {
+        seed += 1;
+        std::hint::black_box(session.release(seed).expect("release succeeds"));
+    });
+    let t_cg = time_best(reps, || {
+        let x = dp_linalg::gls_normal_solve(
+            &operator,
+            &weights,
+            &noisy,
+            dp_linalg::CgOptions::default(),
+        )
+        .expect("CG converges");
+        std::hint::black_box(x);
+    });
+    let ratio = t_cg / t_release;
+    println!(
+        "{label:>22}: release {:.3} ms, CG solve alone {:.3} ms, ratio {ratio:.1}×",
+        t_release * 1e3,
+        t_cg * 1e3,
+    );
+    let key = match strategy {
+        RangeStrategy::Hierarchical => "tree_optimal",
+        _ => "wavelet_optimal",
+    };
+    rows.push(row(
+        "range",
+        &format!("{key}_release"),
+        t_release * 1e3,
+        "ms",
+    ));
+    rows.push(row("range", &format!("{key}_cg_solve"), t_cg * 1e3, "ms"));
+    rows.push(row("range", &format!("{key}_cg_over_release"), ratio, "x"));
+    ratio
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -298,6 +387,14 @@ fn main() {
         "releases/s",
     ));
 
+    // ── 4. Range release vs one CG solve ───────────────────────────────
+    let n = 1usize << 16;
+    println!("== range (n = 2^16, 256 ranges, best of {reps}) ==");
+    let range_ratios = [
+        bench_range(RangeStrategy::Wavelet, n, reps, &mut rows),
+        bench_range(RangeStrategy::Hierarchical, n, reps, &mut rows),
+    ];
+
     match dp_bench::write_jsonl("hot_path.jsonl", &rows) {
         Ok(p) => eprintln!("wrote {}", p.display()),
         Err(e) => eprintln!("could not write results file: {e}"),
@@ -323,7 +420,13 @@ fn main() {
         // at full size (2^22) on the recording machine; 1.05× leaves
         // headroom for run-to-run noise while still catching a lost
         // optimization.
+        //
+        // The range gate is a floor on the closed-form recovery: a whole
+        // W+ or H+ release must beat one CG solve of the same normal
+        // equations by 5× (measured 10–34× on two cores). A release that
+        // fell back to CG would measure below 1×.
         let wht_floor = 1.05;
+        let range_floor = 5.0;
         let mut failed = false;
         if gaussian_ratio < 0.75 {
             eprintln!("CHECK FAILED: gaussian noising ratio {gaussian_ratio:.2}× < 0.75×");
@@ -336,6 +439,15 @@ fn main() {
         if wht_ratio < wht_floor {
             eprintln!("CHECK FAILED: WHT speedup {wht_ratio:.2}× < {wht_floor}×");
             failed = true;
+        }
+        for (label, ratio) in ["W+", "H+"].iter().zip(range_ratios) {
+            if ratio < range_floor {
+                eprintln!(
+                    "CHECK FAILED: {label} release only {ratio:.1}× faster than one CG solve \
+                     (< {range_floor}×)"
+                );
+                failed = true;
+            }
         }
         if failed {
             std::process::exit(1);

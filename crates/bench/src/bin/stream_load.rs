@@ -187,9 +187,9 @@ fn main() {
     let epochs = if smoke { 1 } else { 2 };
     // Δ is per family: a marginal rebind costs O(n·(d+1)) per update, so a
     // small epoch already exposes the gap (and a large one would take hours
-    // at 2^20); a range release amortizes a domain-sized CG recovery, so the
-    // realistic regime — thousands of arrivals between releases — is what
-    // puts the update path on the critical path.
+    // at 2^20); a range release amortizes an O(n) closed-form recovery, so
+    // the realistic regime — thousands of arrivals between releases — is
+    // what puts the update path on the critical path.
     let marginal_updates = if smoke { 8 } else { 48 };
     let range_updates = if smoke { 8 } else { 4096 };
 

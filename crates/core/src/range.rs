@@ -8,18 +8,21 @@
 //! (range-count) workloads over a 1-D domain, demonstrating that the
 //! pipeline is not marginal-specific.
 //!
-//! Since the [`crate::strategy`] refactor the module contains **no noise or
-//! recovery loop of its own**, and since the [`crate::api`] redesign
-//! *planning* is matrix-free too: group structure and per-query GLS
-//! variances for the identity/tree/Haar strategies come from the
-//! closed-form Haar diagonalization of their normal matrices (see the
-//! planning section below), so plans compile for domains far beyond the
-//! dense oracle's `n ≲ 4096`. The dense [`crate::framework`] path survives
-//! as the test oracle.
-//! Every release runs through the shared [`ReleaseEngine`] — observations
-//! `z = S·x` and the GLS recovery are matrix-free [`LinearOperator`]
-//! applications (tree sums, Haar transforms, CSR products) with conjugate
-//! gradients on the weighted normal equations.
+//! Since the [`crate::strategy`] refactor the module contains **no noise
+//! loop of its own**, and since the [`crate::api`] redesign *planning* is
+//! matrix-free too: group structure and per-query GLS variances for the
+//! identity/tree/Haar strategies come from the closed-form Haar
+//! diagonalization of their normal matrices (see the planning section
+//! below), so plans compile for domains far beyond the dense oracle's
+//! `n ≲ 4096`. The dense [`crate::framework`] path survives as the test
+//! oracle.
+//! Every release runs through the shared [`ReleaseEngine`]. Observations
+//! `z = S·x` are matrix-free [`LinearOperator`] applications (tree sums,
+//! Haar transforms, CSR products). Recovery uses the same diagonalization:
+//! the identity, tree and Haar strategies compute the exact GLS estimator
+//! `x̂ = (SᵀWS)⁻¹SᵀWz` in closed form with `O(n)` work (see
+//! `RangeStrategyOp`). Only sketches, whose normal matrix has no such
+//! structure, solve the weighted normal equations by conjugate gradients.
 
 use crate::framework::{gls_recovery, output_variances, Decomposition};
 use crate::grouping::{detect_grouping, Grouping};
@@ -255,10 +258,24 @@ fn sketch_csr(strategy: RangeStrategy, n: usize) -> CsrMatrix {
 }
 
 /// The range strategies' [`StrategyOperator`]: observations through a
-/// matrix-free `S`, recovery by CG on the weighted normal equations,
+/// matrix-free `S`, the exact GLS estimator `x̂ = (SᵀWS)⁻¹SᵀWz`, and
 /// answers via the prefix-sum application of `Q`.
+///
+/// Recovery is closed-form for every strategy the Haar basis diagonalizes
+/// (`H` = [`dp_linalg::haar_forward`], `Hᵀ = H⁻¹` =
+/// [`dp_linalg::haar_inverse`]):
+///
+/// * identity: `x̂ = z`;
+/// * wavelet (the paper's Observation 1): `S = H` is square and
+///   invertible, so the weights cancel and `x̂ = Hᵀz`;
+/// * tree: `SᵀWS = Hᵀ diag(λ) H` with `λ` from [`tree_haar_eigenvalues`],
+///   so `x̂ = Hᵀ diag(1/λ) H (SᵀWz)`.
+///
+/// Each is `O(n)` per release. Sketches keep conjugate gradients
+/// ([`dp_linalg::gls_normal_solve`]) on the weighted normal equations.
 pub(crate) struct RangeStrategyOp {
     operator: Box<dyn LinearOperator + Send + Sync>,
+    kind: RangeKind,
     workload: RangeWorkload,
     specs: Vec<GroupSpec>,
     row_groups: Vec<u32>,
@@ -280,13 +297,50 @@ impl StrategyOperator for RangeStrategyOp {
     }
 
     fn recover(&self, noisy: &[f64], group_weights: &[f64]) -> Result<Self::Answer, CoreError> {
-        let row_weights: Vec<f64> = self
-            .row_groups
-            .iter()
-            .map(|&g| group_weights[g as usize])
-            .collect();
-        let x_hat =
-            dp_linalg::gls_normal_solve(&self.operator, &row_weights, noisy, CgOptions::default())?;
+        // Plans refuse zero-budget groups at compile, so the normal matrix
+        // is positive definite and the closed forms below are exact.
+        debug_assert!(group_weights.iter().all(|&w| w > 0.0));
+        let x_hat = match &self.kind {
+            RangeKind::Identity => return self.workload.true_answers(noisy),
+            RangeKind::Wavelet { .. } => {
+                let mut x = noisy.to_vec();
+                dp_linalg::haar_inverse(&mut x);
+                x
+            }
+            RangeKind::Hierarchical { levels } => {
+                let weighted: Vec<f64> = noisy
+                    .iter()
+                    .zip(&self.row_groups)
+                    .map(|(z, &g)| z * group_weights[g as usize])
+                    .collect();
+                let mut x = self.operator.apply_transpose(&weighted);
+                dp_linalg::haar_forward(&mut x);
+                let lam = tree_haar_eigenvalues(1 << levels, group_weights);
+                debug_assert!(lam.iter().all(|&l| l > 0.0));
+                // Haar level ℓ ≥ 1 holds indices [2^{ℓ-1}, 2^ℓ).
+                x[0] /= lam[0];
+                for (level, &l) in lam.iter().enumerate().skip(1) {
+                    for v in &mut x[1 << (level - 1)..1 << level] {
+                        *v /= l;
+                    }
+                }
+                dp_linalg::haar_inverse(&mut x);
+                x
+            }
+            RangeKind::Sketch(_) => {
+                let row_weights: Vec<f64> = self
+                    .row_groups
+                    .iter()
+                    .map(|&g| group_weights[g as usize])
+                    .collect();
+                dp_linalg::gls_normal_solve(
+                    &self.operator,
+                    &row_weights,
+                    noisy,
+                    CgOptions::default(),
+                )?
+            }
+        };
         self.workload.true_answers(&x_hat)
     }
 }
@@ -610,14 +664,14 @@ pub(crate) fn dense_range_structure(
 pub(crate) struct CompiledRangeStrategy {
     pub(crate) engine: ReleaseEngine<RangeStrategyOp>,
     pub(crate) grouping: Grouping,
-    delta: RangeDeltaOp,
 }
 
-/// The sparse column `S[·, j]` of each range strategy, precomputed at
-/// compile time so a per-record delta updates the observation vector in
-/// O(column nnz) — O(1) for identity, O(log n) for the structured
-/// strategies, O(nnz) of the transposed sketch row otherwise.
-enum RangeDeltaOp {
+/// Per-strategy structure behind the two fast paths: the closed-form
+/// recovery in [`RangeStrategyOp::recover`], and the sparse column
+/// `S[·, j]` that a per-record delta adds to the observations — O(1) for
+/// identity, O(log n) for the structured strategies, O(nnz) of the
+/// transposed sketch row otherwise.
+enum RangeKind {
     Identity,
     /// Level ℓ of the tree contributes row `2^ℓ − 1 + (j >> (levels − ℓ))`
     /// (the dyadic block of width `n/2^ℓ` containing `j`), weight 1.
@@ -645,27 +699,22 @@ impl CompiledRangeStrategy {
             None => dense_range_structure(workload, strategy)?,
         };
         let row_groups: Vec<u32> = grouping.assignment().iter().map(|&g| g as u32).collect();
-        let delta = match strategy {
-            RangeStrategy::Identity => RangeDeltaOp::Identity,
-            RangeStrategy::Hierarchical => RangeDeltaOp::Hierarchical {
+        let kind = match strategy {
+            RangeStrategy::Identity => RangeKind::Identity,
+            RangeStrategy::Hierarchical => RangeKind::Hierarchical {
                 levels: n.trailing_zeros() as usize,
             },
-            RangeStrategy::Wavelet => RangeDeltaOp::Wavelet { n },
-            RangeStrategy::Sketch { .. } => {
-                RangeDeltaOp::Sketch(sketch_csr(strategy, n).transposed())
-            }
+            RangeStrategy::Wavelet => RangeKind::Wavelet { n },
+            RangeStrategy::Sketch { .. } => RangeKind::Sketch(sketch_csr(strategy, n).transposed()),
         };
         let engine = ReleaseEngine::new(RangeStrategyOp {
             operator: strategy_operator(strategy, n),
+            kind,
             workload: workload.clone(),
             specs,
             row_groups,
         })?;
-        Ok(CompiledRangeStrategy {
-            engine,
-            grouping,
-            delta,
-        })
+        Ok(CompiledRangeStrategy { engine, grouping })
     }
 
     /// Computes the exact observation vector `z = S·hist` through the
@@ -702,19 +751,19 @@ impl CompiledRangeStrategy {
             });
         }
         let j = cell as usize;
-        match &self.delta {
-            RangeDeltaOp::Identity => z[j] += delta,
-            RangeDeltaOp::Hierarchical { levels } => {
+        match &self.engine.strategy().kind {
+            RangeKind::Identity => z[j] += delta,
+            RangeKind::Hierarchical { levels } => {
                 for level in 0..=*levels {
                     z[(1usize << level) - 1 + (j >> (levels - level))] += delta;
                 }
             }
-            RangeDeltaOp::Wavelet { n } => {
+            RangeKind::Wavelet { n } => {
                 for (i, c) in haar_range_coeffs(*n, j, j + 1) {
                     z[i] += delta * c;
                 }
             }
-            RangeDeltaOp::Sketch(transposed) => {
+            RangeKind::Sketch(transposed) => {
                 for (i, v) in transposed.row_entries(j) {
                     z[i] += delta * v;
                 }
@@ -928,31 +977,88 @@ mod tests {
         }
     }
 
+    /// A fixed noisy observation vector: the exact `S·hist` plus a
+    /// deterministic pseudo-noise pattern of magnitude ≤ 5.
+    fn noisy_observations(op: &dyn LinearOperator) -> Vec<f64> {
+        let mut z = op.apply(&hist(op.cols()));
+        for (i, v) in z.iter_mut().enumerate() {
+            let h = (i as u64 + 1).wrapping_mul(0x9e3779b97f4a7c15) >> 40;
+            *v += (h % 1001) as f64 / 100.0 - 5.0;
+        }
+        z
+    }
+
+    /// Uneven per-group GLS weights (a spread of 15×).
+    fn uneven_weights(groups: usize) -> Vec<f64> {
+        (0..groups)
+            .map(|g| 0.25 + 0.5 * ((g * 7) % 8) as f64)
+            .collect()
+    }
+
+    fn assert_close(got: &[f64], want: &[f64], rel: f64, what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        let scale = want.iter().fold(1.0f64, |m, v| m.max(v.abs()));
+        for (j, (a, b)) in got.iter().zip(want).enumerate() {
+            assert!(
+                (a - b).abs() <= rel * scale,
+                "{what} answer {j}: {a} vs {b} (scale {scale})"
+            );
+        }
+    }
+
     #[test]
     fn release_matches_dense_gls_recovery() {
-        // The CG recovery through the shared engine must match the dense
-        // R·z oracle on the same noisy observations. Drive both from the
-        // same seed: noise is added to z by the engine, so reproduce it by
-        // releasing a zero histogram (z = 0 ⇒ noisy = pure noise) — then
-        // compare against R applied to that noise. Instead of reaching into
-        // the engine, simply check release determinism + unbiased recovery
-        // of an exact (noise-free) plan via a huge ε.
-        let w = RangeWorkload::new(16, vec![(0, 5), (3, 11), (8, 16)]).unwrap();
-        let h = hist(16);
-        for strategy in [
-            RangeStrategy::Identity,
-            RangeStrategy::Hierarchical,
-            RangeStrategy::Wavelet,
-        ] {
-            let plan = compile(&w, strategy, true, 1e9).unwrap();
-            let session = Session::bind_histogram(plan, &h).unwrap();
-            let y = session.release(5).unwrap().answers.into_ranges().unwrap();
-            let exact = w.true_answers(&h).unwrap();
-            for (a, b) in y.iter().zip(&exact) {
-                assert!(
-                    (a - b).abs() < 1e-4,
-                    "{strategy:?}: ε→∞ release {a} vs exact {b}"
-                );
+        // The recovery each strategy runs at release must be the exact GLS
+        // estimator: equal to the dense R·z oracle (R = Q(SᵀWS)⁻¹SᵀW) and,
+        // within CG's tolerance, to conjugate gradients on the same
+        // operator, weights and noisy observations.
+        for n in [2usize, 4, 16, 256, 1 << 16] {
+            let mut ranges: Vec<(usize, usize)> = (1..=n).map(|i| (0, i)).collect();
+            ranges.extend([(n / 2, n), (n / 4, n / 2 + 1), (n - 1, n)]);
+            let w = RangeWorkload::new(n, ranges).unwrap();
+            let dense = n <= 256;
+            let mut strategies = vec![
+                RangeStrategy::Identity,
+                RangeStrategy::Hierarchical,
+                RangeStrategy::Wavelet,
+            ];
+            if dense {
+                // Sketches compile through the dense oracle; 8 repetitions
+                // of n buckets make S full column rank.
+                strategies.push(RangeStrategy::Sketch {
+                    repetitions: 8,
+                    buckets: n,
+                    seed: 11,
+                });
+            }
+            for strategy in strategies {
+                let compiled = CompiledRangeStrategy::build(&w, strategy).unwrap();
+                let op = compiled.engine.strategy();
+                let weights = uneven_weights(op.group_specs().len());
+                let row_weights: Vec<f64> = op
+                    .row_groups()
+                    .iter()
+                    .map(|&g| weights[g as usize])
+                    .collect();
+                let z = noisy_observations(&*op.operator);
+                let got = op.recover(&z, &weights).unwrap();
+                let what = format!("{strategy:?} n={n}");
+                if dense {
+                    let row_variances: Vec<f64> = row_weights.iter().map(|w| 1.0 / w).collect();
+                    let s = strategy_matrix(strategy, n);
+                    let r = gls_recovery(&w.query_matrix(), &s, &row_variances).unwrap();
+                    let oracle = r.matvec(&z).unwrap();
+                    assert_close(&got, &oracle, 1e-9, &format!("{what} vs dense"));
+                }
+                let x_cg = dp_linalg::gls_normal_solve(
+                    &op.operator,
+                    &row_weights,
+                    &z,
+                    CgOptions::default(),
+                )
+                .unwrap();
+                let cg = w.true_answers(&x_cg).unwrap();
+                assert_close(&got, &cg, 1e-8, &format!("{what} vs CG"));
             }
         }
     }

@@ -11,10 +11,11 @@
 //! 1. the **group structure** (`C_r`, `s_r` per group and a group id per
 //!    observation row) feeding the Step-2 budget optimizer of `dp-opt`, and
 //! 2. the **recovery map** from noisy observations back to workload
-//!    answers — generalized least squares, carried out either in diagonal
-//!    Fourier-coefficient space (marginal strategies, Section 4.3) or by
-//!    matrix-free conjugate gradients over a
-//!    [`dp_linalg::LinearOperator`] (range strategies).
+//!    answers — generalized least squares, carried out in diagonal
+//!    Fourier-coefficient space (marginal strategies, Section 4.3), in
+//!    closed form through the Haar diagonalization (identity, tree and
+//!    wavelet range strategies), or by matrix-free conjugate gradients
+//!    over a [`dp_linalg::LinearOperator`] (sketches only).
 //!
 //! [`ReleaseEngine`] owns everything shared: solving for uniform/optimal
 //! budgets, validating the achieved ε (Proposition 3.1), calibrating and

@@ -105,8 +105,11 @@ impl ContingencyTable {
     }
 
     /// Adds `delta` tuples at linearized cell `cell` (negative `delta`
-    /// retracts). Errors if the cell is out of range or the resulting
-    /// count would be negative; on error the table is unchanged.
+    /// retracts). Errors if the cell is out of range, if the delta is not
+    /// finite or would overflow the count, or if the resulting count would
+    /// be negative — the same guards as
+    /// [`crate::api::Session::ingest_count`]. On error the table is
+    /// unchanged.
     pub fn add_count(&mut self, cell: u64, delta: f64) -> Result<(), CoreError> {
         let n = self.counts.len();
         if cell >= n as u64 {
@@ -117,6 +120,9 @@ impl ContingencyTable {
             });
         }
         let next = self.counts[cell as usize] + delta;
+        if !next.is_finite() {
+            return Err(CoreError::NonFiniteDelta { cell, delta });
+        }
         if next < 0.0 {
             return Err(CoreError::NegativeCount { cell, count: next });
         }
@@ -323,6 +329,28 @@ mod tests {
         ));
         t.add_count(3, -2.5).unwrap();
         assert_eq!(t.total(), 0.0);
+    }
+
+    #[test]
+    fn add_count_refuses_non_finite_deltas_and_overflow() {
+        let mut t = ContingencyTable::zeros(2);
+        t.add_count(1, 3.0).unwrap();
+        for delta in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(
+                matches!(
+                    t.add_count(1, delta),
+                    Err(CoreError::NonFiniteDelta { cell: 1, .. })
+                ),
+                "delta {delta} must be refused"
+            );
+        }
+        t.add_count(2, f64::MAX).unwrap();
+        assert!(matches!(
+            t.add_count(2, f64::MAX),
+            Err(CoreError::NonFiniteDelta { cell: 2, .. })
+        ));
+        // Every refusal left the table unchanged.
+        assert_eq!(t.counts(), &[0.0, 3.0, f64::MAX, 0.0]);
     }
 
     #[test]

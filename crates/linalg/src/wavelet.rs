@@ -9,7 +9,10 @@
 //!
 //! We use the orthonormal Haar convention, so the transform matrix `W`
 //! satisfies `Wᵀ = W⁻¹` and the recovery shortcut `R = Q Wᵀ` of the paper's
-//! Observation 1 applies.
+//! Observation 1 applies. Releases use it directly: a wavelet release
+//! recovers `x̂ = Wᵀz` with one [`haar_inverse`], and a tree release
+//! recovers through [`haar_forward`]/[`haar_inverse`] too, because the
+//! Haar basis diagonalizes the tree's normal matrix.
 
 /// Forward orthonormal Haar transform (in place).
 ///

@@ -82,16 +82,23 @@ const LEGACY_MARGINAL_DIGESTS: [u64; 16] = [
     0x8376c7d2c08d196b,
 ];
 
-/// Digests of the retired single-shot range planner's releases (seed 777,
-/// all prefixes of `hist(64)`, pure ε = 0.8), recorded before it was
-/// deleted, in grid order: strategy × (uniform, optimal).
+/// Digests of the range releases (seed 777, all prefixes of `hist(64)`,
+/// pure ε = 0.8), in grid order: strategy × (uniform, optimal).
+///
+/// The sketch entries were recorded from the retired single-shot range
+/// planner before it was deleted. The I, H and W entries were re-recorded
+/// when their recovery moved from conjugate gradients to the exact
+/// closed-form GLS estimator: the old pins held CG's approximate iterate,
+/// which differs from the exact answer in the last bits (≤ 1e-9
+/// relative). The noise draw did not change, which the unchanged sketch
+/// pins (still recovered by CG) and marginal pins show.
 const LEGACY_RANGE_DIGESTS: [u64; 8] = [
-    0x0004dbb29a51c568, // I
-    0x0004dbb29a51c568, // I+ (one group: the same budgets)
-    0x28f2a055aae6acdb, // H
-    0x0c48852636353cc6, // H+
-    0x1986c33b496460e8, // W
-    0x4c4c1790029796f9, // W+
+    0xe5273e5b442184a0, // I
+    0xe5273e5b442184a0, // I+ (one group: the same budgets)
+    0x0a0f5eea9c071d4d, // H
+    0xb74f9a80332cac68, // H+
+    0x5bfdf37b4c295857, // W
+    0xb8d3e1e1144a0e04, // W+
     0x0d5ed14ce75b4fdc, // S
     0xa4470987d15aac0d, // S+
 ];
