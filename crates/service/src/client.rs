@@ -174,6 +174,19 @@ fn optional(timeout: Duration) -> Option<Duration> {
     (timeout > Duration::ZERO).then_some(timeout)
 }
 
+/// Moves the `releases` array out of an owned success response.
+fn take_releases(response: Value) -> Result<Vec<Value>, ServiceError> {
+    let fields = match response {
+        Value::Object(fields) => fields,
+        _ => Vec::new(),
+    };
+    match fields.into_iter().find(|(key, _)| key == "releases") {
+        Some((_, Value::Array(releases))) => Ok(releases),
+        Some(_) => Err(ServiceError::Protocol("`releases` must be an array".into())),
+        None => Err(ServiceError::Protocol("missing field `releases`".into())),
+    }
+}
+
 impl Client {
     /// Dials `addr` (e.g. `127.0.0.1:7878`) with the default
     /// [`ClientConfig`].
@@ -245,17 +258,28 @@ impl Client {
         response_to_result(parse_line(&response)?)
     }
 
+    /// Renders `request` as one wire line, with the bearer credential (if
+    /// any) as a trailing `"auth"` field. The field is spliced into the
+    /// rendered object: the same bytes as pushing it onto the object's
+    /// fields, without copying the request tree.
+    fn request_line(&self, request: &Value) -> String {
+        let mut line = render_line(request);
+        if let (Some(token), Value::Object(fields)) = (&self.credential, request) {
+            line.pop(); // the closing '}'
+            if !fields.is_empty() {
+                line.push(',');
+            }
+            line.push_str("\"auth\":");
+            line.push_str(&render_line(&Value::String(token.clone())));
+            line.push('}');
+        }
+        line
+    }
+
     /// Sends the request, retrying transport-class failures with capped
     /// exponential backoff when `idempotent` allows it.
     fn call_retrying(&mut self, request: &Value, idempotent: bool) -> Result<Value, ServiceError> {
-        let line = match (&self.credential, request) {
-            (Some(token), Value::Object(fields)) => {
-                let mut fields = fields.clone();
-                fields.push(("auth".into(), Value::String(token.clone())));
-                render_line(&Value::Object(fields))
-            }
-            _ => render_line(request),
-        };
+        let line = self.request_line(request);
         let mut attempt: u32 = 0;
         loop {
             match self.call_once(&line) {
@@ -424,11 +448,7 @@ impl Client {
             seeds: seeds.to_vec(),
             request_id: Some(request_id.into()),
         };
-        let response = self.call_retrying(&request.to_value(), true)?;
-        Ok(field(&response, "releases")?
-            .as_array()
-            .ok_or_else(|| ServiceError::Protocol("`releases` must be an array".into()))?
-            .to_vec())
+        take_releases(self.call_retrying(&request.to_value(), true)?)
     }
 
     /// Sends a whole batch of keyed releases down the connection before
@@ -471,15 +491,7 @@ impl Client {
                     seeds: r.seeds.clone(),
                     request_id: Some(r.request_id.clone()),
                 };
-                let value = request.to_value();
-                match (&self.credential, &value) {
-                    (Some(token), Value::Object(fields)) => {
-                        let mut fields = fields.clone();
-                        fields.push(("auth".into(), Value::String(token.clone())));
-                        render_line(&Value::Object(fields))
-                    }
-                    _ => render_line(&value),
-                }
+                self.request_line(&request.to_value())
             })
             .collect();
         let mut by_id: std::collections::HashMap<String, Vec<Value>> =
@@ -504,11 +516,10 @@ impl Client {
                 let Ok(ok) = response_to_result(value) else {
                     continue;
                 };
-                if let (Ok(id), Ok(Some(releases))) = (
-                    string_field(&ok, "request_id"),
-                    field(&ok, "releases").map(|r| r.as_array().map(<[Value]>::to_vec)),
-                ) {
-                    by_id.insert(id, releases);
+                if let Ok(id) = string_field(&ok, "request_id") {
+                    if let Ok(releases) = take_releases(ok) {
+                        by_id.insert(id, releases);
+                    }
                 }
             }
             Ok(())
@@ -593,11 +604,7 @@ impl Client {
             seeds: seeds.to_vec(),
             request_id: request_id.map(str::to_owned),
         };
-        let response = self.call_retrying(&request.to_value(), keyed)?;
-        Ok(field(&response, "releases")?
-            .as_array()
-            .ok_or_else(|| ServiceError::Protocol("`releases` must be an array".into()))?
-            .to_vec())
+        take_releases(self.call_retrying(&request.to_value(), keyed)?)
     }
 
     /// The tenant's current budget position.
@@ -646,6 +653,63 @@ mod tests {
             optional(Duration::from_millis(5)),
             Some(Duration::from_millis(5))
         );
+    }
+
+    #[test]
+    fn spliced_credential_matches_a_pushed_auth_field() {
+        let mut client = Client {
+            addr: String::new(),
+            config: ClientConfig::default(),
+            conn: None,
+            credential: None,
+            stats: ClientStats::default(),
+        };
+        let requests = [
+            Request::Ping.to_value(),
+            Value::Object(Vec::new()),
+            Request::Release {
+                tenant: "t".into(),
+                session: "p/toy".into(),
+                seeds: vec![1, (1 << 60) + 3],
+                request_id: Some("r\"1".into()),
+            }
+            .to_value(),
+            Value::Array(vec![Value::Null]),
+        ];
+        for request in &requests {
+            assert_eq!(client.request_line(request), render_line(request));
+        }
+        for token in ["tok", "quote\"back\\slash\u{1}é"] {
+            client.set_credential(Some(token.into()));
+            for request in &requests {
+                let expected = match request {
+                    Value::Object(fields) => {
+                        let mut fields = fields.clone();
+                        fields.push(("auth".into(), Value::String(token.into())));
+                        render_line(&Value::Object(fields))
+                    }
+                    other => render_line(other),
+                };
+                assert_eq!(client.request_line(request), expected);
+            }
+        }
+    }
+
+    #[test]
+    fn releases_move_out_of_the_response() {
+        let releases = vec![Value::Number(1.0), Value::String("r".into())];
+        let response = Value::Object(vec![
+            ("ok".into(), Value::Bool(true)),
+            ("releases".into(), Value::Array(releases.clone())),
+        ]);
+        assert_eq!(take_releases(response).unwrap(), releases);
+        for bad in [
+            Value::Object(vec![("ok".into(), Value::Bool(true))]),
+            Value::Object(vec![("releases".into(), Value::Null)]),
+            Value::Null,
+        ] {
+            assert!(matches!(take_releases(bad), Err(ServiceError::Protocol(_))));
+        }
     }
 
     #[test]

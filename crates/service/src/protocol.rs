@@ -59,6 +59,23 @@
 //! ([`dp_core::serde_impls::u64_value`]): exact JSON numbers below 2^53,
 //! decimal strings above — releases are deterministic in their seed, so the
 //! seed must never be rounded through an `f64`.
+//!
+//! ## Encoding
+//!
+//! [`render_line`] walks the value by reference and writes straight into
+//! one output string: no copy of the tree, no temporary string per number.
+//! Its bytes are stable: keys keep insertion order, integral numbers below
+//! 1e15 print as integers, other finite numbers print as the shortest text
+//! that parses back to the same `f64`, and NaN/±∞ print as `null`. Replay
+//! byte-identity and the WAL's checksums (taken over `render_line`) rely
+//! on that.
+//!
+//! [`parse_line`] copies each unescaped run of a string as one slice and
+//! refuses documents nested deeper than [`serde_json::MAX_DEPTH`] (128)
+//! arrays or objects with a `protocol` error. The parser recurses once per
+//! level, so the cap is what keeps a hostile line of `[`s from overflowing
+//! a handler thread's stack; the same cap guards client reply decoding and
+//! WAL loading.
 
 use crate::error::ServiceError;
 use dp_core::api::{Answers, SessionRelease, WorkloadSpec};
@@ -66,34 +83,19 @@ use dp_core::serde_impls::{u64_from, u64_value};
 use dp_core::Budgeting;
 use dp_core::Plan;
 use dp_mech::{Neighboring, PrivacyLevel};
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 
-/// A thin owned wrapper so arbitrary JSON values can pass through the
-/// vendored `serde_json`'s typed entry points.
-pub struct RawValue(pub Value);
-
-impl Serialize for RawValue {
-    fn serialize_value(&self) -> Value {
-        self.0.clone()
-    }
-}
-
-impl Deserialize for RawValue {
-    fn deserialize_value(value: &Value) -> Result<Self, DeError> {
-        Ok(RawValue(value.clone()))
-    }
-}
-
-/// Parses one wire line into a JSON value.
+/// Parses one wire line into a JSON value. Nesting deeper than
+/// [`serde_json::MAX_DEPTH`] levels is a protocol error, not a stack
+/// overflow.
 pub fn parse_line(line: &str) -> Result<Value, ServiceError> {
-    serde_json::from_str::<RawValue>(line)
-        .map(|r| r.0)
-        .map_err(|e| ServiceError::Protocol(e.to_string()))
+    serde_json::parse_value(line).map_err(|e| ServiceError::Protocol(e.to_string()))
 }
 
-/// Renders a JSON value as one compact wire line (no interior newlines).
+/// Renders a JSON value as one compact wire line (no interior newlines),
+/// by reference and byte-stable (see the module docs).
 pub fn render_line(value: &Value) -> String {
-    serde_json::to_string(&RawValue(value.clone())).expect("value rendering is infallible")
+    serde_json::value_to_string(value)
 }
 
 pub(crate) fn field<'v>(value: &'v Value, name: &str) -> Result<&'v Value, ServiceError> {

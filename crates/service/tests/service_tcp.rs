@@ -194,6 +194,44 @@ fn operator_policy_gates_the_whole_wire_lifecycle() {
     handle.join().unwrap();
 }
 
+/// One unauthenticated line of a mebibyte of `[` used to overflow a
+/// handler thread's stack and abort the whole server. The parser's depth
+/// cap answers it with a typed `protocol` error instead; the connection
+/// and the server stay up.
+#[test]
+fn a_mebibyte_of_open_brackets_is_refused_and_the_server_survives() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let (handle, addr) = start_server_with_auth(Auth::operator("admin-secret"));
+    let mut raw = std::net::TcpStream::connect(&addr).unwrap();
+    raw.set_read_timeout(Some(std::time::Duration::from_secs(60)))
+        .unwrap();
+    let mut reader = BufReader::new(raw.try_clone().unwrap());
+    let mut probe = "[".repeat(1 << 20);
+    probe.push('\n');
+    raw.write_all(probe.as_bytes()).unwrap();
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains("\"code\":\"protocol\""), "{line}");
+
+    // The same connection still serves requests...
+    writeln!(raw, r#"{{"op": "ping"}}"#).unwrap();
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    assert!(
+        response_to_result(parse_line(&line).unwrap()).is_ok(),
+        "{line}"
+    );
+    drop((raw, reader));
+
+    // ...and so does a new one.
+    let mut admin = Client::connect(&addr).unwrap();
+    admin.ping().unwrap();
+    admin.set_credential(Some("admin-secret".into()));
+    admin.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
 #[test]
 fn continual_release_loop_streams_deltas_and_charges_once_per_key() {
     let (handle, addr) = start_server();

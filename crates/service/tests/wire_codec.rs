@@ -1,0 +1,433 @@
+//! Byte stability and robustness of the JSON-lines codec.
+//!
+//! - Releases of every strategy and mechanism render exactly as the
+//!   reference encoder (the tree-copying encoder the codec replaced) did.
+//! - A ledger line written by that encoder, CRC included, still loads: the
+//!   WAL checksum is taken over `render_line`.
+//! - Seeded byte mutations of valid request and response lines never
+//!   panic, are refused only with `ServiceError::Protocol`, and every
+//!   accepted line survives `parse_line(render_line(v)) == v`.
+
+use std::sync::Arc;
+
+use dp_core::api::{Session, WorkloadSpec};
+use dp_core::range::{RangeStrategy, RangeWorkload};
+use dp_core::{Budgeting, ContingencyTable, Plan, PlanBuilder, Schema, StrategyKind, Workload};
+use dp_mech::{Neighboring, PrivacyLevel};
+use dp_service::protocol::{
+    error_response, parse_line, render_line, response_to_result, session_release_to_value, Request,
+};
+use dp_service::{Accountant, DpService, ServiceError};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use serde::Value;
+
+/// The compact encoder as it was before rendering went by reference: the
+/// byte-identity oracle for `render_line`.
+mod reference {
+    use serde::Value;
+
+    pub fn render_line(value: &Value) -> String {
+        let mut out = String::new();
+        render(value, &mut out);
+        out
+    }
+
+    fn render(value: &Value, out: &mut String) {
+        match value {
+            Value::Null => out.push_str("null"),
+            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Value::Number(n) => render_number(*n, out),
+            Value::String(s) => render_string(s, out),
+            Value::Array(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    render(item, out);
+                }
+                out.push(']');
+            }
+            Value::Object(fields) => {
+                out.push('{');
+                for (i, (k, v)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    render_string(k, out);
+                    out.push(':');
+                    render(v, out);
+                }
+                out.push('}');
+            }
+        }
+    }
+
+    fn render_number(n: f64, out: &mut String) {
+        if !n.is_finite() {
+            out.push_str("null");
+        } else if n == n.trunc() && n.abs() < 1e15 {
+            out.push_str(&format!("{}", n as i64));
+        } else {
+            out.push_str(&format!("{n}"));
+        }
+    }
+
+    fn render_string(s: &str, out: &mut String) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+}
+
+const SEEDS: [u64; 3] = [1, 987_654_321, (1 << 60) + 17];
+
+fn mechanisms() -> [PrivacyLevel; 2] {
+    [
+        PrivacyLevel::Pure { epsilon: 0.5 },
+        PrivacyLevel::Approx {
+            epsilon: 0.5,
+            delta: 1e-6,
+        },
+    ]
+}
+
+fn toy_table() -> ContingencyTable {
+    ContingencyTable::from_indices(4, &[0, 1, 2, 3, 9, 15, 15, 6, 6, 11])
+}
+
+/// One compiled plan per (strategy, budgeting) for marginals and per
+/// strategy for ranges, each under Laplace and Gaussian noise, bound to
+/// toy data.
+fn sessions() -> Vec<(String, Session)> {
+    let schema = Schema::binary(4).unwrap();
+    let workload = Workload::all_k_way(&schema, 2).unwrap();
+    let hist: Vec<f64> = (0..16).map(|i| ((i * 7) % 5) as f64).collect();
+    let mut out = Vec::new();
+    for privacy in mechanisms() {
+        for strategy in [
+            StrategyKind::Identity,
+            StrategyKind::Workload,
+            StrategyKind::Cluster,
+            StrategyKind::Fourier,
+        ] {
+            for budgeting in [Budgeting::Uniform, Budgeting::Optimal] {
+                let plan = PlanBuilder::marginals(workload.clone(), strategy)
+                    .budgeting(budgeting)
+                    .privacy(privacy)
+                    .compile()
+                    .unwrap();
+                let session = Session::bind(Arc::new(plan), &toy_table()).unwrap();
+                out.push((format!("{strategy:?}/{budgeting:?}/{privacy:?}"), session));
+            }
+        }
+        for strategy in [
+            RangeStrategy::Identity,
+            RangeStrategy::Hierarchical,
+            RangeStrategy::Wavelet,
+            RangeStrategy::Sketch {
+                repetitions: 3,
+                buckets: 8,
+                seed: 7,
+            },
+        ] {
+            let plan = PlanBuilder::ranges(RangeWorkload::all_prefixes(16).unwrap(), strategy)
+                .privacy(privacy)
+                .compile()
+                .unwrap();
+            let session = Session::bind_histogram(Arc::new(plan), &hist).unwrap();
+            out.push((format!("{strategy:?}/{privacy:?}"), session));
+        }
+    }
+    out
+}
+
+#[test]
+fn release_lines_match_the_reference_encoder_for_every_strategy() {
+    let sessions = sessions();
+    assert_eq!(sessions.len(), 2 * (4 * 2 + 4));
+    for (name, session) in &sessions {
+        for &seed in &SEEDS {
+            let value = session_release_to_value(&session.release(seed).unwrap());
+            let line = render_line(&value);
+            assert_eq!(line, reference::render_line(&value), "{name} seed {seed}");
+            assert_eq!(parse_line(&line).unwrap(), value, "{name} seed {seed}");
+        }
+    }
+}
+
+/// Two ledger records exactly as the reference encoder wrote them: tricky
+/// floats, escapes, non-ASCII text and a seed above 2^53. Their CRCs are
+/// taken over the rendered bytes, so they load only if today's encoder
+/// renders them byte for byte the same.
+const PINNED_LEDGER: &str = concat!(
+    r#"{"op":"open","tenant":"tenant \"é\" 東","budget":{"epsilon":3,"delta":0.00001},"crc":"c87588b0ac2096dd"}"#,
+    "\n",
+    r#"{"op":"spend","tenant":"tenant \"é\" 東","charge":{"epsilon":0.30000000000000004,"delta":0.0000001},"request_id":"req\\1\t🚀","session":"p/toy","seeds":[3,"1152921504606846981"],"crc":"f36a928a28b7d073"}"#,
+    "\n",
+);
+
+#[test]
+fn a_pinned_ledger_line_still_loads() {
+    for line in PINNED_LEDGER.lines() {
+        assert_eq!(render_line(&parse_line(line).unwrap()), line);
+    }
+    let dir = std::env::temp_dir().join(format!("dp-service-pinned-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("ledger.jsonl");
+    std::fs::write(&path, PINNED_LEDGER).unwrap();
+    let acct = Accountant::with_wal(&path).unwrap();
+    let status = acct.status("tenant \"é\" 東").unwrap();
+    assert_eq!(status.spent_epsilon, 0.1 + 0.2);
+    assert_eq!(status.charges, 1);
+    assert_eq!(acct.journaled_releases(), 1);
+    drop(acct);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------------
+// Seeded parser fuzz
+// ---------------------------------------------------------------------------
+
+fn toy_spec() -> WorkloadSpec {
+    WorkloadSpec::Marginals {
+        workload: Workload::all_k_way(&Schema::binary(4).unwrap(), 1).unwrap(),
+        strategy: StrategyKind::Fourier,
+        cluster: Default::default(),
+    }
+}
+
+/// Valid request lines of the shapes the `service_tcp` suite sends, plus a
+/// full plan document and hand-written lines with string escapes.
+fn request_lines() -> Vec<String> {
+    let privacy = PrivacyLevel::Pure { epsilon: 0.25 };
+    let plan: Plan = PlanBuilder::new(toy_spec())
+        .privacy(privacy)
+        .compile()
+        .unwrap();
+    let requests = [
+        Request::OpenTenant {
+            tenant: "t".into(),
+            budget: PrivacyLevel::Approx {
+                epsilon: 2.0,
+                delta: 1e-6,
+            },
+            tenant_token: Some("t-token".into()),
+        },
+        Request::RegisterCompile {
+            tenant: "t".into(),
+            spec: toy_spec(),
+            budgeting: Budgeting::Optimal,
+            privacy,
+            neighboring: Neighboring::AddRemove,
+        },
+        Request::RegisterPlan {
+            tenant: "t".into(),
+            plan: Box::new(plan),
+        },
+        Request::Bind {
+            tenant: "t".into(),
+            plan_id: "abc".into(),
+            table: "toy".into(),
+        },
+        Request::Release {
+            tenant: "t".into(),
+            session: "abc/toy".into(),
+            seeds: vec![3, 12345, (1 << 60) + 17],
+            request_id: Some("r-0001".into()),
+        },
+        Request::StreamOpen {
+            tenant: "pub".into(),
+            plan_id: "abc".into(),
+            table: Some("toy".into()),
+        },
+        Request::Ingest {
+            tenant: "pub".into(),
+            stream: "pub/abc/toy".into(),
+            cell: 9,
+            delta: -1.0,
+        },
+        Request::ReleaseCurrent {
+            tenant: "pub".into(),
+            stream: "pub/abc/toy".into(),
+            seeds: vec![5],
+            request_id: Some("epoch-0".into()),
+        },
+        Request::BudgetStatus { tenant: "t".into() },
+        Request::Ping,
+        Request::Shutdown,
+    ];
+    let mut lines: Vec<String> = requests
+        .iter()
+        .map(|r| render_line(&r.to_value()))
+        .collect();
+    lines.push(r#"{"op": "bind", "tenant": "té\"\\x", "plan_id": "a\/b\n", "table": "toy", "auth": "s3cret"}"#.into());
+    lines.push(r#"{"op":"ingest","tenant":"pub","stream":"s","cell":4,"delta":1e999}"#.into());
+    lines
+}
+
+/// Valid response lines as an in-process service renders them: successes
+/// (including full release replies) and typed errors.
+fn response_lines() -> Vec<String> {
+    let service = DpService::new(Accountant::in_memory());
+    service.data().insert_table("toy", toy_table());
+    let mut lines = Vec::new();
+    let mut handle = |request: Request| {
+        let response = service.handle(request, None).unwrap();
+        lines.push(render_line(&response));
+        response
+    };
+    handle(Request::OpenTenant {
+        tenant: "t".into(),
+        budget: PrivacyLevel::Pure { epsilon: 2.0 },
+        tenant_token: None,
+    });
+    let registered = handle(Request::RegisterCompile {
+        tenant: "t".into(),
+        spec: toy_spec(),
+        budgeting: Budgeting::Optimal,
+        privacy: PrivacyLevel::Pure { epsilon: 0.25 },
+        neighboring: Neighboring::AddRemove,
+    });
+    let plan_id = registered.get_field("plan_id").unwrap().as_str().unwrap();
+    let bound = handle(Request::Bind {
+        tenant: "t".into(),
+        plan_id: plan_id.into(),
+        table: "toy".into(),
+    });
+    let session = bound.get_field("session").unwrap().as_str().unwrap();
+    handle(Request::Release {
+        tenant: "t".into(),
+        session: session.into(),
+        seeds: vec![3, (1 << 60) + 17],
+        request_id: Some("r-0001".into()),
+    });
+    handle(Request::BudgetStatus { tenant: "t".into() });
+    handle(Request::Ping);
+    for error in [
+        ServiceError::BudgetExhausted {
+            requested_epsilon: 0.5,
+            requested_delta: 0.0,
+            remaining_epsilon: 0.125,
+            remaining_delta: 0.0,
+        },
+        ServiceError::Overloaded {
+            scope: "tenant".into(),
+        },
+        ServiceError::Protocol("bad \"line\"\n".into()),
+    ] {
+        lines.push(render_line(&error_response(&error)));
+    }
+    lines
+}
+
+/// Bytes that steer mutations into the parser's interesting branches:
+/// structure, string escapes, number syntax, control and non-ASCII bytes.
+const INTERESTING: &[u8] = b"[]{}\":,\\/nrtbfu0123456789-+.eE \t\r\n\x01\x1f\xc3\xa9\xff";
+
+fn mutate(rng: &mut StdRng, line: &str) -> String {
+    let mut bytes = line.as_bytes().to_vec();
+    for _ in 0..rng.gen_range(1..=4usize) {
+        let len = bytes.len();
+        let at = rng.gen_range(0..=len);
+        match rng.gen_range(0..6u32) {
+            0 if at < len => bytes[at] = INTERESTING[rng.gen_range(0..INTERESTING.len())],
+            1 => bytes.insert(at, INTERESTING[rng.gen_range(0..INTERESTING.len())]),
+            2 if at < len => {
+                let end = (at + rng.gen_range(1..=8usize)).min(len);
+                bytes.drain(at..end);
+            }
+            3 => {
+                let open = if rng.gen_bool(0.5) { b'[' } else { b'{' };
+                let run = rng.gen_range(1..=300usize);
+                bytes.splice(at..at, std::iter::repeat_n(open, run));
+            }
+            4 => bytes.truncate(at),
+            _ if at < len => {
+                let end = (at + rng.gen_range(1..=16usize)).min(len);
+                let copy = bytes[at..end].to_vec();
+                bytes.splice(at..at, copy);
+            }
+            _ => {}
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+fn all_finite(value: &Value) -> bool {
+    match value {
+        Value::Number(n) => n.is_finite(),
+        Value::Array(items) => items.iter().all(all_finite),
+        Value::Object(fields) => fields.iter().all(|(_, v)| all_finite(v)),
+        _ => true,
+    }
+}
+
+#[test]
+fn mutated_wire_lines_are_refused_with_protocol_errors_or_round_trip() {
+    const CASES_PER_LINE: usize = 400;
+    let requests = request_lines();
+    let responses = response_lines();
+    let mut rng = StdRng::seed_from_u64(0x00f0_2250);
+    let (mut accepted, mut refused) = (0usize, 0usize);
+    let (mut accepted_plain, mut accepted_escaped) = (0usize, 0usize);
+    for (is_request, line) in requests
+        .iter()
+        .map(|l| (true, l))
+        .chain(responses.iter().map(|l| (false, l)))
+    {
+        parse_line(line).unwrap_or_else(|e| panic!("seed line must parse: {e}\n{line}"));
+        for _ in 0..CASES_PER_LINE {
+            let mutated = mutate(&mut rng, line);
+            let value = match parse_line(&mutated) {
+                Ok(value) => value,
+                Err(ServiceError::Protocol(_)) => {
+                    refused += 1;
+                    continue;
+                }
+                Err(other) => panic!("refusal must be a protocol error, got {other:?}"),
+            };
+            accepted += 1;
+            if mutated.contains('\\') {
+                accepted_escaped += 1;
+            } else {
+                accepted_plain += 1;
+            }
+            let rendered = render_line(&value);
+            assert_eq!(rendered, reference::render_line(&value), "{mutated}");
+            if all_finite(&value) {
+                // NaN/±∞ render as `null` by design, so only finite trees
+                // can round-trip to an equal value.
+                assert_eq!(parse_line(&rendered).unwrap(), value, "{mutated}");
+            }
+            if is_request {
+                match Request::from_value(&value) {
+                    Ok(_) | Err(ServiceError::Protocol(_)) => {}
+                    Err(other) => panic!("request refusal must be a protocol error: {other:?}"),
+                }
+            } else {
+                let _ = response_to_result(value);
+            }
+        }
+    }
+    // The corpus reaches both outcomes and both string paths.
+    assert!(
+        accepted > 100 && refused > 100,
+        "{accepted} accepted, {refused} refused"
+    );
+    assert!(
+        accepted_plain > 10 && accepted_escaped > 10,
+        "{accepted_plain} plain, {accepted_escaped} escaped"
+    );
+}
