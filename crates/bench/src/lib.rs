@@ -1,13 +1,118 @@
 //! Shared experiment harness for reproducing the paper's figures and
-//! tables. Each binary in `src/bin/` regenerates one figure/table; this
-//! library holds the common machinery: method/workload enumeration, trial
-//! loops, and table/CSV output.
+//! tables. The `repro` binary regenerates all of them and checks the
+//! paper's claims on every run; this library holds the common machinery:
+//! the datasets, method/workload enumeration, the accuracy and runtime
+//! sweeps, the claim ledger, and table/JSONL output.
 
+use dp_core::consistency::is_consistent;
 use dp_core::metrics::average_relative_error;
 use dp_core::prelude::*;
 use serde::Serialize;
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// One dataset of the experiments: the real file when it is present,
+/// otherwise its seeded synthetic stand-in.
+pub struct Dataset {
+    /// Name used in rows and logs (`adult`, `nltcs`).
+    pub name: &'static str,
+    /// The attribute schema.
+    pub schema: Schema,
+    /// The contingency table of the records.
+    pub table: ContingencyTable,
+}
+
+impl Dataset {
+    /// Adult (Figure 4): `data/adult.data`, else the stand-in of seed 20130401.
+    pub fn adult() -> Dataset {
+        let path = Path::new("data/adult.data");
+        let loaded = dp_data::csv::adult_records_or_synthetic(path, 20130401);
+        Dataset::new("adult", dp_data::adult_schema(), loaded)
+    }
+
+    /// NLTCS (Figures 5 and 6): `data/nltcs.csv`, else the stand-in of
+    /// seed 20130402.
+    pub fn nltcs() -> Dataset {
+        let path = Path::new("data/nltcs.csv");
+        let loaded = dp_data::csv::nltcs_records_or_synthetic(path, 20130402);
+        Dataset::new("nltcs", dp_data::nltcs_schema(), loaded)
+    }
+
+    fn new(
+        name: &'static str,
+        schema: Schema,
+        loaded: Result<(Vec<Vec<usize>>, bool), dp_data::DataError>,
+    ) -> Dataset {
+        let (records, real) = loaded.expect("dataset file parses");
+        let source = if real {
+            "real file"
+        } else {
+            "synthetic stand-in"
+        };
+        eprintln!("{name}: {} records ({source})", records.len());
+        let table = ContingencyTable::from_records(&schema, &records).expect("records fit schema");
+        Dataset {
+            name,
+            schema,
+            table,
+        }
+    }
+}
+
+/// The paper's claims as checked by one run: how many held, and a message
+/// naming the section and the value of each that did not.
+#[derive(Debug, Default)]
+pub struct Checks {
+    section: &'static str,
+    passed: usize,
+    failures: Vec<String>,
+}
+
+impl Checks {
+    /// Names the section the following claims belong to.
+    pub fn section(&mut self, name: &'static str) {
+        self.section = name;
+    }
+
+    /// Records one claim; `failure` describes it, with the offending value,
+    /// when it does not hold.
+    pub fn claim(&mut self, holds: bool, failure: impl FnOnce() -> String) {
+        if holds {
+            self.passed += 1;
+        } else {
+            self.failures
+                .push(format!("[{}] {}", self.section, failure()));
+        }
+    }
+
+    /// Number of claims that held.
+    pub fn passed(&self) -> usize {
+        self.passed
+    }
+
+    /// The claims that failed, in the order they were checked.
+    pub fn failures(&self) -> &[String] {
+        &self.failures
+    }
+}
+
+/// Step 2's optimality claim for one plan: at the plan's privacy level the
+/// optimal budgets never predict more total variance than uniform ones.
+pub fn check_budgets(plan: &Plan, checks: &mut Checks) {
+    // A failed re-solve predicts NaN, which fails the claim.
+    let predicted = |b| {
+        plan.resolved_at(plan.privacy(), b)
+            .map_or(f64::NAN, |p| p.predicted_variance())
+    };
+    let (optimal, uniform) = (predicted(Budgeting::Optimal), predicted(Budgeting::Uniform));
+    checks.claim(optimal <= uniform * (1.0 + 1e-9), || {
+        format!(
+            "{}: optimal budgets predict {optimal}, uniform {uniform}",
+            plan.label()
+        )
+    });
+}
 
 /// The seven methods of the paper's experiments (Section 5, "Algorithms
 /// Used"): four strategies, each with uniform and (where different)
@@ -96,23 +201,26 @@ pub struct RuntimePoint {
 }
 
 /// Runs the accuracy sweep for one dataset: every workload family × method
-/// × ε, averaging `trials` releases (fewer for the Identity strategy, whose
-/// per-trial cost is `O(N)` — controlled by `identity_trials`).
-#[allow(clippy::too_many_arguments)] // an experiment config, not a reusable API surface
+/// × ε, averaging `trials.0` releases (`trials.1` for the Identity strategy,
+/// whose per-trial cost is `O(N)`). `privacy` gives the level at each ε:
+/// `Pure` for Laplace noise, `Approx` for Gaussian. Every plan is checked by
+/// [`check_budgets`], and every release for mutual consistency of its
+/// marginals (Section 4).
 pub fn accuracy_sweep(
-    dataset: &str,
-    table: &ContingencyTable,
-    schema: &Schema,
+    data: &Dataset,
     families: &[WorkloadFamily],
     epsilons: &[f64],
-    trials: usize,
-    identity_trials: usize,
+    privacy: impl Fn(f64) -> PrivacyLevel,
+    (trials, identity_trials): (usize, usize),
     seed: u64,
+    checks: &mut Checks,
 ) -> Vec<AccuracyPoint> {
+    let dataset = data.name;
+    let tolerance = 1e-9 * data.table.total().max(1.0);
     let mut out = Vec::new();
     for &family in families {
-        let workload = family.build(schema);
-        let exact = workload.true_answers(table);
+        let workload = family.build(&data.schema);
+        let exact = workload.true_answers(&data.table);
         eprintln!(
             "[{dataset}] workload {} ({} marginals, {} cells)",
             family.label(),
@@ -130,30 +238,27 @@ pub fn accuracy_sweep(
             };
             // Compile the strategy once per method; each further ε only
             // re-solves the budgets over the shared compiled operator.
-            let base_plan = match PlanBuilder::marginals(workload.clone(), strategy)
+            let base_plan = PlanBuilder::marginals(workload.clone(), strategy)
                 .budgeting(budgeting)
-                .privacy(PrivacyLevel::Pure { epsilon: first_eps })
-                .for_schema(schema)
+                .privacy(privacy(first_eps))
+                .for_schema(&data.schema)
                 .compile()
-            {
-                Ok(p) => Arc::new(p),
-                Err(e) => {
-                    eprintln!("  {}: planning failed: {e}", strategy.label());
-                    continue;
-                }
-            };
+                .expect("experiment strategies plan successfully");
+            let base_plan = Arc::new(base_plan);
             for (e_idx, &eps) in epsilons.iter().enumerate() {
                 let plan = if e_idx == 0 {
                     Arc::clone(&base_plan)
                 } else {
                     Arc::new(
                         base_plan
-                            .resolved_at(PrivacyLevel::Pure { epsilon: eps }, budgeting)
+                            .resolved_at(privacy(eps), budgeting)
                             .expect("re-solving a compiled plan at a positive ε succeeds"),
                     )
                 };
+                check_budgets(&plan, checks);
+                let at = format!("{dataset} {} {} ε={eps}", family.label(), plan.label());
                 let base = seed ^ fxhash(&plan.label());
-                let session = Session::bind(plan, table).expect("plan matches the table");
+                let session = Session::bind(plan, &data.table).expect("plan matches the table");
                 let seeds: Vec<u64> = (0..n_trials)
                     .map(|t| base.wrapping_add((e_idx * 10_000 + t) as u64))
                     .collect();
@@ -166,6 +271,9 @@ pub fn accuracy_sweep(
                             .answers
                             .into_marginals()
                             .expect("marginal plans answer marginals");
+                        checks.claim(is_consistent(&answers, tolerance), || {
+                            format!("{at} seed {}: marginals are inconsistent", r.seed)
+                        });
                         average_relative_error(&answers, &exact)
                             .expect("answers and exact are aligned")
                     })
@@ -201,16 +309,18 @@ pub const RUNTIME_METHODS: [(&str, StrategyKind, ClusterConfig); 5] = [
 
 /// Runs the runtime experiment: wall-clock for a cold plan compile (the
 /// cluster search happens inside `PlanBuilder::compile`) + bind + one
-/// release, per method per workload family.
+/// release, per method per workload family. Checks every plan with
+/// [`check_budgets`], and that `C` and `C(ref)` find the same clustering.
 pub fn runtime_sweep(
-    table: &ContingencyTable,
-    schema: &Schema,
+    data: &Dataset,
     families: &[WorkloadFamily],
     seed: u64,
+    checks: &mut Checks,
 ) -> Vec<RuntimePoint> {
     let mut out = Vec::new();
     for &family in families {
-        let workload = family.build(schema);
+        let workload = family.build(&data.schema);
+        let mut clustering = None;
         for &(label, strategy, cluster) in &RUNTIME_METHODS {
             let start = Instant::now();
             let plan = PlanBuilder::marginals(workload.clone(), strategy)
@@ -219,7 +329,8 @@ pub fn runtime_sweep(
                 .cluster_config(cluster)
                 .compile()
                 .expect("experiment strategies plan successfully");
-            let session = Session::bind(Arc::new(plan), table).expect("plan matches the table");
+            let session =
+                Session::bind(Arc::new(plan), &data.table).expect("plan matches the table");
             let _release = session.release(seed).expect("release succeeds");
             out.push(RuntimePoint {
                 workload: family.label(),
@@ -232,6 +343,14 @@ pub fn runtime_sweep(
                 label,
                 out.last().expect("just pushed").seconds
             );
+            check_budgets(session.plan(), checks);
+            match (session.plan().clustering(), &clustering) {
+                (Some(found), None) => clustering = Some(found.clone()),
+                (Some(found), Some(first)) => checks.claim(found == first, || {
+                    format!("{} {label}: clustering differs from C's", family.label())
+                }),
+                (None, _) => {}
+            }
         }
     }
     out
@@ -290,19 +409,29 @@ pub fn render_accuracy_table(points: &[AccuracyPoint]) -> String {
     s
 }
 
+/// Renders rows under `title`, one JSON object per line.
+pub fn render_rows<T: Serialize>(title: &str, rows: &[T]) -> String {
+    format!("\n== {title} ==\n{}", jsonl(rows))
+}
+
 /// Writes any serializable slice as a JSON-lines file under
 /// `bench_results/`, returning the path.
 pub fn write_jsonl<T: Serialize>(name: &str, rows: &[T]) -> std::io::Result<std::path::PathBuf> {
     let dir = std::path::Path::new("bench_results");
     std::fs::create_dir_all(dir)?;
     let path = dir.join(name);
+    std::fs::write(&path, jsonl(rows))?;
+    Ok(path)
+}
+
+/// One JSON object per row, each ending in a newline.
+fn jsonl<T: Serialize>(rows: &[T]) -> String {
     let mut body = String::new();
     for r in rows {
         body.push_str(&serde_json::to_string(r).expect("rows serialize"));
         body.push('\n');
     }
-    std::fs::write(&path, body)?;
-    Ok(path)
+    body
 }
 
 #[cfg(test)]
@@ -322,45 +451,78 @@ mod tests {
         assert_eq!(WorkloadFamily::KAttr(2).label(), "Q2a");
     }
 
-    #[test]
-    fn tiny_sweep_produces_all_points() {
-        // A minimal smoke sweep over a small synthetic table.
+    /// A small synthetic dataset over `Schema::binary(6)`.
+    fn tiny(records: usize) -> Dataset {
         let schema = Schema::binary(6).unwrap();
-        let recs: Vec<Vec<usize>> = (0..200)
+        let recs: Vec<Vec<usize>> = (0..records)
             .map(|i| (0..6).map(|b| (i >> b) & 1).collect())
             .collect();
         let table = ContingencyTable::from_records(&schema, &recs).unwrap();
-        let points = accuracy_sweep(
-            "tiny",
-            &table,
-            &schema,
-            &[WorkloadFamily::K(1)],
-            &[0.5, 1.0],
-            2,
-            1,
-            7,
-        );
-        // 7 methods × 2 epsilons.
-        assert_eq!(points.len(), 14);
-        assert!(points.iter().all(|p| p.relative_error.is_finite()));
-        let rendered = render_accuracy_table(&points);
-        assert!(rendered.contains("Q1"));
-        assert!(rendered.contains("F+"));
+        Dataset {
+            name: "tiny",
+            schema,
+            table,
+        }
+    }
+
+    #[test]
+    fn tiny_sweep_produces_all_points() {
+        // A minimal smoke sweep over a small synthetic table, under Laplace
+        // and under Gaussian noise.
+        let data = tiny(200);
+        let levels: [fn(f64) -> PrivacyLevel; 2] = [
+            |epsilon| PrivacyLevel::Pure { epsilon },
+            |epsilon| PrivacyLevel::Approx {
+                epsilon,
+                delta: 1e-6,
+            },
+        ];
+        for privacy in levels {
+            let mut checks = Checks::default();
+            let points = accuracy_sweep(
+                &data,
+                &[WorkloadFamily::K(1)],
+                &[0.5, 1.0],
+                privacy,
+                (2, 1),
+                7,
+                &mut checks,
+            );
+            // 7 methods × 2 epsilons.
+            assert_eq!(points.len(), 14);
+            assert!(points.iter().all(|p| p.relative_error.is_finite()));
+            assert!(checks.failures().is_empty(), "{:?}", checks.failures());
+            // One Step-2 claim per plan, one consistency claim per release
+            // (per ε: 6 methods × 2 trials, plus 1 identity trial).
+            assert_eq!(checks.passed(), 14 + 2 * (6 * 2 + 1));
+            let rendered = render_accuracy_table(&points);
+            assert!(rendered.contains("Q1"));
+            assert!(rendered.contains("F+"));
+        }
     }
 
     #[test]
     fn runtime_sweep_smoke() {
-        let schema = Schema::binary(6).unwrap();
-        let recs: Vec<Vec<usize>> = (0..50)
-            .map(|i| (0..6).map(|b| (i >> b) & 1).collect())
-            .collect();
-        let table = ContingencyTable::from_records(&schema, &recs).unwrap();
-        let rows = runtime_sweep(&table, &schema, &[WorkloadFamily::K(1)], 3);
+        let data = tiny(50);
+        let mut checks = Checks::default();
+        let rows = runtime_sweep(&data, &[WorkloadFamily::K(1)], 3, &mut checks);
         assert_eq!(rows.len(), RUNTIME_METHODS.len());
         assert!(rows.iter().all(|r| r.seconds >= 0.0));
         // The faithful and optimized cluster compiles measure distinct
-        // configurations of the same strategy.
+        // configurations of the same strategy, and find the same clustering.
         assert!(rows.iter().any(|r| r.method == "C"));
         assert!(rows.iter().any(|r| r.method == "C(ref)"));
+        assert!(checks.failures().is_empty(), "{:?}", checks.failures());
+        assert_eq!(checks.passed(), RUNTIME_METHODS.len() + 1);
+    }
+
+    #[test]
+    fn checks_name_the_section_of_each_failure() {
+        let mut checks = Checks::default();
+        checks.section("table1_bounds");
+        checks.claim(true, || unreachable!());
+        checks.claim(false, || "F+ 3.5 ≥ F 3.0".to_string());
+        assert_eq!(checks.passed(), 1);
+        assert_eq!(checks.failures(), ["[table1_bounds] F+ 3.5 ≥ F 3.0"]);
     }
 }

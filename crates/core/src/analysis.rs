@@ -3,7 +3,7 @@
 //! All bounds are for the workload of **all `k`-way marginals** over `d`
 //! binary attributes and are stated as expected L1 noise per marginal,
 //! `E‖Cαx − C̃α‖₁` (each marginal has `2^k` cells). The `table1_bounds`
-//! bench (experiment E5) prints these next to measured noise.
+//! section of the `repro` bench binary prints these next to measured noise.
 
 /// Binomial coefficient `C(n, k)` as `f64` (exact for the argument ranges
 /// used here, which stay far below 2^53).
