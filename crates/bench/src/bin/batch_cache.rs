@@ -21,6 +21,8 @@ pub struct BatchPoint {
     pub seconds: f64,
     /// Step-2 budget solves performed.
     pub budget_solves: u64,
+    /// Cores available to the process.
+    pub nproc: usize,
 }
 
 fn main() {
@@ -31,6 +33,7 @@ fn main() {
     let table = ContingencyTable::from_records(&schema, &records).expect("records fit schema");
     let workload = Workload::all_k_way(&schema, 2).expect("Q2 builds over NLTCS");
     let k = 32usize;
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let privacy = PrivacyLevel::Pure { epsilon: 1.0 };
     let build = || {
         PlanBuilder::marginals(workload.clone(), StrategyKind::Fourier)
@@ -52,6 +55,7 @@ fn main() {
         releases: k,
         seconds: start.elapsed().as_secs_f64(),
         budget_solves: dp_opt::budget::solve_count() - solves_before,
+        nproc,
     };
 
     // Cached: the plan cache compiles once; one session serves the batch.
@@ -70,9 +74,10 @@ fn main() {
         releases: releases.len(),
         seconds: start.elapsed().as_secs_f64(),
         budget_solves: dp_opt::budget::solve_count() - solves_before,
+        nproc,
     };
 
-    println!("\n== batched releases over one cached plan vs cold plans (NLTCS Q2, F+) ==");
+    println!("\n== batched releases over one cached plan vs cold plans (NLTCS Q2, F+, nproc = {nproc}) ==");
     println!(
         "{:>8} {:>10} {:>12} {:>14}",
         "mode", "releases", "seconds", "budget solves"

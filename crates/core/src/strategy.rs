@@ -493,24 +493,20 @@ pub fn perturb_observations_into<R: Rng + ?Sized>(
     seeds.extend((0..chunks).map(|_| rng.gen::<u64>()));
     let seeds = &seeds[..];
     // Chunks are independent substreams, so they can run in any order on any
-    // thread; skip the rayon dispatch entirely when there is nothing to fan
-    // out (one chunk, or a single-threaded pool) — the per-call overhead is
-    // measurable on short observation vectors.
-    let work = |(c, chunk): (usize, &mut [f64])| {
-        let mut sub = StdRng::seed_from_u64(seeds[c]);
-        let base = c * NOISE_CHUNK;
-        perturb_chunk(
-            chunk,
-            &row_groups[base..base + chunk.len()],
-            params,
-            &mut sub,
-        );
-    };
-    if chunks == 1 || rayon::current_num_threads() == 1 {
-        noisy.chunks_mut(NOISE_CHUNK).enumerate().for_each(work);
-    } else {
-        noisy.par_chunks_mut(NOISE_CHUNK).enumerate().for_each(work);
-    }
+    // thread.
+    noisy
+        .par_chunks_mut(NOISE_CHUNK)
+        .enumerate()
+        .for_each(|(c, chunk)| {
+            let mut sub = StdRng::seed_from_u64(seeds[c]);
+            let base = c * NOISE_CHUNK;
+            perturb_chunk(
+                chunk,
+                &row_groups[base..base + chunk.len()],
+                params,
+                &mut sub,
+            );
+        });
     #[cfg(debug_assertions)]
     assert_chunk_pass_covered_every_row(observations, row_groups, params, noisy);
 }

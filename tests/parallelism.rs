@@ -21,11 +21,12 @@ fn d16_two_way_release_runs_on_multiple_threads() {
     let w = Workload::all_k_way(&schema, 2).unwrap();
     assert_eq!(w.len(), 120);
 
-    // `workers_spawned` is a diagnostic counter of the vendored rayon shim:
-    // it counts scoped worker threads actually spawned. On a multi-core
-    // machine a d = 16 release must fan out (per-marginal folds, chunked
-    // noising of the 65 536-cell observation vector).
-    let before = rayon::workers_spawned();
+    // `worker_tasks` is a diagnostic counter of the vendored rayon shim: it
+    // counts chunks run on pool worker threads rather than the calling
+    // thread. On a multi-core machine a d = 16 release must fan out
+    // (per-marginal folds, chunked noising of the 65 536-cell observation
+    // vector).
+    let before = rayon::worker_tasks();
     for strategy in [StrategyKind::Identity, StrategyKind::Fourier] {
         let plan = PlanBuilder::marginals(w.clone(), strategy)
             .privacy(PrivacyLevel::Pure { epsilon: 1.0 })
@@ -41,10 +42,10 @@ fn d16_two_way_release_runs_on_multiple_threads() {
         }
     }
     if rayon::current_num_threads() > 1 {
-        let spawned = rayon::workers_spawned() - before;
+        let on_workers = rayon::worker_tasks() - before;
         assert!(
-            spawned > 0,
-            "expected the d = 16 release to spawn worker threads, got {spawned}"
+            on_workers > 0,
+            "expected the d = 16 release to run chunks on pool workers, got {on_workers}"
         );
     }
 }
