@@ -45,10 +45,12 @@
 //! ```
 
 use crate::marginal::MarginalTable;
-use crate::range::{CompiledRangeStrategy, RangeStrategy, RangeWorkload};
-use crate::release::{CompiledMarginalStrategy, Release, StrategyKind};
+use crate::range::{RangeStrategy, RangeWorkload};
+use crate::release::{Release, StrategyKind};
 use crate::schema::Schema;
-use crate::strategy::{mechanism_factor, noise_variance, Budgeting, StrategyOperator};
+use crate::strategy::{
+    mechanism_factor, noise_variance, release_budgets, solve_budgets, Budgeting, Compiled,
+};
 use crate::table::ContingencyTable;
 use crate::workload::Workload;
 use crate::{
@@ -56,7 +58,7 @@ use crate::{
     CoreError,
 };
 use dp_mech::{Neighboring, PrivacyLevel};
-use dp_opt::budget::{objective_value, BudgetSolution, GroupSpec};
+use dp_opt::budget::{objective_value, BudgetSolution};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
@@ -105,6 +107,15 @@ impl WorkloadSpec {
         match self {
             WorkloadSpec::Marginals { strategy, .. } => strategy.label(),
             WorkloadSpec::Ranges { strategy, .. } => strategy.label(),
+        }
+    }
+
+    /// Size of the data vector `x` a plan for this spec binds to: `2^d`
+    /// contingency cells, or the range domain `n`.
+    pub(crate) fn domain_size(&self) -> usize {
+        match self {
+            WorkloadSpec::Marginals { workload, .. } => 1usize << workload.domain_bits(),
+            WorkloadSpec::Ranges { workload, .. } => workload.domain(),
         }
     }
 
@@ -299,80 +310,16 @@ impl PlanBuilder {
     /// variances. No data is consulted.
     pub fn compile(self) -> Result<Plan, CoreError> {
         let compiled = Compiled::build(&self.spec)?;
-        let solution = compiled.solve_budgets(self.privacy, self.budgeting)?;
+        let solution = solve_budgets(compiled.specs(), self.privacy, self.budgeting)?;
         Plan::finish(
             self.spec,
             self.budgeting,
             self.privacy,
             self.neighboring,
             self.schema_tag,
-            compiled,
+            Arc::new(compiled),
             solution,
         )
-    }
-}
-
-/// The compiled (non-serialized) half of a plan: the strategy operator and
-/// shared release engine for each workload family.
-pub(crate) enum Compiled {
-    /// A compiled marginal strategy.
-    Marginals(CompiledMarginalStrategy),
-    /// A compiled range strategy.
-    Ranges(CompiledRangeStrategy),
-}
-
-impl Compiled {
-    fn build(spec: &WorkloadSpec) -> Result<Compiled, CoreError> {
-        Ok(match spec {
-            WorkloadSpec::Marginals {
-                workload,
-                strategy,
-                cluster,
-            } => Compiled::Marginals(CompiledMarginalStrategy::build(
-                workload, *strategy, *cluster,
-            )?),
-            WorkloadSpec::Ranges { workload, strategy } => {
-                Compiled::Ranges(CompiledRangeStrategy::build(workload, *strategy)?)
-            }
-        })
-    }
-
-    fn group_specs(&self) -> &[GroupSpec] {
-        match self {
-            Compiled::Marginals(c) => c.engine.strategy().group_specs(),
-            Compiled::Ranges(c) => c.engine.strategy().group_specs(),
-        }
-    }
-
-    fn num_groups(&self) -> usize {
-        self.group_specs().len()
-    }
-
-    fn solve_budgets(
-        &self,
-        privacy: PrivacyLevel,
-        budgeting: Budgeting,
-    ) -> Result<BudgetSolution, CoreError> {
-        match self {
-            Compiled::Marginals(c) => c.engine.solve_budgets(privacy, budgeting),
-            Compiled::Ranges(c) => c.engine.solve_budgets(privacy, budgeting),
-        }
-    }
-
-    fn achieved_epsilon(&self, privacy: PrivacyLevel, budgets: &[f64]) -> f64 {
-        match self {
-            Compiled::Marginals(c) => c.engine.achieved_epsilon(privacy, budgets),
-            Compiled::Ranges(c) => c.engine.achieved_epsilon(privacy, budgets),
-        }
-    }
-
-    /// Adds `delta` units at data cell `cell` to an observation vector:
-    /// `z += delta · S[·, cell]` through the strategy's sparse column.
-    fn apply_delta(&self, z: &mut [f64], cell: u64, delta: f64) -> Result<(), CoreError> {
-        match self {
-            Compiled::Marginals(c) => c.apply_delta(z, cell, delta),
-            Compiled::Ranges(c) => c.apply_delta(z, cell, delta),
-        }
     }
 }
 
@@ -425,31 +372,10 @@ impl PartialEq for Plan {
 impl Plan {
     /// Finishes a plan from a compiled strategy and a budget solution:
     /// validates feasibility (Proposition 3.1) and derives the variance
-    /// predictions. Shared by [`PlanBuilder::compile`] and the serde
-    /// deserializer (which reuses a shipped solution instead of re-solving).
+    /// predictions. Shared by [`PlanBuilder::compile`],
+    /// [`Plan::resolved_at`] and the serde deserializer (which reuses a
+    /// shipped solution instead of re-solving).
     pub(crate) fn finish(
-        spec: WorkloadSpec,
-        budgeting: Budgeting,
-        privacy: PrivacyLevel,
-        neighboring: Neighboring,
-        schema_tag: u64,
-        compiled: Compiled,
-        solution: BudgetSolution,
-    ) -> Result<Plan, CoreError> {
-        Plan::finish_shared(
-            spec,
-            budgeting,
-            privacy,
-            neighboring,
-            schema_tag,
-            Arc::new(compiled),
-            solution,
-        )
-    }
-
-    /// [`Plan::finish`] over an already-shared compiled strategy (the
-    /// [`Plan::resolved_at`] path).
-    fn finish_shared(
         spec: WorkloadSpec,
         budgeting: Budgeting,
         privacy: PrivacyLevel,
@@ -459,24 +385,11 @@ impl Plan {
         solution: BudgetSolution,
     ) -> Result<Plan, CoreError> {
         privacy.validate()?;
-        if solution.group_budgets.len() != compiled.num_groups() {
-            return Err(CoreError::Shape {
-                context: "plan budget solution",
-                expected: compiled.num_groups(),
-                actual: solution.group_budgets.len(),
-            });
-        }
+        let (budgets, achieved) =
+            release_budgets(compiled.specs(), privacy, &solution, neighboring)?;
         let factor = neighboring.sensitivity_factor();
-        let adjusted: Vec<f64> = solution.group_budgets.iter().map(|&e| e / factor).collect();
-        let achieved = compiled.achieved_epsilon(privacy, &adjusted) * factor;
-        if achieved > privacy.epsilon() * (1.0 + 1e-9) {
-            return Err(CoreError::InfeasibleBudgets {
-                achieved,
-                requested: privacy.epsilon(),
-            });
-        }
         let predicted_variance = mechanism_factor(privacy) * solution.objective * factor * factor;
-        let group_sigma2: Vec<f64> = adjusted
+        let group_sigma2: Vec<f64> = budgets
             .iter()
             .map(|&eta| {
                 if eta > 0.0 {
@@ -486,23 +399,14 @@ impl Plan {
                 }
             })
             .collect();
-        let query_variances = match (&*compiled, &spec) {
-            (
-                Compiled::Marginals(c),
-                WorkloadSpec::Marginals {
-                    workload, strategy, ..
-                },
-            ) => c.predict_query_variances(workload, *strategy, &group_sigma2),
-            (Compiled::Ranges(c), WorkloadSpec::Ranges { workload, strategy }) => {
-                if group_sigma2.iter().any(|v| !v.is_finite()) {
-                    return Err(CoreError::Singular(
-                        "a strategy row received zero budget; drop unused rows first",
-                    ));
-                }
-                c.predict_query_variances(workload, *strategy, &group_sigma2)?
-            }
-            _ => unreachable!("Compiled::build pairs the variants"),
-        };
+        if matches!(spec, WorkloadSpec::Ranges { .. })
+            && group_sigma2.iter().any(|v| !v.is_finite())
+        {
+            return Err(CoreError::Singular(
+                "a strategy row received zero budget; drop unused rows first",
+            ));
+        }
+        let query_variances = compiled.predict_query_variances(&group_sigma2)?;
         Ok(Plan {
             spec,
             budgeting,
@@ -534,8 +438,8 @@ impl Plan {
         // tampered document must not smuggle optimistic accounting: it has
         // to equal `Σ_r s_r/η_r²` for the recompiled specs and shipped
         // budgets (up to rounding).
-        if solution.group_budgets.len() == compiled.num_groups() {
-            let expected = objective_value(compiled.group_specs(), &solution.group_budgets);
+        if solution.group_budgets.len() == compiled.specs().len() {
+            let expected = objective_value(compiled.specs(), &solution.group_budgets);
             if !solution.objective.is_finite()
                 || (solution.objective - expected).abs() > 1e-6 * expected.abs().max(1e-12)
             {
@@ -550,7 +454,7 @@ impl Plan {
             privacy,
             neighboring,
             schema_tag,
-            compiled,
+            Arc::new(compiled),
             solution,
         )
     }
@@ -565,8 +469,8 @@ impl Plan {
         budgeting: Budgeting,
     ) -> Result<Plan, CoreError> {
         let compiled = Arc::clone(&self.compiled);
-        let solution = compiled.solve_budgets(privacy, budgeting)?;
-        Plan::finish_shared(
+        let solution = solve_budgets(compiled.specs(), privacy, budgeting)?;
+        Plan::finish(
             self.spec.clone(),
             budgeting,
             privacy,
@@ -628,10 +532,7 @@ impl Plan {
     /// The greedy clustering, when the plan uses
     /// [`StrategyKind::Cluster`].
     pub fn clustering(&self) -> Option<&Clustering> {
-        match self.compiled() {
-            Compiled::Marginals(c) => c.clustering.as_ref(),
-            Compiled::Ranges(_) => None,
-        }
+        self.compiled.clustering()
     }
 
     /// Display label matching the paper's figure legends, e.g. `"F+"` for
@@ -660,10 +561,6 @@ impl Plan {
     /// The schema tag the plan was compiled with (0 when untagged).
     pub(crate) fn schema_tag(&self) -> u64 {
         self.schema_tag
-    }
-
-    pub(crate) fn compiled(&self) -> &Compiled {
-        &self.compiled
     }
 }
 
@@ -748,8 +645,7 @@ impl SessionRelease {
 /// binds and long-lived streams alike.
 ///
 /// The exact observations `z = S·x` are computed once at bind time, after
-/// which every release only draws noise and recovers —
-/// [`crate::strategy::ReleaseEngine::release_with_solution`] is pure given
+/// which every release only draws noise and recovers — a pure function of
 /// (observations, budgets, seed), so batches parallelize freely and
 /// reproduce bit-for-bit. The session owns its plan through an [`Arc`], so
 /// bound sessions can live in registries and move across worker threads.
@@ -831,19 +727,12 @@ impl Session {
     /// [`Session::bind_histogram`]) and with a shape error when the table's
     /// domain does not match the workload's.
     pub fn bind(plan: Arc<Plan>, table: &ContingencyTable) -> Result<Session, CoreError> {
-        match plan.compiled() {
-            Compiled::Marginals(c) => {
-                let observations = c.observe(table)?;
-                Ok(Session::from_parts(
-                    plan,
-                    observations,
-                    table.counts().to_vec(),
-                ))
-            }
-            Compiled::Ranges(_) => Err(CoreError::InvalidPlan(
+        if let WorkloadSpec::Ranges { .. } = plan.spec() {
+            return Err(CoreError::InvalidPlan(
                 "range plans bind to histograms; use Session::bind_histogram",
-            )),
+            ));
         }
+        Session::observed(plan, table.counts().to_vec())
     }
 
     /// Binds a **range** plan to a histogram over its 1-D domain.
@@ -852,36 +741,29 @@ impl Session {
     /// [`Session::bind`]) and with a shape error when the histogram length
     /// does not match the domain.
     pub fn bind_histogram(plan: Arc<Plan>, hist: &[f64]) -> Result<Session, CoreError> {
-        match plan.compiled() {
-            Compiled::Ranges(c) => {
-                let observations = c.observe(hist)?;
-                Ok(Session::from_parts(plan, observations, hist.to_vec()))
-            }
-            Compiled::Marginals(_) => Err(CoreError::InvalidPlan(
+        if let WorkloadSpec::Marginals { .. } = plan.spec() {
+            return Err(CoreError::InvalidPlan(
                 "marginal plans bind to contingency tables; use Session::bind",
-            )),
+            ));
         }
+        Session::observed(plan, hist.to_vec())
     }
 
     /// Binds a plan to an **empty** dataset — the usual entry point for a
     /// stream that begins from nothing.
     pub fn empty(plan: Arc<Plan>) -> Result<Session, CoreError> {
-        let n = match plan.spec() {
-            WorkloadSpec::Marginals { workload, .. } => 1usize << workload.domain_bits(),
-            WorkloadSpec::Ranges { workload, .. } => workload.domain(),
-        };
-        let counts = vec![0.0; n];
-        let observations = observe_counts(&plan, &counts)?;
-        Ok(Session::from_parts(plan, observations, counts))
+        let counts = vec![0.0; plan.spec.domain_size()];
+        Session::observed(plan, counts)
     }
 
-    fn from_parts(plan: Arc<Plan>, observations: Vec<f64>, counts: Vec<f64>) -> Session {
-        Session {
+    fn observed(plan: Arc<Plan>, counts: Vec<f64>) -> Result<Session, CoreError> {
+        let observations = observe_counts(&plan, &counts)?;
+        Ok(Session {
             plan,
             observations: Arc::new(observations),
             counts: Arc::new(counts),
             window: None,
-        }
+        })
     }
 
     /// Converts this session into a sliding-window session spanning
@@ -961,11 +843,8 @@ impl Session {
         if next < 0.0 {
             return Err(CoreError::NegativeCount { cell, count: next });
         }
-        self.plan.compiled().apply_delta(
-            Arc::make_mut(&mut self.observations).as_mut_slice(),
-            cell,
-            delta,
-        )?;
+        let observations = Arc::make_mut(&mut self.observations);
+        self.plan.compiled.apply_delta(observations, cell, delta);
         Arc::make_mut(&mut self.counts)[cell as usize] = next;
         if let Some(w) = &mut self.window {
             w.buckets
@@ -990,9 +869,7 @@ impl Session {
             let observations = Arc::make_mut(&mut self.observations);
             let counts = Arc::make_mut(&mut self.counts);
             for (cell, delta) in expired {
-                self.plan
-                    .compiled()
-                    .apply_delta(observations, cell, -delta)?;
+                self.plan.compiled.apply_delta(observations, cell, -delta);
                 // Expiry retracts exactly what an earlier ingest logged, so
                 // any negativity is float round-off, not a logic error —
                 // clamp instead of failing mid-rotation.
@@ -1026,11 +903,11 @@ impl Session {
     /// list — independent of batch size, ordering of other seeds, and
     /// thread count — and element `i` equals `self.release(seeds[i])`.
     ///
-    /// The engine checks its per-release working buffers (noisy
-    /// observations, substream seeds, budgets, weights, noise parameters)
-    /// out of a shared scratch pool, so a batch of K releases allocates
-    /// O(workers) scratch arenas rather than O(K) — only the returned
-    /// answers themselves are freshly allocated.
+    /// Each release checks its working buffers (noisy observations,
+    /// substream seeds, weights, noise parameters) out of a shared scratch
+    /// pool, so a batch of K releases allocates O(workers) scratch arenas
+    /// rather than O(K) — only the returned answers and budgets are freshly
+    /// allocated.
     ///
     /// An empty seed list returns `Ok(vec![])`: no noise is drawn and no
     /// budget is consumed (the service layer likewise charges nothing for
@@ -1049,55 +926,35 @@ fn release_bound(
     seed: u64,
 ) -> Result<SessionRelease, CoreError> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let (answers, out_budgets, predicted, achieved) = match plan.compiled() {
-        Compiled::Marginals(c) => {
-            let out = c.engine.release_with_solution(
-                observations,
-                plan.privacy,
-                &plan.solution,
-                plan.neighboring,
-                &mut rng,
-            )?;
-            (
-                Answers::Marginals(out.answer),
-                out.group_budgets,
-                out.predicted_variance,
-                out.achieved_epsilon,
-            )
-        }
-        Compiled::Ranges(c) => {
-            let out = c.engine.release_with_solution(
-                observations,
-                plan.privacy,
-                &plan.solution,
-                plan.neighboring,
-                &mut rng,
-            )?;
-            (
-                Answers::Ranges(out.answer),
-                out.group_budgets,
-                out.predicted_variance,
-                out.achieved_epsilon,
-            )
-        }
-    };
+    let (answers, group_budgets, achieved_epsilon) = plan.compiled.release(
+        observations,
+        plan.privacy,
+        &plan.solution,
+        plan.neighboring,
+        &mut rng,
+    )?;
     Ok(SessionRelease {
         seed,
         answers,
-        group_budgets: out_budgets,
-        predicted_variance: predicted,
-        achieved_epsilon: achieved,
+        group_budgets,
+        predicted_variance: plan.predicted_variance,
+        achieved_epsilon,
         label: plan.label(),
     })
 }
 
-/// Full observation of a raw count vector under either workload family —
-/// the empty-bind and rebase path of [`Session`].
+/// Full observation of a raw data vector — the bind, empty-bind and rebase
+/// path of [`Session`].
 fn observe_counts(plan: &Plan, counts: &[f64]) -> Result<Vec<f64>, CoreError> {
-    match plan.compiled() {
-        Compiled::Marginals(c) => c.observe(&ContingencyTable::from_counts(counts.to_vec())),
-        Compiled::Ranges(c) => c.observe(counts),
+    let expected = plan.spec.domain_size();
+    if counts.len() != expected {
+        return Err(CoreError::Shape {
+            context: "session data vector",
+            expected,
+            actual: counts.len(),
+        });
     }
+    plan.compiled.observe(counts)
 }
 
 /// Canonical cache key: the `u64` encoding of (schema tag, spec,
@@ -1528,10 +1385,7 @@ mod tests {
         let fresh = Session::bind(Arc::clone(&plan), &table).unwrap();
         // Observations agree to float accumulation; after rebase, bitwise.
         stream.rebase().unwrap();
-        let direct = match plan.compiled() {
-            Compiled::Marginals(c) => c.observe(&table).unwrap(),
-            Compiled::Ranges(_) => unreachable!(),
-        };
+        let direct = plan.compiled.observe(table.counts()).unwrap();
         assert_eq!(stream.observations(), direct.as_slice());
         // ...and the releases are byte-identical.
         let a = stream.release(9).unwrap();

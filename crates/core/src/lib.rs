@@ -83,9 +83,7 @@ pub mod prelude {
     pub use crate::range::{RangeStrategy, RangeWorkload};
     pub use crate::release::{Budgeting, Release, StrategyKind};
     pub use crate::schema::{Attribute, Schema};
-    pub use crate::strategy::{
-        EngineRelease, NoiseParams, ReleaseEngine, ReleaseScratch, StrategyOperator,
-    };
+    pub use crate::strategy::NoiseParams;
     pub use crate::table::ContingencyTable;
     pub use crate::workload::Workload;
     pub use dp_mech::{Neighboring, PrivacyLevel};

@@ -40,12 +40,6 @@ impl MarginalTable {
         &self.values
     }
 
-    /// Mutable cell values.
-    #[inline]
-    pub fn values_mut(&mut self) -> &mut [f64] {
-        &mut self.values
-    }
-
     /// Looks up the cell whose *full-domain* index is `gamma` (must be
     /// dominated by the mask).
     pub fn cell(&self, gamma: u64) -> f64 {

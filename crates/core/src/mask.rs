@@ -23,7 +23,7 @@ impl AttrMask {
             d <= 63,
             "domains beyond 63 binary attributes are unsupported"
         );
-        AttrMask(if d == 64 { u64::MAX } else { (1u64 << d) - 1 })
+        AttrMask((1u64 << d) - 1)
     }
 
     /// Mask with a single attribute bit set.

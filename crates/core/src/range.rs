@@ -8,25 +8,23 @@
 //! (range-count) workloads over a 1-D domain, demonstrating that the
 //! pipeline is not marginal-specific.
 //!
-//! Since the [`crate::strategy`] refactor the module contains **no noise
-//! loop of its own**, and since the [`crate::api`] redesign *planning* is
-//! matrix-free too: group structure and per-query GLS variances for the
-//! identity/tree/Haar strategies come from the closed-form Haar
+//! Planning is matrix-free: group structure and per-query GLS variances
+//! for the identity/tree/Haar strategies come from the closed-form Haar
 //! diagonalization of their normal matrices (see the planning section
 //! below), so plans compile for domains far beyond the dense oracle's
 //! `n ≲ 4096`. The dense [`crate::framework`] path survives as the test
-//! oracle.
-//! Every release runs through the shared [`ReleaseEngine`]. Observations
-//! `z = S·x` are matrix-free [`LinearOperator`] applications (tree sums,
-//! Haar transforms, CSR products). Recovery uses the same diagonalization:
+//! oracle and as the planner of sketches.
+//! Releases are matrix-free too: noise is drawn by the shared pipeline of
+//! [`crate::strategy`], observations `z = S·x` are tree sums, Haar
+//! transforms or CSR products, and recovery uses the same diagonalization:
 //! the identity, tree and Haar strategies compute the exact GLS estimator
-//! `x̂ = (SᵀWS)⁻¹SᵀWz` in closed form with `O(n)` work (see
-//! `RangeStrategyOp`). Only sketches, whose normal matrix has no such
-//! structure, solve the weighted normal equations by conjugate gradients.
+//! `x̂ = (SᵀWS)⁻¹SᵀWz` in closed form with `O(n)` work (see `tree_gls`).
+//! Only sketches, whose normal matrix has no such structure, solve the
+//! weighted normal equations by conjugate gradients.
 
 use crate::framework::{gls_recovery, output_variances, Decomposition};
 use crate::grouping::{detect_grouping, Grouping};
-use crate::strategy::{ReleaseEngine, StrategyOperator};
+use crate::strategy::Kind;
 use crate::CoreError;
 use dp_linalg::{
     CgOptions, CsrMatrix, HaarOperator, HierarchicalOperator, IdentityOperator, LinearOperator,
@@ -163,7 +161,7 @@ impl RangeStrategy {
 }
 
 /// Builds the explicit strategy matrix for a domain of size `n` — the
-/// planning/oracle representation; releases use [`strategy_operator`].
+/// planning/oracle representation; releases stay matrix-free.
 pub fn strategy_matrix(strategy: RangeStrategy, n: usize) -> Matrix {
     assert!(n.is_power_of_two());
     match strategy {
@@ -226,8 +224,9 @@ pub fn strategy_matrix(strategy: RangeStrategy, n: usize) -> Matrix {
     }
 }
 
-/// The matrix-free release-path operator for a range strategy, with row
-/// order identical to [`strategy_matrix`].
+/// The strategy as one matrix-free [`LinearOperator`], with row order
+/// identical to [`strategy_matrix`] — the same `S` a release observes
+/// through, for oracles and benchmarks that need it behind one interface.
 pub fn strategy_operator(
     strategy: RangeStrategy,
     n: usize,
@@ -257,92 +256,61 @@ fn sketch_csr(strategy: RangeStrategy, n: usize) -> CsrMatrix {
         .expect("triplets are in range by construction")
 }
 
-/// The range strategies' [`StrategyOperator`]: observations through a
-/// matrix-free `S`, the exact GLS estimator `x̂ = (SᵀWS)⁻¹SᵀWz`, and
-/// answers via the prefix-sum application of `Q`.
-///
-/// Recovery is closed-form for every strategy the Haar basis diagonalizes
-/// (`H` = [`dp_linalg::haar_forward`], `Hᵀ = H⁻¹` =
-/// [`dp_linalg::haar_inverse`]):
-///
-/// * identity: `x̂ = z`;
-/// * wavelet (the paper's Observation 1): `S = H` is square and
-///   invertible, so the weights cancel and `x̂ = Hᵀz`;
-/// * tree: `SᵀWS = Hᵀ diag(λ) H` with `λ` from [`tree_haar_eigenvalues`],
-///   so `x̂ = Hᵀ diag(1/λ) H (SᵀWz)`.
-///
-/// Each is `O(n)` per release. Sketches keep conjugate gradients
-/// ([`dp_linalg::gls_normal_solve`]) on the weighted normal equations.
-pub(crate) struct RangeStrategyOp {
-    operator: Box<dyn LinearOperator + Send + Sync>,
-    kind: RangeKind,
-    workload: RangeWorkload,
-    specs: Vec<GroupSpec>,
-    row_groups: Vec<u32>,
+/// The exact GLS estimator `x̂ = (SᵀWS)⁻¹SᵀWz` of the tree strategy, in
+/// closed form through the Haar diagonalization (`H` =
+/// [`dp_linalg::haar_forward`], `Hᵀ = H⁻¹` = [`dp_linalg::haar_inverse`]):
+/// `SᵀWS = Hᵀ diag(λ) H` with `λ` from [`tree_haar_eigenvalues`], so
+/// `x̂ = Hᵀ diag(1/λ) H (SᵀWz)` — `O(n)` per release. (The identity and
+/// wavelet strategies are simpler still: `x̂ = z` and, `S = H` being square
+/// and invertible, `x̂ = Hᵀz` — the paper's Observation 1.)
+pub(crate) fn tree_gls(
+    n: usize,
+    noisy: &[f64],
+    row_groups: &[u32],
+    group_weights: &[f64],
+) -> Vec<f64> {
+    // Plans refuse zero-budget groups at compile, so the normal matrix is
+    // positive definite and the closed form is exact.
+    debug_assert!(group_weights.iter().all(|&w| w > 0.0));
+    let weighted: Vec<f64> = noisy
+        .iter()
+        .zip(row_groups)
+        .map(|(z, &g)| z * group_weights[g as usize])
+        .collect();
+    let mut x = HierarchicalOperator::new(n).apply_transpose(&weighted);
+    dp_linalg::haar_forward(&mut x);
+    let lam = tree_haar_eigenvalues(n, group_weights);
+    debug_assert!(lam.iter().all(|&l| l > 0.0));
+    // Haar level ℓ ≥ 1 holds indices [2^{ℓ-1}, 2^ℓ).
+    x[0] /= lam[0];
+    for (level, &l) in lam.iter().enumerate().skip(1) {
+        for v in &mut x[1 << (level - 1)..1 << level] {
+            *v /= l;
+        }
+    }
+    dp_linalg::haar_inverse(&mut x);
+    x
 }
 
-impl StrategyOperator for RangeStrategyOp {
-    type Answer = Vec<f64>;
-
-    fn num_rows(&self) -> usize {
-        self.operator.rows()
-    }
-
-    fn group_specs(&self) -> &[GroupSpec] {
-        &self.specs
-    }
-
-    fn row_groups(&self) -> &[u32] {
-        &self.row_groups
-    }
-
-    fn recover(&self, noisy: &[f64], group_weights: &[f64]) -> Result<Self::Answer, CoreError> {
-        // Plans refuse zero-budget groups at compile, so the normal matrix
-        // is positive definite and the closed forms below are exact.
-        debug_assert!(group_weights.iter().all(|&w| w > 0.0));
-        let x_hat = match &self.kind {
-            RangeKind::Identity => return self.workload.true_answers(noisy),
-            RangeKind::Wavelet { .. } => {
-                let mut x = noisy.to_vec();
-                dp_linalg::haar_inverse(&mut x);
-                x
-            }
-            RangeKind::Hierarchical { levels } => {
-                let weighted: Vec<f64> = noisy
-                    .iter()
-                    .zip(&self.row_groups)
-                    .map(|(z, &g)| z * group_weights[g as usize])
-                    .collect();
-                let mut x = self.operator.apply_transpose(&weighted);
-                dp_linalg::haar_forward(&mut x);
-                let lam = tree_haar_eigenvalues(1 << levels, group_weights);
-                debug_assert!(lam.iter().all(|&l| l > 0.0));
-                // Haar level ℓ ≥ 1 holds indices [2^{ℓ-1}, 2^ℓ).
-                x[0] /= lam[0];
-                for (level, &l) in lam.iter().enumerate().skip(1) {
-                    for v in &mut x[1 << (level - 1)..1 << level] {
-                        *v /= l;
-                    }
-                }
-                dp_linalg::haar_inverse(&mut x);
-                x
-            }
-            RangeKind::Sketch(_) => {
-                let row_weights: Vec<f64> = self
-                    .row_groups
-                    .iter()
-                    .map(|&g| group_weights[g as usize])
-                    .collect();
-                dp_linalg::gls_normal_solve(
-                    &self.operator,
-                    &row_weights,
-                    noisy,
-                    CgOptions::default(),
-                )?
-            }
-        };
-        self.workload.true_answers(&x_hat)
-    }
+/// The GLS estimator of a sketch, whose normal matrix has no closed form:
+/// conjugate gradients ([`dp_linalg::gls_normal_solve`]) on the weighted
+/// normal equations.
+pub(crate) fn sketch_gls(
+    matrix: &CsrMatrix,
+    noisy: &[f64],
+    row_groups: &[u32],
+    group_weights: &[f64],
+) -> Result<Vec<f64>, CoreError> {
+    let row_weights: Vec<f64> = row_groups
+        .iter()
+        .map(|&g| group_weights[g as usize])
+        .collect();
+    Ok(dp_linalg::gls_normal_solve(
+        matrix,
+        &row_weights,
+        noisy,
+        CgOptions::default(),
+    )?)
 }
 
 // ---------------------------------------------------------------------------
@@ -373,7 +341,7 @@ impl StrategyOperator for RangeStrategyOp {
 /// The nonzero orthonormal-Haar coefficients of the indicator of `[lo, hi)`
 /// over `[0, n)`, as `(coefficient index, value)` pairs — at most
 /// `2·log₂ n + 1` of them, in index order per level.
-fn haar_range_coeffs(n: usize, lo: usize, hi: usize) -> Vec<(usize, f64)> {
+pub(crate) fn haar_range_coeffs(n: usize, lo: usize, hi: usize) -> Vec<(usize, f64)> {
     debug_assert!(lo < hi && hi <= n);
     let overlap = |a: usize, b: usize| -> f64 { hi.min(b).saturating_sub(lo.max(a)) as f64 };
     let mut out = vec![(0usize, (hi - lo) as f64 / (n as f64).sqrt())];
@@ -414,7 +382,7 @@ fn haar_piece_width(n: usize, haar_level: usize) -> usize {
 /// basis, indexed by Haar *level* (see the module comment): one entry per
 /// level `0 ..= log₂ n`, with `level_weights[t]` the weight of tree level
 /// `t` (root first).
-fn tree_haar_eigenvalues(n: usize, level_weights: &[f64]) -> Vec<f64> {
+pub(crate) fn tree_haar_eigenvalues(n: usize, level_weights: &[f64]) -> Vec<f64> {
     let levels = n.trailing_zeros() as usize;
     debug_assert_eq!(level_weights.len(), levels + 1);
     (0..=levels)
@@ -656,185 +624,83 @@ pub(crate) fn dense_range_structure(
     Ok((specs, grouping))
 }
 
-/// A range strategy compiled **without data**: the shared release engine
-/// over the matrix-free operator, plus the grouping — what
-/// [`crate::api::Plan`] embeds for range workloads. Identity, hierarchical
-/// and Haar strategies compile analytically (no dense matrix at any size);
-/// sketches fall back to the dense oracle.
-pub(crate) struct CompiledRangeStrategy {
-    pub(crate) engine: ReleaseEngine<RangeStrategyOp>,
-    pub(crate) grouping: Grouping,
+/// Compiles a range strategy for a workload (data-independent): the group
+/// specs, the row groups and the strategy's [`Kind`]. Identity,
+/// hierarchical and Haar strategies compile analytically (no dense matrix
+/// at any size); sketches fall back to the dense oracle.
+pub(crate) fn compile(
+    workload: &RangeWorkload,
+    strategy: RangeStrategy,
+) -> Result<(Vec<GroupSpec>, Vec<u32>, Kind), CoreError> {
+    let n = workload.domain();
+    let (specs, grouping) = match analytic_range_structure(workload, strategy) {
+        Some(parts) => parts,
+        None => dense_range_structure(workload, strategy)?,
+    };
+    let row_groups = grouping.assignment().iter().map(|&g| g as u32).collect();
+    let workload = workload.clone();
+    let kind = match strategy {
+        RangeStrategy::Identity => Kind::RangeIdentity { workload },
+        RangeStrategy::Hierarchical => Kind::Hierarchical { workload },
+        RangeStrategy::Wavelet => Kind::Wavelet { workload },
+        RangeStrategy::Sketch { .. } => {
+            let matrix = sketch_csr(strategy, n);
+            let columns = matrix.transposed();
+            Kind::Sketch {
+                workload,
+                strategy,
+                matrix,
+                columns,
+            }
+        }
+    };
+    Ok((specs, row_groups, kind))
 }
 
-/// Per-strategy structure behind the two fast paths: the closed-form
-/// recovery in [`RangeStrategyOp::recover`], and the sparse column
-/// `S[·, j]` that a per-record delta adds to the observations — O(1) for
-/// identity, O(log n) for the structured strategies, O(nnz) of the
-/// transposed sketch row otherwise.
-enum RangeKind {
-    Identity,
-    /// Level ℓ of the tree contributes row `2^ℓ − 1 + (j >> (levels − ℓ))`
-    /// (the dyadic block of width `n/2^ℓ` containing `j`), weight 1.
-    Hierarchical {
-        levels: usize,
-    },
-    /// Column `j` of the Haar analysis = the coefficients of the unit
-    /// indicator `[j, j+1)` — exactly [`haar_range_coeffs`].
-    Wavelet {
-        n: usize,
-    },
-    /// The transposed sketch: row `j` lists `(i, S[i, j])`.
-    Sketch(CsrMatrix),
+/// Per-query variances `Σ_i term(c_i², level(i))` over the sparse Haar
+/// coefficients `c_i` of each range: the exact GLS variances of the wavelet
+/// strategy (`c² σ²` at the level's noise variance) and of the tree
+/// strategy (`c² / λ`).
+pub(crate) fn haar_variances(
+    workload: &RangeWorkload,
+    term: impl Fn(f64, usize) -> f64 + Sync,
+) -> Vec<f64> {
+    let n = workload.domain();
+    workload
+        .ranges()
+        .par_iter()
+        .map(|&(lo, hi)| {
+            haar_range_coeffs(n, lo, hi)
+                .into_iter()
+                .map(|(i, c)| term(c * c, dp_linalg::haar_level(i)))
+                .sum()
+        })
+        .collect()
 }
 
-impl CompiledRangeStrategy {
-    /// Compiles the strategy for a workload (data-independent).
-    pub(crate) fn build(
-        workload: &RangeWorkload,
-        strategy: RangeStrategy,
-    ) -> Result<Self, CoreError> {
-        let n = workload.domain();
-        let (specs, grouping) = match analytic_range_structure(workload, strategy) {
-            Some(parts) => parts,
-            None => dense_range_structure(workload, strategy)?,
-        };
-        let row_groups: Vec<u32> = grouping.assignment().iter().map(|&g| g as u32).collect();
-        let kind = match strategy {
-            RangeStrategy::Identity => RangeKind::Identity,
-            RangeStrategy::Hierarchical => RangeKind::Hierarchical {
-                levels: n.trailing_zeros() as usize,
-            },
-            RangeStrategy::Wavelet => RangeKind::Wavelet { n },
-            RangeStrategy::Sketch { .. } => RangeKind::Sketch(sketch_csr(strategy, n).transposed()),
-        };
-        let engine = ReleaseEngine::new(RangeStrategyOp {
-            operator: strategy_operator(strategy, n),
-            kind,
-            workload: workload.clone(),
-            specs,
-            row_groups,
-        })?;
-        Ok(CompiledRangeStrategy { engine, grouping })
-    }
-
-    /// Computes the exact observation vector `z = S·hist` through the
-    /// matrix-free operator — the data-dependent step, run once per bound
-    /// histogram.
-    pub(crate) fn observe(&self, hist: &[f64]) -> Result<Vec<f64>, CoreError> {
-        let op = &self.engine.strategy().operator;
-        if hist.len() != op.cols() {
-            return Err(CoreError::Shape {
-                context: "range release histogram",
-                expected: op.cols(),
-                actual: hist.len(),
-            });
-        }
-        Ok(op.apply(hist))
-    }
-
-    /// Adds `delta` units at histogram cell `cell` directly to an
-    /// observation vector `z`: `z += delta · S[·, cell]` via the
-    /// precomputed sparse column — O(1)/O(log n)/O(column nnz), never
-    /// O(n). The incremental twin of [`CompiledRangeStrategy::observe`].
-    pub(crate) fn apply_delta(
-        &self,
-        z: &mut [f64],
-        cell: u64,
-        delta: f64,
-    ) -> Result<(), CoreError> {
-        let n = self.engine.strategy().operator.cols();
-        if cell >= n as u64 {
-            return Err(CoreError::Shape {
-                context: "streaming delta cell",
-                expected: n,
-                actual: cell as usize,
-            });
-        }
-        let j = cell as usize;
-        match &self.engine.strategy().kind {
-            RangeKind::Identity => z[j] += delta,
-            RangeKind::Hierarchical { levels } => {
-                for level in 0..=*levels {
-                    z[(1usize << level) - 1 + (j >> (levels - level))] += delta;
-                }
-            }
-            RangeKind::Wavelet { n } => {
-                for (i, c) in haar_range_coeffs(*n, j, j + 1) {
-                    z[i] += delta * c;
-                }
-            }
-            RangeKind::Sketch(transposed) => {
-                for (i, v) in transposed.row_entries(j) {
-                    z[i] += delta * v;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Exact per-query output variances of the final GLS recovery, given
-    /// per-group noise variances (`group_sigma2[r]`, group order):
-    /// `Var(y_j) = q_jᵀ (SᵀΣ⁻¹S)⁻¹ q_j`, in closed form through the Haar
-    /// diagonalization for the structured strategies and via the dense
-    /// oracle for sketches.
-    pub(crate) fn predict_query_variances(
-        &self,
-        workload: &RangeWorkload,
-        strategy: RangeStrategy,
-        group_sigma2: &[f64],
-    ) -> Result<Vec<f64>, CoreError> {
-        let n = workload.domain();
-        match strategy {
-            RangeStrategy::Identity => Ok(workload
-                .ranges()
-                .iter()
-                .map(|&(lo, hi)| (hi - lo) as f64 * group_sigma2[0])
-                .collect()),
-            RangeStrategy::Wavelet => Ok(workload
-                .ranges()
-                .par_iter()
-                .map(|&(lo, hi)| {
-                    haar_range_coeffs(n, lo, hi)
-                        .into_iter()
-                        .map(|(i, c)| c * c * group_sigma2[dp_linalg::haar_level(i)])
-                        .sum()
-                })
-                .collect()),
-            RangeStrategy::Hierarchical => {
-                let weights: Vec<f64> = group_sigma2.iter().map(|&v| 1.0 / v).collect();
-                let lam = tree_haar_eigenvalues(n, &weights);
-                Ok(workload
-                    .ranges()
-                    .par_iter()
-                    .map(|&(lo, hi)| {
-                        haar_range_coeffs(n, lo, hi)
-                            .into_iter()
-                            .map(|(i, c)| c * c / lam[dp_linalg::haar_level(i)])
-                            .sum()
-                    })
-                    .collect())
-            }
-            RangeStrategy::Sketch { .. } => {
-                let row_variances: Vec<f64> = self
-                    .grouping
-                    .assignment()
-                    .iter()
-                    .map(|&g| group_sigma2[g])
-                    .collect();
-                let q = workload.query_matrix();
-                let s = strategy_matrix(strategy, n);
-                let r = gls_recovery(&q, &s, &row_variances)?;
-                output_variances(&r, &row_variances)
-            }
-        }
-    }
+/// Exact per-query GLS variances `Var(y_j) = q_jᵀ (SᵀΣ⁻¹S)⁻¹ q_j` through
+/// the dense oracle — the variance map of sketches.
+pub(crate) fn dense_variances(
+    workload: &RangeWorkload,
+    strategy: RangeStrategy,
+    row_groups: &[u32],
+    group_sigma2: &[f64],
+) -> Result<Vec<f64>, CoreError> {
+    let row_variances: Vec<f64> = row_groups
+        .iter()
+        .map(|&g| group_sigma2[g as usize])
+        .collect();
+    let q = workload.query_matrix();
+    let s = strategy_matrix(strategy, workload.domain());
+    let r = gls_recovery(&q, &s, &row_variances)?;
+    output_variances(&r, &row_variances)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{Compiled, Plan, PlanBuilder, Session, WorkloadSpec};
-    use crate::strategy::Budgeting;
+    use crate::api::{Answers, Plan, PlanBuilder, Session, WorkloadSpec};
+    use crate::strategy::{solve_budgets, Budgeting, Compiled};
     use dp_mech::{LaplaceMechanism, NoiseMechanism, PrivacyLevel};
     use std::sync::Arc;
 
@@ -860,21 +726,31 @@ mod tests {
     /// The dense oracle of a compiled plan: explicit `Q`, `S` and the
     /// GLS-optimal `R` for the plan's per-row Laplace variances.
     fn dense_decomposition(plan: &Plan) -> Decomposition {
-        let (Compiled::Ranges(c), WorkloadSpec::Ranges { workload, strategy }) =
-            (plan.compiled(), plan.spec())
-        else {
-            unreachable!("range plans compile range strategies")
+        let WorkloadSpec::Ranges { workload, strategy } = plan.spec() else {
+            unreachable!("range plans have range specs")
         };
-        let row_variances: Vec<f64> = c
-            .grouping
-            .assignment()
+        let row_variances: Vec<f64> = row_groups(workload, *strategy)
             .iter()
-            .map(|&g| LaplaceMechanism.variance(plan.solution().group_budgets[g]))
+            .map(|&g| LaplaceMechanism.variance(plan.solution().group_budgets[g as usize]))
             .collect();
         let q = workload.query_matrix();
         let s = strategy_matrix(*strategy, workload.domain());
         let r = gls_recovery(&q, &s, &row_variances).unwrap();
         Decomposition { q, s, r }
+    }
+
+    /// The compiled strategy of a range spec.
+    fn build(w: &RangeWorkload, strategy: RangeStrategy) -> Compiled {
+        Compiled::build(&WorkloadSpec::Ranges {
+            workload: w.clone(),
+            strategy,
+        })
+        .unwrap()
+    }
+
+    /// The group id of each observation row of a range strategy.
+    fn row_groups(w: &RangeWorkload, strategy: RangeStrategy) -> Vec<u32> {
+        super::compile(w, strategy).unwrap().1
     }
 
     fn total_variance(plan: &Plan) -> f64 {
@@ -1032,16 +908,18 @@ mod tests {
                 });
             }
             for strategy in strategies {
-                let compiled = CompiledRangeStrategy::build(&w, strategy).unwrap();
-                let op = compiled.engine.strategy();
-                let weights = uneven_weights(op.group_specs().len());
-                let row_weights: Vec<f64> = op
-                    .row_groups()
+                let compiled = build(&w, strategy);
+                let weights = uneven_weights(compiled.specs().len());
+                let row_weights: Vec<f64> = row_groups(&w, strategy)
                     .iter()
                     .map(|&g| weights[g as usize])
                     .collect();
-                let z = noisy_observations(&*op.operator);
-                let got = op.recover(&z, &weights).unwrap();
+                let operator = strategy_operator(strategy, n);
+                let z = noisy_observations(&*operator);
+                let got = compiled.recover(&z, &weights).unwrap();
+                let Answers::Ranges(got) = got else {
+                    unreachable!("range strategies answer ranges")
+                };
                 let what = format!("{strategy:?} n={n}");
                 if dense {
                     let row_variances: Vec<f64> = row_weights.iter().map(|w| 1.0 / w).collect();
@@ -1050,13 +928,9 @@ mod tests {
                     let oracle = r.matvec(&z).unwrap();
                     assert_close(&got, &oracle, 1e-9, &format!("{what} vs dense"));
                 }
-                let x_cg = dp_linalg::gls_normal_solve(
-                    &op.operator,
-                    &row_weights,
-                    &z,
-                    CgOptions::default(),
-                )
-                .unwrap();
+                let x_cg =
+                    dp_linalg::gls_normal_solve(&operator, &row_weights, &z, CgOptions::default())
+                        .unwrap();
                 let cg = w.true_answers(&x_cg).unwrap();
                 assert_close(&got, &cg, 1e-8, &format!("{what} vs CG"));
             }
@@ -1290,24 +1164,18 @@ mod tests {
             RangeStrategy::Wavelet,
         ] {
             for budgeting in [Budgeting::Uniform, Budgeting::Optimal] {
-                let compiled = CompiledRangeStrategy::build(&w, strategy).unwrap();
-                let solution = compiled
-                    .engine
-                    .solve_budgets(PrivacyLevel::Pure { epsilon: 0.7 }, budgeting)
-                    .unwrap();
+                let compiled = build(&w, strategy);
+                let privacy = PrivacyLevel::Pure { epsilon: 0.7 };
+                let solution = solve_budgets(compiled.specs(), privacy, budgeting).unwrap();
                 let sigma2: Vec<f64> = solution
                     .group_budgets
                     .iter()
                     .map(|&e| LaplaceMechanism.variance(e))
                     .collect();
-                let fast = compiled
-                    .predict_query_variances(&w, strategy, &sigma2)
-                    .unwrap();
-                let row_variances: Vec<f64> = compiled
-                    .grouping
-                    .assignment()
+                let fast = compiled.predict_query_variances(&sigma2).unwrap();
+                let row_variances: Vec<f64> = row_groups(&w, strategy)
                     .iter()
-                    .map(|&g| sigma2[g])
+                    .map(|&g| sigma2[g as usize])
                     .collect();
                 let q = w.query_matrix();
                 let s = strategy_matrix(strategy, n);
@@ -1331,27 +1199,18 @@ mod tests {
         let n = 1usize << 14;
         let w = RangeWorkload::all_prefixes(n).unwrap();
         for strategy in [RangeStrategy::Hierarchical, RangeStrategy::Wavelet] {
-            let compiled = CompiledRangeStrategy::build(&w, strategy).unwrap();
-            let groups = compiled.engine.strategy().group_specs().len();
+            let compiled = build(&w, strategy);
+            let groups = compiled.specs().len();
             assert_eq!(groups, 15, "{strategy:?}: log2(n)+1 level groups");
-            assert!(compiled
-                .engine
-                .strategy()
-                .group_specs()
-                .iter()
-                .all(|g| g.s > 0.0 && g.c > 0.0));
-            let solution = compiled
-                .engine
-                .solve_budgets(PrivacyLevel::Pure { epsilon: 1.0 }, Budgeting::Optimal)
-                .unwrap();
+            assert!(compiled.specs().iter().all(|g| g.s > 0.0 && g.c > 0.0));
+            let privacy = PrivacyLevel::Pure { epsilon: 1.0 };
+            let solution = solve_budgets(compiled.specs(), privacy, Budgeting::Optimal).unwrap();
             let sigma2: Vec<f64> = solution
                 .group_budgets
                 .iter()
                 .map(|&e| LaplaceMechanism.variance(e))
                 .collect();
-            let vars = compiled
-                .predict_query_variances(&w, strategy, &sigma2)
-                .unwrap();
+            let vars = compiled.predict_query_variances(&sigma2).unwrap();
             assert_eq!(vars.len(), n);
             assert!(vars.iter().all(|v| v.is_finite() && *v > 0.0));
         }

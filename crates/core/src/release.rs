@@ -1,22 +1,21 @@
-//! The marginal release pipeline: the paper's Figure-3 pipeline for
-//! marginal workloads, expressed as [`StrategyOperator`] implementations
-//! over the shared [`ReleaseEngine`].
+//! The marginal strategies: the per-family arithmetic behind the marginal
+//! variants of the compiled strategy in [`crate::strategy`].
 //!
-//! `CompiledMarginalStrategy` compiles a workload + strategy into the
-//! fully **data-independent** half of the pipeline (group structure,
-//! coefficient spaces, recovery map, observation recipe); binding it to a
-//! table and drawing releases is the job of [`crate::api::Session`].
-//! Steps 2–3 — budgets, noise,
-//! generalized-least-squares recovery — live in the engine in
-//! [`crate::strategy`]; the types here only encode what is specific to each
-//! marginal strategy: its group structure and its (Fourier-space) recovery.
+//! `compile` turns a workload and a [`StrategyKind`] into the
+//! **data-independent** half of the pipeline — group structure, coefficient
+//! spaces, observation operator, clustering — without consulting a table;
+//! the functions below it are the observation, recovery and variance
+//! arithmetic the strategy's maps call. Binding a plan to a table and
+//! drawing releases is the job of [`crate::api::Session`]; Steps 2–3
+//! (budgets, noise, the achieved-ε check) are shared in
+//! [`crate::strategy`].
 
 use crate::cluster::{greedy_cluster_with_config, ClusterConfig, Clustering};
 use crate::fourier::{CoefficientSpace, ObservationOperator};
 use crate::marginal::MarginalTable;
 use crate::mask::AttrMask;
-use crate::strategy::{ReleaseEngine, StrategyOperator};
-use crate::table::ContingencyTable;
+use crate::strategy::Kind;
+use crate::table::marginalize_all;
 use crate::workload::Workload;
 use crate::CoreError;
 use dp_opt::budget::GroupSpec;
@@ -66,426 +65,158 @@ pub struct Release {
     pub label: String,
 }
 
-/// `S = I`: observe every base cell once (one group), recover each
-/// workload marginal by aggregating the noisy counts.
-struct IdentityStrategy {
-    d: usize,
-    targets: Vec<AttrMask>,
-    specs: Vec<GroupSpec>,
-    row_groups: Vec<u32>,
-}
-
-impl StrategyOperator for IdentityStrategy {
-    type Answer = Vec<MarginalTable>;
-
-    fn num_rows(&self) -> usize {
-        1usize << self.d
-    }
-
-    fn group_specs(&self) -> &[GroupSpec] {
-        &self.specs
-    }
-
-    fn row_groups(&self) -> &[u32] {
-        &self.row_groups
-    }
-
-    fn recover(&self, noisy: &[f64], _weights: &[f64]) -> Result<Self::Answer, CoreError> {
-        // `x̂ = z` is the GLS estimate for S = I; aggregating one noisy
-        // table is automatically consistent. One fold per marginal, folds
-        // in parallel.
-        let d = self.d;
-        self.targets
-            .par_iter()
-            .map(|&alpha| {
-                Ok(MarginalTable::new(
-                    alpha,
-                    crate::table::marginalize(noisy, d, alpha),
-                ))
-            })
-            .collect()
-    }
-}
-
-/// `S` = a set of observed marginals: the workload itself (`Q`) or cluster
-/// centroids (`C`). Recovery is GLS in Fourier-coefficient space, where the
-/// normal equations are diagonal (Section 4.3).
-struct MarginalsStrategy {
-    targets: Vec<AttrMask>,
-    space: CoefficientSpace,
-    op: ObservationOperator,
-    specs: Vec<GroupSpec>,
-    row_groups: Vec<u32>,
-}
-
-impl StrategyOperator for MarginalsStrategy {
-    type Answer = Vec<MarginalTable>;
-
-    fn num_rows(&self) -> usize {
-        self.row_groups.len()
-    }
-
-    fn group_specs(&self) -> &[GroupSpec] {
-        &self.specs
-    }
-
-    fn row_groups(&self) -> &[u32] {
-        &self.row_groups
-    }
-
-    fn recover(&self, noisy: &[f64], weights: &[f64]) -> Result<Self::Answer, CoreError> {
-        // Diagonal GLS in coefficient space, then one block WHT per target
-        // marginal (reconstructions in parallel).
-        let coeffs = self.op.gls_solve(noisy, weights)?;
-        self.targets
-            .par_iter()
-            .map(|&alpha| self.space.reconstruct(&coeffs, alpha))
-            .collect()
-    }
-}
-
-/// `S =` the Fourier coefficients of the workload support. Every
-/// coefficient is observed exactly once, so GLS degenerates to the noisy
-/// observations themselves (the diagonal specialization of Section 4.3).
-struct FourierStrategy {
-    targets: Vec<AttrMask>,
-    space: CoefficientSpace,
-    specs: Vec<GroupSpec>,
-    row_groups: Vec<u32>,
-}
-
-impl StrategyOperator for FourierStrategy {
-    type Answer = Vec<MarginalTable>;
-
-    fn num_rows(&self) -> usize {
-        self.row_groups.len()
-    }
-
-    fn group_specs(&self) -> &[GroupSpec] {
-        &self.specs
-    }
-
-    fn row_groups(&self) -> &[u32] {
-        &self.row_groups
-    }
-
-    fn recover(&self, noisy: &[f64], _weights: &[f64]) -> Result<Self::Answer, CoreError> {
-        self.targets
-            .par_iter()
-            .map(|&alpha| self.space.reconstruct(noisy, alpha))
-            .collect()
-    }
-}
-
-/// The marginal strategies behind one object-safe interface — proof that
-/// the planner is open to new strategy plugins.
-pub(crate) type MarginalStrategyBox =
-    Box<dyn StrategyOperator<Answer = Vec<MarginalTable>> + Send + Sync>;
-
-/// How a compiled marginal strategy turns a concrete table into its exact
-/// observation vector `z = S x` — the *only* data-dependent step of the
-/// pipeline, deferred to [`CompiledMarginalStrategy::observe`].
-enum ObserveKind {
-    /// `z` = the raw base counts (`S = I`).
-    BaseCounts,
-    /// `z` = the concatenated cells of the observed marginals.
-    MarginalCells(Vec<AttrMask>),
-    /// `z` = the Fourier coefficients of the support, filled from the
-    /// listed (workload) marginals.
-    FourierCoefficients {
-        space: CoefficientSpace,
-        fill_from: Vec<AttrMask>,
-    },
-}
-
-/// A marginal strategy compiled **without data**: the shared release engine
-/// (group structure + recovery map), the clustering (for `Cluster`), and
-/// the recipe for computing observations once a table arrives — what
-/// [`crate::api::Plan`] embeds for marginal workloads.
-pub(crate) struct CompiledMarginalStrategy {
-    pub(crate) engine: ReleaseEngine<MarginalStrategyBox>,
-    pub(crate) clustering: Option<Clustering>,
-    observe: ObserveKind,
-    d: usize,
-}
-
-impl CompiledMarginalStrategy {
-    /// Compiles the strategy for a workload: runs the strategy search (for
-    /// `Cluster`, under the given [`ClusterConfig`]), derives the group
-    /// structure and the recovery map. No table is consulted.
-    pub(crate) fn build(
-        workload: &Workload,
-        strategy: StrategyKind,
-        cluster: ClusterConfig,
-    ) -> Result<Self, CoreError> {
-        let d = workload.domain_bits();
-        let ell = workload.len() as f64;
-        let targets = workload.marginals().to_vec();
-
-        let (boxed, observe, clustering): (MarginalStrategyBox, ObserveKind, _) = match strategy {
-            StrategyKind::Identity => {
-                // One group of all N base cells, C = 1. Recovery weight
-                // per cell is the number of workload marginals (each
-                // uses every cell exactly once), so s = ℓ·N.
-                let n = 1usize << d;
-                let specs = vec![GroupSpec {
-                    c: 1.0,
-                    s: ell * n as f64,
-                }];
-                let inner = IdentityStrategy {
-                    d,
-                    targets,
-                    specs,
-                    row_groups: vec![0; n],
-                };
-                (Box::new(inner), ObserveKind::BaseCounts, None)
-            }
-            StrategyKind::Workload => {
-                let observed = workload.marginals().to_vec();
-                // R₀ = I: b_i = 1 per released cell, s_r = 2^{‖α_r‖}.
-                let weights: Vec<f64> = observed.iter().map(|m| m.cell_count() as f64).collect();
-                let inner = marginals_strategy(d, observed.clone(), targets, weights)?;
-                (Box::new(inner), ObserveKind::MarginalCells(observed), None)
-            }
-            StrategyKind::Cluster => {
-                let clustering = greedy_cluster_with_config(workload, cluster);
-                let observed = clustering.centroids().to_vec();
-                // R₀ aggregates the centroid's cells into each assigned
-                // marginal: each centroid cell is used once per assigned
-                // marginal, so s_c = ℓ_c · 2^{‖u_c‖} (cell counts memoized
-                // by the clustering).
-                let weights: Vec<f64> = clustering
-                    .cell_counts()
-                    .iter()
-                    .zip(clustering.cluster_sizes())
-                    .map(|(&cells, lc)| (lc * cells) as f64)
-                    .collect();
-                let inner = marginals_strategy(d, observed.clone(), targets, weights)?;
-                (
-                    Box::new(inner),
-                    ObserveKind::MarginalCells(observed),
-                    Some(clustering),
-                )
-            }
-            StrategyKind::Fourier => {
-                let space = CoefficientSpace::from_marginals(d, workload.marginals());
-                // b_β = Σ_{α ⊇ β, α ∈ W} 2^{‖α‖} · (2^{d/2−‖α‖})²
-                //     = Σ 2^{d−‖α‖}; singleton groups with C = 2^{−d/2}.
-                let c = 2f64.powf(-(d as f64) / 2.0);
-                let specs: Vec<GroupSpec> = space
-                    .support()
-                    .par_iter()
-                    .map(|&beta| {
-                        let s = workload
-                            .marginals()
-                            .iter()
-                            .filter(|&&alpha| beta.dominated_by(alpha))
-                            .map(|&alpha| 2f64.powi((d as u32 - alpha.weight()) as i32))
-                            .sum();
-                        GroupSpec { c, s }
-                    })
-                    .collect();
-                let row_groups = (0..space.len() as u32).collect();
-                let inner = FourierStrategy {
-                    targets,
-                    space: space.clone(),
-                    specs,
-                    row_groups,
-                };
-                let observe = ObserveKind::FourierCoefficients {
-                    space,
-                    fill_from: workload.marginals().to_vec(),
-                };
-                (Box::new(inner), observe, None)
-            }
-        };
-
-        Ok(CompiledMarginalStrategy {
-            engine: ReleaseEngine::new(boxed)?,
-            clustering,
-            observe,
-            d,
-        })
-    }
-
-    /// Computes the exact observation vector `z = S x` for a table — the
-    /// data-dependent step, run once per bound dataset.
-    pub(crate) fn observe(&self, table: &ContingencyTable) -> Result<Vec<f64>, CoreError> {
-        if table.dims() != self.d {
-            return Err(CoreError::Shape {
-                context: "planner domain bits",
-                expected: self.d,
-                actual: table.dims(),
-            });
+/// Compiles a marginal strategy for a workload: runs the strategy search
+/// (for `Cluster`, under the given [`ClusterConfig`]) and derives the group
+/// specs, the row groups and the strategy's [`Kind`]. No table is
+/// consulted.
+pub(crate) fn compile(
+    workload: &Workload,
+    strategy: StrategyKind,
+    cluster: ClusterConfig,
+) -> Result<(Vec<GroupSpec>, Vec<u32>, Kind), CoreError> {
+    let d = workload.domain_bits();
+    let targets = workload.marginals().to_vec();
+    Ok(match strategy {
+        StrategyKind::Identity => {
+            // One group of all N base cells, C = 1. Recovery weight per
+            // cell is the number of workload marginals (each uses every
+            // cell exactly once), so s = ℓ·N.
+            let n = 1usize << d;
+            let s = workload.len() as f64 * n as f64;
+            let kind = Kind::MarginalIdentity { d, targets };
+            (vec![GroupSpec { c: 1.0, s }], vec![0; n], kind)
         }
-        match &self.observe {
-            ObserveKind::BaseCounts => Ok(table.counts().to_vec()),
-            ObserveKind::MarginalCells(observed) => Ok(table
-                .marginals(observed)
+        StrategyKind::Workload => {
+            // R₀ = I: b_i = 1 per released cell, s_r = 2^{‖α_r‖}.
+            let weights = targets.iter().map(|m| m.cell_count() as f64).collect();
+            observed_marginals(d, targets.clone(), targets, weights, None)?
+        }
+        StrategyKind::Cluster => {
+            let clustering = greedy_cluster_with_config(workload, cluster);
+            // R₀ aggregates the centroid's cells into each assigned
+            // marginal: each centroid cell is used once per assigned
+            // marginal, so s_c = ℓ_c · 2^{‖u_c‖} (cell counts memoized by
+            // the clustering).
+            let weights = clustering
+                .cell_counts()
                 .iter()
-                .flat_map(|m| m.values().iter().copied())
-                .collect()),
-            ObserveKind::FourierCoefficients { space, fill_from } => {
-                // Exact coefficients from the workload marginals (one fold
-                // pass per marginal plus per-block WHTs), with one shared
-                // WHT buffer across all marginals.
-                let mut coeffs = vec![0.0; space.len()];
-                let mut scratch = Vec::new();
-                for m in table.marginals(fill_from) {
-                    space.fill_from_marginal_with(&mut coeffs, &m, &mut scratch)?;
-                }
-                Ok(coeffs)
-            }
+                .zip(clustering.cluster_sizes())
+                .map(|(&cells, lc)| (lc * cells) as f64)
+                .collect();
+            let observed = clustering.centroids().to_vec();
+            observed_marginals(d, observed, targets, weights, Some(clustering))?
         }
-    }
-
-    /// Adds `delta` tuples at linearized cell `cell` directly to an
-    /// observation vector `z`: since `z = S x` is linear in `x`, the update
-    /// is the sparse column `delta · S[·, cell]` — O(#observed marginals)
-    /// or O(|support|) work, never O(2^d). The incremental twin of
-    /// [`CompiledMarginalStrategy::observe`].
-    pub(crate) fn apply_delta(
-        &self,
-        z: &mut [f64],
-        cell: u64,
-        delta: f64,
-    ) -> Result<(), CoreError> {
-        if cell >= 1u64 << self.d {
-            return Err(CoreError::Shape {
-                context: "streaming delta cell",
-                expected: 1usize << self.d,
-                actual: cell as usize,
-            });
+        StrategyKind::Fourier => {
+            let space = CoefficientSpace::from_marginals(d, &targets);
+            // b_β = Σ_{α ⊇ β, α ∈ W} 2^{‖α‖} · (2^{d/2−‖α‖})²
+            //     = Σ 2^{d−‖α‖}; singleton groups with C = 2^{−d/2}.
+            let c = 2f64.powf(-(d as f64) / 2.0);
+            let specs = space
+                .support()
+                .par_iter()
+                .map(|&beta| {
+                    let s = targets
+                        .iter()
+                        .filter(|&&alpha| beta.dominated_by(alpha))
+                        .map(|&alpha| 2f64.powi((d as u32 - alpha.weight()) as i32))
+                        .sum();
+                    GroupSpec { c, s }
+                })
+                .collect();
+            let row_groups = (0..space.len() as u32).collect();
+            (specs, row_groups, Kind::Fourier { targets, space })
         }
-        match &self.observe {
-            ObserveKind::BaseCounts => {
-                z[cell as usize] += delta;
-            }
-            ObserveKind::MarginalCells(observed) => {
-                // A tuple at `cell` lands in exactly one cell of each
-                // observed marginal: the one indexed by its bits under α.
-                let mut offset = 0usize;
-                for &alpha in observed {
-                    z[offset + alpha.compress_cell(cell & alpha.0)] += delta;
-                    offset += alpha.cell_count();
-                }
-            }
-            ObserveKind::FourierCoefficients { space, .. } => {
-                // fᵝ(cell) = (−1)^{⟨β,cell⟩} · 2^{−d/2} for every β in the
-                // support (the column of the Fourier observation matrix).
-                let scale = 2f64.powf(-(self.d as f64) / 2.0);
-                let cell_mask = AttrMask(cell);
-                for (i, &beta) in space.support().iter().enumerate() {
-                    z[i] += delta * cell_mask.sign(beta) * scale;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Predicted per-marginal output variance of the *initial* recovery
-    /// `R₀`, given the per-group noise variances `group_sigma2` (one per
-    /// group, in group order). The entries sum to the engine's
-    /// `predicted_variance` total.
-    pub(crate) fn predict_query_variances(
-        &self,
-        workload: &Workload,
-        strategy: StrategyKind,
-        group_sigma2: &[f64],
-    ) -> Vec<f64> {
-        let d = self.d;
-        match strategy {
-            // Each marginal cell sums 2^{d−‖α‖} base cells of variance σ₀²;
-            // over 2^{‖α‖} cells: 2^d σ₀² per marginal.
-            StrategyKind::Identity => {
-                let v = (1u64 << d) as f64 * group_sigma2[0];
-                vec![v; workload.len()]
-            }
-            // Group g observes marginal α_g directly: 2^{‖α‖} σ_g².
-            StrategyKind::Workload => workload
-                .marginals()
-                .iter()
-                .enumerate()
-                .map(|(g, m)| m.cell_count() as f64 * group_sigma2[g])
-                .collect(),
-            // Marginal α answered from centroid u: each of its 2^{‖α‖}
-            // cells sums 2^{‖u‖−‖α‖} centroid cells → 2^{‖u‖} σ_c² total.
-            StrategyKind::Cluster => {
-                let clustering = self
-                    .clustering
-                    .as_ref()
-                    .expect("cluster strategy always retains its clustering");
-                clustering
-                    .assignment()
-                    .iter()
-                    .map(|&c| clustering.cell_counts()[c] as f64 * group_sigma2[c])
-                    .collect()
-            }
-            // Marginal α reconstructs from the coefficients β ≼ α, each
-            // contributing 2^{d−‖α‖} σ_β² (the same per-(α,β) weight that
-            // builds the group specs).
-            StrategyKind::Fourier => {
-                let ObserveKind::FourierCoefficients { space, .. } = &self.observe else {
-                    unreachable!("Fourier strategy always observes coefficients");
-                };
-                workload
-                    .marginals()
-                    .par_iter()
-                    .map(|&alpha| {
-                        let scale = 2f64.powi((d as u32 - alpha.weight()) as i32);
-                        alpha
-                            .subsets()
-                            .map(|beta| {
-                                let pos = space
-                                    .position(beta)
-                                    .expect("support contains every workload downset");
-                                scale * group_sigma2[pos]
-                            })
-                            .sum()
-                    })
-                    .collect()
-            }
-        }
-    }
+    })
 }
 
 /// Shared construction for the `Workload` and `Cluster` strategies:
 /// coefficient space, observation operator and one group per observed
 /// marginal with `s_r` given by `weights` (aligned index-for-index with
-/// `observed`). Data-independent — exact cells are computed at bind time.
-fn marginals_strategy(
+/// `observed`).
+fn observed_marginals(
     d: usize,
     observed: Vec<AttrMask>,
     targets: Vec<AttrMask>,
     weights: Vec<f64>,
-) -> Result<MarginalsStrategy, CoreError> {
-    if weights.len() != observed.len() {
-        return Err(CoreError::Shape {
-            context: "marginals_strategy weights",
-            expected: observed.len(),
-            actual: weights.len(),
-        });
-    }
+    clustering: Option<Clustering>,
+) -> Result<(Vec<GroupSpec>, Vec<u32>, Kind), CoreError> {
     let space = CoefficientSpace::from_marginals(d, &observed);
     let op = ObservationOperator::new(&space, &observed)?;
-    let specs: Vec<GroupSpec> = weights.iter().map(|&s| GroupSpec { c: 1.0, s }).collect();
+    let specs = weights.iter().map(|&s| GroupSpec { c: 1.0, s }).collect();
     let mut row_groups = Vec::new();
     for (g, m) in observed.iter().enumerate() {
         row_groups.extend(std::iter::repeat_n(g as u32, m.cell_count()));
     }
-    Ok(MarginalsStrategy {
+    let kind = Kind::ObservedMarginals {
         targets,
+        observed,
         space,
         op,
-        specs,
-        row_groups,
-    })
+        clustering,
+    };
+    Ok((specs, row_groups, kind))
+}
+
+/// The exact Fourier coefficients of the support, filled from the target
+/// marginals (one fold pass per marginal plus per-block WHTs, with one
+/// shared WHT buffer).
+pub(crate) fn fourier_observations(
+    x: &[f64],
+    space: &CoefficientSpace,
+    targets: &[AttrMask],
+) -> Result<Vec<f64>, CoreError> {
+    let mut coeffs = vec![0.0; space.len()];
+    let mut scratch = Vec::new();
+    for m in marginalize_all(x, space.domain_bits(), targets) {
+        space.fill_from_marginal_with(&mut coeffs, &m, &mut scratch)?;
+    }
+    Ok(coeffs)
+}
+
+/// Every target marginal from a coefficient vector: one block WHT per
+/// target, in parallel.
+pub(crate) fn reconstruct(
+    space: &CoefficientSpace,
+    coeffs: &[f64],
+    targets: &[AttrMask],
+) -> Result<Vec<MarginalTable>, CoreError> {
+    targets
+        .par_iter()
+        .map(|&alpha| space.reconstruct(coeffs, alpha))
+        .collect()
+}
+
+/// Per-marginal variances of the Fourier strategy's recovery: marginal α
+/// reconstructs from the coefficients β ≼ α, each contributing
+/// 2^{d−‖α‖} σ_β² (the same per-(α,β) weight that builds the group specs).
+pub(crate) fn fourier_variances(
+    space: &CoefficientSpace,
+    targets: &[AttrMask],
+    group_sigma2: &[f64],
+) -> Vec<f64> {
+    let d = space.domain_bits() as u32;
+    targets
+        .par_iter()
+        .map(|&alpha| {
+            let scale = 2f64.powi((d - alpha.weight()) as i32);
+            alpha
+                .subsets()
+                .map(|beta| {
+                    let pos = space
+                        .position(beta)
+                        .expect("support contains every workload downset");
+                    scale * group_sigma2[pos]
+                })
+                .sum()
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::api::{PlanBuilder, Session};
+    use crate::table::ContingencyTable;
     use dp_mech::{Neighboring, PrivacyLevel};
     use std::sync::Arc;
 

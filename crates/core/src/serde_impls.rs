@@ -296,7 +296,7 @@ impl Deserialize for WorkloadSpec {
                     Some(v) => cluster_config_from(v)?,
                     None => ClusterConfig::default(),
                 };
-                Ok(WorkloadSpec::Marginals {
+                refuse_oversized(WorkloadSpec::Marginals {
                     workload,
                     strategy,
                     cluster,
@@ -337,11 +337,51 @@ impl Deserialize for WorkloadSpec {
                 };
                 let workload = RangeWorkload::new(n, ranges)
                     .map_err(|e| DeError::new(format!("invalid range workload: {e}")))?;
-                Ok(WorkloadSpec::Ranges { workload, strategy })
+                refuse_oversized(WorkloadSpec::Ranges { workload, strategy })
             }
             other => Err(DeError::new(format!("unknown workload kind {other:?}"))),
         }
     }
+}
+
+/// Largest data vector a shipped spec may name: `2^24` cells (`2^d` or the
+/// range domain `n`). Compiling and binding allocate in proportion to it.
+const MAX_DOMAIN_CELLS: usize = 1 << 24;
+
+/// Largest dense buffer (`q·n`, `m·n` or `n·n` entries) a shipped sketch
+/// spec may make the dense planner materialize.
+const MAX_DENSE_ENTRIES: usize = 1 << 24;
+
+/// Refuses a decoded spec whose compile would allocate beyond the size
+/// caps, before anything is built: a shipped document must never make a
+/// server allocate in proportion to a number it chose.
+fn refuse_oversized(spec: WorkloadSpec) -> Result<WorkloadSpec, DeError> {
+    let n = spec.domain_size();
+    if n > MAX_DOMAIN_CELLS {
+        return Err(DeError::new(format!(
+            "a domain of {n} cells exceeds the {MAX_DOMAIN_CELLS}-cell limit"
+        )));
+    }
+    if let WorkloadSpec::Ranges {
+        workload,
+        strategy:
+            RangeStrategy::Sketch {
+                repetitions,
+                buckets,
+                ..
+            },
+    } = &spec
+    {
+        let rows = repetitions.saturating_mul(*buckets);
+        let widest = workload.ranges().len().max(rows).max(n).saturating_mul(n);
+        if rows == 0 || widest > MAX_DENSE_ENTRIES {
+            return Err(DeError::new(format!(
+                "a {repetitions}×{buckets} sketch over {n} cells needs at least one row \
+                 and at most {MAX_DENSE_ENTRIES} dense entries (here {widest})"
+            )));
+        }
+    }
+    Ok(spec)
 }
 
 impl Serialize for Plan {

@@ -1,28 +1,38 @@
-//! The unified strategy layer: one noise/recovery engine for every release
-//! pipeline in this crate.
+//! The compiled strategy: one closed enum of strategies over one shared
+//! noise and recovery pipeline.
 //!
-//! Before this module existed the paper's Figure-3 pipeline was implemented
-//! three separate times — a dense-matrix path ([`crate::framework`]), a
-//! structured Fourier marginal path ([`crate::release`]) and a bespoke
-//! range-query path ([`crate::range`]) — each with its own budget solve,
-//! noise loop and recovery. [`StrategyOperator`] abstracts what actually
-//! differs between strategies:
+//! The paper's Figure-3 template is one pipeline in which a strategy
+//! differs only in
 //!
-//! 1. the **group structure** (`C_r`, `s_r` per group and a group id per
-//!    observation row) feeding the Step-2 budget optimizer of `dp-opt`, and
-//! 2. the **recovery map** from noisy observations back to workload
-//!    answers — generalized least squares, carried out in diagonal
+//! 1. its **group structure** (`C_r`, `s_r` per group and a group id per
+//!    observation row), which feeds the Step-2 budget optimizer of
+//!    `dp-opt`, and
+//! 2. its **maps**: the observation `z = S·x`, the sparse column a streamed
+//!    record adds to `z`, the recovery from noisy observations back to
+//!    workload answers, and the per-query variance prediction. Recovery is
+//!    generalized least squares, carried out in diagonal
 //!    Fourier-coefficient space (marginal strategies, Section 4.3), in
 //!    closed form through the Haar diagonalization (identity, tree and
 //!    wavelet range strategies), or by matrix-free conjugate gradients
-//!    over a [`dp_linalg::LinearOperator`] (sketches only).
+//!    (sketches only).
 //!
-//! [`ReleaseEngine`] owns everything shared: solving for uniform/optimal
-//! budgets, validating the achieved ε (Proposition 3.1), calibrating and
-//! drawing noise (parallelized over observation chunks with deterministic
-//! per-chunk substreams), and delegating recovery to the strategy.
+//! `Compiled` keeps (1) as two plain vectors and (2) as a `Kind`, a closed
+//! enum with one variant per strategy. Each map is one `match` over `Kind`
+//! that calls the per-family arithmetic of [`crate::release`] (marginals)
+//! and [`crate::range`] (ranges). Everything else is written once, here:
+//! solving for uniform or optimal budgets, re-validating the achieved ε
+//! (Proposition 3.1) on every release, and calibrating and drawing noise
+//! (parallel over observation chunks, with deterministic per-chunk
+//! substreams).
 
-use crate::CoreError;
+use crate::api::{Answers, WorkloadSpec};
+use crate::cluster::Clustering;
+use crate::fourier::{CoefficientSpace, ObservationOperator};
+use crate::mask::AttrMask;
+use crate::range::{haar_range_coeffs, RangeStrategy, RangeWorkload};
+use crate::table::marginalize_all;
+use crate::{range, release, CoreError};
+use dp_linalg::{haar_forward, haar_inverse, CsrMatrix, HierarchicalOperator, LinearOperator};
 use dp_mech::{
     add_gaussian_into, add_laplace_into, GaussianMechanism, LaplaceMechanism, Neighboring,
     NoiseMechanism, PrivacyLevel,
@@ -45,71 +55,6 @@ pub enum Budgeting {
     Optimal,
 }
 
-/// A strategy, reduced to exactly what the shared engine cannot provide:
-/// its group structure and its recovery map.
-///
-/// Implementations in this crate: the four marginal strategies of
-/// [`crate::release`] (identity, workload, Fourier, cluster) and the
-/// operator-backed range strategies of [`crate::range`].
-pub trait StrategyOperator {
-    /// What a recovery produces (consistent marginal tables for marginal
-    /// workloads, plain answer vectors for range workloads).
-    type Answer;
-
-    /// Number of observation rows `m` (rows of the strategy matrix `S`).
-    fn num_rows(&self) -> usize;
-
-    /// Per-group `(C_r, s_r)` for the budget optimizer, in group order.
-    fn group_specs(&self) -> &[GroupSpec];
-
-    /// Group id of each observation row (`len == num_rows()`, values index
-    /// into [`StrategyOperator::group_specs`]).
-    fn row_groups(&self) -> &[u32];
-
-    /// Recovers workload answers from noisy observations.
-    ///
-    /// `group_weights[r]` is the GLS weight (inverse noise variance) of
-    /// group `r`'s rows; groups with budget 0 carry weight 0 and were not
-    /// released — the engine zeroes their entries of `noisy` before the
-    /// call, so even a weights-unaware recovery cannot leak exact values.
-    fn recover(&self, noisy: &[f64], group_weights: &[f64]) -> Result<Self::Answer, CoreError>;
-}
-
-impl<T: StrategyOperator + ?Sized> StrategyOperator for Box<T> {
-    type Answer = T::Answer;
-
-    fn num_rows(&self) -> usize {
-        (**self).num_rows()
-    }
-
-    fn group_specs(&self) -> &[GroupSpec] {
-        (**self).group_specs()
-    }
-
-    fn row_groups(&self) -> &[u32] {
-        (**self).row_groups()
-    }
-
-    fn recover(&self, noisy: &[f64], group_weights: &[f64]) -> Result<Self::Answer, CoreError> {
-        (**self).recover(noisy, group_weights)
-    }
-}
-
-/// One release produced by the shared engine.
-#[derive(Debug, Clone)]
-pub struct EngineRelease<A> {
-    /// The recovered workload answers.
-    pub answer: A,
-    /// Per-group noise budgets `η_r` actually used.
-    pub group_budgets: Vec<f64>,
-    /// Predicted total output variance of the *initial* recovery `R₀` (the
-    /// Step-2 objective times the mechanism constant); the GLS recovery of
-    /// Step 3 can only improve on it.
-    pub predicted_variance: f64,
-    /// Achieved ε implied by the budgets (must be ≤ the requested ε).
-    pub achieved_epsilon: f64,
-}
-
 /// Noise chunk size: one RNG substream (and one unit of parallel work) per
 /// this many observation rows. Public because it is part of the replay
 /// contract of [`perturb_observations`] (and because the `hot_path` bench
@@ -117,248 +62,450 @@ pub struct EngineRelease<A> {
 /// implementation).
 pub const NOISE_CHUNK: usize = 4096;
 
-/// The shared Steps 2–3 driver over any [`StrategyOperator`].
-#[derive(Debug, Clone)]
-pub struct ReleaseEngine<S> {
-    strategy: S,
+/// What a strategy needs beyond its group structure: one variant per
+/// strategy, each carrying exactly the data its maps use.
+pub(crate) enum Kind {
+    /// Marginal `I`: observe every base cell; each target marginal
+    /// aggregates the noisy counts.
+    MarginalIdentity { d: usize, targets: Vec<AttrMask> },
+    /// Marginal `Q` (the workload itself) and `C` (cluster centroids, with
+    /// the clustering that answers each target from one centroid): observe
+    /// the cells of the observed marginals, recover by GLS in
+    /// coefficient space.
+    ObservedMarginals {
+        targets: Vec<AttrMask>,
+        observed: Vec<AttrMask>,
+        space: CoefficientSpace,
+        op: ObservationOperator,
+        clustering: Option<Clustering>,
+    },
+    /// Marginal `F`: observe each Fourier coefficient of the workload
+    /// support once, so GLS is the noisy coefficients themselves.
+    Fourier {
+        targets: Vec<AttrMask>,
+        space: CoefficientSpace,
+    },
+    /// Range `I`: observe the histogram.
+    RangeIdentity { workload: RangeWorkload },
+    /// Range `H`: observe the `2n − 1` dyadic node sums of the binary tree.
+    Hierarchical { workload: RangeWorkload },
+    /// Range `W`: observe the orthonormal Haar coefficients.
+    Wavelet { workload: RangeWorkload },
+    /// Range `S`: the sparse random projection, its transpose (row `j` is
+    /// the column a record at cell `j` adds) and the strategy parameters
+    /// (for the dense variance oracle).
+    Sketch {
+        workload: RangeWorkload,
+        strategy: RangeStrategy,
+        matrix: CsrMatrix,
+        columns: CsrMatrix,
+    },
 }
 
-impl<S: StrategyOperator + Sync> ReleaseEngine<S> {
-    /// Wraps a strategy, validating its internal consistency.
-    pub fn new(strategy: S) -> Result<Self, CoreError> {
-        let rows = strategy.num_rows();
-        if strategy.row_groups().len() != rows {
+/// A strategy compiled **without data** — what a [`crate::api::Plan`]
+/// embeds: the group structure for the budget optimizer and the
+/// strategy's maps.
+pub(crate) struct Compiled {
+    /// Per-group `(C_r, s_r)`, in group order.
+    specs: Vec<GroupSpec>,
+    /// Group id of each observation row (each names a group); its length
+    /// is the row count `m`.
+    row_groups: Vec<u32>,
+    kind: Kind,
+}
+
+impl Compiled {
+    /// Compiles the strategy of a spec (for `C`, this runs the cluster
+    /// search). No data is consulted.
+    pub(crate) fn build(spec: &WorkloadSpec) -> Result<Compiled, CoreError> {
+        let (specs, row_groups, kind) = match spec {
+            WorkloadSpec::Marginals {
+                workload,
+                strategy,
+                cluster,
+            } => release::compile(workload, *strategy, *cluster)?,
+            WorkloadSpec::Ranges { workload, strategy } => range::compile(workload, *strategy)?,
+        };
+        Compiled::new(specs, row_groups, kind)
+    }
+
+    /// Assembles a compiled strategy, refusing a row-group vector that is
+    /// not one entry per observation row, or whose ids name no group.
+    fn new(specs: Vec<GroupSpec>, row_groups: Vec<u32>, kind: Kind) -> Result<Compiled, CoreError> {
+        let rows = match &kind {
+            Kind::MarginalIdentity { d, .. } => 1usize << d,
+            Kind::ObservedMarginals { op, .. } => op.num_cells(),
+            Kind::Fourier { space, .. } => space.len(),
+            Kind::RangeIdentity { workload } | Kind::Wavelet { workload } => workload.domain(),
+            Kind::Hierarchical { workload } => 2 * workload.domain() - 1,
+            Kind::Sketch { matrix, .. } => matrix.rows(),
+        };
+        if row_groups.len() != rows {
             return Err(CoreError::Shape {
-                context: "engine row_groups",
+                context: "strategy row groups",
                 expected: rows,
-                actual: strategy.row_groups().len(),
+                actual: row_groups.len(),
             });
         }
-        let groups = strategy.group_specs().len();
-        if let Some(&bad) = strategy
-            .row_groups()
-            .iter()
-            .find(|&&g| g as usize >= groups)
-        {
+        if let Some(&bad) = row_groups.iter().find(|&&g| g as usize >= specs.len()) {
             return Err(CoreError::Shape {
-                context: "engine group id",
-                expected: groups,
+                context: "strategy group id",
+                expected: specs.len(),
                 actual: bad as usize,
             });
         }
-        Ok(ReleaseEngine { strategy })
+        Ok(Compiled {
+            specs,
+            row_groups,
+            kind,
+        })
     }
 
-    /// The wrapped strategy.
-    pub fn strategy(&self) -> &S {
-        &self.strategy
+    /// Per-group `(C_r, s_r)` for the budget optimizer, in group order.
+    pub(crate) fn specs(&self) -> &[GroupSpec] {
+        &self.specs
     }
 
-    /// Solves Step 2 for a privacy level and budgeting mode (no noise drawn).
-    pub fn solve_budgets(
-        &self,
-        privacy: PrivacyLevel,
-        budgeting: Budgeting,
-    ) -> Result<BudgetSolution, CoreError> {
-        privacy.validate()?;
-        let eps = privacy.epsilon();
-        let specs = self.strategy.group_specs();
-        let sol = match (privacy, budgeting) {
-            (PrivacyLevel::Pure { .. }, Budgeting::Uniform) => uniform_group_budgets(specs, eps)?,
-            (PrivacyLevel::Pure { .. }, Budgeting::Optimal) => optimal_group_budgets(specs, eps)?,
-            (PrivacyLevel::Approx { .. }, Budgeting::Uniform) => {
-                uniform_group_budgets_gaussian(specs, eps)?
-            }
-            (PrivacyLevel::Approx { .. }, Budgeting::Optimal) => {
-                optimal_group_budgets_gaussian(specs, eps)?
-            }
-        };
-        Ok(sol)
-    }
-
-    /// The ε achieved by concrete group budgets: every column of a grouped
-    /// strategy has exactly one entry of magnitude `C_r` per group, so the
-    /// pure-DP constraint value is `Σ_r C_r η_r` and the approximate-DP one
-    /// is `√(Σ_r C_r² η_r²)` (Proposition 3.1).
-    pub fn achieved_epsilon(&self, privacy: PrivacyLevel, budgets: &[f64]) -> f64 {
-        let specs = self.strategy.group_specs();
-        match privacy {
-            PrivacyLevel::Pure { .. } => specs.iter().zip(budgets).map(|(g, &e)| g.c * e).sum(),
-            PrivacyLevel::Approx { .. } => specs
-                .iter()
-                .zip(budgets)
-                .map(|(g, &e)| g.c * g.c * e * e)
-                .sum::<f64>()
-                .sqrt(),
+    /// The greedy clustering of a `C` strategy.
+    pub(crate) fn clustering(&self) -> Option<&Clustering> {
+        match &self.kind {
+            Kind::ObservedMarginals { clustering, .. } => clustering.as_ref(),
+            _ => None,
         }
     }
 
-    /// Runs Steps 2–3 for one release at a budget solution computed by
-    /// [`ReleaseEngine::solve_budgets`] (e.g. at plan time): calibrated
-    /// per-row noise on `observations` (the exact strategy answers
-    /// `z = S x`) and the strategy's GLS recovery. Repeated releases from
-    /// one plan skip the Step-2 solve and are guaranteed to draw noise at
-    /// the exact budgets the plan published.
-    ///
-    /// Noise is drawn in `NOISE_CHUNK`-row chunks, each from its own
-    /// [`StdRng`] substream seeded sequentially from `rng` — so the output
-    /// is deterministic in `rng`'s seed regardless of how many threads the
-    /// chunks land on.
-    ///
-    /// Scratch buffers come from a process-wide pool, so K releases (e.g.
-    /// a `release_batch` fan-out) allocate O(workers) buffers rather than
-    /// O(K); callers that want explicit control use
-    /// [`ReleaseEngine::release_into`].
-    pub fn release_with_solution<R: Rng + ?Sized>(
-        &self,
-        observations: &[f64],
-        privacy: PrivacyLevel,
-        solution: &BudgetSolution,
-        neighboring: Neighboring,
-        rng: &mut R,
-    ) -> Result<EngineRelease<S::Answer>, CoreError> {
-        let mut scratch = acquire_scratch();
-        let out = self.release_into(
-            observations,
-            privacy,
-            solution,
-            neighboring,
-            rng,
-            &mut scratch,
-        );
-        recycle_scratch(scratch);
-        out
+    /// The exact observations `z = S·x` of a data vector (contingency
+    /// counts or histogram, of the spec's domain size) — the one
+    /// data-dependent step, run once per bind.
+    pub(crate) fn observe(&self, x: &[f64]) -> Result<Vec<f64>, CoreError> {
+        Ok(match &self.kind {
+            Kind::MarginalIdentity { .. } | Kind::RangeIdentity { .. } => x.to_vec(),
+            Kind::ObservedMarginals {
+                observed, space, ..
+            } => marginalize_all(x, space.domain_bits(), observed)
+                .iter()
+                .flat_map(|m| m.values().iter().copied())
+                .collect(),
+            Kind::Fourier { targets, space } => release::fourier_observations(x, space, targets)?,
+            Kind::Hierarchical { workload } => {
+                HierarchicalOperator::new(workload.domain()).apply(x)
+            }
+            Kind::Wavelet { .. } => {
+                let mut z = x.to_vec();
+                haar_forward(&mut z);
+                z
+            }
+            Kind::Sketch { matrix, .. } => matrix.apply(x),
+        })
     }
 
-    /// [`ReleaseEngine::release_with_solution`] over caller-provided
-    /// scratch: the noisy-observation buffer, substream seeds, budgets,
-    /// weights, and noise parameters are all written into `scratch`'s
-    /// reusable arenas, so a hot loop that holds one [`ReleaseScratch`] per
-    /// worker performs no per-release buffer allocations in the engine
-    /// (only the recovered answer itself is freshly allocated — it is the
-    /// output).
-    pub fn release_into<R: Rng + ?Sized>(
+    /// Adds `delta` records at data cell `cell` (inside the domain) to
+    /// observations `z`: since `z = S·x` is linear in `x`, that is
+    /// `z += delta · S[·, cell]`, the strategy's sparse column — O(1) for
+    /// identities, O(#observed marginals), O(|support|) or O(log n) for the
+    /// structured strategies, O(column nnz) for sketches; never O(domain).
+    pub(crate) fn apply_delta(&self, z: &mut [f64], cell: u64, delta: f64) {
+        let j = cell as usize;
+        match &self.kind {
+            Kind::MarginalIdentity { .. } | Kind::RangeIdentity { .. } => z[j] += delta,
+            Kind::ObservedMarginals { observed, .. } => {
+                // A record lands in exactly one cell of each observed
+                // marginal: the one indexed by its bits under α.
+                let mut offset = 0usize;
+                for &alpha in observed {
+                    z[offset + alpha.compress_cell(cell & alpha.0)] += delta;
+                    offset += alpha.cell_count();
+                }
+            }
+            Kind::Fourier { space, .. } => {
+                // fᵝ(cell) = (−1)^{⟨β,cell⟩} · 2^{−d/2} for every β in the
+                // support (the column of the Fourier observation matrix).
+                let scale = 2f64.powf(-(space.domain_bits() as f64) / 2.0);
+                let cell_mask = AttrMask(cell);
+                for (i, &beta) in space.support().iter().enumerate() {
+                    z[i] += delta * cell_mask.sign(beta) * scale;
+                }
+            }
+            Kind::Hierarchical { workload } => {
+                // Level ℓ contributes row `2^ℓ − 1 + (j >> (levels − ℓ))`,
+                // the dyadic block of width `n/2^ℓ` containing `j`.
+                let levels = workload.domain().trailing_zeros() as usize;
+                for level in 0..=levels {
+                    z[(1usize << level) - 1 + (j >> (levels - level))] += delta;
+                }
+            }
+            Kind::Wavelet { workload } => {
+                for (i, c) in haar_range_coeffs(workload.domain(), j, j + 1) {
+                    z[i] += delta * c;
+                }
+            }
+            Kind::Sketch { columns, .. } => {
+                for (i, v) in columns.row_entries(j) {
+                    z[i] += delta * v;
+                }
+            }
+        }
+    }
+
+    /// Recovers workload answers from noisy observations. `group_weights[r]`
+    /// is the GLS weight (inverse noise variance) of group `r`'s rows;
+    /// withheld groups carry weight 0 and arrive zeroed.
+    pub(crate) fn recover(
+        &self,
+        noisy: &[f64],
+        group_weights: &[f64],
+    ) -> Result<Answers, CoreError> {
+        let rows = &self.row_groups;
+        Ok(match &self.kind {
+            // `x̂ = z` is the GLS estimate for S = I; aggregating one noisy
+            // table is automatically consistent.
+            Kind::MarginalIdentity { d, targets } => {
+                Answers::Marginals(marginalize_all(noisy, *d, targets))
+            }
+            Kind::ObservedMarginals {
+                targets, space, op, ..
+            } => {
+                let coeffs = op.gls_solve(noisy, group_weights)?;
+                Answers::Marginals(release::reconstruct(space, &coeffs, targets)?)
+            }
+            Kind::Fourier { targets, space } => {
+                Answers::Marginals(release::reconstruct(space, noisy, targets)?)
+            }
+            Kind::RangeIdentity { workload } => Answers::Ranges(workload.true_answers(noisy)?),
+            Kind::Hierarchical { workload } => {
+                let x = range::tree_gls(workload.domain(), noisy, rows, group_weights);
+                Answers::Ranges(workload.true_answers(&x)?)
+            }
+            Kind::Wavelet { workload } => {
+                // `S = H` is square and orthonormal: the weights cancel.
+                let mut x = noisy.to_vec();
+                haar_inverse(&mut x);
+                Answers::Ranges(workload.true_answers(&x)?)
+            }
+            Kind::Sketch {
+                workload, matrix, ..
+            } => {
+                let x = range::sketch_gls(matrix, noisy, rows, group_weights)?;
+                Answers::Ranges(workload.true_answers(&x)?)
+            }
+        })
+    }
+
+    /// Per-query output variances, in workload order, given the per-group
+    /// noise variances `group_sigma2`: the initial recovery `R₀`'s
+    /// per-marginal variances for marginal strategies (they sum to the
+    /// Step-2 objective times the mechanism constant), the exact GLS
+    /// variances for range strategies.
+    pub(crate) fn predict_query_variances(
+        &self,
+        group_sigma2: &[f64],
+    ) -> Result<Vec<f64>, CoreError> {
+        Ok(match &self.kind {
+            // Each marginal cell sums 2^{d−‖α‖} base cells of variance σ₀²;
+            // over 2^{‖α‖} cells: 2^d σ₀² per marginal.
+            Kind::MarginalIdentity { d, targets } => {
+                vec![(1u64 << d) as f64 * group_sigma2[0]; targets.len()]
+            }
+            // Target α is answered from observed marginal u (itself for
+            // `Q`): each of its 2^{‖α‖} cells sums 2^{‖u‖−‖α‖} cells of u,
+            // so 2^{‖u‖} σ_u² in total.
+            Kind::ObservedMarginals {
+                targets,
+                observed,
+                clustering,
+                ..
+            } => (0..targets.len())
+                .map(|i| {
+                    let g = clustering.as_ref().map_or(i, |c| c.assignment()[i]);
+                    observed[g].cell_count() as f64 * group_sigma2[g]
+                })
+                .collect(),
+            Kind::Fourier { targets, space } => {
+                release::fourier_variances(space, targets, group_sigma2)
+            }
+            Kind::RangeIdentity { workload } => workload
+                .ranges()
+                .iter()
+                .map(|&(lo, hi)| (hi - lo) as f64 * group_sigma2[0])
+                .collect(),
+            Kind::Hierarchical { workload } => {
+                let n = workload.domain();
+                let weights: Vec<f64> = group_sigma2.iter().map(|&v| 1.0 / v).collect();
+                let lam = range::tree_haar_eigenvalues(n, &weights);
+                range::haar_variances(workload, |c2, level| c2 / lam[level])
+            }
+            Kind::Wavelet { workload } => {
+                range::haar_variances(workload, |c2, level| c2 * group_sigma2[level])
+            }
+            Kind::Sketch {
+                workload, strategy, ..
+            } => range::dense_variances(workload, *strategy, &self.row_groups, group_sigma2)?,
+        })
+    }
+
+    /// One release at a solved budget solution (Steps 2.5–3): the
+    /// per-release budgets and their re-checked ε, calibrated noise on the
+    /// exact `observations`, and the strategy's weighted recovery. Returns
+    /// the answers, the budgets used and the achieved ε.
+    ///
+    /// Noise is drawn in `NOISE_CHUNK`-row chunks, each from its own
+    /// [`StdRng`] substream seeded sequentially from `rng`, so the output
+    /// is a pure function of `rng`'s seed whatever the thread count. The
+    /// working buffers come from a process-wide pool, so a batch of K
+    /// releases allocates O(workers) of them rather than O(K).
+    pub(crate) fn release<R: Rng + ?Sized>(
         &self,
         observations: &[f64],
         privacy: PrivacyLevel,
         solution: &BudgetSolution,
         neighboring: Neighboring,
         rng: &mut R,
-        scratch: &mut ReleaseScratch,
-    ) -> Result<EngineRelease<S::Answer>, CoreError> {
-        if observations.len() != self.strategy.num_rows() {
+    ) -> Result<(Answers, Vec<f64>, f64), CoreError> {
+        if observations.len() != self.row_groups.len() {
             return Err(CoreError::Shape {
-                context: "engine observations",
-                expected: self.strategy.num_rows(),
+                context: "release observations",
+                expected: self.row_groups.len(),
                 actual: observations.len(),
             });
         }
-        if solution.group_budgets.len() != self.strategy.group_specs().len() {
-            return Err(CoreError::Shape {
-                context: "engine budget solution",
-                expected: self.strategy.group_specs().len(),
-                actual: solution.group_budgets.len(),
-            });
+        let (budgets, achieved) = release_budgets(&self.specs, privacy, solution, neighboring)?;
+        let mut scratch = SCRATCH_POOL
+            .lock()
+            .map(|mut pool| pool.pop())
+            .ok()
+            .flatten()
+            .unwrap_or_default();
+        scratch.perturb(observations, &self.row_groups, privacy, &budgets, rng);
+        let answers = self.recover(&scratch.noisy, &scratch.weights);
+        if let Ok(mut pool) = SCRATCH_POOL.lock() {
+            if pool.len() < SCRATCH_POOL_CAP {
+                pool.push(scratch);
+            }
         }
-        let factor = neighboring.sensitivity_factor();
-        scratch.budgets.clear();
-        scratch
-            .budgets
-            .extend(solution.group_budgets.iter().map(|&e| e / factor));
+        Ok((answers?, budgets, achieved))
+    }
+}
 
-        // Defense in depth: re-derive the achieved ε and fail loudly if the
-        // optimizer ever produced an infeasible allocation.
-        let achieved = self.achieved_epsilon(privacy, &scratch.budgets) * factor;
-        if achieved > privacy.epsilon() * (1.0 + 1e-9) {
-            return Err(CoreError::InfeasibleBudgets {
-                achieved,
-                requested: privacy.epsilon(),
-            });
+/// Solves Step 2 over a strategy's group specs for a privacy level and
+/// budgeting mode (no noise drawn).
+pub(crate) fn solve_budgets(
+    specs: &[GroupSpec],
+    privacy: PrivacyLevel,
+    budgeting: Budgeting,
+) -> Result<BudgetSolution, CoreError> {
+    privacy.validate()?;
+    let eps = privacy.epsilon();
+    let sol = match (privacy, budgeting) {
+        (PrivacyLevel::Pure { .. }, Budgeting::Uniform) => uniform_group_budgets(specs, eps)?,
+        (PrivacyLevel::Pure { .. }, Budgeting::Optimal) => optimal_group_budgets(specs, eps)?,
+        (PrivacyLevel::Approx { .. }, Budgeting::Uniform) => {
+            uniform_group_budgets_gaussian(specs, eps)?
         }
-        let predicted_variance = mechanism_factor(privacy) * solution.objective * factor * factor;
+        (PrivacyLevel::Approx { .. }, Budgeting::Optimal) => {
+            optimal_group_budgets_gaussian(specs, eps)?
+        }
+    };
+    Ok(sol)
+}
 
-        // Step "2.5": per-row noise at the group budgets — fused into one
-        // in-place pass over the scratch buffer, chunk-parallel.
-        scratch.params.compute_into(privacy, &scratch.budgets);
+/// The ε achieved by concrete group budgets: every column of a grouped
+/// strategy has exactly one entry of magnitude `C_r` per group, so the
+/// pure-DP constraint value is `Σ_r C_r η_r` and the approximate-DP one is
+/// `√(Σ_r C_r² η_r²)` (Proposition 3.1).
+fn achieved_epsilon(specs: &[GroupSpec], privacy: PrivacyLevel, budgets: &[f64]) -> f64 {
+    match privacy {
+        PrivacyLevel::Pure { .. } => specs.iter().zip(budgets).map(|(g, &e)| g.c * e).sum(),
+        PrivacyLevel::Approx { .. } => specs
+            .iter()
+            .zip(budgets)
+            .map(|(g, &e)| g.c * g.c * e * e)
+            .sum::<f64>()
+            .sqrt(),
+    }
+}
+
+/// The budgets a release draws at — the solution's `η_r` divided by the
+/// neighbouring sensitivity factor — and the ε they achieve. Fails loudly
+/// if the allocation is infeasible: checked when a plan is finished and
+/// again, as defense in depth, on every release.
+pub(crate) fn release_budgets(
+    specs: &[GroupSpec],
+    privacy: PrivacyLevel,
+    solution: &BudgetSolution,
+    neighboring: Neighboring,
+) -> Result<(Vec<f64>, f64), CoreError> {
+    if solution.group_budgets.len() != specs.len() {
+        return Err(CoreError::Shape {
+            context: "budget solution",
+            expected: specs.len(),
+            actual: solution.group_budgets.len(),
+        });
+    }
+    let factor = neighboring.sensitivity_factor();
+    let budgets: Vec<f64> = solution.group_budgets.iter().map(|&e| e / factor).collect();
+    let achieved = achieved_epsilon(specs, privacy, &budgets) * factor;
+    if achieved > privacy.epsilon() * (1.0 + 1e-9) {
+        return Err(CoreError::InfeasibleBudgets {
+            achieved,
+            requested: privacy.epsilon(),
+        });
+    }
+    Ok((budgets, achieved))
+}
+
+/// Reusable buffers of one in-flight release: the noise parameters, the
+/// noisy-observation vector (`m` rows), the per-chunk substream seeds and
+/// the per-group GLS weights.
+#[derive(Debug, Default)]
+struct Scratch {
+    params: NoiseParams,
+    noisy: Vec<f64>,
+    seeds: Vec<u64>,
+    weights: Vec<f64>,
+}
+
+impl Scratch {
+    /// Calibrated noise at per-group `budgets` on `observations` into
+    /// `self.noisy` (withheld groups zeroed), and the GLS weights — inverse
+    /// noise variances, 0 for withheld groups — into `self.weights`.
+    fn perturb<R: Rng + ?Sized>(
+        &mut self,
+        observations: &[f64],
+        row_groups: &[u32],
+        privacy: PrivacyLevel,
+        budgets: &[f64],
+        rng: &mut R,
+    ) {
+        self.params.compute_into(privacy, budgets);
         perturb_observations_into(
             observations,
-            self.strategy.row_groups(),
-            &scratch.params,
+            row_groups,
+            &self.params,
             rng,
-            &mut scratch.noisy,
-            &mut scratch.seeds,
+            &mut self.noisy,
+            &mut self.seeds,
         );
-
-        // Step 3: the strategy's recovery, weighted by inverse variances.
-        scratch.weights.clear();
-        scratch.weights.extend(scratch.budgets.iter().map(|&eta| {
+        self.weights.clear();
+        self.weights.extend(budgets.iter().map(|&eta| {
             if eta > 0.0 {
                 1.0 / noise_variance(privacy, eta)
             } else {
                 0.0
             }
         }));
-        let answer = self.strategy.recover(&scratch.noisy, &scratch.weights)?;
-
-        Ok(EngineRelease {
-            answer,
-            group_budgets: scratch.budgets.clone(),
-            predicted_variance,
-            achieved_epsilon: achieved,
-        })
     }
 }
 
-/// Reusable buffers for one in-flight release: the noisy-observation vector
-/// (`m` rows), the per-chunk substream seeds, and the per-group budget,
-/// weight, and noise-parameter vectors. Acquire one per worker and pass it
-/// to [`ReleaseEngine::release_into`] to make repeated releases
-/// allocation-free inside the engine.
-#[derive(Debug, Default)]
-pub struct ReleaseScratch {
-    budgets: Vec<f64>,
-    weights: Vec<f64>,
-    params: NoiseParams,
-    noisy: Vec<f64>,
-    seeds: Vec<u64>,
-}
-
-impl ReleaseScratch {
-    /// An empty scratch arena; buffers grow on first use and are reused
-    /// afterwards.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// Process-wide pool backing [`ReleaseEngine::release_with_solution`]. A
-/// plain mutexed free-list (one uncontended lock/unlock pair per release,
-/// trivial next to the release itself) rather than a thread-local: rayon
-/// workers blocked in a parallel section can steal and run another
-/// release's closure on the same OS thread, which would alias a
-/// thread-local arena mid-release.
-static SCRATCH_POOL: Mutex<Vec<ReleaseScratch>> = Mutex::new(Vec::new());
+/// Process-wide pool of release scratch. A plain mutexed free-list (one
+/// uncontended lock/unlock pair per release, trivial next to the release
+/// itself) rather than a thread-local: rayon workers blocked in a parallel
+/// section can steal and run another release's closure on the same OS
+/// thread, which would alias a thread-local arena mid-release.
+static SCRATCH_POOL: Mutex<Vec<Scratch>> = Mutex::new(Vec::new());
 
 /// Upper bound on pooled arenas, so a one-off wide fan-out cannot pin an
 /// unbounded amount of buffer memory for the life of the process.
 const SCRATCH_POOL_CAP: usize = 64;
-
-fn acquire_scratch() -> ReleaseScratch {
-    SCRATCH_POOL
-        .lock()
-        .map(|mut pool| pool.pop())
-        .ok()
-        .flatten()
-        .unwrap_or_default()
-}
-
-fn recycle_scratch(scratch: ReleaseScratch) {
-    if let Ok(mut pool) = SCRATCH_POOL.lock() {
-        if pool.len() < SCRATCH_POOL_CAP {
-            pool.push(scratch);
-        }
-    }
-}
 
 /// The mechanism's constant factor relating the Step-2 objective
 /// `Σ s_r/η_r²` to an output variance.
@@ -440,7 +587,7 @@ impl NoiseParams {
 /// chunk-parallel with deterministic per-chunk substreams. Rows of groups
 /// with budget 0 are **withheld** — zeroed, not passed through — so a
 /// recovery that forgets to honour its zero weights can never leak exact
-/// private values (the engine enforces this, not each plugin).
+/// private values (the shared pipeline enforces this, not each strategy).
 ///
 /// Public so oracle tests can replay the exact noise a release drew: the
 /// chunk seeds are the first `⌈m/NOISE_CHUNK⌉` `u64`s of `rng` (at least
@@ -448,7 +595,7 @@ impl NoiseParams {
 /// [`StdRng`] seeded with its seed.
 ///
 /// This is a convenience wrapper over [`perturb_observations_into`] that
-/// allocates fresh buffers; the engine's hot path reuses scratch instead.
+/// allocates fresh buffers; the release path reuses pooled scratch instead.
 pub fn perturb_observations<R: Rng + ?Sized>(
     observations: &[f64],
     row_groups: &[u32],
@@ -568,151 +715,130 @@ fn assert_chunk_pass_covered_every_row(
 mod tests {
     use super::*;
 
-    /// A toy strategy: two groups, identity recovery (answers = noisy rows).
-    struct Echo {
-        specs: Vec<GroupSpec>,
-        rows: Vec<u32>,
+    /// Two groups of two rows each; group 0 carries four times the
+    /// recovery weight of group 1.
+    fn specs() -> Vec<GroupSpec> {
+        vec![GroupSpec { c: 1.0, s: 4.0 }, GroupSpec { c: 1.0, s: 1.0 }]
     }
 
-    impl StrategyOperator for Echo {
-        type Answer = Vec<f64>;
+    const ROWS: [u32; 4] = [0, 0, 1, 1];
 
-        fn num_rows(&self) -> usize {
-            self.rows.len()
-        }
-
-        fn group_specs(&self) -> &[GroupSpec] {
-            &self.specs
-        }
-
-        fn row_groups(&self) -> &[u32] {
-            &self.rows
-        }
-
-        fn recover(&self, noisy: &[f64], _w: &[f64]) -> Result<Vec<f64>, CoreError> {
-            Ok(noisy.to_vec())
-        }
+    /// The noise a release at `privacy`'s optimal budgets draws for `seed`.
+    fn perturbed(seed: u64, observations: &[f64], privacy: PrivacyLevel) -> Scratch {
+        let solution = solve_budgets(&specs(), privacy, Budgeting::Optimal).unwrap();
+        let (budgets, _) =
+            release_budgets(&specs(), privacy, &solution, Neighboring::AddRemove).unwrap();
+        let mut scratch = Scratch::default();
+        let mut rng = StdRng::seed_from_u64(seed);
+        scratch.perturb(observations, &ROWS, privacy, &budgets, &mut rng);
+        scratch
     }
 
-    /// Steps 2–3 in one call: solve the budgets, then release at them.
-    fn release(
-        engine: &ReleaseEngine<Echo>,
-        observations: &[f64],
-        privacy: PrivacyLevel,
-        budgeting: Budgeting,
-        neighboring: Neighboring,
-        rng: &mut StdRng,
-    ) -> Result<EngineRelease<Vec<f64>>, CoreError> {
-        let solution = engine.solve_budgets(privacy, budgeting)?;
-        engine.release_with_solution(observations, privacy, &solution, neighboring, rng)
-    }
-
-    fn echo() -> Echo {
-        Echo {
-            specs: vec![GroupSpec { c: 1.0, s: 4.0 }, GroupSpec { c: 1.0, s: 1.0 }],
-            rows: vec![0, 0, 1, 1],
-        }
+    /// A compiled range-identity strategy over `n` cells.
+    fn range_identity(n: usize) -> Compiled {
+        Compiled::build(&WorkloadSpec::Ranges {
+            workload: RangeWorkload::all_prefixes(n).unwrap(),
+            strategy: RangeStrategy::Identity,
+        })
+        .unwrap()
     }
 
     #[test]
-    fn engine_releases_are_deterministic_per_seed() {
-        let engine = ReleaseEngine::new(echo()).unwrap();
-        let obs = vec![10.0, 20.0, 30.0, 40.0];
+    fn noise_is_deterministic_per_seed() {
+        let obs = [10.0, 20.0, 30.0, 40.0];
         let p = PrivacyLevel::Pure { epsilon: 1.0 };
-        let run = |seed: u64| {
+        let a = perturbed(9, &obs, p);
+        let b = perturbed(9, &obs, p);
+        assert_eq!(a.noisy, b.noisy);
+        assert_eq!(a.weights, b.weights);
+        assert_ne!(a.noisy, perturbed(10, &obs, p).noisy);
+        // The same holds for a real strategy's release, recovery included.
+        let compiled = range_identity(4);
+        let solution = solve_budgets(&compiled.specs, p, Budgeting::Optimal).unwrap();
+        let release = |seed: u64| {
             let mut rng = StdRng::seed_from_u64(seed);
-            release(
-                &engine,
-                &obs,
-                p,
-                Budgeting::Optimal,
-                Neighboring::AddRemove,
-                &mut rng,
-            )
-            .unwrap()
+            let (answers, _, _) = compiled
+                .release(&obs, p, &solution, Neighboring::AddRemove, &mut rng)
+                .unwrap();
+            answers.into_ranges().unwrap()
         };
-        let a = run(9);
-        let b = run(9);
-        assert_eq!(a.answer, b.answer);
-        assert_eq!(a.group_budgets, b.group_budgets);
-        let c = run(10);
-        assert_ne!(a.answer, c.answer);
+        assert_eq!(release(9), release(9));
+        assert_ne!(release(9), release(10));
     }
 
     #[test]
     fn achieved_epsilon_is_tight_and_validated() {
-        let engine = ReleaseEngine::new(echo()).unwrap();
-        let obs = vec![0.0; 4];
-        let mut rng = StdRng::seed_from_u64(1);
-        let r = release(
-            &engine,
-            &obs,
-            PrivacyLevel::Pure { epsilon: 0.7 },
-            Budgeting::Optimal,
-            Neighboring::AddRemove,
-            &mut rng,
-        )
-        .unwrap();
-        assert!((r.achieved_epsilon - 0.7).abs() < 1e-9);
-        assert!(r.predicted_variance > 0.0);
+        let p = PrivacyLevel::Pure { epsilon: 0.7 };
+        let mut solution = solve_budgets(&specs(), p, Budgeting::Optimal).unwrap();
+        let (_, achieved) =
+            release_budgets(&specs(), p, &solution, Neighboring::AddRemove).unwrap();
+        assert!((achieved - 0.7).abs() < 1e-9);
+        assert!(solution.objective > 0.0);
+        // An allocation that overspends is refused, not released.
+        solution.group_budgets[0] *= 2.0;
+        assert!(matches!(
+            release_budgets(&specs(), p, &solution, Neighboring::AddRemove),
+            Err(CoreError::InfeasibleBudgets { .. })
+        ));
     }
 
     #[test]
     fn shape_mismatches_are_rejected() {
-        let engine = ReleaseEngine::new(echo()).unwrap();
+        let p = PrivacyLevel::Pure { epsilon: 1.0 };
+        let compiled = range_identity(4);
+        let solution = solve_budgets(&compiled.specs, p, Budgeting::Uniform).unwrap();
         let mut rng = StdRng::seed_from_u64(2);
         assert!(matches!(
-            release(
-                &engine,
-                &[1.0; 3],
-                PrivacyLevel::Pure { epsilon: 1.0 },
-                Budgeting::Uniform,
-                Neighboring::AddRemove,
-                &mut rng,
-            ),
+            compiled.release(&[1.0; 3], p, &solution, Neighboring::AddRemove, &mut rng),
             Err(CoreError::Shape { .. })
         ));
-        let bad = Echo {
-            specs: vec![GroupSpec { c: 1.0, s: 1.0 }],
-            rows: vec![0, 1],
+        let two_groups = solve_budgets(&specs(), p, Budgeting::Uniform).unwrap();
+        assert!(matches!(
+            compiled.release(&[1.0; 4], p, &two_groups, Neighboring::AddRemove, &mut rng),
+            Err(CoreError::Shape { .. })
+        ));
+        // A row group id that names no group, or a row-group vector not one
+        // entry per observation row, is refused at build.
+        let kind = || Kind::RangeIdentity {
+            workload: RangeWorkload::all_prefixes(2).unwrap(),
         };
-        assert!(ReleaseEngine::new(bad).is_err());
+        let one_group = || vec![GroupSpec { c: 1.0, s: 1.0 }];
+        assert!(matches!(
+            Compiled::new(one_group(), vec![0, 1], kind()),
+            Err(CoreError::Shape { .. })
+        ));
+        assert!(matches!(
+            Compiled::new(one_group(), vec![0, 0, 0], kind()),
+            Err(CoreError::Shape { .. })
+        ));
+        assert!(Compiled::new(one_group(), vec![0, 0], kind()).is_ok());
     }
 
     #[test]
     fn zero_weight_groups_are_withheld_not_leaked() {
-        let engine = ReleaseEngine::new(Echo {
-            specs: vec![GroupSpec { c: 1.0, s: 4.0 }, GroupSpec { c: 1.0, s: 0.0 }],
-            rows: vec![0, 0, 1, 1],
-        })
-        .unwrap();
-        let obs = vec![5.0, 6.0, 7.0, 8.0];
-        let mut rng = StdRng::seed_from_u64(3);
-        let r = release(
-            &engine,
-            &obs,
-            PrivacyLevel::Pure { epsilon: 1.0 },
-            Budgeting::Optimal,
-            Neighboring::AddRemove,
-            &mut rng,
-        )
-        .unwrap();
+        let specs = [GroupSpec { c: 1.0, s: 4.0 }, GroupSpec { c: 1.0, s: 0.0 }];
+        let p = PrivacyLevel::Pure { epsilon: 1.0 };
+        let solution = solve_budgets(&specs, p, Budgeting::Optimal).unwrap();
+        let (budgets, _) = release_budgets(&specs, p, &solution, Neighboring::AddRemove).unwrap();
+        let obs = [5.0, 6.0, 7.0, 8.0];
+        let mut scratch = Scratch::default();
+        scratch.perturb(&obs, &ROWS, p, &budgets, &mut StdRng::seed_from_u64(3));
         // Group 1 has zero recovery weight → budget 0 → its rows are
-        // zeroed by the engine, so even this weights-unaware echo recovery
-        // cannot leak the exact values 7.0/8.0.
-        assert_eq!(r.group_budgets[1], 0.0);
-        assert_eq!(&r.answer[2..], &[0.0, 0.0]);
-        assert_ne!(&r.answer[..2], &[5.0, 6.0]);
+        // zeroed before any recovery sees them, so the exact values
+        // 7.0/8.0 cannot leak, and they get GLS weight 0.
+        assert_eq!(budgets[1], 0.0);
+        assert_eq!(&scratch.noisy[2..], &[0.0, 0.0]);
+        assert_ne!(&scratch.noisy[..2], &[5.0, 6.0]);
+        assert_eq!(scratch.weights[1], 0.0);
+        assert!(scratch.weights[0] > 0.0);
     }
 
     #[test]
     fn scratch_reuse_is_byte_identical_to_fresh_buffers() {
-        // Interleave releases with different seeds, observations, and
+        // Interleave perturbations with different seeds, observations and
         // privacy levels through ONE reused scratch arena; each must match
-        // the pooled release_with_solution path bit-for-bit — proving no
-        // stale state survives between releases.
-        let engine = ReleaseEngine::new(echo()).unwrap();
-        let mut scratch = ReleaseScratch::new();
+        // fresh buffers bit-for-bit — proving no stale state survives.
+        let mut reused = Scratch::default();
         let cases: [(u64, [f64; 4], PrivacyLevel); 4] = [
             (
                 1,
@@ -735,26 +861,15 @@ mod tests {
             (7, [0.0, 0.0, 0.0, 0.0], PrivacyLevel::Pure { epsilon: 0.3 }),
         ];
         for (seed, obs, privacy) in cases {
-            let solution = engine.solve_budgets(privacy, Budgeting::Optimal).unwrap();
+            let solution = solve_budgets(&specs(), privacy, Budgeting::Optimal).unwrap();
+            let (budgets, _) =
+                release_budgets(&specs(), privacy, &solution, Neighboring::AddRemove).unwrap();
             let mut rng = StdRng::seed_from_u64(seed);
-            let reused = engine
-                .release_into(
-                    &obs,
-                    privacy,
-                    &solution,
-                    Neighboring::AddRemove,
-                    &mut rng,
-                    &mut scratch,
-                )
-                .unwrap();
-            let mut rng = StdRng::seed_from_u64(seed);
-            let fresh = engine
-                .release_with_solution(&obs, privacy, &solution, Neighboring::AddRemove, &mut rng)
-                .unwrap();
-            assert_eq!(reused.answer, fresh.answer);
-            assert_eq!(reused.group_budgets, fresh.group_budgets);
-            assert_eq!(reused.achieved_epsilon, fresh.achieved_epsilon);
-            assert_eq!(reused.predicted_variance, fresh.predicted_variance);
+            reused.perturb(&obs, &ROWS, privacy, &budgets, &mut rng);
+            let fresh = perturbed(seed, &obs, privacy);
+            assert_eq!(reused.noisy, fresh.noisy);
+            assert_eq!(reused.seeds, fresh.seeds);
+            assert_eq!(reused.weights, fresh.weights);
         }
     }
 
@@ -798,31 +913,16 @@ mod tests {
 
     #[test]
     fn replace_neighboring_halves_budgets() {
-        let engine = ReleaseEngine::new(echo()).unwrap();
-        let obs = vec![0.0; 4];
         let p = PrivacyLevel::Pure { epsilon: 1.0 };
-        let mut rng = StdRng::seed_from_u64(4);
-        let add = release(
-            &engine,
-            &obs,
-            p,
-            Budgeting::Uniform,
-            Neighboring::AddRemove,
-            &mut rng,
-        )
-        .unwrap();
-        let rep = release(
-            &engine,
-            &obs,
-            p,
-            Budgeting::Uniform,
-            Neighboring::Replace,
-            &mut rng,
-        )
-        .unwrap();
-        for (a, b) in add.group_budgets.iter().zip(&rep.group_budgets) {
+        let solution = solve_budgets(&specs(), p, Budgeting::Uniform).unwrap();
+        let (add, add_eps) =
+            release_budgets(&specs(), p, &solution, Neighboring::AddRemove).unwrap();
+        let (rep, rep_eps) = release_budgets(&specs(), p, &solution, Neighboring::Replace).unwrap();
+        for (a, b) in add.iter().zip(&rep) {
             assert!((a - 2.0 * b).abs() < 1e-12);
         }
-        assert!((rep.predicted_variance - 4.0 * add.predicted_variance).abs() < 1e-9);
+        // Replace-one doubles the sensitivity, so halved budgets spend the
+        // same ε.
+        assert!((add_eps - rep_eps).abs() < 1e-12);
     }
 }

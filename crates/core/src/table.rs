@@ -74,12 +74,6 @@ impl ContingencyTable {
         &self.counts
     }
 
-    /// Mutable access to the counts (used by noise-injection paths).
-    #[inline]
-    pub fn counts_mut(&mut self) -> &mut [f64] {
-        &mut self.counts
-    }
-
     /// Total number of tuples `Σ_β x_β`.
     pub fn total(&self) -> f64 {
         self.counts.iter().sum()
@@ -145,8 +139,7 @@ impl ContingencyTable {
     /// Computes several marginals (each via the folding pass), fanned out
     /// across cores — the hot path of exact-answer computation at plan time.
     pub fn marginals(&self, alphas: &[AttrMask]) -> Vec<MarginalTable> {
-        use rayon::prelude::*;
-        alphas.par_iter().map(|&a| self.marginal(a)).collect()
+        marginalize_all(&self.counts, self.d, alphas)
     }
 
     /// The Fourier coefficient `⟨f^α, x⟩` of the table (O(N) direct sum;
@@ -188,6 +181,16 @@ pub fn marginalize(counts: &[f64], d: usize, alpha: AttrMask) -> Vec<f64> {
         cur.truncate(1usize << remaining);
     }
     cur
+}
+
+/// [`marginalize`] for several marginals of one count vector, fanned out
+/// across cores.
+pub(crate) fn marginalize_all(counts: &[f64], d: usize, alphas: &[AttrMask]) -> Vec<MarginalTable> {
+    use rayon::prelude::*;
+    alphas
+        .par_iter()
+        .map(|&alpha| MarginalTable::new(alpha, marginalize(counts, d, alpha)))
+        .collect()
 }
 
 #[cfg(test)]

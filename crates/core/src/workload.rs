@@ -44,6 +44,11 @@ pub enum WorkloadError {
     },
     /// The workload would be empty.
     Empty,
+    /// The domain is wider than the 63 bits an [`AttrMask`] can address.
+    DomainTooWide {
+        /// Requested domain width in bits.
+        d: usize,
+    },
     /// Schema-level failure while mapping attributes to bits.
     Schema(SchemaError),
 }
@@ -61,6 +66,9 @@ impl std::fmt::Display for WorkloadError {
                 )
             }
             WorkloadError::Empty => write!(f, "workload is empty"),
+            WorkloadError::DomainTooWide { d } => {
+                write!(f, "a {d}-bit domain exceeds the 63-bit maximum")
+            }
             WorkloadError::Schema(e) => write!(f, "schema error: {e}"),
         }
     }
@@ -110,6 +118,9 @@ impl Workload {
     pub fn new(d: usize, marginals: Vec<AttrMask>) -> Result<Self, WorkloadError> {
         if marginals.is_empty() {
             return Err(WorkloadError::Empty);
+        }
+        if d > 63 {
+            return Err(WorkloadError::DomainTooWide { d });
         }
         let full = AttrMask::full(d);
         let mut seen = std::collections::HashSet::new();
@@ -368,6 +379,12 @@ mod tests {
             Err(WorkloadError::BadArity { .. })
         ));
         assert!(Workload::k_way_plus_attr(&schema8(), 1, 20).is_err());
+        // Wider than an `AttrMask` can address: a typed error, not a panic.
+        assert_eq!(
+            Workload::new(64, vec![AttrMask(1)]),
+            Err(WorkloadError::DomainTooWide { d: 64 })
+        );
+        assert!(Workload::new(63, vec![AttrMask(1 << 62)]).is_ok());
     }
 
     #[test]

@@ -271,29 +271,6 @@ impl Matrix {
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
     }
-
-    /// Maximum over columns of the L1 norm of the column; this is the
-    /// L1-sensitivity of the linear map under add/remove-one neighbours.
-    pub fn max_col_l1(&self) -> f64 {
-        let mut norms = vec![0.0; self.cols];
-        for i in 0..self.rows {
-            for (j, &v) in self.row(i).iter().enumerate() {
-                norms[j] += v.abs();
-            }
-        }
-        norms.into_iter().fold(0.0_f64, f64::max)
-    }
-
-    /// Maximum over columns of the L2 norm of the column (L2-sensitivity).
-    pub fn max_col_l2(&self) -> f64 {
-        let mut norms = vec![0.0; self.cols];
-        for i in 0..self.rows {
-            for (j, &v) in self.row(i).iter().enumerate() {
-                norms[j] += v * v;
-            }
-        }
-        norms.into_iter().fold(0.0_f64, f64::max).sqrt()
-    }
 }
 
 impl std::ops::Index<(usize, usize)> for Matrix {
@@ -364,14 +341,6 @@ mod tests {
             .matmul(&a)
             .unwrap();
         assert!(approx_eq(&gram, &explicit, 1e-12));
-    }
-
-    #[test]
-    fn sensitivities() {
-        // Column L1 norms: |1|+|3|=4, |2|+|-4|=6 → max 6.
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, -4.0]]).unwrap();
-        assert_eq!(a.max_col_l1(), 6.0);
-        assert!((a.max_col_l2() - (4.0f64 + 16.0).sqrt()).abs() < 1e-12);
     }
 
     #[test]

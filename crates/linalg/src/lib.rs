@@ -19,7 +19,7 @@
 //! * [`wavelet`] — the 1-D Haar wavelet transform (the strategy of Xiao et
 //!   al. \[23\], supported by the grouping framework of Definition 3.1).
 //! * [`operator`] — the matrix-free [`LinearOperator`] abstraction unifying
-//!   all of the above (dense, sparse, WHT, hierarchical, Haar) behind one
+//!   the dense, sparse, identity, hierarchical and Haar maps behind one
 //!   `apply`/`apply_transpose` interface, plus operator-based GLS.
 
 pub mod cg;
@@ -35,13 +35,12 @@ pub use cg::{cg_solve, CgOptions, CgOutcome};
 pub use dense::Matrix;
 pub use operator::{
     gls_normal_solve, HaarOperator, HierarchicalOperator, IdentityOperator, LinearOperator,
-    ScaledOperator, WhtOperator,
 };
 pub use simd::{F64x4, LANES};
 pub use solve::{cholesky, solve_spd, CholeskyError};
 pub use sparse::CsrMatrix;
 pub use wavelet::{haar_forward, haar_inverse, haar_level, haar_row_magnitude};
-pub use wht::{fwht, fwht_normalized, ifwht_normalized};
+pub use wht::{fwht, fwht_normalized};
 
 /// Errors produced by the linear-algebra kernels.
 #[derive(Debug, Clone, PartialEq)]

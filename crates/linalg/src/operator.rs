@@ -7,13 +7,11 @@
 //! implemented by
 //!
 //! * [`Matrix`] and [`CsrMatrix`] — explicit (small/sparse) matrices,
-//! * [`WhtOperator`] — the orthonormal Walsh–Hadamard transform on `2^d`
-//!   cells, `O(N log N)` and never materialized,
 //! * [`HierarchicalOperator`] — the binary-tree range strategy of \[14\]
 //!   (all `2n − 1` node sums), applied in `O(n log n)`,
 //! * [`HaarOperator`] — the orthonormal Haar wavelet strategy of \[23\],
 //!   applied in `O(n)`,
-//! * [`ScaledOperator`] — a scalar multiple of another operator.
+//! * [`IdentityOperator`] — the identity over a histogram domain.
 //!
 //! [`gls_normal_solve`] closes the loop: generalized least squares
 //! `x̂ = (Sᵀ W S)⁻¹ Sᵀ W z` for *any* operator `S`, via conjugate gradients
@@ -23,7 +21,6 @@ use crate::cg::{cg_solve, CgOptions};
 use crate::dense::Matrix;
 use crate::sparse::CsrMatrix;
 use crate::wavelet::{haar_forward, haar_inverse};
-use crate::wht::fwht_normalized;
 use crate::LinalgError;
 
 /// A linear map `A : R^cols → R^rows` given by its action (and its
@@ -135,43 +132,6 @@ impl LinearOperator for CsrMatrix {
             }
         }
         Some(diag)
-    }
-}
-
-/// The orthonormal Walsh–Hadamard transform on a `2^d` domain. Symmetric
-/// and involutory, so `apply`, `apply_transpose` and the inverse coincide.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WhtOperator {
-    /// Domain width in bits.
-    pub d: usize,
-}
-
-impl LinearOperator for WhtOperator {
-    fn rows(&self) -> usize {
-        1usize << self.d
-    }
-
-    fn cols(&self) -> usize {
-        1usize << self.d
-    }
-
-    fn apply_into(&self, x: &[f64], y: &mut [f64]) {
-        y.copy_from_slice(x);
-        fwht_normalized(y);
-    }
-
-    fn apply_transpose_into(&self, yin: &[f64], x: &mut [f64]) {
-        // Hᵀ = H for the symmetric Hadamard matrix.
-        self.apply_into(yin, x);
-    }
-
-    fn weighted_normal_diagonal(&self, row_weights: &[f64]) -> Option<Vec<f64>> {
-        // Every entry of the normalized Hadamard matrix has magnitude
-        // 2^{-d/2}, so diag(SᵀWS) is constant: mean of the weights.
-        let n = 1usize << self.d;
-        debug_assert_eq!(row_weights.len(), n);
-        let mean = row_weights.iter().sum::<f64>() / n as f64;
-        Some(vec![mean; n])
     }
 }
 
@@ -367,50 +327,6 @@ impl LinearOperator for IdentityOperator {
     }
 }
 
-/// `c · A` for an inner operator `A`.
-#[derive(Debug, Clone)]
-pub struct ScaledOperator<A> {
-    /// Inner operator.
-    pub inner: A,
-    /// Scale factor.
-    pub scale: f64,
-}
-
-impl<A: LinearOperator> LinearOperator for ScaledOperator<A> {
-    fn rows(&self) -> usize {
-        self.inner.rows()
-    }
-
-    fn cols(&self) -> usize {
-        self.inner.cols()
-    }
-
-    fn apply_into(&self, x: &[f64], y: &mut [f64]) {
-        self.inner.apply_into(x, y);
-        for v in y.iter_mut() {
-            *v *= self.scale;
-        }
-    }
-
-    fn apply_transpose_into(&self, yin: &[f64], x: &mut [f64]) {
-        self.inner.apply_transpose_into(yin, x);
-        for v in x.iter_mut() {
-            *v *= self.scale;
-        }
-    }
-
-    fn weighted_normal_diagonal(&self, row_weights: &[f64]) -> Option<Vec<f64>> {
-        self.inner
-            .weighted_normal_diagonal(row_weights)
-            .map(|mut d| {
-                for v in &mut d {
-                    *v *= self.scale * self.scale;
-                }
-                d
-            })
-    }
-}
-
 impl<T: LinearOperator + ?Sized> LinearOperator for &T {
     fn rows(&self) -> usize {
         (**self).rows()
@@ -551,11 +467,6 @@ mod tests {
     }
 
     #[test]
-    fn wht_operator_matches_dense() {
-        check_against_dense(&WhtOperator { d: 4 }, 1e-10);
-    }
-
-    #[test]
     fn hierarchical_operator_matches_dense() {
         check_against_dense(&HierarchicalOperator::new(16), 1e-10);
     }
@@ -566,15 +477,8 @@ mod tests {
     }
 
     #[test]
-    fn identity_and_scaled_operators() {
+    fn identity_operator_matches_dense() {
         check_against_dense(&IdentityOperator { n: 8 }, 1e-12);
-        check_against_dense(
-            &ScaledOperator {
-                inner: HaarOperator::new(8),
-                scale: -2.5,
-            },
-            1e-10,
-        );
     }
 
     #[test]

@@ -148,14 +148,6 @@ pub fn fwht_normalized(data: &mut [f64]) {
     }
 }
 
-/// Inverse of [`fwht_normalized`]. Because the orthonormal WHT is an
-/// involution, this is the same operation; the alias exists for readability
-/// at call sites that conceptually move from the Fourier domain back to the
-/// data domain.
-pub fn ifwht_normalized(data: &mut [f64]) {
-    fwht_normalized(data);
-}
-
 /// Computes a single Fourier coefficient `⟨f^α, x⟩ = 2^{-d/2} Σ_β (−1)^{⟨α,β⟩} x_β`
 /// directly in `O(N)`. Used by tests as an oracle and by callers that need
 /// only a handful of coefficients of a huge vector.
@@ -222,7 +214,7 @@ mod tests {
         let x0 = vec![1.0, 2.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0];
         let mut x = x0.clone();
         fwht_normalized(&mut x);
-        ifwht_normalized(&mut x);
+        fwht_normalized(&mut x);
         for (a, b) in x.iter().zip(&x0) {
             assert!((a - b).abs() < 1e-12);
         }

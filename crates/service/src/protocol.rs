@@ -809,6 +809,66 @@ mod tests {
         }
     }
 
+    /// Decodes a `register_plan` line carrying `spec`, in the `compile`
+    /// form and then as a full `plan` document: both must be refused with
+    /// a typed protocol error before anything is compiled.
+    fn assert_spec_refused_at_decode(spec: &str) {
+        let plan = format!(
+            "{{\"spec\": {spec}, \"budgeting\": \"optimal\", \"privacy\": {{\"epsilon\": 1}}, \
+             \"neighboring\": \"add_remove\", \"schema_fingerprint\": 0, \
+             \"group_budgets\": [1], \"objective\": 1}}"
+        );
+        for line in [
+            format!(
+                "{{\"op\": \"register_plan\", \"tenant\": \"t\", \
+                 \"compile\": {{\"spec\": {spec}, \"privacy\": {{\"epsilon\": 1}}}}}}"
+            ),
+            format!("{{\"op\": \"register_plan\", \"tenant\": \"t\", \"plan\": {plan}}}"),
+        ] {
+            let res = parse_line(&line).and_then(|v| Request::from_value(&v).map(|_| ()));
+            assert!(
+                matches!(res, Err(ServiceError::Protocol(_))),
+                "{line} must be a protocol error, got {res:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_2_pow_40_cell_marginal_identity_plan_is_refused_at_decode() {
+        // Compiling it allocated a 4 TiB row-group vector and aborted.
+        assert_spec_refused_at_decode(
+            r#"{"kind": "marginals", "workload": {"domain_bits": 40, "marginals": [1]}, "strategy": "identity"}"#,
+        );
+    }
+
+    #[test]
+    fn a_2_pow_40_cell_range_identity_plan_is_refused_at_decode() {
+        // Compiling it allocated an 8 TiB row-group vector and aborted.
+        assert_spec_refused_at_decode(
+            r#"{"kind": "ranges", "domain": 1099511627776, "ranges": [[0, 1]], "strategy": "identity"}"#,
+        );
+    }
+
+    #[test]
+    fn a_sketch_whose_dense_oracle_exceeds_the_cap_is_refused_at_decode() {
+        // n = 2^16 makes the dense planner's n×n buffer 32 GiB.
+        assert_spec_refused_at_decode(
+            r#"{"kind": "ranges", "domain": 65536, "ranges": [[0, 1]], "strategy": {"kind": "sketch", "repetitions": 1, "buckets": 4, "seed": 1}}"#,
+        );
+        // A sketch with no rows used to panic the dense planner.
+        assert_spec_refused_at_decode(
+            r#"{"kind": "ranges", "domain": 16, "ranges": [[0, 1]], "strategy": {"kind": "sketch", "repetitions": 0, "buckets": 4, "seed": 1}}"#,
+        );
+    }
+
+    #[test]
+    fn a_64_bit_marginal_domain_is_refused_at_decode() {
+        // `AttrMask::full(64)` used to panic the decoding handler thread.
+        assert_spec_refused_at_decode(
+            r#"{"kind": "marginals", "workload": {"domain_bits": 64, "marginals": [1]}, "strategy": "fourier"}"#,
+        );
+    }
+
     #[test]
     fn responses_encode_and_decode_errors() {
         let ok = ok_response(vec![("plan_id".into(), Value::String("x".into()))]);

@@ -1,5 +1,5 @@
-//! Oracle tests for the unified `StrategyOperator` planner: with a seeded
-//! RNG the operator-based release path (`PlanBuilder` + `Session`) must
+//! Oracle tests for the compiled-strategy release path: with a seeded RNG
+//! the operator-based release path (`PlanBuilder` + `Session`) must
 //! match the literal dense-matrix framework (`dp_core::framework`,
 //! explicit `Q`/`S`, Eq.-(7) GLS) applied to the *identical* noisy
 //! observations — for marginal and range workloads — and the fast
