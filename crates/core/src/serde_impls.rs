@@ -346,6 +346,8 @@ impl Deserialize for WorkloadSpec {
 
 /// Largest data vector a shipped spec may name: `2^24` cells (`2^d` or the
 /// range domain `n`). Compiling and binding allocate in proportion to it.
+/// The same cap bounds a marginal workload's `Σ_α 2^{‖α‖}`, which bounds
+/// its answers, its `Q` observations and its Fourier support.
 const MAX_DOMAIN_CELLS: usize = 1 << 24;
 
 /// Largest dense buffer (`q·n`, `m·n` or `n·n` entries) a shipped sketch
@@ -361,6 +363,16 @@ fn refuse_oversized(spec: WorkloadSpec) -> Result<WorkloadSpec, DeError> {
         return Err(DeError::new(format!(
             "a domain of {n} cells exceeds the {MAX_DOMAIN_CELLS}-cell limit"
         )));
+    }
+    if let WorkloadSpec::Marginals { workload, .. } = &spec {
+        // 2^d ≤ MAX_DOMAIN_CELLS here, so no term or sum can overflow.
+        let cells = workload.total_cells();
+        if cells > MAX_DOMAIN_CELLS {
+            return Err(DeError::new(format!(
+                "{} marginals totalling {cells} cells exceed the {MAX_DOMAIN_CELLS}-cell limit",
+                workload.len()
+            )));
+        }
     }
     if let WorkloadSpec::Ranges {
         workload,

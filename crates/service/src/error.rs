@@ -85,6 +85,11 @@ pub enum ServiceError {
         /// The re-driven request id.
         request_id: String,
     },
+    /// The server failed while handling the request (its handler
+    /// panicked). The request may or may not have been charged, so it is
+    /// never retried automatically; resending a keyed release under the
+    /// same `request_id` is safe and replays instead of re-debiting.
+    Internal(String),
     /// The persisted ledger file is corrupt (a non-tail record failed to
     /// parse); refusing to guess at spent budget.
     WalCorrupt(String),
@@ -119,6 +124,7 @@ impl ServiceError {
             ServiceError::Overloaded { .. } => "overloaded",
             ServiceError::IdempotencyMismatch { .. } => "idempotency_mismatch",
             ServiceError::ReplayUnavailable { .. } => "replay_unavailable",
+            ServiceError::Internal(_) => "internal",
             ServiceError::WalCorrupt(_) => "wal_corrupt",
             ServiceError::Remote { code, .. } => code,
         }
@@ -198,6 +204,7 @@ impl std::fmt::Display for ServiceError {
                 "request id {request_id:?} was charged, but its response is no longer cached \
                  and its stream has moved on; refusing to recompute it"
             ),
+            ServiceError::Internal(e) => write!(f, "internal server failure: {e}"),
             ServiceError::WalCorrupt(e) => write!(f, "corrupt budget ledger file: {e}"),
             ServiceError::Remote { code, message } => {
                 write!(f, "remote error [{code}]: {message}")
@@ -294,6 +301,7 @@ mod tests {
                 request_id: "r".into(),
             },
             ServiceError::ReadOnlySession("s".into()),
+            ServiceError::Internal("handler panicked".into()),
             ServiceError::BudgetExhausted {
                 requested_epsilon: 1.0,
                 requested_delta: 0.0,

@@ -32,8 +32,10 @@
 //!
 //! The fired [`FailAction`] either returns an injected I/O error (the
 //! usual case — the caller's error path runs), sleeps (to widen race
-//! windows), or panics (to kill the enclosing thread; chaos *processes*
-//! are better killed with a real SIGKILL, as the CI chaos job does).
+//! windows), or panics (a simulated handler bug: the server catches a
+//! request handler's panic and answers it with the typed `internal`
+//! error; chaos *processes* are better killed with a real SIGKILL, as the
+//! CI chaos job does).
 
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -48,7 +50,7 @@ pub enum FailAction {
     Error,
     /// Sleep this many milliseconds, then continue normally.
     DelayMs(u64),
-    /// Panic, killing the enclosing thread (simulated crash).
+    /// Panic, unwinding the enclosing thread (a simulated handler bug).
     Panic,
 }
 

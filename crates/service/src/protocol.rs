@@ -870,6 +870,21 @@ mod tests {
     }
 
     #[test]
+    fn marginals_totalling_more_than_2_pow_24_cells_are_refused_at_decode() {
+        // Every 20-attribute mask over 24 bits: 10 626 marginals of 2^20
+        // cells each, ~1.1·10^10 answers, on a domain within the cap.
+        let masks: Vec<String> = (0u64..1 << 24)
+            .filter(|m| m.count_ones() == 20)
+            .map(|m| m.to_string())
+            .collect();
+        assert_eq!(masks.len(), 10_626);
+        assert_spec_refused_at_decode(&format!(
+            r#"{{"kind": "marginals", "workload": {{"domain_bits": 24, "marginals": [{}]}}, "strategy": "fourier"}}"#,
+            masks.join(", ")
+        ));
+    }
+
+    #[test]
     fn responses_encode_and_decode_errors() {
         let ok = ok_response(vec![("plan_id".into(), Value::String("x".into()))]);
         let v = response_to_result(ok).unwrap();

@@ -7,24 +7,35 @@
 //! ([`Connection::writer`] — TCP can), requests are handled
 //! **concurrently per connection**: the reader thread keeps pulling
 //! lines while up to `PIPELINE_MAX_INFLIGHT` (64) earlier requests execute
-//! on scoped worker threads, and responses go out as each finishes —
-//! possibly out of request order. Clients that pipeline keyed releases
-//! match responses by the echoed `request_id`; clients that send one
-//! request and wait (every pre-pipelining client) observe no difference.
-//! This is what lets one connection keep the accountant's group
-//! committer fed: k requests in flight land in the same fsync batch
+//! on the connection's request workers, and responses go out as each
+//! finishes — possibly out of request order. Clients that pipeline keyed
+//! releases match responses by the echoed `request_id`; clients that send
+//! one request and wait (every pre-pipelining client) observe no
+//! difference. This is what lets one connection keep the accountant's
+//! group committer fed: k requests in flight land in the same fsync batch
 //! instead of queuing one-per-sync. Connections without a detachable
 //! writer are handled strictly in turn, as before.
 //!
+//! Request workers are scoped threads that stay **parked** between
+//! requests for the life of their connection. The reader hands each line
+//! to a parked worker, and starts a new one only when every worker is busy
+//! and fewer than 64 requests are in flight: a closed-loop connection runs
+//! on one worker throughout, and a pipelined window of k requests starts at
+//! most k. When the reader stops (end of stream, a receive error, a dead
+//! send side, an authorized `shutdown`) it wakes every parked worker; they
+//! finish what was already handed over and exit with the connection.
+//!
 //! Every request line is answered with exactly one response line. A line
 //! that decodes but fails to parse or execute is answered in-band with the
-//! typed error encoding and the connection stays open; input after which
-//! the line stream cannot be resynchronized (an over-long line, bytes that
-//! are not UTF-8) is answered in-band best-effort and then the connection
-//! is closed. A transient `accept` failure (e.g. `ECONNABORTED`, or
-//! `EMFILE` under fd pressure) is logged and retried with backoff rather
-//! than stopping the whole multi-tenant service; only a persistently
-//! failing listener is fatal. An *authorized* `shutdown` request is
+//! typed error encoding and the connection stays open. So is a request
+//! whose handler panics: the panic is caught and answered with the typed
+//! `internal` error, and the thread that ran it keeps serving. Input after
+//! which the line stream cannot be resynchronized (an over-long line, bytes
+//! that are not UTF-8) is answered in-band best-effort and then the
+//! connection is closed. A transient `accept` failure (e.g.
+//! `ECONNABORTED`, or `EMFILE` under fd pressure) is logged and retried
+//! with backoff rather than stopping the whole multi-tenant service; only
+//! a persistently failing listener is fatal. An *authorized* `shutdown` request is
 //! acknowledged to its sender, after which the transport stops accepting;
 //! in-flight connections drain before [`Server::run`] returns.
 //!
@@ -36,8 +47,10 @@
 //! per-connection memory. Clients see the typed, retryable
 //! [`ServiceError::Overloaded`] and back off; nothing is charged.
 
+use std::collections::VecDeque;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use crate::error::ServiceError;
 use crate::protocol::{error_response, parse_line, render_line, Request};
@@ -49,9 +62,9 @@ use serde::Value;
 /// listener is declared dead and [`Server::run`] returns the error.
 const MAX_ACCEPT_FAILURES: u32 = 64;
 
-/// Requests one pipelined connection may have executing at once; further
-/// lines wait in the reader thread (natural backpressure through the
-/// socket) instead of spawning unbounded workers.
+/// Requests one pipelined connection may have in flight at once, and so
+/// the most request workers it ever starts; further lines wait in the
+/// reader thread (natural backpressure through the socket).
 const PIPELINE_MAX_INFLIGHT: usize = 64;
 
 /// Resource bounds for a [`Server`].
@@ -163,15 +176,33 @@ impl<T: Transport> Server<T> {
 
     fn handle_connection(&self, conn: T::Conn) {
         match conn.writer() {
-            Some(writer) => self.handle_pipelined(conn, writer),
+            Some(writer) => {
+                self.handle_pipelined(conn, writer);
+            }
             None => self.handle_sequential(conn),
         }
     }
 
-    /// One parsed line → one response value, shared with
-    /// [`Server::handle_pipelined`]. The bool is "an authorized shutdown
-    /// was acknowledged".
+    /// One line → one response value, shared by every loop. The bool is
+    /// "an authorized shutdown was acknowledged". A panicking handler is
+    /// answered with the typed `internal` error instead of unwinding into
+    /// the connection: its thread, its in-flight slot and the connection
+    /// survive, and a keyed release it had already debited replays on retry.
     fn execute(&self, line: &str) -> (Arc<Value>, bool) {
+        std::panic::catch_unwind(AssertUnwindSafe(|| self.dispatch(line))).unwrap_or_else(
+            |payload| {
+                let reason = payload
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                    .unwrap_or("unknown cause");
+                let error = ServiceError::Internal(format!("request handler panicked: {reason}"));
+                (Arc::new(error_response(&error)), false)
+            },
+        )
+    }
+
+    fn dispatch(&self, line: &str) -> (Arc<Value>, bool) {
         let parsed = parse_line(line).and_then(|value| {
             let credential = value
                 .get_field("auth")
@@ -225,14 +256,13 @@ impl<T: Transport> Server<T> {
     }
 
     /// The pipelined loop (see the module docs): the reader keeps pulling
-    /// request lines while earlier requests execute on scoped workers;
-    /// each worker sends its own response through the shared writer as it
-    /// finishes, so responses may leave out of request order.
-    fn handle_pipelined(&self, mut conn: T::Conn, writer: Box<dyn ConnectionWriter>) {
+    /// request lines and hands each to a parked request worker of this
+    /// connection, starting one only when none is free; each worker sends
+    /// its own response through the shared writer as it finishes, so
+    /// responses may leave out of request order. Returns how many workers
+    /// the connection started.
+    fn handle_pipelined(&self, mut conn: T::Conn, writer: Box<dyn ConnectionWriter>) -> usize {
         let writer = Mutex::new(writer);
-        // (live worker count, connection is dead) — workers that fail to
-        // send mark the connection dead so the reader stops spawning.
-        let inflight = (Mutex::new((0usize, false)), Condvar::new());
         let send = |response: &Value| -> bool {
             writer
                 .lock()
@@ -240,7 +270,11 @@ impl<T: Transport> Server<T> {
                 .send(&render_line(response))
                 .is_ok()
         };
+        let pipeline = Pipeline::default();
         std::thread::scope(|scope| {
+            // Every way out of this loop wakes the parked workers, so they
+            // exit and the scope can join them.
+            let _close = CloseOnDrop(&pipeline);
             loop {
                 let line = match conn.receive() {
                     Ok(Some(line)) => line,
@@ -260,10 +294,9 @@ impl<T: Transport> Server<T> {
                 // every already-admitted request gets its response before
                 // the acknowledgement, and nothing races the stop.
                 if line.contains("\"shutdown\"") {
-                    let (lock, cv) = &inflight;
-                    let mut state = lock.lock().expect("inflight mutex poisoned");
-                    while state.0 > 0 {
-                        state = cv.wait(state).expect("inflight mutex poisoned");
+                    let mut state = pipeline.lock();
+                    while state.inflight > 0 {
+                        state = pipeline.wait_for_workers(state);
                     }
                     drop(state);
                     let (response, stop) = self.execute(&line);
@@ -276,30 +309,130 @@ impl<T: Transport> Server<T> {
                     }
                     continue;
                 }
-                {
-                    let (lock, cv) = &inflight;
-                    let mut state = lock.lock().expect("inflight mutex poisoned");
-                    while state.0 >= PIPELINE_MAX_INFLIGHT && !state.1 {
-                        state = cv.wait(state).expect("inflight mutex poisoned");
-                    }
-                    if state.1 {
-                        return; // the socket is gone; stop reading
-                    }
-                    state.0 += 1;
+                let mut state = pipeline.lock();
+                while state.inflight >= PIPELINE_MAX_INFLIGHT && !state.dead {
+                    state = pipeline.wait_for_workers(state);
                 }
-                let inflight = &inflight;
-                let send = &send;
-                scope.spawn(move || {
-                    let (response, _) = self.execute(&line);
-                    let sent = send(&response);
-                    let (lock, cv) = inflight;
-                    let mut state = lock.lock().expect("inflight mutex poisoned");
-                    state.0 -= 1;
-                    state.1 |= !sent;
-                    cv.notify_all();
-                });
+                if state.dead {
+                    return; // the socket is gone; stop reading
+                }
+                state.inflight += 1;
+                state.queue.push_back(line);
+                // Workers not executing are parked or about to look for
+                // work; each takes one queued line. Start another only if
+                // the queue outnumbers them (never past the in-flight cap:
+                // queued + executing ≤ in flight ≤ 64).
+                if state.queue.len() > state.workers - state.executing {
+                    state.workers += 1;
+                    drop(state);
+                    let (pipeline, send) = (&pipeline, &send);
+                    scope.spawn(move || self.serve_pipeline(pipeline, send));
+                } else if state.parked > 0 {
+                    pipeline.work.notify_one();
+                }
             }
         });
+        pipeline
+            .state
+            .into_inner()
+            .expect("pipeline mutex poisoned")
+            .workers
+    }
+
+    /// One request worker of a pipelined connection: takes handed-over
+    /// lines until the reader has closed and none is left, parking while
+    /// there is nothing to do.
+    fn serve_pipeline(&self, pipeline: &Pipeline, send: &(dyn Fn(&Value) -> bool + Sync)) {
+        let mut state = pipeline.lock();
+        loop {
+            let Some(line) = state.queue.pop_front() else {
+                if state.closed {
+                    return;
+                }
+                state.parked += 1;
+                state = pipeline.work.wait(state).expect("pipeline mutex poisoned");
+                state.parked -= 1;
+                continue;
+            };
+            state.executing += 1;
+            drop(state);
+            let (response, _) = self.execute(&line);
+            // Free before the response leaves: a closed-loop client's next
+            // line then always finds this worker instead of starting one.
+            pipeline.lock().executing -= 1;
+            let sent = send(&response);
+            state = pipeline.lock();
+            state.inflight -= 1;
+            state.dead |= !sent;
+            if state.reader_waiting {
+                pipeline.freed.notify_one();
+            }
+        }
+    }
+}
+
+/// What a pipelined connection's reader and its request workers share
+/// (see [`Server::handle_pipelined`]).
+#[derive(Default)]
+struct Pipeline {
+    state: Mutex<PipelineState>,
+    /// Parked workers wait here for a line, or for the reader to close.
+    work: Condvar,
+    /// The reader waits here for an in-flight slot, or for the drain
+    /// before an inline `shutdown`.
+    freed: Condvar,
+}
+
+#[derive(Default)]
+struct PipelineState {
+    /// Lines handed over by the reader that no worker has taken yet.
+    queue: VecDeque<String>,
+    /// Requests admitted and not yet answered: queued, executing or
+    /// being sent.
+    inflight: usize,
+    /// Workers started on this connection.
+    workers: usize,
+    /// Workers inside [`Server::execute`].
+    executing: usize,
+    /// Workers waiting on [`Pipeline::work`].
+    parked: usize,
+    /// The reader is waiting on [`Pipeline::freed`].
+    reader_waiting: bool,
+    /// A response failed to send: the connection is dead and the reader
+    /// stops.
+    dead: bool,
+    /// The reader is done; workers exit once the queue is empty.
+    closed: bool,
+}
+
+impl Pipeline {
+    fn lock(&self) -> MutexGuard<'_, PipelineState> {
+        self.state.lock().expect("pipeline mutex poisoned")
+    }
+
+    /// Blocks the reader until a worker answers a request.
+    fn wait_for_workers<'a>(
+        &self,
+        mut state: MutexGuard<'a, PipelineState>,
+    ) -> MutexGuard<'a, PipelineState> {
+        state.reader_waiting = true;
+        let mut state = self.freed.wait(state).expect("pipeline mutex poisoned");
+        state.reader_waiting = false;
+        state
+    }
+}
+
+/// Marks its pipeline closed and wakes every parked worker when the
+/// reader leaves, however it leaves.
+struct CloseOnDrop<'a>(&'a Pipeline);
+
+impl Drop for CloseOnDrop<'_> {
+    fn drop(&mut self) {
+        let mut state = self.0.lock();
+        state.closed = true;
+        if state.parked > 0 {
+            self.0.work.notify_all();
+        }
     }
 }
 
@@ -307,16 +440,84 @@ impl<T: Transport> Server<T> {
 mod tests {
     use super::*;
     use crate::accountant::Accountant;
-    use std::collections::VecDeque;
-    use std::sync::Mutex;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    const PING: &str = "{\"op\": \"ping\"}";
+
+    /// The response lines a mock connection has been sent, in order.
+    #[derive(Default)]
+    struct Sink {
+        lines: Mutex<Vec<String>>,
+        grew: Condvar,
+    }
+
+    impl Sink {
+        fn push(&self, line: &str) {
+            self.lines.lock().unwrap().push(line.into());
+            self.grew.notify_all();
+        }
+        fn lines(&self) -> MutexGuard<'_, Vec<String>> {
+            self.lines.lock().unwrap()
+        }
+        fn wait_for(&self, n: usize) {
+            let mut lines = self.lines();
+            while lines.len() < n {
+                lines = self.grew.wait(lines).unwrap();
+            }
+        }
+    }
+
+    /// The detached send side of a pipelined [`MockConn`].
+    struct MockWriter(Arc<Sink>);
+
+    impl ConnectionWriter for MockWriter {
+        fn send(&mut self, line: &str) -> Result<(), ServiceError> {
+            self.0.push(line);
+            Ok(())
+        }
+    }
 
     /// A scripted connection: canned request lines in, responses recorded.
     /// With `hold`, the first receive blocks until the test releases it —
-    /// a deterministic way to keep a connection "in flight".
+    /// a deterministic way to keep a connection "in flight". With
+    /// `pipelined` it detaches a writer, so the server pipelines it; with
+    /// `lockstep` it is a closed-loop client, handing out each line only
+    /// once every earlier one is answered.
     struct MockConn {
         requests: VecDeque<Result<Option<String>, ServiceError>>,
-        responses: std::sync::Arc<Mutex<Vec<String>>>,
-        hold: Option<std::sync::mpsc::Receiver<()>>,
+        responses: Arc<Sink>,
+        hold: Option<mpsc::Receiver<()>>,
+        pipelined: bool,
+        lockstep: bool,
+        handed: usize,
+    }
+
+    impl MockConn {
+        fn scripted(
+            requests: impl IntoIterator<Item = Result<Option<String>, ServiceError>>,
+            responses: &Arc<Sink>,
+        ) -> MockConn {
+            MockConn {
+                requests: requests.into_iter().collect(),
+                responses: Arc::clone(responses),
+                hold: None,
+                pipelined: false,
+                lockstep: false,
+                handed: 0,
+            }
+        }
+
+        /// A pipelined connection sending `lines` and then hanging up.
+        fn pipelined<'a>(
+            lines: impl IntoIterator<Item = &'a str>,
+            responses: &Arc<Sink>,
+        ) -> MockConn {
+            MockConn {
+                pipelined: true,
+                ..MockConn::scripted(lines.into_iter().map(|l| Ok(Some(l.into()))), responses)
+            }
+        }
     }
 
     impl Connection for MockConn {
@@ -324,14 +525,28 @@ mod tests {
             if let Some(gate) = self.hold.take() {
                 let _ = gate.recv();
             }
+            if self.lockstep {
+                self.responses.wait_for(self.handed);
+                if self.requests.is_empty() {
+                    // Let the worker that sent the last answer park before
+                    // hanging up on it.
+                    std::thread::sleep(Duration::from_millis(20));
+                }
+            }
+            self.handed += 1;
             self.requests.pop_front().unwrap_or(Ok(None))
         }
         fn send(&mut self, line: &str) -> Result<(), ServiceError> {
-            self.responses.lock().unwrap().push(line.into());
+            self.responses.push(line);
             Ok(())
         }
         fn peer(&self) -> String {
             "mock".into()
+        }
+        fn writer(&self) -> Option<Box<dyn ConnectionWriter>> {
+            self.pipelined.then(|| {
+                Box::new(MockWriter(Arc::clone(&self.responses))) as Box<dyn ConnectionWriter>
+            })
         }
     }
 
@@ -352,14 +567,18 @@ mod tests {
         fn shutdown(&self) {}
     }
 
+    impl MockTransport {
+        fn serving(conns: impl IntoIterator<Item = MockConn>) -> MockTransport {
+            MockTransport {
+                script: Mutex::new(conns.into_iter().map(|c| Ok(Some(c))).collect()),
+            }
+        }
+    }
+
     #[test]
     fn transient_accept_errors_do_not_stop_the_server() {
-        let responses = std::sync::Arc::new(Mutex::new(Vec::new()));
-        let conn = MockConn {
-            requests: VecDeque::from([Ok(Some("{\"op\": \"ping\"}".into()))]),
-            responses: std::sync::Arc::clone(&responses),
-            hold: None,
-        };
+        let responses = Arc::new(Sink::default());
+        let conn = MockConn::scripted([Ok(Some(PING.into()))], &responses);
         let transport = MockTransport {
             script: Mutex::new(VecDeque::from([
                 Err(ServiceError::Io("connection aborted".into())),
@@ -371,7 +590,7 @@ mod tests {
         let server = Server::new(DpService::new(Accountant::in_memory()), transport);
         // Two transient failures, then a served connection, then shutdown.
         server.run().unwrap();
-        let responses = responses.lock().unwrap();
+        let responses = responses.lines();
         assert_eq!(responses.len(), 1);
         assert!(responses[0].contains("\"pong\":true"));
     }
@@ -390,23 +609,22 @@ mod tests {
 
     #[test]
     fn receive_errors_are_answered_in_band_before_closing() {
-        let responses = std::sync::Arc::new(Mutex::new(Vec::new()));
-        let conn = MockConn {
-            requests: VecDeque::from([
-                Ok(Some("{\"op\": \"ping\"}".into())),
+        let responses = Arc::new(Sink::default());
+        let conn = MockConn::scripted(
+            [
+                Ok(Some(PING.into())),
                 Err(ServiceError::Protocol("request line too long".into())),
                 // Never reached: the connection closes on the error above.
-                Ok(Some("{\"op\": \"ping\"}".into())),
-            ]),
-            responses: std::sync::Arc::clone(&responses),
-            hold: None,
-        };
-        let transport = MockTransport {
-            script: Mutex::new(VecDeque::from([Ok(Some(conn)), Ok(None)])),
-        };
-        let server = Server::new(DpService::new(Accountant::in_memory()), transport);
+                Ok(Some(PING.into())),
+            ],
+            &responses,
+        );
+        let server = Server::new(
+            DpService::new(Accountant::in_memory()),
+            MockTransport::serving([conn]),
+        );
         server.run().unwrap();
-        let responses = responses.lock().unwrap();
+        let responses = responses.lines();
         assert_eq!(responses.len(), 2, "error answered, then closed");
         assert!(responses[1].contains("\"code\":\"protocol\""));
     }
@@ -414,58 +632,40 @@ mod tests {
     #[test]
     fn an_unauthorized_shutdown_does_not_stop_accepting() {
         use crate::auth::Auth;
-        let refused = std::sync::Arc::new(Mutex::new(Vec::new()));
-        let granted = std::sync::Arc::new(Mutex::new(Vec::new()));
-        let conn_refused = MockConn {
-            requests: VecDeque::from([Ok(Some("{\"op\": \"shutdown\"}".into()))]),
-            responses: std::sync::Arc::clone(&refused),
-            hold: None,
-        };
-        let conn_granted = MockConn {
-            requests: VecDeque::from([Ok(Some(
+        let refused = Arc::new(Sink::default());
+        let granted = Arc::new(Sink::default());
+        let conn_refused =
+            MockConn::scripted([Ok(Some("{\"op\": \"shutdown\"}".into()))], &refused);
+        let conn_granted = MockConn::scripted(
+            [Ok(Some(
                 "{\"op\": \"shutdown\", \"auth\": \"admin\"}".into(),
-            ))]),
-            responses: std::sync::Arc::clone(&granted),
-            hold: None,
-        };
-        let transport = MockTransport {
-            script: Mutex::new(VecDeque::from([
-                Ok(Some(conn_refused)),
-                Ok(Some(conn_granted)),
-                Ok(None),
-            ])),
-        };
+            ))],
+            &granted,
+        );
         let service = DpService::with_auth(Accountant::in_memory(), Auth::operator("admin"));
-        Server::new(service, transport).run().unwrap();
-        assert!(refused.lock().unwrap()[0].contains("\"code\":\"unauthorized\""));
-        assert!(granted.lock().unwrap()[0].contains("\"shutdown\":true"));
+        Server::new(
+            service,
+            MockTransport::serving([conn_refused, conn_granted]),
+        )
+        .run()
+        .unwrap();
+        assert!(refused.lines()[0].contains("\"code\":\"unauthorized\""));
+        assert!(granted.lines()[0].contains("\"shutdown\":true"));
     }
 
     #[test]
     fn connections_past_the_cap_are_shed_in_band() {
-        let (release_first, gate) = std::sync::mpsc::channel();
-        let first_responses = std::sync::Arc::new(Mutex::new(Vec::new()));
-        let shed_responses = std::sync::Arc::new(Mutex::new(Vec::new()));
+        let (release_first, gate) = mpsc::channel();
+        let first_responses = Arc::new(Sink::default());
+        let shed_responses = Arc::new(Sink::default());
         let held_conn = MockConn {
-            requests: VecDeque::from([Ok(Some("{\"op\": \"ping\"}".into()))]),
-            responses: std::sync::Arc::clone(&first_responses),
             hold: Some(gate),
+            ..MockConn::scripted([Ok(Some(PING.into()))], &first_responses)
         };
-        let shed_conn = MockConn {
-            requests: VecDeque::from([Ok(Some("{\"op\": \"ping\"}".into()))]),
-            responses: std::sync::Arc::clone(&shed_responses),
-            hold: None,
-        };
-        let transport = MockTransport {
-            script: Mutex::new(VecDeque::from([
-                Ok(Some(held_conn)),
-                Ok(Some(shed_conn)),
-                Ok(None),
-            ])),
-        };
+        let shed_conn = MockConn::scripted([Ok(Some(PING.into()))], &shed_responses);
         let server = Server::with_limits(
             DpService::new(Accountant::in_memory()),
-            transport,
+            MockTransport::serving([held_conn, shed_conn]),
             ServerLimits {
                 max_connections: Some(1),
             },
@@ -474,17 +674,105 @@ mod tests {
             let running = scope.spawn(|| server.run().unwrap());
             // The second connection is shed on the accept thread while the
             // first is still held in flight; wait for that, then release.
-            while shed_responses.lock().unwrap().is_empty() {
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
+            shed_responses.wait_for(1);
             release_first.send(()).unwrap();
             running.join().unwrap();
         });
-        let shed = shed_responses.lock().unwrap();
+        let shed = shed_responses.lines();
         assert_eq!(shed.len(), 1, "shed connections get exactly one line");
         assert!(shed[0].contains("\"code\":\"overloaded\""), "{}", shed[0]);
         assert!(shed[0].contains("\"scope\":\"connections\""), "{}", shed[0]);
         // The held connection was served normally once released.
-        assert!(first_responses.lock().unwrap()[0].contains("\"pong\":true"));
+        assert!(first_responses.lines()[0].contains("\"pong\":true"));
+    }
+
+    /// Runs `body` on its own thread and fails the test if it has not
+    /// returned within 120 s: a lost wake-up in the pipeline hand-off
+    /// shows as this timeout, not as a hung test run.
+    fn within_watchdog<R: Send + 'static>(body: impl FnOnce() -> R + Send + 'static) -> R {
+        let (done, finished) = mpsc::channel();
+        std::thread::spawn(move || done.send(body()));
+        finished
+            .recv_timeout(Duration::from_secs(120))
+            .expect("the connection did not finish within 120 s (or its thread panicked)")
+    }
+
+    /// Serves one pipelined connection to its end under the watchdog and
+    /// returns how many request workers it started.
+    fn serve_pipelined(conn: MockConn) -> usize {
+        within_watchdog(move || {
+            let server = Server::new(
+                DpService::new(Accountant::in_memory()),
+                MockTransport::serving([]),
+            );
+            let writer = conn.writer().expect("a pipelined mock connection");
+            server.handle_pipelined(conn, writer)
+        })
+    }
+
+    #[test]
+    fn a_closed_loop_connection_runs_on_one_parked_worker() {
+        let responses = Arc::new(Sink::default());
+        let conn = MockConn {
+            lockstep: true,
+            ..MockConn::pipelined([PING; 500], &responses)
+        };
+        assert_eq!(
+            serve_pipelined(conn),
+            1,
+            "one worker, reused for every request"
+        );
+        let responses = responses.lines();
+        assert_eq!(responses.len(), 500);
+        assert!(responses.iter().all(|r| r.contains("\"pong\":true")));
+    }
+
+    #[test]
+    fn a_burst_gets_one_response_per_line_from_at_most_64_workers() {
+        let responses = Arc::new(Sink::default());
+        let workers = serve_pipelined(MockConn::pipelined([PING; 200], &responses));
+        assert!(
+            (1..=PIPELINE_MAX_INFLIGHT).contains(&workers),
+            "{workers} workers started"
+        );
+        let responses = responses.lines();
+        assert_eq!(responses.len(), 200, "exactly one response per line");
+        assert!(responses.iter().all(|r| r.contains("\"pong\":true")));
+    }
+
+    #[test]
+    fn end_of_stream_with_parked_workers_returns_from_the_server() {
+        let responses = Arc::new(Sink::default());
+        let conn = MockConn {
+            lockstep: true,
+            ..MockConn::pipelined([PING; 3], &responses)
+        };
+        // The worker is parked when the peer hangs up; the reader must wake
+        // it so the connection's scope joins and `run` returns.
+        within_watchdog(move || {
+            Server::new(
+                DpService::new(Accountant::in_memory()),
+                MockTransport::serving([conn]),
+            )
+            .run()
+            .unwrap()
+        });
+        assert_eq!(responses.lines().len(), 3);
+    }
+
+    #[test]
+    fn a_shutdown_after_a_burst_is_answered_after_every_earlier_response() {
+        let responses = Arc::new(Sink::default());
+        let mut lines = vec![PING; 100];
+        lines.push("{\"op\": \"shutdown\"}");
+        serve_pipelined(MockConn::pipelined(lines, &responses));
+        let responses = responses.lines();
+        assert_eq!(responses.len(), 101);
+        assert!(responses[..100].iter().all(|r| r.contains("\"pong\":true")));
+        assert!(
+            responses[100].contains("\"shutdown\":true"),
+            "{}",
+            responses[100]
+        );
     }
 }

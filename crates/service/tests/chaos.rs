@@ -7,12 +7,13 @@
 
 #![cfg(feature = "fault-inject")]
 
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
+use dp_core::api::Session;
 use dp_core::{ContingencyTable, PlanBuilder, Schema, StrategyKind, Workload};
 use dp_mech::PrivacyLevel;
 use dp_service::failpoint::{self, FailAction, Trigger};
-use dp_service::protocol::render_line;
+use dp_service::protocol::{render_line, session_release_to_value};
 use dp_service::{
     Accountant, Client, ClientConfig, DpService, KeyedRelease, ReleaseAdmission, Server,
     ServiceError, TcpTransport,
@@ -35,11 +36,13 @@ fn tmp_ledger(name: &str) -> std::path::PathBuf {
 
 const HALF: PrivacyLevel = PrivacyLevel::Pure { epsilon: 0.5 };
 
+fn toy_table() -> ContingencyTable {
+    ContingencyTable::from_indices(3, &[0, 1, 5, 7, 7])
+}
+
 fn toy_service(accountant: Accountant) -> (DpService, String) {
     let service = DpService::new(accountant);
-    service
-        .data()
-        .insert_table("toy", ContingencyTable::from_indices(3, &[0, 1, 5, 7, 7]));
+    service.data().insert_table("toy", toy_table());
     service
         .open_tenant("t", PrivacyLevel::Pure { epsilon: 8.0 })
         .unwrap();
@@ -211,9 +214,7 @@ fn start_server(accountant: Accountant) -> (std::thread::JoinHandle<()>, String)
 }
 
 fn serve(service: DpService) -> (std::thread::JoinHandle<()>, String) {
-    service
-        .data()
-        .insert_table("toy", ContingencyTable::from_indices(3, &[0, 1, 5, 7, 7]));
+    service.data().insert_table("toy", toy_table());
     let server = Server::new(service, TcpTransport::bind("127.0.0.1:0").unwrap());
     let addr = server.addr();
     (std::thread::spawn(move || server.run().unwrap()), addr)
@@ -377,6 +378,69 @@ fn a_pipelined_storm_with_send_faults_lands_every_release_once() {
 
     client.shutdown().unwrap();
     handle.join().unwrap();
+}
+
+/// A handler that panics on a pipelined TCP connection — here right after
+/// its keyed release was debited — is answered in-band with the typed
+/// `internal` error. The connection keeps its worker and its in-flight
+/// slot: a retry under the same id on the same connection replays the
+/// release (the in-process bytes for those seeds, one charge), and an
+/// authorized `shutdown` drains and stops the server without re-raising
+/// the panic.
+#[test]
+fn a_panicking_handler_is_answered_in_band_and_keeps_the_connection() {
+    let _guard = serial();
+    let (handle, addr) = start_server(Accountant::in_memory());
+    let mut client = Client::connect_with(
+        &addr,
+        ClientConfig {
+            max_retries: 0,
+            ..ClientConfig::with_timeout(std::time::Duration::from_secs(5))
+        },
+    )
+    .unwrap();
+    let session = register_over_tcp(&mut client);
+    let seeds = [3u64, 4];
+
+    failpoint::configure("release.post_debit", Trigger::nth(0), FailAction::Panic);
+    let started = std::time::Instant::now();
+    let err = client
+        .release_with_id("t", &session, &seeds, "boom")
+        .unwrap_err();
+    assert!(
+        started.elapsed() < std::time::Duration::from_secs(5),
+        "answered in-band, not by the client's read timeout"
+    );
+    assert_eq!(err.code(), "internal", "got {err:?}");
+    assert_eq!(failpoint::fired_count("release.post_debit"), 1);
+    failpoint::clear_all();
+
+    let released = client
+        .release_with_id("t", &session, &seeds, "boom")
+        .unwrap();
+    let plan = Arc::new(
+        PlanBuilder::marginals(
+            Workload::all_k_way(&Schema::binary(3).unwrap(), 1).unwrap(),
+            StrategyKind::Fourier,
+        )
+        .privacy(HALF)
+        .compile()
+        .unwrap(),
+    );
+    let local = Session::bind(plan, &toy_table()).unwrap();
+    assert_eq!(released.len(), seeds.len());
+    for (wire, &seed) in released.iter().zip(&seeds) {
+        let expected = render_line(&session_release_to_value(&local.release(seed).unwrap()));
+        assert_eq!(render_line(wire), expected, "seed {seed}");
+    }
+    let status = client.budget_status("t").unwrap();
+    assert_eq!(status.charges, 1, "the retry replayed the debited release");
+
+    client.shutdown().unwrap();
+    assert!(
+        handle.join().is_ok(),
+        "the server thread must not re-raise the panic"
+    );
 }
 
 /// An overload storm over TCP: with a per-tenant in-flight cap of 1, one
