@@ -16,7 +16,7 @@
 //! | `wal.append`         | before each ledger record is staged into a batch |
 //! | `wal.batch_sync`     | after a whole batch is written, before its one `sync_data` — fails **every** record in the batch |
 //! | `net.recv`           | before a request line is read off a socket       |
-//! | `net.send`           | before a response line is written to a socket (both the in-line and the pipelined writer) |
+//! | `net.send`           | before a line is written to a TCP socket (one site, shared by the server's response writer and the client's request send) |
 //! | `release.post_debit` | after the budget debit, before noise is drawn    |
 //!
 //! ## Schedules

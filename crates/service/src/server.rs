@@ -3,27 +3,30 @@
 //!
 //! ## Pipelining
 //!
-//! On connections whose transport can detach a send side
-//! ([`Connection::writer`] — TCP can), requests are handled
-//! **concurrently per connection**: the reader thread keeps pulling
-//! lines while up to `PIPELINE_MAX_INFLIGHT` (64) earlier requests execute
-//! on the connection's request workers, and responses go out as each
-//! finishes — possibly out of request order. Clients that pipeline keyed
-//! releases match responses by the echoed `request_id`; clients that send
-//! one request and wait (every pre-pipelining client) observe no
-//! difference. This is what lets one connection keep the accountant's
-//! group committer fed: k requests in flight land in the same fsync batch
-//! instead of queuing one-per-sync. Connections without a detachable
-//! writer are handled strictly in turn, as before.
+//! Every connection is pipelined: requests are handled **concurrently per
+//! connection**. The reader thread keeps pulling lines while up to
+//! `PIPELINE_MAX_INFLIGHT` (64) earlier requests execute on the
+//! connection's request workers, and responses go out as each finishes —
+//! possibly out of request order. Clients that pipeline keyed releases
+//! match responses by the echoed `request_id`; clients that send one
+//! request and wait (every pre-pipelining client) observe no difference.
+//! This is what lets one connection keep the accountant's group committer
+//! fed: k requests in flight land in the same fsync batch instead of
+//! queuing one-per-sync. A connection whose send side
+//! ([`Connection::writer`]) cannot be detached is closed unserved.
 //!
 //! Request workers are scoped threads that stay **parked** between
-//! requests for the life of their connection. The reader hands each line
-//! to a parked worker, and starts a new one only when every worker is busy
-//! and fewer than 64 requests are in flight: a closed-loop connection runs
-//! on one worker throughout, and a pipelined window of k requests starts at
-//! most k. When the reader stops (end of stream, a receive error, a dead
-//! send side, an authorized `shutdown`) it wakes every parked worker; they
-//! finish what was already handed over and exit with the connection.
+//! requests for the life of their connection. The reader parses each line
+//! and hands the parsed value to a parked worker, and starts a new worker
+//! only when every worker is busy and fewer than 64 requests are in
+//! flight: a closed-loop connection runs on one worker throughout, and a
+//! pipelined window of k requests starts at most k. When the reader stops
+//! (end of stream, a receive error, a dead send side, an authorized
+//! `shutdown`) it wakes every parked worker; they finish what was already
+//! handed over and exit with the connection. A request whose parsed `op`
+//! is `shutdown` is the one exception to the hand-over: the reader waits
+//! for every earlier response, then runs it itself, so nothing races the
+//! stop.
 //!
 //! Every request line is answered with exactly one response line. A line
 //! that decodes but fails to parse or execute is answered in-band with the
@@ -51,21 +54,46 @@ use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::Duration;
 
 use crate::error::ServiceError;
 use crate::protocol::{error_response, parse_line, render_line, Request};
 use crate::service::DpService;
-use crate::transport::{Connection, ConnectionWriter, Transport};
+use crate::transport::{Connection, Transport};
 use serde::Value;
 
 /// Consecutive `accept` failures tolerated (with backoff) before the
 /// listener is declared dead and [`Server::run`] returns the error.
 const MAX_ACCEPT_FAILURES: u32 = 64;
 
-/// Requests one pipelined connection may have in flight at once, and so
-/// the most request workers it ever starts; further lines wait in the
-/// reader thread (natural backpressure through the socket).
+/// Requests one connection may have in flight at once, and so the most
+/// request workers it ever starts; further lines wait in the reader
+/// thread (natural backpressure through the socket).
 const PIPELINE_MAX_INFLIGHT: usize = 64;
+
+/// The pause after the `failures`-th consecutive accept failure: 10 ms
+/// doubling to a 1.28 s ceiling — long enough for fd pressure to drain,
+/// short enough to stay live.
+fn accept_backoff(failures: u32) -> Duration {
+    Duration::from_millis(10 << failures.saturating_sub(1).min(7))
+}
+
+/// Runs `f` with a panic caught and turned into the typed `internal`
+/// error, so a panicking request never unwinds into its connection: the
+/// thread, its in-flight slot and the connection survive, and a keyed
+/// release it had already debited replays on retry.
+fn catch_panic<R>(f: impl FnOnce() -> Result<R, ServiceError>) -> Result<R, ServiceError> {
+    std::panic::catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        let reason = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("unknown cause");
+        Err(ServiceError::Internal(format!(
+            "request handler panicked: {reason}"
+        )))
+    })
+}
 
 /// Resource bounds for a [`Server`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -135,7 +163,7 @@ impl<T: Transport> Server<T> {
             let mut failures = 0u32;
             loop {
                 match self.transport.accept() {
-                    Ok(Some(mut conn)) => {
+                    Ok(Some(conn)) => {
                         failures = 0;
                         if let Some(cap) = self.limits.max_connections {
                             if self.active.load(Ordering::SeqCst) >= cap {
@@ -146,7 +174,8 @@ impl<T: Transport> Server<T> {
                                 let shed = ServiceError::Overloaded {
                                     scope: "connections".into(),
                                 };
-                                let _ = conn.send(&render_line(&error_response(&shed)));
+                                let line = render_line(&error_response(&shed));
+                                let _ = conn.writer().and_then(|mut w| w.send(&line));
                                 continue;
                             }
                         }
@@ -164,105 +193,43 @@ impl<T: Transport> Server<T> {
                             return Err(e);
                         }
                         eprintln!("accept failed ({failures} consecutive), retrying: {e}");
-                        // 10ms doubling to a 1.28s ceiling: long enough for
-                        // fd-pressure to drain, short enough to stay live.
-                        let exp = failures.saturating_sub(1).min(7);
-                        std::thread::sleep(std::time::Duration::from_millis(10 << exp));
+                        // The unit tests script 64 failures in a row and
+                        // skip the real wait; the schedule has its own test.
+                        if !cfg!(test) {
+                            std::thread::sleep(accept_backoff(failures));
+                        }
                     }
                 }
             }
         })
     }
 
-    fn handle_connection(&self, conn: T::Conn) {
-        match conn.writer() {
-            Some(writer) => {
-                self.handle_pipelined(conn, writer);
-            }
-            None => self.handle_sequential(conn),
-        }
+    /// Answers one parsed line: the handler's response, or the typed error
+    /// it is answered with in-band.
+    fn execute(&self, parsed: Result<Value, ServiceError>) -> Result<Arc<Value>, ServiceError> {
+        parsed.and_then(|value| {
+            catch_panic(|| {
+                let credential = value.get_field("auth").and_then(Value::as_str);
+                self.service
+                    .handle(Request::from_value(&value)?, credential)
+            })
+        })
     }
 
-    /// One line → one response value, shared by every loop. The bool is
-    /// "an authorized shutdown was acknowledged". A panicking handler is
-    /// answered with the typed `internal` error instead of unwinding into
-    /// the connection: its thread, its in-flight slot and the connection
-    /// survive, and a keyed release it had already debited replays on retry.
-    fn execute(&self, line: &str) -> (Arc<Value>, bool) {
-        std::panic::catch_unwind(AssertUnwindSafe(|| self.dispatch(line))).unwrap_or_else(
-            |payload| {
-                let reason = payload
-                    .downcast_ref::<&str>()
-                    .copied()
-                    .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-                    .unwrap_or("unknown cause");
-                let error = ServiceError::Internal(format!("request handler panicked: {reason}"));
-                (Arc::new(error_response(&error)), false)
-            },
-        )
-    }
-
-    fn dispatch(&self, line: &str) -> (Arc<Value>, bool) {
-        let parsed = parse_line(line).and_then(|value| {
-            let credential = value
-                .get_field("auth")
-                .and_then(Value::as_str)
-                .map(str::to_owned);
-            Request::from_value(&value).map(|request| (request, credential))
-        });
-        match parsed {
-            Ok((request, credential)) => {
-                let is_shutdown = matches!(request, Request::Shutdown);
-                match self.service.handle(request, credential.as_deref()) {
-                    // Only an *authorized* shutdown stops the listener; a
-                    // refused one is just an error response like any other.
-                    Ok(value) => (value, is_shutdown),
-                    Err(e) => (Arc::new(error_response(&e)), false),
-                }
+    /// Serves one connection (see the module docs): the reader keeps
+    /// pulling request lines, parses each, and hands it to a parked
+    /// request worker of this connection, starting one only when none is
+    /// free; each worker sends its own response through the shared writer
+    /// as it finishes, so responses may leave out of request order.
+    /// Returns how many workers the connection started.
+    fn handle_connection(&self, mut conn: T::Conn) -> usize {
+        let writer = match conn.writer() {
+            Ok(writer) => Mutex::new(writer),
+            Err(e) => {
+                eprintln!("closing a connection whose send side cannot be detached: {e}");
+                return 0;
             }
-            Err(e) => (Arc::new(error_response(&e)), false),
-        }
-    }
-
-    /// The strict request-at-a-time loop, for connections that cannot
-    /// detach a send side (in-process test transports).
-    fn handle_sequential(&self, mut conn: T::Conn) {
-        loop {
-            let line = match conn.receive() {
-                Ok(Some(line)) => line,
-                Ok(None) => return,
-                Err(e) => {
-                    // The stream is mid-line or undecodable, so the answer
-                    // is best-effort in-band and the connection must close:
-                    // there is no way to resynchronize on line boundaries.
-                    let _ = conn.send(&render_line(&error_response(&e)));
-                    return;
-                }
-            };
-            if line.trim().is_empty() {
-                continue;
-            }
-            let (response, stop) = self.execute(&line);
-            if conn.send(&render_line(&response)).is_err() {
-                return;
-            }
-            if stop {
-                // Acknowledge first, then stop accepting: the sender gets
-                // its response before the listener goes away.
-                self.transport.shutdown();
-                return;
-            }
-        }
-    }
-
-    /// The pipelined loop (see the module docs): the reader keeps pulling
-    /// request lines and hands each to a parked request worker of this
-    /// connection, starting one only when none is free; each worker sends
-    /// its own response through the shared writer as it finishes, so
-    /// responses may leave out of request order. Returns how many workers
-    /// the connection started.
-    fn handle_pipelined(&self, mut conn: T::Conn, writer: Box<dyn ConnectionWriter>) -> usize {
-        let writer = Mutex::new(writer);
+        };
         let send = |response: &Value| -> bool {
             writer
                 .lock()
@@ -290,17 +257,26 @@ impl<T: Transport> Server<T> {
                 if line.trim().is_empty() {
                     continue;
                 }
+                let parsed = catch_panic(|| parse_line(&line));
                 // Shutdown is handled inline, after the pipeline drains:
                 // every already-admitted request gets its response before
-                // the acknowledgement, and nothing races the stop.
-                if line.contains("\"shutdown\"") {
+                // the acknowledgement, and nothing races the stop. The op
+                // is the decoded string, so an escaped spelling routes the
+                // same way.
+                let is_shutdown = parsed.as_ref().is_ok_and(|value| {
+                    value.get_field("op").and_then(Value::as_str) == Some("shutdown")
+                });
+                if is_shutdown {
                     let mut state = pipeline.lock();
                     while state.inflight > 0 {
                         state = pipeline.wait_for_workers(state);
                     }
                     drop(state);
-                    let (response, stop) = self.execute(&line);
-                    if !send(&response) {
+                    let answer = self.execute(parsed);
+                    // Only an *authorized* shutdown stops the listener; a
+                    // refused one is just an error response like any other.
+                    let stop = answer.is_ok();
+                    if !send(&answer.unwrap_or_else(|e| Arc::new(error_response(&e)))) {
                         return;
                     }
                     if stop {
@@ -317,7 +293,7 @@ impl<T: Transport> Server<T> {
                     return; // the socket is gone; stop reading
                 }
                 state.inflight += 1;
-                state.queue.push_back(line);
+                state.queue.push_back(parsed);
                 // Workers not executing are parked or about to look for
                 // work; each takes one queued line. Start another only if
                 // the queue outnumbers them (never past the in-flight cap:
@@ -339,13 +315,13 @@ impl<T: Transport> Server<T> {
             .workers
     }
 
-    /// One request worker of a pipelined connection: takes handed-over
-    /// lines until the reader has closed and none is left, parking while
-    /// there is nothing to do.
+    /// One request worker of a connection: takes handed-over lines until
+    /// the reader has closed and none is left, parking while there is
+    /// nothing to do.
     fn serve_pipeline(&self, pipeline: &Pipeline, send: &(dyn Fn(&Value) -> bool + Sync)) {
         let mut state = pipeline.lock();
         loop {
-            let Some(line) = state.queue.pop_front() else {
+            let Some(parsed) = state.queue.pop_front() else {
                 if state.closed {
                     return;
                 }
@@ -356,7 +332,9 @@ impl<T: Transport> Server<T> {
             };
             state.executing += 1;
             drop(state);
-            let (response, _) = self.execute(&line);
+            let response = self
+                .execute(parsed)
+                .unwrap_or_else(|e| Arc::new(error_response(&e)));
             // Free before the response leaves: a closed-loop client's next
             // line then always finds this worker instead of starting one.
             pipeline.lock().executing -= 1;
@@ -371,8 +349,8 @@ impl<T: Transport> Server<T> {
     }
 }
 
-/// What a pipelined connection's reader and its request workers share
-/// (see [`Server::handle_pipelined`]).
+/// What a connection's reader and its request workers share (see
+/// [`Server::handle_connection`]).
 #[derive(Default)]
 struct Pipeline {
     state: Mutex<PipelineState>,
@@ -385,8 +363,9 @@ struct Pipeline {
 
 #[derive(Default)]
 struct PipelineState {
-    /// Lines handed over by the reader that no worker has taken yet.
-    queue: VecDeque<String>,
+    /// Parsed lines handed over by the reader that no worker has taken
+    /// yet.
+    queue: VecDeque<Result<Value, ServiceError>>,
     /// Requests admitted and not yet answered: queued, executing or
     /// being sent.
     inflight: usize,
@@ -440,8 +419,8 @@ impl Drop for CloseOnDrop<'_> {
 mod tests {
     use super::*;
     use crate::accountant::Accountant;
+    use crate::transport::ConnectionWriter;
     use std::sync::mpsc;
-    use std::time::Duration;
 
     const PING: &str = "{\"op\": \"ping\"}";
 
@@ -468,12 +447,19 @@ mod tests {
         }
     }
 
-    /// The detached send side of a pipelined [`MockConn`].
-    struct MockWriter(Arc<Sink>);
+    /// The detached send side of a [`MockConn`]. With `hold_first`, the
+    /// first send waits until that sink has a line.
+    struct MockWriter {
+        sink: Arc<Sink>,
+        hold_first: Option<Arc<Sink>>,
+    }
 
     impl ConnectionWriter for MockWriter {
         fn send(&mut self, line: &str) -> Result<(), ServiceError> {
-            self.0.push(line);
+            if let Some(gate) = self.hold_first.take() {
+                gate.wait_for(1);
+            }
+            self.sink.push(line);
             Ok(())
         }
     }
@@ -481,41 +467,29 @@ mod tests {
     /// A scripted connection: canned request lines in, responses recorded.
     /// With `hold`, the first receive blocks until the test releases it —
     /// a deterministic way to keep a connection "in flight". With
-    /// `pipelined` it detaches a writer, so the server pipelines it; with
     /// `lockstep` it is a closed-loop client, handing out each line only
-    /// once every earlier one is answered.
+    /// once every earlier one is answered. With `hang_up`, the first
+    /// response is held until the reader has read to the end of the
+    /// script.
     struct MockConn {
         requests: VecDeque<Result<Option<String>, ServiceError>>,
         responses: Arc<Sink>,
         hold: Option<mpsc::Receiver<()>>,
-        pipelined: bool,
         lockstep: bool,
+        hang_up: Option<Arc<Sink>>,
         handed: usize,
     }
 
     impl MockConn {
-        fn scripted(
-            requests: impl IntoIterator<Item = Result<Option<String>, ServiceError>>,
-            responses: &Arc<Sink>,
-        ) -> MockConn {
+        /// A connection sending `lines` and then hanging up.
+        fn new<'a>(lines: impl IntoIterator<Item = &'a str>, responses: &Arc<Sink>) -> MockConn {
             MockConn {
-                requests: requests.into_iter().collect(),
+                requests: lines.into_iter().map(|l| Ok(Some(l.into()))).collect(),
                 responses: Arc::clone(responses),
                 hold: None,
-                pipelined: false,
                 lockstep: false,
+                hang_up: None,
                 handed: 0,
-            }
-        }
-
-        /// A pipelined connection sending `lines` and then hanging up.
-        fn pipelined<'a>(
-            lines: impl IntoIterator<Item = &'a str>,
-            responses: &Arc<Sink>,
-        ) -> MockConn {
-            MockConn {
-                pipelined: true,
-                ..MockConn::scripted(lines.into_iter().map(|l| Ok(Some(l.into()))), responses)
             }
         }
     }
@@ -534,19 +508,17 @@ mod tests {
                 }
             }
             self.handed += 1;
-            self.requests.pop_front().unwrap_or(Ok(None))
+            let next = self.requests.pop_front().unwrap_or(Ok(None));
+            if let (Ok(None), Some(hang_up)) = (&next, &self.hang_up) {
+                hang_up.push("hung up");
+            }
+            next
         }
-        fn send(&mut self, line: &str) -> Result<(), ServiceError> {
-            self.responses.push(line);
-            Ok(())
-        }
-        fn peer(&self) -> String {
-            "mock".into()
-        }
-        fn writer(&self) -> Option<Box<dyn ConnectionWriter>> {
-            self.pipelined.then(|| {
-                Box::new(MockWriter(Arc::clone(&self.responses))) as Box<dyn ConnectionWriter>
-            })
+        fn writer(&self) -> Result<Box<dyn ConnectionWriter>, ServiceError> {
+            Ok(Box::new(MockWriter {
+                sink: Arc::clone(&self.responses),
+                hold_first: self.hang_up.clone(),
+            }))
         }
     }
 
@@ -578,7 +550,7 @@ mod tests {
     #[test]
     fn transient_accept_errors_do_not_stop_the_server() {
         let responses = Arc::new(Sink::default());
-        let conn = MockConn::scripted([Ok(Some(PING.into()))], &responses);
+        let conn = MockConn::new([PING], &responses);
         let transport = MockTransport {
             script: Mutex::new(VecDeque::from([
                 Err(ServiceError::Io("connection aborted".into())),
@@ -608,17 +580,27 @@ mod tests {
     }
 
     #[test]
+    fn accept_backoff_doubles_from_10_ms_to_a_1_28_s_ceiling() {
+        let millis: Vec<u128> = (1..=10).map(|f| accept_backoff(f).as_millis()).collect();
+        assert_eq!(millis, [10, 20, 40, 80, 160, 320, 640, 1280, 1280, 1280]);
+        assert_eq!(accept_backoff(MAX_ACCEPT_FAILURES).as_millis(), 1280);
+    }
+
+    #[test]
     fn receive_errors_are_answered_in_band_before_closing() {
         let responses = Arc::new(Sink::default());
-        let conn = MockConn::scripted(
-            [
+        // Lockstep: the ping is answered before the receive error arrives,
+        // so the two responses have a fixed order.
+        let conn = MockConn {
+            requests: VecDeque::from([
                 Ok(Some(PING.into())),
                 Err(ServiceError::Protocol("request line too long".into())),
                 // Never reached: the connection closes on the error above.
                 Ok(Some(PING.into())),
-            ],
-            &responses,
-        );
+            ]),
+            lockstep: true,
+            ..MockConn::new([], &responses)
+        };
         let server = Server::new(
             DpService::new(Accountant::in_memory()),
             MockTransport::serving([conn]),
@@ -626,6 +608,7 @@ mod tests {
         server.run().unwrap();
         let responses = responses.lines();
         assert_eq!(responses.len(), 2, "error answered, then closed");
+        assert!(responses[0].contains("\"pong\":true"));
         assert!(responses[1].contains("\"code\":\"protocol\""));
     }
 
@@ -634,14 +617,8 @@ mod tests {
         use crate::auth::Auth;
         let refused = Arc::new(Sink::default());
         let granted = Arc::new(Sink::default());
-        let conn_refused =
-            MockConn::scripted([Ok(Some("{\"op\": \"shutdown\"}".into()))], &refused);
-        let conn_granted = MockConn::scripted(
-            [Ok(Some(
-                "{\"op\": \"shutdown\", \"auth\": \"admin\"}".into(),
-            ))],
-            &granted,
-        );
+        let conn_refused = MockConn::new(["{\"op\": \"shutdown\"}"], &refused);
+        let conn_granted = MockConn::new(["{\"op\": \"shutdown\", \"auth\": \"admin\"}"], &granted);
         let service = DpService::with_auth(Accountant::in_memory(), Auth::operator("admin"));
         Server::new(
             service,
@@ -660,9 +637,9 @@ mod tests {
         let shed_responses = Arc::new(Sink::default());
         let held_conn = MockConn {
             hold: Some(gate),
-            ..MockConn::scripted([Ok(Some(PING.into()))], &first_responses)
+            ..MockConn::new([PING], &first_responses)
         };
-        let shed_conn = MockConn::scripted([Ok(Some(PING.into()))], &shed_responses);
+        let shed_conn = MockConn::new([PING], &shed_responses);
         let server = Server::with_limits(
             DpService::new(Accountant::in_memory()),
             MockTransport::serving([held_conn, shed_conn]),
@@ -697,16 +674,15 @@ mod tests {
             .expect("the connection did not finish within 120 s (or its thread panicked)")
     }
 
-    /// Serves one pipelined connection to its end under the watchdog and
-    /// returns how many request workers it started.
-    fn serve_pipelined(conn: MockConn) -> usize {
+    /// Serves one connection to its end under the watchdog and returns
+    /// how many request workers it started.
+    fn serve(conn: MockConn) -> usize {
         within_watchdog(move || {
             let server = Server::new(
                 DpService::new(Accountant::in_memory()),
                 MockTransport::serving([]),
             );
-            let writer = conn.writer().expect("a pipelined mock connection");
-            server.handle_pipelined(conn, writer)
+            server.handle_connection(conn)
         })
     }
 
@@ -715,13 +691,9 @@ mod tests {
         let responses = Arc::new(Sink::default());
         let conn = MockConn {
             lockstep: true,
-            ..MockConn::pipelined([PING; 500], &responses)
+            ..MockConn::new([PING; 500], &responses)
         };
-        assert_eq!(
-            serve_pipelined(conn),
-            1,
-            "one worker, reused for every request"
-        );
+        assert_eq!(serve(conn), 1, "one worker, reused for every request");
         let responses = responses.lines();
         assert_eq!(responses.len(), 500);
         assert!(responses.iter().all(|r| r.contains("\"pong\":true")));
@@ -730,7 +702,7 @@ mod tests {
     #[test]
     fn a_burst_gets_one_response_per_line_from_at_most_64_workers() {
         let responses = Arc::new(Sink::default());
-        let workers = serve_pipelined(MockConn::pipelined([PING; 200], &responses));
+        let workers = serve(MockConn::new([PING; 200], &responses));
         assert!(
             (1..=PIPELINE_MAX_INFLIGHT).contains(&workers),
             "{workers} workers started"
@@ -745,7 +717,7 @@ mod tests {
         let responses = Arc::new(Sink::default());
         let conn = MockConn {
             lockstep: true,
-            ..MockConn::pipelined([PING; 3], &responses)
+            ..MockConn::new([PING; 3], &responses)
         };
         // The worker is parked when the peer hangs up; the reader must wake
         // it so the connection's scope joins and `run` returns.
@@ -765,7 +737,7 @@ mod tests {
         let responses = Arc::new(Sink::default());
         let mut lines = vec![PING; 100];
         lines.push("{\"op\": \"shutdown\"}");
-        serve_pipelined(MockConn::pipelined(lines, &responses));
+        serve(MockConn::new(lines, &responses));
         let responses = responses.lines();
         assert_eq!(responses.len(), 101);
         assert!(responses[..100].iter().all(|r| r.contains("\"pong\":true")));
@@ -774,5 +746,28 @@ mod tests {
             "{}",
             responses[100]
         );
+    }
+
+    #[test]
+    fn a_tenant_named_shutdown_is_not_drained_behind_earlier_requests() {
+        let responses = Arc::new(Sink::default());
+        let open = "{\"op\": \"open_tenant\", \"tenant\": \"shutdown\", \
+                    \"budget\": {\"epsilon\": 1.0}}";
+        // The ping's response is held until the reader hangs up, so a
+        // reader that drained the pipeline before running the second line
+        // would never get there.
+        let conn = MockConn {
+            hang_up: Some(Arc::new(Sink::default())),
+            ..MockConn::new([PING, open], &responses)
+        };
+        serve(conn);
+        let responses = responses.lines();
+        assert_eq!(responses.len(), 2);
+        // Two workers may answer, in either order.
+        let (pong, opened): (Vec<_>, Vec<_>) =
+            responses.iter().partition(|r| r.contains("\"pong\":true"));
+        assert_eq!(pong.len(), 1, "{responses:?}");
+        assert!(opened[0].contains("\"ok\":true"), "{}", opened[0]);
+        assert!(!opened[0].contains("\"shutdown\":true"), "{}", opened[0]);
     }
 }

@@ -5,12 +5,14 @@
 //! This workspace is built entirely against vendored, dependency-free
 //! shims — there is no tokio (or any async runtime) to link. The service
 //! therefore speaks blocking I/O on OS threads: [`Transport`] hands out
-//! connections, and the server (see [`crate::server`]) runs one handler
-//! thread per connection via `std::thread::scope`. The trait keeps the
-//! service core and server loop independent of the socket layer, so tests
-//! can drive the server over an in-process transport, and an async or TLS
-//! front-end later only has to implement these two small traits — nothing
-//! in the protocol or accounting layers would change.
+//! connections, and the server (see [`crate::server`]) runs one reader
+//! thread per connection via `std::thread::scope`. Every [`Connection`]
+//! detaches a send side ([`ConnectionWriter`]), which the connection's
+//! request workers share, so every connection is pipelined. The traits
+//! keep the service core and server loop independent of the socket layer,
+//! so tests can drive the server over an in-process transport, and an
+//! async or TLS front-end later only has to implement these three small
+//! traits — nothing in the protocol or accounting layers would change.
 //!
 //! ## Request size cap
 //!
@@ -55,27 +57,21 @@ pub const MAX_LINE_BYTES: usize = 16 << 20;
 /// A send-only handle onto a connection, detachable from the receive
 /// side so responses can be written from a different thread than the one
 /// reading requests — the server uses this to handle a connection's
-/// requests concurrently (pipelining) instead of strictly in turn.
+/// requests concurrently (pipelining).
 pub trait ConnectionWriter: Send {
     /// Sends one response line.
     fn send(&mut self, line: &str) -> Result<(), ServiceError>;
 }
 
-/// One bidirectional line-oriented peer connection.
+/// One line-oriented peer connection: a receive side the server reads on
+/// one thread, and a send side it detaches for the connection's request
+/// workers.
 pub trait Connection: Send {
     /// Receives the next request line, `None` when the peer hung up.
     fn receive(&mut self) -> Result<Option<String>, ServiceError>;
-    /// Sends one response line.
-    fn send(&mut self, line: &str) -> Result<(), ServiceError>;
-    /// A short peer label for diagnostics.
-    fn peer(&self) -> String;
-    /// A detached send side, if this connection supports one. `None`
-    /// (the default) means responses can only be sent from the receive
-    /// thread, and the server falls back to strictly sequential
-    /// request handling.
-    fn writer(&self) -> Option<Box<dyn ConnectionWriter>> {
-        None
-    }
+    /// A detached send side. An error means the connection cannot be
+    /// served, and the server closes it.
+    fn writer(&self) -> Result<Box<dyn ConnectionWriter>, ServiceError>;
 }
 
 /// A listener producing [`Connection`]s until shut down.
@@ -94,8 +90,7 @@ pub trait Transport: Sync {
 /// A line-delimited connection over one TCP stream.
 pub struct TcpConnection {
     reader: BufReader<TcpStream>,
-    writer: TcpStream,
-    peer: String,
+    writer: TcpWriter,
 }
 
 impl TcpConnection {
@@ -105,16 +100,19 @@ impl TcpConnection {
         // One request line, one response line: Nagle buys nothing here and
         // its interaction with delayed ACKs costs tens of ms per call.
         stream.set_nodelay(true)?;
-        let peer = stream
-            .peer_addr()
-            .map(|a| a.to_string())
-            .unwrap_or_else(|_| "<unknown>".into());
-        let writer = stream.try_clone()?;
+        let writer = TcpWriter {
+            writer: stream.try_clone()?,
+        };
         Ok(TcpConnection {
             reader: BufReader::new(stream),
             writer,
-            peer,
         })
+    }
+
+    /// Sends one line from the receiving thread (the client's side). A
+    /// failure leaves the socket to the caller, which drops it.
+    pub fn send(&mut self, line: &str) -> Result<(), ServiceError> {
+        self.writer.try_send(line)
     }
 }
 
@@ -150,37 +148,23 @@ impl Connection for TcpConnection {
         Ok(Some(line))
     }
 
-    fn send(&mut self, line: &str) -> Result<(), ServiceError> {
-        fail_point!("net.send");
-        let write = |e| io_to_service(e, "write");
-        self.writer.write_all(line.as_bytes()).map_err(write)?;
-        self.writer.write_all(b"\n").map_err(write)?;
-        self.writer.flush().map_err(write)?;
-        Ok(())
-    }
-
-    fn peer(&self) -> String {
-        self.peer.clone()
-    }
-
-    fn writer(&self) -> Option<Box<dyn ConnectionWriter>> {
-        self.writer
-            .try_clone()
-            .ok()
-            .map(|stream| Box::new(TcpWriter { writer: stream }) as Box<dyn ConnectionWriter>)
+    fn writer(&self) -> Result<Box<dyn ConnectionWriter>, ServiceError> {
+        Ok(Box::new(TcpWriter {
+            writer: self.writer.writer.try_clone()?,
+        }))
     }
 }
 
-/// The detached send side of a [`TcpConnection`] (another handle on the
-/// same socket).
+/// The send side of a [`TcpConnection`] (another handle on the same
+/// socket).
 struct TcpWriter {
     writer: TcpStream,
 }
 
 impl TcpWriter {
+    /// The one send body of both sides, so chaos schedules over the
+    /// `net.send` failpoint see each line exactly once.
     fn try_send(&mut self, line: &str) -> Result<(), ServiceError> {
-        // Same failpoint site as the in-line send path, so chaos
-        // schedules over `net.send` cover pipelined responses too.
         fail_point!("net.send");
         let write = |e| io_to_service(e, "write");
         self.writer.write_all(line.as_bytes()).map_err(write)?;
@@ -197,8 +181,7 @@ impl ConnectionWriter for TcpWriter {
             // A response is now lost; the stream cannot be trusted. Close
             // both directions so the peer sees the drop *immediately*
             // (instead of timing out waiting for the lost line) and the
-            // server's reader thread unblocks — the same fail-fast the
-            // sequential path gets by dropping the whole connection.
+            // server's reader thread unblocks.
             let _ = self.writer.shutdown(std::net::Shutdown::Both);
         }
         result

@@ -5,9 +5,13 @@
 //! WAL-replaying restart happens between the attempts.
 //!
 //! The fault here is injected at the [`Transport`] seam with a test-local
-//! wrapper (so this file runs under default features); the feature-gated
-//! `fail_point!` sites get their own exercise in `tests/chaos.rs`.
+//! wrapper (so this file runs under default features): its connections
+//! are served on the server's one, pipelined path, and the wrapper kills
+//! a response inside the detached writer a request worker sends through.
+//! The feature-gated `fail_point!` sites get their own exercise in
+//! `tests/chaos.rs`.
 
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -16,7 +20,7 @@ use dp_core::api::WorkloadSpec;
 use dp_core::{ContingencyTable, Schema, StrategyKind, Workload};
 use dp_mech::{Neighboring, PrivacyLevel};
 use dp_service::protocol::render_line;
-use dp_service::transport::{Connection, TcpTransport, Transport};
+use dp_service::transport::{Connection, ConnectionWriter, TcpConnection, TcpTransport, Transport};
 use dp_service::{Accountant, Client, ClientConfig, DpService, KeyedRelease, Server, ServiceError};
 
 fn toy_table() -> ContingencyTable {
@@ -33,11 +37,12 @@ fn toy_spec() -> WorkloadSpec {
     }
 }
 
-/// A TCP connection whose next `send` can be remotely killed — the
+/// A TCP connection whose next response can be remotely killed — the
 /// precise failure window of the exactly-once contract: the server has
 /// already debited and computed, the client never hears back.
 struct FlakyConn {
-    inner: <TcpTransport as Transport>::Conn,
+    inner: TcpConnection,
+    socket: TcpStream,
     kill_next_send: Arc<AtomicBool>,
 }
 
@@ -46,24 +51,41 @@ impl Connection for FlakyConn {
         self.inner.receive()
     }
 
+    fn writer(&self) -> Result<Box<dyn ConnectionWriter>, ServiceError> {
+        Ok(Box::new(FlakyWriter {
+            inner: self.inner.writer()?,
+            socket: self.socket.try_clone()?,
+            kill_next_send: Arc::clone(&self.kill_next_send),
+        }))
+    }
+}
+
+struct FlakyWriter {
+    inner: Box<dyn ConnectionWriter>,
+    socket: TcpStream,
+    kill_next_send: Arc<AtomicBool>,
+}
+
+impl ConnectionWriter for FlakyWriter {
     fn send(&mut self, line: &str) -> Result<(), ServiceError> {
         if self.kill_next_send.swap(false, Ordering::SeqCst) {
-            // The handler treats this like any broken pipe: it closes the
-            // connection without the response ever reaching the peer.
+            // Lost like any broken pipe, and closed the way the TCP writer
+            // closes on one: the client sees the drop at once instead of
+            // waiting out its read timeout, and the server's reader stops.
+            let _ = self.socket.shutdown(Shutdown::Both);
             return Err(ServiceError::Io(
                 "injected: connection died before the response".into(),
             ));
         }
         self.inner.send(line)
     }
-
-    fn peer(&self) -> String {
-        self.inner.peer()
-    }
 }
 
+/// A listener handing out [`FlakyConn`]s; it stops the way
+/// [`TcpTransport`] does, by flagging and then dialling itself.
 struct FlakyTransport {
-    inner: TcpTransport,
+    listener: TcpListener,
+    stopping: AtomicBool,
     kill_next_send: Arc<AtomicBool>,
 }
 
@@ -71,18 +93,24 @@ impl Transport for FlakyTransport {
     type Conn = FlakyConn;
 
     fn accept(&self) -> Result<Option<FlakyConn>, ServiceError> {
-        Ok(self.inner.accept()?.map(|conn| FlakyConn {
-            inner: conn,
+        let (stream, _) = self.listener.accept()?;
+        if self.stopping.load(Ordering::SeqCst) {
+            return Ok(None);
+        }
+        Ok(Some(FlakyConn {
+            socket: stream.try_clone()?,
+            inner: TcpConnection::from_stream(stream)?,
             kill_next_send: Arc::clone(&self.kill_next_send),
         }))
     }
 
     fn local_addr(&self) -> String {
-        self.inner.local_addr()
+        self.listener.local_addr().unwrap().to_string()
     }
 
     fn shutdown(&self) {
-        self.inner.shutdown()
+        self.stopping.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(self.local_addr());
     }
 }
 
@@ -91,7 +119,8 @@ fn start_flaky_server(ledger: &std::path::Path) -> (JoinHandle<()>, String, Arc<
     service.data().insert_table("toy", toy_table());
     let kill_next_send = Arc::new(AtomicBool::new(false));
     let transport = FlakyTransport {
-        inner: TcpTransport::bind("127.0.0.1:0").unwrap(),
+        listener: TcpListener::bind("127.0.0.1:0").unwrap(),
+        stopping: AtomicBool::new(false),
         kill_next_send: Arc::clone(&kill_next_send),
     };
     let server = Server::new(service, transport);
@@ -267,8 +296,8 @@ fn a_retry_across_a_server_restart_replays_byte_identically() {
     handle.join().unwrap();
 }
 
-/// Starts a plain-TCP server (real `TcpConnection`s, so the pipelined
-/// handler path runs) over a group-committed WAL ledger.
+/// Starts a plain-TCP server (real `TcpConnection`s) over a
+/// group-committed WAL ledger.
 fn start_plain_server(ledger: &std::path::Path) -> (JoinHandle<()>, String) {
     let service = DpService::new(Accountant::with_wal(ledger).unwrap());
     service.data().insert_table("toy", toy_table());

@@ -232,6 +232,31 @@ fn a_mebibyte_of_open_brackets_is_refused_and_the_server_survives() {
     handle.join().unwrap();
 }
 
+/// An authorized `shutdown` whose op is spelled with a JSON escape is
+/// still a shutdown: the server routes by the decoded op, acknowledges
+/// it, and stops listening, so `run` returns.
+#[test]
+fn an_escaped_authorized_shutdown_stops_the_listener() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let (handle, addr) = start_server_with_auth(Auth::operator("admin-secret"));
+    let mut raw = std::net::TcpStream::connect(&addr).unwrap();
+    raw.set_read_timeout(Some(std::time::Duration::from_secs(60)))
+        .unwrap();
+    let mut reader = BufReader::new(raw.try_clone().unwrap());
+    writeln!(raw, r#"{{"op": "shut\u0064own", "auth": "admin-secret"}}"#).unwrap();
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains("\"shutdown\":true"), "{line}");
+
+    let (returned, server_stopped) = std::sync::mpsc::channel();
+    std::thread::spawn(move || returned.send(handle.join().is_ok()));
+    let clean = server_stopped
+        .recv_timeout(std::time::Duration::from_secs(30))
+        .expect("the acknowledged shutdown must stop the server within 30 s");
+    assert!(clean, "the server thread panicked");
+}
+
 #[test]
 fn continual_release_loop_streams_deltas_and_charges_once_per_key() {
     let (handle, addr) = start_server();
