@@ -46,7 +46,7 @@
 
 use crate::marginal::MarginalTable;
 use crate::range::{RangeStrategy, RangeWorkload};
-use crate::release::{Release, StrategyKind};
+use crate::release::StrategyKind;
 use crate::schema::Schema;
 use crate::strategy::{
     mechanism_factor, noise_variance, release_budgets, solve_budgets, Budgeting, Compiled,
@@ -623,21 +623,6 @@ impl Answers {
             Answers::Ranges(r) => Some(r),
             Answers::Marginals(_) => None,
         }
-    }
-}
-
-impl SessionRelease {
-    /// Bridges a marginal release to the [`Release`] type (used by
-    /// the CLI's JSON serializer); `None` for range releases.
-    pub fn into_release(self) -> Option<Release> {
-        let answers = self.answers.into_marginals()?;
-        Some(Release {
-            answers,
-            group_budgets: self.group_budgets,
-            predicted_variance: self.predicted_variance,
-            achieved_epsilon: self.achieved_epsilon,
-            label: self.label,
-        })
     }
 }
 

@@ -81,7 +81,7 @@ pub mod prelude {
     pub use crate::mask::AttrMask;
     pub use crate::metrics::{average_absolute_error, average_relative_error};
     pub use crate::range::{RangeStrategy, RangeWorkload};
-    pub use crate::release::{Budgeting, Release, StrategyKind};
+    pub use crate::release::{Budgeting, StrategyKind};
     pub use crate::schema::{Attribute, Schema};
     pub use crate::strategy::NoiseParams;
     pub use crate::table::ContingencyTable;
@@ -94,7 +94,7 @@ pub use crate::api::{
 };
 pub use crate::cluster::{CentroidSearch, ClusterConfig};
 pub use crate::mask::AttrMask;
-pub use crate::release::{Budgeting, Release, StrategyKind};
+pub use crate::release::{Budgeting, StrategyKind};
 pub use crate::schema::Schema;
 pub use crate::table::ContingencyTable;
 pub use crate::workload::Workload;

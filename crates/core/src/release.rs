@@ -48,23 +48,6 @@ impl StrategyKind {
     }
 }
 
-/// A finished differentially private release.
-#[derive(Debug, Clone)]
-pub struct Release {
-    /// Consistent noisy answers, one per workload marginal, workload order.
-    pub answers: Vec<MarginalTable>,
-    /// Per-group noise budgets `η_r` actually used.
-    pub group_budgets: Vec<f64>,
-    /// Predicted total output variance of the *initial* recovery `R₀`
-    /// (the Step-2 objective scaled by the mechanism constant); the GLS
-    /// recovery of Step 3 can only improve on this.
-    pub predicted_variance: f64,
-    /// Achieved ε implied by the budgets (must be ≤ the requested ε).
-    pub achieved_epsilon: f64,
-    /// Strategy label, e.g. `"F+"` for Fourier with optimal budgets.
-    pub label: String,
-}
-
 /// Compiles a marginal strategy for a workload: runs the strategy search
 /// (for `Cluster`, under the given [`ClusterConfig`]) and derives the group
 /// specs, the row groups and the strategy's [`Kind`]. No table is

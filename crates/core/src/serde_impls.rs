@@ -1,36 +1,37 @@
-//! `serde` implementations for the public release types.
+//! `serde` implementations for the public plan and answer types, and the
+//! shared wire codecs of the plan inputs.
 //!
 //! Written by hand (rather than derived) because every one of these types
 //! guards an invariant — mask/cell-count agreement, validated cardinality,
 //! deduplicated in-domain workloads — and deserialization must re-enter
 //! through the validating constructors instead of bypassing them.
 //!
-//! Wire format (JSON via the workspace's `serde_json`):
+//! Wire format (JSON via the workspace's `serde_json`): a marginal table
+//! travels as
 //!
 //! ```json
-//! {
-//!   "label": "F+",
-//!   "achieved_epsilon": 1.0,
-//!   "predicted_variance": 42.5,
-//!   "group_budgets": [0.5, 0.25],
-//!   "answers": [ {"attributes": 3, "cells": [1.0, 0.0, 2.0, 1.0]} ]
-//! }
+//! {"attributes": 3, "cells": [1.0, 0.0, 2.0, 1.0]}
 //! ```
 //!
-//! Attribute masks travel as their `u64` bit patterns.
+//! with its attribute mask as the mask's `u64` bit pattern. The release
+//! document that carries such tables (seed, label, achieved ε, budgets,
+//! answers) is encoded in one place, `dp_service::protocol`.
 //!
 //! [`Plan`] documents additionally carry the solved budgets, the privacy
 //! parameters and the variance predictions, so a compiled plan can be
 //! shipped between processes; deserialization recompiles the strategy
 //! operator from the spec and re-validates the shipped budgets (see the
-//! [`Deserialize`] impl for [`Plan`]).
+//! [`Deserialize`] impl for [`Plan`]). Privacy levels, budgeting modes and
+//! neighbouring conventions have one codec each here ([`privacy_value`],
+//! [`budgeting_value`], [`neighboring_value`] and their inverses), which
+//! every other layer reuses.
 
 use crate::api::{Plan, WorkloadSpec};
 use crate::cluster::{CentroidSearch, ClusterConfig};
 use crate::marginal::MarginalTable;
 use crate::mask::AttrMask;
 use crate::range::{RangeStrategy, RangeWorkload};
-use crate::release::{Release, StrategyKind};
+use crate::release::StrategyKind;
 use crate::strategy::Budgeting;
 use crate::workload::Workload;
 use crate::{
@@ -75,6 +76,82 @@ pub fn u64_from(value: &Value, what: &str) -> Result<u64, DeError> {
     Ok(bits as u64)
 }
 
+/// Wire encoding of a privacy level: `{"epsilon": ε}` or
+/// `{"epsilon": ε, "delta": δ}`. Plan documents, service requests, the
+/// budget ledger and `budget_status` replies all share it.
+pub fn privacy_value(level: PrivacyLevel) -> Value {
+    let mut fields = vec![("epsilon".into(), Value::Number(level.epsilon()))];
+    if let PrivacyLevel::Approx { delta, .. } = level {
+        fields.push(("delta".into(), Value::Number(delta)));
+    }
+    Value::Object(fields)
+}
+
+/// Inverse of [`privacy_value`]: a `delta` field makes the level
+/// approximate.
+pub fn privacy_from(value: &Value) -> Result<PrivacyLevel, DeError> {
+    let epsilon = f64::deserialize_value(field(value, "epsilon")?)?;
+    Ok(match value.get_field("delta") {
+        Some(delta) => PrivacyLevel::Approx {
+            epsilon,
+            delta: f64::deserialize_value(delta)?,
+        },
+        None => PrivacyLevel::Pure { epsilon },
+    })
+}
+
+/// Wire names of the budgeting modes.
+const BUDGETING_NAMES: [(Budgeting, &str); 2] = [
+    (Budgeting::Uniform, "uniform"),
+    (Budgeting::Optimal, "optimal"),
+];
+
+/// Wire names of the neighbouring conventions.
+const NEIGHBORING_NAMES: [(Neighboring, &str); 2] = [
+    (Neighboring::AddRemove, "add_remove"),
+    (Neighboring::Replace, "replace"),
+];
+
+/// The wire name of `variant` in a name table.
+fn name_value<T: PartialEq>(names: &[(T, &str)], variant: T) -> Value {
+    let (_, name) = names
+        .iter()
+        .find(|(v, _)| *v == variant)
+        .expect("every variant has a wire name");
+    Value::String((*name).into())
+}
+
+/// The variant a wire name stands for in a name table.
+fn named<T: Copy>(names: &[(T, &str)], value: &Value, what: &str) -> Result<T, DeError> {
+    let name = String::deserialize_value(value)?;
+    names
+        .iter()
+        .find(|(_, n)| *n == name)
+        .map(|(v, _)| *v)
+        .ok_or_else(|| DeError::new(format!("unknown {what} {name:?}")))
+}
+
+/// Wire encoding of a budgeting mode: its name in `BUDGETING_NAMES`.
+pub fn budgeting_value(budgeting: Budgeting) -> Value {
+    name_value(&BUDGETING_NAMES, budgeting)
+}
+
+/// Inverse of [`budgeting_value`].
+pub fn budgeting_from(value: &Value) -> Result<Budgeting, DeError> {
+    named(&BUDGETING_NAMES, value, "budgeting")
+}
+
+/// Wire encoding of a neighbouring convention: its name in
+/// `NEIGHBORING_NAMES`.
+pub fn neighboring_value(neighboring: Neighboring) -> Value {
+    name_value(&NEIGHBORING_NAMES, neighboring)
+}
+
+/// Inverse of [`neighboring_value`].
+pub fn neighboring_from(value: &Value) -> Result<Neighboring, DeError> {
+    named(&NEIGHBORING_NAMES, value, "neighboring")
+}
+
 impl Serialize for AttrMask {
     fn serialize_value(&self) -> Value {
         u64_value(self.0)
@@ -114,36 +191,6 @@ impl Deserialize for MarginalTable {
             )));
         }
         Ok(MarginalTable::new(mask, cells))
-    }
-}
-
-impl Serialize for Release {
-    fn serialize_value(&self) -> Value {
-        Value::Object(vec![
-            ("label".into(), self.label.serialize_value()),
-            (
-                "achieved_epsilon".into(),
-                self.achieved_epsilon.serialize_value(),
-            ),
-            (
-                "predicted_variance".into(),
-                self.predicted_variance.serialize_value(),
-            ),
-            ("group_budgets".into(), self.group_budgets.serialize_value()),
-            ("answers".into(), self.answers.serialize_value()),
-        ])
-    }
-}
-
-impl Deserialize for Release {
-    fn deserialize_value(value: &Value) -> Result<Self, DeError> {
-        Ok(Release {
-            label: String::deserialize_value(field(value, "label")?)?,
-            achieved_epsilon: f64::deserialize_value(field(value, "achieved_epsilon")?)?,
-            predicted_variance: f64::deserialize_value(field(value, "predicted_variance")?)?,
-            group_budgets: Vec::<f64>::deserialize_value(field(value, "group_budgets")?)?,
-            answers: Vec::<MarginalTable>::deserialize_value(field(value, "answers")?)?,
-        })
     }
 }
 
@@ -403,38 +450,11 @@ impl Serialize for Plan {
     /// side recompiles it deterministically from the spec (and keeps the
     /// shipped budget solution, skipping the Step-2 solve).
     fn serialize_value(&self) -> Value {
-        let privacy = match self.privacy() {
-            PrivacyLevel::Pure { epsilon } => {
-                Value::Object(vec![("epsilon".into(), epsilon.serialize_value())])
-            }
-            PrivacyLevel::Approx { epsilon, delta } => Value::Object(vec![
-                ("epsilon".into(), epsilon.serialize_value()),
-                ("delta".into(), delta.serialize_value()),
-            ]),
-        };
         Value::Object(vec![
             ("spec".into(), self.spec().serialize_value()),
-            (
-                "budgeting".into(),
-                Value::String(
-                    match self.budgeting() {
-                        Budgeting::Uniform => "uniform",
-                        Budgeting::Optimal => "optimal",
-                    }
-                    .into(),
-                ),
-            ),
-            ("privacy".into(), privacy),
-            (
-                "neighboring".into(),
-                Value::String(
-                    match self.neighboring() {
-                        Neighboring::AddRemove => "add_remove",
-                        Neighboring::Replace => "replace",
-                    }
-                    .into(),
-                ),
-            ),
+            ("budgeting".into(), budgeting_value(self.budgeting())),
+            ("privacy".into(), privacy_value(self.privacy())),
+            ("neighboring".into(), neighboring_value(self.neighboring())),
             ("schema_fingerprint".into(), u64_value(self.schema_tag())),
             (
                 "group_budgets".into(),
@@ -467,25 +487,9 @@ impl Deserialize for Plan {
     /// — a tampered document cannot smuggle optimistic accounting.
     fn deserialize_value(value: &Value) -> Result<Self, DeError> {
         let spec = WorkloadSpec::deserialize_value(field(value, "spec")?)?;
-        let budgeting = match String::deserialize_value(field(value, "budgeting")?)?.as_str() {
-            "uniform" => Budgeting::Uniform,
-            "optimal" => Budgeting::Optimal,
-            other => return Err(DeError::new(format!("unknown budgeting {other:?}"))),
-        };
-        let privacy_value = field(value, "privacy")?;
-        let epsilon = f64::deserialize_value(field(privacy_value, "epsilon")?)?;
-        let privacy = match privacy_value.get_field("delta") {
-            Some(delta) => PrivacyLevel::Approx {
-                epsilon,
-                delta: f64::deserialize_value(delta)?,
-            },
-            None => PrivacyLevel::Pure { epsilon },
-        };
-        let neighboring = match String::deserialize_value(field(value, "neighboring")?)?.as_str() {
-            "add_remove" => Neighboring::AddRemove,
-            "replace" => Neighboring::Replace,
-            other => return Err(DeError::new(format!("unknown neighboring {other:?}"))),
-        };
+        let budgeting = budgeting_from(field(value, "budgeting")?)?;
+        let privacy = privacy_from(field(value, "privacy")?)?;
+        let neighboring = neighboring_from(field(value, "neighboring")?)?;
         let schema_tag = u64_from(field(value, "schema_fingerprint")?, "schema fingerprint")?;
         let solution = BudgetSolution {
             group_budgets: Vec::<f64>::deserialize_value(field(value, "group_budgets")?)?,
@@ -518,64 +522,38 @@ mod tests {
     use super::*;
     use crate::prelude::*;
 
-    fn to_json<T: Serialize>(v: &T) -> String {
-        let mut out = String::new();
-        render_compact(&v.serialize_value(), &mut out);
-        out
-    }
-
-    // Minimal renderer/parser stand-ins so dp-core's tests don't need a
-    // serde_json dev-dependency: the real CLI path goes through serde_json.
-    fn render_compact(v: &Value, out: &mut String) {
-        match v {
-            Value::Null => out.push_str("null"),
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Number(n) => out.push_str(&format!("{n}")),
-            Value::String(s) => out.push_str(&format!("{s:?}")),
-            Value::Array(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    render_compact(item, out);
-                }
-                out.push(']');
-            }
-            Value::Object(fields) => {
-                out.push('{');
-                for (i, (k, fv)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&format!("{k:?}:"));
-                    render_compact(fv, out);
-                }
-                out.push('}');
-            }
-        }
-    }
-
     #[test]
-    fn release_roundtrips_through_value() {
-        let t = ContingencyTable::from_counts(vec![1.0, 2.0, 0.0, 1.0]);
-        let w = Workload::new(2, vec![AttrMask(0b01), AttrMask(0b11)]).unwrap();
-        let plan = PlanBuilder::marginals(w, StrategyKind::Fourier)
-            .privacy(PrivacyLevel::Pure { epsilon: 1.0 })
-            .compile()
-            .unwrap();
-        let session = Session::bind(std::sync::Arc::new(plan), &t).unwrap();
-        let r = session.release(1).unwrap().into_release().unwrap();
-        let v = r.serialize_value();
-        let back = Release::deserialize_value(&v).unwrap();
-        assert_eq!(back.label, r.label);
-        assert_eq!(back.group_budgets, r.group_budgets);
-        assert_eq!(back.answers.len(), r.answers.len());
-        for (a, b) in back.answers.iter().zip(&r.answers) {
-            assert_eq!(a.mask(), b.mask());
-            assert_eq!(a.values(), b.values());
+    fn plan_input_codecs_roundtrip_and_refuse_wrong_types() {
+        for level in [
+            PrivacyLevel::Pure { epsilon: 0.5 },
+            PrivacyLevel::Approx {
+                epsilon: 0.5,
+                delta: 1e-6,
+            },
+        ] {
+            assert_eq!(privacy_from(&privacy_value(level)).unwrap(), level);
         }
-        assert!(to_json(&r).contains("\"answers\""));
+        for budgeting in [Budgeting::Uniform, Budgeting::Optimal] {
+            assert_eq!(
+                budgeting_from(&budgeting_value(budgeting)).unwrap(),
+                budgeting
+            );
+        }
+        for neighboring in [Neighboring::AddRemove, Neighboring::Replace] {
+            assert_eq!(
+                neighboring_from(&neighboring_value(neighboring)).unwrap(),
+                neighboring
+            );
+        }
+        assert!(budgeting_from(&Value::Number(1.0)).is_err());
+        assert!(budgeting_from(&Value::String("greedy".into())).is_err());
+        assert!(neighboring_from(&Value::Bool(true)).is_err());
+        assert!(privacy_from(&Value::Object(vec![])).is_err());
+        let bad_delta = Value::Object(vec![
+            ("epsilon".into(), Value::Number(1.0)),
+            ("delta".into(), Value::String("tiny".into())),
+        ]);
+        assert!(privacy_from(&bad_delta).is_err());
     }
 
     #[test]
@@ -618,7 +596,7 @@ mod tests {
         assert!(Workload::deserialize_value(&bad).is_err());
 
         // Missing fields are reported.
-        assert!(Release::deserialize_value(&Value::Object(vec![])).is_err());
+        assert!(MarginalTable::deserialize_value(&Value::Object(vec![])).is_err());
         // Negative / fractional masks are rejected.
         assert!(AttrMask::deserialize_value(&Value::Number(-1.0)).is_err());
         assert!(AttrMask::deserialize_value(&Value::Number(1.5)).is_err());

@@ -95,8 +95,8 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 
 use crate::error::ServiceError;
 use crate::fail_point;
-use crate::protocol::{parse_line, privacy_from_value, privacy_to_value, render_line};
-use dp_core::serde_impls::{u64_from, u64_value};
+use crate::protocol::{parse_line, render_line};
+use dp_core::serde_impls::{privacy_from, privacy_value, u64_from, u64_value};
 use dp_mech::{BudgetLedger, PrivacyLevel};
 use serde::Value;
 
@@ -436,7 +436,7 @@ fn open_record(tenant: &str, budget: PrivacyLevel) -> Value {
     seal(Value::Object(vec![
         ("op".into(), Value::String("open".into())),
         ("tenant".into(), Value::String(tenant.into())),
-        ("budget".into(), privacy_to_value(budget)),
+        ("budget".into(), privacy_value(budget)),
     ]))
 }
 
@@ -454,7 +454,7 @@ fn spend_record_with(
     let mut fields = vec![
         ("op".into(), Value::String("spend".into())),
         ("tenant".into(), Value::String(tenant.into())),
-        ("charge".into(), privacy_to_value(charge)),
+        ("charge".into(), privacy_value(charge)),
     ];
     if let Some((request_id, session, seeds)) = release {
         fields.push(("request_id".into(), Value::String(request_id.into())));
@@ -476,7 +476,7 @@ fn apply_record(tenants: &mut HashMap<String, TenantShard>, record: &Value) -> R
         .to_string();
     match record.get_field("op").and_then(Value::as_str) {
         Some("open") => {
-            let budget = privacy_from_value(record.get_field("budget").ok_or("missing budget")?)
+            let budget = privacy_from(record.get_field("budget").ok_or("missing budget")?)
                 .map_err(|e| e.to_string())?;
             match tenants.get(&tenant) {
                 None => {
@@ -491,7 +491,7 @@ fn apply_record(tenants: &mut HashMap<String, TenantShard>, record: &Value) -> R
             }
         }
         Some("spend") => {
-            let charge = privacy_from_value(record.get_field("charge").ok_or("missing charge")?)
+            let charge = privacy_from(record.get_field("charge").ok_or("missing charge")?)
                 .map_err(|e| e.to_string())?;
             let shard = tenants
                 .get_mut(&tenant)

@@ -49,34 +49,18 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
+use crate::accountant::BudgetStatus;
 use crate::error::ServiceError;
 use crate::protocol::{
-    f64_field, field, parse_line, render_line, response_to_result, string_field, Request,
+    f64_field, field, parse_line, protocol_error, render_line, response_to_result, string_field,
+    Request,
 };
 use crate::transport::{Connection, TcpConnection};
 use dp_core::api::WorkloadSpec;
+use dp_core::serde_impls::privacy_from;
 use dp_core::{Budgeting, Plan};
 use dp_mech::{Neighboring, PrivacyLevel};
 use serde::{Serialize as _, Value};
-
-/// A tenant's remote budget position, as reported by `budget_status`.
-#[derive(Debug, Clone, Copy)]
-pub struct RemoteBudgetStatus {
-    /// Total ε allowance.
-    pub total_epsilon: f64,
-    /// Total δ allowance.
-    pub total_delta: f64,
-    /// Cumulative ε granted.
-    pub spent_epsilon: f64,
-    /// Cumulative δ granted.
-    pub spent_delta: f64,
-    /// ε still available.
-    pub remaining_epsilon: f64,
-    /// δ still available.
-    pub remaining_delta: f64,
-    /// Number of granted charges.
-    pub charges: usize,
-}
 
 /// Deadlines and retry policy for a [`Client`].
 ///
@@ -608,17 +592,12 @@ impl Client {
     }
 
     /// The tenant's current budget position.
-    pub fn budget_status(&mut self, tenant: &str) -> Result<RemoteBudgetStatus, ServiceError> {
+    pub fn budget_status(&mut self, tenant: &str) -> Result<BudgetStatus, ServiceError> {
         let response = self.call(&Request::BudgetStatus {
             tenant: tenant.into(),
         })?;
-        let total = field(&response, "total")?;
-        Ok(RemoteBudgetStatus {
-            total_epsilon: f64_field(total, "epsilon")?,
-            total_delta: total
-                .get_field("delta")
-                .and_then(Value::as_f64)
-                .unwrap_or(0.0),
+        Ok(BudgetStatus {
+            total: privacy_from(field(&response, "total")?).map_err(protocol_error)?,
             spent_epsilon: f64_field(&response, "spent_epsilon")?,
             spent_delta: f64_field(&response, "spent_delta")?,
             remaining_epsilon: f64_field(&response, "remaining_epsilon")?,

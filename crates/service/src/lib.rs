@@ -127,7 +127,7 @@ macro_rules! fail_point {
 
 pub use accountant::{Accountant, BudgetStatus, ReleaseAdmission, WalStats, WalSync};
 pub use auth::{Auth, AuthPolicy};
-pub use client::{Client, ClientConfig, ClientStats, KeyedRelease, RemoteBudgetStatus};
+pub use client::{Client, ClientConfig, ClientStats, KeyedRelease};
 pub use error::ServiceError;
 pub use pool::{DataStore, Dataset, PooledSession, SessionPool};
 pub use registry::Registry;

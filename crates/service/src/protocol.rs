@@ -79,11 +79,14 @@
 
 use crate::error::ServiceError;
 use dp_core::api::{Answers, SessionRelease, WorkloadSpec};
-use dp_core::serde_impls::{u64_from, u64_value};
+use dp_core::serde_impls::{
+    budgeting_from, budgeting_value, neighboring_from, neighboring_value, privacy_from,
+    privacy_value, u64_from, u64_value,
+};
 use dp_core::Budgeting;
 use dp_core::Plan;
 use dp_mech::{Neighboring, PrivacyLevel};
-use serde::{Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 /// Parses one wire line into a JSON value. Nesting deeper than
 /// [`serde_json::MAX_DEPTH`] levels is a protocol error, not a stack
@@ -105,10 +108,21 @@ pub(crate) fn field<'v>(value: &'v Value, name: &str) -> Result<&'v Value, Servi
 }
 
 pub(crate) fn string_field(value: &Value, name: &str) -> Result<String, ServiceError> {
-    field(value, name)?
-        .as_str()
-        .map(str::to_owned)
-        .ok_or_else(|| ServiceError::Protocol(format!("field `{name}` must be a string")))
+    optional_string_field(value, name)?
+        .ok_or_else(|| ServiceError::Protocol(format!("missing field `{name}`")))
+}
+
+/// `Ok(None)` only when the field is absent: a field that is present but
+/// not a string is a protocol error, never a silent default.
+fn optional_string_field(value: &Value, name: &str) -> Result<Option<String>, ServiceError> {
+    value
+        .get_field(name)
+        .map(|v| {
+            v.as_str()
+                .map(str::to_owned)
+                .ok_or_else(|| ServiceError::Protocol(format!("field `{name}` must be a string")))
+        })
+        .transpose()
 }
 
 pub(crate) fn f64_field(value: &Value, name: &str) -> Result<f64, ServiceError> {
@@ -117,32 +131,9 @@ pub(crate) fn f64_field(value: &Value, name: &str) -> Result<f64, ServiceError> 
         .ok_or_else(|| ServiceError::Protocol(format!("field `{name}` must be a number")))
 }
 
-/// Wire encoding of a privacy level: `{"epsilon": ε}` or
-/// `{"epsilon": ε, "delta": δ}` — the same shape plan documents use.
-pub fn privacy_to_value(level: PrivacyLevel) -> Value {
-    match level {
-        PrivacyLevel::Pure { epsilon } => {
-            Value::Object(vec![("epsilon".into(), Value::Number(epsilon))])
-        }
-        PrivacyLevel::Approx { epsilon, delta } => Value::Object(vec![
-            ("epsilon".into(), Value::Number(epsilon)),
-            ("delta".into(), Value::Number(delta)),
-        ]),
-    }
-}
-
-/// Inverse of [`privacy_to_value`].
-pub fn privacy_from_value(value: &Value) -> Result<PrivacyLevel, ServiceError> {
-    let epsilon = f64_field(value, "epsilon")?;
-    Ok(match value.get_field("delta") {
-        Some(d) => PrivacyLevel::Approx {
-            epsilon,
-            delta: d
-                .as_f64()
-                .ok_or_else(|| ServiceError::Protocol("field `delta` must be a number".into()))?,
-        },
-        None => PrivacyLevel::Pure { epsilon },
-    })
+/// Lifts a shared-codec decode error to the protocol refusal.
+pub(crate) fn protocol_error(error: DeError) -> ServiceError {
+    ServiceError::Protocol(error.to_string())
 }
 
 /// One parsed request.
@@ -252,28 +243,6 @@ pub enum Request {
     Shutdown,
 }
 
-fn budgeting_from(value: Option<&Value>) -> Result<Budgeting, ServiceError> {
-    match value.and_then(Value::as_str) {
-        None => Ok(Budgeting::Optimal),
-        Some("optimal") => Ok(Budgeting::Optimal),
-        Some("uniform") => Ok(Budgeting::Uniform),
-        Some(other) => Err(ServiceError::Protocol(format!(
-            "unknown budgeting {other:?}"
-        ))),
-    }
-}
-
-fn neighboring_from(value: Option<&Value>) -> Result<Neighboring, ServiceError> {
-    match value.and_then(Value::as_str) {
-        None => Ok(Neighboring::AddRemove),
-        Some("add_remove") => Ok(Neighboring::AddRemove),
-        Some("replace") => Ok(Neighboring::Replace),
-        Some(other) => Err(ServiceError::Protocol(format!(
-            "unknown neighboring {other:?}"
-        ))),
-    }
-}
-
 fn seeds_from(value: &Value) -> Result<Vec<u64>, ServiceError> {
     field(value, "seeds")?
         .as_array()
@@ -281,7 +250,7 @@ fn seeds_from(value: &Value) -> Result<Vec<u64>, ServiceError> {
         .iter()
         .map(|s| u64_from(s, "seed"))
         .collect::<Result<Vec<u64>, _>>()
-        .map_err(|e| ServiceError::Protocol(e.to_string()))
+        .map_err(protocol_error)
 }
 
 impl Request {
@@ -291,11 +260,8 @@ impl Request {
         match op.as_str() {
             "open_tenant" => Ok(Request::OpenTenant {
                 tenant: string_field(value, "tenant")?,
-                budget: privacy_from_value(field(value, "budget")?)?,
-                tenant_token: value
-                    .get_field("tenant_token")
-                    .and_then(Value::as_str)
-                    .map(str::to_owned),
+                budget: privacy_from(field(value, "budget")?).map_err(protocol_error)?,
+                tenant_token: optional_string_field(value, "tenant_token")?,
             }),
             "register_plan" => {
                 let tenant = string_field(value, "tenant")?;
@@ -309,12 +275,23 @@ impl Request {
                 } else if let Some(compile) = value.get_field("compile") {
                     let spec = WorkloadSpec::deserialize_value(field(compile, "spec")?)
                         .map_err(|e| ServiceError::Protocol(format!("invalid spec: {e}")))?;
+                    // The compile form lets a client omit the budgeting
+                    // (optimal) and the neighbouring (add/remove).
+                    let budgeting = match compile.get_field("budgeting") {
+                        Some(v) => budgeting_from(v).map_err(protocol_error)?,
+                        None => Budgeting::Optimal,
+                    };
+                    let neighboring = match compile.get_field("neighboring") {
+                        Some(v) => neighboring_from(v).map_err(protocol_error)?,
+                        None => Neighboring::AddRemove,
+                    };
                     Ok(Request::RegisterCompile {
                         tenant,
                         spec,
-                        budgeting: budgeting_from(compile.get_field("budgeting"))?,
-                        privacy: privacy_from_value(field(compile, "privacy")?)?,
-                        neighboring: neighboring_from(compile.get_field("neighboring"))?,
+                        budgeting,
+                        privacy: privacy_from(field(compile, "privacy")?)
+                            .map_err(protocol_error)?,
+                        neighboring,
                     })
                 } else {
                     Err(ServiceError::Protocol(
@@ -331,24 +308,17 @@ impl Request {
                 tenant: string_field(value, "tenant")?,
                 session: string_field(value, "session")?,
                 seeds: seeds_from(value)?,
-                request_id: value
-                    .get_field("request_id")
-                    .and_then(Value::as_str)
-                    .map(str::to_owned),
+                request_id: optional_string_field(value, "request_id")?,
             }),
             "stream_open" => Ok(Request::StreamOpen {
                 tenant: string_field(value, "tenant")?,
                 plan_id: string_field(value, "plan_id")?,
-                table: value
-                    .get_field("table")
-                    .and_then(Value::as_str)
-                    .map(str::to_owned),
+                table: optional_string_field(value, "table")?,
             }),
             "ingest" => Ok(Request::Ingest {
                 tenant: string_field(value, "tenant")?,
                 stream: string_field(value, "stream")?,
-                cell: u64_from(field(value, "cell")?, "cell")
-                    .map_err(|e| ServiceError::Protocol(e.to_string()))?,
+                cell: u64_from(field(value, "cell")?, "cell").map_err(protocol_error)?,
                 delta: match value.get_field("delta") {
                     None => 1.0,
                     Some(d) => d.as_f64().ok_or_else(|| {
@@ -360,10 +330,7 @@ impl Request {
                 tenant: string_field(value, "tenant")?,
                 stream: string_field(value, "stream")?,
                 seeds: seeds_from(value)?,
-                request_id: value
-                    .get_field("request_id")
-                    .and_then(Value::as_str)
-                    .map(str::to_owned),
+                request_id: optional_string_field(value, "request_id")?,
             }),
             "budget_status" => Ok(Request::BudgetStatus {
                 tenant: string_field(value, "tenant")?,
@@ -385,7 +352,7 @@ impl Request {
                 let mut fields = vec![
                     ("op".into(), Value::String("open_tenant".into())),
                     ("tenant".into(), Value::String(tenant.clone())),
-                    ("budget".into(), privacy_to_value(*budget)),
+                    ("budget".into(), privacy_value(*budget)),
                 ];
                 if let Some(token) = tenant_token {
                     fields.push(("tenant_token".into(), Value::String(token.clone())));
@@ -410,27 +377,9 @@ impl Request {
                     "compile".into(),
                     Value::Object(vec![
                         ("spec".into(), spec.serialize_value()),
-                        (
-                            "budgeting".into(),
-                            Value::String(
-                                match budgeting {
-                                    Budgeting::Uniform => "uniform",
-                                    Budgeting::Optimal => "optimal",
-                                }
-                                .into(),
-                            ),
-                        ),
-                        ("privacy".into(), privacy_to_value(*privacy)),
-                        (
-                            "neighboring".into(),
-                            Value::String(
-                                match neighboring {
-                                    Neighboring::AddRemove => "add_remove",
-                                    Neighboring::Replace => "replace",
-                                }
-                                .into(),
-                            ),
-                        ),
+                        ("budgeting".into(), budgeting_value(*budgeting)),
+                        ("privacy".into(), privacy_value(*privacy)),
+                        ("neighboring".into(), neighboring_value(*neighboring)),
                     ]),
                 ),
             ]),
@@ -789,6 +738,9 @@ mod tests {
         assert_eq!(delta, 1.0);
     }
 
+    /// A small valid spec for the `compile` form of `register_plan`.
+    const COMPILE_SPEC: &str = r#"{"kind": "marginals", "workload": {"domain_bits": 3, "marginals": [1]}, "strategy": "fourier"}"#;
+
     #[test]
     fn malformed_requests_are_protocol_errors() {
         for bad in [
@@ -800,6 +752,20 @@ mod tests {
             "{\"op\": \"ingest\", \"tenant\": \"t\", \"stream\": \"s\"}",
             "{\"op\": \"ingest\", \"tenant\": \"t\", \"stream\": \"s\", \"cell\": 1, \"delta\": \"x\"}",
             "{\"op\": \"release_current\", \"tenant\": \"t\", \"stream\": \"s\", \"seeds\": 3}",
+            // A present optional field of the wrong type is refused, never
+            // read as absent: an unkeyed release would debit on every
+            // retry, a stream would open empty, a compile would fall back
+            // to the default budgeting or neighbouring.
+            r#"{"op": "open_tenant", "tenant": "t", "budget": {"epsilon": 1}, "tenant_token": 7}"#,
+            r#"{"op": "release", "tenant": "t", "session": "s", "seeds": [1], "request_id": 7}"#,
+            r#"{"op": "release_current", "tenant": "t", "stream": "s", "seeds": [1], "request_id": 7}"#,
+            r#"{"op": "stream_open", "tenant": "t", "plan_id": "p", "table": 5}"#,
+            &format!(
+                r#"{{"op": "register_plan", "tenant": "t", "compile": {{"spec": {COMPILE_SPEC}, "privacy": {{"epsilon": 1}}, "budgeting": 1}}}}"#
+            ),
+            &format!(
+                r#"{{"op": "register_plan", "tenant": "t", "compile": {{"spec": {COMPILE_SPEC}, "privacy": {{"epsilon": 1}}, "neighboring": true}}}}"#
+            ),
         ] {
             let res = parse_line(bad).and_then(|v| Request::from_value(&v).map(|_| Value::Null));
             assert!(
@@ -807,6 +773,23 @@ mod tests {
                 "{bad} must be a protocol error"
             );
         }
+    }
+
+    #[test]
+    fn compile_defaults_an_absent_budgeting_and_neighboring() {
+        let line = format!(
+            r#"{{"op": "register_plan", "tenant": "t", "compile": {{"spec": {COMPILE_SPEC}, "privacy": {{"epsilon": 1}}}}}}"#
+        );
+        let Request::RegisterCompile {
+            budgeting,
+            neighboring,
+            ..
+        } = Request::from_value(&parse_line(&line).unwrap()).unwrap()
+        else {
+            panic!("must parse as a compile registration");
+        };
+        assert_eq!(budgeting, Budgeting::Optimal);
+        assert_eq!(neighboring, Neighboring::AddRemove);
     }
 
     /// Decodes a `register_plan` line carrying `spec`, in the `compile`

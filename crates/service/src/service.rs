@@ -22,8 +22,9 @@ use crate::auth::Auth;
 use crate::error::ServiceError;
 use crate::fail_point;
 use crate::pool::{DataStore, PooledSession, SessionPool};
-use crate::protocol::{ok_response, privacy_to_value, session_release_to_value, Request};
+use crate::protocol::{ok_response, session_release_to_value, Request};
 use crate::registry::Registry;
+use dp_core::serde_impls::privacy_value;
 use dp_core::{Plan, PlanBuilder, SessionRelease};
 use dp_mech::{compose_n, PrivacyLevel};
 use serde::Value;
@@ -427,7 +428,7 @@ impl DpService {
                 let s = self.budget_status(&tenant)?;
                 Ok(Arc::new(ok_response(vec![
                     ("tenant".into(), Value::String(tenant)),
-                    ("total".into(), privacy_to_value(s.total)),
+                    ("total".into(), privacy_value(s.total)),
                     ("spent_epsilon".into(), Value::Number(s.spent_epsilon)),
                     ("spent_delta".into(), Value::Number(s.spent_delta)),
                     (
@@ -507,6 +508,26 @@ mod tests {
         // ...without burning the remainder, which a 1-seed release can use.
         service.release("t", &session, &[4], None).unwrap();
         assert_eq!(service.budget_status("t").unwrap().remaining_epsilon, 0.0);
+    }
+
+    #[test]
+    fn a_numeric_request_id_charges_nothing_and_is_refused() {
+        let service = service_with_toy_table();
+        service
+            .open_tenant("t", PrivacyLevel::Pure { epsilon: 1.0 })
+            .unwrap();
+        let plan_id = service.register_compiled("t", builder(0.25)).unwrap();
+        let session = service.bind("t", &plan_id, "toy").unwrap();
+        let line = format!(
+            r#"{{"op": "release", "tenant": "t", "session": "{session}", "seeds": [1], "request_id": 7}}"#
+        );
+        let handled = crate::protocol::parse_line(&line)
+            .and_then(|value| service.handle(Request::from_value(&value)?, None));
+        assert!(
+            matches!(handled, Err(ServiceError::Protocol(_))),
+            "got {handled:?}"
+        );
+        assert_eq!(service.budget_status("t").unwrap().charges, 0);
     }
 
     #[test]

@@ -2,6 +2,8 @@
 //!
 //! - Releases of every strategy and mechanism render exactly as the
 //!   reference encoder (the tree-copying encoder the codec replaced) did.
+//! - Release lines and plan documents match pinned FNV-1a digests, so the
+//!   documents' field layout and numbers cannot drift either.
 //! - A ledger line written by that encoder, CRC included, still loads: the
 //!   WAL checksum is taken over `render_line`.
 //! - Seeded byte mutations of valid request and response lines never
@@ -20,7 +22,7 @@ use dp_service::protocol::{
 use dp_service::{Accountant, DpService, ServiceError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::Value;
+use serde::{Serialize as _, Value};
 
 /// The compact encoder as it was before rendering went by reference: the
 /// byte-identity oracle for `render_line`.
@@ -165,6 +167,105 @@ fn release_lines_match_the_reference_encoder_for_every_strategy() {
             assert_eq!(parse_line(&line).unwrap(), value, "{name} seed {seed}");
         }
     }
+}
+
+/// 64-bit FNV-1a: a short, dependency-free digest for pinning wire bytes.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Digests of the rendered release line of every `sessions()` entry, in
+/// order, at each of `SEEDS`. They pin the release document's field
+/// layout and numbers, not just the renderer.
+const PINNED_RELEASES: [[u64; 3]; 24] = [
+    [0xdb765f40d01ef028, 0x69f9f427844e75fd, 0xa46f9e8d3777cb07],
+    [0x73df3f2dc26963a4, 0xad6f11f8a6c48539, 0x53380ea5574ba363],
+    [0x14783d7f95bbb818, 0x48c99387b344d27c, 0x4750931052a2a7d6],
+    [0x66cd3652497189e6, 0x7cd8da0620f8999e, 0xeab506fec3ec1290],
+    [0x50ddb715d2517b81, 0xf92568664c6d6f67, 0x38f670f4c12ee3df],
+    [0x27c79bd393549329, 0x6bc886c9f22129ff, 0x8ffa5bf35b83b6c7],
+    [0xb44735a4ee187e49, 0x16d85739581f68e4, 0x2bb86bb4297a6c93],
+    [0x38525111dd6bc6e6, 0xce3fc5d79b171103, 0xa9794599d91abeee],
+    [0xcd62dd088fb718a6, 0xfa5f75df3fce0d30, 0xa3372dc902d5eea1],
+    [0x87de30d77991acd2, 0xb41eb27a4e486c27, 0xd4b92cc7731e893c],
+    [0xf9262da426eabcce, 0x6303b685ba1e6780, 0x109ca6ddc0c59a3f],
+    [0xadb1eb0074f10d22, 0xa82cae6ac6d9b34c, 0x9e56f2f51b9a619e],
+    [0x4df69c821f466e0e, 0x583a894b463173c5, 0x3c84d68afbee85fc],
+    [0xd9d0cbb7e0433dd7, 0x390c0e4b07404622, 0xfad501324465f805],
+    [0x6b619f3b364cf05d, 0x9254829ffc086632, 0x43c3733797258fb2],
+    [0x17e57d16fa11d4a8, 0x932bb9229f3bb773, 0x601e21420b3ef07b],
+    [0xaa9a3636dbd15d2a, 0x9036f7882546672d, 0x695aa47fb2f8acfe],
+    [0x6ec59508f9942d5b, 0x4fa926038fc2bf2e, 0x388bfecd25a152b1],
+    [0x4aed7e0526c7ef7e, 0x09f033cd59bfde4d, 0x5627ae677cb82de7],
+    [0x714013d572a6f4e1, 0x19fe759098b0658a, 0x1b9ee3965efdf5fa],
+    [0x568ce537aa88aa51, 0x7401b63b0e3dd046, 0x90efa3d4482aee42],
+    [0x4e7f908e350dfd7e, 0x9f0b07569fffa83c, 0x34d46b9b0b75bc90],
+    [0x0dead7fa786ad081, 0xb8b32ff088ad748e, 0xac4c85d18d8cd82d],
+    [0x26388382ae7ea963, 0xc5879ece71dc8c09, 0x91657795f19679a8],
+];
+
+#[test]
+fn release_lines_match_their_pinned_digests() {
+    let digests: Vec<[u64; 3]> = sessions()
+        .iter()
+        .map(|(_, session)| {
+            SEEDS.map(|seed| {
+                let value = session_release_to_value(&session.release(seed).unwrap());
+                fnv1a64(render_line(&value).as_bytes())
+            })
+        })
+        .collect();
+    assert_eq!(digests, PINNED_RELEASES);
+}
+
+/// One marginal and one range plan under each (privacy, neighbouring)
+/// pair, so every budgeting, privacy and neighbouring encoding is pinned.
+fn pinned_plans() -> Vec<Plan> {
+    let workload = Workload::all_k_way(&Schema::binary(4).unwrap(), 2).unwrap();
+    let ranges = RangeWorkload::all_prefixes(16).unwrap();
+    let mut plans = Vec::new();
+    for privacy in mechanisms() {
+        for neighboring in [Neighboring::AddRemove, Neighboring::Replace] {
+            for builder in [
+                PlanBuilder::marginals(workload.clone(), StrategyKind::Fourier)
+                    .budgeting(Budgeting::Optimal),
+                PlanBuilder::ranges(ranges.clone(), RangeStrategy::Wavelet)
+                    .budgeting(Budgeting::Uniform),
+            ] {
+                plans.push(
+                    builder
+                        .privacy(privacy)
+                        .neighboring(neighboring)
+                        .compile()
+                        .unwrap(),
+                );
+            }
+        }
+    }
+    plans
+}
+
+/// Digests of `render_line(plan.serialize_value())` for `pinned_plans()`.
+const PINNED_PLANS: [u64; 8] = [
+    0x46d5990a84c40cc6,
+    0x93b519ae1f1cf420,
+    0xe0aae270a35cf031,
+    0x62781f4e518ff747,
+    0xc4782caf2fe67b0f,
+    0x2169ae602d3bd6ca,
+    0x4055410bcb564ed4,
+    0x2430617c3e1260f2,
+];
+
+#[test]
+fn plan_documents_match_their_pinned_digests() {
+    let digests: Vec<u64> = pinned_plans()
+        .iter()
+        .map(|plan| fnv1a64(render_line(&plan.serialize_value()).as_bytes()))
+        .collect();
+    assert_eq!(digests, PINNED_PLANS);
 }
 
 /// Two ledger records exactly as the reference encoder wrote them: tricky

@@ -8,7 +8,7 @@
 //!                     --strategy f|q|c|i --budgets uniform|optimal
 //!                     --epsilon <f64> [--delta <f64>] [--seed <u64>] [--batch <n>]
 //!                     [--cluster fast|serial|faithful]
-//!                     [--nonnegative] [--json] [--output <path>]
+//!                     [--nonnegative] [--output <path>]
 //! datacube-dp plan    --dataset adult|nltcs --workload <label> --strategy f|q|c|i
 //!                     --budgets uniform|optimal --epsilon <f64> [--delta <f64>]
 //!                     [--cluster fast|serial|faithful] [--output <path>]
@@ -18,17 +18,19 @@
 //! `release` runs through the two-phase [`dp_core::api`]: it compiles one
 //! data-independent [`Plan`], binds the dataset in a [`Session`], and
 //! serves `--batch N` deterministic releases (seeds `seed..seed+N`) from
-//! that single plan — one budget solve for the whole batch. `plan` stops
-//! after phase 1 and emits the serialized plan document, which another
-//! process can load without re-solving.
+//! that single plan — one budget solve for the whole batch. It prints one
+//! wire release document per line
+//! ([`dp_service::protocol::session_release_to_value`]), the same bytes
+//! `client release` prints for the same plan, table and seeds. `plan`
+//! stops after phase 1 and emits the serialized plan document, which
+//! another process can load without re-solving.
 
 use dp_core::prelude::*;
-use std::fmt::Write as _;
 
 /// A parsed command.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
-    /// Run a batch of private releases and print/serialize the marginals.
+    /// Run a batch of private releases and print their wire documents.
     Release(ReleaseArgs),
     /// Compile a data-independent release plan and emit it as JSON.
     Plan(PlanArgs),
@@ -73,16 +75,12 @@ pub struct ReleaseArgs {
     pub cluster: ClusterConfig,
     /// RNG seed of the first release; release `i` uses `seed + i`.
     pub seed: u64,
-    /// Number of releases to draw from the one compiled plan. When > 1 the
-    /// output is a JSON array with one per-release document per seed.
+    /// Number of releases to draw from the one compiled plan; the output
+    /// has one release document per seed, one per line.
     pub batch: usize,
     /// Post-process to non-negative integral marginals.
     pub nonnegative: bool,
-    /// Emit the full release (label, ε, budgets, answers) as a
-    /// machine-consumable JSON document per release instead of the
-    /// marginal list.
-    pub json: bool,
-    /// Optional JSON output path.
+    /// Optional output path (JSON lines).
     pub output: Option<String>,
 }
 
@@ -283,7 +281,7 @@ USAGE:
                       --strategy <f|q|c|i> --budgets <uniform|optimal>
                       --epsilon <f64> [--delta <f64>] [--seed <u64>] [--batch <n>]
                       [--cluster <fast|serial|faithful>]
-                      [--nonnegative] [--json] [--output <path.json>]
+                      [--nonnegative] [--output <path.jsonl>]
   datacube-dp plan    --dataset <adult|nltcs> --workload <label> --strategy <f|q|c|i>
                       --budgets <uniform|optimal> --epsilon <f64> [--delta <f64>]
                       [--cluster <fast|serial|faithful>] [--output <path.json>]
@@ -311,8 +309,8 @@ USAGE:
   datacube-dp help
 
 `release` compiles one data-independent plan, binds the dataset, and draws
---batch deterministic releases (seeds seed..seed+batch) from it; --batch > 1
-emits one JSON array (marginal lists, or full documents with --json).
+--batch deterministic releases (seeds seed..seed+batch) from it; it prints
+one wire release document per line, the same bytes `client release` prints.
 `plan` stops after compilation and emits the serialized plan document.
 `serve` runs the budget-metered multi-tenant release service (JSON lines
 over TCP; with --ledger, spent budget survives restarts — records are
@@ -498,7 +496,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             let mut seed = 42u64;
             let mut batch = 1usize;
             let mut nonnegative = false;
-            let mut json = false;
             let mut output = None;
             let mut it = args[1..].iter();
             while let Some(flag) = it.next() {
@@ -538,7 +535,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                             .ok_or(CliError("bad --batch: need an integer ≥ 1".into()))?
                     }
                     "--nonnegative" if !is_plan => nonnegative = true,
-                    "--json" if !is_plan => json = true,
                     "--output" => output = Some(value("--output")?.clone()),
                     other => return Err(CliError(format!("unknown flag {other:?} for {sub}"))),
                 }
@@ -570,7 +566,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                     seed,
                     batch,
                     nonnegative,
-                    json,
                     output,
                 }))
             }
@@ -833,37 +828,9 @@ pub fn load_dataset(
     Ok((schema, table))
 }
 
-/// Serializes a full release — label, achieved ε, budgets and answers — as
-/// one machine-consumable JSON document (the `--json` output).
-pub fn release_to_json(release: &dp_core::Release) -> String {
-    serde_json::to_string_pretty(release).expect("release serialization is infallible")
-}
-
-/// Serializes a whole release batch as one JSON array (the `--json` output
-/// when `--batch > 1`).
-pub fn release_batch_to_json(releases: &[dp_core::Release]) -> String {
-    serde_json::to_string_pretty(releases).expect("release serialization is infallible")
-}
-
 /// Serializes a compiled plan as its shippable JSON document.
 pub fn plan_to_json(plan: &Plan) -> String {
     serde_json::to_string_pretty(plan).expect("plan serialization is infallible")
-}
-
-/// Serializes released marginals as a human-readable JSON document.
-pub fn marginals_to_json(answers: &[dp_core::marginal::MarginalTable]) -> String {
-    let mut out = String::from("[\n");
-    for (i, m) in answers.iter().enumerate() {
-        let _ = write!(
-            out,
-            "  {{\"attributes\": \"{}\", \"cells\": {:?}}}",
-            m.mask(),
-            m.values()
-        );
-        out.push_str(if i + 1 < answers.len() { ",\n" } else { "\n" });
-    }
-    out.push(']');
-    out
 }
 
 #[cfg(test)]
@@ -900,7 +867,6 @@ mod tests {
             "--batch",
             "4",
             "--nonnegative",
-            "--json",
             "--output",
             "out.json",
         ]))
@@ -916,7 +882,6 @@ mod tests {
         assert_eq!(a.seed, 9);
         assert_eq!(a.batch, 4);
         assert!(a.nonnegative);
-        assert!(a.json);
         assert_eq!(a.output.as_deref(), Some("out.json"));
         assert_eq!(a.delta, None);
     }
@@ -984,37 +949,6 @@ mod tests {
         }
         assert!(parse_args(&sv(&["release", "--cluster", "turbo"])).is_err());
         assert!(parse_args(&sv(&["plan", "--cluster"])).is_err());
-    }
-
-    #[test]
-    fn release_json_document_is_parseable() {
-        use dp_core::prelude::*;
-        use std::sync::Arc;
-        let t = ContingencyTable::from_counts(vec![3.0, 1.0, 0.0, 2.0]);
-        let w = Workload::new(2, vec![crate::core::AttrMask(0b11)]).unwrap();
-        let plan = PlanBuilder::marginals(w, StrategyKind::Fourier)
-            .privacy(PrivacyLevel::Pure { epsilon: 1.0 })
-            .compile()
-            .unwrap();
-        let session = Session::bind(Arc::new(plan), &t).unwrap();
-        let release = session.release(4).unwrap().into_release().unwrap();
-        let doc = release_to_json(&release);
-        let back: dp_core::Release = serde_json::from_str(&doc).unwrap();
-        assert_eq!(back.label, release.label);
-        assert_eq!(back.answers.len(), 1);
-        assert_eq!(back.answers[0].values(), release.answers[0].values());
-
-        // Batches serialize as one JSON array of the same documents.
-        let batch: Vec<_> = session
-            .release_batch(&[4, 5])
-            .unwrap()
-            .into_iter()
-            .map(|r| r.into_release().unwrap())
-            .collect();
-        let arr = release_batch_to_json(&batch);
-        let back: Vec<dp_core::Release> = serde_json::from_str(&arr).unwrap();
-        assert_eq!(back.len(), 2);
-        assert_eq!(back[0].answers[0].values(), release.answers[0].values());
     }
 
     #[test]
@@ -1373,6 +1307,8 @@ mod tests {
         assert!(parse_args(&sv(&["release", "--epsilon", "abc"])).is_err());
         assert!(parse_args(&sv(&["bogus"])).is_err());
         assert!(parse_args(&sv(&["release", "--epsilon"])).is_err());
+        // Releases print one wire document per line; there is no `--json`.
+        assert!(parse_args(&sv(&["release", "--json"])).is_err());
     }
 
     #[test]
@@ -1385,16 +1321,5 @@ mod tests {
         assert!(build_workload(&schema, "w2").is_err());
         assert!(build_workload(&schema, "qx").is_err());
         assert!(build_workload(&schema, "q99").is_err());
-    }
-
-    #[test]
-    fn json_rendering() {
-        let m = vec![dp_core::marginal::MarginalTable::new(
-            crate::core::AttrMask(0b11),
-            vec![1.0, 2.0, 3.0, 4.0],
-        )];
-        let j = marginals_to_json(&m);
-        assert!(j.contains("\"attributes\": \"{0,1}\""));
-        assert!(j.starts_with('[') && j.ends_with(']'));
     }
 }

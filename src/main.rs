@@ -3,9 +3,9 @@
 //! plan/session API. See [`datacube_dp::cli`] for the argument grammar.
 
 use datacube_dp::cli::{
-    build_workload, compile_plan, dataset_name, dataset_schema, load_dataset, marginals_to_json,
-    parse_args, plan_to_json, privacy_level, release_batch_to_json, release_to_json, ClientArgs,
-    ClientOp, Command, PlanArgs, ReleaseArgs, ServeArgs, USAGE,
+    build_workload, compile_plan, dataset_name, dataset_schema, load_dataset, parse_args,
+    plan_to_json, privacy_level, ClientArgs, ClientOp, Command, PlanArgs, ReleaseArgs, ServeArgs,
+    USAGE,
 };
 use datacube_dp::prelude::*;
 use datacube_dp::service::{
@@ -286,8 +286,8 @@ fn run_client(args: &ClientArgs) -> Result<(), String> {
             println!(
                 "tenant {tenant}: total (ε = {}, δ = {}), spent (ε = {}, δ = {}), \
                  remaining (ε = {}, δ = {}), {} charges",
-                s.total_epsilon,
-                s.total_delta,
+                s.total.epsilon(),
+                s.total.delta(),
                 s.spent_epsilon,
                 s.spent_delta,
                 s.remaining_epsilon,
@@ -308,7 +308,9 @@ fn run_client(args: &ClientArgs) -> Result<(), String> {
 }
 
 /// Phase 1 + 2: compile one plan, bind the dataset, draw `--batch`
-/// deterministic releases (seeds `seed..seed+batch`) from it.
+/// deterministic releases (seeds `seed..seed+batch`) from it, and print
+/// one wire release document per line — the bytes `client release` prints
+/// for the same plan, table and seeds.
 fn run_release(args: &ReleaseArgs) -> Result<(), String> {
     let (schema, table) = load_dataset(args.dataset, 20130401).map_err(|e| e.to_string())?;
     let workload = build_workload(&schema, &args.workload).map_err(|e| e.to_string())?;
@@ -326,52 +328,42 @@ fn run_release(args: &ReleaseArgs) -> Result<(), String> {
     let seeds: Vec<u64> = (0..args.batch as u64)
         .map(|i| args.seed.wrapping_add(i))
         .collect();
-    let batch = session.release_batch(&seeds).map_err(|e| e.to_string())?;
-
-    let mut releases = Vec::with_capacity(batch.len());
-    for r in batch {
-        let mut release = r
-            .into_release()
-            .expect("marginal sessions produce marginal releases");
-        if args.nonnegative {
-            let (_, projected) = dp_core::postprocess::project_nonnegative(
-                schema.domain_bits(),
-                &release.answers,
-                dp_core::postprocess::ProjectOptions::default(),
-            )
-            .map_err(|e| e.to_string())?;
-            release.answers = projected;
+    let mut releases = session.release_batch(&seeds).map_err(|e| e.to_string())?;
+    if args.nonnegative {
+        for release in &mut releases {
+            if let Answers::Marginals(tables) = &mut release.answers {
+                let (_, projected) = dp_core::postprocess::project_nonnegative(
+                    schema.domain_bits(),
+                    tables,
+                    dp_core::postprocess::ProjectOptions::default(),
+                )
+                .map_err(|e| e.to_string())?;
+                *tables = projected;
+            }
         }
-        releases.push(release);
     }
 
+    let first = &releases[0];
     eprintln!(
         "released {} × {} marginals with method {} (achieved ε = {:.6} per release, one plan)",
         releases.len(),
-        releases[0].answers.len(),
-        releases[0].label,
-        releases[0].achieved_epsilon
+        first.answers.marginals().map_or(0, <[_]>::len),
+        first.label,
+        first.achieved_epsilon
     );
-    // --json selects the full-release document either way; --batch > 1
-    // wraps the per-release documents (full or marginal-list) in one array.
-    let json = match (args.json, args.batch > 1) {
-        (true, true) => release_batch_to_json(&releases),
-        (true, false) => release_to_json(&releases[0]),
-        (false, false) => marginals_to_json(&releases[0].answers),
-        (false, true) => {
-            let docs: Vec<String> = releases
-                .iter()
-                .map(|r| marginals_to_json(&r.answers))
-                .collect();
-            format!("[\n{}\n]", docs.join(",\n"))
-        }
-    };
+    let mut lines = String::new();
+    for release in &releases {
+        lines.push_str(&protocol::render_line(&protocol::session_release_to_value(
+            release,
+        )));
+        lines.push('\n');
+    }
     match &args.output {
         Some(path) => {
-            std::fs::write(path, &json).map_err(|e| format!("writing {path}: {e}"))?;
+            std::fs::write(path, &lines).map_err(|e| format!("writing {path}: {e}"))?;
             eprintln!("wrote {path}");
         }
-        None => println!("{json}"),
+        None => print!("{lines}"),
     }
     Ok(())
 }
