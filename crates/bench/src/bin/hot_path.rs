@@ -1,9 +1,10 @@
 //! Release hot-path throughput gauge: cells-noised/sec for the fused
 //! perturbation pass versus a per-value reference, WHT effective bandwidth
 //! for the lane/blocked kernel versus a scalar reference, end-to-end
-//! releases/sec through `Session::release_batch`, and whole range releases
+//! releases/sec through `Session::release_batch`, whole range releases
 //! (closed-form GLS recovery) against one conjugate-gradient solve of the
-//! same normal equations.
+//! same normal equations, and the JSON shim's `f64` writer against
+//! `format!("{x}")` on noisy counts.
 //!
 //! Every optimized/reference pair is also checked for **byte identity** on
 //! the measured inputs before timing, so this binary doubles as a
@@ -31,7 +32,7 @@ use std::time::Instant;
 /// One measured metric.
 #[derive(Debug, Clone, Serialize)]
 struct HotPathRow {
-    /// Benchmark section: `noising`, `wht`, `release`, or `range`.
+    /// Benchmark section: `noising`, `wht`, `release`, `range` or `json`.
     section: String,
     /// Metric name within the section.
     metric: String,
@@ -294,6 +295,54 @@ fn bench_range(strategy: RangeStrategy, n: usize, reps: usize, rows: &mut Vec<Ho
     ratio
 }
 
+/// Nanoseconds per number for `serde_json::write_f64` and for
+/// `format!("{x}")` over `count` seeded Laplace-noised counts (a Q2 `F+`
+/// reply holds about 650), after checking that both write the same bytes.
+fn bench_f64_write(count: usize, reps: usize, rows: &mut Vec<HotPathRow>) {
+    use std::fmt::Write as _;
+    let mut rng = StdRng::seed_from_u64(23);
+    let numbers: Vec<f64> = (0..count)
+        .map(|i| ((i * 37) % 2000) as f64 + LaplaceMechanism.sample(&mut rng, 0.05))
+        .collect();
+    for &x in &numbers {
+        let mut out = String::new();
+        serde_json::write_f64(x, &mut out);
+        assert_eq!(out, format!("{x}"), "the f64 writer diverged from Display");
+    }
+
+    let passes = 200;
+    let mut out = String::new();
+    let t_write = time_best(reps, || {
+        for _ in 0..passes {
+            out.clear();
+            for &x in std::hint::black_box(&numbers) {
+                serde_json::write_f64(x, &mut out);
+            }
+            std::hint::black_box(&out);
+        }
+    });
+    let t_format = time_best(reps, || {
+        for _ in 0..passes {
+            out.clear();
+            for &x in std::hint::black_box(&numbers) {
+                write!(out, "{x}").expect("writing to a String cannot fail");
+            }
+            std::hint::black_box(&out);
+        }
+    });
+    let per_number = |t: f64| t * 1e9 / (passes * count) as f64;
+    let ratio = t_format / t_write;
+    println!(
+        "{:>22}: writer {:.1} ns, format! {:.1} ns, speedup {ratio:.2}×",
+        "f64",
+        per_number(t_write),
+        per_number(t_format),
+    );
+    rows.push(row("json", "f64_write_ns", per_number(t_write), "ns"));
+    rows.push(row("json", "f64_format_ns", per_number(t_format), "ns"));
+    rows.push(row("json", "f64_write_speedup", ratio, "x"));
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -394,6 +443,11 @@ fn main() {
         bench_range(RangeStrategy::Wavelet, n, reps, &mut rows),
         bench_range(RangeStrategy::Hierarchical, n, reps, &mut rows),
     ];
+
+    // ── 5. JSON f64 writer vs format! ──────────────────────────────────
+    let numbers = 650;
+    println!("== json ({numbers} noisy counts, best of {reps}) ==");
+    bench_f64_write(numbers, reps, &mut rows);
 
     match dp_bench::write_jsonl("hot_path.jsonl", &rows) {
         Ok(p) => eprintln!("wrote {}", p.display()),

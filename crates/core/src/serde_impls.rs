@@ -401,6 +401,13 @@ const MAX_DOMAIN_CELLS: usize = 1 << 24;
 /// spec may make the dense planner materialize.
 const MAX_DENSE_ENTRIES: usize = 1 << 24;
 
+/// Most ranges a shipped range workload may list: `2^16`. Every range is
+/// one answer in every release, so without a cap only the 16 MiB request
+/// line bounds a plan's reply. The same line limit bounds the reply the
+/// client reads, so an uncapped plan could be charged for a release whose
+/// reply no client can read.
+const MAX_RANGES: usize = 1 << 16;
+
 /// Refuses a decoded spec whose compile would allocate beyond the size
 /// caps, before anything is built: a shipped document must never make a
 /// server allocate in proportion to a number it chose.
@@ -410,6 +417,14 @@ fn refuse_oversized(spec: WorkloadSpec) -> Result<WorkloadSpec, DeError> {
         return Err(DeError::new(format!(
             "a domain of {n} cells exceeds the {MAX_DOMAIN_CELLS}-cell limit"
         )));
+    }
+    if let WorkloadSpec::Ranges { workload, .. } = &spec {
+        let count = workload.ranges().len();
+        if count > MAX_RANGES {
+            return Err(DeError::new(format!(
+                "{count} ranges exceed the {MAX_RANGES}-range limit"
+            )));
+        }
     }
     if let WorkloadSpec::Marginals { workload, .. } = &spec {
         // 2^d ≤ MAX_DOMAIN_CELLS here, so no term or sum can overflow.
@@ -705,6 +720,28 @@ mod tests {
             Plan::deserialize_value(&Value::Object(fields)),
             Err(DeError { .. })
         ));
+    }
+
+    #[test]
+    fn range_workloads_are_capped_at_max_ranges() {
+        let spec = |count: usize| {
+            let ranges = (0..count)
+                .map(|k| Value::Array(vec![Value::Number((k % 16) as f64), Value::Number(16.0)]))
+                .collect();
+            Value::Object(vec![
+                ("kind".into(), Value::String("ranges".into())),
+                ("domain".into(), Value::Number(16.0)),
+                ("ranges".into(), Value::Array(ranges)),
+                ("strategy".into(), Value::String("wavelet".into())),
+            ])
+        };
+        let at_cap = WorkloadSpec::deserialize_value(&spec(MAX_RANGES)).unwrap();
+        let WorkloadSpec::Ranges { workload, .. } = at_cap else {
+            panic!("a range spec decodes as ranges");
+        };
+        assert_eq!(workload.ranges().len(), MAX_RANGES);
+        let err = WorkloadSpec::deserialize_value(&spec(MAX_RANGES + 1)).unwrap_err();
+        assert!(err.to_string().contains("range limit"), "{err}");
     }
 
     #[test]

@@ -65,8 +65,10 @@
 //! [`render_line`] walks the value by reference and writes straight into
 //! one output string: no copy of the tree, no temporary string per number.
 //! Its bytes are stable: keys keep insertion order, integral numbers below
-//! 1e15 print as integers, other finite numbers print as the shortest text
-//! that parses back to the same `f64`, and NaN/±∞ print as `null`. Replay
+//! 1e15 print as integer digits, and NaN/±∞ print as `null`. Every other
+//! number goes through [`serde_json::write_f64`], a Ryū writer whose
+//! contract is `f64`'s `Display`: the same bytes `format!("{x}")` writes,
+//! the shortest text that parses back to the same bits. Replay
 //! byte-identity and the WAL's checksums (taken over `render_line`) rely
 //! on that.
 //!
@@ -75,7 +77,8 @@
 //! arrays or objects with a `protocol` error. The parser recurses once per
 //! level, so the cap is what keeps a hostile line of `[`s from overflowing
 //! a handler thread's stack; the same cap guards client reply decoding and
-//! WAL loading.
+//! WAL loading. Numbers must follow RFC 8259's grammar (no `+1`, `.5`,
+//! `1.` or `01`), and one that overflows to ±∞ is refused.
 
 use crate::error::ServiceError;
 use dp_core::api::{Answers, SessionRelease, WorkloadSpec};

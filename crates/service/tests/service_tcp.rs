@@ -317,11 +317,11 @@ fn continual_release_loop_streams_deltas_and_charges_once_per_key() {
     handle.join().unwrap();
 }
 
-/// A wire `ingest` whose delta parses to ±∞ (`1e999`) is refused with a
-/// typed, non-retryable `core` error and leaves the stream untouched: a
-/// later release is byte-identical to one drawn before the bad ingest.
-/// The lines go over a plain socket because `Client` renders a
-/// non-finite number as `null`.
+/// A wire `ingest` whose delta overflows to ±∞ (`1e999`) is refused by the
+/// line parser with a typed, non-retryable `protocol` error and leaves the
+/// stream untouched: a later release is byte-identical to one drawn before
+/// the bad ingest. The lines go over a plain socket because `Client`
+/// renders a non-finite number as `null`.
 #[test]
 fn non_finite_ingest_deltas_are_refused_and_leave_the_stream_intact() {
     use std::io::{BufRead, BufReader, Write};
@@ -357,7 +357,7 @@ fn non_finite_ingest_deltas_are_refused_and_leave_the_stream_intact() {
         reader.read_line(&mut line).unwrap();
         let err = response_to_result(parse_line(&line).unwrap()).unwrap_err();
         assert!(
-            matches!(&err, ServiceError::Remote { code, .. } if code == "core"),
+            matches!(&err, ServiceError::Remote { code, .. } if code == "protocol"),
             "delta {delta}: got {err:?}"
         );
         assert!(!err.is_retryable());

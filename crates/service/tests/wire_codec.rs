@@ -374,7 +374,7 @@ fn request_lines() -> Vec<String> {
         .map(|r| render_line(&r.to_value()))
         .collect();
     lines.push(r#"{"op": "bind", "tenant": "té\"\\x", "plan_id": "a\/b\n", "table": "toy", "auth": "s3cret"}"#.into());
-    lines.push(r#"{"op":"ingest","tenant":"pub","stream":"s","cell":4,"delta":1e999}"#.into());
+    lines.push(r#"{"op":"ingest","tenant":"pub","stream":"s","cell":4,"delta":1.5e300}"#.into());
     lines
 }
 
