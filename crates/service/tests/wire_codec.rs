@@ -532,3 +532,125 @@ fn mutated_wire_lines_are_refused_with_protocol_errors_or_round_trip() {
         "{accepted_plain} plain, {accepted_escaped} escaped"
     );
 }
+
+// ---------------------------------------------------------------------------
+// Whole reply lines
+// ---------------------------------------------------------------------------
+
+/// A service with tenant `t`, a marginal plan bound to `toy`, a range plan
+/// bound to a 16-cell histogram, and a stream over the marginal plan
+/// seeded from `toy` with two ingests. Returns the service and the
+/// marginal session, range session and stream ids.
+fn reply_service() -> (DpService, [String; 3]) {
+    let service = DpService::new(Accountant::in_memory());
+    service.data().insert_table("toy", toy_table());
+    let hist: Vec<f64> = (0..16).map(|i| ((i * 7) % 5) as f64).collect();
+    service.data().insert_histogram("hist", hist);
+    service
+        .open_tenant("t", PrivacyLevel::Pure { epsilon: 1e4 })
+        .unwrap();
+    let privacy = PrivacyLevel::Pure { epsilon: 0.25 };
+    let workload = Workload::all_k_way(&Schema::binary(4).unwrap(), 2).unwrap();
+    let marginal = service
+        .register_compiled(
+            "t",
+            PlanBuilder::marginals(workload, StrategyKind::Fourier).privacy(privacy),
+        )
+        .unwrap();
+    let ranges = RangeWorkload::all_prefixes(16).unwrap();
+    let range = service
+        .register_compiled(
+            "t",
+            PlanBuilder::ranges(ranges, RangeStrategy::Hierarchical).privacy(privacy),
+        )
+        .unwrap();
+    let marginal_session = service.bind("t", &marginal, "toy").unwrap();
+    let range_session = service.bind("t", &range, "hist").unwrap();
+    let stream = service.stream_open("t", &marginal, Some("toy")).unwrap();
+    service.stream_ingest("t", &stream, 3, 2.0).unwrap();
+    service.stream_ingest("t", &stream, 9, -1.0).unwrap();
+    (service, [marginal_session, range_session, stream])
+}
+
+/// The reply line the service sends for `request`.
+fn reply(service: &DpService, request: Request) -> String {
+    render_line(&service.handle(request, None).unwrap())
+}
+
+fn release(session: &str, seeds: &[u64], request_id: Option<&str>) -> Request {
+    Request::Release {
+        tenant: "t".into(),
+        session: session.into(),
+        seeds: seeds.to_vec(),
+        request_id: request_id.map(Into::into),
+    }
+}
+
+/// Digests of whole `release` reply lines (keyed, unkeyed, empty unkeyed,
+/// empty keyed) for the marginal and then the range session, and of one
+/// keyed `release_current`: they pin the reply envelope around the
+/// release documents.
+const PINNED_REPLIES: [u64; 9] = [
+    0x853e99fd061f6cba,
+    0x82cb5fe007f450b8,
+    0xc0d86ba10abc7249,
+    0xdc062f19d4abea27,
+    0xb7f866e098256280,
+    0x25ce0a15d724d8b7,
+    0xc0d86ba10abc7249,
+    0xf492a5382757458a,
+    0x230adaf8c8aceeda,
+];
+
+#[test]
+fn release_reply_lines_match_their_pinned_digests() {
+    let (service, [marginal, range, stream]) = reply_service();
+    let mut digests = Vec::new();
+    for (session, key) in [(&marginal, "k-m"), (&range, "k-r")] {
+        for request in [
+            release(session, &[3, (1 << 60) + 17], Some(key)),
+            release(session, &[5], None),
+            release(session, &[], None),
+            release(session, &[], Some(key)),
+        ] {
+            digests.push(fnv1a64(reply(&service, request).as_bytes()));
+        }
+    }
+    let current = Request::ReleaseCurrent {
+        tenant: "t".into(),
+        stream,
+        seeds: vec![11, 12],
+        request_id: Some("epoch-1".into()),
+    };
+    digests.push(fnv1a64(reply(&service, current).as_bytes()));
+    assert_eq!(digests, PINNED_REPLIES);
+}
+
+#[test]
+fn cached_and_recomputed_replays_send_the_fresh_bytes() {
+    let (service, [marginal, range, _]) = reply_service();
+    let keyed = [(&marginal, "m-1"), (&range, "r-1")];
+    let fresh: Vec<String> = keyed
+        .iter()
+        .map(|(s, id)| reply(&service, release(s, &[7, 8], Some(id))))
+        .collect();
+    let charges = service.budget_status("t").unwrap().charges;
+    for ((s, id), first) in keyed.iter().zip(&fresh) {
+        assert_eq!(&reply(&service, release(s, &[7, 8], Some(id))), first);
+    }
+    // Push both out of the per-tenant replay cache (1024 entries).
+    for i in 0..=1024u64 {
+        let id = format!("evict-{i}");
+        reply(&service, release(&marginal, &[i], Some(&id)));
+    }
+    let after_evictions = service.budget_status("t").unwrap().charges;
+    assert_eq!(after_evictions, charges + 1025);
+    for ((s, id), first) in keyed.iter().zip(&fresh) {
+        assert_eq!(
+            &reply(&service, release(s, &[7, 8], Some(id))),
+            first,
+            "a recomputed replay of {id} must send the fresh bytes"
+        );
+    }
+    assert_eq!(service.budget_status("t").unwrap().charges, after_evictions);
+}
