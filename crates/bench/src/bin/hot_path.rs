@@ -20,12 +20,13 @@
 //! Every row carries `nproc`, the core count it was measured on.
 
 use dp_core::prelude::*;
+use dp_core::serde_impls::u64_value;
 use dp_core::strategy::{perturb_observations_into, NOISE_CHUNK};
 use dp_linalg::LinearOperator;
 use dp_mech::{GaussianMechanism, LaplaceMechanism, NoiseMechanism};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
+use serde::{Serialize, Value};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -343,6 +344,70 @@ fn bench_f64_write(count: usize, reps: usize, rows: &mut Vec<HotPathRow>) {
     rows.push(row("json", "f64_write_speedup", ratio, "x"));
 }
 
+/// One release document as a `Value` tree, the way the service built
+/// every reply before it wrote them directly: preserved as the reference
+/// for `dp_service::protocol::write_release`.
+fn release_tree_reference(release: &SessionRelease) -> Value {
+    let mut fields = vec![
+        ("seed".into(), u64_value(release.seed)),
+        ("label".into(), Value::String(release.label.clone())),
+        (
+            "achieved_epsilon".into(),
+            Value::Number(release.achieved_epsilon),
+        ),
+        (
+            "predicted_variance".into(),
+            Value::Number(release.predicted_variance),
+        ),
+        (
+            "group_budgets".into(),
+            release.group_budgets.serialize_value(),
+        ),
+    ];
+    match &release.answers {
+        Answers::Marginals(tables) => fields.push(("answers".into(), tables.serialize_value())),
+        Answers::Ranges(counts) => fields.push(("ranges".into(), counts.serialize_value())),
+    }
+    Value::Object(fields)
+}
+
+/// Microseconds per release document for `write_release` against building
+/// the reference tree and rendering it, each into a fresh `String`, after
+/// checking that both write the same bytes for every release.
+fn bench_release_write(releases: &[SessionRelease], reps: usize, rows: &mut Vec<HotPathRow>) {
+    use dp_service::protocol::write_release;
+    let written = |r: &SessionRelease| {
+        let mut out = String::new();
+        write_release(r, &mut out);
+        out
+    };
+    let tree = |r: &SessionRelease| serde_json::value_to_string(&release_tree_reference(r));
+    for r in releases {
+        assert_eq!(written(r), tree(r), "write_release diverged from the tree");
+    }
+    let t_write = time_best(reps, || {
+        for r in std::hint::black_box(releases) {
+            std::hint::black_box(written(r));
+        }
+    });
+    let t_tree = time_best(reps, || {
+        for r in std::hint::black_box(releases) {
+            std::hint::black_box(tree(r));
+        }
+    });
+    let per_release = |t: f64| t * 1e6 / releases.len() as f64;
+    let ratio = t_tree / t_write;
+    println!(
+        "{:>22}: writer {:.1} µs, tree + render {:.1} µs, speedup {ratio:.2}×",
+        "release document",
+        per_release(t_write),
+        per_release(t_tree),
+    );
+    rows.push(row("json", "release_write_us", per_release(t_write), "us"));
+    rows.push(row("json", "release_tree_us", per_release(t_tree), "us"));
+    rows.push(row("json", "release_write_speedup", ratio, "x"));
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -448,6 +513,10 @@ fn main() {
     let numbers = 650;
     println!("== json ({numbers} noisy counts, best of {reps}) ==");
     bench_f64_write(numbers, reps, &mut rows);
+    let documents: Vec<u64> = (0..64).collect();
+    let releases = session.release_batch(&documents).expect("batch succeeds");
+    println!("== json (d = {schema_bits} Fourier Q2 release, 64 seeds, best of {reps}) ==");
+    bench_release_write(&releases, reps, &mut rows);
 
     match dp_bench::write_jsonl("hot_path.jsonl", &rows) {
         Ok(p) => eprintln!("wrote {}", p.display()),

@@ -100,10 +100,10 @@ use dp_core::serde_impls::{privacy_from, privacy_value, u64_from, u64_value};
 use dp_mech::{BudgetLedger, PrivacyLevel};
 use serde::Value;
 
-/// Completed release responses kept in memory (per tenant) for replay.
+/// Completed release reply lines kept in memory (per tenant) for replay.
 /// The *journal* (which ids were charged, and for what) is never evicted
 /// — it is the exactly-once guarantee and is WAL-backed anyway; the
-/// cached response values are only a shortcut: an evicted response of a
+/// cached lines are only a shortcut: an evicted response of a
 /// shared session is recomputed deterministically from the journaled
 /// seeds, and one of a stream is refused (the stream has moved on).
 pub(crate) const RESPONSE_CACHE_CAP: usize = 1024;
@@ -133,8 +133,9 @@ struct ReleaseRecord {
     session: String,
     seeds: Vec<u64>,
     charge: PrivacyLevel,
-    /// Shared, never deep-cloned: replay hands out another `Arc` handle.
-    response: Option<Arc<Value>>,
+    /// The reply line as sent, shared and never copied: a replay hands
+    /// out another `Arc` handle on the same bytes.
+    response: Option<Arc<str>>,
     /// `false` while the spend record is staged on the commit queue but
     /// not yet durable. Duplicates observing a pending entry wait for
     /// the commit outcome instead of guessing.
@@ -155,7 +156,7 @@ pub enum ReleaseAdmission {
     /// or the cache evicted it). The caller recomputes it from the same
     /// session and seeds when that is byte-identical by determinism (a
     /// shared session never changes), and refuses otherwise (a stream).
-    Replay(Option<Arc<Value>>),
+    Replay(Option<Arc<str>>),
 }
 
 /// One tenant's state: ledger plus release journal, behind that tenant's
@@ -830,13 +831,13 @@ impl Accountant {
         }
     }
 
-    /// Stores the completed response for a journaled release so later
+    /// Stores the completed reply line for a journaled release so later
     /// retries of the same `request_id` replay it verbatim — as another
-    /// handle on the same `Arc`, never a deep clone. A bounded number of
+    /// handle on the same `Arc`, never a copy. A bounded number of
     /// responses are cached per tenant; an evicted one replays as
     /// [`ReleaseAdmission::Replay`]`(None)` (the journal entry itself is
     /// never evicted).
-    pub fn record_response(&self, tenant: &str, request_id: &str, response: &Arc<Value>) {
+    pub fn record_response(&self, tenant: &str, request_id: &str, response: &Arc<str>) {
         let Ok(shard) = self.shard(tenant) else {
             return;
         };
@@ -1119,12 +1120,12 @@ mod tests {
         assert!(matches!(admission, ReleaseAdmission::Replay(None)));
         assert_eq!(acct.status("t").unwrap().spent_epsilon, 0.5);
 
-        acct.record_response("t", "r1", &Arc::new(Value::String("out".into())));
+        acct.record_response("t", "r1", &Arc::from("out"));
         let admission = acct.admit_release("t", "r1", "s", &[7, 8], HALF).unwrap();
         let ReleaseAdmission::Replay(Some(cached)) = admission else {
             panic!("expected a cached replay");
         };
-        assert_eq!(cached.as_str(), Some("out"));
+        assert_eq!(&*cached, "out");
         assert_eq!(acct.status("t").unwrap().spent_epsilon, 0.5);
         assert_eq!(acct.journaled_releases(), 1);
 
@@ -1152,7 +1153,7 @@ mod tests {
                 .admit_release("t", "r1", "s", &[1u64 << 60], HALF)
                 .unwrap();
             assert!(matches!(a, ReleaseAdmission::Fresh));
-            acct.record_response("t", "r1", &Arc::new(Value::String("out".into())));
+            acct.record_response("t", "r1", &Arc::from("out"));
             // Process dies here; the cached response is volatile but the
             // journaled debit is not.
         }
@@ -1234,7 +1235,7 @@ mod tests {
             let rid = format!("r{i}");
             acct.admit_release("t", &rid, "s", &[i as u64], tiny)
                 .unwrap();
-            acct.record_response("t", &rid, &Arc::new(Value::Number(i as f64)));
+            acct.record_response("t", &rid, &Arc::from(i.to_string()));
         }
         assert_eq!(acct.journaled_releases(), n);
         // The oldest responses were evicted (recompute on replay), but the

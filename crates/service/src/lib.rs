@@ -51,8 +51,10 @@
 //!     )
 //!     .unwrap();
 //! let session = service.bind("alice", &plan_id, "toy").unwrap();
-//! let response = service.release("alice", &session, &[42], None).unwrap();
-//! assert_eq!(response.get_field("releases").and_then(|r| r.as_array()).unwrap().len(), 1);
+//! // The reply line, exactly as the server would send it.
+//! let line = service.release("alice", &session, &[42], None).unwrap();
+//! let reply = dp_service::protocol::parse_line(&line).unwrap();
+//! assert_eq!(reply.get_field("releases").and_then(|r| r.as_array()).unwrap().len(), 1);
 //! assert_eq!(service.budget_status("alice").unwrap().spent_epsilon, 0.5);
 //! ```
 //!

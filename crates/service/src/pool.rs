@@ -250,11 +250,12 @@ mod tests {
         let session = pool.get(&id).unwrap().lock().snapshot();
         let a = session.release(7).unwrap();
         let b = session.release(7).unwrap();
-        assert_eq!(
-            crate::protocol::render_line(&crate::protocol::session_release_to_value(&a)),
-            crate::protocol::render_line(&crate::protocol::session_release_to_value(&b)),
-            "releases are seed-deterministic"
-        );
+        let written = |r| {
+            let mut line = String::new();
+            crate::protocol::write_release(r, &mut line);
+            line
+        };
+        assert_eq!(written(&a), written(&b), "releases are seed-deterministic");
         assert!(matches!(
             pool.get("nope"),
             Err(ServiceError::UnknownSession(_))

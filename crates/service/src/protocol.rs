@@ -62,15 +62,25 @@
 //!
 //! ## Encoding
 //!
-//! [`render_line`] walks the value by reference and writes straight into
-//! one output string: no copy of the tree, no temporary string per number.
-//! Its bytes are stable: keys keep insertion order, integral numbers below
-//! 1e15 print as integer digits, and NaN/±∞ print as `null`. Every other
-//! number goes through [`serde_json::write_f64`], a Ryū writer whose
-//! contract is `f64`'s `Display`: the same bytes `format!("{x}")` writes,
-//! the shortest text that parses back to the same bits. Replay
-//! byte-identity and the WAL's checksums (taken over `render_line`) rely
-//! on that.
+//! A release reply is written once, as bytes: [`write_release`] streams
+//! each release document straight into the reply line, with no [`Value`]
+//! tree, and the service keeps that line (an `Arc<str>`) in its replay
+//! cache, so a replay sends the same bytes with no re-render. Every other
+//! reply is a small [`ok_response`] or [`error_response`] tree rendered by
+//! [`render_line`], which walks the value by reference into one output
+//! string.
+//!
+//! Both write numbers and strings through the JSON shim's one number path
+//! ([`serde_json::render_number`]) and string escaper
+//! ([`serde_json::render_string`]), so their bytes agree: keys keep
+//! insertion order, integral numbers below 1e15 print as integer digits,
+//! and NaN/±∞ print as `null`. Every other number goes through
+//! [`serde_json::write_f64`], a Ryū writer whose contract is `f64`'s
+//! `Display`: the same bytes `format!("{x}")` writes, the shortest text
+//! that parses back to the same bits. Replay byte-identity and the WAL's
+//! checksums (taken over `render_line`) rely on that.
+//! [`session_release_to_value`] is the decoded view of
+//! [`write_release`]'s bytes, not a second encoder.
 //!
 //! [`parse_line`] copies each unescaped run of a string as one slice and
 //! refuses documents nested deeper than [`serde_json::MAX_DEPTH`] (128)
@@ -90,6 +100,7 @@ use dp_core::Budgeting;
 use dp_core::Plan;
 use dp_mech::{Neighboring, PrivacyLevel};
 use serde::{DeError, Deserialize, Serialize, Value};
+use serde_json::{render_number, render_string};
 
 /// Parses one wire line into a JSON value. Nesting deeper than
 /// [`serde_json::MAX_DEPTH`] levels is a protocol error, not a stack
@@ -578,32 +589,90 @@ pub fn response_to_result(value: Value) -> Result<Value, ServiceError> {
     }
 }
 
-/// Wire encoding of one release: seed, accounting, and the answers
-/// (marginal tables or range counts). The numeric rendering is exact —
-/// `f64` values round-trip bit-for-bit through the workspace JSON shim —
-/// so served releases are byte-comparable to in-process ones.
-pub fn session_release_to_value(release: &SessionRelease) -> Value {
-    let mut fields = vec![
-        ("seed".into(), u64_value(release.seed)),
-        ("label".into(), Value::String(release.label.clone())),
-        (
-            "achieved_epsilon".into(),
-            Value::Number(release.achieved_epsilon),
-        ),
-        (
-            "predicted_variance".into(),
-            Value::Number(release.predicted_variance),
-        ),
-        (
-            "group_budgets".into(),
-            release.group_budgets.serialize_value(),
-        ),
-    ];
-    match &release.answers {
-        Answers::Marginals(tables) => fields.push(("answers".into(), tables.serialize_value())),
-        Answers::Ranges(counts) => fields.push(("ranges".into(), counts.serialize_value())),
+/// Writes a `u64` by the workspace wire rule
+/// ([`dp_core::serde_impls::u64_value`]): a number below 2^53, a decimal
+/// string above.
+fn write_u64(v: u64, out: &mut String) {
+    if v < (1u64 << 53) {
+        render_number(v as f64, out);
+    } else {
+        render_string(&v.to_string(), out);
     }
-    Value::Object(fields)
+}
+
+fn write_numbers(values: &[f64], out: &mut String) {
+    out.push('[');
+    for (i, &v) in values.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        render_number(v, out);
+    }
+    out.push(']');
+}
+
+/// Appends the wire document of one release to `out`: seed, accounting,
+/// and the answers (marginal tables or range counts), streamed with no
+/// [`Value`] tree. This is the one release encoder: served replies, the
+/// replay cache and the CLI `release` command all carry its bytes. The
+/// numeric rendering is exact (`f64` values round-trip bit-for-bit), so
+/// served releases are byte-comparable to in-process ones.
+pub fn write_release(release: &SessionRelease, out: &mut String) {
+    out.push_str("{\"seed\":");
+    write_u64(release.seed, out);
+    out.push_str(",\"label\":");
+    render_string(&release.label, out);
+    out.push_str(",\"achieved_epsilon\":");
+    render_number(release.achieved_epsilon, out);
+    out.push_str(",\"predicted_variance\":");
+    render_number(release.predicted_variance, out);
+    out.push_str(",\"group_budgets\":");
+    write_numbers(&release.group_budgets, out);
+    match &release.answers {
+        Answers::Marginals(tables) => {
+            out.push_str(",\"answers\":[");
+            for (i, table) in tables.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push_str("{\"attributes\":");
+                write_u64(table.mask().0, out);
+                out.push_str(",\"cells\":");
+                write_numbers(table.values(), out);
+                out.push('}');
+            }
+            out.push(']');
+        }
+        Answers::Ranges(counts) => {
+            out.push_str(",\"ranges\":");
+            write_numbers(counts, out);
+        }
+    }
+    out.push('}');
+}
+
+/// An estimate of the bytes [`write_release`] appends, so a reply buffer
+/// is usually sized once: 24 bytes a number cover a noisy count's 17
+/// significant digits, sign, point and separator. A longer number (a tiny
+/// magnitude, which `Display` writes without an exponent) just grows the
+/// buffer.
+pub(crate) fn release_len_hint(release: &SessionRelease) -> usize {
+    let numbers = release.group_budgets.len()
+        + match &release.answers {
+            Answers::Marginals(tables) => tables.iter().map(|t| t.values().len() + 1).sum(),
+            Answers::Ranges(counts) => counts.len(),
+        };
+    128 + release.label.len() + 24 * numbers
+}
+
+/// One release as a [`Value`]: the decoded view of [`write_release`]'s
+/// bytes (`parse_line` of them), not a second encoder, so
+/// `render_line(&session_release_to_value(r))` is exactly what
+/// `write_release` writes.
+pub fn session_release_to_value(release: &SessionRelease) -> Value {
+    let mut line = String::with_capacity(release_len_hint(release));
+    write_release(release, &mut line);
+    parse_line(&line).expect("a written release document parses")
 }
 
 #[cfg(test)]

@@ -95,6 +95,13 @@ fn catch_panic<R>(f: impl FnOnce() -> Result<R, ServiceError>) -> Result<R, Serv
     })
 }
 
+/// The in-band reply line for a typed error. Rendered before a
+/// connection's writer is locked, like every reply, so the lock covers
+/// only the socket write.
+fn error_line(error: &ServiceError) -> Arc<str> {
+    render_line(&error_response(error)).into()
+}
+
 /// Resource bounds for a [`Server`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ServerLimits {
@@ -174,8 +181,7 @@ impl<T: Transport> Server<T> {
                                 let shed = ServiceError::Overloaded {
                                     scope: "connections".into(),
                                 };
-                                let line = render_line(&error_response(&shed));
-                                let _ = conn.writer().and_then(|mut w| w.send(&line));
+                                let _ = conn.writer().and_then(|mut w| w.send(&error_line(&shed)));
                                 continue;
                             }
                         }
@@ -204,14 +210,14 @@ impl<T: Transport> Server<T> {
         })
     }
 
-    /// Answers one parsed line: the handler's response, or the typed error
-    /// it is answered with in-band.
-    fn execute(&self, parsed: Result<Value, ServiceError>) -> Result<Arc<Value>, ServiceError> {
+    /// Answers one parsed line: the handler's reply line, or the typed
+    /// error it is answered with in-band.
+    fn execute(&self, parsed: Result<Value, ServiceError>) -> Result<Arc<str>, ServiceError> {
         parsed.and_then(|value| {
             catch_panic(|| {
                 let credential = value.get_field("auth").and_then(Value::as_str);
                 self.service
-                    .handle(Request::from_value(&value)?, credential)
+                    .respond(Request::from_value(&value)?, credential)
             })
         })
     }
@@ -230,11 +236,11 @@ impl<T: Transport> Server<T> {
                 return 0;
             }
         };
-        let send = |response: &Value| -> bool {
+        let send = |line: &str| -> bool {
             writer
                 .lock()
                 .expect("connection writer mutex poisoned")
-                .send(&render_line(response))
+                .send(line)
                 .is_ok()
         };
         let pipeline = Pipeline::default();
@@ -250,7 +256,7 @@ impl<T: Transport> Server<T> {
                         // Mid-line or undecodable: answer best-effort
                         // in-band and close (no way to resynchronize).
                         // In-flight workers still send theirs first-come.
-                        let _ = send(&error_response(&e));
+                        let _ = send(&error_line(&e));
                         return;
                     }
                 };
@@ -276,7 +282,7 @@ impl<T: Transport> Server<T> {
                     // Only an *authorized* shutdown stops the listener; a
                     // refused one is just an error response like any other.
                     let stop = answer.is_ok();
-                    if !send(&answer.unwrap_or_else(|e| Arc::new(error_response(&e)))) {
+                    if !send(&answer.unwrap_or_else(|e| error_line(&e))) {
                         return;
                     }
                     if stop {
@@ -318,7 +324,7 @@ impl<T: Transport> Server<T> {
     /// One request worker of a connection: takes handed-over lines until
     /// the reader has closed and none is left, parking while there is
     /// nothing to do.
-    fn serve_pipeline(&self, pipeline: &Pipeline, send: &(dyn Fn(&Value) -> bool + Sync)) {
+    fn serve_pipeline(&self, pipeline: &Pipeline, send: &(dyn Fn(&str) -> bool + Sync)) {
         let mut state = pipeline.lock();
         loop {
             let Some(parsed) = state.queue.pop_front() else {
@@ -332,9 +338,7 @@ impl<T: Transport> Server<T> {
             };
             state.executing += 1;
             drop(state);
-            let response = self
-                .execute(parsed)
-                .unwrap_or_else(|e| Arc::new(error_response(&e)));
+            let response = self.execute(parsed).unwrap_or_else(|e| error_line(&e));
             // Free before the response leaves: a closed-loop client's next
             // line then always finds this worker instead of starting one.
             pipeline.lock().executing -= 1;

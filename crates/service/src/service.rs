@@ -9,10 +9,15 @@
 //! and leaks nothing; a release failure *after* a granted debit burns
 //! budget without output, which is the safe direction (never overspend).
 //!
-//! Authorization is enforced at the wire boundary, [`DpService::handle`],
-//! against the service's [`Auth`] policy; the direct Rust methods
-//! (`open_tenant`, `release`, …) are the in-process operator surface and
-//! take no credential. See [`crate::auth`] for the threat model.
+//! Authorization is enforced at the wire boundary, [`DpService::respond`]
+//! (and its decoded view [`DpService::handle`]), against the service's
+//! [`Auth`] policy; the direct Rust methods (`open_tenant`, `release`, …)
+//! are the in-process operator surface and take no credential. See
+//! [`crate::auth`] for the threat model.
+//!
+//! Every answer is its wire line, written once: a release reply is
+//! streamed by [`write_release`] with no [`Value`] tree, and a keyed one
+//! is cached as those bytes, so a replay sends them again unchanged.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -22,12 +27,15 @@ use crate::auth::Auth;
 use crate::error::ServiceError;
 use crate::fail_point;
 use crate::pool::{DataStore, PooledSession, SessionPool};
-use crate::protocol::{ok_response, session_release_to_value, Request};
+use crate::protocol::{
+    ok_response, parse_line, release_len_hint, render_line, write_release, Request,
+};
 use crate::registry::Registry;
 use dp_core::serde_impls::privacy_value;
 use dp_core::{Plan, PlanBuilder, SessionRelease};
 use dp_mech::{compose_n, PrivacyLevel};
 use serde::Value;
+use serde_json::render_string;
 
 /// A privacy-budget-metered release service (see the module docs).
 pub struct DpService {
@@ -43,21 +51,33 @@ pub struct DpService {
     inflight: Mutex<HashMap<String, usize>>,
 }
 
-/// The success response for a batch of releases. A keyed release echoes
-/// its `request_id`, so pipelined clients can match out-of-order
-/// responses to their requests; fresh draws, cached replays and
-/// recomputations all build this same shape, so replays stay
-/// byte-identical.
-fn release_response(releases: &[SessionRelease], request_id: Option<&str>) -> Value {
-    let mut fields = Vec::with_capacity(2);
+/// The success reply line for a batch of releases,
+/// `{"ok":true,"request_id":…,"releases":[…]}`. A keyed release echoes its
+/// `request_id`, so pipelined clients can match out-of-order responses to
+/// their requests; fresh draws and recomputations both write this same
+/// line, and cached replays send it again, so replays stay byte-identical.
+fn release_response(releases: &[SessionRelease], request_id: Option<&str>) -> Arc<str> {
+    let hint: usize = releases.iter().map(release_len_hint).sum();
+    let mut line = String::with_capacity(64 + hint + request_id.map_or(0, str::len));
+    line.push_str("{\"ok\":true");
     if let Some(rid) = request_id {
-        fields.push(("request_id".into(), Value::String(rid.into())));
+        line.push_str(",\"request_id\":");
+        render_string(rid, &mut line);
     }
-    fields.push((
-        "releases".into(),
-        Value::Array(releases.iter().map(session_release_to_value).collect()),
-    ));
-    ok_response(fields)
+    line.push_str(",\"releases\":[");
+    for (i, release) in releases.iter().enumerate() {
+        if i > 0 {
+            line.push(',');
+        }
+        write_release(release, &mut line);
+    }
+    line.push_str("]}");
+    line.into()
+}
+
+/// The wire line of a small success reply.
+fn ok_line(fields: Vec<(String, Value)>) -> Arc<str> {
+    render_line(&ok_response(fields)).into()
 }
 
 /// RAII decrement for the per-tenant in-flight release counter.
@@ -106,7 +126,7 @@ impl DpService {
     /// Bounds how many wire releases one tenant may have in flight at
     /// once; excess requests are shed with the retryable
     /// [`ServiceError::Overloaded`] before any budget is charged. Applies
-    /// to [`DpService::handle`] (the wire boundary), not the direct Rust
+    /// to [`DpService::respond`] (the wire boundary), not the direct Rust
     /// methods.
     pub fn with_tenant_inflight_cap(mut self, cap: usize) -> DpService {
         self.tenant_inflight_cap = Some(cap);
@@ -241,8 +261,8 @@ impl DpService {
     }
 
     /// Draws one deterministic release per seed from a pooled session's
-    /// current state and returns the full wire response (shared, never
-    /// deep-cloned — replays hand out more handles on the same `Arc`).
+    /// current state and returns the reply line (shared, never copied —
+    /// replays hand out more handles on the same `Arc`).
     /// The one release path behind both wire ops: `release` on a bound
     /// session and `release_current` on a stream.
     ///
@@ -251,7 +271,7 @@ impl DpService {
     ///    noise is drawn. With a `request_id` the admission also journals
     ///    `(tenant, request_id)` durably (group commit) — exactly once: a
     ///    retry of the same id (same session and seeds) debits nothing and
-    ///    returns the cached response, byte-identical on the wire, even if
+    ///    returns the cached reply line, byte-identical on the wire, even if
     ///    the first attempt died after the debit. If that response is gone
     ///    (evicted, or lost in a restart), a shared session recomputes it
     ///    byte-identically from the journaled seeds, while a stream —
@@ -268,9 +288,9 @@ impl DpService {
         session: &str,
         seeds: &[u64],
         request_id: Option<&str>,
-    ) -> Result<Arc<Value>, ServiceError> {
+    ) -> Result<Arc<str>, ServiceError> {
         if seeds.is_empty() {
-            return Ok(Arc::new(release_response(&[], request_id)));
+            return Ok(release_response(&[], request_id));
         }
         let entry = self.session_for(tenant, session)?;
         let snapshot = entry.lock().snapshot();
@@ -278,7 +298,7 @@ impl DpService {
         let Some(rid) = request_id else {
             self.accountant.try_debit(tenant, charge)?;
             let releases = snapshot.release_batch(seeds)?;
-            return Ok(Arc::new(release_response(&releases, None)));
+            return Ok(release_response(&releases, None));
         };
         match self
             .accountant
@@ -296,7 +316,7 @@ impl DpService {
             }
         }
         let releases = snapshot.release_batch(seeds)?;
-        let response = Arc::new(release_response(&releases, Some(rid)));
+        let response = release_response(&releases, Some(rid));
         self.accountant.record_response(tenant, rid, &response);
         Ok(response)
     }
@@ -306,18 +326,19 @@ impl DpService {
         self.accountant.status(tenant)
     }
 
-    /// Handles one parsed request, producing the success-response value
-    /// (shared: keyed-release replays return another handle on the cached
-    /// response instead of a deep clone). `credential` is the request's
+    /// Answers one parsed request with its success reply line, the bytes
+    /// the server sends: release replies are written directly (and a
+    /// keyed replay returns another handle on the cached line), other ops
+    /// render their small [`ok_response`]. `credential` is the request's
     /// `"auth"` field, checked against the service's [`Auth`] policy per
     /// operation. `Shutdown` is acknowledged here; actually stopping the
     /// transport is the server loop's job (and only after an *authorized*
     /// shutdown).
-    pub fn handle(
+    pub fn respond(
         &self,
         request: Request,
         credential: Option<&str>,
-    ) -> Result<Arc<Value>, ServiceError> {
+    ) -> Result<Arc<str>, ServiceError> {
         match request {
             Request::OpenTenant {
                 tenant,
@@ -339,18 +360,12 @@ impl DpService {
                 if let Some(token) = token {
                     self.auth.install_tenant_token(&tenant, &token);
                 }
-                Ok(Arc::new(ok_response(vec![(
-                    "tenant".into(),
-                    Value::String(tenant),
-                )])))
+                Ok(ok_line(vec![("tenant".into(), Value::String(tenant))]))
             }
             Request::RegisterPlan { tenant, plan } => {
                 self.auth.check_tenant(&tenant, credential)?;
                 let id = self.register_plan(&tenant, *plan)?;
-                Ok(Arc::new(ok_response(vec![(
-                    "plan_id".into(),
-                    Value::String(id),
-                )])))
+                Ok(ok_line(vec![("plan_id".into(), Value::String(id))]))
             }
             Request::RegisterCompile {
                 tenant,
@@ -365,10 +380,7 @@ impl DpService {
                     .privacy(privacy)
                     .neighboring(neighboring);
                 let id = self.register_compiled(&tenant, builder)?;
-                Ok(Arc::new(ok_response(vec![(
-                    "plan_id".into(),
-                    Value::String(id),
-                )])))
+                Ok(ok_line(vec![("plan_id".into(), Value::String(id))]))
             }
             Request::Bind {
                 tenant,
@@ -377,10 +389,7 @@ impl DpService {
             } => {
                 self.auth.check_tenant(&tenant, credential)?;
                 let id = self.bind(&tenant, &plan_id, &table)?;
-                Ok(Arc::new(ok_response(vec![(
-                    "session".into(),
-                    Value::String(id),
-                )])))
+                Ok(ok_line(vec![("session".into(), Value::String(id))]))
             }
             Request::Release {
                 tenant,
@@ -405,10 +414,7 @@ impl DpService {
             } => {
                 self.auth.check_tenant(&tenant, credential)?;
                 let id = self.stream_open(&tenant, &plan_id, table.as_deref())?;
-                Ok(Arc::new(ok_response(vec![(
-                    "stream".into(),
-                    Value::String(id),
-                )])))
+                Ok(ok_line(vec![("stream".into(), Value::String(id))]))
             }
             Request::Ingest {
                 tenant,
@@ -418,15 +424,12 @@ impl DpService {
             } => {
                 self.auth.check_tenant(&tenant, credential)?;
                 self.stream_ingest(&tenant, &stream, cell, delta)?;
-                Ok(Arc::new(ok_response(vec![(
-                    "ingested".into(),
-                    Value::Bool(true),
-                )])))
+                Ok(ok_line(vec![("ingested".into(), Value::Bool(true))]))
             }
             Request::BudgetStatus { tenant } => {
                 self.auth.check_tenant(&tenant, credential)?;
                 let s = self.budget_status(&tenant)?;
-                Ok(Arc::new(ok_response(vec![
+                Ok(ok_line(vec![
                     ("tenant".into(), Value::String(tenant)),
                     ("total".into(), privacy_value(s.total)),
                     ("spent_epsilon".into(), Value::Number(s.spent_epsilon)),
@@ -437,23 +440,34 @@ impl DpService {
                     ),
                     ("remaining_delta".into(), Value::Number(s.remaining_delta)),
                     ("charges".into(), Value::Number(s.charges as f64)),
-                ])))
+                ]))
             }
-            Request::Ping => Ok(Arc::new(ok_response(vec![
+            Request::Ping => Ok(ok_line(vec![
                 ("pong".into(), Value::Bool(true)),
                 (
                     "tables".into(),
                     Value::Array(self.data.names().into_iter().map(Value::String).collect()),
                 ),
-            ]))),
+            ])),
             Request::Shutdown => {
                 self.auth.check_admin(credential)?;
-                Ok(Arc::new(ok_response(vec![(
-                    "shutdown".into(),
-                    Value::Bool(true),
-                )])))
+                Ok(ok_line(vec![("shutdown".into(), Value::Bool(true))]))
             }
         }
+    }
+
+    /// The decoded view of [`DpService::respond`]: the same reply line,
+    /// parsed back into a [`Value`]. Off the served path (the server sends
+    /// `respond`'s bytes); it serves callers that want the reply as a
+    /// tree, and `render_line` of it is exactly the line `respond`
+    /// returns.
+    pub fn handle(
+        &self,
+        request: Request,
+        credential: Option<&str>,
+    ) -> Result<Arc<Value>, ServiceError> {
+        let line = self.respond(request, credential)?;
+        parse_line(&line).map(Arc::new)
     }
 }
 
@@ -470,8 +484,9 @@ mod tests {
         service
     }
 
-    fn releases_in(response: &Value) -> usize {
-        response
+    fn releases_in(response: &str) -> usize {
+        parse_line(response)
+            .unwrap()
             .get_field("releases")
             .and_then(Value::as_array)
             .expect("a release response lists its releases")
@@ -522,7 +537,7 @@ mod tests {
             r#"{{"op": "release", "tenant": "t", "session": "{session}", "seeds": [1], "request_id": 7}}"#
         );
         let handled = crate::protocol::parse_line(&line)
-            .and_then(|value| service.handle(Request::from_value(&value)?, None));
+            .and_then(|value| service.respond(Request::from_value(&value)?, None));
         assert!(
             matches!(handled, Err(ServiceError::Protocol(_))),
             "got {handled:?}"
@@ -570,13 +585,13 @@ mod tests {
         // Minting a tenant budget needs the operator credential...
         for bad in [None, Some("nope"), Some("tok")] {
             assert!(matches!(
-                service.handle(open(), bad),
+                service.respond(open(), bad),
                 Err(ServiceError::Unauthorized(_))
             ));
         }
         // ...and must install a tenant credential.
         assert!(matches!(
-            service.handle(
+            service.respond(
                 Request::OpenTenant {
                     tenant: "t".into(),
                     budget: PrivacyLevel::Pure { epsilon: 1.0 },
@@ -586,29 +601,29 @@ mod tests {
             ),
             Err(ServiceError::Protocol(_))
         ));
-        service.handle(open(), Some("admin")).unwrap();
+        service.respond(open(), Some("admin")).unwrap();
 
         // Tenant-scoped requests take the tenant credential or the admin's.
         let status = || Request::BudgetStatus { tenant: "t".into() };
         assert!(matches!(
-            service.handle(status(), None),
+            service.respond(status(), None),
             Err(ServiceError::Unauthorized(_))
         ));
         assert!(matches!(
-            service.handle(status(), Some("wrong")),
+            service.respond(status(), Some("wrong")),
             Err(ServiceError::Unauthorized(_))
         ));
-        service.handle(status(), Some("tok")).unwrap();
-        service.handle(status(), Some("admin")).unwrap();
+        service.respond(status(), Some("tok")).unwrap();
+        service.respond(status(), Some("admin")).unwrap();
 
         // Shutdown is operator-only; a tenant credential does not unlock it.
         for bad in [None, Some("tok")] {
             assert!(matches!(
-                service.handle(Request::Shutdown, bad),
+                service.respond(Request::Shutdown, bad),
                 Err(ServiceError::Unauthorized(_))
             ));
         }
-        service.handle(Request::Shutdown, Some("admin")).unwrap();
+        service.respond(Request::Shutdown, Some("admin")).unwrap();
     }
 
     #[test]
@@ -650,11 +665,7 @@ mod tests {
         assert_eq!(service.budget_status("t").unwrap().spent_epsilon, 0.5);
         for _ in 0..3 {
             let again = service.release("t", &session, &[1, 2], Some("r1")).unwrap();
-            assert_eq!(
-                crate::protocol::render_line(&again),
-                crate::protocol::render_line(&first),
-                "replays must be byte-identical"
-            );
+            assert_eq!(again, first, "replays must be byte-identical");
         }
         // Still one charge — and the replay even works with the budget
         // fully exhausted, because nothing new is debited.
@@ -687,10 +698,10 @@ mod tests {
         let keyed = service
             .release("t", &session, &[], Some("r-empty"))
             .unwrap();
-        assert!(crate::protocol::render_line(&keyed).contains("\"releases\":[]"));
+        assert!(keyed.contains("\"releases\":[]"));
         for rid in [None, Some("s-empty")] {
             let resp = service.release("t", &stream, &[], rid).unwrap();
-            assert!(crate::protocol::render_line(&resp).contains("\"releases\":[]"));
+            assert!(resp.contains("\"releases\":[]"));
         }
         // No noise drawn, no budget consumed, no charge journaled — an
         // empty id is even reusable with real seeds later.
@@ -717,10 +728,7 @@ mod tests {
         let session = service.bind("t", &plan_id, "toy").unwrap();
         let from_stream = service.release("t", &stream, &[42], None).unwrap();
         let from_session = service.release("t", &session, &[42], None).unwrap();
-        assert_eq!(
-            crate::protocol::render_line(&from_stream),
-            crate::protocol::render_line(&from_session),
-        );
+        assert_eq!(from_stream, from_session,);
 
         // Deltas are uncharged and visible to the next release.
         let spent = service.budget_status("t").unwrap().spent_epsilon;
@@ -729,19 +737,13 @@ mod tests {
         }
         assert_eq!(service.budget_status("t").unwrap().spent_epsilon, spent);
         let after = service.release("t", &stream, &[42], None).unwrap();
-        assert_ne!(
-            crate::protocol::render_line(&after),
-            crate::protocol::render_line(&from_stream),
-        );
+        assert_ne!(after, from_stream,);
 
         // Reopening never resets: the five ingests survive.
         let again = service.stream_open("t", &plan_id, Some("toy")).unwrap();
         assert_eq!(again, stream);
         let re_release = service.release("t", &stream, &[42], None).unwrap();
-        assert_eq!(
-            crate::protocol::render_line(&re_release),
-            crate::protocol::render_line(&after),
-        );
+        assert_eq!(re_release, after,);
     }
 
     #[test]
@@ -825,10 +827,7 @@ mod tests {
         assert!(matches!(&err, ServiceError::ReadOnlySession(id) if *id == session));
         assert_eq!(err.code(), "read_only_session");
         let after = service.release("t", &session, &[3], None).unwrap();
-        assert_eq!(
-            crate::protocol::render_line(&before),
-            crate::protocol::render_line(&after),
-        );
+        assert_eq!(before, after,);
     }
 
     #[test]
@@ -867,10 +866,7 @@ mod tests {
         // A shared session never changes, so its recompute is sound and
         // byte-identical.
         let again = service.release("t", &session, &[7], Some("s0")).unwrap();
-        assert_eq!(
-            crate::protocol::render_line(&again),
-            crate::protocol::render_line(&shared),
-        );
+        assert_eq!(again, shared,);
         assert_eq!(service.budget_status("t").unwrap().charges, charges);
     }
 
@@ -892,20 +888,14 @@ mod tests {
         service.stream_ingest("t", &stream, 6, 3.0).unwrap();
         for _ in 0..3 {
             let replay = service.release("t", &stream, &[7], Some("pub-1")).unwrap();
-            assert_eq!(
-                crate::protocol::render_line(&replay),
-                crate::protocol::render_line(&first),
-            );
+            assert_eq!(replay, first,);
         }
         assert_eq!(service.budget_status("t").unwrap().spent_epsilon, 0.25);
         assert_eq!(service.budget_status("t").unwrap().charges, 1);
 
         // A fresh id sees the post-ingest state and is a second charge.
         let second = service.release("t", &stream, &[7], Some("pub-2")).unwrap();
-        assert_ne!(
-            crate::protocol::render_line(&second),
-            crate::protocol::render_line(&first),
-        );
+        assert_ne!(second, first,);
         assert_eq!(service.budget_status("t").unwrap().charges, 2);
 
         // Reusing an id with different seeds is the typed client bug.
@@ -926,7 +916,7 @@ mod tests {
         // The tenant is at its cap: the wire release sheds, charging
         // nothing...
         let err = service
-            .handle(
+            .respond(
                 Request::Release {
                     tenant: "t".into(),
                     session: "s".into(),
@@ -949,7 +939,7 @@ mod tests {
         let plan_id = service.register_compiled("t", builder(0.25)).unwrap();
         let session = service.bind("t", &plan_id, "toy").unwrap();
         service
-            .handle(
+            .respond(
                 Request::Release {
                     tenant: "t".into(),
                     session,

@@ -31,7 +31,7 @@
 //! the self-connection wakes the blocked `accept`, which observes the flag
 //! and reports the transport closed.
 
-use std::io::{BufRead as _, BufReader, Read as _, Write as _};
+use std::io::{BufRead as _, BufReader, IoSlice, Read as _, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -166,12 +166,30 @@ impl TcpWriter {
     /// `net.send` failpoint see each line exactly once.
     fn try_send(&mut self, line: &str) -> Result<(), ServiceError> {
         fail_point!("net.send");
-        let write = |e| io_to_service(e, "write");
-        self.writer.write_all(line.as_bytes()).map_err(write)?;
-        self.writer.write_all(b"\n").map_err(write)?;
-        self.writer.flush().map_err(write)?;
-        Ok(())
+        write_line(&mut self.writer, line).map_err(|e| io_to_service(e, "write"))
     }
+}
+
+/// Writes `line` and its newline with one vectored write: one syscall and,
+/// on a `TCP_NODELAY` socket, one segment train instead of a second
+/// segment for the `\n`. A short write continues where it stopped.
+fn write_line(out: &mut impl Write, line: &str) -> std::io::Result<()> {
+    let line = line.as_bytes();
+    let mut written = 0;
+    while written <= line.len() {
+        let sent = if written < line.len() {
+            out.write_vectored(&[IoSlice::new(&line[written..]), IoSlice::new(b"\n")])
+        } else {
+            out.write(b"\n")
+        };
+        match sent {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => written += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 impl ConnectionWriter for TcpWriter {
@@ -269,6 +287,54 @@ mod tests {
             transport.shutdown(); // idempotent
         });
         assert!(transport.accept().unwrap().is_none(), "stays shut down");
+    }
+
+    /// Accepts at most `limit` bytes per call, across every buffer of a
+    /// vectored write, the way a socket with a full send buffer returns
+    /// short writes.
+    struct Trickle {
+        out: Vec<u8>,
+        limit: usize,
+        calls: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            let mut n = 0;
+            for buf in bufs {
+                let take = buf.len().min(self.limit - n);
+                self.out.extend_from_slice(&buf[..take]);
+                n += take;
+            }
+            Ok(n)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_line_and_its_newline_go_out_in_one_write_or_resume_after_a_short_one() {
+        for (line, limit) in [("", 1), ("abc", 64), ("abc", 1), ("abc", 3), ("abcdef", 4)] {
+            let mut out = Trickle {
+                out: Vec::new(),
+                limit,
+                calls: 0,
+            };
+            write_line(&mut out, line).unwrap();
+            assert_eq!(
+                out.out,
+                format!("{line}\n").as_bytes(),
+                "{line:?} by {limit}"
+            );
+            if limit > line.len() {
+                assert_eq!(out.calls, 1, "{line:?}: one write for line and newline");
+            }
+        }
     }
 
     #[test]

@@ -2,8 +2,12 @@
 //!
 //! - Releases of every strategy and mechanism render exactly as the
 //!   reference encoder (the tree-copying encoder the codec replaced) did.
-//! - Release lines and plan documents match pinned FNV-1a digests, so the
-//!   documents' field layout and numbers cannot drift either.
+//! - Release lines (written directly by `write_release` and rendered from
+//!   its decoded view `session_release_to_value`), whole release reply
+//!   lines and plan documents match pinned FNV-1a digests, so the
+//!   documents' field layout and numbers cannot drift either. Cached and
+//!   recomputed replays send the fresh bytes, and every op's `respond`
+//!   line equals the rendered `handle` view.
 //! - A ledger line written by that encoder, CRC included, still loads: the
 //!   WAL checksum is taken over `render_line`.
 //! - Seeded byte mutations of valid request and response lines never
@@ -17,7 +21,8 @@ use dp_core::range::{RangeStrategy, RangeWorkload};
 use dp_core::{Budgeting, ContingencyTable, Plan, PlanBuilder, Schema, StrategyKind, Workload};
 use dp_mech::{Neighboring, PrivacyLevel};
 use dp_service::protocol::{
-    error_response, parse_line, render_line, response_to_result, session_release_to_value, Request,
+    error_response, parse_line, render_line, response_to_result, session_release_to_value,
+    write_release, Request,
 };
 use dp_service::{Accountant, DpService, ServiceError};
 use rand::rngs::StdRng;
@@ -169,6 +174,13 @@ fn release_lines_match_the_reference_encoder_for_every_strategy() {
     }
 }
 
+/// The release document as `write_release` writes it.
+fn written(release: &dp_core::SessionRelease) -> String {
+    let mut line = String::new();
+    write_release(release, &mut line);
+    line
+}
+
 /// 64-bit FNV-1a: a short, dependency-free digest for pinning wire bytes.
 fn fnv1a64(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
@@ -208,16 +220,21 @@ const PINNED_RELEASES: [[u64; 3]; 24] = [
 
 #[test]
 fn release_lines_match_their_pinned_digests() {
-    let digests: Vec<[u64; 3]> = sessions()
-        .iter()
-        .map(|(_, session)| {
-            SEEDS.map(|seed| {
-                let value = session_release_to_value(&session.release(seed).unwrap());
-                fnv1a64(render_line(&value).as_bytes())
+    let sessions = sessions();
+    let digests = |line: &dyn Fn(&dp_core::SessionRelease) -> String| -> Vec<[u64; 3]> {
+        sessions
+            .iter()
+            .map(|(_, session)| {
+                SEEDS.map(|seed| fnv1a64(line(&session.release(seed).unwrap()).as_bytes()))
             })
-        })
-        .collect();
-    assert_eq!(digests, PINNED_RELEASES);
+            .collect()
+    };
+    assert_eq!(digests(&written), PINNED_RELEASES, "written directly");
+    assert_eq!(
+        digests(&|r| render_line(&session_release_to_value(r))),
+        PINNED_RELEASES,
+        "rendered from the decoded view"
+    );
 }
 
 /// One marginal and one range plan under each (privacy, neighbouring)
@@ -574,7 +591,7 @@ fn reply_service() -> (DpService, [String; 3]) {
 
 /// The reply line the service sends for `request`.
 fn reply(service: &DpService, request: Request) -> String {
-    render_line(&service.handle(request, None).unwrap())
+    service.respond(request, None).unwrap().to_string()
 }
 
 fn release(session: &str, seeds: &[u64], request_id: Option<&str>) -> Request {
@@ -653,4 +670,112 @@ fn cached_and_recomputed_replays_send_the_fresh_bytes() {
         );
     }
     assert_eq!(service.budget_status("t").unwrap().charges, after_evictions);
+}
+
+/// A session's requests, successes and refusals, sent in order.
+fn scripted_session(plan: Plan) -> Vec<Request> {
+    let privacy = PrivacyLevel::Pure { epsilon: 0.25 };
+    let plan_id = dp_service::registry::plan_id(&plan);
+    let plan_id = plan_id.as_str();
+    let session = format!("{plan_id}/toy");
+    let stream = format!("t/{plan_id}/toy");
+    let release = |seeds: &[u64], request_id: Option<&str>| Request::Release {
+        tenant: "t".into(),
+        session: session.clone(),
+        seeds: seeds.to_vec(),
+        request_id: request_id.map(Into::into),
+    };
+    vec![
+        Request::Ping,
+        Request::OpenTenant {
+            tenant: "t".into(),
+            budget: PrivacyLevel::Pure { epsilon: 2.0 },
+            tenant_token: None,
+        },
+        Request::RegisterCompile {
+            tenant: "t".into(),
+            spec: toy_spec(),
+            budgeting: Budgeting::Optimal,
+            privacy,
+            neighboring: Neighboring::AddRemove,
+        },
+        Request::RegisterPlan {
+            tenant: "t".into(),
+            plan: Box::new(plan),
+        },
+        Request::Bind {
+            tenant: "t".into(),
+            plan_id: plan_id.into(),
+            table: "toy".into(),
+        },
+        Request::Bind {
+            tenant: "t".into(),
+            plan_id: plan_id.into(),
+            table: "missing".into(),
+        },
+        release(&[3, (1 << 60) + 17], Some("r-1")),
+        release(&[3, (1 << 60) + 17], Some("r-1")),
+        release(&[4], Some("r-1")),
+        release(&[5], None),
+        release(&[], None),
+        release(&[], Some("r-empty")),
+        Request::StreamOpen {
+            tenant: "t".into(),
+            plan_id: plan_id.into(),
+            table: Some("toy".into()),
+        },
+        Request::Ingest {
+            tenant: "t".into(),
+            stream: stream.clone(),
+            cell: 9,
+            delta: 2.5,
+        },
+        Request::ReleaseCurrent {
+            tenant: "t".into(),
+            stream,
+            seeds: vec![6, 7],
+            request_id: Some("epoch-1".into()),
+        },
+        Request::BudgetStatus { tenant: "t".into() },
+        release(&[8, 9, 10, 11], None),
+        Request::BudgetStatus { tenant: "t".into() },
+        Request::Shutdown,
+    ]
+}
+
+#[test]
+fn every_op_responds_with_the_rendered_bytes_of_its_decoded_view() {
+    let plan: Plan = PlanBuilder::new(toy_spec())
+        .privacy(PrivacyLevel::Pure { epsilon: 0.25 })
+        .compile()
+        .unwrap();
+    let fresh = || {
+        let service = DpService::new(Accountant::in_memory());
+        service.data().insert_table("toy", toy_table());
+        service
+    };
+    let (viewed, answered) = (fresh(), fresh());
+    let script = scripted_session(plan);
+    let requests = script.iter().map(|r| render_line(&r.to_value()));
+    let (mut replies, mut refusals) = (0, 0);
+    for (i, line) in requests.enumerate() {
+        let parse = || Request::from_value(&parse_line(&line).unwrap()).unwrap();
+        let view = viewed.handle(parse(), None);
+        let sent = answered.respond(parse(), None);
+        match (view, sent) {
+            (Ok(view), Ok(sent)) => {
+                assert_eq!(render_line(&view), *sent, "request {i}: {line}");
+                replies += 1;
+            }
+            (Err(a), Err(b)) => {
+                assert_eq!(a.to_string(), b.to_string(), "request {i}: {line}");
+                assert_eq!(a.code(), b.code(), "request {i}: {line}");
+                refusals += 1;
+            }
+            (view, sent) => panic!("request {i} diverged: {view:?} against {sent:?}"),
+        }
+    }
+    // The script reaches the plan id it names, a refused bind, a
+    // mismatched id and an exhausted budget.
+    assert_eq!((replies, refusals), (script.len() - 3, 3));
 }

@@ -20,7 +20,7 @@
 //! serves `--batch N` deterministic releases (seeds `seed..seed+N`) from
 //! that single plan — one budget solve for the whole batch. It prints one
 //! wire release document per line
-//! ([`dp_service::protocol::session_release_to_value`]), the same bytes
+//! ([`dp_service::protocol::write_release`]), the same bytes
 //! `client release` prints for the same plan, table and seeds. `plan`
 //! stops after phase 1 and emits the serialized plan document, which
 //! another process can load without re-solving.

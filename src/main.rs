@@ -353,9 +353,7 @@ fn run_release(args: &ReleaseArgs) -> Result<(), String> {
     );
     let mut lines = String::new();
     for release in &releases {
-        lines.push_str(&protocol::render_line(&protocol::session_release_to_value(
-            release,
-        )));
+        protocol::write_release(release, &mut lines);
         lines.push('\n');
     }
     match &args.output {
