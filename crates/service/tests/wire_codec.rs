@@ -8,6 +8,8 @@
 //!   documents' field layout and numbers cannot drift either. Cached and
 //!   recomputed replays send the fresh bytes, and every op's `respond`
 //!   line equals the rendered `handle` view.
+//! - Plan ids of default `C`, `F`, `I` and `H` plans, and of a `C` plan
+//!   document the CLI wrote, match pinned values.
 //! - A ledger line written by that encoder, CRC included, still loads: the
 //!   WAL checksum is taken over `render_line`.
 //! - Seeded byte mutations of valid request and response lines never
@@ -778,4 +780,60 @@ fn every_op_responds_with_the_rendered_bytes_of_its_decoded_view() {
     // The script reaches the plan id it names, a refused bind, a
     // mismatched id and an exhausted budget.
     assert_eq!((replies, refusals), (script.len() - 3, 3));
+}
+
+/// `registry::plan_id` of default-search `C`, `F` and `I` marginal plans
+/// and an `H` range plan. A plan id names the plan on the wire and inside
+/// every session id the WAL journals, so these must never drift.
+const PINNED_PLAN_IDS: [&str; 4] = [
+    "c44ec6b2882f36bb",
+    "a9fa5075497d2eec",
+    "4d6c0923bd6108a6",
+    "56c70798214ab73d",
+];
+
+#[test]
+fn plan_ids_match_their_pinned_values() {
+    let workload = Workload::all_k_way(&Schema::binary(4).unwrap(), 2).unwrap();
+    let privacy = PrivacyLevel::Pure { epsilon: 0.5 };
+    let builders = [
+        PlanBuilder::marginals(workload.clone(), StrategyKind::Cluster),
+        PlanBuilder::marginals(workload.clone(), StrategyKind::Fourier),
+        PlanBuilder::marginals(workload, StrategyKind::Identity),
+        PlanBuilder::ranges(
+            RangeWorkload::all_prefixes(16).unwrap(),
+            RangeStrategy::Hierarchical,
+        ),
+    ];
+    let ids: Vec<String> = builders
+        .into_iter()
+        .map(|b| dp_service::registry::plan_id(&b.privacy(privacy).compile().unwrap()))
+        .collect();
+    assert_eq!(ids, PINNED_PLAN_IDS);
+}
+
+/// A `C` plan document as `datacube-dp plan --dataset nltcs --workload q1
+/// --strategy c --budgets optimal --epsilon 0.5` wrote it (whitespace
+/// removed), with the `"cluster"` object plan documents once carried.
+const SHIPPED_CLUSTER_PLAN: &str = concat!(
+    r#"{"spec":{"kind":"marginals","workload":{"domain_bits":16,"marginals":[1,2,4,8,16,32,64,128,"#,
+    r#"256,512,1024,2048,4096,8192,16384,32768]},"strategy":"cluster","#,
+    r#""cluster":{"search":"union","faithful":false,"parallel":true}},"budgeting":"optimal","#,
+    r#""privacy":{"epsilon":0.5},"neighboring":"add_remove","schema_fingerprint":"14462862052681720187","#,
+    r#""group_budgets":[0.0625,0.0625,0.0625,0.0625,0.0625,0.0625,0.0625,0.0625],"objective":16384,"#,
+    r#""achieved_epsilon":0.5,"predicted_variance":32768,"query_variances":[2048,2048,2048,2048,"#,
+    r#"2048,2048,2048,2048,2048,2048,2048,2048,2048,2048,2048,2048]}"#,
+);
+
+#[test]
+fn a_shipped_cluster_plan_document_still_registers_under_its_id() {
+    let service = DpService::new(Accountant::in_memory());
+    service
+        .open_tenant("t", PrivacyLevel::Pure { epsilon: 1.0 })
+        .unwrap();
+    let line = format!(r#"{{"op":"register_plan","tenant":"t","plan":{SHIPPED_CLUSTER_PLAN}}}"#);
+    let request = Request::from_value(&parse_line(&line).unwrap()).unwrap();
+    let reply = parse_line(&service.respond(request, None).unwrap()).unwrap();
+    let plan_id = reply.get_field("plan_id").and_then(Value::as_str);
+    assert_eq!(plan_id, Some("f96a143ab613bfd6"));
 }
