@@ -11,9 +11,7 @@
 //! Usage: `cargo run -p dp-bench --release --bin cluster_scaling`.
 
 use dp_bench::write_jsonl;
-use dp_core::cluster::{
-    greedy_cluster_reference, greedy_cluster_with_config, CentroidSearch, ClusterConfig,
-};
+use dp_core::cluster::{greedy_cluster, greedy_cluster_reference, CentroidSearch};
 use dp_core::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -25,8 +23,8 @@ use std::time::Instant;
 struct ScalingPoint {
     /// Workload size ℓ (number of marginals).
     ell: usize,
-    /// `reference` (naive rescan), `optimized` (incremental + parallel) or
-    /// `optimized-serial` (incremental, no rayon fan-out).
+    /// `reference` (naive rescan) or `optimized` (incremental + parallel;
+    /// run under `taskset -c 0` for single-core timings).
     method: String,
     /// Wall-clock seconds for one cold search.
     seconds: f64,
@@ -59,8 +57,8 @@ fn main() {
 
     println!("== cluster search compile time (s), d = {d} ==");
     println!(
-        "{:>6} {:>12} {:>12} {:>12} {:>9}",
-        "ell", "reference", "optimized", "opt-serial", "speedup"
+        "{:>6} {:>12} {:>12} {:>9}",
+        "ell", "reference", "optimized", "speedup"
     );
     for ell in [50usize, 100, 200, 400, 800] {
         let w = random_workload(d, ell, &mut rng);
@@ -70,25 +68,16 @@ fn main() {
         let t_ref = t0.elapsed().as_secs_f64();
 
         let t0 = Instant::now();
-        let fast = greedy_cluster_with_config(&w, ClusterConfig::FAST);
+        let fast = greedy_cluster(&w);
         let t_fast = t0.elapsed().as_secs_f64();
 
-        let t0 = Instant::now();
-        let serial = greedy_cluster_with_config(&w, ClusterConfig::FAST.serial());
-        let t_serial = t0.elapsed().as_secs_f64();
-
         assert_eq!(reference, fast, "optimized diverged from reference");
-        assert_eq!(reference, serial, "serial optimized diverged");
 
         println!(
-            "{ell:>6} {t_ref:>12.4} {t_fast:>12.4} {t_serial:>12.4} {:>8.1}x",
+            "{ell:>6} {t_ref:>12.4} {t_fast:>12.4} {:>8.1}x",
             t_ref / t_fast.max(1e-12)
         );
-        for (method, seconds) in [
-            ("reference", t_ref),
-            ("optimized", t_fast),
-            ("optimized-serial", t_serial),
-        ] {
+        for (method, seconds) in [("reference", t_ref), ("optimized", t_fast)] {
             rows.push(ScalingPoint {
                 ell,
                 method: method.to_string(),

@@ -4,6 +4,7 @@
 //! the datasets, method/workload enumeration, the accuracy and runtime
 //! sweeps, the claim ledger, and table/JSONL output.
 
+use dp_core::cluster::{greedy_cluster_reference, CentroidSearch};
 use dp_core::consistency::is_consistent;
 use dp_core::metrics::average_relative_error;
 use dp_core::prelude::*;
@@ -294,23 +295,24 @@ pub fn accuracy_sweep(
 }
 
 /// The five method lines of the Figure-6 runtime experiment: the four
-/// strategies with the optimized default cluster search, plus `C(ref)` —
-/// the cluster strategy cold-compiled through the paper-faithful
-/// exponential candidate walk of Ding et al. \[6\]
-/// ([`ClusterConfig::PAPER`]), which is the line the paper's Figure 6
-/// actually measures.
-pub const RUNTIME_METHODS: [(&str, StrategyKind, ClusterConfig); 5] = [
-    ("F", StrategyKind::Fourier, ClusterConfig::FAST),
-    ("C", StrategyKind::Cluster, ClusterConfig::FAST),
-    ("C(ref)", StrategyKind::Cluster, ClusterConfig::PAPER),
-    ("Q", StrategyKind::Workload, ClusterConfig::FAST),
-    ("I", StrategyKind::Identity, ClusterConfig::FAST),
+/// strategies, plus `C(ref)` (marked `true`), which first runs the
+/// paper-faithful exponential candidate walk of Ding et al. \[6\]
+/// ([`greedy_cluster_reference`] over
+/// [`CentroidSearch::AllDominatingCuboids`]), the search the paper's
+/// Figure 6 actually measures, and then does what `C` does.
+pub const RUNTIME_METHODS: [(&str, StrategyKind, bool); 5] = [
+    ("F", StrategyKind::Fourier, false),
+    ("C", StrategyKind::Cluster, false),
+    ("C(ref)", StrategyKind::Cluster, true),
+    ("Q", StrategyKind::Workload, false),
+    ("I", StrategyKind::Identity, false),
 ];
 
 /// Runs the runtime experiment: wall-clock for a cold plan compile (the
 /// cluster search happens inside `PlanBuilder::compile`) + bind + one
-/// release, per method per workload family. Checks every plan with
-/// [`check_budgets`], and that `C` and `C(ref)` find the same clustering.
+/// release, per method per workload family, with `C(ref)`'s reference
+/// walk timed in front. Checks every plan with [`check_budgets`], and that
+/// the reference walk finds the plan's clustering.
 pub fn runtime_sweep(
     data: &Dataset,
     families: &[WorkloadFamily],
@@ -320,13 +322,13 @@ pub fn runtime_sweep(
     let mut out = Vec::new();
     for &family in families {
         let workload = family.build(&data.schema);
-        let mut clustering = None;
-        for &(label, strategy, cluster) in &RUNTIME_METHODS {
+        for &(label, strategy, reference) in &RUNTIME_METHODS {
             let start = Instant::now();
+            let walked = reference
+                .then(|| greedy_cluster_reference(&workload, CentroidSearch::AllDominatingCuboids));
             let plan = PlanBuilder::marginals(workload.clone(), strategy)
                 .budgeting(Budgeting::Optimal)
                 .privacy(PrivacyLevel::Pure { epsilon: 1.0 })
-                .cluster_config(cluster)
                 .compile()
                 .expect("experiment strategies plan successfully");
             let session =
@@ -344,12 +346,13 @@ pub fn runtime_sweep(
                 out.last().expect("just pushed").seconds
             );
             check_budgets(session.plan(), checks);
-            match (session.plan().clustering(), &clustering) {
-                (Some(found), None) => clustering = Some(found.clone()),
-                (Some(found), Some(first)) => checks.claim(found == first, || {
-                    format!("{} {label}: clustering differs from C's", family.label())
-                }),
-                (None, _) => {}
+            if let Some(walked) = walked {
+                checks.claim(session.plan().clustering() == Some(&walked), || {
+                    format!(
+                        "{} {label}: the reference walk and the plan cluster differently",
+                        family.label()
+                    )
+                });
             }
         }
     }
@@ -508,8 +511,8 @@ mod tests {
         let rows = runtime_sweep(&data, &[WorkloadFamily::K(1)], 3, &mut checks);
         assert_eq!(rows.len(), RUNTIME_METHODS.len());
         assert!(rows.iter().all(|r| r.seconds >= 0.0));
-        // The faithful and optimized cluster compiles measure distinct
-        // configurations of the same strategy, and find the same clustering.
+        // The reference walk and the plan's search find the same
+        // clustering.
         assert!(rows.iter().any(|r| r.method == "C"));
         assert!(rows.iter().any(|r| r.method == "C(ref)"));
         assert!(checks.failures().is_empty(), "{:?}", checks.failures());

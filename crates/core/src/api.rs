@@ -54,7 +54,7 @@ use crate::strategy::{
 use crate::table::ContingencyTable;
 use crate::workload::Workload;
 use crate::{
-    cluster::{CentroidSearch, ClusterConfig, Clustering},
+    cluster::{ClusterConfig, Clustering},
     CoreError,
 };
 use dp_mech::{Neighboring, PrivacyLevel};
@@ -77,9 +77,8 @@ pub enum WorkloadSpec {
         workload: Workload,
         /// The strategy matrix family (Step 1).
         strategy: StrategyKind,
-        /// Configuration of the cluster-strategy search (only meaningful
-        /// for [`StrategyKind::Cluster`]; normalized to the default for
-        /// every other strategy, so it never perturbs plan identity).
+        /// A fieldless placeholder (see [`ClusterConfig`]): every cluster
+        /// plan runs the one search.
         cluster: ClusterConfig,
     },
     /// Interval counts over a power-of-two 1-D domain (Section 3.1's
@@ -119,30 +118,12 @@ impl WorkloadSpec {
         }
     }
 
-    /// Normalizes the spec: the cluster config is only meaningful for the
-    /// cluster strategy, so every other strategy carries the default —
-    /// keeping plan equality, cache keys and serialized documents free of
-    /// irrelevant configuration.
-    pub(crate) fn normalized(mut self) -> WorkloadSpec {
-        if let WorkloadSpec::Marginals {
-            strategy, cluster, ..
-        } = &mut self
-        {
-            if *strategy != StrategyKind::Cluster {
-                *cluster = ClusterConfig::default();
-            }
-        }
-        self
-    }
-
     /// Canonical `u64` encoding of the spec, the basis of plan-cache keys
     /// and [`Plan::fingerprint`].
     fn key_words(&self, out: &mut Vec<u64>) {
         match self {
             WorkloadSpec::Marginals {
-                workload,
-                strategy,
-                cluster,
+                workload, strategy, ..
             } => {
                 out.push(1);
                 out.push(workload.domain_bits() as u64);
@@ -152,16 +133,10 @@ impl WorkloadSpec {
                     StrategyKind::Fourier => 2,
                     StrategyKind::Cluster => 3,
                 });
-                // `cluster.parallel` is an execution hint — it provably
-                // never changes the clustering (deterministic min-reduce;
-                // see the invariance tests) — so it is excluded here:
-                // plans differing only in the fan-out share one cache
-                // entry and one fingerprint.
-                out.push(match cluster.search {
-                    CentroidSearch::Union => 0,
-                    CentroidSearch::AllDominatingCuboids => 1,
-                });
-                out.push(u64::from(cluster.faithful));
+                // Two zero words where the cluster search and its
+                // reference switch were once encoded: they keep every plan
+                // id, and the session ids journaled in existing WALs.
+                out.extend([0, 0]);
                 out.extend(workload.marginals().iter().map(|m| m.0));
             }
             WorkloadSpec::Ranges { workload, strategy } => {
@@ -217,13 +192,12 @@ pub struct PlanBuilder {
 }
 
 impl PlanBuilder {
-    /// Starts a plan for a marginal workload (cluster strategies use the
-    /// optimized default search; see [`PlanBuilder::cluster_config`]).
+    /// Starts a plan for a marginal workload.
     pub fn marginals(workload: Workload, strategy: StrategyKind) -> PlanBuilder {
         PlanBuilder::new(WorkloadSpec::Marginals {
             workload,
             strategy,
-            cluster: ClusterConfig::default(),
+            cluster: ClusterConfig,
         })
     }
 
@@ -232,11 +206,10 @@ impl PlanBuilder {
         PlanBuilder::new(WorkloadSpec::Ranges { workload, strategy })
     }
 
-    /// Starts a plan from an explicit [`WorkloadSpec`] (normalized: a
-    /// cluster config on a non-cluster strategy is reset to the default).
+    /// Starts a plan from an explicit [`WorkloadSpec`].
     pub fn new(spec: WorkloadSpec) -> PlanBuilder {
         PlanBuilder {
-            spec: spec.normalized(),
+            spec,
             budgeting: Budgeting::Optimal,
             privacy: PrivacyLevel::Pure { epsilon: 1.0 },
             neighboring: Neighboring::AddRemove,
@@ -263,24 +236,6 @@ impl PlanBuilder {
     /// `Replace` halves every budget per Proposition 3.1).
     pub fn neighboring(mut self, neighboring: Neighboring) -> PlanBuilder {
         self.neighboring = neighboring;
-        self
-    }
-
-    /// Configures the cluster-strategy search (default:
-    /// [`ClusterConfig::FAST`] — incremental, pruned, rayon-parallel).
-    /// Pass [`ClusterConfig::PAPER`] for the paper-faithful exponential
-    /// walk of the Figure-6 reproduction; both produce the identical
-    /// clustering. Ignored unless the spec is a marginal workload with
-    /// [`StrategyKind::Cluster`].
-    pub fn cluster_config(mut self, config: ClusterConfig) -> PlanBuilder {
-        if let WorkloadSpec::Marginals {
-            strategy: StrategyKind::Cluster,
-            cluster,
-            ..
-        } = &mut self.spec
-        {
-            *cluster = config;
-        }
         self
     }
 
@@ -432,7 +387,6 @@ impl Plan {
         schema_tag: u64,
         solution: BudgetSolution,
     ) -> Result<Plan, CoreError> {
-        let spec = spec.normalized();
         let compiled = Compiled::build(&spec)?;
         // The shipped objective drives predicted_variance downstream, so a
         // tampered document must not smuggle optimistic accounting: it has
@@ -1191,34 +1145,6 @@ mod tests {
         assert_eq!(cache.len(), 2);
         cache.clear();
         assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn cluster_parallel_flag_does_not_split_cache_entries_or_fingerprints() {
-        // The fan-out toggle is an execution hint with provably identical
-        // output, so fast and serial compiles must share one cache slot
-        // and one fingerprint — while the faithful/search toggles (which
-        // select a different measured code path) stay distinct keys.
-        let cache = PlanCache::new();
-        let build = |config: ClusterConfig| {
-            PlanBuilder::marginals(workload2(), StrategyKind::Cluster).cluster_config(config)
-        };
-        let fast = cache.get_or_compile(build(ClusterConfig::FAST)).unwrap();
-        let serial = cache
-            .get_or_compile(build(ClusterConfig::FAST.serial()))
-            .unwrap();
-        assert!(Arc::ptr_eq(&fast, &serial));
-        assert_eq!(cache.len(), 1);
-        assert_eq!(
-            fast.fingerprint(),
-            build(ClusterConfig::FAST.serial())
-                .compile()
-                .unwrap()
-                .fingerprint()
-        );
-        let faithful = cache.get_or_compile(build(ClusterConfig::PAPER)).unwrap();
-        assert!(!Arc::ptr_eq(&fast, &faithful));
-        assert_eq!(cache.len(), 2);
     }
 
     #[test]

@@ -35,8 +35,8 @@
 //! dominating cuboid of each pair's union — the exponential candidate
 //! space of \[6\] behind the `C` line of Figure 6).
 //!
-//! The optimized search behind [`greedy_cluster`] /
-//! [`greedy_cluster_with_config`] produces the **identical** clustering
+//! The optimized search behind [`greedy_cluster`], the one every cluster
+//! plan runs, produces the **identical** clustering
 //! (same centroids, assignment and objective — asserted by property tests
 //! against the retained reference) through three stacked optimizations:
 //!
@@ -50,9 +50,9 @@
 //! 2. **Dominated-cuboid pruning.** Under the `g²·Σ2^{‖u‖}` cost model a
 //!    strict superset of the union only adds cells for the same members,
 //!    so the union is always the optimal dominating cuboid (proven by the
-//!    `exhaustive_walk_matches_union_search_cost_model` test). Unless
-//!    [`ClusterConfig::faithful`] is set, the `AllDominatingCuboids` walk
-//!    therefore collapses to the union evaluation per pair.
+//!    `exhaustive_walk_matches_union_search_cost_model` test), and the
+//!    `AllDominatingCuboids` walk collapses to the union evaluation per
+//!    pair.
 //! 3. **Parallel candidate evaluation.** The initial best-partner table
 //!    and the per-round row recomputes fan out with rayon, combined by a
 //!    deterministic min-reduction ordered by `(Δ, i, j)` — so the result
@@ -156,105 +156,26 @@ pub enum CentroidSearch {
     /// of Ding et al. \[6\] (whose cost the paper quotes as
     /// `O(d^k k min(2^d d^k, 3^d))`). Exponentially slower when actually
     /// walked — this is the variant behind the `C` line of the Figure-6
-    /// runtime experiment. The optimized search prunes the walk to the
-    /// union (provably cost-optimal) unless [`ClusterConfig::faithful`]
-    /// is set.
+    /// runtime experiment. Only [`greedy_cluster_reference`] walks it;
+    /// the optimized search prunes it to the union (provably
+    /// cost-optimal).
     AllDominatingCuboids,
 }
 
-/// Configuration of the cluster-strategy search, carried by
-/// [`crate::api::WorkloadSpec::Marginals`] into compiled plans (and their
-/// serialized documents) so callers choose between the paper-faithful walk
-/// and the optimized default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClusterConfig {
-    /// The candidate-centroid space (see [`CentroidSearch`]).
-    pub search: CentroidSearch,
-    /// Run the retained reference implementation instead of the optimized
-    /// search: full `O(g²)` pair rescans per round and, under
-    /// [`CentroidSearch::AllDominatingCuboids`], the real exponential
-    /// cuboid walk. Both implementations return the identical clustering;
-    /// the faithful path exists for the Figure-6 paper reproduction.
-    pub faithful: bool,
-    /// Fan the candidate evaluation out with rayon. The min-reduction is
-    /// deterministic (ordered by `(Δ, i, j)`), so this never changes the
-    /// result — only the wall-clock.
-    pub parallel: bool,
-}
-
-impl Default for ClusterConfig {
-    /// The optimized default: incremental, pruned, parallel.
-    fn default() -> ClusterConfig {
-        ClusterConfig::FAST
-    }
-}
-
-impl ClusterConfig {
-    /// The optimized default: incremental delta maintenance,
-    /// dominated-cuboid pruning, rayon fan-out.
-    pub const FAST: ClusterConfig = ClusterConfig {
-        search: CentroidSearch::Union,
-        faithful: false,
-        parallel: true,
-    };
-
-    /// The paper-faithful slow path: the reference implementation walking
-    /// the full dominating-cuboid candidate space of \[6\] — what the
-    /// Figure-6 `C(ref)` runtime line measures.
-    pub const PAPER: ClusterConfig = ClusterConfig {
-        search: CentroidSearch::AllDominatingCuboids,
-        faithful: true,
-        parallel: false,
-    };
-
-    /// This configuration with the rayon fan-out disabled (used by the
-    /// thread-count-invariance tests and single-threaded deployments).
-    pub const fn serial(mut self) -> ClusterConfig {
-        self.parallel = false;
-        self
-    }
-
-    /// This configuration with another candidate-centroid space.
-    pub const fn with_search(mut self, search: CentroidSearch) -> ClusterConfig {
-        self.search = search;
-        self
-    }
-}
-
-/// Runs the greedy agglomerative clustering on a workload with the
-/// optimized default configuration ([`ClusterConfig::FAST`]).
-pub fn greedy_cluster(workload: &Workload) -> Clustering {
-    greedy_cluster_with_config(workload, ClusterConfig::default())
-}
-
-/// [`greedy_cluster`] with an explicit centroid-search mode, using the
-/// optimized implementation (the `AllDominatingCuboids` walk is pruned to
-/// the union — see [`ClusterConfig::faithful`] for the real walk).
-pub fn greedy_cluster_with_search(workload: &Workload, search: CentroidSearch) -> Clustering {
-    greedy_cluster_with_config(workload, ClusterConfig::FAST.with_search(search))
-}
-
-/// Runs the greedy agglomerative clustering under an explicit
-/// [`ClusterConfig`]: the optimized incremental search by default, the
-/// retained reference implementation when `faithful` is set. Both return
-/// the identical clustering.
-pub fn greedy_cluster_with_config(workload: &Workload, config: ClusterConfig) -> Clustering {
-    if config.faithful {
-        greedy_cluster_reference(workload, config.search)
-    } else {
-        // Dominated-cuboid pruning: under the g²Σ2^‖u‖ cost model every
-        // strict superset of the union costs strictly more, so both
-        // search modes reduce to the union evaluation.
-        incremental_search(workload, config.parallel)
-    }
-}
+/// What is left of the old cluster-search configuration: a fieldless
+/// placeholder in [`crate::api::WorkloadSpec::Marginals`]. Every cluster
+/// plan runs the one optimized search behind [`greedy_cluster`]; the type
+/// remains because the `perfbench` service benchmark still names it when
+/// it builds a marginal spec.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ClusterConfig;
 
 /// The retained **reference** implementation: per-round full `O(g²)` pair
 /// rescans, and the real exponential dominating-cuboid walk under
 /// [`CentroidSearch::AllDominatingCuboids`]. Kept verbatim (plus memoized
 /// per-centroid cell counts) as the ground truth the optimized search is
-/// property-tested against, and as the paper-faithful slow path behind
-/// [`ClusterConfig::PAPER`] for the Figure-6 reproduction.
+/// property-tested against, and as the paper-faithful walk the Figure-6
+/// `C(ref)` runtime line times. No plan runs it.
 pub fn greedy_cluster_reference(workload: &Workload, search: CentroidSearch) -> Clustering {
     let masks = workload.marginals();
     let d = workload.domain_bits();
@@ -388,12 +309,14 @@ fn compute_row(
     best
 }
 
-/// The optimized greedy search: incremental best-partner maintenance with
-/// a deterministic (optionally rayon-parallel) min-reduction. Replicates
+/// Runs the greedy agglomerative clustering, the search every cluster
+/// plan runs: incremental best-partner maintenance, dominated-cuboid
+/// pruning and a deterministic rayon-parallel min-reduction. Replicates
 /// the reference implementation's index dynamics (`swap_remove` of the
 /// absorbed cluster) and tie-breaking exactly, so the returned
-/// [`Clustering`] is bit-identical to [`greedy_cluster_reference`].
-fn incremental_search(workload: &Workload, parallel: bool) -> Clustering {
+/// [`Clustering`] is bit-identical to [`greedy_cluster_reference`] under
+/// either [`CentroidSearch`].
+pub fn greedy_cluster(workload: &Workload) -> Clustering {
     let masks = workload.marginals();
     let l = masks.len();
     let mut members: Vec<Vec<usize>> = (0..l).map(|i| vec![i]).collect();
@@ -413,15 +336,9 @@ fn incremental_search(workload: &Workload, parallel: bool) -> Clustering {
                           sizes: &[usize],
                           weights: &[f64]|
      -> Vec<Option<(f64, usize)>> {
-        if parallel {
-            rows.par_iter()
-                .map(|&i| compute_row(i, centroids, sizes, weights))
-                .collect()
-        } else {
-            rows.iter()
-                .map(|&i| compute_row(i, centroids, sizes, weights))
-                .collect()
-        }
+        rows.par_iter()
+            .map(|&i| compute_row(i, centroids, sizes, weights))
+            .collect()
     };
     let all_rows: Vec<usize> = (0..l).collect();
     let mut row_best = recompute_rows(&all_rows, &centroids, &sizes, &weights);
@@ -449,19 +366,11 @@ fn incremental_search(workload: &Workload, parallel: bool) -> Clustering {
         let lift = |(i, rb): (usize, &Option<(f64, usize)>)| -> Option<Candidate> {
             rb.map(|(d, j)| (d, i, j))
         };
-        let best = if parallel {
-            row_best
-                .par_iter()
-                .enumerate()
-                .map(lift)
-                .reduce(|| None, better_candidate)
-        } else {
-            row_best
-                .iter()
-                .enumerate()
-                .map(lift)
-                .fold(None, better_candidate)
-        };
+        let best = row_best
+            .par_iter()
+            .enumerate()
+            .map(lift)
+            .reduce(|| None, better_candidate);
         let Some((delta, bi, bj)) = best else {
             break;
         };
@@ -645,7 +554,7 @@ mod tests {
         let schema = Schema::binary(8).unwrap();
         let w = Workload::all_k_way(&schema, 2).unwrap();
         let fast = greedy_cluster_reference(&w, CentroidSearch::Union);
-        let slow = greedy_cluster_with_config(&w, ClusterConfig::PAPER);
+        let slow = greedy_cluster_reference(&w, CentroidSearch::AllDominatingCuboids);
         assert_eq!(fast.objective(), slow.objective());
         assert_eq!(fast.num_clusters(), slow.num_clusters());
     }
@@ -687,10 +596,7 @@ mod tests {
             Workload::k_way_plus_attr(&schema, 2, 0).unwrap(),
         ] {
             let reference = greedy_cluster_reference(&w, CentroidSearch::Union);
-            let fast = greedy_cluster_with_config(&w, ClusterConfig::FAST);
-            let serial = greedy_cluster_with_config(&w, ClusterConfig::FAST.serial());
-            assert_identical(&reference, &fast);
-            assert_identical(&reference, &serial);
+            assert_identical(&reference, &greedy_cluster(&w));
         }
     }
 
@@ -702,14 +608,7 @@ mod tests {
         // different centroid list.
         let w = Workload::new(12, (0..6).map(AttrMask::single).collect()).unwrap();
         let reference = greedy_cluster_reference(&w, CentroidSearch::Union);
-        assert_identical(
-            &reference,
-            &greedy_cluster_with_config(&w, ClusterConfig::FAST),
-        );
-        assert_identical(
-            &reference,
-            &greedy_cluster_with_config(&w, ClusterConfig::FAST.serial()),
-        );
+        assert_identical(&reference, &greedy_cluster(&w));
     }
 
     #[test]
@@ -754,10 +653,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let w = random_workload(&mut rng);
             let reference = greedy_cluster_reference(&w, CentroidSearch::Union);
-            let fast = greedy_cluster_with_config(&w, ClusterConfig::FAST);
-            let serial = greedy_cluster_with_config(&w, ClusterConfig::FAST.serial());
-            assert_identical(&reference, &fast);
-            assert_identical(&reference, &serial);
+            assert_identical(&reference, &greedy_cluster(&w));
         }
 
         #[test]
@@ -770,9 +666,8 @@ mod tests {
                 .map(|_| AttrMask(rng.gen_range(1u64..(1 << d))))
                 .collect();
             let w = Workload::new(d, masks).unwrap();
-            let faithful = greedy_cluster_with_config(&w, ClusterConfig::PAPER);
-            let pruned = greedy_cluster_with_search(&w, CentroidSearch::AllDominatingCuboids);
-            assert_identical(&faithful, &pruned);
+            let faithful = greedy_cluster_reference(&w, CentroidSearch::AllDominatingCuboids);
+            assert_identical(&faithful, &greedy_cluster(&w));
         }
     }
 }

@@ -76,7 +76,7 @@ pub mod prelude {
     pub use crate::api::{
         Answers, Plan, PlanBuilder, PlanCache, Session, SessionRelease, WorkloadSpec,
     };
-    pub use crate::cluster::{CentroidSearch, ClusterConfig};
+    pub use crate::cluster::ClusterConfig;
     pub use crate::marginal::MarginalTable;
     pub use crate::mask::AttrMask;
     pub use crate::metrics::{average_absolute_error, average_relative_error};
@@ -92,7 +92,7 @@ pub mod prelude {
 pub use crate::api::{
     Answers, Plan, PlanBuilder, PlanCache, Session, SessionRelease, WorkloadSpec,
 };
-pub use crate::cluster::{CentroidSearch, ClusterConfig};
+pub use crate::cluster::ClusterConfig;
 pub use crate::mask::AttrMask;
 pub use crate::release::{Budgeting, StrategyKind};
 pub use crate::schema::Schema;

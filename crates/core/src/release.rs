@@ -10,7 +10,7 @@
 //! (budgets, noise, the achieved-ε check) are shared in
 //! [`crate::strategy`].
 
-use crate::cluster::{greedy_cluster_with_config, ClusterConfig, Clustering};
+use crate::cluster::{greedy_cluster, Clustering};
 use crate::fourier::{CoefficientSpace, ObservationOperator};
 use crate::marginal::MarginalTable;
 use crate::mask::AttrMask;
@@ -49,13 +49,11 @@ impl StrategyKind {
 }
 
 /// Compiles a marginal strategy for a workload: runs the strategy search
-/// (for `Cluster`, under the given [`ClusterConfig`]) and derives the group
-/// specs, the row groups and the strategy's [`Kind`]. No table is
-/// consulted.
+/// (for `Cluster`, [`greedy_cluster`]) and derives the group specs, the
+/// row groups and the strategy's [`Kind`]. No table is consulted.
 pub(crate) fn compile(
     workload: &Workload,
     strategy: StrategyKind,
-    cluster: ClusterConfig,
 ) -> Result<(Vec<GroupSpec>, Vec<u32>, Kind), CoreError> {
     let d = workload.domain_bits();
     let targets = workload.marginals().to_vec();
@@ -75,7 +73,7 @@ pub(crate) fn compile(
             observed_marginals(d, targets.clone(), targets, weights, None)?
         }
         StrategyKind::Cluster => {
-            let clustering = greedy_cluster_with_config(workload, cluster);
+            let clustering = greedy_cluster(workload);
             // R₀ aggregates the centroid's cells into each assigned
             // marginal: each centroid cell is used once per assigned
             // marginal, so s_c = ℓ_c · 2^{‖u_c‖} (cell counts memoized by

@@ -27,7 +27,7 @@
 //! every other layer reuses.
 
 use crate::api::{Plan, WorkloadSpec};
-use crate::cluster::{CentroidSearch, ClusterConfig};
+use crate::cluster::ClusterConfig;
 use crate::marginal::MarginalTable;
 use crate::mask::AttrMask;
 use crate::range::{RangeStrategy, RangeWorkload};
@@ -227,68 +227,27 @@ impl Deserialize for Schema {
     }
 }
 
-/// Wire encoding of a [`ClusterConfig`] (the `"cluster"` field of marginal
-/// specs with the cluster strategy).
-fn cluster_config_value(config: &ClusterConfig) -> Value {
-    Value::Object(vec![
-        (
-            "search".into(),
-            Value::String(
-                match config.search {
-                    CentroidSearch::Union => "union",
-                    CentroidSearch::AllDominatingCuboids => "all_dominating_cuboids",
-                }
-                .into(),
-            ),
-        ),
-        ("faithful".into(), Value::Bool(config.faithful)),
-        ("parallel".into(), Value::Bool(config.parallel)),
-    ])
-}
-
-/// Inverse of [`cluster_config_value`].
-fn cluster_config_from(value: &Value) -> Result<ClusterConfig, DeError> {
-    let search = match String::deserialize_value(field(value, "search")?)?.as_str() {
-        "union" => CentroidSearch::Union,
-        "all_dominating_cuboids" => CentroidSearch::AllDominatingCuboids,
-        other => return Err(DeError::new(format!("unknown centroid search {other:?}"))),
-    };
-    Ok(ClusterConfig {
-        search,
-        faithful: bool::deserialize_value(field(value, "faithful")?)?,
-        parallel: bool::deserialize_value(field(value, "parallel")?)?,
-    })
-}
-
 impl Serialize for WorkloadSpec {
     fn serialize_value(&self) -> Value {
         match self {
             WorkloadSpec::Marginals {
-                workload,
-                strategy,
-                cluster,
-            } => {
-                let mut fields = vec![
-                    ("kind".into(), Value::String("marginals".into())),
-                    ("workload".into(), workload.serialize_value()),
-                    (
-                        "strategy".into(),
-                        Value::String(
-                            match strategy {
-                                StrategyKind::Identity => "identity",
-                                StrategyKind::Workload => "workload",
-                                StrategyKind::Fourier => "fourier",
-                                StrategyKind::Cluster => "cluster",
-                            }
-                            .into(),
-                        ),
+                workload, strategy, ..
+            } => Value::Object(vec![
+                ("kind".into(), Value::String("marginals".into())),
+                ("workload".into(), workload.serialize_value()),
+                (
+                    "strategy".into(),
+                    Value::String(
+                        match strategy {
+                            StrategyKind::Identity => "identity",
+                            StrategyKind::Workload => "workload",
+                            StrategyKind::Fourier => "fourier",
+                            StrategyKind::Cluster => "cluster",
+                        }
+                        .into(),
                     ),
-                ];
-                if *strategy == StrategyKind::Cluster {
-                    fields.push(("cluster".into(), cluster_config_value(cluster)));
-                }
-                Value::Object(fields)
-            }
+                ),
+            ]),
             WorkloadSpec::Ranges { workload, strategy } => {
                 let ranges: Vec<Value> = workload
                     .ranges()
@@ -337,16 +296,12 @@ impl Deserialize for WorkloadSpec {
                     "cluster" => StrategyKind::Cluster,
                     other => return Err(DeError::new(format!("unknown strategy {other:?}"))),
                 };
-                // Documents from before the configurable search (and
-                // non-cluster specs) omit the field: the optimized default.
-                let cluster = match value.get_field("cluster") {
-                    Some(v) => cluster_config_from(v)?,
-                    None => ClusterConfig::default(),
-                };
+                // Cluster documents once carried a `"cluster"` search
+                // object; like any other unknown field it is ignored.
                 refuse_oversized(WorkloadSpec::Marginals {
                     workload,
                     strategy,
-                    cluster,
+                    cluster: ClusterConfig,
                 })
             }
             "ranges" => {
@@ -408,6 +363,12 @@ const MAX_DENSE_ENTRIES: usize = 1 << 24;
 /// reply no client can read.
 const MAX_RANGES: usize = 1 << 16;
 
+/// Most marginals a shipped `Cluster` workload may list: 4096. The greedy
+/// cluster search costs about ℓ² delta evaluations in the number of
+/// marginals ℓ (4845 marginals compiled in 1.1 s, 26334 in 26.1 s), and
+/// the cell caps above still admit about 134k marginals.
+const MAX_CLUSTER_MARGINALS: usize = 4096;
+
 /// Refuses a decoded spec whose compile would allocate beyond the size
 /// caps, before anything is built: a shipped document must never make a
 /// server allocate in proportion to a number it chose.
@@ -426,7 +387,16 @@ fn refuse_oversized(spec: WorkloadSpec) -> Result<WorkloadSpec, DeError> {
             )));
         }
     }
-    if let WorkloadSpec::Marginals { workload, .. } = &spec {
+    if let WorkloadSpec::Marginals {
+        workload, strategy, ..
+    } = &spec
+    {
+        let count = workload.len();
+        if *strategy == StrategyKind::Cluster && count > MAX_CLUSTER_MARGINALS {
+            return Err(DeError::new(format!(
+                "{count} cluster marginals exceed the {MAX_CLUSTER_MARGINALS}-marginal limit"
+            )));
+        }
         // 2^d ≤ MAX_DOMAIN_CELLS here, so no term or sum can overflow.
         let cells = workload.total_cells();
         if cells > MAX_DOMAIN_CELLS {
@@ -636,49 +606,25 @@ mod tests {
     }
 
     #[test]
-    fn cluster_config_roundtrips_and_defaults_when_absent() {
-        use crate::cluster::{CentroidSearch, ClusterConfig};
+    fn a_cluster_search_object_in_a_plan_document_is_ignored() {
         let w = Workload::new(3, vec![AttrMask(0b011), AttrMask(0b110)]).unwrap();
-        // A non-default config survives the wire.
-        let plan = PlanBuilder::marginals(w.clone(), StrategyKind::Cluster)
-            .cluster_config(ClusterConfig::PAPER)
+        let plan = PlanBuilder::marginals(w, StrategyKind::Cluster)
             .compile()
             .unwrap();
         let v = plan.serialize_value();
-        let back = Plan::deserialize_value(&v).unwrap();
-        assert_eq!(back, plan);
-        let WorkloadSpec::Marginals { cluster, .. } = back.spec() else {
-            panic!("marginal spec expected");
-        };
-        assert_eq!(*cluster, ClusterConfig::PAPER);
-        assert_eq!(cluster.search, CentroidSearch::AllDominatingCuboids);
-
-        // Pre-PR-3 documents carry no "cluster" field → the optimized
-        // default.
+        let spec = field(&v, "spec").unwrap();
+        assert!(spec.get_field("cluster").is_none());
         let Value::Object(mut fields) = v else {
             panic!("plan serializes as an object");
         };
         for (k, fv) in &mut fields {
-            if k == "spec" {
-                let Value::Object(spec_fields) = fv else {
-                    panic!("spec is an object");
-                };
-                spec_fields.retain(|(name, _)| name != "cluster");
+            if let ("spec", Value::Object(spec_fields)) = (k.as_str(), fv) {
+                spec_fields.push(("cluster".into(), Value::String("turbo".into())));
             }
         }
-        let legacy = Plan::deserialize_value(&Value::Object(fields)).unwrap();
-        let WorkloadSpec::Marginals { cluster, .. } = legacy.spec() else {
-            panic!("marginal spec expected");
-        };
-        assert_eq!(*cluster, ClusterConfig::default());
-
-        // Unknown search names are rejected.
-        let bad = Value::Object(vec![
-            ("search".into(), Value::String("turbo".into())),
-            ("faithful".into(), Value::Bool(false)),
-            ("parallel".into(), Value::Bool(true)),
-        ]);
-        assert!(super::cluster_config_from(&bad).is_err());
+        let back = Plan::deserialize_value(&Value::Object(fields)).unwrap();
+        assert_eq!(back, plan);
+        assert_eq!(back.fingerprint(), plan.fingerprint());
     }
 
     #[test]
@@ -742,6 +688,33 @@ mod tests {
         assert_eq!(workload.ranges().len(), MAX_RANGES);
         let err = WorkloadSpec::deserialize_value(&spec(MAX_RANGES + 1)).unwrap_err();
         assert!(err.to_string().contains("range limit"), "{err}");
+    }
+
+    #[test]
+    fn cluster_workloads_are_capped_at_max_cluster_marginals() {
+        // Masks 1..=count over 13 bits: distinct, and far below the cell cap.
+        let spec = |count: usize, strategy: &str| {
+            let masks = (1..=count).map(|m| Value::Number(m as f64)).collect();
+            Value::Object(vec![
+                ("kind".into(), Value::String("marginals".into())),
+                (
+                    "workload".into(),
+                    Value::Object(vec![
+                        ("domain_bits".into(), Value::Number(13.0)),
+                        ("marginals".into(), Value::Array(masks)),
+                    ]),
+                ),
+                ("strategy".into(), Value::String(strategy.into())),
+            ])
+        };
+        let at_cap = WorkloadSpec::deserialize_value(&spec(MAX_CLUSTER_MARGINALS, "cluster"));
+        assert_eq!(at_cap.unwrap().num_queries(), MAX_CLUSTER_MARGINALS);
+        let over = spec(MAX_CLUSTER_MARGINALS + 1, "cluster");
+        let err = WorkloadSpec::deserialize_value(&over).unwrap_err();
+        assert!(err.to_string().contains("4097 cluster marginals"), "{err}");
+        // The cap is the cluster search's: other strategies may list more.
+        let fourier = spec(MAX_CLUSTER_MARGINALS + 1, "fourier");
+        assert!(WorkloadSpec::deserialize_value(&fourier).is_ok());
     }
 
     #[test]

@@ -120,10 +120,8 @@ impl Compiled {
     pub(crate) fn build(spec: &WorkloadSpec) -> Result<Compiled, CoreError> {
         let (specs, row_groups, kind) = match spec {
             WorkloadSpec::Marginals {
-                workload,
-                strategy,
-                cluster,
-            } => release::compile(workload, *strategy, *cluster)?,
+                workload, strategy, ..
+            } => release::compile(workload, *strategy)?,
             WorkloadSpec::Ranges { workload, strategy } => range::compile(workload, *strategy)?,
         };
         Compiled::new(specs, row_groups, kind)

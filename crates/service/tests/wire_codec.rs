@@ -9,7 +9,9 @@
 //!   recomputed replays send the fresh bytes, and every op's `respond`
 //!   line equals the rendered `handle` view.
 //! - Plan ids of default `C`, `F`, `I` and `H` plans, and of a `C` plan
-//!   document the CLI wrote, match pinned values.
+//!   document the CLI wrote, match pinned values. A `"cluster"` search
+//!   object in a compile line or a shipped document changes neither the
+//!   plan id nor the release bytes.
 //! - A ledger line written by that encoder, CRC included, still loads: the
 //!   WAL checksum is taken over `render_line`.
 //! - Seeded byte mutations of valid request and response lines never
@@ -29,7 +31,7 @@ use dp_service::protocol::{
 use dp_service::{Accountant, DpService, ServiceError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Serialize as _, Value};
+use serde::{Deserialize as _, Serialize as _, Value};
 
 /// The compact encoder as it was before rendering went by reference: the
 /// byte-identity oracle for `render_line`.
@@ -836,4 +838,85 @@ fn a_shipped_cluster_plan_document_still_registers_under_its_id() {
     let reply = parse_line(&service.respond(request, None).unwrap()).unwrap();
     let plan_id = reply.get_field("plan_id").and_then(Value::as_str);
     assert_eq!(plan_id, Some("f96a143ab613bfd6"));
+}
+
+/// The `"cluster"` object that once selected the paper-faithful
+/// exponential walk for a plan.
+const PAPER_CLUSTER: &str =
+    r#"{"search":"all_dominating_cuboids","faithful":true,"parallel":false}"#;
+
+/// The reply lines of `line` (a `register_plan`), a bind of its plan to a
+/// 12-bit table and one keyed release, sent to a fresh service.
+fn register_bind_release(line: &str) -> [String; 3] {
+    let service = DpService::new(Accountant::in_memory());
+    let indices: Vec<u64> = (0..200).map(|i| (i * 37 + i * i) % 4096).collect();
+    let table = ContingencyTable::from_indices(12, &indices);
+    service.data().insert_table("t12", table);
+    service
+        .open_tenant("t", PrivacyLevel::Pure { epsilon: 4.0 })
+        .unwrap();
+    let send = |line: &str| {
+        let request = Request::from_value(&parse_line(line).unwrap()).unwrap();
+        service.respond(request, None).unwrap().to_string()
+    };
+    let field = |reply: &str, name: &str| {
+        let value = parse_line(reply).unwrap();
+        value
+            .get_field(name)
+            .and_then(Value::as_str)
+            .unwrap()
+            .to_owned()
+    };
+    let registered = send(line);
+    let plan_id = field(&registered, "plan_id");
+    let bound = send(&format!(
+        r#"{{"op":"bind","tenant":"t","plan_id":"{plan_id}","table":"t12"}}"#
+    ));
+    let session = field(&bound, "session");
+    let released = send(&format!(
+        r#"{{"op":"release","tenant":"t","session":"{session}","seeds":[5,6],"request_id":"r"}}"#
+    ));
+    [registered, bound, released]
+}
+
+#[test]
+fn a_cluster_search_object_changes_neither_plan_id_nor_release_bytes() {
+    // All 2-way marginals over 12 bits: the reference walk the object
+    // once selected takes a fraction of a second here.
+    let masks: Vec<String> = (0..12)
+        .flat_map(|i| (i + 1..12).map(move |j| ((1u64 << i) | (1u64 << j)).to_string()))
+        .collect();
+    let spec = |extra: &str| {
+        format!(
+            r#"{{"kind":"marginals","workload":{{"domain_bits":12,"marginals":[{}]}},"strategy":"cluster"{extra}}}"#,
+            masks.join(",")
+        )
+    };
+    let compile_line = |extra: &str| {
+        format!(
+            r#"{{"op":"register_plan","tenant":"t","compile":{{"spec":{},"privacy":{{"epsilon":0.5}}}}}}"#,
+            spec(extra)
+        )
+    };
+    let plain = register_bind_release(&compile_line(""));
+    let paper = format!(r#","cluster":{PAPER_CLUSTER}"#);
+    assert_eq!(register_bind_release(&compile_line(&paper)), plain);
+
+    // A shipped document of the same plan, carrying the object.
+    let spec_value = WorkloadSpec::deserialize_value(&parse_line(&spec("")).unwrap()).unwrap();
+    let plan = PlanBuilder::new(spec_value)
+        .privacy(PrivacyLevel::Pure { epsilon: 0.5 })
+        .compile()
+        .unwrap();
+    let Value::Object(mut fields) = plan.serialize_value() else {
+        panic!("a plan serializes as an object");
+    };
+    for (name, value) in &mut fields {
+        if let ("spec", Value::Object(spec_fields)) = (name.as_str(), value) {
+            spec_fields.push(("cluster".into(), parse_line(PAPER_CLUSTER).unwrap()));
+        }
+    }
+    let document = render_line(&Value::Object(fields));
+    let shipped = format!(r#"{{"op":"register_plan","tenant":"t","plan":{document}}}"#);
+    assert_eq!(register_bind_release(&shipped), plain);
 }

@@ -7,11 +7,10 @@
 //! datacube-dp release --dataset adult|nltcs --workload q1|q1star|q1a|q2|q2star|q2a
 //!                     --strategy f|q|c|i --budgets uniform|optimal
 //!                     --epsilon <f64> [--delta <f64>] [--seed <u64>] [--batch <n>]
-//!                     [--cluster fast|serial|faithful]
 //!                     [--nonnegative] [--output <path>]
 //! datacube-dp plan    --dataset adult|nltcs --workload <label> --strategy f|q|c|i
 //!                     --budgets uniform|optimal --epsilon <f64> [--delta <f64>]
-//!                     [--cluster fast|serial|faithful] [--output <path>]
+//!                     [--output <path>]
 //! datacube-dp inspect --dataset adult|nltcs
 //! ```
 //!
@@ -71,8 +70,6 @@ pub struct ReleaseArgs {
     pub epsilon: f64,
     /// Optional δ (switches to the Gaussian mechanism).
     pub delta: Option<f64>,
-    /// Cluster-strategy search configuration (only used with `--strategy c`).
-    pub cluster: ClusterConfig,
     /// RNG seed of the first release; release `i` uses `seed + i`.
     pub seed: u64,
     /// Number of releases to draw from the one compiled plan; the output
@@ -100,8 +97,6 @@ pub struct PlanArgs {
     pub epsilon: f64,
     /// Optional δ (switches to the Gaussian mechanism).
     pub delta: Option<f64>,
-    /// Cluster-strategy search configuration (only used with `--strategy c`).
-    pub cluster: ClusterConfig,
     /// Optional JSON output path.
     pub output: Option<String>,
 }
@@ -280,11 +275,10 @@ USAGE:
   datacube-dp release --dataset <adult|nltcs> --workload <q1|q1star|q1a|q2|q2star|q2a>
                       --strategy <f|q|c|i> --budgets <uniform|optimal>
                       --epsilon <f64> [--delta <f64>] [--seed <u64>] [--batch <n>]
-                      [--cluster <fast|serial|faithful>]
                       [--nonnegative] [--output <path.jsonl>]
   datacube-dp plan    --dataset <adult|nltcs> --workload <label> --strategy <f|q|c|i>
                       --budgets <uniform|optimal> --epsilon <f64> [--delta <f64>]
-                      [--cluster <fast|serial|faithful>] [--output <path.json>]
+                      [--output <path.json>]
   datacube-dp inspect --dataset <adult|nltcs>
   datacube-dp serve   --addr <host:port> [--dataset <adult|nltcs>]...
                       [--ledger <path.jsonl>]
@@ -333,10 +327,6 @@ uncharged record-level delta (O(Δ) — no rebind), and `release-current`
 draws a charged release of the stream's current state; with --request-id it
 is idempotent like `release`, so a crashed publisher re-drives its id
 schedule and is charged exactly once per id.
-`--cluster` picks the cluster-strategy (`--strategy c`) search: `fast` (the
-optimized incremental search, default), `serial` (same, without the rayon
-fan-out), or `faithful` (the paper-faithful exponential candidate walk of
-the Figure-6 reproduction); all three produce the identical clustering.
 ";
 
 fn parse_dataset(v: &str) -> Result<DatasetArg, CliError> {
@@ -354,17 +344,6 @@ fn parse_strategy(v: &str) -> Result<StrategyKind, CliError> {
         "c" | "cluster" => Ok(StrategyKind::Cluster),
         "i" | "identity" => Ok(StrategyKind::Identity),
         other => Err(CliError(format!("unknown strategy {other:?} (f|q|c|i)"))),
-    }
-}
-
-fn parse_cluster(v: &str) -> Result<ClusterConfig, CliError> {
-    match v {
-        "fast" => Ok(ClusterConfig::FAST),
-        "serial" => Ok(ClusterConfig::FAST.serial()),
-        "faithful" => Ok(ClusterConfig::PAPER),
-        other => Err(CliError(format!(
-            "unknown cluster search {other:?} (fast|serial|faithful)"
-        ))),
     }
 }
 
@@ -490,7 +469,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             let mut workload = None;
             let mut strategy = None;
             let mut budgets = Budgeting::Optimal;
-            let mut cluster = ClusterConfig::default();
             let mut epsilon = None;
             let mut delta = None;
             let mut seed = 42u64;
@@ -507,7 +485,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                     "--workload" => workload = Some(value("--workload")?.clone()),
                     "--strategy" => strategy = Some(parse_strategy(value("--strategy")?)?),
                     "--budgets" => budgets = parse_budgets(value("--budgets")?)?,
-                    "--cluster" => cluster = parse_cluster(value("--cluster")?)?,
                     "--epsilon" => {
                         epsilon = Some(
                             value("--epsilon")?
@@ -551,7 +528,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                     budgets,
                     epsilon,
                     delta,
-                    cluster,
                     output,
                 }))
             } else {
@@ -562,7 +538,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                     budgets,
                     epsilon,
                     delta,
-                    cluster,
                     seed,
                     batch,
                     nonnegative,
@@ -787,12 +762,10 @@ pub fn compile_plan(
     strategy: StrategyKind,
     budgets: Budgeting,
     privacy: PrivacyLevel,
-    cluster: ClusterConfig,
 ) -> Result<Plan, CliError> {
     PlanBuilder::marginals(workload, strategy)
         .budgeting(budgets)
         .privacy(privacy)
-        .cluster_config(cluster)
         .for_schema(schema)
         .compile()
         .map_err(|e| CliError(format!("plan compilation failed: {e}")))
@@ -913,42 +886,11 @@ mod tests {
         assert_eq!(a.strategy, StrategyKind::Cluster);
         assert_eq!(a.budgets, Budgeting::Uniform);
         assert_eq!(a.delta, Some(1e-6));
-        assert_eq!(a.cluster, ClusterConfig::default());
         assert_eq!(a.output.as_deref(), Some("plan.json"));
         // Seeds/batches belong to `release`, not the data-independent plan.
         assert!(parse_args(&sv(&["plan", "--seed", "1"])).is_err());
         assert!(parse_args(&sv(&["plan", "--batch", "2"])).is_err());
         assert!(parse_args(&sv(&["release", "--batch", "0"])).is_err());
-    }
-
-    #[test]
-    fn cluster_search_flag_parses_all_modes() {
-        let base = [
-            "release",
-            "--dataset",
-            "nltcs",
-            "--workload",
-            "q1",
-            "--strategy",
-            "c",
-            "--epsilon",
-            "1.0",
-            "--cluster",
-        ];
-        for (value, expected) in [
-            ("fast", ClusterConfig::FAST),
-            ("serial", ClusterConfig::FAST.serial()),
-            ("faithful", ClusterConfig::PAPER),
-        ] {
-            let mut args: Vec<&str> = base.to_vec();
-            args.push(value);
-            let Command::Release(a) = parse_args(&sv(&args)).unwrap() else {
-                panic!("expected release");
-            };
-            assert_eq!(a.cluster, expected, "--cluster {value}");
-        }
-        assert!(parse_args(&sv(&["release", "--cluster", "turbo"])).is_err());
-        assert!(parse_args(&sv(&["plan", "--cluster"])).is_err());
     }
 
     #[test]
@@ -961,7 +903,6 @@ mod tests {
             StrategyKind::Fourier,
             Budgeting::Optimal,
             privacy_level(0.5, None),
-            ClusterConfig::default(),
         )
         .unwrap();
         let doc = plan_to_json(&plan);

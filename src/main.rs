@@ -80,15 +80,8 @@ fn run_plan(args: &PlanArgs) -> Result<(), String> {
     let schema = dataset_schema(args.dataset);
     let workload = build_workload(&schema, &args.workload).map_err(|e| e.to_string())?;
     let privacy = privacy_level(args.epsilon, args.delta);
-    let plan = compile_plan(
-        &schema,
-        workload,
-        args.strategy,
-        args.budgets,
-        privacy,
-        args.cluster,
-    )
-    .map_err(|e| e.to_string())?;
+    let plan = compile_plan(&schema, workload, args.strategy, args.budgets, privacy)
+        .map_err(|e| e.to_string())?;
     eprintln!(
         "compiled plan {}: {} queries, {} budget groups, achieved ε = {:.6}, predicted Var = {:.4e}",
         plan.label(),
@@ -205,7 +198,7 @@ fn run_client(args: &ClientArgs) -> Result<(), String> {
             let spec = WorkloadSpec::Marginals {
                 workload: w,
                 strategy: *strategy,
-                cluster: ClusterConfig::default(),
+                cluster: ClusterConfig,
             };
             let id = client
                 .register_compile(
@@ -315,15 +308,8 @@ fn run_release(args: &ReleaseArgs) -> Result<(), String> {
     let (schema, table) = load_dataset(args.dataset, 20130401).map_err(|e| e.to_string())?;
     let workload = build_workload(&schema, &args.workload).map_err(|e| e.to_string())?;
     let privacy = privacy_level(args.epsilon, args.delta);
-    let plan = compile_plan(
-        &schema,
-        workload,
-        args.strategy,
-        args.budgets,
-        privacy,
-        args.cluster,
-    )
-    .map_err(|e| e.to_string())?;
+    let plan = compile_plan(&schema, workload, args.strategy, args.budgets, privacy)
+        .map_err(|e| e.to_string())?;
     let session = Session::bind(Arc::new(plan), &table).map_err(|e| e.to_string())?;
     let seeds: Vec<u64> = (0..args.batch as u64)
         .map(|i| args.seed.wrapping_add(i))

@@ -5,6 +5,7 @@
 //! not.
 
 use datacube_dp::prelude::*;
+use dp_core::cluster::{greedy_cluster_reference, CentroidSearch};
 use std::sync::Arc;
 
 fn nltcs_16bit_table() -> (Schema, ContingencyTable) {
@@ -52,40 +53,23 @@ fn d16_two_way_release_runs_on_multiple_threads() {
 
 #[test]
 fn cluster_plan_is_invariant_to_parallel_search_and_thread_count() {
-    // The optimized cluster search fans its candidate evaluation out with
-    // rayon but combines via a deterministic (Δ, i, j) min-reduction, so a
-    // parallel compile must produce exactly the plan a serial compile does
-    // — same clustering, budgets and released bytes.
+    // The cluster search fans its candidate evaluation out with rayon but
+    // combines via a deterministic (Δ, i, j) min-reduction, so the plan's
+    // clustering must be exactly the one the serial reference walk finds,
+    // at any thread count (CI also runs this on one core).
     let (schema, table) = nltcs_16bit_table();
     let w = Workload::all_k_way(&schema, 2).unwrap();
-    let compile = |config: ClusterConfig| {
-        PlanBuilder::marginals(w.clone(), StrategyKind::Cluster)
-            .privacy(PrivacyLevel::Pure { epsilon: 1.0 })
-            .cluster_config(config)
-            .compile()
-            .unwrap()
-    };
-    let parallel = compile(ClusterConfig::FAST);
-    let serial = compile(ClusterConfig::FAST.serial());
-    assert_eq!(parallel.clustering().unwrap(), serial.clustering().unwrap());
-    assert_eq!(parallel.solution(), serial.solution());
-    let a = Session::bind(Arc::new(parallel), &table)
+    let plan = PlanBuilder::marginals(w.clone(), StrategyKind::Cluster)
+        .privacy(PrivacyLevel::Pure { epsilon: 1.0 })
+        .compile()
+        .unwrap();
+    let reference = greedy_cluster_reference(&w, CentroidSearch::Union);
+    assert_eq!(plan.clustering().unwrap(), &reference);
+    let release = Session::bind(Arc::new(plan), &table)
         .unwrap()
         .release(9)
         .unwrap();
-    let b = Session::bind(Arc::new(serial), &table)
-        .unwrap()
-        .release(9)
-        .unwrap();
-    for (x, y) in a
-        .answers
-        .marginals()
-        .unwrap()
-        .iter()
-        .zip(b.answers.marginals().unwrap())
-    {
-        assert_eq!(x.values(), y.values());
-    }
+    assert_eq!(release.answers.marginals().unwrap().len(), w.len());
 }
 
 #[test]
