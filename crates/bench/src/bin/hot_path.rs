@@ -3,8 +3,9 @@
 //! for the lane/blocked kernel versus a scalar reference, end-to-end
 //! releases/sec through `Session::release_batch`, whole range releases
 //! (closed-form GLS recovery) against one conjugate-gradient solve of the
-//! same normal equations, and the JSON shim's `f64` writer against
-//! `format!("{x}")` on noisy counts.
+//! same normal equations, the JSON shim's `f64` writer against
+//! `format!("{x}")` on noisy counts, and a marginal `Session::bind`
+//! (observations summed from occupied cells) against the dense fold.
 //!
 //! Every optimized/reference pair is also checked for **byte identity** on
 //! the measured inputs before timing, so this binary doubles as a
@@ -19,6 +20,7 @@
 //!
 //! Every row carries `nproc`, the core count it was measured on.
 
+use dp_core::fourier::CoefficientSpace;
 use dp_core::prelude::*;
 use dp_core::serde_impls::u64_value;
 use dp_core::strategy::{perturb_observations_into, NOISE_CHUNK};
@@ -33,7 +35,8 @@ use std::time::Instant;
 /// One measured metric.
 #[derive(Debug, Clone, Serialize)]
 struct HotPathRow {
-    /// Benchmark section: `noising`, `wht`, `release`, `range` or `json`.
+    /// Benchmark section: `noising`, `wht`, `release`, `range`, `json` or
+    /// `bind`.
     section: String,
     /// Metric name within the section.
     metric: String,
@@ -408,6 +411,85 @@ fn bench_release_write(releases: &[SessionRelease], reps: usize, rows: &mut Vec<
     rows.push(row("json", "release_write_speedup", ratio, "x"));
 }
 
+/// The dense marginal bind, kept as the reference: copy the table's
+/// counts, fold a whole copy of them down to each target marginal with
+/// `table::marginalize` (fanned out across cores), then fill the Fourier
+/// coefficients from the folds.
+fn fourier_bind_reference(
+    counts: &[f64],
+    space: &CoefficientSpace,
+    targets: &[AttrMask],
+) -> Vec<f64> {
+    use rayon::prelude::*;
+    let counts = counts.to_vec();
+    let d = space.domain_bits();
+    let folds: Vec<MarginalTable> = targets
+        .par_iter()
+        .map(|&alpha| MarginalTable::new(alpha, dp_core::table::marginalize(&counts, d, alpha)))
+        .collect();
+    let mut coeffs = vec![0.0; space.len()];
+    let mut scratch = Vec::new();
+    for m in &folds {
+        space
+            .fill_from_marginal_with(&mut coeffs, m, &mut scratch)
+            .expect("targets lie in the support");
+    }
+    coeffs
+}
+
+/// Times `Session::bind` of the NLTCS Q2 `F+` plan against the dense-fold
+/// reference, after checking that both observe the same bytes. Returns
+/// `reference / bind`.
+fn bench_bind(reps: usize, rows: &mut Vec<HotPathRow>) -> f64 {
+    let nltcs = dp_bench::Dataset::nltcs();
+    let workload = Workload::all_k_way(&nltcs.schema, 2).expect("Q2 builds");
+    let plan = Arc::new(
+        PlanBuilder::marginals(workload.clone(), StrategyKind::Fourier)
+            .budgeting(Budgeting::Optimal)
+            .privacy(PrivacyLevel::Pure { epsilon: 1.0 })
+            .for_schema(&nltcs.schema)
+            .compile()
+            .expect("plan compiles"),
+    );
+    let table = &nltcs.table;
+    let space = CoefficientSpace::from_marginals(table.dims(), workload.marginals());
+    let bound = Session::bind(Arc::clone(&plan), table).expect("table matches plan");
+    let reference = fourier_bind_reference(table.counts(), &space, workload.marginals());
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(bound.observations()),
+        bits(&reference),
+        "the occupied-cell bind diverged from the dense fold"
+    );
+
+    let t_bind = time_best(reps, || {
+        std::hint::black_box(Session::bind(Arc::clone(&plan), table).expect("bind succeeds"));
+    });
+    let t_ref = time_best(reps, || {
+        std::hint::black_box(fourier_bind_reference(
+            table.counts(),
+            &space,
+            workload.marginals(),
+        ));
+    });
+    let ratio = t_ref / t_bind;
+    println!(
+        "{:>22}: bind {:.2} ms, dense fold {:.2} ms, speedup {ratio:.1}×",
+        "nltcs Q2 F+",
+        t_bind * 1e3,
+        t_ref * 1e3,
+    );
+    rows.push(row("bind", "nltcs_q2_fourier_ms", t_bind * 1e3, "ms"));
+    rows.push(row(
+        "bind",
+        "nltcs_q2_fourier_dense_fold_ms",
+        t_ref * 1e3,
+        "ms",
+    ));
+    rows.push(row("bind", "nltcs_q2_fourier_speedup", ratio, "x"));
+    ratio
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -518,6 +600,10 @@ fn main() {
     println!("== json (d = {schema_bits} Fourier Q2 release, 64 seeds, best of {reps}) ==");
     bench_release_write(&releases, reps, &mut rows);
 
+    // ── 6. Marginal bind vs the dense fold ─────────────────────────────
+    println!("== bind (NLTCS Q2 F+, best of {reps}) ==");
+    let bind_ratio = bench_bind(reps, &mut rows);
+
     match dp_bench::write_jsonl("hot_path.jsonl", &rows) {
         Ok(p) => eprintln!("wrote {}", p.display()),
         Err(e) => eprintln!("could not write results file: {e}"),
@@ -548,8 +634,15 @@ fn main() {
         // W+ or H+ release must beat one CG solve of the same normal
         // equations by 5× (measured 10–34× on two cores). A release that
         // fell back to CG would measure below 1×.
+        //
+        // The bind gate is a floor on the occupied-cell sum. NLTCS Q2 F+
+        // binds 2.9–4.5× faster than the dense fold at smoke size (ten
+        // runs on two cores, median 3.5×), 2.3–4.6× on one core and
+        // 3.0–4.4× at full size. A bind that fell back to the fold
+        // measures 0.9–1.1×.
         let wht_floor = 1.05;
         let range_floor = 5.0;
+        let bind_floor = 1.5;
         let mut failed = false;
         if gaussian_ratio < 0.75 {
             eprintln!("CHECK FAILED: gaussian noising ratio {gaussian_ratio:.2}× < 0.75×");
@@ -571,6 +664,13 @@ fn main() {
                 );
                 failed = true;
             }
+        }
+        if bind_ratio < bind_floor {
+            eprintln!(
+                "CHECK FAILED: NLTCS Q2 F+ bind only {bind_ratio:.1}× faster than the dense fold \
+                 (< {bind_floor}×)"
+            );
+            failed = true;
         }
         if failed {
             std::process::exit(1);

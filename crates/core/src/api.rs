@@ -602,8 +602,10 @@ impl Answers {
 ///   (hierarchical), at most `2·log₂ n + 1` Haar coefficients (wavelet), or
 ///   the nonzeros of the sketch column.
 ///
-/// [`Session::ingest`] is therefore O(|column|) — never O(2^d) — where a
-/// fresh [`Session::bind`] re-aggregates the full domain. A release from a
+/// [`Session::ingest`] is therefore O(|column|) — never O(2^d). A fresh
+/// [`Session::bind`] of a marginal plan shares the table's counts (no
+/// copy) and sums its observations from the occupied cells: one O(2^d)
+/// scan plus O(occupied cells × observed marginals). A release from a
 /// streamed-to session is byte-identical to one from a session freshly
 /// bound to the same data (up to float accumulation; see
 /// [`Session::rebase`]).
@@ -640,7 +642,8 @@ pub struct Session {
     /// snapshot's view.
     observations: Arc<Vec<f64>>,
     /// The data vector `x` (contingency counts or histogram) — backs
-    /// [`Session::rebase`] and the negative-count guard.
+    /// [`Session::rebase`] and the negative-count guard. Shared
+    /// copy-on-write with the bound table and with snapshots.
     counts: Arc<Vec<f64>>,
     window: Option<SlidingWindow>,
 }
@@ -671,7 +674,7 @@ impl Session {
                 "range plans bind to histograms; use Session::bind_histogram",
             ));
         }
-        Session::observed(plan, table.counts().to_vec())
+        Session::observed(plan, table.shared_counts())
     }
 
     /// Binds a **range** plan to a histogram over its 1-D domain.
@@ -685,22 +688,22 @@ impl Session {
                 "marginal plans bind to contingency tables; use Session::bind",
             ));
         }
-        Session::observed(plan, hist.to_vec())
+        Session::observed(plan, Arc::new(hist.to_vec()))
     }
 
     /// Binds a plan to an **empty** dataset — the usual entry point for a
     /// stream that begins from nothing.
     pub fn empty(plan: Arc<Plan>) -> Result<Session, CoreError> {
         let counts = vec![0.0; plan.spec.domain_size()];
-        Session::observed(plan, counts)
+        Session::observed(plan, Arc::new(counts))
     }
 
-    fn observed(plan: Arc<Plan>, counts: Vec<f64>) -> Result<Session, CoreError> {
+    fn observed(plan: Arc<Plan>, counts: Arc<Vec<f64>>) -> Result<Session, CoreError> {
         let observations = observe_counts(&plan, &counts)?;
         Ok(Session {
             plan,
             observations: Arc::new(observations),
-            counts: Arc::new(counts),
+            counts,
             window: None,
         })
     }

@@ -15,7 +15,7 @@ use crate::fourier::{CoefficientSpace, ObservationOperator};
 use crate::marginal::MarginalTable;
 use crate::mask::AttrMask;
 use crate::strategy::Kind;
-use crate::table::marginalize_all;
+use crate::table::count_marginals;
 use crate::workload::Workload;
 use crate::CoreError;
 use dp_opt::budget::GroupSpec;
@@ -139,8 +139,8 @@ fn observed_marginals(
 }
 
 /// The exact Fourier coefficients of the support, filled from the target
-/// marginals (one fold pass per marginal plus per-block WHTs, with one
-/// shared WHT buffer).
+/// marginals (summed from the occupied cells, see [`count_marginals`],
+/// plus per-block WHTs with one shared WHT buffer).
 pub(crate) fn fourier_observations(
     x: &[f64],
     space: &CoefficientSpace,
@@ -148,7 +148,7 @@ pub(crate) fn fourier_observations(
 ) -> Result<Vec<f64>, CoreError> {
     let mut coeffs = vec![0.0; space.len()];
     let mut scratch = Vec::new();
-    for m in marginalize_all(x, space.domain_bits(), targets) {
+    for m in count_marginals(x, space.domain_bits(), targets) {
         space.fill_from_marginal_with(&mut coeffs, &m, &mut scratch)?;
     }
     Ok(coeffs)

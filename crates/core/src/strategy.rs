@@ -30,7 +30,7 @@ use crate::cluster::Clustering;
 use crate::fourier::{CoefficientSpace, ObservationOperator};
 use crate::mask::AttrMask;
 use crate::range::{haar_range_coeffs, RangeStrategy, RangeWorkload};
-use crate::table::marginalize_all;
+use crate::table::{count_marginals, marginalize_all};
 use crate::{range, release, CoreError};
 use dp_linalg::{haar_forward, haar_inverse, CsrMatrix, HierarchicalOperator, LinearOperator};
 use dp_mech::{
@@ -174,13 +174,17 @@ impl Compiled {
 
     /// The exact observations `z = S·x` of a data vector (contingency
     /// counts or histogram, of the spec's domain size) — the one
-    /// data-dependent step, run once per bind.
+    /// data-dependent step, run once per bind. Marginal (`Q`/`C`/`F`)
+    /// plans cost one O(N) scan plus O(occupied cells × observed
+    /// marginals) for count data, with no per-marginal copy of `x`
+    /// ([`count_marginals`]); identity plans copy `x`, and range plans
+    /// apply their O(n) or O(n log n) operator.
     pub(crate) fn observe(&self, x: &[f64]) -> Result<Vec<f64>, CoreError> {
         Ok(match &self.kind {
             Kind::MarginalIdentity { .. } | Kind::RangeIdentity { .. } => x.to_vec(),
             Kind::ObservedMarginals {
                 observed, space, ..
-            } => marginalize_all(x, space.domain_bits(), observed)
+            } => count_marginals(x, space.domain_bits(), observed)
                 .iter()
                 .flat_map(|m| m.values().iter().copied())
                 .collect(),

@@ -4,6 +4,8 @@
 //! represented as the vector of counts over its linearized domain: `x_β` is
 //! the number of tuples whose encoded attribute values equal `β`.
 
+use std::sync::Arc;
+
 use crate::marginal::MarginalTable;
 use crate::mask::AttrMask;
 use crate::schema::{Schema, SchemaError};
@@ -13,17 +15,17 @@ use crate::CoreError;
 #[derive(Debug, Clone, PartialEq)]
 pub struct ContingencyTable {
     d: usize,
-    counts: Vec<f64>,
+    /// Shared copy-on-write with every [`crate::api::Session`] bound to
+    /// the table: a bind takes no copy, and a mutator copies only while a
+    /// session still holds the vector.
+    counts: Arc<Vec<f64>>,
 }
 
 impl ContingencyTable {
     /// An all-zero table over `d` binary attributes.
     pub fn zeros(d: usize) -> Self {
         assert!(d <= 30, "in-memory contingency tables limited to d ≤ 30");
-        ContingencyTable {
-            d,
-            counts: vec![0.0; 1usize << d],
-        }
+        ContingencyTable::from_counts(vec![0.0; 1usize << d])
     }
 
     /// Wraps an existing count vector; `counts.len()` must be a power of
@@ -34,15 +36,18 @@ impl ContingencyTable {
             "count vector length must be a power of two"
         );
         let d = counts.len().trailing_zeros() as usize;
-        ContingencyTable { d, counts }
+        ContingencyTable {
+            d,
+            counts: Arc::new(counts),
+        }
     }
 
     /// Builds the table of a record multiset under a schema.
     pub fn from_records(schema: &Schema, records: &[Vec<usize>]) -> Result<Self, SchemaError> {
         let mut t = ContingencyTable::zeros(schema.domain_bits());
+        let counts = Arc::make_mut(&mut t.counts);
         for r in records {
-            let idx = schema.encode(r)?;
-            t.counts[idx as usize] += 1.0;
+            counts[schema.encode(r)? as usize] += 1.0;
         }
         Ok(t)
     }
@@ -50,8 +55,9 @@ impl ContingencyTable {
     /// Builds the table directly from pre-encoded indices.
     pub fn from_indices(d: usize, indices: &[u64]) -> Self {
         let mut t = ContingencyTable::zeros(d);
+        let counts = Arc::make_mut(&mut t.counts);
         for &i in indices {
-            t.counts[i as usize] += 1.0;
+            counts[i as usize] += 1.0;
         }
         t
     }
@@ -74,6 +80,12 @@ impl ContingencyTable {
         &self.counts
     }
 
+    /// The count vector itself, shared rather than copied — what
+    /// [`crate::api::Session::bind`] holds.
+    pub(crate) fn shared_counts(&self) -> Arc<Vec<f64>> {
+        Arc::clone(&self.counts)
+    }
+
     /// Total number of tuples `Σ_β x_β`.
     pub fn total(&self) -> f64 {
         self.counts.iter().sum()
@@ -84,7 +96,7 @@ impl ContingencyTable {
     /// with [`ContingencyTable::from_records`] on the extended multiset.
     pub fn add_record(&mut self, schema: &Schema, record: &[usize]) -> Result<u64, SchemaError> {
         let idx = schema.encode(record)?;
-        self.counts[idx as usize] += 1.0;
+        Arc::make_mut(&mut self.counts)[idx as usize] += 1.0;
         Ok(idx)
     }
 
@@ -120,26 +132,24 @@ impl ContingencyTable {
         if next < 0.0 {
             return Err(CoreError::NegativeCount { cell, count: next });
         }
-        self.counts[cell as usize] = next;
+        Arc::make_mut(&mut self.counts)[cell as usize] = next;
         Ok(())
     }
 
     /// Computes the marginal `Cα x` (Section 4.1): cell `γ ≼ α` receives
-    /// `Σ_{β : β∧α=γ} x_β`.
-    ///
-    /// Implemented by summing out the cleared bits one at a time (lowest
-    /// first), which halves the working array per folded bit: total cost
-    /// `O(N + N/2 + …) = O(2N)` regardless of `‖α‖`, and the surviving bits
-    /// keep their relative order, so the output indexing matches
-    /// [`AttrMask::compress_cell`].
+    /// `Σ_{β : β∧α=γ} x_β`, indexed by [`AttrMask::compress_cell`]. Same
+    /// path and cost as [`ContingencyTable::marginals`].
     pub fn marginal(&self, alpha: AttrMask) -> MarginalTable {
-        MarginalTable::new(alpha, marginalize(&self.counts, self.d, alpha))
+        let mut one = self.marginals(&[alpha]);
+        one.pop().expect("one marginal per mask")
     }
 
-    /// Computes several marginals (each via the folding pass), fanned out
-    /// across cores — the hot path of exact-answer computation at plan time.
+    /// Computes several marginals, fanned out across cores — the exact
+    /// answers of a workload. Count data takes one O(N) scan for its
+    /// [`occupied_cells`] plus O(occupied cells) per marginal
+    /// ([`sum_occupied`]); other vectors take the [`marginalize`] fold.
     pub fn marginals(&self, alphas: &[AttrMask]) -> Vec<MarginalTable> {
-        marginalize_all(&self.counts, self.d, alphas)
+        count_marginals(&self.counts, self.d, alphas)
     }
 
     /// The Fourier coefficient `⟨f^α, x⟩` of the table (O(N) direct sum;
@@ -149,9 +159,66 @@ impl ContingencyTable {
     }
 }
 
+/// Largest total whose every partial sum of integer counts is an exact
+/// `f64`.
+const EXACT_TOTAL: u64 = 1 << 53;
+
+/// The occupied cells `(cell, count)` of a count vector, in cell order —
+/// or `None` unless every count is `+0.0` or a positive integer and the
+/// total is at most 2^53. Those are the vectors whose partial sums are all
+/// exact, so any summation order gives the same bits; noisy or fractional
+/// vectors, `-0.0`, NaN and larger totals return `None`.
+pub fn occupied_cells(counts: &[f64]) -> Option<Vec<(u64, f64)>> {
+    let mut cells = Vec::new();
+    let mut total = 0u64;
+    for (cell, &c) in counts.iter().enumerate() {
+        if c.to_bits() == 0 {
+            continue;
+        }
+        if !(c > 0.0 && c <= EXACT_TOTAL as f64 && c.fract() == 0.0) {
+            return None;
+        }
+        total += c as u64;
+        if total > EXACT_TOTAL {
+            return None;
+        }
+        cells.push((cell as u64, c));
+    }
+    Some(cells)
+}
+
+/// The marginal over `alpha` of [`occupied_cells`]: each count added, in
+/// cell order, into cell `alpha.compress_cell(cell ∧ alpha)`.
+pub fn sum_occupied(cells: &[(u64, f64)], alpha: AttrMask) -> Vec<f64> {
+    let mut out = vec![0.0; alpha.cell_count()];
+    for &(cell, c) in cells {
+        out[alpha.compress_cell(cell & alpha.0)] += c;
+    }
+    out
+}
+
+/// The exact marginals of a count vector, fanned out across cores: one
+/// O(N) scan for the [`occupied_cells`], then O(occupied) per marginal,
+/// with no copy of the vector. The sum is exact, so the bytes equal the
+/// [`marginalize`] fold's; vectors that fail the exactness test take the
+/// fold. The one marginal path for data vectors — bind, rebase and exact
+/// workload answers.
+pub(crate) fn count_marginals(counts: &[f64], d: usize, alphas: &[AttrMask]) -> Vec<MarginalTable> {
+    use rayon::prelude::*;
+    match occupied_cells(counts) {
+        Some(cells) => alphas
+            .par_iter()
+            .map(|&alpha| MarginalTable::new(alpha, sum_occupied(&cells, alpha)))
+            .collect(),
+        None => marginalize_all(counts, d, alphas),
+    }
+}
+
 /// Marginalizes a raw count vector over `d` bits down to the cells of
-/// `alpha`, by folding out each cleared bit. Exposed for callers that hold
-/// noisy count vectors outside a [`ContingencyTable`].
+/// `alpha`, by folding out each cleared bit: it copies the vector, then
+/// halves the working array per folded bit, O(2N) whatever `‖α‖`. The
+/// surviving bits keep their relative order, so the output indexing
+/// matches [`AttrMask::compress_cell`]. The path for noisy vectors.
 pub fn marginalize(counts: &[f64], d: usize, alpha: AttrMask) -> Vec<f64> {
     debug_assert_eq!(counts.len(), 1usize << d);
     let mut cur: Vec<f64> = counts.to_vec();
@@ -180,11 +247,15 @@ pub fn marginalize(counts: &[f64], d: usize, alpha: AttrMask) -> Vec<f64> {
         remaining -= 1;
         cur.truncate(1usize << remaining);
     }
+    // Hand back a marginal-sized buffer, not the `2^d` one the copy
+    // allocated: a caller holding one per target marginal would otherwise
+    // keep every copy's pages alive.
+    cur.shrink_to_fit();
     cur
 }
 
-/// [`marginalize`] for several marginals of one count vector, fanned out
-/// across cores.
+/// [`marginalize`] for several marginals of one (noisy) vector, fanned
+/// out across cores.
 pub(crate) fn marginalize_all(counts: &[f64], d: usize, alphas: &[AttrMask]) -> Vec<MarginalTable> {
     use rayon::prelude::*;
     alphas

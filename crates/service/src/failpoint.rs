@@ -18,6 +18,7 @@
 //! | `net.recv`           | before a request line is read off a socket       |
 //! | `net.send`           | before a line is written to a TCP socket (one site, shared by the server's response writer and the client's request send) |
 //! | `release.post_debit` | after the budget debit, before noise is drawn    |
+//! | `pool.bind`          | before a new pooled session binds its data, outside the pool lock |
 //!
 //! ## Schedules
 //!

@@ -22,10 +22,12 @@
 //! through the same path. Ownership is the entry's `owner` field, never a
 //! parse of the id: tenant `a` owns nothing of tenant `a/b`'s.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::error::ServiceError;
+use crate::fail_point;
 use dp_core::{ContingencyTable, Plan, Session};
 
 /// One loadable dataset: a full contingency table or a raw histogram.
@@ -115,6 +117,17 @@ impl PooledSession {
         &self.plan_id
     }
 
+    /// Accepts a re-open of `id` by `owner` for `plan_id` only if this
+    /// session was opened by the same owner from the same plan.
+    fn claim(&self, id: &str, owner: Option<&str>, plan_id: &str) -> Result<(), ServiceError> {
+        if self.owner() != owner || self.plan_id != plan_id {
+            return Err(ServiceError::Protocol(format!(
+                "session id {id:?} is already taken by another owner or plan"
+            )));
+        }
+        Ok(())
+    }
+
     /// Locks the live session. Hold the guard briefly — to ingest, or to
     /// take an O(1) [`Session::snapshot`] to release from.
     pub fn lock(&self) -> MutexGuard<'_, Session> {
@@ -142,6 +155,11 @@ impl SessionPool {
     ///
     /// Idempotent and **non-destructive**: if the session already exists,
     /// its accumulated state is kept untouched and nothing is recomputed.
+    ///
+    /// The bind runs without the pool lock, so releases on other sessions
+    /// (each takes that lock in [`SessionPool::get`]) never wait for it.
+    /// Two racing opens of one id may both bind; the first insert wins and
+    /// the other's session is dropped.
     pub fn open(
         &self,
         owner: Option<&str>,
@@ -155,37 +173,37 @@ impl SessionPool {
             None => format!("{plan_id}/{table_name}"),
             Some(tenant) => format!("{tenant}/{plan_id}/{table_name}"),
         };
-        let mut sessions = self.sessions.lock().expect("session pool mutex poisoned");
-        if let Some(existing) = sessions.get(&id) {
-            if existing.owner() != owner || existing.plan_id != plan_id {
-                return Err(ServiceError::Protocol(format!(
-                    "session id {id:?} is already taken by another owner or plan"
-                )));
-            }
+        if let Some(existing) = self.lock().get(&id) {
+            existing.claim(&id, owner, plan_id)?;
             return Ok(id);
         }
+        fail_point!("pool.bind");
         let session = match dataset {
             None => Session::empty(plan)?,
             Some(Dataset::Table(t)) => Session::bind(plan, t)?,
             Some(Dataset::Histogram(h)) => Session::bind_histogram(plan, h)?,
         };
-        sessions.insert(
-            id.clone(),
-            Arc::new(PooledSession {
-                owner: owner.map(str::to_string),
-                plan_id: plan_id.to_string(),
-                session: Mutex::new(session),
-            }),
-        );
+        match self.lock().entry(id.clone()) {
+            Entry::Occupied(existing) => existing.get().claim(&id, owner, plan_id)?,
+            Entry::Vacant(slot) => {
+                slot.insert(Arc::new(PooledSession {
+                    owner: owner.map(str::to_string),
+                    plan_id: plan_id.to_string(),
+                    session: Mutex::new(session),
+                }));
+            }
+        }
         Ok(id)
+    }
+
+    fn lock(&self) -> MutexGuard<'_, HashMap<String, Arc<PooledSession>>> {
+        self.sessions.lock().expect("session pool mutex poisoned")
     }
 
     /// Fetches a session by wire id (no ownership check — see
     /// [`PooledSession::owner`]).
     pub fn get(&self, id: &str) -> Result<Arc<PooledSession>, ServiceError> {
-        self.sessions
-            .lock()
-            .expect("session pool mutex poisoned")
+        self.lock()
             .get(id)
             .cloned()
             .ok_or_else(|| ServiceError::UnknownSession(id.into()))
@@ -193,10 +211,7 @@ impl SessionPool {
 
     /// Number of pooled sessions.
     pub fn len(&self) -> usize {
-        self.sessions
-            .lock()
-            .expect("session pool mutex poisoned")
-            .len()
+        self.lock().len()
     }
 
     /// Whether the pool is empty.

@@ -15,8 +15,8 @@ use dp_mech::PrivacyLevel;
 use dp_service::failpoint::{self, FailAction, Trigger};
 use dp_service::protocol::{render_line, session_release_to_value};
 use dp_service::{
-    Accountant, Client, ClientConfig, DpService, KeyedRelease, ReleaseAdmission, Server,
-    ServiceError, TcpTransport,
+    Accountant, Client, ClientConfig, Dataset, DpService, KeyedRelease, ReleaseAdmission, Server,
+    ServiceError, SessionPool, TcpTransport,
 };
 
 fn serial() -> MutexGuard<'static, ()> {
@@ -207,6 +207,83 @@ fn a_post_debit_crash_retries_into_one_charge() {
     let again = service.release("t", &session, &[3, 4], Some("r1")).unwrap();
     assert_eq!(response, again);
     failpoint::clear_all();
+}
+
+/// Spins until `site` has fired `times` times (its delay is then running).
+fn wait_fired(site: &str, times: u64) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while failpoint::fired_count(site) < times {
+        assert!(std::time::Instant::now() < deadline, "{site} never fired");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+}
+
+/// A bind runs outside the session-pool lock: while one bind is held for
+/// 500 ms, a release on an already pooled session answers at once rather
+/// than waiting behind it.
+#[test]
+fn a_held_bind_does_not_stall_releases_on_other_sessions() {
+    let _guard = serial();
+    let (service, session) = toy_service(Accountant::in_memory());
+    // A second plan, so binding it pools a new session.
+    let workload = Workload::all_k_way(&Schema::binary(3).unwrap(), 2).unwrap();
+    let plan_id = service
+        .register_compiled(
+            "t",
+            PlanBuilder::marginals(workload, StrategyKind::Fourier).privacy(HALF),
+        )
+        .unwrap();
+
+    failpoint::configure("pool.bind", Trigger::nth(0), FailAction::DelayMs(500));
+    std::thread::scope(|scope| {
+        let binder = scope.spawn(|| service.bind("t", &plan_id, "toy"));
+        wait_fired("pool.bind", 1);
+        let start = std::time::Instant::now();
+        service.release("t", &session, &[1], None).unwrap();
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < std::time::Duration::from_millis(100),
+            "a release waited {elapsed:?} behind a held bind"
+        );
+        assert!(binder.join().unwrap().is_ok());
+    });
+    failpoint::clear_all();
+}
+
+/// Two opens of one id that both bind pool one session: while the first
+/// open's bind is held past its pre-check, a second open of the same id
+/// binds and inserts; the held open then finds the id taken, drops its own
+/// session and returns the same id.
+#[test]
+fn racing_binds_of_one_id_pool_one_session() {
+    let _guard = serial();
+    let plan = Arc::new(
+        PlanBuilder::marginals(
+            Workload::all_k_way(&Schema::binary(3).unwrap(), 1).unwrap(),
+            StrategyKind::Fourier,
+        )
+        .compile()
+        .unwrap(),
+    );
+    let pool = SessionPool::new();
+    let dataset = Dataset::Table(toy_table());
+    let open = || pool.open(None, "p", Some("toy"), Arc::clone(&plan), Some(&dataset));
+
+    failpoint::configure("pool.bind", Trigger::nth(0), FailAction::DelayMs(500));
+    std::thread::scope(|scope| {
+        let held = scope.spawn(open);
+        wait_fired("pool.bind", 1);
+        assert_eq!(open().unwrap(), "p/toy");
+        let first = pool.get("p/toy").unwrap();
+        assert_eq!(held.join().unwrap().unwrap(), "p/toy");
+        assert!(
+            Arc::ptr_eq(&first, &pool.get("p/toy").unwrap()),
+            "the first insert wins"
+        );
+    });
+    assert_eq!(failpoint::fired_count("pool.bind"), 1);
+    failpoint::clear_all();
+    assert_eq!(pool.len(), 1, "one pooled session");
 }
 
 fn start_server(accountant: Accountant) -> (std::thread::JoinHandle<()>, String) {
