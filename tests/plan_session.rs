@@ -143,12 +143,31 @@ fn session_releases_are_byte_identical_to_legacy_marginal_planner() {
     }
 }
 
-#[test]
-fn session_releases_are_byte_identical_to_legacy_range_plan() {
+/// Digests of the same range grid (seed 777, all prefixes of `hist(64)`)
+/// under approximate privacy (ε = 0.8, δ = 1e-6): Gaussian noise, and
+/// `H+`/`S+` recovery weights and sketch CG weights taken from the Gaussian
+/// noise variance. Recorded before the noise stream moved into
+/// `dp_mech::noise`.
+const GAUSSIAN_RANGE_DIGESTS: [u64; 8] = [
+    0xb28140a50b3f5bee, // I
+    0xb28140a50b3f5bee, // I+ (one group: the same budgets)
+    0x7d9bba5c64de8598, // H
+    0x32391a0f8e9b2f55, // H+
+    0xfaa80f5721eff799, // W
+    0xf9c4e8a0bcb3cd7a, // W+
+    0x84d749d7e1bc874b, // S
+    0xbd4d60032368355d, // S+
+];
+
+/// Releases the all-prefixes range grid (strategy × (uniform, optimal)) at
+/// `privacy` with seed 777, checks each release against its pinned digest
+/// and each plan's predicted per-query variances against the dense GLS
+/// oracle, whose row variances come from `row_variance(η)`.
+fn check_range_grid(privacy: PrivacyLevel, pinned: &[u64; 8], row_variance: fn(f64) -> f64) {
     let n = 64;
     let w = RangeWorkload::all_prefixes(n).unwrap();
     let h = hist(n);
-    let mut expected = LEGACY_RANGE_DIGESTS.iter();
+    let mut expected = pinned.iter();
     for strategy in [
         RangeStrategy::Identity,
         RangeStrategy::Hierarchical,
@@ -163,7 +182,7 @@ fn session_releases_are_byte_identical_to_legacy_range_plan() {
             let plan = Arc::new(
                 PlanBuilder::ranges(w.clone(), strategy)
                     .budgeting(budgeting)
-                    .privacy(PrivacyLevel::Pure { epsilon: 0.8 })
+                    .privacy(privacy)
                     .compile()
                     .unwrap(),
             );
@@ -172,7 +191,7 @@ fn session_releases_are_byte_identical_to_legacy_range_plan() {
             assert_eq!(
                 range_digest(release.answers.ranges().unwrap()),
                 *expected.next().unwrap(),
-                "{strategy:?}/{budgeting:?}"
+                "{strategy:?}/{budgeting:?}/{privacy:?}"
             );
             // The matrix-free per-query variance predictions must agree
             // with the dense oracle's exact GLS output variances.
@@ -181,18 +200,41 @@ fn session_releases_are_byte_identical_to_legacy_range_plan() {
             let row_variances: Vec<f64> = grouping
                 .assignment()
                 .iter()
-                .map(|&g| LaplaceMechanism.variance(plan.solution().group_budgets[g]))
+                .map(|&g| row_variance(plan.solution().group_budgets[g]))
                 .collect();
             let r = gls_recovery(&w.query_matrix(), &s, &row_variances).unwrap();
             let oracle = output_variances(&r, &row_variances).unwrap();
             for (a, b) in plan.query_variances().iter().zip(&oracle) {
                 assert!(
                     (a - b).abs() < 1e-6 * b.max(1e-12),
-                    "{strategy:?}: {a} vs {b}"
+                    "{strategy:?}/{privacy:?}: {a} vs {b}"
                 );
             }
         }
     }
+}
+
+#[test]
+fn session_releases_are_byte_identical_to_legacy_range_plan() {
+    check_range_grid(
+        PrivacyLevel::Pure { epsilon: 0.8 },
+        &LEGACY_RANGE_DIGESTS,
+        |eta| LaplaceMechanism.variance(eta),
+    );
+}
+
+#[test]
+fn gaussian_range_releases_are_byte_identical_to_pinned_digests() {
+    // Theorem 2.2's per-row variance 2 ln(2/δ)/η², written out here so the
+    // oracle does not share the library's calibration code.
+    check_range_grid(
+        PrivacyLevel::Approx {
+            epsilon: 0.8,
+            delta: 1e-6,
+        },
+        &GAUSSIAN_RANGE_DIGESTS,
+        |eta| 2.0 * (2.0 / 1e-6_f64).ln() / (eta * eta),
+    );
 }
 
 #[test]
