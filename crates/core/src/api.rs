@@ -48,15 +48,14 @@ use crate::marginal::MarginalTable;
 use crate::range::{RangeStrategy, RangeWorkload};
 use crate::release::StrategyKind;
 use crate::schema::Schema;
-use crate::strategy::{
-    mechanism_factor, noise_variance, release_budgets, solve_budgets, Budgeting, Compiled,
-};
+use crate::strategy::{release_budgets, solve_budgets, Budgeting, Compiled};
 use crate::table::ContingencyTable;
 use crate::workload::Workload;
 use crate::{
     cluster::{ClusterConfig, Clustering},
     CoreError,
 };
+use dp_mech::noise::{mechanism_factor, noise_variance};
 use dp_mech::{Neighboring, PrivacyLevel};
 use dp_opt::budget::{objective_value, BudgetSolution};
 use rand::rngs::StdRng;

@@ -228,7 +228,7 @@ mod tests {
             CoreError::Singular("s"),
             CoreError::Linalg(dp_linalg::LinalgError::NotPositiveDefinite { pivot: 0 }),
             CoreError::Opt(dp_opt::OptError::BadInput("b".into())),
-            CoreError::Mech(dp_mech::MechError::NonPositiveBudget(0.0)),
+            CoreError::Mech(dp_mech::MechError::InvalidPrivacyParameter("e".into())),
             CoreError::Workload(workload::WorkloadError::Empty),
             CoreError::InfeasibleBudgets {
                 achieved: 2.0,

@@ -701,7 +701,8 @@ mod tests {
     use super::*;
     use crate::api::{Answers, Plan, PlanBuilder, Session, WorkloadSpec};
     use crate::strategy::{solve_budgets, Budgeting, Compiled};
-    use dp_mech::{LaplaceMechanism, NoiseMechanism, PrivacyLevel};
+    use dp_mech::noise::noise_variance;
+    use dp_mech::PrivacyLevel;
     use std::sync::Arc;
 
     /// A pure-ε plan for a range workload.
@@ -731,7 +732,7 @@ mod tests {
         };
         let row_variances: Vec<f64> = row_groups(workload, *strategy)
             .iter()
-            .map(|&g| LaplaceMechanism.variance(plan.solution().group_budgets[g as usize]))
+            .map(|&g| noise_variance(plan.privacy(), plan.solution().group_budgets[g as usize]))
             .collect();
         let q = workload.query_matrix();
         let s = strategy_matrix(*strategy, workload.domain());
@@ -1170,7 +1171,7 @@ mod tests {
                 let sigma2: Vec<f64> = solution
                     .group_budgets
                     .iter()
-                    .map(|&e| LaplaceMechanism.variance(e))
+                    .map(|&e| noise_variance(privacy, e))
                     .collect();
                 let fast = compiled.predict_query_variances(&sigma2).unwrap();
                 let row_variances: Vec<f64> = row_groups(&w, strategy)
@@ -1208,7 +1209,7 @@ mod tests {
             let sigma2: Vec<f64> = solution
                 .group_budgets
                 .iter()
-                .map(|&e| LaplaceMechanism.variance(e))
+                .map(|&e| noise_variance(privacy, e))
                 .collect();
             let vars = compiled.predict_query_variances(&sigma2).unwrap();
             assert_eq!(vars.len(), n);

@@ -21,9 +21,9 @@
 //! that calls the per-family arithmetic of [`crate::release`] (marginals)
 //! and [`crate::range`] (ranges). Everything else is written once, here:
 //! solving for uniform or optimal budgets, re-validating the achieved ε
-//! (Proposition 3.1) on every release, and calibrating and drawing noise
-//! (parallel over observation chunks, with deterministic per-chunk
-//! substreams).
+//! (Proposition 3.1) on every release, and drawing noise through
+//! [`dp_mech::noise`] (parallel over observation chunks, with
+//! deterministic per-chunk substreams).
 
 use crate::api::{Answers, WorkloadSpec};
 use crate::cluster::Clustering;
@@ -33,18 +33,17 @@ use crate::range::{haar_range_coeffs, RangeStrategy, RangeWorkload};
 use crate::table::{count_marginals, marginalize_all};
 use crate::{range, release, CoreError};
 use dp_linalg::{haar_forward, haar_inverse, CsrMatrix, HierarchicalOperator, LinearOperator};
-use dp_mech::{
-    add_gaussian_into, add_laplace_into, GaussianMechanism, LaplaceMechanism, Neighboring,
-    NoiseMechanism, PrivacyLevel,
-};
+use dp_mech::{Neighboring, PrivacyLevel};
 use dp_opt::budget::{
     optimal_group_budgets, optimal_group_budgets_gaussian, uniform_group_budgets,
     uniform_group_budgets_gaussian, BudgetSolution, GroupSpec,
 };
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
+use rand::Rng;
 use std::sync::Mutex;
+
+/// The noise stream lives in [`dp_mech::noise`]; these re-exports keep the
+/// paths benchmarks name.
+pub use dp_mech::noise::{noise_variance, perturb_observations_into, NoiseParams};
 
 /// Noise-budget allocation mode (Step 2 of the framework).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,13 +53,6 @@ pub enum Budgeting {
     /// The paper's optimal non-uniform allocation (closed form).
     Optimal,
 }
-
-/// Noise chunk size: one RNG substream (and one unit of parallel work) per
-/// this many observation rows. Public because it is part of the replay
-/// contract of [`perturb_observations`] (and because the `hot_path` bench
-/// replicates the chunking to prove byte identity against a reference
-/// implementation).
-pub const NOISE_CHUNK: usize = 4096;
 
 /// What a strategy needs beyond its group structure: one variant per
 /// strategy, each carrying exactly the data its maps use.
@@ -350,9 +342,8 @@ impl Compiled {
     /// exact `observations`, and the strategy's weighted recovery. Returns
     /// the answers, the budgets used and the achieved ε.
     ///
-    /// Noise is drawn in `NOISE_CHUNK`-row chunks, each from its own
-    /// [`StdRng`] substream seeded sequentially from `rng`, so the output
-    /// is a pure function of `rng`'s seed whatever the thread count. The
+    /// Noise is drawn by [`perturb_observations_into`], so the output is a
+    /// pure function of `rng`'s seed whatever the thread count. The
     /// working buffers come from a process-wide pool, so a batch of K
     /// releases allocates O(workers) of them rather than O(K).
     pub(crate) fn release<R: Rng + ?Sized>(
@@ -509,213 +500,11 @@ static SCRATCH_POOL: Mutex<Vec<Scratch>> = Mutex::new(Vec::new());
 /// unbounded amount of buffer memory for the life of the process.
 const SCRATCH_POOL_CAP: usize = 64;
 
-/// The mechanism's constant factor relating the Step-2 objective
-/// `Σ s_r/η_r²` to an output variance.
-pub fn mechanism_factor(privacy: PrivacyLevel) -> f64 {
-    match privacy {
-        PrivacyLevel::Pure { .. } => 2.0,
-        PrivacyLevel::Approx { delta, .. } => 2.0 * (2.0 / delta).ln(),
-    }
-}
-
-/// Noise variance of a row with budget `eps_i` under the level's mechanism.
-pub fn noise_variance(privacy: PrivacyLevel, eps_i: f64) -> f64 {
-    match privacy {
-        PrivacyLevel::Pure { .. } => LaplaceMechanism.variance(eps_i),
-        PrivacyLevel::Approx { delta, .. } => GaussianMechanism { delta }.variance(eps_i),
-    }
-}
-
-/// Which mechanism a [`NoiseParams`] was calibrated for.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-enum MechKind {
-    #[default]
-    Laplace,
-    Gaussian,
-}
-
-/// Per-group noise parameters, precomputed once per release so the hot
-/// perturbation loop never re-derives them per value: the Laplace scale
-/// `1/η_r` (pure DP) or the Gaussian `σ_r` (approximate DP) of every group,
-/// with `0.0` marking a withheld (zero-budget) group.
-///
-/// The parameters are computed with the **exact same expressions** the
-/// per-value mechanism objects use, so samples drawn from them are bitwise
-/// identical to per-value sampling.
-#[derive(Debug, Clone, Default)]
-pub struct NoiseParams {
-    mech: MechKind,
-    per_group: Vec<f64>,
-}
-
-impl NoiseParams {
-    /// Calibrates parameters for `group_budgets` under `privacy`.
-    pub fn compute(privacy: PrivacyLevel, group_budgets: &[f64]) -> NoiseParams {
-        let mut params = NoiseParams::default();
-        params.compute_into(privacy, group_budgets);
-        params
-    }
-
-    /// [`NoiseParams::compute`] into `self`, reusing its buffer.
-    pub fn compute_into(&mut self, privacy: PrivacyLevel, group_budgets: &[f64]) {
-        self.per_group.clear();
-        match privacy {
-            PrivacyLevel::Pure { .. } => {
-                self.mech = MechKind::Laplace;
-                self.per_group.extend(group_budgets.iter().map(|&eta| {
-                    if eta > 0.0 {
-                        1.0 / eta
-                    } else {
-                        0.0
-                    }
-                }));
-            }
-            PrivacyLevel::Approx { delta, .. } => {
-                self.mech = MechKind::Gaussian;
-                let mechanism = GaussianMechanism { delta };
-                self.per_group.extend(group_budgets.iter().map(|&eta| {
-                    if eta > 0.0 {
-                        mechanism.variance(eta).sqrt()
-                    } else {
-                        0.0
-                    }
-                }));
-            }
-        }
-    }
-}
-
-/// Adds calibrated noise to every row with a positive group budget,
-/// chunk-parallel with deterministic per-chunk substreams. Rows of groups
-/// with budget 0 are **withheld** — zeroed, not passed through — so a
-/// recovery that forgets to honour its zero weights can never leak exact
-/// private values (the shared pipeline enforces this, not each strategy).
-///
-/// Public so oracle tests can replay the exact noise a release drew: the
-/// chunk seeds are the first `⌈m/NOISE_CHUNK⌉` `u64`s of `rng` (at least
-/// one, even for empty observations), and each chunk's noise comes from an
-/// [`StdRng`] seeded with its seed.
-///
-/// This is a convenience wrapper over [`perturb_observations_into`] that
-/// allocates fresh buffers; the release path reuses pooled scratch instead.
-pub fn perturb_observations<R: Rng + ?Sized>(
-    observations: &[f64],
-    row_groups: &[u32],
-    group_budgets: &[f64],
-    privacy: PrivacyLevel,
-    rng: &mut R,
-) -> Vec<f64> {
-    let params = NoiseParams::compute(privacy, group_budgets);
-    let mut noisy = Vec::new();
-    let mut seeds = Vec::new();
-    perturb_observations_into(
-        observations,
-        row_groups,
-        &params,
-        rng,
-        &mut noisy,
-        &mut seeds,
-    );
-    noisy
-}
-
-/// The fused, in-place form of [`perturb_observations`]: copies
-/// `observations` into the reusable `noisy` buffer and perturbs it in one
-/// pass, with per-chunk batched samplers. `seeds` is the reusable substream
-/// seed buffer. The RNG stream is consumed value-for-value identically to
-/// per-value sampling — same seed layout, same draws per row, no draws for
-/// withheld rows — so outputs are byte-identical per seed.
-pub fn perturb_observations_into<R: Rng + ?Sized>(
-    observations: &[f64],
-    row_groups: &[u32],
-    params: &NoiseParams,
-    rng: &mut R,
-    noisy: &mut Vec<f64>,
-    seeds: &mut Vec<u64>,
-) {
-    noisy.clear();
-    noisy.extend_from_slice(observations);
-    let chunks = noisy.len().div_ceil(NOISE_CHUNK).max(1);
-    // Substream seeds are drawn sequentially from the caller's RNG, so the
-    // result depends only on its state — never on thread scheduling.
-    seeds.clear();
-    seeds.extend((0..chunks).map(|_| rng.gen::<u64>()));
-    let seeds = &seeds[..];
-    // Chunks are independent substreams, so they can run in any order on any
-    // thread.
-    noisy
-        .par_chunks_mut(NOISE_CHUNK)
-        .enumerate()
-        .for_each(|(c, chunk)| {
-            let mut sub = StdRng::seed_from_u64(seeds[c]);
-            let base = c * NOISE_CHUNK;
-            perturb_chunk(
-                chunk,
-                &row_groups[base..base + chunk.len()],
-                params,
-                &mut sub,
-            );
-        });
-    #[cfg(debug_assertions)]
-    assert_chunk_pass_covered_every_row(observations, row_groups, params, noisy);
-}
-
-/// Perturbs one chunk by walking its runs of equal group id (row groups are
-/// long consecutive runs by construction) and dispatching the mechanism
-/// once per run over the batched samplers — instead of a per-value
-/// mechanism match plus per-value parameter derivation.
-fn perturb_chunk(chunk: &mut [f64], groups: &[u32], params: &NoiseParams, sub: &mut StdRng) {
-    let mut i = 0;
-    while i < chunk.len() {
-        let g = groups[i];
-        let mut j = i + 1;
-        while j < chunk.len() && groups[j] == g {
-            j += 1;
-        }
-        let p = params.per_group[g as usize];
-        let run = &mut chunk[i..j];
-        if p > 0.0 {
-            match params.mech {
-                MechKind::Laplace => add_laplace_into(sub, p, run),
-                MechKind::Gaussian => add_gaussian_into(sub, p, run),
-            }
-        } else {
-            // Unreleased rows: withhold the exact values (and draw nothing).
-            run.fill(0.0);
-        }
-        i = j;
-    }
-}
-
-/// Debug-build guard against scratch reuse leaking stale or exact data: a
-/// skipped row would either carry a previous release's value (caught for
-/// withheld rows, which must be exactly zero) or the unperturbed exact
-/// value plus nothing (caught by re-checking length and finiteness — noise
-/// is always finite, so a noised row is finite whenever its observation
-/// was).
-#[cfg(debug_assertions)]
-fn assert_chunk_pass_covered_every_row(
-    observations: &[f64],
-    row_groups: &[u32],
-    params: &NoiseParams,
-    noisy: &[f64],
-) {
-    assert_eq!(noisy.len(), observations.len());
-    for (i, (&v, &g)) in noisy.iter().zip(row_groups).enumerate() {
-        if params.per_group[g as usize] > 0.0 {
-            assert!(
-                v.is_finite() || !observations[i].is_finite(),
-                "noised row {i} is not finite"
-            );
-        } else {
-            assert!(v == 0.0, "withheld row {i} leaked value {v}");
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     /// Two groups of two rows each; group 0 carries four times the
     /// recovery weight of group 1.
@@ -872,44 +661,6 @@ mod tests {
             assert_eq!(reused.noisy, fresh.noisy);
             assert_eq!(reused.seeds, fresh.seeds);
             assert_eq!(reused.weights, fresh.weights);
-        }
-    }
-
-    #[test]
-    fn fused_perturbation_matches_wrapper_across_shrinking_buffers() {
-        // Reuse one (noisy, seeds) pair across perturbations of very
-        // different lengths — including shrinking from multi-chunk to tiny
-        // and an empty vector (which still draws one seed) — and compare
-        // each against the allocating wrapper.
-        let mut noisy = Vec::new();
-        let mut seeds = Vec::new();
-        for (seed, len) in [(11u64, 3 * NOISE_CHUNK + 17), (12, 5), (13, 0), (14, 100)] {
-            let observations: Vec<f64> = (0..len).map(|i| (i % 23) as f64).collect();
-            let row_groups: Vec<u32> = (0..len).map(|i| (i * 3 / len.max(1)) as u32).collect();
-            let group_budgets = [0.5, 0.0, 1.25];
-            let privacy = PrivacyLevel::Pure { epsilon: 1.0 };
-            let params = NoiseParams::compute(privacy, &group_budgets);
-            let mut rng = StdRng::seed_from_u64(seed);
-            perturb_observations_into(
-                &observations,
-                &row_groups,
-                &params,
-                &mut rng,
-                &mut noisy,
-                &mut seeds,
-            );
-            let mut rng = StdRng::seed_from_u64(seed);
-            let fresh = perturb_observations(
-                &observations,
-                &row_groups,
-                &group_budgets,
-                privacy,
-                &mut rng,
-            );
-            assert_eq!(noisy, fresh, "len {len}");
-            // Both paths must have consumed the identical number of RNG
-            // words from the caller (the seed draws).
-            assert_eq!(seeds.len(), len.div_ceil(NOISE_CHUNK).max(1));
         }
     }
 

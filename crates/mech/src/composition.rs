@@ -104,14 +104,6 @@ impl BudgetLedger {
         Ok(())
     }
 
-    /// Attempts to charge one release's guarantee against the ledger.
-    /// Fails (leaving the ledger unchanged) if the charge would exceed the
-    /// allowance in either ε or δ. Alias of [`BudgetLedger::try_spend`],
-    /// kept for callers that predate it.
-    pub fn charge(&mut self, level: PrivacyLevel) -> Result<(), MechError> {
-        self.try_spend(level)
-    }
-
     /// Remaining ε allowance.
     pub fn remaining_epsilon(&self) -> f64 {
         (self.total.epsilon() - self.spent_epsilon).max(0.0)
@@ -167,12 +159,18 @@ mod tests {
     #[test]
     fn ledger_enforces_epsilon_budget() {
         let mut ledger = BudgetLedger::new(PrivacyLevel::Pure { epsilon: 1.0 }).unwrap();
-        ledger.charge(PrivacyLevel::Pure { epsilon: 0.6 }).unwrap();
+        ledger
+            .try_spend(PrivacyLevel::Pure { epsilon: 0.6 })
+            .unwrap();
         assert!((ledger.remaining_epsilon() - 0.4).abs() < 1e-12);
         // Over-charge refused, state unchanged.
-        assert!(ledger.charge(PrivacyLevel::Pure { epsilon: 0.5 }).is_err());
+        assert!(ledger
+            .try_spend(PrivacyLevel::Pure { epsilon: 0.5 })
+            .is_err());
         assert!((ledger.remaining_epsilon() - 0.4).abs() < 1e-12);
-        ledger.charge(PrivacyLevel::Pure { epsilon: 0.4 }).unwrap();
+        ledger
+            .try_spend(PrivacyLevel::Pure { epsilon: 0.4 })
+            .unwrap();
         assert_eq!(ledger.num_charges(), 2);
         assert_eq!(ledger.spent(), PrivacyLevel::Pure { epsilon: 1.0 });
     }
@@ -185,20 +183,22 @@ mod tests {
         })
         .unwrap();
         ledger
-            .charge(PrivacyLevel::Approx {
+            .try_spend(PrivacyLevel::Approx {
                 epsilon: 0.5,
                 delta: 8e-7,
             })
             .unwrap();
         // ε fits but δ does not.
         assert!(ledger
-            .charge(PrivacyLevel::Approx {
+            .try_spend(PrivacyLevel::Approx {
                 epsilon: 0.5,
                 delta: 8e-7,
             })
             .is_err());
         // A pure charge still fits.
-        ledger.charge(PrivacyLevel::Pure { epsilon: 1.0 }).unwrap();
+        ledger
+            .try_spend(PrivacyLevel::Pure { epsilon: 1.0 })
+            .unwrap();
         assert!((ledger.remaining_delta() - 2e-7).abs() < 1e-18);
     }
 
@@ -206,7 +206,7 @@ mod tests {
     fn pure_ledger_rejects_any_delta() {
         let mut ledger = BudgetLedger::new(PrivacyLevel::Pure { epsilon: 1.0 }).unwrap();
         assert!(ledger
-            .charge(PrivacyLevel::Approx {
+            .try_spend(PrivacyLevel::Approx {
                 epsilon: 0.1,
                 delta: 1e-9,
             })

@@ -1,6 +1,5 @@
-//! The Gaussian mechanism (Theorem 2.2 of the paper).
+//! The normal sampler of the Gaussian mechanism (Theorem 2.2 of the paper).
 
-use crate::NoiseMechanism;
 use rand::Rng;
 use rand_distr::{Distribution, Normal};
 
@@ -12,94 +11,11 @@ pub fn sample_gaussian<R: Rng + ?Sized>(rng: &mut R, sigma: f64) -> f64 {
         .sample(rng)
 }
 
-/// The Gaussian standard deviation required for `(eps, delta)`-DP at
-/// L2-sensitivity `delta2`, per Theorem 2.2:
-/// `σ² = 2 Δ₂² log(2/δ) / ε²`.
-pub fn gaussian_sigma(delta2: f64, eps: f64, delta: f64) -> f64 {
-    (2.0 * delta2 * delta2 * (2.0 / delta).ln() / (eps * eps)).sqrt()
-}
-
-/// Gaussian mechanism with the paper's per-row budget convention
-/// (Proposition 3.1(ii)): a row with budget `ε_i` gets noise with variance
-/// `2 log(2/δ) / ε_i²`. The overall `(α, δ)` guarantee follows from the
-/// column constraint `√(Σ_i S_ij² ε_i²) ≤ α`.
-#[derive(Debug, Clone, Copy)]
-pub struct GaussianMechanism {
-    /// The δ of the (ε,δ)-DP guarantee.
-    pub delta: f64,
-}
-
-impl GaussianMechanism {
-    /// Creates the mechanism, validating `0 < delta < 1`.
-    pub fn new(delta: f64) -> Result<Self, crate::MechError> {
-        if !(delta > 0.0 && delta < 1.0) {
-            return Err(crate::MechError::InvalidPrivacyParameter(format!(
-                "delta must be in (0,1), got {delta}"
-            )));
-        }
-        Ok(GaussianMechanism { delta })
-    }
-}
-
-impl NoiseMechanism for GaussianMechanism {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R, eps_i: f64) -> f64 {
-        let variance = self.variance(eps_i);
-        sample_gaussian(rng, variance.sqrt())
-    }
-
-    fn variance(&self, eps_i: f64) -> f64 {
-        2.0 * (2.0 / self.delta).ln() / (eps_i * eps_i)
-    }
-
-    fn name(&self) -> &'static str {
-        "gaussian"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn sigma_formula() {
-        let sigma = gaussian_sigma(1.0, 1.0, 0.5);
-        assert!((sigma * sigma - 2.0 * (4.0_f64).ln() / 2.0_f64.powi(0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn invalid_delta_is_rejected() {
-        assert!(GaussianMechanism::new(0.0).is_err());
-        assert!(GaussianMechanism::new(1.0).is_err());
-        assert!(GaussianMechanism::new(-0.1).is_err());
-        assert!(GaussianMechanism::new(1e-6).is_ok());
-    }
-
-    #[test]
-    fn variance_formula() {
-        let m = GaussianMechanism::new(0.01).unwrap();
-        let expected = 2.0 * (200.0_f64).ln() / 4.0;
-        assert!((m.variance(2.0) - expected).abs() < 1e-12);
-        assert_eq!(m.name(), "gaussian");
-    }
-
-    #[test]
-    fn empirical_variance_matches() {
-        let m = GaussianMechanism::new(1e-5).unwrap();
-        let mut rng = StdRng::seed_from_u64(11);
-        let eps = 1.0;
-        let n = 100_000;
-        let ms: f64 = (0..n)
-            .map(|_| {
-                let v = m.sample(&mut rng, eps);
-                v * v
-            })
-            .sum::<f64>()
-            / n as f64;
-        let expected = m.variance(eps);
-        assert!((ms - expected).abs() / expected < 0.05);
-    }
 
     #[test]
     fn zero_mean() {

@@ -1,6 +1,5 @@
-//! The Laplace mechanism (Theorem 2.1 of the paper).
+//! The Laplace sampler of the Laplace mechanism (Theorem 2.1 of the paper).
 
-use crate::NoiseMechanism;
 use rand::Rng;
 
 /// Samples from the Laplace distribution with location 0 and the given
@@ -20,49 +19,11 @@ pub fn sample_laplace<R: Rng + ?Sized>(rng: &mut R, scale: f64) -> f64 {
     -scale * magnitude.copysign(u)
 }
 
-/// The Laplace scale required for `eps`-DP at L1-sensitivity `delta1`.
-pub fn laplace_scale(delta1: f64, eps: f64) -> f64 {
-    delta1 / eps
-}
-
-/// Laplace mechanism with the paper's per-row budget convention
-/// (Proposition 3.1(i)): a row with budget `ε_i` gets noise with scale
-/// `1/ε_i` and hence variance `2/ε_i²`. Sensitivity is accounted for in the
-/// budget-feasibility constraint `Σ_i |S_ij| ε_i ≤ ε`, not here.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LaplaceMechanism;
-
-impl NoiseMechanism for LaplaceMechanism {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R, eps_i: f64) -> f64 {
-        sample_laplace(rng, 1.0 / eps_i)
-    }
-
-    fn variance(&self, eps_i: f64) -> f64 {
-        2.0 / (eps_i * eps_i)
-    }
-
-    fn name(&self) -> &'static str {
-        "laplace"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn scale_formula() {
-        assert_eq!(laplace_scale(2.0, 0.5), 4.0);
-    }
-
-    #[test]
-    fn variance_formula() {
-        let m = LaplaceMechanism;
-        assert!((m.variance(2.0) - 0.5).abs() < 1e-15);
-        assert_eq!(m.name(), "laplace");
-    }
 
     #[test]
     fn samples_are_symmetric_and_zero_mean() {

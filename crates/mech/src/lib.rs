@@ -1,14 +1,19 @@
 //! Differential-privacy mechanisms.
 //!
 //! Implements the primitives of Section 2 of the paper and the per-row noise
-//! generation of Proposition 3.1:
+//! of Proposition 3.1:
 //!
-//! * [`laplace`] — the Laplace mechanism (Theorem 2.1): pure ε-DP by adding
-//!   noise of variance `2 (Δ₁/ε)²`.
-//! * [`gaussian`] — the Gaussian mechanism (Theorem 2.2): (ε,δ)-DP by adding
-//!   noise of variance `2 Δ₂² log(2/δ) / ε²`.
+//! * [`noise`] — the noise stream every release draws through: per-row
+//!   calibration (Laplace scale `1/η` for pure ε-DP, Theorem 2.1; Gaussian
+//!   variance `2 ln(2/δ)/η²` for (ε,δ)-DP, Theorem 2.2), the batched
+//!   samplers and the chunked, seed-deterministic perturbation pass. Every
+//!   fact that differs between the two mechanisms is written there once.
+//! * [`laplace`], [`gaussian`] — the scalar samplers.
 //! * [`privacy`] — privacy parameters, neighbouring-dataset conventions and
-//!   budget-feasibility verification.
+//!   a per-column check of Proposition 3.1's pure-DP constraint on an
+//!   explicit strategy matrix (releases check the grouped form in
+//!   `dp-core`).
+//! * [`composition`] — sequential composition and the budget ledger.
 //!
 //! ## Neighbouring convention
 //!
@@ -26,16 +31,15 @@
 // rejects NaN, which is the point of these validation checks.
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 
-pub mod batch;
 pub mod composition;
 pub mod gaussian;
 pub mod laplace;
+pub mod noise;
 pub mod privacy;
 
-pub use batch::{add_gaussian_into, add_laplace_into, sample_gaussian_into, sample_laplace_into};
 pub use composition::{compose, compose_n, BudgetLedger};
-pub use gaussian::{gaussian_sigma, sample_gaussian, GaussianMechanism};
-pub use laplace::{laplace_scale, sample_laplace, LaplaceMechanism};
+pub use gaussian::sample_gaussian;
+pub use laplace::sample_laplace;
 pub use privacy::{BudgetFeasibility, Neighboring, PrivacyLevel};
 
 #[cfg(test)]
@@ -51,63 +55,9 @@ pub(crate) mod testutil {
     }
 }
 
-use rand::Rng;
-
-/// A noise-addition mechanism that perturbs a vector of exact answers.
-///
-/// The per-row budgets `ε_i` follow Proposition 3.1: row `i` of the strategy
-/// receives noise whose magnitude is calibrated to `ε_i` alone; the *overall*
-/// guarantee is determined by how the budgets interact with the strategy
-/// matrix columns (checked separately by
-/// [`privacy::BudgetFeasibility`]-producing code in `dp-core`).
-pub trait NoiseMechanism {
-    /// Draws one noise value for a row with budget `eps_i`.
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R, eps_i: f64) -> f64;
-
-    /// The variance of the noise added to a row with budget `eps_i`.
-    fn variance(&self, eps_i: f64) -> f64;
-
-    /// Human-readable name for reports.
-    fn name(&self) -> &'static str;
-}
-
-/// Adds mechanism noise to `answers` in place, one budget per entry.
-///
-/// Returns an error message if the lengths differ or any budget is
-/// non-positive (a zero budget would require infinite noise).
-pub fn perturb_in_place<M: NoiseMechanism, R: Rng + ?Sized>(
-    mechanism: &M,
-    rng: &mut R,
-    answers: &mut [f64],
-    budgets: &[f64],
-) -> Result<(), MechError> {
-    if answers.len() != budgets.len() {
-        return Err(MechError::LengthMismatch {
-            answers: answers.len(),
-            budgets: budgets.len(),
-        });
-    }
-    for (a, &eps) in answers.iter_mut().zip(budgets) {
-        if !(eps > 0.0) {
-            return Err(MechError::NonPositiveBudget(eps));
-        }
-        *a += mechanism.sample(rng, eps);
-    }
-    Ok(())
-}
-
 /// Errors from mechanism application.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MechError {
-    /// `answers` and `budgets` had different lengths.
-    LengthMismatch {
-        /// Length of the answer vector.
-        answers: usize,
-        /// Length of the budget vector.
-        budgets: usize,
-    },
-    /// A per-row budget was zero or negative.
-    NonPositiveBudget(f64),
     /// A privacy parameter was invalid (e.g. ε ≤ 0 or δ ∉ (0,1)).
     InvalidPrivacyParameter(String),
     /// A [`composition::BudgetLedger`] charge would exceed the remaining
@@ -128,11 +78,6 @@ pub enum MechError {
 impl std::fmt::Display for MechError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            MechError::LengthMismatch { answers, budgets } => write!(
-                f,
-                "answers ({answers}) and budgets ({budgets}) length mismatch"
-            ),
-            MechError::NonPositiveBudget(b) => write!(f, "non-positive noise budget {b}"),
             MechError::InvalidPrivacyParameter(msg) => {
                 write!(f, "invalid privacy parameter: {msg}")
             }
@@ -156,62 +101,18 @@ impl std::error::Error for MechError {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    #[test]
-    fn perturb_changes_values_and_respects_lengths() {
-        let mech = LaplaceMechanism;
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut answers = vec![10.0, 20.0, 30.0];
-        perturb_in_place(&mech, &mut rng, &mut answers, &[1.0, 1.0, 1.0]).unwrap();
-        assert!(answers.iter().zip([10.0, 20.0, 30.0]).any(|(a, b)| *a != b));
-
-        let mut short = vec![1.0];
-        assert!(matches!(
-            perturb_in_place(&mech, &mut rng, &mut short, &[1.0, 2.0]),
-            Err(MechError::LengthMismatch { .. })
-        ));
-        assert!(matches!(
-            perturb_in_place(&mech, &mut rng, &mut short, &[0.0]),
-            Err(MechError::NonPositiveBudget(_))
-        ));
-    }
 
     #[test]
     fn error_messages_render() {
-        assert!(MechError::NonPositiveBudget(-1.0)
-            .to_string()
-            .contains("-1"));
-        assert!(MechError::LengthMismatch {
-            answers: 1,
-            budgets: 2
-        }
-        .to_string()
-        .contains("mismatch"));
         assert!(MechError::InvalidPrivacyParameter("x".into())
             .to_string()
             .contains("x"));
-    }
-
-    #[test]
-    fn empirical_variance_tracks_formula() {
-        // Sample mean-square of Laplace noise should approach 2/ε².
-        let mech = LaplaceMechanism;
-        let mut rng = StdRng::seed_from_u64(42);
-        let eps = 0.5;
-        let n = 200_000;
-        let ms: f64 = (0..n)
-            .map(|_| {
-                let v = mech.sample(&mut rng, eps);
-                v * v
-            })
-            .sum::<f64>()
-            / n as f64;
-        let expected = mech.variance(eps);
-        assert!(
-            (ms - expected).abs() / expected < 0.05,
-            "empirical {ms} vs formula {expected}"
-        );
+        let exhausted = MechError::BudgetExhausted {
+            requested_epsilon: 0.5,
+            requested_delta: 0.0,
+            remaining_epsilon: 0.25,
+            remaining_delta: 0.0,
+        };
+        assert!(exhausted.to_string().contains("0.25"));
     }
 }

@@ -1,5 +1,6 @@
-//! Privacy parameters, neighbouring-dataset conventions and feasibility
-//! verification for per-row noise budgets (Proposition 3.1 of the paper).
+//! Privacy parameters, neighbouring-dataset conventions and a per-column
+//! check of Proposition 3.1's pure-DP budget constraint on an explicit
+//! strategy matrix.
 
 /// The convention for "neighbouring databases" in Definition 2.1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -117,33 +118,6 @@ pub fn verify_pure_budgets<'a>(
     }
 }
 
-/// Verifies the approximate-DP feasibility constraint
-/// `√(Σ_i S_ij² ε_i²) ≤ ε` per column (Proposition 3.1(ii)).
-pub fn verify_approx_budgets<'a>(
-    columns: impl Iterator<Item = &'a [(usize, f64)]>,
-    budgets: &[f64],
-    target_epsilon: f64,
-    neighboring: Neighboring,
-) -> BudgetFeasibility {
-    let mut worst = 0.0_f64;
-    for col in columns {
-        let s: f64 = col
-            .iter()
-            .map(|&(i, a)| {
-                let t = a * budgets[i];
-                t * t
-            })
-            .sum();
-        worst = worst.max(s.sqrt());
-    }
-    let achieved = worst * neighboring.sensitivity_factor();
-    BudgetFeasibility {
-        achieved_epsilon: achieved,
-        target_epsilon,
-        feasible: achieved <= target_epsilon * (1.0 + 1e-9) + 1e-12,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,12 +159,14 @@ mod tests {
         }
         .validate()
         .is_err());
-        assert!(PrivacyLevel::Approx {
-            epsilon: 1.0,
-            delta: 1.5
+        for delta in [-0.1, 1.0, 1.5] {
+            assert!(PrivacyLevel::Approx {
+                epsilon: 1.0,
+                delta
+            }
+            .validate()
+            .is_err());
         }
-        .validate()
-        .is_err());
     }
 
     #[test]
@@ -245,18 +221,5 @@ mod tests {
         );
         assert_eq!(res.achieved_epsilon, 2.0);
         assert!(!res.feasible);
-    }
-
-    #[test]
-    fn approx_feasibility_uses_l2() {
-        let cols = [vec![(0usize, 1.0), (1usize, 1.0)]];
-        let res = verify_approx_budgets(
-            cols.iter().map(|c| c.as_slice()),
-            &[0.6, 0.8],
-            1.0,
-            Neighboring::AddRemove,
-        );
-        assert!((res.achieved_epsilon - 1.0).abs() < 1e-12);
-        assert!(res.feasible);
     }
 }

@@ -293,17 +293,10 @@ impl Client {
         }
     }
 
-    /// Sends one raw request value and returns the raw success response.
-    /// Raw values are treated as idempotent (every built-in op except
-    /// `shutdown` is); use [`Client::call_value_once`] for requests that
-    /// must not be resent.
-    pub fn call_value(&mut self, request: &Value) -> Result<Value, ServiceError> {
+    /// Sends one raw, idempotent request value and returns the raw success
+    /// response.
+    fn call_value(&mut self, request: &Value) -> Result<Value, ServiceError> {
         self.call_retrying(request, true)
-    }
-
-    /// Sends one raw request value without any retry.
-    pub fn call_value_once(&mut self, request: &Value) -> Result<Value, ServiceError> {
-        self.call_retrying(request, false)
     }
 
     fn call(&mut self, request: &Request) -> Result<Value, ServiceError> {

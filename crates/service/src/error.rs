@@ -327,7 +327,7 @@ mod tests {
         }
         .into();
         assert!(matches!(e, ServiceError::BudgetExhausted { .. }));
-        let e: ServiceError = MechError::NonPositiveBudget(0.0).into();
+        let e: ServiceError = MechError::InvalidPrivacyParameter("delta".into()).into();
         assert!(matches!(e, ServiceError::Mech(_)));
     }
 }

@@ -4,7 +4,6 @@
 
 use datacube_dp::prelude::*;
 use dp_core::framework::{gls_recovery, output_variances};
-use dp_mech::{LaplaceMechanism, NoiseMechanism};
 use std::sync::Arc;
 
 fn small_table(d: usize, seed: u64) -> ContingencyTable {
@@ -216,10 +215,11 @@ fn check_range_grid(privacy: PrivacyLevel, pinned: &[u64; 8], row_variance: fn(f
 
 #[test]
 fn session_releases_are_byte_identical_to_legacy_range_plan() {
+    // Theorem 2.1's per-row Laplace variance 2/η².
     check_range_grid(
         PrivacyLevel::Pure { epsilon: 0.8 },
         &LEGACY_RANGE_DIGESTS,
-        |eta| LaplaceMechanism.variance(eta),
+        |eta| 2.0 / (eta * eta),
     );
 }
 

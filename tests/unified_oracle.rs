@@ -9,9 +9,8 @@ use datacube_dp::prelude::*;
 use dp_core::framework::gls_recovery;
 use dp_core::grouping::detect_grouping;
 use dp_core::range::{strategy_matrix, RangeStrategy, RangeWorkload};
-use dp_core::strategy::perturb_observations;
 use dp_linalg::Matrix;
-use dp_mech::{LaplaceMechanism, NoiseMechanism};
+use dp_mech::noise::perturb_observations;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -181,11 +180,12 @@ fn range_planner_matches_dense_gls_oracle_with_seeded_rng() {
             &mut replay_rng,
         );
 
-        // Dense oracle: the GLS-optimal R for the plan's row variances.
+        // Dense oracle: the GLS-optimal R for the plan's row variances,
+        // Theorem 2.1's Laplace variance 2/η².
         let row_variances: Vec<f64> = grouping
             .assignment()
             .iter()
-            .map(|&g| LaplaceMechanism.variance(group_budgets[g]))
+            .map(|&g| 2.0 / (group_budgets[g] * group_budgets[g]))
             .collect();
         let r = gls_recovery(&w.query_matrix(), &s, &row_variances).unwrap();
         let oracle = r.matvec(&noisy).unwrap();
