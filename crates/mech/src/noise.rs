@@ -13,8 +13,8 @@
 //! seeded sequentially from the caller's RNG, so the output is a pure
 //! function of that RNG's state whatever the thread count. Within a chunk,
 //! each run of rows of one group is drawn by a batched sampler
-//! ([`add_laplace_into`], [`add_gaussian_into`]) that consumes the RNG
-//! stream value-for-value like the scalar [`sample_laplace`] /
+//! (`add_laplace_into`, `add_gaussian_into`) that consumes the RNG stream
+//! value-for-value like the scalar [`sample_laplace`] /
 //! [`crate::sample_gaussian`] in a loop, so batching changes no output
 //! byte.
 
@@ -50,7 +50,7 @@ pub fn noise_variance(privacy: PrivacyLevel, eps_i: f64) -> f64 {
 
 /// Adds one Laplace sample of the given `scale` to each element of
 /// `values`, in index order.
-pub fn add_laplace_into<R: Rng + ?Sized>(rng: &mut R, scale: f64, values: &mut [f64]) {
+fn add_laplace_into<R: Rng + ?Sized>(rng: &mut R, scale: f64, values: &mut [f64]) {
     for v in values.iter_mut() {
         *v += sample_laplace(rng, scale);
     }
@@ -64,7 +64,7 @@ pub fn add_laplace_into<R: Rng + ?Sized>(rng: &mut R, scale: f64, values: &mut [
 /// # Panics
 /// Panics if `sigma` is negative or not finite, exactly as
 /// [`crate::sample_gaussian`] does per value.
-pub fn add_gaussian_into<R: Rng + ?Sized>(rng: &mut R, sigma: f64, values: &mut [f64]) {
+fn add_gaussian_into<R: Rng + ?Sized>(rng: &mut R, sigma: f64, values: &mut [f64]) {
     let normal = Normal::new(0.0, sigma).expect("sigma must be finite and non-negative");
     for v in values.iter_mut() {
         *v += normal.sample(rng);
