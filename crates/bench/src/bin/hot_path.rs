@@ -3,7 +3,9 @@
 //! for the lane/blocked kernel versus a scalar reference, end-to-end
 //! releases/sec through `Session::release_batch`, whole range releases
 //! (closed-form GLS recovery) against one conjugate-gradient solve of the
-//! same normal equations, the JSON shim's `f64` writer against
+//! same normal equations, the W+ and H+ recovery alone against the
+//! allocating kernels of `dp_bench::reference` (with minor page faults per
+//! release from `getrusage`), the JSON shim's `f64` writer against
 //! `format!("{x}")` on noisy counts, and a marginal `Session::bind`
 //! (observations summed from occupied cells) against the dense fold.
 //!
@@ -243,10 +245,51 @@ fn bench_noising<D: Fn(&mut StdRng, f64) -> f64 + Copy>(
     ratio
 }
 
+/// Minor page faults of the whole process so far, all threads, from
+/// `getrusage(RUSAGE_SELF)`.
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+fn minor_faults() -> Option<u64> {
+    /// `struct rusage` on 64-bit Linux: two `timeval`s, then 14 `long`
+    /// counters of which `ru_minflt` is the fifth.
+    #[repr(C)]
+    struct RUsage {
+        times: [i64; 4],
+        counters: [i64; 14],
+    }
+    extern "C" {
+        fn getrusage(who: i32, usage: *mut RUsage) -> i32;
+    }
+    let mut usage = RUsage {
+        times: [0; 4],
+        counters: [0; 14],
+    };
+    // SAFETY: `usage` is a live, writable `struct rusage` of the platform
+    // layout, and `RUSAGE_SELF` (0) is a valid `who`.
+    let rc = unsafe { getrusage(0, &mut usage) };
+    (rc == 0).then(|| usage.counters[4] as u64)
+}
+
+#[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+fn minor_faults() -> Option<u64> {
+    None
+}
+
+/// Mean minor faults per call of `f` over `calls` calls.
+fn faults_per_call<F: FnMut()>(calls: u64, mut f: F) -> Option<f64> {
+    let before = minor_faults()?;
+    for _ in 0..calls {
+        f();
+    }
+    Some((minor_faults()? - before) as f64 / calls as f64)
+}
+
 /// Times one `Session::release` of a range plan against one
 /// conjugate-gradient GLS solve on the same operator, weights and (noisy)
 /// observations — the recovery every range release ran before the closed
-/// form. Returns `cg / release`.
+/// form. Then times the recovery alone (library kernels on reused buffers
+/// against `dp_bench::reference`, after checking they give the same bits)
+/// and counts minor faults per release and per reference recovery.
+/// Returns `cg / release`.
 fn bench_range(strategy: RangeStrategy, n: usize, reps: usize, rows: &mut Vec<HotPathRow>) -> f64 {
     let ranges: Vec<(usize, usize)> = (0..256)
         .map(|k| {
@@ -255,7 +298,7 @@ fn bench_range(strategy: RangeStrategy, n: usize, reps: usize, rows: &mut Vec<Ho
         })
         .collect();
     let workload = RangeWorkload::new(n, ranges).expect("ranges are in bounds");
-    let plan = PlanBuilder::ranges(workload, strategy)
+    let plan = PlanBuilder::ranges(workload.clone(), strategy)
         .budgeting(Budgeting::Optimal)
         .privacy(LAPLACE)
         .compile()
@@ -321,6 +364,89 @@ fn bench_range(strategy: RangeStrategy, n: usize, reps: usize, rows: &mut Vec<Ho
     ));
     rows.push(row("range", &format!("{key}_cg_solve"), t_cg * 1e3, "ms"));
     rows.push(row("range", &format!("{key}_cg_over_release"), ratio, "x"));
+
+    let groups: Vec<u32> = row_groups.iter().map(|&g| g as u32).collect();
+    let group_weights: Vec<f64> = budgets
+        .iter()
+        .map(|&eta| 1.0 / noise_variance(LAPLACE, eta))
+        .collect();
+    let (mut x, mut half) = (Vec::new(), Vec::new());
+    let mut recover = || {
+        match strategy {
+            RangeStrategy::Hierarchical => {
+                dp_core::range::tree_gls(n, &noisy, &groups, &group_weights, &mut x, &mut half)
+            }
+            _ => {
+                x.clear();
+                x.extend_from_slice(&noisy);
+                dp_linalg::haar_inverse(&mut x, &mut half);
+            }
+        }
+        workload.true_answers(&x).expect("domain matches")
+    };
+    let reference = || match strategy {
+        RangeStrategy::Hierarchical => {
+            dp_bench::reference::tree_recovery(&workload, &noisy, &groups, &group_weights)
+        }
+        _ => dp_bench::reference::wavelet_recovery(&workload, &noisy),
+    };
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(&recover()),
+        bits(&reference()),
+        "{label} recovery diverged from the reference"
+    );
+    let (t_recover, t_reference) = time_best_pair(
+        reps,
+        || {
+            std::hint::black_box(recover());
+        },
+        || {
+            std::hint::black_box(reference());
+        },
+    );
+    let calls = 32;
+    let release_faults = faults_per_call(calls, || {
+        seed += 1;
+        std::hint::black_box(session.release(seed).expect("release succeeds"));
+    });
+    let reference_faults = faults_per_call(calls, || {
+        std::hint::black_box(reference());
+    });
+    println!(
+        "{label:>22}: recovery {:.0} µs, reference {:.0} µs; minor faults per release {}, \
+         per reference recovery {}",
+        t_recover * 1e6,
+        t_reference * 1e6,
+        release_faults.map_or("n/a".into(), |f| format!("{f:.1}")),
+        reference_faults.map_or("n/a".into(), |f| format!("{f:.1}")),
+    );
+    rows.push(row(
+        "range",
+        &format!("{key}_recovery_us"),
+        t_recover * 1e6,
+        "us",
+    ));
+    rows.push(row(
+        "range",
+        &format!("{key}_recovery_reference_us"),
+        t_reference * 1e6,
+        "us",
+    ));
+    if let (Some(release), Some(reference)) = (release_faults, reference_faults) {
+        rows.push(row(
+            "range",
+            &format!("{key}_release_minor_faults"),
+            release,
+            "count",
+        ));
+        rows.push(row(
+            "range",
+            &format!("{key}_recovery_reference_minor_faults"),
+            reference,
+            "count",
+        ));
+    }
     ratio
 }
 
@@ -437,7 +563,7 @@ fn bench_release_write(releases: &[SessionRelease], reps: usize, rows: &mut Vec<
 }
 
 /// The dense marginal bind, kept as the reference: copy the table's
-/// counts, fold a whole copy of them down to each target marginal with
+/// counts, fold them down to each target marginal with
 /// `table::marginalize` (fanned out across cores), then fill the Fourier
 /// coefficients from the folds.
 fn fourier_bind_reference(
@@ -487,16 +613,19 @@ fn bench_bind(reps: usize, rows: &mut Vec<HotPathRow>) -> f64 {
         "the occupied-cell bind diverged from the dense fold"
     );
 
-    let t_bind = time_best(reps, || {
-        std::hint::black_box(Session::bind(Arc::clone(&plan), table).expect("bind succeeds"));
-    });
-    let t_ref = time_best(reps, || {
-        std::hint::black_box(fourier_bind_reference(
-            table.counts(),
-            &space,
-            workload.marginals(),
-        ));
-    });
+    let (t_bind, t_ref) = time_best_pair(
+        reps,
+        || {
+            std::hint::black_box(Session::bind(Arc::clone(&plan), table).expect("bind succeeds"));
+        },
+        || {
+            std::hint::black_box(fourier_bind_reference(
+                table.counts(),
+                &space,
+                workload.marginals(),
+            ));
+        },
+    );
     let ratio = t_ref / t_bind;
     println!(
         "{:>22}: bind {:.2} ms, dense fold {:.2} ms, speedup {ratio:.1}×",
@@ -651,11 +780,12 @@ fn main() {
         // equations by 5× (measured 10–34× on two cores). A release that
         // fell back to CG would measure below 1×.
         //
-        // The bind gate is a floor on the occupied-cell sum. NLTCS Q2 F+
-        // binds 2.9–4.5× faster than the dense fold at smoke size (ten
-        // runs on two cores, median 3.5×), 2.3–4.6× on one core and
-        // 3.0–4.4× at full size. A bind that fell back to the fold
-        // measures 0.9–1.1×.
+        // The bind gate is a floor on the occupied-cell sum. Since
+        // `table::marginalize` folds without copying its input, NLTCS Q2
+        // F+ binds 1.6–2.1× faster than the dense fold at smoke size (ten
+        // runs on two cores, alternated timing) and 1.98–2.13× at full
+        // size (five runs). A bind that fell back to the fold measures
+        // 0.9–1.0×.
         let wht_floor = 1.05;
         let range_floor = 5.0;
         let bind_floor = 1.5;

@@ -4,6 +4,8 @@
 //! the datasets, method/workload enumeration, the accuracy and runtime
 //! sweeps, the claim ledger, and table/JSONL output.
 
+pub mod reference;
+
 use dp_core::cluster::{greedy_cluster_reference, CentroidSearch};
 use dp_core::consistency::is_consistent;
 use dp_core::metrics::average_relative_error;

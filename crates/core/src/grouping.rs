@@ -270,7 +270,7 @@ mod tests {
         for j in 0..n {
             let mut e = vec![0.0; n];
             e[j] = 1.0;
-            dp_linalg::haar_forward(&mut e);
+            dp_linalg::haar_forward(&mut e, &mut Vec::new());
             for (i, &v) in e.iter().enumerate() {
                 rows[i][j] = v;
             }

@@ -40,6 +40,9 @@ use rayon::prelude::*;
 pub struct RangeWorkload {
     n: usize,
     ranges: Vec<(usize, usize)>,
+    /// Every `lo` and `hi`, sorted and deduplicated: the only prefixes
+    /// [`RangeWorkload::true_answers`] records.
+    endpoints: Vec<usize>,
 }
 
 impl RangeWorkload {
@@ -60,7 +63,14 @@ impl RangeWorkload {
         if ranges.is_empty() {
             return Err(CoreError::Singular("range workload is empty"));
         }
-        Ok(RangeWorkload { n, ranges })
+        let mut endpoints: Vec<usize> = ranges.iter().flat_map(|&(lo, hi)| [lo, hi]).collect();
+        endpoints.sort_unstable();
+        endpoints.dedup();
+        Ok(RangeWorkload {
+            n,
+            ranges,
+            endpoints,
+        })
     }
 
     /// All `n(n+1)/2`-ish prefix ranges `[0, i)` for `i = 1..=n`.
@@ -102,8 +112,13 @@ impl RangeWorkload {
         q
     }
 
-    /// Exact answers on a histogram — the matrix-free application of `Q`
-    /// via a prefix-sum pass, `O(n + q)` for any number of ranges.
+    /// Exact answers on a histogram — the matrix-free application of `Q`,
+    /// `O(n + q log q)` for `q` ranges. One serial pass accumulates
+    /// `P(i + 1) = P(i) + hist[i]` from `P(0) = 0` and records the prefix
+    /// only at the workload's sorted endpoints; each answer is then
+    /// `P(hi) − P(lo)`, its endpoints found by binary search. These are the
+    /// additions of a full prefix-sum vector, in the same order, without
+    /// its `n + 1` cells.
     pub fn true_answers(&self, hist: &[f64]) -> Result<Vec<f64>, CoreError> {
         if hist.len() != self.n {
             return Err(CoreError::Shape {
@@ -112,15 +127,18 @@ impl RangeWorkload {
                 actual: hist.len(),
             });
         }
-        let mut prefix = vec![0.0; self.n + 1];
-        for (i, &h) in hist.iter().enumerate() {
-            prefix[i + 1] = prefix[i] + h;
+        let mut prefix = Vec::with_capacity(self.endpoints.len());
+        let mut acc = 0.0;
+        let mut at = 0;
+        for &end in &self.endpoints {
+            for &h in &hist[at..end] {
+                acc += h;
+            }
+            prefix.push(acc);
+            at = end;
         }
-        Ok(self
-            .ranges
-            .iter()
-            .map(|&(lo, hi)| prefix[hi] - prefix[lo])
-            .collect())
+        let p = |i: usize| prefix[self.endpoints.binary_search(&i).expect("an endpoint")];
+        Ok(self.ranges.iter().map(|&(lo, hi)| p(hi) - p(lo)).collect())
     }
 }
 
@@ -186,10 +204,11 @@ pub fn strategy_matrix(strategy: RangeStrategy, n: usize) -> Matrix {
         }
         RangeStrategy::Wavelet => {
             let mut m = Matrix::zeros(n, n);
+            let mut half = Vec::new();
             for j in 0..n {
                 let mut e = vec![0.0; n];
                 e[j] = 1.0;
-                dp_linalg::haar_forward(&mut e);
+                dp_linalg::haar_forward(&mut e, &mut half);
                 for (i, &v) in e.iter().enumerate() {
                     m[(i, j)] = v;
                 }
@@ -256,29 +275,35 @@ fn sketch_csr(strategy: RangeStrategy, n: usize) -> CsrMatrix {
         .expect("triplets are in range by construction")
 }
 
-/// The exact GLS estimator `x̂ = (SᵀWS)⁻¹SᵀWz` of the tree strategy, in
-/// closed form through the Haar diagonalization (`H` =
-/// [`dp_linalg::haar_forward`], `Hᵀ = H⁻¹` = [`dp_linalg::haar_inverse`]):
-/// `SᵀWS = Hᵀ diag(λ) H` with `λ` from [`tree_haar_eigenvalues`], so
-/// `x̂ = Hᵀ diag(1/λ) H (SᵀWz)` — `O(n)` per release. (The identity and
-/// wavelet strategies are simpler still: `x̂ = z` and, `S = H` being square
-/// and invertible, `x̂ = Hᵀz` — the paper's Observation 1.)
-pub(crate) fn tree_gls(
+/// The exact GLS estimator `x̂ = (SᵀWS)⁻¹SᵀWz` of the tree strategy over
+/// `n` leaves, into `x`, in closed form through the Haar diagonalization
+/// (`H` = [`dp_linalg::haar_forward`], `Hᵀ = H⁻¹` =
+/// [`dp_linalg::haar_inverse`]): `SᵀWS = Hᵀ diag(λ) H` with `λ` from
+/// [`tree_haar_eigenvalues`], so `x̂ = Hᵀ diag(1/λ) H (SᵀWz)` — `O(n)` per
+/// release. The row weighting is fused into the tree transpose, which
+/// writes `x` (resized to `n`); the transforms work in `x` with `half` (of
+/// `n/2`) as their buffer, so a caller that keeps both allocates only the
+/// `log₂ n + 1` eigenvalues. (The identity and wavelet strategies are
+/// simpler still: `x̂ = z` and, `S = H` being square and invertible,
+/// `x̂ = Hᵀz` — the paper's Observation 1.)
+pub fn tree_gls(
     n: usize,
     noisy: &[f64],
     row_groups: &[u32],
     group_weights: &[f64],
-) -> Vec<f64> {
+    x: &mut Vec<f64>,
+    half: &mut Vec<f64>,
+) {
     // Plans refuse zero-budget groups at compile, so the normal matrix is
     // positive definite and the closed form is exact.
     debug_assert!(group_weights.iter().all(|&w| w > 0.0));
-    let weighted: Vec<f64> = noisy
-        .iter()
-        .zip(row_groups)
-        .map(|(z, &g)| z * group_weights[g as usize])
-        .collect();
-    let mut x = HierarchicalOperator::new(n).apply_transpose(&weighted);
-    dp_linalg::haar_forward(&mut x);
+    x.resize(n, 0.0);
+    HierarchicalOperator::new(n).transpose_rows_into(
+        noisy,
+        |i, z| z * group_weights[row_groups[i] as usize],
+        x,
+    );
+    dp_linalg::haar_forward(x, half);
     let lam = tree_haar_eigenvalues(n, group_weights);
     debug_assert!(lam.iter().all(|&l| l > 0.0));
     // Haar level ℓ ≥ 1 holds indices [2^{ℓ-1}, 2^ℓ).
@@ -288,8 +313,7 @@ pub(crate) fn tree_gls(
             *v /= l;
         }
     }
-    dp_linalg::haar_inverse(&mut x);
-    x
+    dp_linalg::haar_inverse(x, half);
 }
 
 /// The GLS estimator of a sketch, whose normal matrix has no closed form:
@@ -382,7 +406,7 @@ fn haar_piece_width(n: usize, haar_level: usize) -> usize {
 /// basis, indexed by Haar *level* (see the module comment): one entry per
 /// level `0 ..= log₂ n`, with `level_weights[t]` the weight of tree level
 /// `t` (root first).
-pub(crate) fn tree_haar_eigenvalues(n: usize, level_weights: &[f64]) -> Vec<f64> {
+pub fn tree_haar_eigenvalues(n: usize, level_weights: &[f64]) -> Vec<f64> {
     let levels = n.trailing_zeros() as usize;
     debug_assert_eq!(level_weights.len(), levels + 1);
     (0..=levels)
@@ -917,7 +941,7 @@ mod tests {
                     .collect();
                 let operator = strategy_operator(strategy, n);
                 let z = noisy_observations(&*operator);
-                let got = compiled.recover(&z, &weights).unwrap();
+                let got = compiled.recover_observed(&z, &weights).unwrap();
                 let Answers::Ranges(got) = got else {
                     unreachable!("range strategies answer ranges")
                 };
@@ -1095,7 +1119,7 @@ mod tests {
                 for v in dense.iter_mut().take(hi).skip(lo) {
                     *v = 1.0;
                 }
-                dp_linalg::haar_forward(&mut dense);
+                dp_linalg::haar_forward(&mut dense, &mut Vec::new());
                 let mut sparse = vec![0.0; n];
                 for (i, c) in haar_range_coeffs(n, lo, hi) {
                     assert_eq!(sparse[i], 0.0, "coefficient {i} emitted twice");

@@ -186,7 +186,7 @@ impl Compiled {
             }
             Kind::Wavelet { .. } => {
                 let mut z = x.to_vec();
-                haar_forward(&mut z);
+                haar_forward(&mut z, &mut Vec::new());
                 z
             }
             Kind::Sketch { matrix, .. } => matrix.apply(x),
@@ -241,15 +241,21 @@ impl Compiled {
         }
     }
 
-    /// Recovers workload answers from noisy observations. `group_weights[r]`
-    /// is the GLS weight (inverse noise variance) of group `r`'s rows;
-    /// withheld groups carry weight 0 and arrive zeroed.
-    pub(crate) fn recover(
-        &self,
-        noisy: &[f64],
-        group_weights: &[f64],
-    ) -> Result<Answers, CoreError> {
+    /// Recovers workload answers from a release's noisy observations
+    /// (`scratch.noisy`). `scratch.weights[r]` is the GLS weight (inverse
+    /// noise variance) of group `r`'s rows; withheld groups carry weight 0
+    /// and arrive zeroed. Range recovery works in the scratch buffers: `W`
+    /// inverts `scratch.noisy` in place, and `H` writes its estimate into
+    /// `scratch.x`, both with `scratch.half` as the Haar work space.
+    fn recover(&self, scratch: &mut Scratch) -> Result<Answers, CoreError> {
         let rows = &self.row_groups;
+        let Scratch {
+            noisy,
+            weights: group_weights,
+            half,
+            x,
+            ..
+        } = scratch;
         Ok(match &self.kind {
             // `x̂ = z` is the GLS estimate for S = I; aggregating one noisy
             // table is automatically consistent.
@@ -267,14 +273,13 @@ impl Compiled {
             }
             Kind::RangeIdentity { workload } => Answers::Ranges(workload.true_answers(noisy)?),
             Kind::Hierarchical { workload } => {
-                let x = range::tree_gls(workload.domain(), noisy, rows, group_weights);
-                Answers::Ranges(workload.true_answers(&x)?)
+                range::tree_gls(workload.domain(), noisy, rows, group_weights, x, half);
+                Answers::Ranges(workload.true_answers(x)?)
             }
             Kind::Wavelet { workload } => {
                 // `S = H` is square and orthonormal: the weights cancel.
-                let mut x = noisy.to_vec();
-                haar_inverse(&mut x);
-                Answers::Ranges(workload.true_answers(&x)?)
+                haar_inverse(noisy, half);
+                Answers::Ranges(workload.true_answers(noisy)?)
             }
             Kind::Sketch {
                 workload, matrix, ..
@@ -282,6 +287,21 @@ impl Compiled {
                 let x = range::sketch_gls(matrix, noisy, rows, group_weights)?;
                 Answers::Ranges(workload.true_answers(&x)?)
             }
+        })
+    }
+
+    /// [`Compiled::recover`] of given noisy observations and group weights,
+    /// in a fresh arena.
+    #[cfg(test)]
+    pub(crate) fn recover_observed(
+        &self,
+        noisy: &[f64],
+        group_weights: &[f64],
+    ) -> Result<Answers, CoreError> {
+        self.recover(&mut Scratch {
+            noisy: noisy.to_vec(),
+            weights: group_weights.to_vec(),
+            ..Scratch::default()
         })
     }
 
@@ -345,7 +365,12 @@ impl Compiled {
     /// Noise is drawn by [`perturb_observations_into`], so the output is a
     /// pure function of `rng`'s seed whatever the thread count. The
     /// working buffers come from a process-wide pool, so a batch of K
-    /// releases allocates O(workers) of them rather than O(K).
+    /// releases allocates O(workers) of them rather than O(K). Per release
+    /// they are `noisy` (`m` cells) and, for a range plan over `n` cells,
+    /// a Haar half buffer of `n/2` and the tree estimate `x` of `n`; the
+    /// recovery runs in them, so a range release on a warm arena allocates
+    /// only its `q` answers and a few vectors of `O(q + log n)` (budgets,
+    /// endpoint prefixes, tree eigenvalues).
     pub(crate) fn release<R: Rng + ?Sized>(
         &self,
         observations: &[f64],
@@ -369,7 +394,7 @@ impl Compiled {
             .flatten()
             .unwrap_or_default();
         scratch.perturb(observations, &self.row_groups, privacy, &budgets, rng);
-        let answers = self.recover(&scratch.noisy, &scratch.weights);
+        let answers = self.recover(&mut scratch);
         if let Ok(mut pool) = SCRATCH_POOL.lock() {
             if pool.len() < SCRATCH_POOL_CAP {
                 pool.push(scratch);
@@ -447,14 +472,24 @@ pub(crate) fn release_budgets(
 }
 
 /// Reusable buffers of one in-flight release: the noise parameters, the
-/// noisy-observation vector (`m` rows), the per-chunk substream seeds and
-/// the per-group GLS weights.
+/// per-chunk substream seeds, the per-group GLS weights, and the data
+/// buffers —
+/// - `noisy`, the `m` noisy observations (a `W` range release inverts its
+///   Haar transform in place, so it is the estimate too);
+/// - `half`, the `n/2`-cell work space of the Haar transforms of `W` and
+///   `H` range releases over `n` cells;
+/// - `x`, the `n`-cell estimate of an `H` range release.
+///
+/// Capacities only grow, so after its first use a pooled arena serves
+/// range releases of the same domain without allocating.
 #[derive(Debug, Default)]
 struct Scratch {
     params: NoiseParams,
     noisy: Vec<f64>,
     seeds: Vec<u64>,
     weights: Vec<f64>,
+    half: Vec<f64>,
+    x: Vec<f64>,
 }
 
 impl Scratch {

@@ -215,26 +215,31 @@ pub(crate) fn count_marginals(counts: &[f64], d: usize, alphas: &[AttrMask]) -> 
 }
 
 /// Marginalizes a raw count vector over `d` bits down to the cells of
-/// `alpha`, by folding out each cleared bit: it copies the vector, then
-/// halves the working array per folded bit, O(2N) whatever `‖α‖`. The
+/// `alpha`, by folding out each cleared bit: the first fold reads `counts`
+/// into a buffer of half its size, and each later fold halves that buffer
+/// in place, O(N) whatever `‖α‖`; a full mask copies `counts`. The
 /// surviving bits keep their relative order, so the output indexing
 /// matches [`AttrMask::compress_cell`]. The path for noisy vectors.
 pub fn marginalize(counts: &[f64], d: usize, alpha: AttrMask) -> Vec<f64> {
     debug_assert_eq!(counts.len(), 1usize << d);
-    let mut cur: Vec<f64> = counts.to_vec();
-    let mut remaining = d;
     // Fold out cleared bits from highest to lowest so each fold is a
     // contiguous halves-add (cache friendly); relative order of surviving
     // bits is preserved either way.
-    for bit in (0..d).rev() {
-        if alpha.0 >> bit & 1 == 1 {
-            continue;
-        }
-        // Remove `bit` from an array currently addressed by `remaining`
-        // bits, of which the bits above `bit` are the still-unfolded high
-        // bits (all folds above already happened).
+    let mut cleared = (0..d).rev().filter(|&bit| alpha.0 >> bit & 1 == 0);
+    let Some(first) = cleared.next() else {
+        return counts.to_vec();
+    };
+    let half_stride = 1usize << first;
+    let mut cur = Vec::with_capacity(counts.len() / 2);
+    for block in counts.chunks_exact(2 * half_stride) {
+        let (lo, hi) = block.split_at(half_stride);
+        cur.extend(lo.iter().zip(hi).map(|(a, b)| a + b));
+    }
+    for bit in cleared {
+        // Remove `bit` from an array whose bits above `bit` are the
+        // still-unfolded high bits (all folds above already happened).
         let half_stride = 1usize << bit;
-        let n = 1usize << remaining;
+        let n = cur.len();
         let mut write = 0usize;
         let mut base = 0usize;
         while base < n {
@@ -244,12 +249,11 @@ pub fn marginalize(counts: &[f64], d: usize, alpha: AttrMask) -> Vec<f64> {
             write += half_stride;
             base += 2 * half_stride;
         }
-        remaining -= 1;
-        cur.truncate(1usize << remaining);
+        cur.truncate(n / 2);
     }
-    // Hand back a marginal-sized buffer, not the `2^d` one the copy
-    // allocated: a caller holding one per target marginal would otherwise
-    // keep every copy's pages alive.
+    // Hand back a marginal-sized buffer, not the `2^{d−1}` one the first
+    // fold allocated: a caller holding one per target marginal would
+    // otherwise keep every buffer's pages alive.
     cur.shrink_to_fit();
     cur
 }

@@ -175,6 +175,39 @@ impl HierarchicalOperator {
     fn level_offset(level: usize) -> usize {
         (1usize << level) - 1
     }
+
+    /// Computes `x = Sᵀ r` into `x` (`x.len() == n`), where row `i` of `r`
+    /// is `row(i, y[i])`: [`LinearOperator::apply_transpose_into`] with a
+    /// per-row map (a GLS row weight, say) fused into the one pass.
+    ///
+    /// Column `j` of `S` has a 1 for every ancestor of leaf `j`, so each
+    /// node's value is pushed down to its leaves: level by level, `x[i]`
+    /// becomes its parent `x[i/2]` plus the node's own row, with `x` the
+    /// only buffer. Within a level, children `[t, 2t)` read parents
+    /// `[t/2, t)`, disjoint slices; the blocks run from the last down, so
+    /// every parent is read before its cell is overwritten.
+    pub fn transpose_rows_into(&self, y: &[f64], row: impl Fn(usize, f64) -> f64, x: &mut [f64]) {
+        debug_assert_eq!(y.len(), 2 * self.n - 1);
+        debug_assert_eq!(x.len(), self.n);
+        x[0] = row(0, y[0]);
+        for level in 1..self.levels() {
+            let off = Self::level_offset(level);
+            let mut t = 1usize << (level - 1);
+            while t > 1 {
+                let (parents, children) = x.split_at_mut(t);
+                let rows = y[off + t..off + 2 * t].chunks_exact(2);
+                let pairs = children[..t].chunks_exact_mut(2).zip(&parents[t / 2..]);
+                for (k, ((pair, &p), r)) in pairs.zip(rows).enumerate() {
+                    let i = off + t + 2 * k;
+                    pair[0] = p + row(i, r[0]);
+                    pair[1] = p + row(i + 1, r[1]);
+                }
+                t /= 2;
+            }
+            x[1] = x[0] + row(off + 1, y[off + 1]);
+            x[0] += row(off, y[off]);
+        }
+    }
 }
 
 impl LinearOperator for HierarchicalOperator {
@@ -203,21 +236,7 @@ impl LinearOperator for HierarchicalOperator {
     }
 
     fn apply_transpose_into(&self, yin: &[f64], x: &mut [f64]) {
-        // Column j of S has a 1 for every ancestor of leaf j: accumulate
-        // each node's value down to its leaves by pushing parent sums down.
-        let levels = self.levels();
-        let mut acc = vec![0.0; 1];
-        acc[0] = yin[0];
-        for level in 1..levels {
-            let width = 1usize << level;
-            let off = Self::level_offset(level);
-            let mut next = vec![0.0; width];
-            for (i, n) in next.iter_mut().enumerate() {
-                *n = acc[i / 2] + yin[off + i];
-            }
-            acc = next;
-        }
-        x.copy_from_slice(&acc);
+        self.transpose_rows_into(yin, |_, v| v, x);
     }
 
     fn weighted_normal_diagonal(&self, row_weights: &[f64]) -> Option<Vec<f64>> {
@@ -267,12 +286,12 @@ impl LinearOperator for HaarOperator {
 
     fn apply_into(&self, x: &[f64], y: &mut [f64]) {
         y.copy_from_slice(x);
-        haar_forward(y);
+        haar_forward(y, &mut Vec::new());
     }
 
     fn apply_transpose_into(&self, yin: &[f64], x: &mut [f64]) {
         x.copy_from_slice(yin);
-        haar_inverse(x);
+        haar_inverse(x, &mut Vec::new());
     }
 
     fn weighted_normal_diagonal(&self, row_weights: &[f64]) -> Option<Vec<f64>> {

@@ -13,8 +13,21 @@
 //! recovers `x̂ = Wᵀz` with one [`haar_inverse`], and a tree release
 //! recovers through [`haar_forward`]/[`haar_inverse`] too, because the
 //! Haar basis diagonalizes the tree's normal matrix.
+//!
+//! Both transforms run in place with a caller-owned work buffer of `n/2`
+//! cells, so a release that keeps its buffers allocates nothing here. The
+//! coarse levels live in the buffer and the finest level in `data`. Each
+//! level runs in blocks over disjoint slices (so the loops vectorize),
+//! taken in the one order that reads every cell before it is overwritten:
+//! for the inverse, the buffer levels from the last pair down and the
+//! last level from the first pair up. Every output cell is the same
+//! `(a ± b)·2^{-1/2}` of the same operands as in the textbook
+//! level-by-level copy, so the bits do not depend on the buffer layout.
 
-/// Forward orthonormal Haar transform (in place).
+const INV_SQRT2: f64 = std::f64::consts::FRAC_1_SQRT_2;
+
+/// Forward orthonormal Haar transform (in place), with `half` as work
+/// space (grown to `n/2` cells; its contents on entry do not matter).
 ///
 /// Coefficient layout after the transform: index 0 holds the overall scaled
 /// average; indices `[2^ℓ, 2^{ℓ+1})` hold the detail coefficients of level
@@ -22,50 +35,126 @@
 ///
 /// # Panics
 /// Panics if the length is not a power of two.
-pub fn haar_forward(data: &mut [f64]) {
+pub fn haar_forward(data: &mut [f64], half: &mut Vec<f64>) {
     let n = data.len();
     assert!(
         n.is_power_of_two(),
         "Haar length {n} must be a power of two"
     );
-    let inv_sqrt2 = std::f64::consts::FRAC_1_SQRT_2;
-    let mut len = n;
-    let mut buf = vec![0.0; n];
-    while len > 1 {
-        let half = len / 2;
-        for i in 0..half {
-            let a = data[2 * i];
-            let b = data[2 * i + 1];
-            buf[i] = (a + b) * inv_sqrt2;
-            buf[half + i] = (a - b) * inv_sqrt2;
-        }
-        data[..len].copy_from_slice(&buf[..len]);
-        len = half;
+    if n == 1 {
+        return;
     }
+    let h = n / 2;
+    let buf = work_buffer(half, h);
+    // The finest level: averages into `buf`, details into `data[h..]`,
+    // from the last pair down. Pairs `[h − k, h − k/2)` read `data[n − 2k
+    // .. n − k]` and write their details to `data[n − k .. n − k/2]`,
+    // whose pairs the earlier (smaller) blocks already read.
+    let (a, b) = (data[n - 2], data[n - 1]);
+    buf[h - 1] = (a + b) * INV_SQRT2;
+    data[n - 1] = (a - b) * INV_SQRT2;
+    let mut k = 2;
+    while k <= h {
+        let (pairs, details) = data[n - 2 * k..].split_at_mut(k);
+        analyze(pairs, &mut buf[h - k..h - k / 2], &mut details[..k / 2]);
+        k *= 2;
+    }
+    // Coarser levels average within `buf`, from the first pair up: pairs
+    // `[t, 2t)` read `buf[2t..4t]` and overwrite `buf[t..2t]`, whose pairs
+    // the earlier blocks already read.
+    let mut len = h;
+    while len > 1 {
+        let mid = len / 2;
+        let details = &mut data[mid..len];
+        let (a, b) = (buf[0], buf[1]);
+        buf[0] = (a + b) * INV_SQRT2;
+        details[0] = (a - b) * INV_SQRT2;
+        let mut t = 1;
+        while t < mid {
+            let (averages, pairs) = buf.split_at_mut(2 * t);
+            analyze(&pairs[..2 * t], &mut averages[t..], &mut details[t..2 * t]);
+            t *= 2;
+        }
+        len = mid;
+    }
+    data[0] = buf[0];
 }
 
 /// Inverse orthonormal Haar transform (in place); exact inverse of
-/// [`haar_forward`].
-pub fn haar_inverse(data: &mut [f64]) {
+/// [`haar_forward`], with the same `half` work space.
+///
+/// # Panics
+/// Panics if the length is not a power of two.
+pub fn haar_inverse(data: &mut [f64], half: &mut Vec<f64>) {
     let n = data.len();
     assert!(
         n.is_power_of_two(),
         "Haar length {n} must be a power of two"
     );
-    let inv_sqrt2 = std::f64::consts::FRAC_1_SQRT_2;
-    let mut len = 2;
-    let mut buf = vec![0.0; n];
-    while len <= n {
-        let half = len / 2;
-        for i in 0..half {
-            let s = data[i];
-            let d = data[half + i];
-            buf[2 * i] = (s + d) * inv_sqrt2;
-            buf[2 * i + 1] = (s - d) * inv_sqrt2;
-        }
-        data[..len].copy_from_slice(&buf[..len]);
-        len *= 2;
+    if n == 1 {
+        return;
     }
+    let h = n / 2;
+    let buf = work_buffer(half, h);
+    // Every level below `n` is synthesized in `buf`, from the last pair
+    // down: approximations `[t/2, t)` read `buf[t/2..t]` and write
+    // `buf[t..2t]`, whose approximations the earlier blocks already read.
+    buf[0] = data[0];
+    let mut mid = 1;
+    while mid < h {
+        let details = &data[mid..2 * mid];
+        let mut t = mid;
+        while t > 1 {
+            let (approx, out) = buf.split_at_mut(t);
+            synthesize(&approx[t / 2..], &details[t / 2..t], &mut out[..t]);
+            t /= 2;
+        }
+        let (s, d) = (buf[0], details[0]);
+        buf[0] = (s + d) * INV_SQRT2;
+        buf[1] = (s - d) * INV_SQRT2;
+        mid *= 2;
+    }
+    // The last level goes into `data`, from the first pair up: of the `k`
+    // pairs left, the first `k/2` write the `k` cells before the details
+    // they read, and the rest continue in the cells after.
+    let mut approx: &[f64] = buf;
+    let mut out: &mut [f64] = data;
+    while approx.len() > 1 {
+        let k = approx.len();
+        let (head, rest) = std::mem::take(&mut out).split_at_mut(k);
+        synthesize(&approx[..k / 2], &rest[..k / 2], head);
+        approx = &approx[k / 2..];
+        out = rest;
+    }
+    let (s, d) = (approx[0], out[1]);
+    out[0] = (s + d) * INV_SQRT2;
+    out[1] = (s - d) * INV_SQRT2;
+}
+
+/// One analysis step over disjoint slices: pair `i` of `pairs` gives
+/// `averages[i]` and `details[i]`.
+fn analyze(pairs: &[f64], averages: &mut [f64], details: &mut [f64]) {
+    for ((p, a), d) in pairs.chunks_exact(2).zip(averages).zip(details) {
+        *a = (p[0] + p[1]) * INV_SQRT2;
+        *d = (p[0] - p[1]) * INV_SQRT2;
+    }
+}
+
+/// One synthesis step over disjoint slices: `approx[i]` and `details[i]`
+/// give cells `2i` and `2i + 1` of `out`.
+fn synthesize(approx: &[f64], details: &[f64], out: &mut [f64]) {
+    for ((o, &s), &d) in out.chunks_exact_mut(2).zip(approx).zip(details) {
+        o[0] = (s + d) * INV_SQRT2;
+        o[1] = (s - d) * INV_SQRT2;
+    }
+}
+
+/// The first `len` cells of `half`, grown to that length if needed.
+fn work_buffer(half: &mut Vec<f64>, len: usize) -> &mut [f64] {
+    if half.len() < len {
+        half.resize(len, 0.0);
+    }
+    &mut half[..len]
 }
 
 /// The resolution level of Haar coefficient `index` in a length-`n`
@@ -106,8 +195,8 @@ mod tests {
     fn forward_then_inverse_is_identity() {
         let x0: Vec<f64> = (0..16).map(|i| ((i * 37) % 11) as f64).collect();
         let mut x = x0.clone();
-        haar_forward(&mut x);
-        haar_inverse(&mut x);
+        haar_forward(&mut x, &mut Vec::new());
+        haar_inverse(&mut x, &mut Vec::new());
         for (a, b) in x.iter().zip(&x0) {
             assert!((a - b).abs() < 1e-12);
         }
@@ -118,7 +207,7 @@ mod tests {
         let x0: Vec<f64> = (0..32).map(|i| (i as f64 * 0.3).cos()).collect();
         let e0: f64 = x0.iter().map(|v| v * v).sum();
         let mut x = x0;
-        haar_forward(&mut x);
+        haar_forward(&mut x, &mut Vec::new());
         let e1: f64 = x.iter().map(|v| v * v).sum();
         assert!((e0 - e1).abs() < 1e-10);
     }
@@ -126,7 +215,7 @@ mod tests {
     #[test]
     fn average_coefficient() {
         let mut x = vec![1.0, 3.0, 5.0, 7.0];
-        haar_forward(&mut x);
+        haar_forward(&mut x, &mut Vec::new());
         // Orthonormal average coefficient = sum / sqrt(n).
         assert!((x[0] - 16.0 / 2.0).abs() < 1e-12);
     }
@@ -151,7 +240,7 @@ mod tests {
         for j in 0..n {
             let mut e = vec![0.0; n];
             e[j] = 1.0;
-            haar_forward(&mut e);
+            haar_forward(&mut e, &mut Vec::new());
             for (row, &v) in rows.iter_mut().zip(e.iter()) {
                 row[j] = v;
             }
@@ -177,7 +266,7 @@ mod tests {
         for j in 0..n {
             let mut e = vec![0.0; n];
             e[j] = 1.0;
-            haar_forward(&mut e);
+            haar_forward(&mut e, &mut Vec::new());
             for (row, &v) in rows.iter_mut().zip(e.iter()) {
                 row[j] = v;
             }

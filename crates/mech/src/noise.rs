@@ -167,9 +167,10 @@ pub fn perturb_observations<R: Rng + ?Sized>(
     noisy
 }
 
-/// The fused, in-place form of [`perturb_observations`]: copies
-/// `observations` into the reusable `noisy` buffer and perturbs it in one
-/// pass, with per-chunk batched samplers. `seeds` is the reusable substream
+/// The fused, in-place form of [`perturb_observations`]: sizes the
+/// reusable `noisy` buffer to `observations`, and each parallel chunk
+/// copies its own rows in and perturbs them in one pass, with batched
+/// samplers. `seeds` is the reusable substream
 /// seed buffer. The RNG stream is consumed value-for-value identically to
 /// per-value sampling — same seed layout, same draws per row, no draws for
 /// withheld rows — so outputs are byte-identical per seed.
@@ -181,8 +182,7 @@ pub fn perturb_observations_into<R: Rng + ?Sized>(
     noisy: &mut Vec<f64>,
     seeds: &mut Vec<u64>,
 ) {
-    noisy.clear();
-    noisy.extend_from_slice(observations);
+    noisy.resize(observations.len(), 0.0);
     let chunks = noisy.len().div_ceil(NOISE_CHUNK).max(1);
     // Substream seeds are drawn sequentially from the caller's RNG, so the
     // result depends only on its state — never on thread scheduling.
@@ -197,6 +197,7 @@ pub fn perturb_observations_into<R: Rng + ?Sized>(
         .for_each(|(c, chunk)| {
             let mut sub = StdRng::seed_from_u64(seeds[c]);
             let base = c * NOISE_CHUNK;
+            chunk.copy_from_slice(&observations[base..base + chunk.len()]);
             perturb_chunk(
                 chunk,
                 &row_groups[base..base + chunk.len()],
