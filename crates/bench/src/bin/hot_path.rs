@@ -780,12 +780,12 @@ fn main() {
         // equations by 5× (measured 10–34× on two cores). A release that
         // fell back to CG would measure below 1×.
         //
-        // The bind gate is a floor on the occupied-cell sum. Since
-        // `table::marginalize` folds without copying its input, NLTCS Q2
-        // F+ binds 1.6–2.1× faster than the dense fold at smoke size (ten
-        // runs on two cores, alternated timing) and 1.98–2.13× at full
-        // size (five runs). A bind that fell back to the fold measures
-        // 0.9–1.0×.
+        // The bind gate is a floor on the occupied-cell sum. Its dense
+        // fold uses the library's `table::marginalize`, which folds
+        // without copying its input, so NLTCS Q2 F+ binds 1.6–2.3× faster
+        // than the fold at smoke size (20 runs on two cores, alternated
+        // timing) and 1.43–2.14× at full size (ten runs). A bind that fell
+        // back to the fold measures 0.9–1.0×.
         let wht_floor = 1.05;
         let range_floor = 5.0;
         let bind_floor = 1.5;

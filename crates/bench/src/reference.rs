@@ -8,7 +8,7 @@
 //! per Haar transform, one vector per tree level, an `n + 1` prefix
 //! vector, and fresh vectors for the W+ copy and the H+ weighting.
 
-use dp_core::range::{tree_haar_eigenvalues, RangeWorkload};
+use dp_core::range::RangeWorkload;
 
 /// Forward orthonormal Haar transform, one level at a time through a full
 /// `n`-cell buffer.
@@ -83,6 +83,29 @@ pub fn prefix_answers(ranges: &[(usize, usize)], hist: &[f64]) -> Vec<f64> {
         .collect()
 }
 
+/// The eigenvalues of the tree normal matrix `Σ_t w_t J_{n/2^t}` in the
+/// Haar basis, one per Haar level `h = 0 ..= log₂ n`, derived here apart
+/// from the library's: `J_b` sums blocks of `b` cells. The vectors of Haar
+/// level `h ≥ 1` are constant on pieces of `n/2^h` cells, so tree level
+/// `t ≥ h`, whose blocks fit in a piece, scales them by its block width
+/// `n/2^t`, and a wider block spans both pieces of a vector and sums it
+/// to zero. The average vector (`h = 0`) is constant everywhere, so every
+/// level scales it. Either way `λ_h = Σ_{t ≥ h} w_t·n/2^t`, added from the
+/// root down.
+fn tree_eigenvalues(n: usize, level_weights: &[f64]) -> Vec<f64> {
+    let levels = n.trailing_zeros() as usize;
+    assert_eq!(level_weights.len(), levels + 1);
+    (0..=levels)
+        .map(|h| {
+            let mut lam = 0.0;
+            for (t, &w) in level_weights.iter().enumerate().skip(h) {
+                lam += w * (n >> t) as f64;
+            }
+            lam
+        })
+        .collect()
+}
+
 /// The W+ recovery `Q Wᵀz`: copy the noisy Haar coefficients, invert, and
 /// answer from the prefix vector.
 pub fn wavelet_recovery(workload: &RangeWorkload, noisy: &[f64]) -> Vec<f64> {
@@ -108,7 +131,7 @@ pub fn tree_recovery(
         .collect();
     let mut x = tree_transpose(n, &weighted);
     haar_forward(&mut x);
-    let lam = tree_haar_eigenvalues(n, group_weights);
+    let lam = tree_eigenvalues(n, group_weights);
     x[0] /= lam[0];
     for (level, &l) in lam.iter().enumerate().skip(1) {
         for v in &mut x[1 << (level - 1)..1 << level] {

@@ -122,11 +122,15 @@ fn range_set(n: usize, seed: u64) -> Vec<(usize, usize)> {
 fn endpoint_answers_match_the_prefix_vector_bits() {
     for n in domains() {
         for (seed, hist) in cases(n) {
-            let ranges = range_set(n, seed);
-            let workload = RangeWorkload::new(n, ranges.clone()).unwrap();
-            let got = workload.true_answers(&hist).unwrap();
-            let want = reference::prefix_answers(&ranges, &hist);
-            assert_eq!(bits(&got), bits(&want), "answers n={n} seed={seed}");
+            // Seeded ranges, and every prefix: one range per endpoint.
+            for workload in [
+                RangeWorkload::new(n, range_set(n, seed)).unwrap(),
+                RangeWorkload::all_prefixes(n).unwrap(),
+            ] {
+                let got = workload.true_answers(&hist).unwrap();
+                let want = reference::prefix_answers(workload.ranges(), &hist);
+                assert_eq!(bits(&got), bits(&want), "answers n={n} seed={seed}");
+            }
         }
     }
     // The prefix starts at +0.0, so a `-0.0` first cell still sums to

@@ -43,10 +43,14 @@ pub struct RangeWorkload {
     /// Every `lo` and `hi`, sorted and deduplicated: the only prefixes
     /// [`RangeWorkload::true_answers`] records.
     endpoints: Vec<usize>,
+    /// Per range, the positions of its `lo` and `hi` in `endpoints`.
+    slots: Vec<(u32, u32)>,
 }
 
 impl RangeWorkload {
-    /// Validates and builds a range workload.
+    /// Validates and builds a range workload, sorting its `2q` endpoints
+    /// once (`O(q log q)`) so that [`RangeWorkload::true_answers`] runs in
+    /// `O(n + q)`.
     pub fn new(n: usize, ranges: Vec<(usize, usize)>) -> Result<Self, CoreError> {
         if !n.is_power_of_two() {
             return Err(CoreError::Singular("range domain must be a power of two"));
@@ -63,13 +67,35 @@ impl RangeWorkload {
         if ranges.is_empty() {
             return Err(CoreError::Singular("range workload is empty"));
         }
-        let mut endpoints: Vec<usize> = ranges.iter().flat_map(|&(lo, hi)| [lo, hi]).collect();
-        endpoints.sort_unstable();
-        endpoints.dedup();
+        // Sort every endpoint once, tagged with its range and side, and
+        // number the distinct values: the sorted, deduplicated endpoints
+        // and each range's positions among them, in O(q log q) time and
+        // O(q) space whatever the domain.
+        let mut tagged: Vec<(usize, usize)> = ranges
+            .iter()
+            .enumerate()
+            .flat_map(|(r, &(lo, hi))| [(lo, 2 * r), (hi, 2 * r + 1)])
+            .collect();
+        tagged.sort_unstable_by_key(|&(value, _)| value);
+        let mut endpoints = Vec::new();
+        let mut slots = vec![(0u32, 0u32); ranges.len()];
+        for (value, tag) in tagged {
+            if endpoints.last() != Some(&value) {
+                endpoints.push(value);
+            }
+            let at = u32::try_from(endpoints.len() - 1).expect("fewer than 2^32 endpoints");
+            let slot = &mut slots[tag / 2];
+            if tag % 2 == 0 {
+                slot.0 = at;
+            } else {
+                slot.1 = at;
+            }
+        }
         Ok(RangeWorkload {
             n,
             ranges,
             endpoints,
+            slots,
         })
     }
 
@@ -113,12 +139,12 @@ impl RangeWorkload {
     }
 
     /// Exact answers on a histogram — the matrix-free application of `Q`,
-    /// `O(n + q log q)` for `q` ranges. One serial pass accumulates
+    /// `O(n + q)` for `q` ranges. One serial pass accumulates
     /// `P(i + 1) = P(i) + hist[i]` from `P(0) = 0` and records the prefix
     /// only at the workload's sorted endpoints; each answer is then
-    /// `P(hi) − P(lo)`, its endpoints found by binary search. These are the
-    /// additions of a full prefix-sum vector, in the same order, without
-    /// its `n + 1` cells.
+    /// `P(hi) − P(lo)`, read at the endpoint positions [`RangeWorkload::new`]
+    /// found once. These are the additions of a full prefix-sum vector, in
+    /// the same order, without its `n + 1` cells.
     pub fn true_answers(&self, hist: &[f64]) -> Result<Vec<f64>, CoreError> {
         if hist.len() != self.n {
             return Err(CoreError::Shape {
@@ -127,18 +153,18 @@ impl RangeWorkload {
                 actual: hist.len(),
             });
         }
-        let mut prefix = Vec::with_capacity(self.endpoints.len());
-        let mut acc = 0.0;
-        let mut at = 0;
-        for &end in &self.endpoints {
-            for &h in &hist[at..end] {
-                acc += h;
-            }
-            prefix.push(acc);
+        let mut prefix = vec![0.0; self.endpoints.len()];
+        let (mut acc, mut at) = (0.0, 0);
+        for (p, &end) in prefix.iter_mut().zip(&self.endpoints) {
+            acc = hist[at..end].iter().fold(acc, |a, &h| a + h);
+            *p = acc;
             at = end;
         }
-        let p = |i: usize| prefix[self.endpoints.binary_search(&i).expect("an endpoint")];
-        Ok(self.ranges.iter().map(|&(lo, hi)| p(hi) - p(lo)).collect())
+        Ok(self
+            .slots
+            .iter()
+            .map(|&(lo, hi)| prefix[hi as usize] - prefix[lo as usize])
+            .collect())
     }
 }
 
@@ -279,13 +305,18 @@ fn sketch_csr(strategy: RangeStrategy, n: usize) -> CsrMatrix {
 /// `n` leaves, into `x`, in closed form through the Haar diagonalization
 /// (`H` = [`dp_linalg::haar_forward`], `Hᵀ = H⁻¹` =
 /// [`dp_linalg::haar_inverse`]): `SᵀWS = Hᵀ diag(λ) H` with `λ` from
-/// [`tree_haar_eigenvalues`], so `x̂ = Hᵀ diag(1/λ) H (SᵀWz)` — `O(n)` per
+/// `tree_haar_eigenvalues`, so `x̂ = Hᵀ diag(1/λ) H (SᵀWz)` — `O(n)` per
 /// release. The row weighting is fused into the tree transpose, which
 /// writes `x` (resized to `n`); the transforms work in `x` with `half` (of
 /// `n/2`) as their buffer, so a caller that keeps both allocates only the
 /// `log₂ n + 1` eigenvalues. (The identity and wavelet strategies are
 /// simpler still: `x̂ = z` and, `S = H` being square and invertible,
 /// `x̂ = Hᵀz` — the paper's Observation 1.)
+///
+/// Public, but hidden from the docs, only so that `dp_bench` can time the
+/// recovery alone and check it against its allocating reference; releases
+/// reach it through `Session::release`.
+#[doc(hidden)]
 pub fn tree_gls(
     n: usize,
     noisy: &[f64],
@@ -406,7 +437,7 @@ fn haar_piece_width(n: usize, haar_level: usize) -> usize {
 /// basis, indexed by Haar *level* (see the module comment): one entry per
 /// level `0 ..= log₂ n`, with `level_weights[t]` the weight of tree level
 /// `t` (root first).
-pub fn tree_haar_eigenvalues(n: usize, level_weights: &[f64]) -> Vec<f64> {
+pub(crate) fn tree_haar_eigenvalues(n: usize, level_weights: &[f64]) -> Vec<f64> {
     let levels = n.trailing_zeros() as usize;
     debug_assert_eq!(level_weights.len(), levels + 1);
     (0..=levels)

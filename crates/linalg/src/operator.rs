@@ -183,29 +183,17 @@ impl HierarchicalOperator {
     /// Column `j` of `S` has a 1 for every ancestor of leaf `j`, so each
     /// node's value is pushed down to its leaves: level by level, `x[i]`
     /// becomes its parent `x[i/2]` plus the node's own row, with `x` the
-    /// only buffer. Within a level, children `[t, 2t)` read parents
-    /// `[t/2, t)`, disjoint slices; the blocks run from the last down, so
-    /// every parent is read before its cell is overwritten.
+    /// only buffer. Each level runs in descending order, so every parent
+    /// `i/2 < i` is read before its cell is overwritten.
     pub fn transpose_rows_into(&self, y: &[f64], row: impl Fn(usize, f64) -> f64, x: &mut [f64]) {
         debug_assert_eq!(y.len(), 2 * self.n - 1);
         debug_assert_eq!(x.len(), self.n);
         x[0] = row(0, y[0]);
         for level in 1..self.levels() {
             let off = Self::level_offset(level);
-            let mut t = 1usize << (level - 1);
-            while t > 1 {
-                let (parents, children) = x.split_at_mut(t);
-                let rows = y[off + t..off + 2 * t].chunks_exact(2);
-                let pairs = children[..t].chunks_exact_mut(2).zip(&parents[t / 2..]);
-                for (k, ((pair, &p), r)) in pairs.zip(rows).enumerate() {
-                    let i = off + t + 2 * k;
-                    pair[0] = p + row(i, r[0]);
-                    pair[1] = p + row(i + 1, r[1]);
-                }
-                t /= 2;
+            for i in (0..1usize << level).rev() {
+                x[i] = x[i / 2] + row(off + i, y[off + i]);
             }
-            x[1] = x[0] + row(off + 1, y[off + 1]);
-            x[0] += row(off, y[off]);
         }
     }
 }

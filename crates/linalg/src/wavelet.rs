@@ -16,13 +16,11 @@
 //!
 //! Both transforms run in place with a caller-owned work buffer of `n/2`
 //! cells, so a release that keeps its buffers allocates nothing here. The
-//! coarse levels live in the buffer and the finest level in `data`. Each
-//! level runs in blocks over disjoint slices (so the loops vectorize),
-//! taken in the one order that reads every cell before it is overwritten:
-//! for the inverse, the buffer levels from the last pair down and the
-//! last level from the first pair up. Every output cell is the same
-//! `(a ± b)·2^{-1/2}` of the same operands as in the textbook
-//! level-by-level copy, so the bits do not depend on the buffer layout.
+//! coarse levels live in the buffer and the finest level in `data`; each
+//! loop runs in the one direction that reads every cell before it is
+//! overwritten. Every output cell is the same `(a ± b)·2^{-1/2}` of the
+//! same operands as in the textbook level-by-level copy through a full
+//! `n`-cell buffer, so the bits do not depend on the buffer layout.
 
 const INV_SQRT2: f64 = std::f64::consts::FRAC_1_SQRT_2;
 
@@ -46,34 +44,24 @@ pub fn haar_forward(data: &mut [f64], half: &mut Vec<f64>) {
     }
     let h = n / 2;
     let buf = work_buffer(half, h);
-    // The finest level: averages into `buf`, details into `data[h..]`,
-    // from the last pair down. Pairs `[h − k, h − k/2)` read `data[n − 2k
-    // .. n − k]` and write their details to `data[n − k .. n − k/2]`,
-    // whose pairs the earlier (smaller) blocks already read.
-    let (a, b) = (data[n - 2], data[n - 1]);
-    buf[h - 1] = (a + b) * INV_SQRT2;
-    data[n - 1] = (a - b) * INV_SQRT2;
-    let mut k = 2;
-    while k <= h {
-        let (pairs, details) = data[n - 2 * k..].split_at_mut(k);
-        analyze(pairs, &mut buf[h - k..h - k / 2], &mut details[..k / 2]);
-        k *= 2;
+    // The finest level: averages into `buf`, details into `data[h..]`, in
+    // descending order — pair `i` writes cell `h + i`, past every pair
+    // `2j, 2j + 1` (`j < i`) still to be read.
+    for i in (0..h).rev() {
+        let (a, b) = (data[2 * i], data[2 * i + 1]);
+        buf[i] = (a + b) * INV_SQRT2;
+        data[h + i] = (a - b) * INV_SQRT2;
     }
-    // Coarser levels average within `buf`, from the first pair up: pairs
-    // `[t, 2t)` read `buf[2t..4t]` and overwrite `buf[t..2t]`, whose pairs
-    // the earlier blocks already read.
+    // Coarser levels average within `buf` in ascending order — pair `i`
+    // overwrites cell `i`, before every pair `2j, 2j + 1` (`j > i`) still
+    // to be read — and write their details into `data[mid..len]`.
     let mut len = h;
     while len > 1 {
         let mid = len / 2;
-        let details = &mut data[mid..len];
-        let (a, b) = (buf[0], buf[1]);
-        buf[0] = (a + b) * INV_SQRT2;
-        details[0] = (a - b) * INV_SQRT2;
-        let mut t = 1;
-        while t < mid {
-            let (averages, pairs) = buf.split_at_mut(2 * t);
-            analyze(&pairs[..2 * t], &mut averages[t..], &mut details[t..2 * t]);
-            t *= 2;
+        for i in 0..mid {
+            let (a, b) = (buf[2 * i], buf[2 * i + 1]);
+            buf[i] = (a + b) * INV_SQRT2;
+            data[mid + i] = (a - b) * INV_SQRT2;
         }
         len = mid;
     }
@@ -96,56 +84,26 @@ pub fn haar_inverse(data: &mut [f64], half: &mut Vec<f64>) {
     }
     let h = n / 2;
     let buf = work_buffer(half, h);
-    // Every level below `n` is synthesized in `buf`, from the last pair
-    // down: approximations `[t/2, t)` read `buf[t/2..t]` and write
-    // `buf[t..2t]`, whose approximations the earlier blocks already read.
+    // Every level below `n` is synthesized in `buf` in descending order —
+    // approximation `i` writes cells `2i, 2i + 1`, past every
+    // approximation `j < i` still to be read.
     buf[0] = data[0];
     let mut mid = 1;
     while mid < h {
-        let details = &data[mid..2 * mid];
-        let mut t = mid;
-        while t > 1 {
-            let (approx, out) = buf.split_at_mut(t);
-            synthesize(&approx[t / 2..], &details[t / 2..t], &mut out[..t]);
-            t /= 2;
+        for i in (0..mid).rev() {
+            let (s, d) = (buf[i], data[mid + i]);
+            buf[2 * i] = (s + d) * INV_SQRT2;
+            buf[2 * i + 1] = (s - d) * INV_SQRT2;
         }
-        let (s, d) = (buf[0], details[0]);
-        buf[0] = (s + d) * INV_SQRT2;
-        buf[1] = (s - d) * INV_SQRT2;
         mid *= 2;
     }
-    // The last level goes into `data`, from the first pair up: of the `k`
-    // pairs left, the first `k/2` write the `k` cells before the details
-    // they read, and the rest continue in the cells after.
-    let mut approx: &[f64] = buf;
-    let mut out: &mut [f64] = data;
-    while approx.len() > 1 {
-        let k = approx.len();
-        let (head, rest) = std::mem::take(&mut out).split_at_mut(k);
-        synthesize(&approx[..k / 2], &rest[..k / 2], head);
-        approx = &approx[k / 2..];
-        out = rest;
-    }
-    let (s, d) = (approx[0], out[1]);
-    out[0] = (s + d) * INV_SQRT2;
-    out[1] = (s - d) * INV_SQRT2;
-}
-
-/// One analysis step over disjoint slices: pair `i` of `pairs` gives
-/// `averages[i]` and `details[i]`.
-fn analyze(pairs: &[f64], averages: &mut [f64], details: &mut [f64]) {
-    for ((p, a), d) in pairs.chunks_exact(2).zip(averages).zip(details) {
-        *a = (p[0] + p[1]) * INV_SQRT2;
-        *d = (p[0] - p[1]) * INV_SQRT2;
-    }
-}
-
-/// One synthesis step over disjoint slices: `approx[i]` and `details[i]`
-/// give cells `2i` and `2i + 1` of `out`.
-fn synthesize(approx: &[f64], details: &[f64], out: &mut [f64]) {
-    for ((o, &s), &d) in out.chunks_exact_mut(2).zip(approx).zip(details) {
-        o[0] = (s + d) * INV_SQRT2;
-        o[1] = (s - d) * INV_SQRT2;
+    // The last level goes into `data` in ascending order — pair `i` writes
+    // cells `2i, 2i + 1`, before every detail `h + j` (`j > i`) still to
+    // be read.
+    for i in 0..h {
+        let (s, d) = (buf[i], data[h + i]);
+        data[2 * i] = (s + d) * INV_SQRT2;
+        data[2 * i + 1] = (s - d) * INV_SQRT2;
     }
 }
 
