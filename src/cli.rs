@@ -1,18 +1,10 @@
 //! Command-line interface for the `datacube-dp` binary.
 //!
-//! The argument grammar is deliberately small and hand-parsed (no external
-//! dependency):
-//!
-//! ```text
-//! datacube-dp release --dataset adult|nltcs --workload q1|q1star|q1a|q2|q2star|q2a
-//!                     --strategy f|q|c|i --budgets uniform|optimal
-//!                     --epsilon <f64> [--delta <f64>] [--seed <u64>] [--batch <n>]
-//!                     [--nonnegative] [--output <path>]
-//! datacube-dp plan    --dataset adult|nltcs --workload <label> --strategy f|q|c|i
-//!                     --budgets uniform|optimal --epsilon <f64> [--delta <f64>]
-//!                     [--output <path>]
-//! datacube-dp inspect --dataset adult|nltcs
-//! ```
+//! [`USAGE`] is the one statement of the argument grammar. It is
+//! hand-parsed (no external dependency) by one private flag reader: each
+//! subcommand, and each `client` operation, names the flags it reads; a
+//! later value of a flag replaces an earlier one, and any other flag is
+//! refused.
 //!
 //! `release` runs through the two-phase [`dp_core::api`]: it compiles one
 //! data-independent [`Plan`], binds the dataset in a [`Session`], and
@@ -55,10 +47,12 @@ pub enum DatasetArg {
     Nltcs,
 }
 
-/// Arguments of the `release` subcommand.
+/// The six data-independent inputs of a marginal release plan (the
+/// paper's Steps 1–2: strategy and group budgets), shared by `plan`,
+/// `release` and `client register`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ReleaseArgs {
-    /// Which dataset to release over.
+pub struct PlanRequest {
+    /// Which dataset's schema to plan against.
     pub dataset: DatasetArg,
     /// Workload family label.
     pub workload: String,
@@ -66,15 +60,29 @@ pub struct ReleaseArgs {
     pub strategy: StrategyKind,
     /// Budget allocation mode.
     pub budgets: Budgeting,
-    /// Privacy ε.
+    /// Per-release privacy ε.
     pub epsilon: f64,
-    /// Optional δ (switches to the Gaussian mechanism).
+    /// Optional per-release δ (switches to the Gaussian mechanism).
     pub delta: Option<f64>,
-    /// RNG seed of the first release; release `i` uses `seed + i`.
+}
+
+/// The seeds of a release batch: release `i` uses `seed + i`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SeedBatch {
+    /// Seed of the first release.
     pub seed: u64,
-    /// Number of releases to draw from the one compiled plan; the output
-    /// has one release document per seed, one per line.
+    /// Number of releases (at least 1).
     pub batch: usize,
+}
+
+/// Arguments of the `release` subcommand.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ReleaseArgs {
+    /// The plan to compile.
+    pub request: PlanRequest,
+    /// The seeds to release at; the output has one release document per
+    /// seed, one per line.
+    pub seeds: SeedBatch,
     /// Post-process to non-negative integral marginals.
     pub nonnegative: bool,
     /// Optional output path (JSON lines).
@@ -85,18 +93,8 @@ pub struct ReleaseArgs {
 /// [`ReleaseArgs`]: the dataset is consulted only for its schema).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanArgs {
-    /// Which dataset's schema to plan against.
-    pub dataset: DatasetArg,
-    /// Workload family label.
-    pub workload: String,
-    /// Strategy to use.
-    pub strategy: StrategyKind,
-    /// Budget allocation mode.
-    pub budgets: Budgeting,
-    /// Privacy ε.
-    pub epsilon: f64,
-    /// Optional δ (switches to the Gaussian mechanism).
-    pub delta: Option<f64>,
+    /// The plan to compile.
+    pub request: PlanRequest,
     /// Optional JSON output path.
     pub output: Option<String>,
 }
@@ -129,6 +127,18 @@ pub struct ServeArgs {
     pub max_inflight: Option<usize>,
 }
 
+/// A charged draw of `client release` or `client release-current`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Draw {
+    /// The seeds to release at.
+    pub seeds: SeedBatch,
+    /// Explicit idempotency key. Re-running the command with the same key
+    /// (after a timeout, crash, or server restart) replays the originally
+    /// charged bytes without debiting again; without it a fresh key is
+    /// minted per run.
+    pub request_id: Option<String>,
+}
+
 /// One-shot client operations (the `client` subcommand).
 #[derive(Debug, Clone, PartialEq)]
 pub enum ClientOp {
@@ -148,18 +158,8 @@ pub enum ClientOp {
     Register {
         /// Tenant name.
         tenant: String,
-        /// Which dataset's schema to plan against.
-        dataset: DatasetArg,
-        /// Workload family label.
-        workload: String,
-        /// Strategy to use.
-        strategy: StrategyKind,
-        /// Budget allocation mode.
-        budgets: Budgeting,
-        /// Per-release privacy ε.
-        epsilon: f64,
-        /// Optional per-release δ.
-        delta: Option<f64>,
+        /// The plan to compile.
+        request: PlanRequest,
     },
     /// `bind`: bind a registered plan to a loaded table.
     Bind {
@@ -176,15 +176,8 @@ pub enum ClientOp {
         tenant: String,
         /// Session id returned by `bind`.
         session: String,
-        /// Seed of the first release; release `i` uses `seed + i`.
-        seed: u64,
-        /// Number of releases (seeds `seed..seed+batch`).
-        batch: usize,
-        /// Explicit idempotency key. Re-running the command with the same
-        /// key (after a timeout, crash, or server restart) returns the
-        /// originally charged release without debiting again; without it
-        /// a fresh key is minted per run.
-        request_id: Option<String>,
+        /// Seeds and idempotency key.
+        draw: Draw,
     },
     /// `stream-open`: open (or re-open) a streaming session over a
     /// registered plan. Idempotent and non-destructive: reopening keeps
@@ -210,20 +203,15 @@ pub enum ClientOp {
         delta: f64,
     },
     /// `release-current`: draw a charged release of the stream's current
-    /// state — one iteration of the continual-release loop.
+    /// state — one iteration of the continual-release loop. A crashed
+    /// publisher re-drives its keyed draws.
     ReleaseCurrent {
         /// Tenant name.
         tenant: String,
         /// Stream id returned by `stream-open`.
         stream: String,
-        /// Seed of the first release; release `i` uses `seed + i`.
-        seed: u64,
-        /// Number of releases (seeds `seed..seed+batch`).
-        batch: usize,
-        /// Explicit idempotency key: re-running the command with the same
-        /// key replays the originally charged bytes without debiting
-        /// again, which is what a crashed publisher re-drives.
-        request_id: Option<String>,
+        /// Seeds and idempotency key.
+        draw: Draw,
     },
     /// `status`: print the tenant's budget position.
     Status {
@@ -329,7 +317,136 @@ is idempotent like `release`, so a crashed publisher re-drives its id
 schedule and is charged exactly once per id.
 ";
 
-fn parse_dataset(v: &str) -> Result<DatasetArg, CliError> {
+/// The flags of a [`PlanRequest`].
+const PLAN_FLAGS: &[&str] = &[
+    "--dataset",
+    "--workload",
+    "--strategy",
+    "--budgets",
+    "--epsilon",
+    "--delta",
+];
+
+/// The flags of a [`SeedBatch`].
+const SEED_FLAGS: &[&str] = &["--seed", "--batch"];
+
+/// The flags of a [`Draw`].
+const DRAW_FLAGS: &[&str] = &["--seed", "--batch", "--request-id"];
+
+/// The flags every `client` operation accepts.
+const CLIENT_FLAGS: &[&str] = &["--addr", "--auth", "--timeout-ms", "--retries"];
+
+/// Each `client` operation and the flags it reads besides [`CLIENT_FLAGS`].
+const CLIENT_OPS: &[(&str, &[&[&str]])] = &[
+    ("open", &[&["--tenant", "--epsilon", "--delta", "--token"]]),
+    ("register", &[&["--tenant"], PLAN_FLAGS]),
+    ("bind", &[&["--tenant", "--plan", "--table"]]),
+    ("release", &[&["--tenant", "--session"], DRAW_FLAGS]),
+    ("stream-open", &[&["--tenant", "--plan", "--table"]]),
+    ("ingest", &[&["--tenant", "--stream", "--cell", "--delta"]]),
+    ("release-current", &[&["--tenant", "--stream"], DRAW_FLAGS]),
+    ("status", &[&["--tenant"]]),
+    ("ping", &[]),
+    ("shutdown", &[]),
+];
+
+/// One command line's flags, read left to right.
+struct Flags<'a> {
+    /// The command, as error messages name it (`serve`, `client release`).
+    cmd: String,
+    /// The bare operation word of `client`, wherever it stood.
+    word: Option<&'a str>,
+    /// Every `(flag, value)` given, in order; a switch has the value `""`.
+    given: Vec<(&'a str, &'a str)>,
+}
+
+impl<'a> Flags<'a> {
+    /// Reads `args` for `cmd`: a flag in one of the `valued` groups takes
+    /// the next argument as its value, a `switches` flag stands alone and,
+    /// if `word` is set, the first bare argument is the operation word.
+    /// Anything else is an unknown flag.
+    fn read(
+        cmd: &str,
+        args: &'a [String],
+        valued: &[&[&str]],
+        switches: &[&str],
+        word: bool,
+    ) -> Result<Flags<'a>, CliError> {
+        let mut flags = Flags {
+            cmd: cmd.into(),
+            word: None,
+            given: Vec::new(),
+        };
+        let mut it = args.iter().map(String::as_str);
+        while let Some(arg) = it.next() {
+            if valued.iter().any(|group| group.contains(&arg)) {
+                let value = it.next();
+                flags
+                    .given
+                    .push((arg, value.ok_or(CliError(format!("{arg} needs a value")))?));
+            } else if switches.contains(&arg) {
+                flags.given.push((arg, ""));
+            } else if word && flags.word.is_none() && !arg.starts_with("--") {
+                flags.word = Some(arg);
+            } else {
+                return Err(CliError(format!("unknown flag {arg:?} for {cmd}")));
+            }
+        }
+        Ok(flags)
+    }
+
+    /// Every value given for `flag`, in order.
+    fn values<'f>(&'f self, flag: &'f str) -> impl Iterator<Item = &'a str> + 'f {
+        self.given
+            .iter()
+            .filter(move |(f, _)| *f == flag)
+            .map(|&(_, v)| v)
+    }
+
+    /// The last value given for `flag`, parsed by `parse`; every earlier
+    /// value must parse too.
+    fn get<T>(&self, flag: &str, parse: Parse<T>) -> Result<Option<T>, CliError> {
+        let mut last = None;
+        for value in self.values(flag) {
+            last = Some(parse(flag, value)?);
+        }
+        Ok(last)
+    }
+
+    /// Like [`Flags::get`], for a flag `cmd` requires.
+    fn need<T>(&self, flag: &str, parse: Parse<T>) -> Result<T, CliError> {
+        self.require(flag, self.get(flag, parse)?)
+    }
+
+    /// `value`, or the error that `cmd` requires `flag`.
+    fn require<T>(&self, flag: &str, value: Option<T>) -> Result<T, CliError> {
+        value.ok_or_else(|| CliError(format!("{} requires {flag}", self.cmd)))
+    }
+}
+
+/// A flag value parser: takes the flag (for its error message) and value.
+type Parse<T> = fn(&str, &str) -> Result<T, CliError>;
+
+fn text(_: &str, v: &str) -> Result<String, CliError> {
+    Ok(v.into())
+}
+
+fn number<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, CliError>
+where
+    T::Err: std::fmt::Display,
+{
+    v.parse().map_err(|e| CliError(format!("bad {flag}: {e}")))
+}
+
+/// An integer ≥ 1 (a batch size or a cap).
+fn count(flag: &str, v: &str) -> Result<usize, CliError> {
+    v.parse()
+        .ok()
+        .filter(|&n| n >= 1)
+        .ok_or(CliError(format!("bad {flag}: need an integer ≥ 1")))
+}
+
+fn parse_dataset(_: &str, v: &str) -> Result<DatasetArg, CliError> {
     match v {
         "adult" => Ok(DatasetArg::Adult),
         "nltcs" => Ok(DatasetArg::Nltcs),
@@ -337,7 +454,7 @@ fn parse_dataset(v: &str) -> Result<DatasetArg, CliError> {
     }
 }
 
-fn parse_strategy(v: &str) -> Result<StrategyKind, CliError> {
+fn parse_strategy(_: &str, v: &str) -> Result<StrategyKind, CliError> {
     match v {
         "f" | "fourier" => Ok(StrategyKind::Fourier),
         "q" | "workload" => Ok(StrategyKind::Workload),
@@ -347,7 +464,7 @@ fn parse_strategy(v: &str) -> Result<StrategyKind, CliError> {
     }
 }
 
-fn parse_budgets(v: &str) -> Result<Budgeting, CliError> {
+fn parse_budgets(_: &str, v: &str) -> Result<Budgeting, CliError> {
     match v {
         "uniform" => Ok(Budgeting::Uniform),
         "optimal" => Ok(Budgeting::Optimal),
@@ -357,354 +474,228 @@ fn parse_budgets(v: &str) -> Result<Budgeting, CliError> {
     }
 }
 
+impl PlanRequest {
+    /// Reads the [`PLAN_FLAGS`]; `--budgets` defaults to optimal. A bad
+    /// value is reported before a missing flag.
+    fn from_flags(flags: &Flags) -> Result<PlanRequest, CliError> {
+        let dataset = flags.get("--dataset", parse_dataset)?;
+        let strategy = flags.get("--strategy", parse_strategy)?;
+        let budgets = flags.get("--budgets", parse_budgets)?;
+        let epsilon = flags.get("--epsilon", number)?;
+        Ok(PlanRequest {
+            dataset: flags.require("--dataset", dataset)?,
+            workload: flags.need("--workload", text)?,
+            strategy: flags.require("--strategy", strategy)?,
+            budgets: budgets.unwrap_or(Budgeting::Optimal),
+            epsilon: flags.require("--epsilon", epsilon)?,
+            delta: flags.get("--delta", number)?,
+        })
+    }
+
+    /// The per-release privacy level.
+    pub fn privacy(&self) -> PrivacyLevel {
+        privacy_level(self.epsilon, self.delta)
+    }
+
+    /// The workload as the service's wire [`WorkloadSpec`] (no schema tag:
+    /// the server derives the plan id from the spec alone).
+    pub fn workload_spec(&self) -> Result<WorkloadSpec, CliError> {
+        Ok(WorkloadSpec::Marginals {
+            workload: build_workload(&dataset_schema(self.dataset), &self.workload)?,
+            strategy: self.strategy,
+            cluster: ClusterConfig,
+        })
+    }
+
+    /// Compiles the plan locally, tagged with the dataset's schema.
+    pub fn compile(&self) -> Result<Plan, CliError> {
+        PlanBuilder::new(self.workload_spec()?)
+            .budgeting(self.budgets)
+            .privacy(self.privacy())
+            .for_schema(&dataset_schema(self.dataset))
+            .compile()
+            .map_err(|e| CliError(format!("plan compilation failed: {e}")))
+    }
+}
+
+impl SeedBatch {
+    /// Reads the [`SEED_FLAGS`]: `--seed` defaults to 42, `--batch` to 1.
+    fn from_flags(flags: &Flags) -> Result<SeedBatch, CliError> {
+        Ok(SeedBatch {
+            seed: flags.get("--seed", number)?.unwrap_or(42),
+            batch: flags.get("--batch", count)?.unwrap_or(1),
+        })
+    }
+
+    /// The seeds `seed..seed+batch`, wrapping at `u64::MAX`.
+    pub fn seeds(&self) -> Vec<u64> {
+        (0..self.batch as u64)
+            .map(|i| self.seed.wrapping_add(i))
+            .collect()
+    }
+}
+
+impl Draw {
+    /// Reads the [`DRAW_FLAGS`].
+    fn from_flags(flags: &Flags) -> Result<Draw, CliError> {
+        Ok(Draw {
+            seeds: SeedBatch::from_flags(flags)?,
+            request_id: flags.get("--request-id", text)?,
+        })
+    }
+}
+
 /// Parses a full argument vector (without the program name).
 pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     let Some(sub) = args.first() else {
         return Ok(Command::Help);
     };
+    let rest = &args[1..];
     match sub.as_str() {
         "help" | "--help" | "-h" => Ok(Command::Help),
         "inspect" => {
-            let mut dataset = None;
-            let mut it = args[1..].iter();
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--dataset" => {
-                        let v = it
-                            .next()
-                            .ok_or(CliError("--dataset needs a value".into()))?;
-                        dataset = Some(parse_dataset(v)?);
-                    }
-                    other => return Err(CliError(format!("unknown flag {other:?}"))),
-                }
-            }
+            let flags = Flags::read("inspect", rest, &[&["--dataset"]], &[], false)?;
             Ok(Command::Inspect {
-                dataset: dataset.ok_or(CliError("inspect requires --dataset".into()))?,
+                dataset: flags.need("--dataset", parse_dataset)?,
             })
         }
-        "serve" => {
-            let mut addr = None;
-            let mut datasets = Vec::new();
-            let mut ledger = None;
-            let mut admin_token = None;
-            let mut global_epsilon = None;
-            let mut global_delta = None;
-            let mut max_connections = None;
-            let mut max_inflight = None;
-            let mut it = args[1..].iter();
-            while let Some(flag) = it.next() {
-                let mut value = |name: &str| -> Result<&String, CliError> {
-                    it.next().ok_or(CliError(format!("{name} needs a value")))
-                };
-                match flag.as_str() {
-                    "--addr" => addr = Some(value("--addr")?.clone()),
-                    "--dataset" => {
-                        let d = parse_dataset(value("--dataset")?)?;
-                        if !datasets.contains(&d) {
-                            datasets.push(d);
-                        }
-                    }
-                    "--ledger" => ledger = Some(value("--ledger")?.clone()),
-                    "--admin-token" => admin_token = Some(value("--admin-token")?.clone()),
-                    "--global-epsilon" => {
-                        global_epsilon = Some(
-                            value("--global-epsilon")?
-                                .parse::<f64>()
-                                .map_err(|e| CliError(format!("bad --global-epsilon: {e}")))?,
-                        )
-                    }
-                    "--global-delta" => {
-                        global_delta = Some(
-                            value("--global-delta")?
-                                .parse::<f64>()
-                                .map_err(|e| CliError(format!("bad --global-delta: {e}")))?,
-                        )
-                    }
-                    "--max-connections" => {
-                        max_connections = Some(
-                            value("--max-connections")?
-                                .parse::<usize>()
-                                .ok()
-                                .filter(|&n| n >= 1)
-                                .ok_or(CliError(
-                                    "bad --max-connections: need an integer ≥ 1".into(),
-                                ))?,
-                        )
-                    }
-                    "--max-inflight" => {
-                        max_inflight = Some(
-                            value("--max-inflight")?
-                                .parse::<usize>()
-                                .ok()
-                                .filter(|&n| n >= 1)
-                                .ok_or(CliError(
-                                    "bad --max-inflight: need an integer ≥ 1".into(),
-                                ))?,
-                        )
-                    }
-                    other => return Err(CliError(format!("unknown flag {other:?} for serve"))),
-                }
-            }
-            if datasets.is_empty() {
-                datasets = vec![DatasetArg::Adult, DatasetArg::Nltcs];
-            }
-            if global_delta.is_some() && global_epsilon.is_none() {
-                return Err(CliError("--global-delta requires --global-epsilon".into()));
-            }
-            Ok(Command::Serve(ServeArgs {
-                addr: addr.ok_or(CliError("serve requires --addr".into()))?,
-                datasets,
-                ledger,
-                admin_token,
-                global_epsilon,
-                global_delta,
-                max_connections,
-                max_inflight,
+        "serve" => parse_serve(rest),
+        "client" => parse_client(rest),
+        "plan" => {
+            let flags = Flags::read("plan", rest, &[PLAN_FLAGS, &["--output"]], &[], false)?;
+            Ok(Command::Plan(PlanArgs {
+                request: PlanRequest::from_flags(&flags)?,
+                output: flags.get("--output", text)?,
             }))
         }
-        "client" => parse_client(&args[1..]),
-        "release" | "plan" => {
-            let is_plan = sub == "plan";
-            let mut dataset = None;
-            let mut workload = None;
-            let mut strategy = None;
-            let mut budgets = Budgeting::Optimal;
-            let mut epsilon = None;
-            let mut delta = None;
-            let mut seed = 42u64;
-            let mut batch = 1usize;
-            let mut nonnegative = false;
-            let mut output = None;
-            let mut it = args[1..].iter();
-            while let Some(flag) = it.next() {
-                let mut value = |name: &str| -> Result<&String, CliError> {
-                    it.next().ok_or(CliError(format!("{name} needs a value")))
-                };
-                match flag.as_str() {
-                    "--dataset" => dataset = Some(parse_dataset(value("--dataset")?)?),
-                    "--workload" => workload = Some(value("--workload")?.clone()),
-                    "--strategy" => strategy = Some(parse_strategy(value("--strategy")?)?),
-                    "--budgets" => budgets = parse_budgets(value("--budgets")?)?,
-                    "--epsilon" => {
-                        epsilon = Some(
-                            value("--epsilon")?
-                                .parse::<f64>()
-                                .map_err(|e| CliError(format!("bad --epsilon: {e}")))?,
-                        )
-                    }
-                    "--delta" => {
-                        delta = Some(
-                            value("--delta")?
-                                .parse::<f64>()
-                                .map_err(|e| CliError(format!("bad --delta: {e}")))?,
-                        )
-                    }
-                    "--seed" if !is_plan => {
-                        seed = value("--seed")?
-                            .parse::<u64>()
-                            .map_err(|e| CliError(format!("bad --seed: {e}")))?
-                    }
-                    "--batch" if !is_plan => {
-                        batch = value("--batch")?
-                            .parse::<usize>()
-                            .ok()
-                            .filter(|&n| n >= 1)
-                            .ok_or(CliError("bad --batch: need an integer ≥ 1".into()))?
-                    }
-                    "--nonnegative" if !is_plan => nonnegative = true,
-                    "--output" => output = Some(value("--output")?.clone()),
-                    other => return Err(CliError(format!("unknown flag {other:?} for {sub}"))),
-                }
-            }
-            let dataset = dataset.ok_or(CliError(format!("{sub} requires --dataset")))?;
-            let workload = workload.ok_or(CliError(format!("{sub} requires --workload")))?;
-            let strategy = strategy.ok_or(CliError(format!("{sub} requires --strategy")))?;
-            let epsilon = epsilon.ok_or(CliError(format!("{sub} requires --epsilon")))?;
-            if is_plan {
-                Ok(Command::Plan(PlanArgs {
-                    dataset,
-                    workload,
-                    strategy,
-                    budgets,
-                    epsilon,
-                    delta,
-                    output,
-                }))
-            } else {
-                Ok(Command::Release(ReleaseArgs {
-                    dataset,
-                    workload,
-                    strategy,
-                    budgets,
-                    epsilon,
-                    delta,
-                    seed,
-                    batch,
-                    nonnegative,
-                    output,
-                }))
-            }
+        "release" => {
+            let valued = [PLAN_FLAGS, SEED_FLAGS, &["--output"]];
+            let flags = Flags::read("release", rest, &valued, &["--nonnegative"], false)?;
+            let nonnegative = flags.values("--nonnegative").next().is_some();
+            let seeds = SeedBatch::from_flags(&flags)?;
+            Ok(Command::Release(ReleaseArgs {
+                request: PlanRequest::from_flags(&flags)?,
+                seeds,
+                nonnegative,
+                output: flags.get("--output", text)?,
+            }))
         }
         other => Err(CliError(format!("unknown subcommand {other:?}"))),
     }
 }
 
-/// Parses the `client` subcommand: `--addr <a>` plus one op keyword and
-/// its flags, in any order.
-fn parse_client(args: &[String]) -> Result<Command, CliError> {
-    let mut addr = None;
-    let mut auth = None;
-    let mut token = None;
-    let mut op_name: Option<&str> = None;
-    let mut tenant = None;
-    let mut dataset = None;
-    let mut workload = None;
-    let mut strategy = None;
-    let mut budgets = Budgeting::Optimal;
-    let mut epsilon = None;
-    let mut delta = None;
-    let mut plan = None;
-    let mut table = None;
-    let mut session = None;
-    let mut stream = None;
-    let mut cell = None;
-    let mut seed = 42u64;
-    let mut batch = 1usize;
-    let mut request_id = None;
-    let mut timeout_ms = 30_000u64;
-    let mut retries = 4u32;
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| -> Result<&String, CliError> {
-            it.next().ok_or(CliError(format!("{name} needs a value")))
-        };
-        match arg.as_str() {
-            "--addr" => addr = Some(value("--addr")?.clone()),
-            "--auth" => auth = Some(value("--auth")?.clone()),
-            "--token" => token = Some(value("--token")?.clone()),
-            "--tenant" => tenant = Some(value("--tenant")?.clone()),
-            "--dataset" => dataset = Some(parse_dataset(value("--dataset")?)?),
-            "--workload" => workload = Some(value("--workload")?.clone()),
-            "--strategy" => strategy = Some(parse_strategy(value("--strategy")?)?),
-            "--budgets" => budgets = parse_budgets(value("--budgets")?)?,
-            "--epsilon" => {
-                epsilon = Some(
-                    value("--epsilon")?
-                        .parse::<f64>()
-                        .map_err(|e| CliError(format!("bad --epsilon: {e}")))?,
-                )
-            }
-            "--delta" => {
-                delta = Some(
-                    value("--delta")?
-                        .parse::<f64>()
-                        .map_err(|e| CliError(format!("bad --delta: {e}")))?,
-                )
-            }
-            "--plan" => plan = Some(value("--plan")?.clone()),
-            "--table" => table = Some(value("--table")?.clone()),
-            "--session" => session = Some(value("--session")?.clone()),
-            "--stream" => stream = Some(value("--stream")?.clone()),
-            "--cell" => {
-                cell = Some(
-                    value("--cell")?
-                        .parse::<u64>()
-                        .map_err(|e| CliError(format!("bad --cell: {e}")))?,
-                )
-            }
-            "--seed" => {
-                seed = value("--seed")?
-                    .parse::<u64>()
-                    .map_err(|e| CliError(format!("bad --seed: {e}")))?
-            }
-            "--batch" => {
-                batch = value("--batch")?
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or(CliError("bad --batch: need an integer ≥ 1".into()))?
-            }
-            "--request-id" => request_id = Some(value("--request-id")?.clone()),
-            "--timeout-ms" => {
-                timeout_ms = value("--timeout-ms")?
-                    .parse::<u64>()
-                    .map_err(|e| CliError(format!("bad --timeout-ms: {e}")))?
-            }
-            "--retries" => {
-                retries = value("--retries")?
-                    .parse::<u32>()
-                    .map_err(|e| CliError(format!("bad --retries: {e}")))?
-            }
-            other if !other.starts_with("--") && op_name.is_none() => op_name = Some(other),
-            other => return Err(CliError(format!("unknown flag {other:?} for client"))),
+fn parse_serve(args: &[String]) -> Result<Command, CliError> {
+    let valued: &[&str] = &[
+        "--addr",
+        "--dataset",
+        "--ledger",
+        "--admin-token",
+        "--global-epsilon",
+        "--global-delta",
+        "--max-connections",
+        "--max-inflight",
+    ];
+    let flags = Flags::read("serve", args, &[valued], &[], false)?;
+    let mut datasets = Vec::new();
+    for value in flags.values("--dataset") {
+        let d = parse_dataset("--dataset", value)?;
+        if !datasets.contains(&d) {
+            datasets.push(d);
         }
     }
+    if datasets.is_empty() {
+        datasets = vec![DatasetArg::Adult, DatasetArg::Nltcs];
+    }
+    let global_epsilon = flags.get("--global-epsilon", number)?;
+    let global_delta = flags.get("--global-delta", number)?;
+    let max_connections = flags.get("--max-connections", count)?;
+    let max_inflight = flags.get("--max-inflight", count)?;
+    if global_delta.is_some() && global_epsilon.is_none() {
+        return Err(CliError("--global-delta requires --global-epsilon".into()));
+    }
+    Ok(Command::Serve(ServeArgs {
+        addr: flags.need("--addr", text)?,
+        datasets,
+        ledger: flags.get("--ledger", text)?,
+        admin_token: flags.get("--admin-token", text)?,
+        global_epsilon,
+        global_delta,
+        max_connections,
+        max_inflight,
+    }))
+}
 
-    let addr = addr.ok_or(CliError("client requires --addr".into()))?;
-    let need_tenant =
-        |t: Option<String>, op: &str| t.ok_or(CliError(format!("client {op} requires --tenant")));
-    let op = match op_name.ok_or(CliError(
-        "client requires an operation (open|register|bind|release|stream-open|ingest|release-current|status|ping|shutdown)"
-            .into(),
-    ))? {
+/// Parses the `client` subcommand: the [`CLIENT_FLAGS`] plus one
+/// operation word and its flags, in any order. A flag that only another
+/// operation reads is refused.
+fn parse_client(args: &[String]) -> Result<Command, CliError> {
+    let every: Vec<&[&str]> = CLIENT_OPS
+        .iter()
+        .flat_map(|(_, groups)| groups.iter().copied())
+        .chain([CLIENT_FLAGS])
+        .collect();
+    let flags = Flags::read("client", args, &every, &[], true)?;
+    let addr = flags.need("--addr", text)?;
+    let names: Vec<&str> = CLIENT_OPS.iter().map(|(name, _)| *name).collect();
+    let op = flags.word.ok_or(CliError(format!(
+        "client requires an operation ({})",
+        names.join("|")
+    )))?;
+    let (_, groups) = CLIENT_OPS
+        .iter()
+        .find(|(name, _)| *name == op)
+        .ok_or(CliError(format!("unknown client operation {op:?}")))?;
+    let accepted = [*groups, &[CLIENT_FLAGS]].concat();
+    let flags = Flags::read(&format!("client {op}"), args, &accepted, &[], true)?;
+    let op = match op {
         "open" => ClientOp::Open {
-            tenant: need_tenant(tenant, "open")?,
-            epsilon: epsilon.ok_or(CliError("client open requires --epsilon".into()))?,
-            delta,
-            token,
+            tenant: flags.need("--tenant", text)?,
+            epsilon: flags.need("--epsilon", number)?,
+            delta: flags.get("--delta", number)?,
+            token: flags.get("--token", text)?,
         },
         "register" => ClientOp::Register {
-            tenant: need_tenant(tenant, "register")?,
-            dataset: dataset.ok_or(CliError("client register requires --dataset".into()))?,
-            workload: workload.ok_or(CliError("client register requires --workload".into()))?,
-            strategy: strategy.ok_or(CliError("client register requires --strategy".into()))?,
-            budgets,
-            epsilon: epsilon.ok_or(CliError("client register requires --epsilon".into()))?,
-            delta,
+            tenant: flags.need("--tenant", text)?,
+            request: PlanRequest::from_flags(&flags)?,
         },
         "bind" => ClientOp::Bind {
-            tenant: need_tenant(tenant, "bind")?,
-            plan: plan.ok_or(CliError("client bind requires --plan".into()))?,
-            table: table.ok_or(CliError("client bind requires --table".into()))?,
+            tenant: flags.need("--tenant", text)?,
+            plan: flags.need("--plan", text)?,
+            table: flags.need("--table", text)?,
         },
         "release" => ClientOp::Release {
-            tenant: need_tenant(tenant, "release")?,
-            session: session.ok_or(CliError("client release requires --session".into()))?,
-            seed,
-            batch,
-            request_id,
+            tenant: flags.need("--tenant", text)?,
+            session: flags.need("--session", text)?,
+            draw: Draw::from_flags(&flags)?,
         },
         "stream-open" => ClientOp::StreamOpen {
-            tenant: need_tenant(tenant, "stream-open")?,
-            plan: plan.ok_or(CliError("client stream-open requires --plan".into()))?,
-            table,
+            tenant: flags.need("--tenant", text)?,
+            plan: flags.need("--plan", text)?,
+            table: flags.get("--table", text)?,
         },
         "ingest" => ClientOp::Ingest {
-            tenant: need_tenant(tenant, "ingest")?,
-            stream: stream.ok_or(CliError("client ingest requires --stream".into()))?,
-            cell: cell.ok_or(CliError("client ingest requires --cell".into()))?,
-            delta: delta.unwrap_or(1.0),
+            tenant: flags.need("--tenant", text)?,
+            stream: flags.need("--stream", text)?,
+            cell: flags.need("--cell", number)?,
+            delta: flags.get("--delta", number)?.unwrap_or(1.0),
         },
         "release-current" => ClientOp::ReleaseCurrent {
-            tenant: need_tenant(tenant, "release-current")?,
-            stream: stream.ok_or(CliError("client release-current requires --stream".into()))?,
-            seed,
-            batch,
-            request_id,
+            tenant: flags.need("--tenant", text)?,
+            stream: flags.need("--stream", text)?,
+            draw: Draw::from_flags(&flags)?,
         },
         "status" => ClientOp::Status {
-            tenant: need_tenant(tenant, "status")?,
+            tenant: flags.need("--tenant", text)?,
         },
         "ping" => ClientOp::Ping,
         "shutdown" => ClientOp::Shutdown,
-        other => return Err(CliError(format!("unknown client operation {other:?}"))),
+        other => unreachable!("{other:?} has an entry in CLIENT_OPS but no parser"),
     };
     Ok(Command::Client(ClientArgs {
         addr,
-        auth,
-        timeout_ms,
-        retries,
+        auth: flags.get("--auth", text)?,
+        timeout_ms: flags.get("--timeout-ms", number)?.unwrap_or(30_000),
+        retries: flags.get("--retries", number)?.unwrap_or(4),
         op,
     }))
 }
@@ -755,47 +746,27 @@ pub fn privacy_level(epsilon: f64, delta: Option<f64>) -> PrivacyLevel {
     }
 }
 
-/// Compiles the data-independent plan for a parsed workload request.
-pub fn compile_plan(
-    schema: &Schema,
-    workload: Workload,
-    strategy: StrategyKind,
-    budgets: Budgeting,
-    privacy: PrivacyLevel,
-) -> Result<Plan, CliError> {
-    PlanBuilder::marginals(workload, strategy)
-        .budgeting(budgets)
-        .privacy(privacy)
-        .for_schema(schema)
-        .compile()
-        .map_err(|e| CliError(format!("plan compilation failed: {e}")))
-}
+/// Seed of the synthetic stand-in records when no data file is present.
+const DATA_SEED: u64 = 20130401;
 
-/// Loads the dataset's schema and contingency table.
-pub fn load_dataset(
-    dataset: DatasetArg,
-    seed: u64,
-) -> Result<(Schema, ContingencyTable), CliError> {
-    let (schema, records) = match dataset {
-        DatasetArg::Adult => {
-            let schema = dp_data::adult_schema();
-            let (records, _) = dp_data::csv::adult_records_or_synthetic(
-                std::path::Path::new("data/adult.data"),
-                seed,
-            )
-            .map_err(|e| CliError(format!("loading adult: {e}")))?;
-            (schema, records)
-        }
-        DatasetArg::Nltcs => {
-            let schema = dp_data::nltcs_schema();
-            let (records, _) = dp_data::csv::nltcs_records_or_synthetic(
-                std::path::Path::new("data/nltcs.csv"),
-                seed,
-            )
-            .map_err(|e| CliError(format!("loading nltcs: {e}")))?;
-            (schema, records)
-        }
-    };
+/// Loads the dataset's schema and contingency table: the records of
+/// `data/adult.data` or `data/nltcs.csv` if present, else the synthetic
+/// stand-in at a fixed seed.
+pub fn load_dataset(dataset: DatasetArg) -> Result<(Schema, ContingencyTable), CliError> {
+    let name = dataset_name(dataset);
+    let records = match dataset {
+        DatasetArg::Adult => dp_data::csv::adult_records_or_synthetic(
+            std::path::Path::new("data/adult.data"),
+            DATA_SEED,
+        ),
+        DatasetArg::Nltcs => dp_data::csv::nltcs_records_or_synthetic(
+            std::path::Path::new("data/nltcs.csv"),
+            DATA_SEED,
+        ),
+    }
+    .map_err(|e| CliError(format!("loading {name}: {e}")))?
+    .0;
+    let schema = dataset_schema(dataset);
     let table = ContingencyTable::from_records(&schema, &records)
         .map_err(|e| CliError(format!("building table: {e}")))?;
     Ok((schema, table))
@@ -847,16 +818,16 @@ mod tests {
         let Command::Release(a) = cmd else {
             panic!("expected release");
         };
-        assert_eq!(a.dataset, DatasetArg::Nltcs);
-        assert_eq!(a.workload, "q2");
-        assert_eq!(a.strategy, StrategyKind::Fourier);
-        assert_eq!(a.budgets, Budgeting::Optimal);
-        assert_eq!(a.epsilon, 0.5);
-        assert_eq!(a.seed, 9);
-        assert_eq!(a.batch, 4);
+        assert_eq!(a.request.dataset, DatasetArg::Nltcs);
+        assert_eq!(a.request.workload, "q2");
+        assert_eq!(a.request.strategy, StrategyKind::Fourier);
+        assert_eq!(a.request.budgets, Budgeting::Optimal);
+        assert_eq!(a.request.epsilon, 0.5);
+        assert_eq!(a.seeds.seed, 9);
+        assert_eq!(a.seeds.batch, 4);
         assert!(a.nonnegative);
         assert_eq!(a.output.as_deref(), Some("out.json"));
-        assert_eq!(a.delta, None);
+        assert_eq!(a.request.delta, None);
     }
 
     #[test]
@@ -882,10 +853,10 @@ mod tests {
         let Command::Plan(a) = cmd else {
             panic!("expected plan");
         };
-        assert_eq!(a.dataset, DatasetArg::Adult);
-        assert_eq!(a.strategy, StrategyKind::Cluster);
-        assert_eq!(a.budgets, Budgeting::Uniform);
-        assert_eq!(a.delta, Some(1e-6));
+        assert_eq!(a.request.dataset, DatasetArg::Adult);
+        assert_eq!(a.request.strategy, StrategyKind::Cluster);
+        assert_eq!(a.request.budgets, Budgeting::Uniform);
+        assert_eq!(a.request.delta, Some(1e-6));
         assert_eq!(a.output.as_deref(), Some("plan.json"));
         // Seeds/batches belong to `release`, not the data-independent plan.
         assert!(parse_args(&sv(&["plan", "--seed", "1"])).is_err());
@@ -895,15 +866,15 @@ mod tests {
 
     #[test]
     fn plan_json_document_roundtrips() {
-        let schema = dataset_schema(DatasetArg::Nltcs);
-        let w = build_workload(&schema, "q1").unwrap();
-        let plan = compile_plan(
-            &schema,
-            w,
-            StrategyKind::Fourier,
-            Budgeting::Optimal,
-            privacy_level(0.5, None),
-        )
+        let plan = PlanRequest {
+            dataset: DatasetArg::Nltcs,
+            workload: "q1".into(),
+            strategy: StrategyKind::Fourier,
+            budgets: Budgeting::Optimal,
+            epsilon: 0.5,
+            delta: None,
+        }
+        .compile()
         .unwrap();
         let doc = plan_to_json(&plan);
         let back: Plan = serde_json::from_str(&doc).unwrap();
@@ -1056,7 +1027,10 @@ mod tests {
         assert!(matches!(
             a.op,
             ClientOp::Register {
-                budgets: Budgeting::Optimal,
+                request: PlanRequest {
+                    budgets: Budgeting::Optimal,
+                    ..
+                },
                 ..
             }
         ));
@@ -1080,9 +1054,10 @@ mod tests {
             ClientOp::Release {
                 tenant: "t".into(),
                 session: "s".into(),
-                seed: 7,
-                batch: 3,
-                request_id: None
+                draw: Draw {
+                    seeds: SeedBatch { seed: 7, batch: 3 },
+                    request_id: None
+                }
             }
         );
         assert_eq!(a.timeout_ms, 30_000, "deadlines default finite");
@@ -1123,7 +1098,7 @@ mod tests {
         assert_eq!(a.retries, 0);
         assert!(matches!(
             a.op,
-            ClientOp::Release { ref request_id, .. } if request_id.as_deref() == Some("retry-0007")
+            ClientOp::Release { ref draw, .. } if draw.request_id.as_deref() == Some("retry-0007")
         ));
         assert!(with(&["--timeout-ms", "soon", "ping"]).is_err());
         assert!(with(&["--retries", "-1", "ping"]).is_err());
@@ -1218,9 +1193,10 @@ mod tests {
             ClientOp::ReleaseCurrent {
                 tenant: "t".into(),
                 stream: "s".into(),
-                seed: 7,
-                batch: 2,
-                request_id: Some("epoch-3".into())
+                draw: Draw {
+                    seeds: SeedBatch { seed: 7, batch: 2 },
+                    request_id: Some("epoch-3".into())
+                }
             }
         );
 
@@ -1229,6 +1205,43 @@ mod tests {
         assert!(with(&["ingest", "--tenant", "t", "--stream", "s"]).is_err());
         assert!(with(&["ingest", "--tenant", "t", "--stream", "s", "--cell", "x"]).is_err());
         assert!(with(&["release-current", "--tenant", "t"]).is_err());
+    }
+
+    #[test]
+    fn client_ops_refuse_flags_they_do_not_read() {
+        let base = ["client", "--addr", "127.0.0.1:7878"];
+        let with = |extra: &[&str]| {
+            let mut v: Vec<&str> = base.to_vec();
+            v.extend_from_slice(extra);
+            parse_args(&sv(&v))
+        };
+        let err =
+            with(&["release", "--tenant", "t", "--session", "s", "--delta", "2"]).unwrap_err();
+        assert_eq!(err.0, r#"unknown flag "--delta" for client release"#);
+        let err = with(&["ping", "--tenant", "t"]).unwrap_err();
+        assert_eq!(err.0, r#"unknown flag "--tenant" for client ping"#);
+        let err = with(&["--seed", "3", "status", "--tenant", "t"]).unwrap_err();
+        assert_eq!(err.0, r#"unknown flag "--seed" for client status"#);
+        assert!(with(&["open", "--tenant", "t", "--epsilon", "1", "--session", "s"]).is_err());
+
+        // The global flags stay valid for every operation, before or
+        // after the operation word.
+        for op in ["ping", "shutdown"] {
+            let Command::Client(a) =
+                with(&["--auth", "tok", op, "--timeout-ms", "250", "--retries", "1"]).unwrap()
+            else {
+                panic!("expected client");
+            };
+            assert_eq!(a.auth.as_deref(), Some("tok"));
+            assert_eq!((a.timeout_ms, a.retries), (250, 1));
+        }
+
+        // A later value of a flag replaces an earlier one.
+        let Command::Client(a) = with(&["status", "--tenant", "a", "--tenant", "b"]).unwrap()
+        else {
+            panic!("expected client");
+        };
+        assert_eq!(a.op, ClientOp::Status { tenant: "b".into() });
     }
 
     #[test]

@@ -1,61 +1,54 @@
 //! `datacube-dp` command-line tool: differentially private release of
 //! marginal workloads over the bundled datasets, through the two-phase
-//! plan/session API. See [`datacube_dp::cli`] for the argument grammar.
+//! plan/session API. See [`datacube_dp::cli::USAGE`] for the argument
+//! grammar.
 
 use datacube_dp::cli::{
-    build_workload, compile_plan, dataset_name, dataset_schema, load_dataset, parse_args,
-    plan_to_json, privacy_level, ClientArgs, ClientOp, Command, PlanArgs, ReleaseArgs, ServeArgs,
-    USAGE,
+    dataset_name, load_dataset, parse_args, plan_to_json, privacy_level, ClientArgs, ClientOp,
+    Command, DatasetArg, PlanArgs, ReleaseArgs, ServeArgs, USAGE,
 };
 use datacube_dp::prelude::*;
 use datacube_dp::service::{
     protocol, Accountant, Auth, Client, ClientConfig, DpService, Server, ServerLimits, TcpTransport,
 };
+use std::error::Error;
 use std::process::ExitCode;
 use std::sync::Arc;
 
+type RunResult = Result<(), Box<dyn Error>>;
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match parse_args(&args) {
-        Ok(Command::Help) => {
-            print!("{USAGE}");
-            ExitCode::SUCCESS
-        }
-        Ok(Command::Inspect { dataset }) => match run_inspect(dataset) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => fail(&e),
-        },
-        Ok(Command::Plan(args)) => match run_plan(&args) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => fail(&e),
-        },
-        Ok(Command::Release(args)) => match run_release(&args) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => fail(&e),
-        },
-        Ok(Command::Serve(args)) => match run_serve(&args) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => fail(&e),
-        },
-        Ok(Command::Client(args)) => match run_client(&args) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => fail(&e),
-        },
+    let command = match parse_args(&args) {
+        Ok(command) => command,
         Err(e) => {
             eprintln!("error: {e}\n");
             eprint!("{USAGE}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let result = match command {
+        Command::Help => {
+            print!("{USAGE}");
+            Ok(())
+        }
+        Command::Inspect { dataset } => run_inspect(dataset),
+        Command::Plan(args) => run_plan(&args),
+        Command::Release(args) => run_release(&args),
+        Command::Serve(args) => run_serve(&args),
+        Command::Client(args) => run_client(&args),
+    };
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
             ExitCode::FAILURE
         }
     }
 }
 
-fn fail(message: &str) -> ExitCode {
-    eprintln!("error: {message}");
-    ExitCode::FAILURE
-}
-
-fn run_inspect(dataset: datacube_dp::cli::DatasetArg) -> Result<(), String> {
-    let (schema, table) = load_dataset(dataset, 20130401).map_err(|e| e.to_string())?;
+fn run_inspect(dataset: DatasetArg) -> RunResult {
+    let (schema, table) = load_dataset(dataset)?;
     println!("attributes: {}", schema.num_attributes());
     for (i, a) in schema.attributes().iter().enumerate() {
         println!(
@@ -74,14 +67,23 @@ fn run_inspect(dataset: datacube_dp::cli::DatasetArg) -> Result<(), String> {
     Ok(())
 }
 
+/// Writes `body` to `output` if given (and says so on stderr), else
+/// prints it followed by `tail`.
+fn emit(output: &Option<String>, body: &str, tail: &str) -> RunResult {
+    match output {
+        Some(path) => {
+            std::fs::write(path, body).map_err(|e| format!("writing {path}: {e}"))?;
+            eprintln!("wrote {path}");
+        }
+        None => print!("{body}{tail}"),
+    }
+    Ok(())
+}
+
 /// Phase 1 only: compile the data-independent plan and emit its document.
 /// No record is ever read — the dataset argument selects the schema.
-fn run_plan(args: &PlanArgs) -> Result<(), String> {
-    let schema = dataset_schema(args.dataset);
-    let workload = build_workload(&schema, &args.workload).map_err(|e| e.to_string())?;
-    let privacy = privacy_level(args.epsilon, args.delta);
-    let plan = compile_plan(&schema, workload, args.strategy, args.budgets, privacy)
-        .map_err(|e| e.to_string())?;
+fn run_plan(args: &PlanArgs) -> RunResult {
+    let plan = args.request.compile()?;
     eprintln!(
         "compiled plan {}: {} queries, {} budget groups, achieved ε = {:.6}, predicted Var = {:.4e}",
         plan.label(),
@@ -90,31 +92,19 @@ fn run_plan(args: &PlanArgs) -> Result<(), String> {
         plan.achieved_epsilon(),
         plan.predicted_variance(),
     );
-    let json = plan_to_json(&plan);
-    match &args.output {
-        Some(path) => {
-            std::fs::write(path, &json).map_err(|e| format!("writing {path}: {e}"))?;
-            eprintln!("wrote {path}");
-        }
-        None => println!("{json}"),
-    }
-    Ok(())
+    emit(&args.output, &plan_to_json(&plan), "\n")
 }
 
 /// Runs the budget-metered release service until a `shutdown` request
 /// arrives. Prints the resolved listen address as the first stdout line so
 /// scripts can capture an OS-picked port (`--addr 127.0.0.1:0`).
-fn run_serve(args: &ServeArgs) -> Result<(), String> {
+fn run_serve(args: &ServeArgs) -> RunResult {
     let mut accountant = match &args.ledger {
-        Some(path) => {
-            Accountant::with_wal(std::path::Path::new(path)).map_err(|e| e.to_string())?
-        }
+        Some(path) => Accountant::with_wal(std::path::Path::new(path))?,
         None => Accountant::in_memory(),
     };
     if let Some(epsilon) = args.global_epsilon {
-        accountant = accountant
-            .with_global_budget(privacy_level(epsilon, args.global_delta))
-            .map_err(|e| e.to_string())?;
+        accountant = accountant.with_global_budget(privacy_level(epsilon, args.global_delta))?;
     }
     let auth = match &args.admin_token {
         Some(token) => Auth::operator(token),
@@ -125,10 +115,10 @@ fn run_serve(args: &ServeArgs) -> Result<(), String> {
         service = service.with_tenant_inflight_cap(cap);
     }
     for &dataset in &args.datasets {
-        let (_, table) = load_dataset(dataset, 20130401).map_err(|e| e.to_string())?;
+        let (_, table) = load_dataset(dataset)?;
         service.data().insert_table(dataset_name(dataset), table);
     }
-    let transport = TcpTransport::bind(&args.addr).map_err(|e| e.to_string())?;
+    let transport = TcpTransport::bind(&args.addr)?;
     let server = Server::with_limits(
         service,
         transport,
@@ -157,19 +147,21 @@ fn run_serve(args: &ServeArgs) -> Result<(), String> {
             None => String::new(),
         }
     );
-    server.run().map_err(|e| e.to_string())
+    Ok(server.run()?)
 }
 
 /// Performs one client call against a running service and prints the
 /// result (ids and releases go to stdout for scripting).
-fn run_client(args: &ClientArgs) -> Result<(), String> {
+fn run_client(args: &ClientArgs) -> RunResult {
     let config = ClientConfig {
         max_retries: args.retries,
         ..ClientConfig::with_timeout(std::time::Duration::from_millis(args.timeout_ms))
     };
-    let mut client = Client::connect_with(&args.addr, config).map_err(|e| e.to_string())?;
+    let mut client = Client::connect_with(&args.addr, config)?;
     client.set_credential(args.auth.clone());
-    match &args.op {
+    let lines =
+        |releases: Vec<_>| -> Vec<String> { releases.iter().map(protocol::render_line).collect() };
+    let out = match &args.op {
         ClientOp::Open {
             tenant,
             epsilon,
@@ -180,103 +172,59 @@ fn run_client(args: &ClientArgs) -> Result<(), String> {
             match token {
                 Some(token) => client.open_tenant_with_token(tenant, budget, token),
                 None => client.open_tenant(tenant, budget),
-            }
-            .map_err(|e| e.to_string())?;
-            println!("opened {tenant}");
+            }?;
+            vec![format!("opened {tenant}")]
         }
-        ClientOp::Register {
+        ClientOp::Register { tenant, request } => vec![client.register_compile(
             tenant,
-            dataset,
-            workload,
-            strategy,
-            budgets,
-            epsilon,
-            delta,
-        } => {
-            let schema = dataset_schema(*dataset);
-            let w = build_workload(&schema, workload).map_err(|e| e.to_string())?;
-            let spec = WorkloadSpec::Marginals {
-                workload: w,
-                strategy: *strategy,
-                cluster: ClusterConfig,
-            };
-            let id = client
-                .register_compile(
-                    tenant,
-                    spec,
-                    *budgets,
-                    privacy_level(*epsilon, *delta),
-                    Neighboring::AddRemove,
-                )
-                .map_err(|e| e.to_string())?;
-            println!("{id}");
-        }
+            request.workload_spec()?,
+            request.budgets,
+            request.privacy(),
+            Neighboring::AddRemove,
+        )?],
         ClientOp::Bind {
             tenant,
             plan,
             table,
-        } => {
-            let id = client
-                .bind(tenant, plan, table)
-                .map_err(|e| e.to_string())?;
-            println!("{id}");
-        }
+        } => vec![client.bind(tenant, plan, table)?],
         ClientOp::Release {
             tenant,
             session,
-            seed,
-            batch,
-            request_id,
+            draw,
         } => {
-            let seeds: Vec<u64> = (0..*batch as u64).map(|i| seed.wrapping_add(i)).collect();
-            let releases = match request_id {
+            let seeds = draw.seeds.seeds();
+            lines(match &draw.request_id {
                 Some(id) => client.release_with_id(tenant, session, &seeds, id),
                 None => client.release(tenant, session, &seeds),
-            }
-            .map_err(|e| e.to_string())?;
-            for release in &releases {
-                println!("{}", protocol::render_line(release));
-            }
+            }?)
         }
         ClientOp::StreamOpen {
             tenant,
             plan,
             table,
-        } => {
-            let id = client
-                .stream_open(tenant, plan, table.as_deref())
-                .map_err(|e| e.to_string())?;
-            println!("{id}");
-        }
+        } => vec![client.stream_open(tenant, plan, table.as_deref())?],
         ClientOp::Ingest {
             tenant,
             stream,
             cell,
             delta,
         } => {
-            client
-                .ingest(tenant, stream, *cell, *delta)
-                .map_err(|e| e.to_string())?;
-            println!("ingested {delta} at cell {cell}");
+            client.ingest(tenant, stream, *cell, *delta)?;
+            vec![format!("ingested {delta} at cell {cell}")]
         }
         ClientOp::ReleaseCurrent {
             tenant,
             stream,
-            seed,
-            batch,
-            request_id,
-        } => {
-            let seeds: Vec<u64> = (0..*batch as u64).map(|i| seed.wrapping_add(i)).collect();
-            let releases = client
-                .release_current(tenant, stream, &seeds, request_id.as_deref())
-                .map_err(|e| e.to_string())?;
-            for release in &releases {
-                println!("{}", protocol::render_line(release));
-            }
-        }
+            draw,
+        } => lines(client.release_current(
+            tenant,
+            stream,
+            &draw.seeds.seeds(),
+            draw.request_id.as_deref(),
+        )?),
         ClientOp::Status { tenant } => {
-            let s = client.budget_status(tenant).map_err(|e| e.to_string())?;
-            println!(
+            let s = client.budget_status(tenant)?;
+            vec![format!(
                 "tenant {tenant}: total (ε = {}, δ = {}), spent (ε = {}, δ = {}), \
                  remaining (ε = {}, δ = {}), {} charges",
                 s.total.epsilon(),
@@ -286,16 +234,16 @@ fn run_client(args: &ClientArgs) -> Result<(), String> {
                 s.remaining_epsilon,
                 s.remaining_delta,
                 s.charges
-            );
+            )]
         }
-        ClientOp::Ping => {
-            let tables = client.ping().map_err(|e| e.to_string())?;
-            println!("ok: tables {tables:?}");
-        }
+        ClientOp::Ping => vec![format!("ok: tables {:?}", client.ping()?)],
         ClientOp::Shutdown => {
-            client.shutdown().map_err(|e| e.to_string())?;
-            println!("shutdown acknowledged");
+            client.shutdown()?;
+            vec!["shutdown acknowledged".into()]
         }
+    };
+    for line in out {
+        println!("{line}");
     }
     Ok(())
 }
@@ -304,17 +252,11 @@ fn run_client(args: &ClientArgs) -> Result<(), String> {
 /// deterministic releases (seeds `seed..seed+batch`) from it, and print
 /// one wire release document per line — the bytes `client release` prints
 /// for the same plan, table and seeds.
-fn run_release(args: &ReleaseArgs) -> Result<(), String> {
-    let (schema, table) = load_dataset(args.dataset, 20130401).map_err(|e| e.to_string())?;
-    let workload = build_workload(&schema, &args.workload).map_err(|e| e.to_string())?;
-    let privacy = privacy_level(args.epsilon, args.delta);
-    let plan = compile_plan(&schema, workload, args.strategy, args.budgets, privacy)
-        .map_err(|e| e.to_string())?;
-    let session = Session::bind(Arc::new(plan), &table).map_err(|e| e.to_string())?;
-    let seeds: Vec<u64> = (0..args.batch as u64)
-        .map(|i| args.seed.wrapping_add(i))
-        .collect();
-    let mut releases = session.release_batch(&seeds).map_err(|e| e.to_string())?;
+fn run_release(args: &ReleaseArgs) -> RunResult {
+    let (schema, table) = load_dataset(args.request.dataset)?;
+    let plan = args.request.compile()?;
+    let session = Session::bind(Arc::new(plan), &table)?;
+    let mut releases = session.release_batch(&args.seeds.seeds())?;
     if args.nonnegative {
         for release in &mut releases {
             if let Answers::Marginals(tables) = &mut release.answers {
@@ -322,8 +264,7 @@ fn run_release(args: &ReleaseArgs) -> Result<(), String> {
                     schema.domain_bits(),
                     tables,
                     dp_core::postprocess::ProjectOptions::default(),
-                )
-                .map_err(|e| e.to_string())?;
+                )?;
                 *tables = projected;
             }
         }
@@ -342,12 +283,5 @@ fn run_release(args: &ReleaseArgs) -> Result<(), String> {
         protocol::write_release(release, &mut lines);
         lines.push('\n');
     }
-    match &args.output {
-        Some(path) => {
-            std::fs::write(path, &lines).map_err(|e| format!("writing {path}: {e}"))?;
-            eprintln!("wrote {path}");
-        }
-        None => print!("{lines}"),
-    }
-    Ok(())
+    emit(&args.output, &lines, "")
 }
