@@ -246,28 +246,6 @@ impl ObservationOperator {
         out
     }
 
-    /// The weighted normal operator `v ↦ Rᵀ diag(w) R v` where the weight is
-    /// constant within each observed marginal (true for every strategy in
-    /// this crate: noise budgets are per group = per marginal).
-    ///
-    /// Within one block `Rᵀ_b w R_b = w · scale² · Hᵀ H = w · scale² · 2^w I`
-    /// on the block's positions — the Hadamard blocks are orthogonal — so
-    /// the whole normal operator is diagonal.
-    pub fn normal_apply(&self, weights: &[f64], v: &[f64]) -> Vec<f64> {
-        debug_assert_eq!(weights.len(), self.blocks.len());
-        let mut out = vec![0.0; self.num_coeffs];
-        for (b, &w) in self.blocks.iter().zip(weights) {
-            if w == 0.0 {
-                continue;
-            }
-            let factor = w * b.scale * b.scale * b.mask.cell_count() as f64;
-            for &p in &b.positions {
-                out[p as usize] += factor * v[p as usize];
-            }
-        }
-        out
-    }
-
     /// Solves the weighted least-squares problem
     /// `min_f ‖diag(w)^{1/2} (R f − cells)‖₂` via the normal equations.
     ///
@@ -325,10 +303,9 @@ impl ObservationOperator {
         Ok(f)
     }
 
-    /// Iterative GLS solve via conjugate gradients — retained as an
-    /// independent implementation used by tests to validate the direct
-    /// diagonal solve, and by callers with *non-uniform within-block*
-    /// weights (where the normal matrix is no longer diagonal).
+    /// Iterative GLS solve via conjugate gradients over per-cell weights —
+    /// the independent reference that tests check the direct diagonal
+    /// [`ObservationOperator::gls_solve`] against.
     pub fn gls_solve_cg(&self, cells: &[f64], cell_weights: &[f64]) -> Result<Vec<f64>, CoreError> {
         if cells.len() != self.num_cells || cell_weights.len() != self.num_cells {
             return Err(CoreError::Shape {

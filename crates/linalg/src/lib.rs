@@ -9,9 +9,8 @@
 //!   (Step 3 of the framework, Eq. (7) of the paper).
 //! * [`solve`] — Cholesky factorization and SPD solves for the generalized
 //!   least-squares recovery matrix `R = Q (SᵀΣ⁻¹S)⁻¹SᵀΣ⁻¹`.
-//! * [`sparse::CsrMatrix`] — compressed sparse row matrices for the
-//!   Fourier-coefficient recovery operator of Section 4.3, whose rows have
-//!   only `2^{‖α‖}` non-zeros.
+//! * [`sparse::CsrMatrix`] — compressed sparse row matrices for the range
+//!   sketch strategy, a sparse random projection.
 //! * [`cg`] — conjugate gradients on (implicitly formed) normal equations,
 //!   the workhorse of the fast consistency step.
 //! * [`wht`] — the fast Walsh–Hadamard transform, i.e. the `2^d`-dimensional

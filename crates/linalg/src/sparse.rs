@@ -1,10 +1,10 @@
 //! Compressed sparse row (CSR) matrices.
 //!
-//! The Fourier-coefficient recovery operator of Section 4.3 has one row per
-//! marginal cell and only `2^{‖α‖}` non-zeros per row (the coefficients
-//! dominated by the marginal's attribute mask), so a sparse representation
-//! turns the consistency step from `O(K · m)` dense work into work
-//! proportional to the number of non-zeros.
+//! CSR backs the range sketch strategy (`S`), a sparse random projection
+//! with no closed-form structure: its observe and recovery maps cost work
+//! proportional to the number of non-zeros, and its transpose hands a
+//! streamed record's column over in `O(nnz(column))`. Every other strategy
+//! stays matrix-free.
 
 use crate::LinalgError;
 
@@ -21,7 +21,7 @@ pub struct CsrMatrix {
 
 /// Incremental builder for [`CsrMatrix`], filling rows in order.
 #[derive(Debug)]
-pub struct CsrBuilder {
+struct CsrBuilder {
     cols: usize,
     row_ptr: Vec<usize>,
     col_idx: Vec<u32>,
@@ -30,7 +30,7 @@ pub struct CsrBuilder {
 
 impl CsrBuilder {
     /// Starts a builder for a matrix with `cols` columns.
-    pub fn new(cols: usize) -> Self {
+    fn new(cols: usize) -> Self {
         CsrBuilder {
             cols,
             row_ptr: vec![0],
@@ -40,7 +40,7 @@ impl CsrBuilder {
     }
 
     /// Reserves space for an expected number of non-zeros.
-    pub fn reserve(&mut self, nnz: usize) {
+    fn reserve(&mut self, nnz: usize) {
         self.col_idx.reserve(nnz);
         self.values.reserve(nnz);
     }
@@ -49,7 +49,7 @@ impl CsrBuilder {
     ///
     /// Panics if `col` is out of range (programmer error: the builder is an
     /// internal construction tool, not an input-validation boundary).
-    pub fn push(&mut self, col: usize, value: f64) {
+    fn push(&mut self, col: usize, value: f64) {
         assert!(
             col < self.cols,
             "CSR column {col} out of range {}",
@@ -62,12 +62,12 @@ impl CsrBuilder {
     }
 
     /// Finishes the current row.
-    pub fn finish_row(&mut self) {
+    fn finish_row(&mut self) {
         self.row_ptr.push(self.col_idx.len());
     }
 
     /// Finalizes the builder into a [`CsrMatrix`].
-    pub fn build(self) -> CsrMatrix {
+    fn build(self) -> CsrMatrix {
         CsrMatrix {
             rows: self.row_ptr.len() - 1,
             cols: self.cols,
@@ -203,68 +203,6 @@ impl CsrMatrix {
         Ok(out)
     }
 
-    /// Weighted normal-equation operator: computes `selfᵀ · diag(w) · self · x`
-    /// without materializing the (dense) normal matrix. This is the operator
-    /// handed to conjugate gradients in the fast consistency step.
-    pub fn normal_apply(&self, w: &[f64], x: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        if w.len() != self.rows {
-            return Err(LinalgError::DimensionMismatch {
-                context: "CsrMatrix::normal_apply weights",
-                expected: self.rows,
-                actual: w.len(),
-            });
-        }
-        let mut tmp = self.matvec(x)?;
-        for (t, &wi) in tmp.iter_mut().zip(w) {
-            *t *= wi;
-        }
-        self.matvec_transposed(&tmp)
-    }
-
-    /// Diagonal of `selfᵀ · diag(w) · self` (a Jacobi preconditioner for CG).
-    pub fn normal_diagonal(&self, w: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        if w.len() != self.rows {
-            return Err(LinalgError::DimensionMismatch {
-                context: "CsrMatrix::normal_diagonal",
-                expected: self.rows,
-                actual: w.len(),
-            });
-        }
-        let mut diag = vec![0.0; self.cols];
-        for (i, &wi) in w.iter().enumerate() {
-            let lo = self.row_ptr[i];
-            let hi = self.row_ptr[i + 1];
-            for k in lo..hi {
-                let v = self.values[k];
-                diag[self.col_idx[k] as usize] += wi * v * v;
-            }
-        }
-        Ok(diag)
-    }
-
-    /// The `(row, value)` pairs of column `j` — one O(nnz) scan. For
-    /// repeated column access (e.g. a stream of per-record deltas against
-    /// a sketch strategy) build [`CsrMatrix::transposed`] once and use
-    /// [`CsrMatrix::row_entries`] on it instead.
-    pub fn column_entries(&self, j: usize) -> Result<Vec<(usize, f64)>, LinalgError> {
-        if j >= self.cols {
-            return Err(LinalgError::DimensionMismatch {
-                context: "CsrMatrix::column_entries",
-                expected: self.cols,
-                actual: j,
-            });
-        }
-        let mut out = Vec::new();
-        for i in 0..self.rows {
-            for k in self.row_ptr[i]..self.row_ptr[i + 1] {
-                if self.col_idx[k] as usize == j {
-                    out.push((i, self.values[k]));
-                }
-            }
-        }
-        Ok(out)
-    }
-
     /// The transpose as a new CSR matrix (equivalently: the CSC index of
     /// this matrix). One O(nnz) counting pass; row `j` of the result is
     /// column `j` of `self`, so a delta stream can pull columns in
@@ -347,30 +285,6 @@ mod tests {
     }
 
     #[test]
-    fn normal_apply_matches_explicit_product() {
-        let m = sample();
-        let w = vec![2.0, 0.5];
-        let x = vec![1.0, -1.0, 2.0];
-        let got = m.normal_apply(&w, &x).unwrap();
-        // Explicit: Mᵀ diag(w) M x.
-        let mx = m.matvec(&x).unwrap();
-        let wmx: Vec<f64> = mx.iter().zip(&w).map(|(a, b)| a * b).collect();
-        let expected = m.matvec_transposed(&wmx).unwrap();
-        assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn normal_diagonal_matches_dense_gram() {
-        let m = sample();
-        let w = vec![2.0, 0.5];
-        let diag = m.normal_diagonal(&w).unwrap();
-        let dense = m.to_dense().gram_weighted(&w).unwrap();
-        for (j, d) in diag.iter().enumerate() {
-            assert!((d - dense[(j, j)]).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn empty_rows_are_allowed() {
         let m = CsrMatrix::from_triplets(3, 2, &[(2, 1, 5.0)]).unwrap();
         assert_eq!(m.matvec(&[1.0, 1.0]).unwrap(), vec![0.0, 0.0, 5.0]);
@@ -406,23 +320,6 @@ mod tests {
     }
 
     #[test]
-    fn column_entries_match_dense_column() {
-        let m = sample();
-        let d = m.to_dense();
-        for j in 0..m.cols() {
-            let col = m.column_entries(j).unwrap();
-            let mut dense_col: Vec<(usize, f64)> = Vec::new();
-            for i in 0..m.rows() {
-                if d[(i, j)] != 0.0 {
-                    dense_col.push((i, d[(i, j)]));
-                }
-            }
-            assert_eq!(col, dense_col);
-        }
-        assert!(m.column_entries(m.cols()).is_err());
-    }
-
-    #[test]
     fn transposed_matches_dense_transpose() {
         let m = CsrMatrix::from_triplets(
             3,
@@ -447,10 +344,14 @@ mod tests {
                 assert_eq!(d[(i, j)], td[(j, i)]);
             }
         }
-        // Row j of the transpose is column j of the original.
+        // Row j of the transpose is column j of the original, in row order.
         for j in 0..m.cols() {
             let via_t: Vec<(usize, f64)> = t.row_entries(j).collect();
-            assert_eq!(via_t, m.column_entries(j).unwrap());
+            let column: Vec<(usize, f64)> = (0..m.rows())
+                .filter(|&i| d[(i, j)] != 0.0)
+                .map(|i| (i, d[(i, j)]))
+                .collect();
+            assert_eq!(via_t, column);
         }
     }
 }
