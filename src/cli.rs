@@ -330,9 +330,6 @@ const PLAN_FLAGS: &[&str] = &[
 /// The flags of a [`SeedBatch`].
 const SEED_FLAGS: &[&str] = &["--seed", "--batch"];
 
-/// The flags of a [`Draw`].
-const DRAW_FLAGS: &[&str] = &["--seed", "--batch", "--request-id"];
-
 /// The flags every `client` operation accepts.
 const CLIENT_FLAGS: &[&str] = &["--addr", "--auth", "--timeout-ms", "--retries"];
 
@@ -341,10 +338,16 @@ const CLIENT_OPS: &[(&str, &[&[&str]])] = &[
     ("open", &[&["--tenant", "--epsilon", "--delta", "--token"]]),
     ("register", &[&["--tenant"], PLAN_FLAGS]),
     ("bind", &[&["--tenant", "--plan", "--table"]]),
-    ("release", &[&["--tenant", "--session"], DRAW_FLAGS]),
+    (
+        "release",
+        &[&["--tenant", "--session", "--request-id"], SEED_FLAGS],
+    ),
     ("stream-open", &[&["--tenant", "--plan", "--table"]]),
     ("ingest", &[&["--tenant", "--stream", "--cell", "--delta"]]),
-    ("release-current", &[&["--tenant", "--stream"], DRAW_FLAGS]),
+    (
+        "release-current",
+        &[&["--tenant", "--stream", "--request-id"], SEED_FLAGS],
+    ),
     ("status", &[&["--tenant"]]),
     ("ping", &[]),
     ("shutdown", &[]),
@@ -536,7 +539,7 @@ impl SeedBatch {
 }
 
 impl Draw {
-    /// Reads the [`DRAW_FLAGS`].
+    /// Reads `--request-id` and the [`SEED_FLAGS`].
     fn from_flags(flags: &Flags) -> Result<Draw, CliError> {
         Ok(Draw {
             seeds: SeedBatch::from_flags(flags)?,
