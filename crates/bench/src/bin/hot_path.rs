@@ -1,7 +1,8 @@
 //! Release hot-path throughput gauge: cells-noised/sec for the fused
 //! perturbation pass versus a per-value reference, WHT effective bandwidth
 //! for the lane/blocked kernel versus a scalar reference, end-to-end
-//! releases/sec through `Session::release_batch`, whole range releases
+//! releases/sec through `Session::release_batch` and the time of one
+//! `Session::release` of the same plan, whole range releases
 //! (closed-form GLS recovery) against one conjugate-gradient solve of the
 //! same normal equations, the W+ and H+ recovery alone against the
 //! allocating kernels of `dp_bench::reference` (with minor page faults per
@@ -18,7 +19,8 @@
 //!
 //! * `--smoke`: small sizes and few repetitions — for CI.
 //! * `--check`: exit non-zero if a throughput ratio falls below its
-//!   (deliberately conservative, noise-tolerant) threshold.
+//!   (deliberately conservative, noise-tolerant) threshold, or if a single
+//!   release ran any chunk on a rayon pool worker.
 //!
 //! Every row carries `nproc`, the core count it was measured on.
 
@@ -724,6 +726,22 @@ fn main() {
         releases_per_sec,
         "releases/s",
     ));
+    // One release of the same plan: its recovery (one four-cell block WHT
+    // per target) is below dp-core's grain-size floor, so it must run on
+    // the calling thread. Timed over many single releases, since each
+    // takes only about ten microseconds.
+    let single_reps = 100 * reps;
+    let before = rayon::worker_tasks();
+    let t_single = time_best(single_reps, || {
+        std::hint::black_box(session.release(7).expect("release succeeds"));
+    });
+    let single_on_workers = rayon::worker_tasks() - before;
+    println!(
+        "{:>22}: {:.1} µs (best of {single_reps}), {single_on_workers} chunks on pool workers",
+        "release",
+        t_single * 1e6
+    );
+    rows.push(row("release", "fourier_q2_single_us", t_single * 1e6, "us"));
 
     // ── 4. Range release vs one CG solve ───────────────────────────────
     let n = 1usize << 16;
@@ -786,6 +804,10 @@ fn main() {
         // than the fold at smoke size (20 runs on two cores, alternated
         // timing) and 1.43–2.14× at full size (ten runs). A bind that fell
         // back to the fold measures 0.9–1.0×.
+        //
+        // The single-release gate is a count, not a timing: a Q2 `F+`
+        // release is below the grain-size floor, so no chunk of it may run
+        // on a pool worker (waking one costs more than the recovery).
         let wht_floor = 1.05;
         let range_floor = 5.0;
         let bind_floor = 1.5;
@@ -815,6 +837,13 @@ fn main() {
             eprintln!(
                 "CHECK FAILED: NLTCS Q2 F+ bind only {bind_ratio:.1}× faster than the dense fold \
                  (< {bind_floor}×)"
+            );
+            failed = true;
+        }
+        if single_on_workers > 0 {
+            eprintln!(
+                "CHECK FAILED: {single_on_workers} chunks of single Q2 F+ releases ran on pool \
+                 workers (expected 0: the release is below the grain-size floor)"
             );
             failed = true;
         }

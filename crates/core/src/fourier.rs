@@ -144,14 +144,25 @@ impl CoefficientSpace {
     /// Reconstructs the marginal `Cα x` from coefficient values
     /// (Theorem 4.1(2)) via one block WHT.
     pub fn reconstruct(&self, coeffs: &[f64], alpha: AttrMask) -> Result<MarginalTable, CoreError> {
-        let positions = self.block_positions(alpha)?;
+        Ok(self.reconstruct_block(coeffs, alpha, &self.block_positions(alpha)?))
+    }
+
+    /// [`CoefficientSpace::reconstruct`] from the marginal's
+    /// [`CoefficientSpace::block_positions`], looked up beforehand: a
+    /// recovery of many releases looks them up once, not per release.
+    pub(crate) fn reconstruct_block(
+        &self,
+        coeffs: &[f64],
+        alpha: AttrMask,
+        positions: &[u32],
+    ) -> MarginalTable {
         let mut buf: Vec<f64> = positions.iter().map(|&p| coeffs[p as usize]).collect();
         dp_linalg::fwht(&mut buf);
         let scale = 2f64.powf(self.d as f64 / 2.0 - alpha.weight() as f64);
         for v in &mut buf {
             *v *= scale;
         }
-        Ok(MarginalTable::new(alpha, buf))
+        MarginalTable::new(alpha, buf)
     }
 }
 

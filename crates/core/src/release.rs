@@ -15,7 +15,7 @@ use crate::fourier::{CoefficientSpace, ObservationOperator};
 use crate::marginal::MarginalTable;
 use crate::mask::AttrMask;
 use crate::strategy::Kind;
-use crate::table::count_marginals;
+use crate::table::{count_marginals, min_len};
 use crate::workload::Workload;
 use crate::CoreError;
 use dp_opt::budget::GroupSpec;
@@ -105,7 +105,13 @@ pub(crate) fn compile(
                 })
                 .collect();
             let row_groups = (0..space.len() as u32).collect();
-            (specs, row_groups, Kind::Fourier { targets, space })
+            let blocks = target_blocks(&space, &targets)?;
+            let kind = Kind::Fourier {
+                targets,
+                space,
+                blocks,
+            };
+            (specs, row_groups, kind)
         }
     })
 }
@@ -128,8 +134,10 @@ fn observed_marginals(
     for (g, m) in observed.iter().enumerate() {
         row_groups.extend(std::iter::repeat_n(g as u32, m.cell_count()));
     }
+    let blocks = target_blocks(&space, &targets)?;
     let kind = Kind::ObservedMarginals {
         targets,
+        blocks,
         observed,
         space,
         op,
@@ -154,16 +162,44 @@ pub(crate) fn fourier_observations(
     Ok(coeffs)
 }
 
+/// The [`CoefficientSpace::block_positions`] of every target, looked up
+/// once when a plan compiles, so that recovery gathers coefficients by
+/// index instead of hashing each mask on every release.
+fn target_blocks(
+    space: &CoefficientSpace,
+    targets: &[AttrMask],
+) -> Result<Vec<Vec<u32>>, CoreError> {
+    targets
+        .iter()
+        .map(|&alpha| space.block_positions(alpha))
+        .collect()
+}
+
 /// Every target marginal from a coefficient vector: one block WHT per
-/// target, in parallel.
+/// target, over its `blocks` entry (see [`target_blocks`]). The recovery
+/// of `F`, `Q` and `C` releases.
+///
+/// The targets fan out across cores in chunks of at least
+/// [`PARALLEL_MIN_CELLS`](crate::table::PARALLEL_MIN_CELLS) cell-passes
+/// (`2^{‖α‖}` cells times one gather and `‖α‖` butterfly levels per
+/// target), so a small workload, such as NLTCS Q2 (1 440 cell-passes), is
+/// recovered on the calling thread. Results are collected in order, so
+/// the layout moves no byte.
 pub(crate) fn reconstruct(
     space: &CoefficientSpace,
     coeffs: &[f64],
     targets: &[AttrMask],
-) -> Result<Vec<MarginalTable>, CoreError> {
+    blocks: &[Vec<u32>],
+) -> Vec<MarginalTable> {
+    let work = targets
+        .iter()
+        .map(|alpha| alpha.cell_count() * (alpha.weight() as usize + 1))
+        .sum();
     targets
         .par_iter()
-        .map(|&alpha| space.reconstruct(coeffs, alpha))
+        .with_min_len(min_len(targets.len(), work))
+        .enumerate()
+        .map(|(i, &alpha)| space.reconstruct_block(coeffs, alpha, &blocks[i]))
         .collect()
 }
 

@@ -66,6 +66,8 @@ pub(crate) enum Kind {
     /// coefficient space.
     ObservedMarginals {
         targets: Vec<AttrMask>,
+        /// Each target's coefficient positions in `space`.
+        blocks: Vec<Vec<u32>>,
         observed: Vec<AttrMask>,
         space: CoefficientSpace,
         op: ObservationOperator,
@@ -76,6 +78,8 @@ pub(crate) enum Kind {
     Fourier {
         targets: Vec<AttrMask>,
         space: CoefficientSpace,
+        /// Each target's coefficient positions in `space`.
+        blocks: Vec<Vec<u32>>,
     },
     /// Range `I`: observe the histogram.
     RangeIdentity { workload: RangeWorkload },
@@ -180,7 +184,9 @@ impl Compiled {
                 .iter()
                 .flat_map(|m| m.values().iter().copied())
                 .collect(),
-            Kind::Fourier { targets, space } => release::fourier_observations(x, space, targets)?,
+            Kind::Fourier { targets, space, .. } => {
+                release::fourier_observations(x, space, targets)?
+            }
             Kind::Hierarchical { workload } => {
                 HierarchicalOperator::new(workload.domain()).apply(x)
             }
@@ -263,14 +269,20 @@ impl Compiled {
                 Answers::Marginals(marginalize_all(noisy, *d, targets))
             }
             Kind::ObservedMarginals {
-                targets, space, op, ..
+                targets,
+                blocks,
+                space,
+                op,
+                ..
             } => {
                 let coeffs = op.gls_solve(noisy, group_weights)?;
-                Answers::Marginals(release::reconstruct(space, &coeffs, targets)?)
+                Answers::Marginals(release::reconstruct(space, &coeffs, targets, blocks))
             }
-            Kind::Fourier { targets, space } => {
-                Answers::Marginals(release::reconstruct(space, noisy, targets)?)
-            }
+            Kind::Fourier {
+                targets,
+                space,
+                blocks,
+            } => Answers::Marginals(release::reconstruct(space, noisy, targets, blocks)),
             Kind::RangeIdentity { workload } => Answers::Ranges(workload.true_answers(noisy)?),
             Kind::Hierarchical { workload } => {
                 range::tree_gls(workload.domain(), noisy, rows, group_weights, x, half);
@@ -334,7 +346,7 @@ impl Compiled {
                     observed[g].cell_count() as f64 * group_sigma2[g]
                 })
                 .collect(),
-            Kind::Fourier { targets, space } => {
+            Kind::Fourier { targets, space, .. } => {
                 release::fourier_variances(space, targets, group_sigma2)
             }
             Kind::RangeIdentity { workload } => workload

@@ -4,7 +4,7 @@
 //! represented as the vector of counts over its linearized domain: `x_β` is
 //! the number of tuples whose encoded attribute values equal `β`.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use crate::marginal::MarginalTable;
 use crate::mask::AttrMask;
@@ -197,19 +197,60 @@ pub fn sum_occupied(cells: &[(u64, f64)], alpha: AttrMask) -> Vec<f64> {
     out
 }
 
-/// The exact marginals of a count vector, fanned out across cores: one
-/// O(N) scan for the [`occupied_cells`], then O(occupied) per marginal,
-/// with no copy of the vector. The sum is exact, so the bytes equal the
-/// [`marginalize`] fold's; vectors that fail the exactness test take the
-/// fold. The one marginal path for data vectors — bind, rebase and exact
-/// workload answers.
+/// Cells a fan-out over marginals touches per chunk, at least, when it is
+/// split across cores (see [`min_len`]): a call touching fewer than twice
+/// this many runs on the calling thread and wakes no pool worker.
+///
+/// Derived from the cost of one rayon dispatch, measured on a 2-core VM:
+/// 16 chunks of trivial work cost 3–4 µs of wall time and 4–7 µs of CPU
+/// in isolation (`getrusage`), and about 20 µs of process CPU per release
+/// under the `marginal_wire` benchmark's load. A cell touched costs about
+/// 2 ns in a fold ([`marginalize`], d = 16), 3–7 ns in an occupied-cell
+/// sum ([`sum_occupied`], NLTCS) and 11–19 ns per pass of a small block
+/// WHT with its coefficient gather (`release::reconstruct`, Q1–Q4 over
+/// NLTCS). So a call splits only above 30 µs of fold, 50 µs of sums or
+/// 180 µs of recovery work, where a wake-up costs a small share of it.
+/// One NLTCS Q2 `F+` recovery (120 four-cell blocks, 1 440 cell-passes,
+/// about 20 µs) stays on the caller; its bind (120 marginals × 5 507
+/// occupied cells) and every `I` recovery fold (2^d cells per marginal)
+/// still fan out.
+pub(crate) const PARALLEL_MIN_CELLS: usize = 1 << 13;
+
+/// The `with_min_len` of a fan-out over `items` items that touch `cells`
+/// cells in all: enough items per chunk to touch [`PARALLEL_MIN_CELLS`] on
+/// average. More than `items / 2` when `cells < 2 · PARALLEL_MIN_CELLS`,
+/// so such a call is one chunk, run on the calling thread.
+pub(crate) fn min_len(items: usize, cells: usize) -> usize {
+    PARALLEL_MIN_CELLS
+        .saturating_mul(items)
+        .div_ceil(cells.max(1))
+        .max(1)
+}
+
+/// The exact marginals of a count vector: one O(N) scan for the
+/// [`occupied_cells`], then O(occupied) per marginal, with no copy of the
+/// vector. The sum is exact, so the bytes equal the [`marginalize`] fold's;
+/// vectors that fail the exactness test take the fold. The one marginal
+/// path for data vectors — bind, rebase and exact workload answers.
+///
+/// The marginals fan out across cores in chunks of at least
+/// [`PARALLEL_MIN_CELLS`] cells touched (occupied cells read plus marginal
+/// cells written), so a small table or workload stays on the calling
+/// thread. Results are collected in order, so the layout moves no byte.
 pub(crate) fn count_marginals(counts: &[f64], d: usize, alphas: &[AttrMask]) -> Vec<MarginalTable> {
     use rayon::prelude::*;
     match occupied_cells(counts) {
-        Some(cells) => alphas
-            .par_iter()
-            .map(|&alpha| MarginalTable::new(alpha, sum_occupied(&cells, alpha)))
-            .collect(),
+        Some(cells) => {
+            let work = alphas
+                .iter()
+                .map(|alpha| cells.len() + alpha.cell_count())
+                .sum();
+            alphas
+                .par_iter()
+                .with_min_len(min_len(alphas.len(), work))
+                .map(|&alpha| MarginalTable::new(alpha, sum_occupied(&cells, alpha)))
+                .collect()
+        }
         None => marginalize_all(counts, d, alphas),
     }
 }
@@ -221,6 +262,13 @@ pub(crate) fn count_marginals(counts: &[f64], d: usize, alphas: &[AttrMask]) -> 
 /// surviving bits keep their relative order, so the output indexing
 /// matches [`AttrMask::compress_cell`]. The path for noisy vectors.
 pub fn marginalize(counts: &[f64], d: usize, alpha: AttrMask) -> Vec<f64> {
+    marginalize_in(counts, d, alpha, &mut Vec::new())
+}
+
+/// [`marginalize`] with `work` as the fold buffer: it grows to `2^{d−1}`
+/// cells and keeps its capacity, and only the marginal-sized answer is
+/// allocated.
+fn marginalize_in(counts: &[f64], d: usize, alpha: AttrMask, work: &mut Vec<f64>) -> Vec<f64> {
     debug_assert_eq!(counts.len(), 1usize << d);
     // Fold out cleared bits from highest to lowest so each fold is a
     // contiguous halves-add (cache friendly); relative order of surviving
@@ -230,41 +278,64 @@ pub fn marginalize(counts: &[f64], d: usize, alpha: AttrMask) -> Vec<f64> {
         return counts.to_vec();
     };
     let half_stride = 1usize << first;
-    let mut cur = Vec::with_capacity(counts.len() / 2);
+    work.clear();
     for block in counts.chunks_exact(2 * half_stride) {
         let (lo, hi) = block.split_at(half_stride);
-        cur.extend(lo.iter().zip(hi).map(|(a, b)| a + b));
+        work.extend(lo.iter().zip(hi).map(|(a, b)| a + b));
     }
     for bit in cleared {
         // Remove `bit` from an array whose bits above `bit` are the
         // still-unfolded high bits (all folds above already happened).
         let half_stride = 1usize << bit;
-        let n = cur.len();
+        let n = work.len();
         let mut write = 0usize;
         let mut base = 0usize;
         while base < n {
             for i in 0..half_stride {
-                cur[write + i] = cur[base + i] + cur[base + half_stride + i];
+                work[write + i] = work[base + i] + work[base + half_stride + i];
             }
             write += half_stride;
             base += 2 * half_stride;
         }
-        cur.truncate(n / 2);
+        work.truncate(n / 2);
     }
-    // Hand back a marginal-sized buffer, not the `2^{d−1}` one the first
-    // fold allocated: a caller holding one per target marginal would
-    // otherwise keep every buffer's pages alive.
-    cur.shrink_to_fit();
-    cur
+    work.to_vec()
 }
 
-/// [`marginalize`] for several marginals of one (noisy) vector, fanned
-/// out across cores.
+/// Fold buffers of [`marginalize_all`], reused across calls. Each fold of
+/// a `2^d`-cell vector needs `2^{d−1}` cells of work space; allocating it
+/// per marginal faulted in every page of it, every release (8 192 pages
+/// per target marginal on synthetic Adult). A capped, mutexed free-list
+/// rather than a thread-local, so that every service thread that ever
+/// folded does not keep a buffer of its own.
+static FOLD_POOL: Mutex<Vec<Vec<f64>>> = Mutex::new(Vec::new());
+
+/// [`marginalize`] for several marginals of one (noisy) vector, each folded
+/// in a buffer checked out of a process-wide pool. The marginals fan out
+/// across cores in chunks of at least [`PARALLEL_MIN_CELLS`] cells read
+/// (`2^d` per marginal), so only a tiny vector stays on the calling
+/// thread. Results are collected in order, so the layout moves no byte.
 pub(crate) fn marginalize_all(counts: &[f64], d: usize, alphas: &[AttrMask]) -> Vec<MarginalTable> {
     use rayon::prelude::*;
     alphas
         .par_iter()
-        .map(|&alpha| MarginalTable::new(alpha, marginalize(counts, d, alpha)))
+        .with_min_len(min_len(alphas.len(), alphas.len() * counts.len()))
+        .map(|&alpha| {
+            let mut work = FOLD_POOL
+                .lock()
+                .map(|mut pool| pool.pop())
+                .ok()
+                .flatten()
+                .unwrap_or_default();
+            let values = marginalize_in(counts, d, alpha, &mut work);
+            if let Ok(mut pool) = FOLD_POOL.lock() {
+                // One buffer per thread that can fold at once is enough.
+                if pool.len() < rayon::current_num_threads() {
+                    pool.push(work);
+                }
+            }
+            MarginalTable::new(alpha, values)
+        })
         .collect()
 }
 
@@ -279,6 +350,40 @@ mod tests {
     /// lowest-bit-first schema layout, A is bit 2.
     pub(crate) fn figure1_table() -> ContingencyTable {
         ContingencyTable::from_counts(vec![1.0, 2.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0])
+    }
+
+    #[test]
+    fn the_grain_floor_splits_only_large_fan_outs() {
+        let splits = |items: usize, cells: usize| items >= 2 * min_len(items, cells);
+        // NLTCS Q2 `F+` recovery: 120 four-cell blocks, a gather and two
+        // butterfly levels each.
+        assert!(!splits(120, 120 * 4 * 3));
+        // NLTCS Q1 `F+` recovery and an empty table's marginals.
+        assert!(!splits(16, 16 * 2 * 2));
+        assert!(!splits(8, 0));
+        // The NLTCS Q2 bind (5 507 occupied cells) keeps the 16 chunks a
+        // 2-thread call of 120 items had before the floor.
+        assert!(120 / min_len(120, 120 * (5507 + 4)) >= 16);
+        // `I` recovery folds 2^d cells per marginal: no floor at all.
+        assert_eq!(min_len(8, 8 << 16), 1);
+    }
+
+    #[test]
+    fn pooled_folds_match_fresh_ones() {
+        let counts: Vec<f64> = (0..1usize << 10).map(|i| (i % 7) as f64 - 2.5).collect();
+        let alphas = [
+            AttrMask(0b11),
+            AttrMask(0b1000_0001),
+            AttrMask(0),
+            AttrMask(0x3ff),
+        ];
+        // Twice, so the second call reuses the pooled buffers.
+        for _ in 0..2 {
+            for m in marginalize_all(&counts, 10, &alphas) {
+                assert_eq!(m.values(), &marginalize(&counts, 10, m.mask())[..]);
+                assert_eq!(m.values().len(), m.mask().cell_count());
+            }
+        }
     }
 
     #[test]

@@ -67,15 +67,15 @@ fn run_inspect(dataset: DatasetArg) -> RunResult {
     Ok(())
 }
 
-/// Writes `body` to `output` if given (and says so on stderr), else
-/// prints it followed by `tail`.
-fn emit(output: &Option<String>, body: &str, tail: &str) -> RunResult {
+/// Writes `text` to `output` if given (and says so on stderr), else
+/// prints it: the file and stdout get the same bytes.
+fn emit(output: &Option<String>, text: &str) -> RunResult {
     match output {
         Some(path) => {
-            std::fs::write(path, body).map_err(|e| format!("writing {path}: {e}"))?;
+            std::fs::write(path, text).map_err(|e| format!("writing {path}: {e}"))?;
             eprintln!("wrote {path}");
         }
-        None => print!("{body}{tail}"),
+        None => print!("{text}"),
     }
     Ok(())
 }
@@ -92,7 +92,7 @@ fn run_plan(args: &PlanArgs) -> RunResult {
         plan.achieved_epsilon(),
         plan.predicted_variance(),
     );
-    emit(&args.output, &plan_to_json(&plan), "\n")
+    emit(&args.output, &(plan_to_json(&plan) + "\n"))
 }
 
 /// Runs the budget-metered release service until a `shutdown` request
@@ -283,5 +283,5 @@ fn run_release(args: &ReleaseArgs) -> RunResult {
         protocol::write_release(release, &mut lines);
         lines.push('\n');
     }
-    emit(&args.output, &lines, "")
+    emit(&args.output, &lines)
 }

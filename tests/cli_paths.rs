@@ -176,7 +176,7 @@ fn q2_gaussian_and_batched_releases_match_the_library() {
         path.to_str().unwrap(),
     ]);
     assert!(stdout.is_empty(), "--output leaves stdout empty");
-    assert!(std::fs::read(&path).unwrap() == lib, "--output file bytes");
+    assert!(std::fs::read(&path).unwrap() == cli, "--output file bytes");
 }
 
 #[test]
@@ -185,7 +185,7 @@ fn plan_documents_match_the_library() {
         ("adult", dp_data::adult_schema()),
         ("nltcs", dp_data::nltcs_schema()),
     ] {
-        let cli = stdout_of(&[
+        let mut args = vec![
             "plan",
             "--dataset",
             name,
@@ -197,10 +197,23 @@ fn plan_documents_match_the_library() {
             "optimal",
             "--epsilon",
             "0.5",
-        ]);
+        ];
+        let cli = stdout_of(&args);
         let plan = library_plan(&schema, 1, StrategyKind::Fourier, Budgeting::Optimal, PURE);
         let doc = serde_json::to_string_pretty(&plan).unwrap() + "\n";
         assert!(cli == doc.as_bytes(), "plan --dataset {name}");
+
+        let path = work_dir().join(format!("plan-{name}.json"));
+        let _ = std::fs::remove_file(&path);
+        args.extend(["--output", path.to_str().unwrap()]);
+        assert!(
+            stdout_of(&args).is_empty(),
+            "plan --output leaves stdout empty"
+        );
+        assert!(
+            std::fs::read(&path).unwrap() == cli,
+            "plan --dataset {name} --output file bytes"
+        );
     }
 }
 
