@@ -1,35 +1,43 @@
-//! Release hot-path throughput gauge: cells-noised/sec for the fused
-//! perturbation pass versus a per-value reference, WHT effective bandwidth
-//! for the lane/blocked kernel versus a scalar reference, end-to-end
-//! releases/sec through `Session::release_batch` and the time of one
-//! `Session::release` of the same plan, whole range releases
-//! (closed-form GLS recovery) against one conjugate-gradient solve of the
-//! same normal equations, the W+ and H+ recovery alone against the
-//! allocating kernels of `dp_bench::reference` (with minor page faults per
-//! release from `getrusage`), the JSON shim's `f64` writer against
-//! `format!("{x}")` on noisy counts, and a marginal `Session::bind`
-//! (observations summed from occupied cells) against the dense fold.
+//! The performance benchmark of the workspace: every measured row of
+//! `BENCH_baseline.json` outside `fig6_runtime` comes from this binary, in
+//! one row schema (`section`, `metric`, `value`, `unit`, `nproc`). Its
+//! sections, each with the one condition `--check` gates it on:
 //!
-//! Every optimized/reference pair is also checked for **byte identity** on
-//! the measured inputs before timing, so this binary doubles as a
-//! regression gate on the "not a single output byte changes" contract.
+//! | section | measures | `--check` condition |
+//! |---|---|---|
+//! | `noising` | cells noised/s, the fused pass vs a per-value reference | floor 0.75× (parity) |
+//! | `wht` | effective GB/s, the lane/blocked butterfly vs a scalar one | floor 1.05× |
+//! | `release` | `release_batch` releases/s and one release of a Fourier Q2 plan; one NLTCS Q2 release per strategy `F+`/`Q+`/`C+`/`I+`; the diagonal `ObservationOperator::gls_solve` | count: no chunk of a single release on a pool worker |
+//! | `range` | a W+ and an H+ release vs one CG solve; the recovery alone vs `dp_bench::reference`, with minor faults | floor 5× |
+//! | `json` | the shim's `f64` writer and `write_release` vs `format!` and a `Value` tree | identity, asserted on every run |
+//! | `bind` | a marginal `Session::bind` vs the dense fold; the noisy-vector fold | floor 1.5× |
+//! | `plan` | 32 NLTCS Q2 `F+` releases from cold plans vs one cached plan and one batch; one 1024-group budget solve | count: 32 budget solves cold, 1 cached |
+//! | `cluster` | the reference greedy cluster search vs the optimized one, per workload size ℓ | floor 2.5× at the largest ℓ |
+//! | `stream` | per-update rebind vs `Session::ingest` in a continual-release loop, per family, strategy and domain | floor per strategy and domain: update path 3× in smoke runs, whole loop 10× at 2^16+ in full runs |
+//!
+//! Every optimized/reference pair is also checked for **identity** on the
+//! measured inputs before timing (the same bytes, the same clustering, the
+//! same final counts), so this binary doubles as a regression gate on the
+//! "not a single output byte changes" contract.
 //!
 //! Usage:
 //! `cargo run -p dp-bench --release --bin hot_path [-- --smoke] [-- --check]`
 //!
 //! * `--smoke`: small sizes and few repetitions — for CI.
-//! * `--check`: exit non-zero if a throughput ratio falls below its
-//!   (deliberately conservative, noise-tolerant) threshold, or if a single
-//!   release ran any chunk on a rayon pool worker.
+//! * `--check`: exit non-zero if any condition above fails.
 //!
-//! Every row carries `nproc`, the core count it was measured on.
+//! Marginal plans take the builder's defaults: optimal budgets at pure
+//! ε = 1. Rows go to `bench_results/hot_path.jsonl`.
 
-use dp_core::fourier::CoefficientSpace;
+use dp_bench::Dataset;
+use dp_core::cluster::{greedy_cluster, greedy_cluster_reference, CentroidSearch};
+use dp_core::fourier::{CoefficientSpace, ObservationOperator};
 use dp_core::prelude::*;
 use dp_core::serde_impls::u64_value;
 use dp_linalg::LinearOperator;
 use dp_mech::noise::{noise_variance, perturb_observations_into, NoiseParams, NOISE_CHUNK};
 use dp_mech::{sample_gaussian, sample_laplace};
+use dp_opt::budget::{optimal_group_budgets, GroupSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Serialize, Value};
@@ -39,8 +47,7 @@ use std::time::Instant;
 /// One measured metric.
 #[derive(Debug, Clone, Serialize)]
 struct HotPathRow {
-    /// Benchmark section: `noising`, `wht`, `release`, `range`, `json` or
-    /// `bind`.
+    /// Benchmark section (see the module docs).
     section: String,
     /// Metric name within the section.
     metric: String,
@@ -58,7 +65,7 @@ fn row(section: &str, metric: &str, value: f64, unit: &str) -> HotPathRow {
         metric: metric.into(),
         value,
         unit: unit.into(),
-        nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        nproc: dp_bench::nproc(),
     }
 }
 
@@ -593,13 +600,10 @@ fn fourier_bind_reference(
 /// Times `Session::bind` of the NLTCS Q2 `F+` plan against the dense-fold
 /// reference, after checking that both observe the same bytes. Returns
 /// `reference / bind`.
-fn bench_bind(reps: usize, rows: &mut Vec<HotPathRow>) -> f64 {
-    let nltcs = dp_bench::Dataset::nltcs();
+fn bench_bind(nltcs: &Dataset, reps: usize, rows: &mut Vec<HotPathRow>) -> f64 {
     let workload = Workload::all_k_way(&nltcs.schema, 2).expect("Q2 builds");
     let plan = Arc::new(
         PlanBuilder::marginals(workload.clone(), StrategyKind::Fourier)
-            .budgeting(Budgeting::Optimal)
-            .privacy(PrivacyLevel::Pure { epsilon: 1.0 })
             .for_schema(&nltcs.schema)
             .compile()
             .expect("plan compiles"),
@@ -646,11 +650,351 @@ fn bench_bind(reps: usize, rows: &mut Vec<HotPathRow>) -> f64 {
     ratio
 }
 
+/// Microseconds of one `Session::release` of NLTCS Q2 under each of the
+/// four marginal strategies, optimal budgets.
+fn bench_nltcs_releases(nltcs: &Dataset, reps: usize, rows: &mut Vec<HotPathRow>) {
+    let workload = Workload::all_k_way(&nltcs.schema, 2).expect("Q2 builds");
+    for strategy in [
+        StrategyKind::Fourier,
+        StrategyKind::Workload,
+        StrategyKind::Cluster,
+        StrategyKind::Identity,
+    ] {
+        let plan = PlanBuilder::marginals(workload.clone(), strategy)
+            .for_schema(&nltcs.schema)
+            .compile()
+            .expect("plan compiles");
+        let session = Session::bind(Arc::new(plan), &nltcs.table).expect("table matches plan");
+        let mut seed = 0u64;
+        let t = time_best(reps, || {
+            seed += 1;
+            std::hint::black_box(session.release(seed).expect("release succeeds"));
+        });
+        let label = session.plan().label();
+        println!("{:>22}: {:.1} µs", format!("nltcs Q2 {label}"), t * 1e6);
+        rows.push(row(
+            "release",
+            &format!("nltcs_q2_{label}_us"),
+            t * 1e6,
+            "us",
+        ));
+    }
+}
+
+/// Microseconds of one diagonal `ObservationOperator::gls_solve` for all
+/// 2-way marginals over `d` binary attributes.
+fn bench_gls_solve(d: usize, reps: usize, rows: &mut Vec<HotPathRow>) {
+    let schema = Schema::binary(d).expect("binary schema builds");
+    let workload = Workload::all_k_way(&schema, 2).expect("Q2 builds");
+    let space = CoefficientSpace::from_marginals(d, workload.marginals());
+    let op = ObservationOperator::new(&space, workload.marginals()).expect("targets lie in F");
+    let mut rng = StdRng::seed_from_u64(2);
+    let cells: Vec<f64> = (0..op.num_cells()).map(|_| rng.gen::<f64>()).collect();
+    let weights = vec![1.0; workload.len()];
+    let t = time_best(reps, || {
+        std::hint::black_box(op.gls_solve(&cells, &weights).expect("shapes match"));
+    });
+    println!("{:>22}: {:.1} µs", format!("gls_solve d = {d}"), t * 1e6);
+    rows.push(row("release", &format!("gls_solve_d{d}_us"), t * 1e6, "us"));
+}
+
+/// Microseconds of one `table::marginalize` of a noisy `2^d`-cell vector
+/// (the fold every `I` recovery runs) down to a 3-way marginal.
+fn bench_fold(d: usize, reps: usize, rows: &mut Vec<HotPathRow>) {
+    let mut rng = StdRng::seed_from_u64(5);
+    let noisy: Vec<f64> = (0..1usize << d)
+        .map(|i| (i % 7) as f64 + laplace_draw(&mut rng, 1.0))
+        .collect();
+    let alpha = AttrMask::from_bits(&[0, d / 2, d - 1]);
+    let t = time_best(reps, || {
+        std::hint::black_box(dp_core::table::marginalize(&noisy, d, alpha));
+    });
+    println!("{:>22}: {:.1} µs", format!("noisy fold d = {d}"), t * 1e6);
+    rows.push(row("bind", &format!("noisy_fold_d{d}_us"), t * 1e6, "us"));
+}
+
+/// Times `k` NLTCS Q2 `F+` releases served from cold plans (compile, budget
+/// solve and bind per release) against one plan out of a fresh `PlanCache`
+/// asked `k` times, bound once and released as one batch, and counts the
+/// Step-2 budget solves of one pass of each; then times one closed-form
+/// solve over 1024 groups. Returns the solve counts (cold, cached).
+fn bench_plan(nltcs: &Dataset, k: usize, reps: usize, rows: &mut Vec<HotPathRow>) -> (u64, u64) {
+    let workload = Workload::all_k_way(&nltcs.schema, 2).expect("Q2 builds");
+    let build = || {
+        PlanBuilder::marginals(workload.clone(), StrategyKind::Fourier).for_schema(&nltcs.schema)
+    };
+    let seeds: Vec<u64> = (0..k as u64).collect();
+    let cold = || {
+        for &seed in &seeds {
+            let plan = build().compile().expect("plan compiles");
+            let session = Session::bind(Arc::new(plan), &nltcs.table).expect("table matches");
+            std::hint::black_box(session.release(seed).expect("release succeeds"));
+        }
+    };
+    let cached = || {
+        let cache = PlanCache::new();
+        let mut plan = cache.get_or_compile(build()).expect("plan compiles");
+        for _ in 1..k {
+            plan = cache.get_or_compile(build()).expect("cache hit");
+        }
+        let session = Session::bind(plan, &nltcs.table).expect("table matches");
+        std::hint::black_box(session.release_batch(&seeds).expect("batch succeeds"));
+    };
+    let solves = |arm: &dyn Fn()| {
+        let before = dp_opt::budget::solve_count();
+        arm();
+        dp_opt::budget::solve_count() - before
+    };
+    let (cold_solves, cached_solves) = (solves(&cold), solves(&cached));
+    let (t_cold, t_cached) = time_best_pair(reps, cold, cached);
+    println!(
+        "{:>22}: cold {:.1} ms ({cold_solves} budget solves), cached {:.1} ms \
+         ({cached_solves}), speedup {:.1}×",
+        format!("{k} releases"),
+        t_cold * 1e3,
+        t_cached * 1e3,
+        t_cold / t_cached,
+    );
+    rows.push(row("plan", "cold_ms", t_cold * 1e3, "ms"));
+    rows.push(row("plan", "cached_ms", t_cached * 1e3, "ms"));
+    rows.push(row("plan", "cached_speedup", t_cold / t_cached, "x"));
+    rows.push(row(
+        "plan",
+        "cold_budget_solves",
+        cold_solves as f64,
+        "count",
+    ));
+    rows.push(row(
+        "plan",
+        "cached_budget_solves",
+        cached_solves as f64,
+        "count",
+    ));
+
+    let groups: Vec<GroupSpec> = (0..1024)
+        .map(|i| GroupSpec {
+            c: 1.0 + (i % 5) as f64 * 0.1,
+            s: 1.0 + (i % 17) as f64,
+        })
+        .collect();
+    let t_solve = time_best(100 * reps, || {
+        std::hint::black_box(optimal_group_budgets(&groups, 1.0).expect("groups are valid"));
+    });
+    println!("{:>22}: {:.1} µs", "1024-group solve", t_solve * 1e6);
+    rows.push(row("plan", "budget_solve_1024_us", t_solve * 1e6, "us"));
+    (cold_solves, cached_solves)
+}
+
+/// A deterministic random workload of `ell` distinct 2-/3-way marginals
+/// over `d` bits, so the merge rounds of a cluster search are skewed.
+fn random_workload(d: usize, ell: usize, rng: &mut StdRng) -> Workload {
+    let mut seen = std::collections::HashSet::new();
+    let mut masks = Vec::with_capacity(ell);
+    while masks.len() < ell {
+        let weight = 2 + rng.gen_range(0usize..2);
+        let mut mask = 0u64;
+        while mask.count_ones() < weight as u32 {
+            mask |= 1u64 << rng.gen_range(0usize..d);
+        }
+        if seen.insert(mask) {
+            masks.push(AttrMask(mask));
+        }
+    }
+    Workload::new(d, masks).expect("random masks are in-domain and distinct")
+}
+
+/// Times the retained `O(ℓ³)` reference greedy cluster search against the
+/// optimized one (incremental, pruned, fanned out) on random workloads of
+/// each size `ℓ` over 20 bits, after checking both find the identical
+/// clustering. Returns `reference / optimized` at the last `ℓ`.
+fn bench_cluster(ells: &[usize], reps: usize, rows: &mut Vec<HotPathRow>) -> f64 {
+    let mut rng = StdRng::seed_from_u64(20130402);
+    let mut ratio = f64::NAN;
+    for &ell in ells {
+        let workload = random_workload(20, ell, &mut rng);
+        assert_eq!(
+            greedy_cluster_reference(&workload, CentroidSearch::Union),
+            greedy_cluster(&workload),
+            "ℓ = {ell}: the optimized search diverged from the reference"
+        );
+        let (t_ref, t_opt) = time_best_pair(
+            reps,
+            || {
+                std::hint::black_box(greedy_cluster_reference(&workload, CentroidSearch::Union));
+            },
+            || {
+                std::hint::black_box(greedy_cluster(&workload));
+            },
+        );
+        ratio = t_ref / t_opt;
+        println!(
+            "{:>22}: optimized {:.2} ms, reference {:.2} ms, speedup {ratio:.1}×",
+            format!("ℓ = {ell}"),
+            t_opt * 1e3,
+            t_ref * 1e3,
+        );
+        rows.push(row(
+            "cluster",
+            &format!("ell{ell}_optimized_ms"),
+            t_opt * 1e3,
+            "ms",
+        ));
+        rows.push(row(
+            "cluster",
+            &format!("ell{ell}_reference_ms"),
+            t_ref * 1e3,
+            "ms",
+        ));
+        rows.push(row("cluster", &format!("ell{ell}_speedup"), ratio, "x"));
+    }
+    ratio
+}
+
+/// A deterministic cell stream (splitmix64) over `n` cells.
+fn cell_stream(n: usize, mut state: u64) -> impl FnMut() -> u64 {
+    move || {
+        state = state.wrapping_add(0x9e3779b97f4a7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+        (z ^ (z >> 31)) % n as u64
+    }
+}
+
+/// A fresh full bind of `counts` under the plan: the rebind arm's update.
+fn bind_fresh(plan: &Arc<Plan>, counts: &[f64]) -> Session {
+    match plan.spec() {
+        WorkloadSpec::Marginals { .. } => Session::bind(
+            Arc::clone(plan),
+            &ContingencyTable::from_counts(counts.to_vec()),
+        )
+        .expect("bind over a fresh table"),
+        WorkloadSpec::Ranges { .. } => {
+            Session::bind_histogram(Arc::clone(plan), counts).expect("bind over a fresh histogram")
+        }
+    }
+}
+
+/// Runs both arms of a continual-release loop over `n` cells: records
+/// arrive one at a time and the session stays current, with one release
+/// per epoch of `updates` arrivals. The rebind arm applies each arrival to
+/// the raw counts and binds afresh; the ingest arm makes it one
+/// `Session::ingest`. Both see the same record stream and release seeds,
+/// and must end on the same counts. Returns the speedups of the whole loop
+/// and of the update path alone (releases excluded), `rebind / ingest`.
+fn bench_stream(
+    family: &str,
+    plan: Arc<Plan>,
+    n: usize,
+    epochs: usize,
+    updates: usize,
+    rows: &mut Vec<HotPathRow>,
+) -> (f64, f64) {
+    let mut next = cell_stream(n, 7);
+    let mut counts = vec![0.0; n];
+    let mut rebind_updates = 0.0;
+    let start = Instant::now();
+    let mut session = bind_fresh(&plan, &counts);
+    for epoch in 0..epochs {
+        let t0 = Instant::now();
+        for _ in 0..updates {
+            counts[next() as usize] += 1.0;
+            session = bind_fresh(&plan, &counts);
+        }
+        rebind_updates += t0.elapsed().as_secs_f64();
+        std::hint::black_box(session.release(epoch as u64).expect("release"));
+    }
+    let t_rebind = start.elapsed().as_secs_f64();
+
+    let mut next = cell_stream(n, 7);
+    let mut ingest_updates = 0.0;
+    let start = Instant::now();
+    let mut stream = Session::empty(Arc::clone(&plan)).expect("empty stream");
+    for epoch in 0..epochs {
+        let t0 = Instant::now();
+        for _ in 0..updates {
+            stream.ingest(next()).expect("ingest");
+        }
+        ingest_updates += t0.elapsed().as_secs_f64();
+        std::hint::black_box(stream.release(epoch as u64).expect("release"));
+    }
+    let t_ingest = start.elapsed().as_secs_f64();
+    assert_eq!(
+        stream.counts(),
+        counts.as_slice(),
+        "both arms saw the same record stream"
+    );
+
+    let per_update = |t: f64| t / (epochs * updates) as f64 * 1e6;
+    let ratio = t_rebind / t_ingest;
+    let update_ratio = rebind_updates / ingest_updates;
+    let key = format!("{family}_{}_2^{}", plan.label(), n.trailing_zeros());
+    println!(
+        "{key:>22}: rebind {:.2} ms ({:.2} µs/update), ingest {:.3} ms ({:.3} µs/update), \
+         loop speedup {ratio:.1}×, update speedup {update_ratio:.1}×",
+        t_rebind * 1e3,
+        per_update(rebind_updates),
+        t_ingest * 1e3,
+        per_update(ingest_updates),
+    );
+    rows.push(row("stream", &format!("{key}_loop_speedup"), ratio, "x"));
+    rows.push(row(
+        "stream",
+        &format!("{key}_rebind_update_us"),
+        per_update(rebind_updates),
+        "us",
+    ));
+    rows.push(row(
+        "stream",
+        &format!("{key}_ingest_update_us"),
+        per_update(ingest_updates),
+        "us",
+    ));
+    rows.push(row(
+        "stream",
+        &format!("{key}_update_speedup"),
+        update_ratio,
+        "x",
+    ));
+    (ratio, update_ratio)
+}
+
+/// A marginal Fourier Q1 plan over `bits` binary attributes.
+fn marginal_plan(bits: usize) -> Arc<Plan> {
+    let schema = Schema::binary(bits).expect("binary schema");
+    let workload = Workload::all_k_way(&schema, 1).expect("Q1 workload");
+    Arc::new(
+        PlanBuilder::marginals(workload, StrategyKind::Fourier)
+            .compile()
+            .expect("marginal plan compiles"),
+    )
+}
+
+/// A range plan over `n` cells with a fixed 128-query workload, so the
+/// recovery cost does not grow with the query count.
+fn range_plan(n: usize, strategy: RangeStrategy) -> Arc<Plan> {
+    let mut next = cell_stream(n, 3);
+    let ranges: Vec<(usize, usize)> = (0..128)
+        .map(|_| {
+            let lo = next() as usize;
+            let hi = (lo + 1 + next() as usize % (n / 4)).min(n);
+            (lo, hi)
+        })
+        .collect();
+    let workload = RangeWorkload::new(n, ranges).expect("range workload");
+    Arc::new(
+        PlanBuilder::ranges(workload, strategy)
+            .compile()
+            .expect("range plan compiles"),
+    )
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let check = args.iter().any(|a| a == "--check");
     let mut rows: Vec<HotPathRow> = Vec::new();
+    let nltcs = Dataset::nltcs();
 
     // ── 1. Cells-noised per second ─────────────────────────────────────
     let cells = if smoke { 1 << 16 } else { 1 << 21 };
@@ -702,8 +1046,6 @@ fn main() {
     let schema = Schema::binary(schema_bits).expect("binary schema builds");
     let workload = Workload::all_k_way(&schema, 2).expect("Q2 builds");
     let plan = PlanBuilder::marginals(workload, StrategyKind::Fourier)
-        .budgeting(Budgeting::Optimal)
-        .privacy(PrivacyLevel::Pure { epsilon: 1.0 })
         .for_schema(&schema)
         .compile()
         .expect("plan compiles");
@@ -742,6 +1084,8 @@ fn main() {
         t_single * 1e6
     );
     rows.push(row("release", "fourier_q2_single_us", t_single * 1e6, "us"));
+    bench_gls_solve(schema_bits, single_reps, &mut rows);
+    bench_nltcs_releases(&nltcs, reps, &mut rows);
 
     // ── 4. Range release vs one CG solve ───────────────────────────────
     let n = 1usize << 16;
@@ -762,7 +1106,64 @@ fn main() {
 
     // ── 6. Marginal bind vs the dense fold ─────────────────────────────
     println!("== bind (NLTCS Q2 F+, best of {reps}) ==");
-    let bind_ratio = bench_bind(reps, &mut rows);
+    let bind_ratio = bench_bind(&nltcs, reps, &mut rows);
+    bench_fold(if smoke { 12 } else { 20 }, reps, &mut rows);
+
+    // ── 7. Cold plans vs one cached plan ───────────────────────────────
+    let k = 32;
+    println!("== plan (NLTCS Q2 F+, {k} releases, best of {reps}) ==");
+    let (cold_solves, cached_solves) = bench_plan(&nltcs, k, reps, &mut rows);
+
+    // ── 8. Cluster search: reference vs optimized ──────────────────────
+    let ells: &[usize] = if smoke {
+        &[50, 100, 200]
+    } else {
+        &[50, 100, 200, 400, 800]
+    };
+    println!("== cluster (random 2-/3-way workloads over 20 bits, best of {reps}) ==");
+    let cluster_ratio = bench_cluster(ells, reps, &mut rows);
+
+    // ── 9. Continual release: rebind vs ingest per update ──────────────
+    // Arrivals per release are per family: a marginal rebind costs
+    // O(n·(d+1)), so a small epoch already shows the gap (and a large one
+    // would take hours at 2^20); a range release amortizes an O(n)
+    // closed-form recovery, so the realistic regime, thousands of
+    // arrivals between releases, is what puts the update path on the
+    // critical path.
+    let (bits, epochs): (&[usize], usize) = if smoke {
+        (&[12], 1)
+    } else {
+        (&[12, 14, 16, 18, 20], 2)
+    };
+    let (marginal_updates, range_updates) = if smoke { (8, 8) } else { (48, 4096) };
+    println!(
+        "== stream ({marginal_updates} marginal, {range_updates} range arrivals per release, \
+         {epochs} releases) =="
+    );
+    // Smoke epochs are too short for the update path to dominate a
+    // loop, so smoke runs gate the update speedup and full runs the loop's.
+    let mut stream_ratios = Vec::new();
+    for &b in bits {
+        let n = 1usize << b;
+        let plans = [
+            ("marginal", marginal_plan(b), marginal_updates),
+            (
+                "range",
+                range_plan(n, RangeStrategy::Hierarchical),
+                range_updates,
+            ),
+            (
+                "range",
+                range_plan(n, RangeStrategy::Wavelet),
+                range_updates,
+            ),
+        ];
+        for (family, plan, updates) in plans {
+            let label = format!("{family} {} at 2^{b}", plan.label());
+            let (looped, update) = bench_stream(family, plan, n, epochs, updates, &mut rows);
+            stream_ratios.push((label, n, if smoke { update } else { looped }));
+        }
+    }
 
     match dp_bench::write_jsonl("hot_path.jsonl", &rows) {
         Ok(p) => eprintln!("wrote {}", p.display()),
@@ -808,46 +1209,86 @@ fn main() {
         // The single-release gate is a count, not a timing: a Q2 `F+`
         // release is below the grain-size floor, so no chunk of it may run
         // on a pool worker (waking one costs more than the recovery).
+        //
+        // The plan gate is a count too: `k` cold plans solve the budgets
+        // `k` times, and one cached plan serves the whole batch from one
+        // solve (a cache that compiles every request reads `k` for both).
+        //
+        // The cluster gate is a floor on the optimized search at the
+        // largest ℓ of the run (200 in smoke runs): 4.1–6.5× the reference
+        // on two cores and 6.4–8.7× pinned to one core (ten alternated
+        // smoke runs each). A `greedy_cluster` that runs the reference
+        // search reads 0.98–1.05× and fails (six runs).
+        //
+        // The stream gate is a floor per strategy and domain. Smoke epochs
+        // (8 arrivals per release at 2^12) leave the loop dominated by its
+        // one release, so smoke runs gate the update path alone: ingest
+        // measured 9.8–17.9× (W+), 32–60× (F+) and 73–122× (H+) faster
+        // than a rebind over the same ten-and-ten runs. Full runs keep the
+        // continual-release acceptance: the whole loop 10× faster at 2^16
+        // and above. An ingest arm that also rebinds per update reads
+        // 0.90–1.04× and fails (six runs).
         let wht_floor = 1.05;
         let range_floor = 5.0;
         let bind_floor = 1.5;
-        let mut failed = false;
-        if gaussian_ratio < 0.75 {
-            eprintln!("CHECK FAILED: gaussian noising ratio {gaussian_ratio:.2}× < 0.75×");
-            failed = true;
-        }
-        if laplace_ratio < 0.75 {
-            eprintln!("CHECK FAILED: laplace noising ratio {laplace_ratio:.2}× < 0.75×");
-            failed = true;
-        }
-        if wht_ratio < wht_floor {
-            eprintln!("CHECK FAILED: WHT speedup {wht_ratio:.2}× < {wht_floor}×");
-            failed = true;
-        }
+        let cluster_floor = 2.5;
+        let (stream_gate, stream_floor, stream_from) = if smoke {
+            ("update", 3.0, 1 << 12)
+        } else {
+            ("loop", 10.0, 1 << 16)
+        };
+        let mut failures = Vec::new();
+        let mut floor = |what: &str, ratio: f64, floor: f64| {
+            if ratio < floor {
+                failures.push(format!("{what} {ratio:.2}× < {floor}×"));
+            }
+        };
+        floor("laplace noising ratio", laplace_ratio, 0.75);
+        floor("gaussian noising ratio", gaussian_ratio, 0.75);
+        floor("WHT speedup", wht_ratio, wht_floor);
         for (label, ratio) in ["W+", "H+"].iter().zip(range_ratios) {
-            if ratio < range_floor {
-                eprintln!(
-                    "CHECK FAILED: {label} release only {ratio:.1}× faster than one CG solve \
-                     (< {range_floor}×)"
+            floor(
+                &format!("{label} release over one CG solve"),
+                ratio,
+                range_floor,
+            );
+        }
+        floor(
+            "NLTCS Q2 F+ bind over the dense fold",
+            bind_ratio,
+            bind_floor,
+        );
+        let largest = ells[ells.len() - 1];
+        floor(
+            &format!("cluster search speedup at ℓ = {largest}"),
+            cluster_ratio,
+            cluster_floor,
+        );
+        for (label, n, ratio) in &stream_ratios {
+            if *n >= stream_from {
+                floor(
+                    &format!("{label}: stream {stream_gate} speedup"),
+                    *ratio,
+                    stream_floor,
                 );
-                failed = true;
             }
         }
-        if bind_ratio < bind_floor {
-            eprintln!(
-                "CHECK FAILED: NLTCS Q2 F+ bind only {bind_ratio:.1}× faster than the dense fold \
-                 (< {bind_floor}×)"
-            );
-            failed = true;
-        }
         if single_on_workers > 0 {
-            eprintln!(
-                "CHECK FAILED: {single_on_workers} chunks of single Q2 F+ releases ran on pool \
-                 workers (expected 0: the release is below the grain-size floor)"
-            );
-            failed = true;
+            failures.push(format!(
+                "{single_on_workers} chunks of single Q2 F+ releases ran on pool workers \
+                 (expected 0: the release is below the grain-size floor)"
+            ));
         }
-        if failed {
+        if (cold_solves, cached_solves) != (k as u64, 1) {
+            failures.push(format!(
+                "{cold_solves} budget solves for {k} cold plans and {cached_solves} for one \
+                 cached plan (expected {k} and 1)"
+            ));
+        }
+        for failure in &failures {
+            eprintln!("CHECK FAILED: {failure}");
+        }
+        if !failures.is_empty() {
             std::process::exit(1);
         }
         println!("all hot-path thresholds passed");

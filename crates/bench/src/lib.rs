@@ -201,6 +201,13 @@ pub struct RuntimePoint {
     pub method: String,
     /// End-to-end seconds: planning + one release.
     pub seconds: f64,
+    /// Cores available to the process.
+    pub nproc: usize,
+}
+
+/// Cores available to the process, as every benchmark row records it.
+pub fn nproc() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Runs the accuracy sweep for one dataset: every workload family × method
@@ -340,6 +347,7 @@ pub fn runtime_sweep(
                 workload: family.label(),
                 method: label.to_string(),
                 seconds: start.elapsed().as_secs_f64(),
+                nproc: nproc(),
             });
             eprintln!(
                 "  [fig6] {} {}: {:.4}s",
