@@ -574,25 +574,23 @@ fn bench_release_write(releases: &[SessionRelease], reps: usize, rows: &mut Vec<
 /// The dense marginal bind, kept as the reference: copy the table's
 /// counts, fold them down to each target marginal with
 /// `table::marginalize` (fanned out across cores), then fill the Fourier
-/// coefficients from the folds.
-fn fourier_bind_reference(
-    counts: &[f64],
-    space: &CoefficientSpace,
-    targets: &[AttrMask],
-) -> Vec<f64> {
+/// coefficients from the folds through the targets' block map, the
+/// inverse `ObservationOperator::coefficients` the bind itself runs.
+fn fourier_bind_reference(counts: &[f64], targets: &ObservationOperator) -> Vec<f64> {
     use rayon::prelude::*;
     let counts = counts.to_vec();
-    let d = space.domain_bits();
-    let folds: Vec<MarginalTable> = targets
+    let d = targets.domain_bits();
+    let folds: Vec<Vec<f64>> = targets
+        .masks()
         .par_iter()
-        .map(|&alpha| MarginalTable::new(alpha, dp_core::table::marginalize(&counts, d, alpha)))
+        .map(|&alpha| dp_core::table::marginalize(&counts, d, alpha))
         .collect();
-    let mut coeffs = vec![0.0; space.len()];
+    let mut coeffs = vec![0.0; targets.num_coeffs()];
     let mut scratch = Vec::new();
-    for m in &folds {
-        space
-            .fill_from_marginal_with(&mut coeffs, m, &mut scratch)
-            .expect("targets lie in the support");
+    for (i, cells) in folds.iter().enumerate() {
+        for (p, c) in targets.coefficients(i, cells, &mut scratch) {
+            coeffs[p] = c;
+        }
     }
     coeffs
 }
@@ -610,8 +608,9 @@ fn bench_bind(nltcs: &Dataset, reps: usize, rows: &mut Vec<HotPathRow>) -> f64 {
     );
     let table = &nltcs.table;
     let space = CoefficientSpace::from_marginals(table.dims(), workload.marginals());
+    let targets = ObservationOperator::new(&space, workload.marginals()).expect("targets lie in F");
     let bound = Session::bind(Arc::clone(&plan), table).expect("table matches plan");
-    let reference = fourier_bind_reference(table.counts(), &space, workload.marginals());
+    let reference = fourier_bind_reference(table.counts(), &targets);
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     assert_eq!(
         bits(bound.observations()),
@@ -625,11 +624,7 @@ fn bench_bind(nltcs: &Dataset, reps: usize, rows: &mut Vec<HotPathRow>) -> f64 {
             std::hint::black_box(Session::bind(Arc::clone(&plan), table).expect("bind succeeds"));
         },
         || {
-            std::hint::black_box(fourier_bind_reference(
-                table.counts(),
-                &space,
-                workload.marginals(),
-            ));
+            std::hint::black_box(fourier_bind_reference(table.counts(), &targets));
         },
     );
     let ratio = t_ref / t_bind;
@@ -1006,7 +1001,7 @@ fn main() {
     // ── 2. WHT effective bandwidth ─────────────────────────────────────
     let n: usize = if smoke { 1 << 20 } else { 1 << 22 };
     let d = n.trailing_zeros() as f64;
-    let wht_reps = 10;
+    let wht_reps = 30;
     println!("== wht (n = 2^{d}, best of {wht_reps}) ==");
     let x0: Vec<f64> = (0..n).map(|i| ((i * 31) % 257) as f64 - 128.0).collect();
     let mut opt = x0.clone();
@@ -1188,11 +1183,13 @@ fn main() {
         // The WHT gate is a genuine speedup floor, timed at 2^20 even in
         // smoke runs: at 2^16 the 512 KiB array fits in cache, blocking
         // barely shows, and the gate flaked (0.75–1.45× on two cores).
-        // At 2^20, best of 10 alternated timings, the lane kernel with
-        // cache blocking reads 1.99–2.69× on two cores (ten runs) and
-        // 1.35–1.56× pinned to one core (four runs); a copy whose `fwht`
-        // is the scalar reference reads 0.94–1.04× and 0.98–1.05× and
-        // fails. 1.05× catches a lost optimization without flaking.
+        // Best of 10 alternated timings at 2^20 did not separate the two
+        // either: the kernel read down to 1.05× pinned to one core, and a
+        // copy whose `fwht` is the scalar reference read up to 1.05–1.06×.
+        // Best of 30 does: in ten alternated smoke runs each, the lane
+        // kernel with cache blocking read 1.37–2.62× on two cores and
+        // 1.26–1.68× pinned, and the scalar copy 0.97–1.01× and
+        // 0.97–1.02×, failing every run. (2^21 separated no better.)
         //
         // The range gate is a floor on the closed-form recovery: a whole
         // W+ or H+ release must beat one CG solve of the same normal
@@ -1215,10 +1212,11 @@ fn main() {
         // solve (a cache that compiles every request reads `k` for both).
         //
         // The cluster gate is a floor on the optimized search at the
-        // largest ℓ of the run (200 in smoke runs): 4.1–6.5× the reference
-        // on two cores and 6.4–8.7× pinned to one core (ten alternated
-        // smoke runs each). A `greedy_cluster` that runs the reference
-        // search reads 0.98–1.05× and fails (six runs).
+        // largest ℓ of the run (200 in smoke runs): 6.5–9.8× the reference
+        // on two cores and 6.6–11.5× pinned to one core (ten alternated
+        // smoke runs each, with the search's grain floor). A
+        // `greedy_cluster` that runs the reference search reads 0.98–1.05×
+        // and fails (six runs).
         //
         // The stream gate is a floor per strategy and domain. Smoke epochs
         // (8 arrivals per release at 2^12) leave the loop dominated by its

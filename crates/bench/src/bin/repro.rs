@@ -374,8 +374,7 @@ fn ablation_consistency(checks: &mut Checks) {
         let space = CoefficientSpace::from_marginals(d, workload.marginals());
         let op = ObservationOperator::new(&space, workload.marginals()).unwrap();
         let coeffs = op.gls_solve(&noisy, &vec![1.0; workload.len()]).unwrap();
-        let reconstruct = |&a| space.reconstruct(&coeffs, a).unwrap().values().to_vec();
-        let fourier_answers: Vec<f64> = workload.marginals().iter().flat_map(reconstruct).collect();
+        let fourier_answers = op.apply(&coeffs);
         let fourier_seconds = t0.elapsed().as_secs_f64();
 
         // Data-space solve: min_x ‖Qx − ỹ‖ via CG on QᵀQ (N variables),

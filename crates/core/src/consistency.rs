@@ -5,9 +5,11 @@
 //! For `p ∈ {1, ∞}` the paper formulates a linear program over the Fourier
 //! coefficients — `m = |F|` variables instead of the `N = 2^d` variables of
 //! prior work — which this module builds and solves with the `dp-opt`
-//! simplex.
+//! simplex. The marginals' block map ([`ObservationOperator`]) lays out
+//! the program: each cell's row sits at its block's coefficient positions,
+//! and the fitted marginals are the block map's tables of the solution.
 
-use crate::fourier::CoefficientSpace;
+use crate::fourier::{CoefficientSpace, ObservationOperator};
 use crate::marginal::{marginal_fourier_entry, MarginalTable};
 use crate::mask::AttrMask;
 use crate::CoreError;
@@ -37,9 +39,9 @@ pub fn make_consistent(
         return Ok(Vec::new());
     }
     let masks: Vec<AttrMask> = noisy.iter().map(|m| m.mask()).collect();
-    let space = CoefficientSpace::from_marginals(d, &masks);
-    let m = space.len();
-    let k: usize = masks.iter().map(|a| a.cell_count()).sum();
+    let op = ObservationOperator::new(&CoefficientSpace::from_marginals(d, &masks), &masks)?;
+    let m = op.num_coeffs();
+    let k = op.num_cells();
 
     // Variable layout: [f⁺ (m)][f⁻ (m)][residual vars].
     // L1: residuals e_1..e_K, objective Σ e.
@@ -56,19 +58,16 @@ pub fn make_consistent(
 
     let mut constraints: Vec<(Vec<f64>, ConstraintOp, f64)> = Vec::with_capacity(2 * k);
     let mut cell_index = 0usize;
-    for mt in noisy {
+    for (i, mt) in noisy.iter().enumerate() {
         let alpha = mt.mask();
         for (rank, &y) in mt.values().iter().enumerate() {
             let gamma = alpha.expand_cell(rank);
-            // Row of R over the coefficient space.
+            // Row of R over the coefficient space, at the block's positions.
             let mut pos_row = vec![0.0; nvars];
-            for beta in alpha.subsets() {
+            for (beta, &j) in alpha.subsets().zip(op.positions(i)) {
                 let entry = marginal_fourier_entry(d, alpha, beta, gamma);
-                let j = space
-                    .position(beta)
-                    .ok_or(CoreError::CoefficientNotInSupport(beta))?;
-                pos_row[j] = entry;
-                pos_row[m + j] = -entry;
+                pos_row[j as usize] = entry;
+                pos_row[m + j as usize] = -entry;
             }
             let resid_col = match norm {
                 ConsistencyNorm::L1 => 2 * m + cell_index,
@@ -91,11 +90,7 @@ pub fn make_consistent(
     };
     let sol = solve_lp(&lp).map_err(|e| CoreError::Opt(e.into()))?;
     let coeffs: Vec<f64> = (0..m).map(|j| sol.x[j] - sol.x[m + j]).collect();
-
-    masks
-        .iter()
-        .map(|&alpha| space.reconstruct(&coeffs, alpha))
-        .collect()
+    Ok(op.tables(&coeffs))
 }
 
 /// The triangle-inequality utility guarantee of Section 3.3: applied to

@@ -1,27 +1,30 @@
 //! Fourier-coefficient machinery (Sections 4.1 and 4.3 of the paper).
 //!
 //! A set of marginals `{Cα}` is fully determined by the Fourier coefficients
-//! in its downset support `F = ∪ {β : β ≼ α}`. Two structural facts make
-//! everything here fast:
+//! in its downset support `F = ∪ {β : β ≼ α}`. Theorem 4.1 makes everything
+//! here fast: restricted to one marginal `α` with `w = ‖α‖`, the map from
+//! coefficients to cells is `2^{d/2−w} · H_{2^w}`, a scaled Walsh–Hadamard
+//! matrix over the compressed cell/coefficient ranks. So one marginal costs
+//! `O(2^w w)` in either direction via the fast WHT, instead of `O(4^w)`,
+//! and no pass over the full `2^d` table is needed beyond computing the
+//! marginals themselves.
 //!
-//! 1. **Block structure.** Restricted to one marginal `α` with `w = ‖α‖`,
-//!    the recovery matrix of Theorem 4.1 is `2^{d/2−w} · H_{2^w}` — a scaled
-//!    Walsh–Hadamard matrix over the compressed cell/coefficient ranks. So
-//!    applying the recovery (or its transpose) to one marginal costs
-//!    `O(2^w w)` via the fast WHT instead of `O(4^w)`.
-//! 2. **Coefficients from marginals.** Inverting the same relation,
-//!    the exact coefficients `⟨f^β, x⟩` for all `β ≼ α` are a scaled WHT of
-//!    the marginal's cells — no pass over the full `2^d` table is needed
-//!    beyond computing the marginals themselves.
-//!
-//! [`ObservationOperator`] packages the block-WHT products plus the weighted
-//! normal equations used by the generalized-least-squares recovery/
-//! consistency step, solved with conjugate gradients.
+//! [`ObservationOperator`] is the one owner of that block map. Its `new`
+//! lays out each marginal's block once — mask, coefficient positions,
+//! Hadamard scale, cell offset — and every use of the theorem runs through
+//! it: the forward map to concatenated cells ([`ObservationOperator::apply`])
+//! or to one table per marginal ([`ObservationOperator::tables`], the
+//! recovery of every Fourier-space release), the inverse map from exact
+//! cells to coefficients ([`ObservationOperator::coefficients`], the
+//! Fourier bind), the transpose, and the weighted normal equations of the
+//! generalized-least-squares recovery/consistency step.
 
 use crate::marginal::MarginalTable;
 use crate::mask::AttrMask;
+use crate::table::min_len;
 use crate::CoreError;
 use dp_linalg::{cg_solve, CgOptions};
+use rayon::prelude::*;
 use std::collections::HashMap;
 
 /// An indexed set of Fourier coefficients (the variables of the fast
@@ -82,95 +85,16 @@ impl CoefficientSpace {
     pub fn position(&self, beta: AttrMask) -> Option<usize> {
         self.index.get(&beta).map(|&i| i as usize)
     }
-
-    /// The positions of all `2^{‖α‖}` coefficients dominated by `alpha`,
-    /// in compressed-rank order. Errors if the space does not contain the
-    /// marginal's downset.
-    pub fn block_positions(&self, alpha: AttrMask) -> Result<Vec<u32>, CoreError> {
-        alpha
-            .subsets()
-            .map(|beta| {
-                self.index
-                    .get(&beta)
-                    .copied()
-                    .ok_or(CoreError::CoefficientNotInSupport(beta))
-            })
-            .collect()
-    }
-
-    /// Fills exact coefficient values from a marginal's *exact* cells: the
-    /// inverse block relation `f̂|_{≼α} = 2^{w − d/2} · (H/2^w) · cells`.
-    /// Coefficients already present are overwritten with identical values
-    /// (they are exact), so call order does not matter.
-    pub fn fill_from_marginal(
-        &self,
-        coeffs: &mut [f64],
-        marginal: &MarginalTable,
-    ) -> Result<(), CoreError> {
-        let mut scratch = Vec::new();
-        self.fill_from_marginal_with(coeffs, marginal, &mut scratch)
-    }
-
-    /// [`CoefficientSpace::fill_from_marginal`] over a caller-provided WHT
-    /// buffer, so observation assembly over many marginals reuses one
-    /// buffer instead of allocating (and discarding) a copy per marginal.
-    pub fn fill_from_marginal_with(
-        &self,
-        coeffs: &mut [f64],
-        marginal: &MarginalTable,
-        scratch: &mut Vec<f64>,
-    ) -> Result<(), CoreError> {
-        let alpha = marginal.mask();
-        // Validate the whole downset before touching `coeffs`, preserving
-        // the all-or-nothing behaviour of the position-list path without
-        // materializing the list.
-        for beta in alpha.subsets() {
-            if !self.index.contains_key(&beta) {
-                return Err(CoreError::CoefficientNotInSupport(beta));
-            }
-        }
-        let w = alpha.weight() as i32;
-        scratch.clear();
-        scratch.extend_from_slice(marginal.values());
-        dp_linalg::fwht(scratch);
-        // cells = 2^{d/2−w} H f̂  ⇒  f̂ = 2^{w−d/2} · (1/2^w) · H · cells.
-        let scale = 2f64.powf(w as f64 - self.d as f64 / 2.0) / 2f64.powi(w);
-        for (rank, beta) in alpha.subsets().enumerate() {
-            coeffs[self.index[&beta] as usize] = scratch[rank] * scale;
-        }
-        Ok(())
-    }
-
-    /// Reconstructs the marginal `Cα x` from coefficient values
-    /// (Theorem 4.1(2)) via one block WHT.
-    pub fn reconstruct(&self, coeffs: &[f64], alpha: AttrMask) -> Result<MarginalTable, CoreError> {
-        Ok(self.reconstruct_block(coeffs, alpha, &self.block_positions(alpha)?))
-    }
-
-    /// [`CoefficientSpace::reconstruct`] from the marginal's
-    /// [`CoefficientSpace::block_positions`], looked up beforehand: a
-    /// recovery of many releases looks them up once, not per release.
-    pub(crate) fn reconstruct_block(
-        &self,
-        coeffs: &[f64],
-        alpha: AttrMask,
-        positions: &[u32],
-    ) -> MarginalTable {
-        let mut buf: Vec<f64> = positions.iter().map(|&p| coeffs[p as usize]).collect();
-        dp_linalg::fwht(&mut buf);
-        let scale = 2f64.powf(self.d as f64 / 2.0 - alpha.weight() as f64);
-        for v in &mut buf {
-            *v *= scale;
-        }
-        MarginalTable::new(alpha, buf)
-    }
 }
 
-/// The observation operator `R : coefficients → concatenated marginal
-/// cells` for a list of observed marginals, with per-marginal weights for
-/// the GLS normal equations.
+/// The block map `R : coefficients → concatenated marginal cells` of
+/// Theorem 4.1 for a list of marginals, with per-marginal weights for the
+/// GLS normal equations.
 #[derive(Debug, Clone)]
 pub struct ObservationOperator {
+    d: usize,
+    masks: Vec<AttrMask>,
+    /// One block per mask, in mask order.
     blocks: Vec<Block>,
     num_coeffs: usize,
     num_cells: usize,
@@ -178,8 +102,8 @@ pub struct ObservationOperator {
 
 #[derive(Debug, Clone)]
 struct Block {
-    mask: AttrMask,
-    /// Coefficient positions for this marginal's downset, rank-ordered.
+    /// Coefficient positions for this marginal's downset, rank-ordered;
+    /// there are as many as the marginal has cells.
     positions: Vec<u32>,
     /// The scalar `2^{d/2 − w}` multiplying the block's Hadamard matrix.
     scale: f64,
@@ -188,17 +112,47 @@ struct Block {
     cell_offset: usize,
 }
 
+impl Block {
+    /// The forward kernel, shared by [`ObservationOperator::apply`] and
+    /// [`ObservationOperator::tables`]: the block's cells from coefficient
+    /// values into `out` — gather, one WHT, scale.
+    fn cells_into(&self, coeffs: &[f64], out: &mut [f64]) {
+        for (o, &p) in out.iter_mut().zip(&self.positions) {
+            *o = coeffs[p as usize];
+        }
+        dp_linalg::fwht(out);
+        for v in out.iter_mut() {
+            *v *= self.scale;
+        }
+    }
+
+    /// The block's rows in the concatenated cell vector.
+    fn rows(&self) -> std::ops::Range<usize> {
+        self.cell_offset..self.cell_offset + self.positions.len()
+    }
+}
+
 impl ObservationOperator {
-    /// Builds the operator for the given observed marginals over a
-    /// coefficient space that must contain all their downsets.
+    /// Builds the operator for the given marginals over a coefficient
+    /// space that must contain all their downsets: the one place a
+    /// marginal's positions, scale and cell offset are computed. Fails with
+    /// [`CoreError::CoefficientNotInSupport`] if a downset leaves the space.
     pub fn new(space: &CoefficientSpace, observed: &[AttrMask]) -> Result<Self, CoreError> {
         let d = space.domain_bits();
         let mut blocks = Vec::with_capacity(observed.len());
         let mut offset = 0usize;
         for &alpha in observed {
-            let positions = space.block_positions(alpha)?;
+            let positions = alpha
+                .subsets()
+                .map(|beta| {
+                    space
+                        .index
+                        .get(&beta)
+                        .copied()
+                        .ok_or(CoreError::CoefficientNotInSupport(beta))
+                })
+                .collect::<Result<Vec<u32>, _>>()?;
             blocks.push(Block {
-                mask: alpha,
                 positions,
                 scale: 2f64.powf(d as f64 / 2.0 - alpha.weight() as f64),
                 cell_offset: offset,
@@ -206,10 +160,31 @@ impl ObservationOperator {
             offset += alpha.cell_count();
         }
         Ok(ObservationOperator {
+            d,
+            masks: observed.to_vec(),
             blocks,
             num_coeffs: space.len(),
             num_cells: offset,
         })
+    }
+
+    /// Domain width in bits.
+    #[inline]
+    pub fn domain_bits(&self) -> usize {
+        self.d
+    }
+
+    /// The marginals, in block order.
+    #[inline]
+    pub fn masks(&self) -> &[AttrMask] {
+        &self.masks
+    }
+
+    /// The coefficient positions of block `i`'s downset, in compressed-rank
+    /// order (the order of `masks()[i].subsets()`).
+    #[inline]
+    pub fn positions(&self, i: usize) -> &[u32] {
+        &self.blocks[i].positions
     }
 
     /// Number of observed cells (rows of `R`).
@@ -224,20 +199,82 @@ impl ObservationOperator {
         self.num_coeffs
     }
 
+    /// The row of each block that a record at data cell `cell` lands in —
+    /// the block's offset plus the cell indexed by the record's bits under
+    /// its mask — in block order: the column of the marginal counts `Cx`.
+    pub fn cell_rows(&self, cell: u64) -> impl Iterator<Item = usize> + '_ {
+        self.masks
+            .iter()
+            .zip(&self.blocks)
+            .map(move |(alpha, b)| b.cell_offset + alpha.compress_cell(cell & alpha.0))
+    }
+
     /// Applies `R`: coefficients → concatenated cells.
     pub fn apply(&self, coeffs: &[f64]) -> Vec<f64> {
         debug_assert_eq!(coeffs.len(), self.num_coeffs);
         let mut out = vec![0.0; self.num_cells];
         for b in &self.blocks {
-            let cells = b.mask.cell_count();
-            let mut buf: Vec<f64> = b.positions.iter().map(|&p| coeffs[p as usize]).collect();
-            dp_linalg::fwht(&mut buf);
-            let dst = &mut out[b.cell_offset..b.cell_offset + cells];
-            for (o, v) in dst.iter_mut().zip(&buf) {
-                *o = v * b.scale;
-            }
+            b.cells_into(coeffs, &mut out[b.rows()]);
         }
         out
+    }
+
+    /// Applies `R` one marginal at a time: each block's cells as a table
+    /// (Theorem 4.1(2)), in block order. The recovery of `F`, `Q` and `C`
+    /// releases.
+    ///
+    /// The blocks fan out across cores in chunks of at least
+    /// `table::PARALLEL_MIN_CELLS` (8 192) cell-passes
+    /// (`2^{‖α‖}` cells times one gather and `‖α‖` butterfly levels per
+    /// block), so a small workload, such as NLTCS Q2 (1 440 cell-passes), is
+    /// recovered on the calling thread. Results are collected in order, so
+    /// the layout moves no byte.
+    pub fn tables(&self, coeffs: &[f64]) -> Vec<MarginalTable> {
+        debug_assert_eq!(coeffs.len(), self.num_coeffs);
+        let work = self
+            .masks
+            .iter()
+            .map(|alpha| alpha.cell_count() * (alpha.weight() as usize + 1))
+            .sum();
+        self.masks
+            .par_iter()
+            .with_min_len(min_len(self.masks.len(), work))
+            .enumerate()
+            .map(|(i, &alpha)| {
+                let b = &self.blocks[i];
+                let mut cells = vec![0.0; b.positions.len()];
+                b.cells_into(coeffs, &mut cells);
+                MarginalTable::new(alpha, cells)
+            })
+            .collect()
+    }
+
+    /// The inverse block map: block `i`'s exact coefficients from its
+    /// *exact* cells, `f̂|_{≼α} = 2^{w − d/2} · (H/2^w) · cells`, as
+    /// `(position, value)` pairs in rank order. `scratch` is the WHT
+    /// buffer, so a pass over many blocks reuses one allocation.
+    ///
+    /// # Panics
+    /// Panics if `cells` is not one value per cell of block `i`.
+    pub fn coefficients<'a>(
+        &'a self,
+        i: usize,
+        cells: &[f64],
+        scratch: &'a mut Vec<f64>,
+    ) -> impl Iterator<Item = (usize, f64)> + 'a {
+        let positions = &self.blocks[i].positions;
+        assert_eq!(cells.len(), positions.len(), "cells of block {i}");
+        scratch.clear();
+        scratch.extend_from_slice(cells);
+        dp_linalg::fwht(scratch);
+        let w = self.masks[i].weight() as i32;
+        // cells = 2^{d/2−w} H f̂  ⇒  f̂ = 2^{w−d/2} · (1/2^w) · H · cells.
+        let scale = 2f64.powf(w as f64 - self.d as f64 / 2.0) / 2f64.powi(w);
+        let scratch: &'a [f64] = scratch;
+        positions
+            .iter()
+            .zip(scratch)
+            .map(move |(&p, &v)| (p as usize, v * scale))
     }
 
     /// Applies `Rᵀ`: concatenated cells → coefficients (accumulating across
@@ -247,8 +284,7 @@ impl ObservationOperator {
         debug_assert_eq!(cells.len(), self.num_cells);
         let mut out = vec![0.0; self.num_coeffs];
         for b in &self.blocks {
-            let n = b.mask.cell_count();
-            let mut buf: Vec<f64> = cells[b.cell_offset..b.cell_offset + n].to_vec();
+            let mut buf: Vec<f64> = cells[b.rows()].to_vec();
             dp_linalg::fwht(&mut buf);
             for (&p, v) in b.positions.iter().zip(&buf) {
                 out[p as usize] += v * b.scale;
@@ -285,7 +321,7 @@ impl ObservationOperator {
         // Diagonal of RᵀWR.
         let mut diag = vec![0.0; self.num_coeffs];
         for (b, &w) in self.blocks.iter().zip(weights) {
-            let contribution = w * b.scale * b.scale * b.mask.cell_count() as f64;
+            let contribution = w * b.scale * b.scale * b.positions.len() as f64;
             for &p in &b.positions {
                 diag[p as usize] += contribution;
             }
@@ -293,11 +329,7 @@ impl ObservationOperator {
         // RHS RᵀW cells.
         let mut weighted = vec![0.0; self.num_cells];
         for (b, &w) in self.blocks.iter().zip(weights) {
-            let n = b.mask.cell_count();
-            for (dst, src) in weighted[b.cell_offset..b.cell_offset + n]
-                .iter_mut()
-                .zip(&cells[b.cell_offset..b.cell_offset + n])
-            {
+            for (dst, src) in weighted[b.rows()].iter_mut().zip(&cells[b.rows()]) {
                 *dst = w * src;
             }
         }
@@ -337,8 +369,7 @@ impl ObservationOperator {
         // Jacobi preconditioner from per-cell weights.
         let mut diag = vec![0.0; self.num_coeffs];
         for b in &self.blocks {
-            let n = b.mask.cell_count();
-            let wsum: f64 = cell_weights[b.cell_offset..b.cell_offset + n].iter().sum();
+            let wsum: f64 = cell_weights[b.rows()].iter().sum();
             let contribution = b.scale * b.scale * wsum;
             for &p in &b.positions {
                 diag[p as usize] += contribution;
@@ -363,6 +394,8 @@ mod tests {
     use super::*;
     use crate::table::ContingencyTable;
     use crate::workload::Workload;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn table() -> ContingencyTable {
         ContingencyTable::from_counts(vec![1.0, 2.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0])
@@ -386,10 +419,14 @@ mod tests {
     #[test]
     fn fill_and_reconstruct_roundtrip() {
         let (s, w) = space_and_workload();
+        let op = ObservationOperator::new(&s, w.marginals()).unwrap();
         let t = table();
         let mut coeffs = vec![0.0; s.len()];
-        for m in w.true_answers(&t) {
-            s.fill_from_marginal(&mut coeffs, &m).unwrap();
+        let mut scratch = Vec::new();
+        for (i, m) in w.true_answers(&t).iter().enumerate() {
+            for (p, c) in op.coefficients(i, m.values(), &mut scratch) {
+                coeffs[p] = c;
+            }
         }
         // Coefficients must match the direct oracle.
         for (&beta, &c) in s.support().iter().zip(&coeffs) {
@@ -397,13 +434,95 @@ mod tests {
             assert!((c - oracle).abs() < 1e-10, "beta={beta}: {c} vs {oracle}");
         }
         // Reconstruction returns the exact marginals.
-        for &alpha in w.marginals() {
-            let rec = s.reconstruct(&coeffs, alpha).unwrap();
+        for (rec, &alpha) in op.tables(&coeffs).iter().zip(w.marginals()) {
             let direct = t.marginal(alpha);
+            assert_eq!(rec.mask(), alpha);
             for (a, b) in rec.values().iter().zip(direct.values()) {
                 assert!((a - b).abs() < 1e-10);
             }
         }
+    }
+
+    /// A random coefficient vector of `len` entries that mixes ordinary
+    /// values with `-0.0`, subnormals, NaN and ±∞.
+    fn awkward_coefficients(rng: &mut StdRng, len: usize) -> Vec<f64> {
+        const SPECIAL: [f64; 6] = [
+            -0.0,
+            f64::MIN_POSITIVE / 3.0,
+            -5e-324,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        (0..len)
+            .map(|_| match rng.gen_range(0..4) {
+                0 => SPECIAL[rng.gen_range(0..SPECIAL.len())],
+                _ => rng.gen_range(-1e3..1e3),
+            })
+            .collect()
+    }
+
+    /// The block-map oracle: the per-table forward map, flattened, equals
+    /// `apply` bit for bit, whatever the coefficient values; the inverse
+    /// map undoes the forward map exactly on integer marginals; and `new`
+    /// refuses a marginal outside the support before building anything.
+    #[test]
+    fn block_map_walks_agree_bit_for_bit() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut rng = StdRng::seed_from_u64(41);
+        let w = Workload::new(
+            6,
+            vec![
+                AttrMask(0b000000),
+                AttrMask(0b000101),
+                AttrMask(0b110100),
+                AttrMask(0b011011),
+                AttrMask(0b001111),
+            ],
+        )
+        .unwrap();
+        let s = CoefficientSpace::from_marginals(6, w.marginals());
+        let op = ObservationOperator::new(&s, w.marginals()).unwrap();
+        for _ in 0..20 {
+            let coeffs = awkward_coefficients(&mut rng, s.len());
+            let flat: Vec<f64> = op
+                .tables(&coeffs)
+                .iter()
+                .flat_map(|m| m.values().to_vec())
+                .collect();
+            assert_eq!(bits(&flat), bits(&op.apply(&coeffs)));
+        }
+
+        // inverse ∘ forward on exact integer marginals: the coefficients
+        // filled from the tables reproduce the tables bit for bit, and
+        // every block that shares a coefficient fills the same bits.
+        let counts: Vec<f64> = (0..64).map(|_| rng.gen_range(0..50) as f64).collect();
+        let exact = ContingencyTable::from_counts(counts).marginals(w.marginals());
+        let mut coeffs = vec![f64::NAN; s.len()];
+        let mut scratch = Vec::new();
+        for (i, m) in exact.iter().enumerate() {
+            for (p, c) in op.coefficients(i, m.values(), &mut scratch) {
+                assert!(coeffs[p].is_nan() || coeffs[p].to_bits() == c.to_bits());
+                coeffs[p] = c;
+            }
+        }
+        for (rec, m) in op.tables(&coeffs).iter().zip(&exact) {
+            assert_eq!(bits(rec.values()), bits(m.values()));
+        }
+        let mut again = Vec::new();
+        for (i, rec) in op.tables(&coeffs).iter().enumerate() {
+            let pairs: Vec<(usize, f64)> = op.coefficients(i, rec.values(), &mut again).collect();
+            for (p, c) in pairs {
+                assert_eq!(c.to_bits(), coeffs[p].to_bits());
+            }
+        }
+
+        // A mask whose downset leaves the support is refused at `new`.
+        let err = ObservationOperator::new(&s, &[AttrMask(0b000101), AttrMask(0b100001)]);
+        assert!(matches!(
+            err,
+            Err(CoreError::CoefficientNotInSupport(beta)) if beta == AttrMask(0b100001)
+        ));
     }
 
     #[test]
@@ -480,8 +599,7 @@ mod tests {
         let op = ObservationOperator::new(&s, w.marginals()).unwrap();
         let cells = vec![10.0, 2.0, 3.0, 1.0, 4.0, 0.0]; // wildly inconsistent
         let f = op.gls_solve(&cells, &[1.0, 1.0]).unwrap();
-        let a = s.reconstruct(&f, AttrMask(0b100)).unwrap();
-        let ab = s.reconstruct(&f, AttrMask(0b110)).unwrap();
+        let [a, ab] = <[MarginalTable; 2]>::try_from(op.tables(&f)).unwrap();
         let agg = ab.aggregate_to(AttrMask(0b100)).unwrap();
         for (x, y) in a.values().iter().zip(agg.values()) {
             assert!((x - y).abs() < 1e-9);
@@ -492,7 +610,7 @@ mod tests {
     fn missing_coefficient_is_reported() {
         let (s, _) = space_and_workload();
         assert!(matches!(
-            s.block_positions(AttrMask(0b111)),
+            ObservationOperator::new(&s, &[AttrMask(0b111)]),
             Err(CoreError::CoefficientNotInSupport(_))
         ));
     }
@@ -516,10 +634,10 @@ mod tests {
         // A-marginal says [10, 0]; AB-marginal says totals [0, 0, 0, 0].
         let cells = vec![10.0, 0.0, 0.0, 0.0, 0.0, 0.0];
         let f_heavy_a = op.gls_solve(&cells, &[100.0, 0.01]).unwrap();
-        let a_est = s.reconstruct(&f_heavy_a, AttrMask(0b01)).unwrap();
+        let a_est = &op.tables(&f_heavy_a)[0];
         assert!(a_est.values()[0] > 9.0, "{:?}", a_est.values());
         let f_heavy_ab = op.gls_solve(&cells, &[0.01, 100.0]).unwrap();
-        let a_est2 = s.reconstruct(&f_heavy_ab, AttrMask(0b01)).unwrap();
+        let a_est2 = &op.tables(&f_heavy_ab)[0];
         assert!(a_est2.values()[0] < 1.0, "{:?}", a_est2.values());
     }
 }

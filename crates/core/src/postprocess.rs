@@ -18,7 +18,7 @@
 //!   post-processing uses only released values, differential privacy is
 //!   preserved for free.
 
-use crate::fourier::CoefficientSpace;
+use crate::fourier::{CoefficientSpace, ObservationOperator};
 use crate::marginal::MarginalTable;
 use crate::mask::AttrMask;
 use crate::CoreError;
@@ -79,20 +79,16 @@ pub fn project_nonnegative(
     }
     let masks: Vec<AttrMask> = marginals.iter().map(|m| m.mask()).collect();
     let space = CoefficientSpace::from_marginals(d, &masks);
+    let op = ObservationOperator::new(&space, &masks)?;
     // Average the coefficient estimates over the marginals that contain
     // them (inputs are assumed consistent, so they agree; averaging makes
     // the call robust to slight numerical inconsistency).
     let mut coeffs = vec![0.0; space.len()];
     let mut hits = vec![0u32; space.len()];
-    for m in marginals {
-        let mut tmp = vec![0.0; space.len()];
-        space.fill_from_marginal(&mut tmp, m)?;
-        for (pos, _) in space
-            .block_positions(m.mask())?
-            .iter()
-            .map(|&p| (p as usize, ()))
-        {
-            coeffs[pos] += tmp[pos];
+    let mut scratch = Vec::new();
+    for (i, m) in marginals.iter().enumerate() {
+        for (pos, c) in op.coefficients(i, m.values(), &mut scratch) {
+            coeffs[pos] += c;
             hits[pos] += 1;
         }
     }

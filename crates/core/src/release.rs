@@ -3,19 +3,21 @@
 //!
 //! `compile` turns a workload and a [`StrategyKind`] into the
 //! **data-independent** half of the pipeline — group structure, coefficient
-//! spaces, observation operator, clustering — without consulting a table;
-//! the functions below it are the observation, recovery and variance
-//! arithmetic the strategy's maps call. Binding a plan to a table and
-//! drawing releases is the job of [`crate::api::Session`]; Steps 2–3
-//! (budgets, noise, the achieved-ε check) are shared in
-//! [`crate::strategy`].
+//! spaces, clustering, and the block maps ([`ObservationOperator`]) of the
+//! observed and target marginals — without consulting a table. The block
+//! maps hold every marginal's layout (positions, scale, cell offset), so
+//! recovery is the targets' [`ObservationOperator::tables`]; the functions
+//! below `compile` are the Fourier bind and variance arithmetic the
+//! strategy's maps call, both reading the targets' block map. Binding a
+//! plan to a table and drawing releases is the job of
+//! [`crate::api::Session`]; Steps 2–3 (budgets, noise, the achieved-ε
+//! check) are shared in [`crate::strategy`].
 
 use crate::cluster::{greedy_cluster, Clustering};
 use crate::fourier::{CoefficientSpace, ObservationOperator};
-use crate::marginal::MarginalTable;
 use crate::mask::AttrMask;
 use crate::strategy::Kind;
-use crate::table::{count_marginals, min_len};
+use crate::table::count_marginals;
 use crate::workload::Workload;
 use crate::CoreError;
 use dp_opt::budget::GroupSpec;
@@ -56,7 +58,7 @@ pub(crate) fn compile(
     strategy: StrategyKind,
 ) -> Result<(Vec<GroupSpec>, Vec<u32>, Kind), CoreError> {
     let d = workload.domain_bits();
-    let targets = workload.marginals().to_vec();
+    let targets = workload.marginals();
     Ok(match strategy {
         StrategyKind::Identity => {
             // One group of all N base cells, C = 1. Recovery weight per
@@ -64,13 +66,16 @@ pub(crate) fn compile(
             // cell exactly once), so s = ℓ·N.
             let n = 1usize << d;
             let s = workload.len() as f64 * n as f64;
-            let kind = Kind::MarginalIdentity { d, targets };
+            let kind = Kind::MarginalIdentity {
+                d,
+                targets: targets.to_vec(),
+            };
             (vec![GroupSpec { c: 1.0, s }], vec![0; n], kind)
         }
         StrategyKind::Workload => {
             // R₀ = I: b_i = 1 per released cell, s_r = 2^{‖α_r‖}.
             let weights = targets.iter().map(|m| m.cell_count() as f64).collect();
-            observed_marginals(d, targets.clone(), targets, weights, None)?
+            observed_marginals(d, targets, targets, weights, None)?
         }
         StrategyKind::Cluster => {
             let clustering = greedy_cluster(workload);
@@ -85,10 +90,10 @@ pub(crate) fn compile(
                 .map(|(&cells, lc)| (lc * cells) as f64)
                 .collect();
             let observed = clustering.centroids().to_vec();
-            observed_marginals(d, observed, targets, weights, Some(clustering))?
+            observed_marginals(d, &observed, targets, weights, Some(clustering))?
         }
         StrategyKind::Fourier => {
-            let space = CoefficientSpace::from_marginals(d, &targets);
+            let space = CoefficientSpace::from_marginals(d, targets);
             // b_β = Σ_{α ⊇ β, α ∈ W} 2^{‖α‖} · (2^{d/2−‖α‖})²
             //     = Σ 2^{d−‖α‖}; singleton groups with C = 2^{−d/2}.
             let c = 2f64.powf(-(d as f64) / 2.0);
@@ -105,12 +110,8 @@ pub(crate) fn compile(
                 })
                 .collect();
             let row_groups = (0..space.len() as u32).collect();
-            let blocks = target_blocks(&space, &targets)?;
-            let kind = Kind::Fourier {
-                targets,
-                space,
-                blocks,
-            };
+            let targets = ObservationOperator::new(&space, targets)?;
+            let kind = Kind::Fourier { space, targets };
             (specs, row_groups, kind)
         }
     })
@@ -122,108 +123,55 @@ pub(crate) fn compile(
 /// `observed`).
 fn observed_marginals(
     d: usize,
-    observed: Vec<AttrMask>,
-    targets: Vec<AttrMask>,
+    observed: &[AttrMask],
+    targets: &[AttrMask],
     weights: Vec<f64>,
     clustering: Option<Clustering>,
 ) -> Result<(Vec<GroupSpec>, Vec<u32>, Kind), CoreError> {
-    let space = CoefficientSpace::from_marginals(d, &observed);
-    let op = ObservationOperator::new(&space, &observed)?;
+    let space = CoefficientSpace::from_marginals(d, observed);
     let specs = weights.iter().map(|&s| GroupSpec { c: 1.0, s }).collect();
     let mut row_groups = Vec::new();
     for (g, m) in observed.iter().enumerate() {
         row_groups.extend(std::iter::repeat_n(g as u32, m.cell_count()));
     }
-    let blocks = target_blocks(&space, &targets)?;
     let kind = Kind::ObservedMarginals {
-        targets,
-        blocks,
-        observed,
-        space,
-        op,
+        observed: ObservationOperator::new(&space, observed)?,
+        targets: ObservationOperator::new(&space, targets)?,
         clustering,
     };
     Ok((specs, row_groups, kind))
 }
 
 /// The exact Fourier coefficients of the support, filled from the target
-/// marginals (summed from the occupied cells, see [`count_marginals`],
-/// plus per-block WHTs with one shared WHT buffer).
-pub(crate) fn fourier_observations(
-    x: &[f64],
-    space: &CoefficientSpace,
-    targets: &[AttrMask],
-) -> Result<Vec<f64>, CoreError> {
-    let mut coeffs = vec![0.0; space.len()];
+/// marginals (summed from the occupied cells, see [`count_marginals`]) by
+/// the targets' inverse block map, with one shared WHT buffer.
+pub(crate) fn fourier_observations(x: &[f64], targets: &ObservationOperator) -> Vec<f64> {
+    let mut coeffs = vec![0.0; targets.num_coeffs()];
     let mut scratch = Vec::new();
-    for m in count_marginals(x, space.domain_bits(), targets) {
-        space.fill_from_marginal_with(&mut coeffs, &m, &mut scratch)?;
+    let marginals = count_marginals(x, targets.domain_bits(), targets.masks());
+    for (i, m) in marginals.iter().enumerate() {
+        for (p, c) in targets.coefficients(i, m.values(), &mut scratch) {
+            coeffs[p] = c;
+        }
     }
-    Ok(coeffs)
-}
-
-/// The [`CoefficientSpace::block_positions`] of every target, looked up
-/// once when a plan compiles, so that recovery gathers coefficients by
-/// index instead of hashing each mask on every release.
-fn target_blocks(
-    space: &CoefficientSpace,
-    targets: &[AttrMask],
-) -> Result<Vec<Vec<u32>>, CoreError> {
-    targets
-        .iter()
-        .map(|&alpha| space.block_positions(alpha))
-        .collect()
-}
-
-/// Every target marginal from a coefficient vector: one block WHT per
-/// target, over its `blocks` entry (see [`target_blocks`]). The recovery
-/// of `F`, `Q` and `C` releases.
-///
-/// The targets fan out across cores in chunks of at least
-/// [`PARALLEL_MIN_CELLS`](crate::table::PARALLEL_MIN_CELLS) cell-passes
-/// (`2^{‖α‖}` cells times one gather and `‖α‖` butterfly levels per
-/// target), so a small workload, such as NLTCS Q2 (1 440 cell-passes), is
-/// recovered on the calling thread. Results are collected in order, so
-/// the layout moves no byte.
-pub(crate) fn reconstruct(
-    space: &CoefficientSpace,
-    coeffs: &[f64],
-    targets: &[AttrMask],
-    blocks: &[Vec<u32>],
-) -> Vec<MarginalTable> {
-    let work = targets
-        .iter()
-        .map(|alpha| alpha.cell_count() * (alpha.weight() as usize + 1))
-        .sum();
-    targets
-        .par_iter()
-        .with_min_len(min_len(targets.len(), work))
-        .enumerate()
-        .map(|(i, &alpha)| space.reconstruct_block(coeffs, alpha, &blocks[i]))
-        .collect()
+    coeffs
 }
 
 /// Per-marginal variances of the Fourier strategy's recovery: marginal α
 /// reconstructs from the coefficients β ≼ α, each contributing
 /// 2^{d−‖α‖} σ_β² (the same per-(α,β) weight that builds the group specs).
-pub(crate) fn fourier_variances(
-    space: &CoefficientSpace,
-    targets: &[AttrMask],
-    group_sigma2: &[f64],
-) -> Vec<f64> {
-    let d = space.domain_bits() as u32;
+pub(crate) fn fourier_variances(targets: &ObservationOperator, group_sigma2: &[f64]) -> Vec<f64> {
+    let d = targets.domain_bits() as u32;
     targets
+        .masks()
         .par_iter()
-        .map(|&alpha| {
+        .enumerate()
+        .map(|(i, &alpha)| {
             let scale = 2f64.powi((d - alpha.weight()) as i32);
-            alpha
-                .subsets()
-                .map(|beta| {
-                    let pos = space
-                        .position(beta)
-                        .expect("support contains every workload downset");
-                    scale * group_sigma2[pos]
-                })
+            targets
+                .positions(i)
+                .iter()
+                .map(|&p| scale * group_sigma2[p as usize])
                 .sum()
         })
         .collect()
@@ -233,6 +181,7 @@ pub(crate) fn fourier_variances(
 mod tests {
     use super::*;
     use crate::api::{PlanBuilder, Session};
+    use crate::marginal::MarginalTable;
     use crate::table::ContingencyTable;
     use dp_mech::{Neighboring, PrivacyLevel};
     use std::sync::Arc;

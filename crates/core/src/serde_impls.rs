@@ -112,6 +112,22 @@ const NEIGHBORING_NAMES: [(Neighboring, &str); 2] = [
     (Neighboring::Replace, "replace"),
 ];
 
+/// Wire names of the marginal strategies.
+const STRATEGY_NAMES: [(StrategyKind, &str); 4] = [
+    (StrategyKind::Identity, "identity"),
+    (StrategyKind::Workload, "workload"),
+    (StrategyKind::Fourier, "fourier"),
+    (StrategyKind::Cluster, "cluster"),
+];
+
+/// Wire names of the range strategies without parameters; a sketch is an
+/// object with its parameters.
+const RANGE_STRATEGY_NAMES: [(RangeStrategy, &str); 3] = [
+    (RangeStrategy::Identity, "identity"),
+    (RangeStrategy::Hierarchical, "hierarchical"),
+    (RangeStrategy::Wavelet, "wavelet"),
+];
+
 /// The wire name of `variant` in a name table.
 fn name_value<T: PartialEq>(names: &[(T, &str)], variant: T) -> Value {
     let (_, name) = names
@@ -235,18 +251,7 @@ impl Serialize for WorkloadSpec {
             } => Value::Object(vec![
                 ("kind".into(), Value::String("marginals".into())),
                 ("workload".into(), workload.serialize_value()),
-                (
-                    "strategy".into(),
-                    Value::String(
-                        match strategy {
-                            StrategyKind::Identity => "identity",
-                            StrategyKind::Workload => "workload",
-                            StrategyKind::Fourier => "fourier",
-                            StrategyKind::Cluster => "cluster",
-                        }
-                        .into(),
-                    ),
-                ),
+                ("strategy".into(), name_value(&STRATEGY_NAMES, *strategy)),
             ]),
             WorkloadSpec::Ranges { workload, strategy } => {
                 let ranges: Vec<Value> = workload
@@ -257,9 +262,9 @@ impl Serialize for WorkloadSpec {
                     })
                     .collect();
                 let strategy_value = match strategy {
-                    RangeStrategy::Identity => Value::String("identity".into()),
-                    RangeStrategy::Hierarchical => Value::String("hierarchical".into()),
-                    RangeStrategy::Wavelet => Value::String("wavelet".into()),
+                    RangeStrategy::Identity
+                    | RangeStrategy::Hierarchical
+                    | RangeStrategy::Wavelet => name_value(&RANGE_STRATEGY_NAMES, *strategy),
                     RangeStrategy::Sketch {
                         repetitions,
                         buckets,
@@ -288,14 +293,7 @@ impl Deserialize for WorkloadSpec {
         match kind.as_str() {
             "marginals" => {
                 let workload = Workload::deserialize_value(field(value, "workload")?)?;
-                let strategy = match String::deserialize_value(field(value, "strategy")?)?.as_str()
-                {
-                    "identity" => StrategyKind::Identity,
-                    "workload" => StrategyKind::Workload,
-                    "fourier" => StrategyKind::Fourier,
-                    "cluster" => StrategyKind::Cluster,
-                    other => return Err(DeError::new(format!("unknown strategy {other:?}"))),
-                };
+                let strategy = named(&STRATEGY_NAMES, field(value, "strategy")?, "strategy")?;
                 // Cluster documents once carried a `"cluster"` search
                 // object; like any other unknown field it is ignored.
                 refuse_oversized(WorkloadSpec::Marginals {
@@ -314,15 +312,8 @@ impl Deserialize for WorkloadSpec {
                     })
                     .collect::<Result<Vec<_>, _>>()?;
                 let strategy_value = field(value, "strategy")?;
-                let strategy = if let Some(name) = strategy_value.as_str() {
-                    match name {
-                        "identity" => RangeStrategy::Identity,
-                        "hierarchical" => RangeStrategy::Hierarchical,
-                        "wavelet" => RangeStrategy::Wavelet,
-                        other => {
-                            return Err(DeError::new(format!("unknown range strategy {other:?}")))
-                        }
-                    }
+                let strategy = if strategy_value.as_str().is_some() {
+                    named(&RANGE_STRATEGY_NAMES, strategy_value, "range strategy")?
                 } else {
                     let kind = String::deserialize_value(field(strategy_value, "kind")?)?;
                     if kind != "sketch" {
@@ -625,6 +616,51 @@ mod tests {
         let back = Plan::deserialize_value(&Value::Object(fields)).unwrap();
         assert_eq!(back, plan);
         assert_eq!(back.fingerprint(), plan.fingerprint());
+    }
+
+    #[test]
+    fn strategy_names_roundtrip_and_unknown_names_are_refused() {
+        let with_strategy = |v: &Value, name: Value| {
+            let Value::Object(mut fields) = v.clone() else {
+                panic!("a spec serializes as an object");
+            };
+            for (k, fv) in &mut fields {
+                if k == "strategy" {
+                    *fv = name.clone();
+                }
+            }
+            WorkloadSpec::deserialize_value(&Value::Object(fields))
+        };
+        let w = Workload::new(3, vec![AttrMask(0b011)]).unwrap();
+        let mut spec_value = Value::Null;
+        for (strategy, name) in STRATEGY_NAMES {
+            let spec = WorkloadSpec::Marginals {
+                workload: w.clone(),
+                strategy,
+                cluster: ClusterConfig,
+            };
+            spec_value = spec.serialize_value();
+            assert_eq!(field(&spec_value, "strategy").unwrap().as_str(), Some(name));
+            assert_eq!(WorkloadSpec::deserialize_value(&spec_value).unwrap(), spec);
+        }
+        assert_eq!(
+            with_strategy(&spec_value, Value::String("x".into())),
+            Err(DeError::new("unknown strategy \"x\""))
+        );
+        let w = crate::range::RangeWorkload::all_prefixes(4).unwrap();
+        for (strategy, name) in RANGE_STRATEGY_NAMES {
+            let spec = WorkloadSpec::Ranges {
+                workload: w.clone(),
+                strategy,
+            };
+            spec_value = spec.serialize_value();
+            assert_eq!(field(&spec_value, "strategy").unwrap().as_str(), Some(name));
+            assert_eq!(WorkloadSpec::deserialize_value(&spec_value).unwrap(), spec);
+        }
+        assert_eq!(
+            with_strategy(&spec_value, Value::String("x".into())),
+            Err(DeError::new("unknown range strategy \"x\""))
+        );
     }
 
     #[test]

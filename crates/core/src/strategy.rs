@@ -19,7 +19,11 @@
 //! `Compiled` keeps (1) as two plain vectors and (2) as a `Kind`, a closed
 //! enum with one variant per strategy. Each map is one `match` over `Kind`
 //! that calls the per-family arithmetic of [`crate::release`] (marginals)
-//! and [`crate::range`] (ranges). Everything else is written once, here:
+//! and [`crate::range`] (ranges). The Fourier-space marginal variants hold
+//! their layout as block maps ([`ObservationOperator`]): the observed
+//! marginals' rows and the targets' coefficient positions, scales and
+//! cell offsets are read from them, never recomputed per map. Everything
+//! else is written once, here:
 //! solving for uniform or optimal budgets, re-validating the achieved ε
 //! (Proposition 3.1) on every release, and drawing noise through
 //! [`dp_mech::noise`] (parallel over observation chunks, with
@@ -65,21 +69,18 @@ pub(crate) enum Kind {
     /// the cells of the observed marginals, recover by GLS in
     /// coefficient space.
     ObservedMarginals {
-        targets: Vec<AttrMask>,
-        /// Each target's coefficient positions in `space`.
-        blocks: Vec<Vec<u32>>,
-        observed: Vec<AttrMask>,
-        space: CoefficientSpace,
-        op: ObservationOperator,
+        /// The observed marginals' block map: the observation layout.
+        observed: ObservationOperator,
+        /// The targets' block map over the same coefficient space.
+        targets: ObservationOperator,
         clustering: Option<Clustering>,
     },
     /// Marginal `F`: observe each Fourier coefficient of the workload
     /// support once, so GLS is the noisy coefficients themselves.
     Fourier {
-        targets: Vec<AttrMask>,
         space: CoefficientSpace,
-        /// Each target's coefficient positions in `space`.
-        blocks: Vec<Vec<u32>>,
+        /// The targets' block map over `space`.
+        targets: ObservationOperator,
     },
     /// Range `I`: observe the histogram.
     RangeIdentity { workload: RangeWorkload },
@@ -128,7 +129,7 @@ impl Compiled {
     fn new(specs: Vec<GroupSpec>, row_groups: Vec<u32>, kind: Kind) -> Result<Compiled, CoreError> {
         let rows = match &kind {
             Kind::MarginalIdentity { d, .. } => 1usize << d,
-            Kind::ObservedMarginals { op, .. } => op.num_cells(),
+            Kind::ObservedMarginals { observed, .. } => observed.num_cells(),
             Kind::Fourier { space, .. } => space.len(),
             Kind::RangeIdentity { workload } | Kind::Wavelet { workload } => workload.domain(),
             Kind::Hierarchical { workload } => 2 * workload.domain() - 1,
@@ -178,15 +179,13 @@ impl Compiled {
     pub(crate) fn observe(&self, x: &[f64]) -> Result<Vec<f64>, CoreError> {
         Ok(match &self.kind {
             Kind::MarginalIdentity { .. } | Kind::RangeIdentity { .. } => x.to_vec(),
-            Kind::ObservedMarginals {
-                observed, space, ..
-            } => count_marginals(x, space.domain_bits(), observed)
-                .iter()
-                .flat_map(|m| m.values().iter().copied())
-                .collect(),
-            Kind::Fourier { targets, space, .. } => {
-                release::fourier_observations(x, space, targets)?
+            Kind::ObservedMarginals { observed, .. } => {
+                count_marginals(x, observed.domain_bits(), observed.masks())
+                    .iter()
+                    .flat_map(|m| m.values().iter().copied())
+                    .collect()
             }
+            Kind::Fourier { targets, .. } => release::fourier_observations(x, targets),
             Kind::Hierarchical { workload } => {
                 HierarchicalOperator::new(workload.domain()).apply(x)
             }
@@ -210,11 +209,9 @@ impl Compiled {
             Kind::MarginalIdentity { .. } | Kind::RangeIdentity { .. } => z[j] += delta,
             Kind::ObservedMarginals { observed, .. } => {
                 // A record lands in exactly one cell of each observed
-                // marginal: the one indexed by its bits under α.
-                let mut offset = 0usize;
-                for &alpha in observed {
-                    z[offset + alpha.compress_cell(cell & alpha.0)] += delta;
-                    offset += alpha.cell_count();
+                // marginal.
+                for row in observed.cell_rows(cell) {
+                    z[row] += delta;
                 }
             }
             Kind::Fourier { space, .. } => {
@@ -269,20 +266,12 @@ impl Compiled {
                 Answers::Marginals(marginalize_all(noisy, *d, targets))
             }
             Kind::ObservedMarginals {
-                targets,
-                blocks,
-                space,
-                op,
-                ..
+                observed, targets, ..
             } => {
-                let coeffs = op.gls_solve(noisy, group_weights)?;
-                Answers::Marginals(release::reconstruct(space, &coeffs, targets, blocks))
+                let coeffs = observed.gls_solve(noisy, group_weights)?;
+                Answers::Marginals(targets.tables(&coeffs))
             }
-            Kind::Fourier {
-                targets,
-                space,
-                blocks,
-            } => Answers::Marginals(release::reconstruct(space, noisy, targets, blocks)),
+            Kind::Fourier { targets, .. } => Answers::Marginals(targets.tables(noisy)),
             Kind::RangeIdentity { workload } => Answers::Ranges(workload.true_answers(noisy)?),
             Kind::Hierarchical { workload } => {
                 range::tree_gls(workload.domain(), noisy, rows, group_weights, x, half);
@@ -340,15 +329,13 @@ impl Compiled {
                 observed,
                 clustering,
                 ..
-            } => (0..targets.len())
+            } => (0..targets.masks().len())
                 .map(|i| {
                     let g = clustering.as_ref().map_or(i, |c| c.assignment()[i]);
-                    observed[g].cell_count() as f64 * group_sigma2[g]
+                    observed.masks()[g].cell_count() as f64 * group_sigma2[g]
                 })
                 .collect(),
-            Kind::Fourier { targets, space, .. } => {
-                release::fourier_variances(space, targets, group_sigma2)
-            }
+            Kind::Fourier { targets, .. } => release::fourier_variances(targets, group_sigma2),
             Kind::RangeIdentity { workload } => workload
                 .ranges()
                 .iter()

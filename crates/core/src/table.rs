@@ -207,7 +207,7 @@ pub fn sum_occupied(cells: &[(u64, f64)], alpha: AttrMask) -> Vec<f64> {
 /// under the `marginal_wire` benchmark's load. A cell touched costs about
 /// 2 ns in a fold ([`marginalize`], d = 16), 3–7 ns in an occupied-cell
 /// sum ([`sum_occupied`], NLTCS) and 11–19 ns per pass of a small block
-/// WHT with its coefficient gather (`release::reconstruct`, Q1–Q4 over
+/// WHT with its coefficient gather (`ObservationOperator::tables`, Q1–Q4 over
 /// NLTCS). So a call splits only above 30 µs of fold, 50 µs of sums or
 /// 180 µs of recovery work, where a wake-up costs a small share of it.
 /// One NLTCS Q2 `F+` recovery (120 four-cell blocks, 1 440 cell-passes,

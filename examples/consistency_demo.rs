@@ -48,11 +48,7 @@ fn main() {
     let coeffs = op
         .gls_solve(&cells, &vec![1.0; workload.len()])
         .expect("solvable");
-    let l2: Vec<MarginalTable> = workload
-        .marginals()
-        .iter()
-        .map(|&a| space.reconstruct(&coeffs, a).expect("in support"))
-        .collect();
+    let l2 = op.tables(&coeffs);
 
     // L1 and L∞ repairs via the simplex LP over the same m coefficients.
     let l1 = make_consistent(d, &noisy, ConsistencyNorm::L1).expect("LP solvable");

@@ -6,7 +6,7 @@
 //! `F` observations equal the fold-built ones.
 
 use datacube_dp::prelude::*;
-use dp_core::fourier::CoefficientSpace;
+use dp_core::fourier::{CoefficientSpace, ObservationOperator};
 use dp_core::table::{marginalize, occupied_cells, sum_occupied};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -179,10 +179,13 @@ fn bound_observations_equal_the_fold_built_ones() {
         );
 
         let space = CoefficientSpace::from_marginals(d, workload.marginals());
+        let op = ObservationOperator::new(&space, workload.marginals()).unwrap();
         let mut coeffs = vec![0.0; space.len()];
-        for &alpha in workload.marginals() {
-            let m = MarginalTable::new(alpha, marginalize(&counts, d, alpha));
-            space.fill_from_marginal(&mut coeffs, &m).unwrap();
+        let mut scratch = Vec::new();
+        for (i, &alpha) in workload.marginals().iter().enumerate() {
+            for (p, c) in op.coefficients(i, &marginalize(&counts, d, alpha), &mut scratch) {
+                coeffs[p] = c;
+            }
         }
         assert_eq!(
             bits(bind(StrategyKind::Fourier).observations()),
