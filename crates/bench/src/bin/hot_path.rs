@@ -7,10 +7,10 @@
 //! |---|---|---|
 //! | `noising` | cells noised/s, the fused pass vs a per-value reference | floor 0.75× (parity) |
 //! | `wht` | effective GB/s, the lane/blocked butterfly vs a scalar one | floor 1.05× |
-//! | `release` | `release_batch` releases/s and one release of a Fourier Q2 plan; one NLTCS Q2 release per strategy `F+`/`Q+`/`C+`/`I+`; the diagonal `ObservationOperator::gls_solve` | count: no chunk of a single release on a pool worker |
+//! | `release` | `release_batch` releases/s and one release of a Fourier Q2 plan; one NLTCS Q2 release per strategy `F+`/`Q+`/`C+`/`I+`, and its heap allocations, with those of one NLTCS Q1 `F+` release; the diagonal `ObservationOperator::gls_solve` | counts: no chunk of a single release on a pool worker; a single NLTCS Q1 `F+` release (16 targets) and Q2 `F+` release (120 targets) allocate the same number of heap blocks, at most 4 |
 //! | `range` | a W+ and an H+ release vs one CG solve; the recovery alone vs `dp_bench::reference`, with minor faults | floor 5× |
 //! | `json` | the shim's `f64` writer and `write_release` vs `format!` and a `Value` tree | identity, asserted on every run |
-//! | `bind` | a marginal `Session::bind` vs the dense fold; the noisy-vector fold | floor 1.5× |
+//! | `bind` | a marginal `Session::bind` vs the dense fold, best of 15 alternated; the noisy-vector fold | floor 1.5× |
 //! | `plan` | 32 NLTCS Q2 `F+` releases from cold plans vs one cached plan and one batch; one 1024-group budget solve | count: 32 budget solves cold, 1 cached |
 //! | `cluster` | the reference greedy cluster search vs the optimized one, per workload size ℓ | floor 2.5× at the largest ℓ |
 //! | `stream` | per-update rebind vs `Session::ingest` in a continual-release loop, per family, strategy and domain | floor per strategy and domain: update path 3× in smoke runs, whole loop 10× at 2^16+ in full runs |
@@ -41,8 +41,55 @@ use dp_opt::budget::{optimal_group_budgets, GroupSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Serialize, Value};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// The system allocator, counting every block it hands out (`alloc`,
+/// `alloc_zeroed` and `realloc` calls, all threads) for the release
+/// section's allocation count.
+struct CountingAlloc;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every call forwards to `System` unchanged; the counter is a
+// relaxed atomic add, which neither allocates nor re-enters.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// The most heap blocks a single NLTCS `F+` release may allocate: the
+/// answer buffer, the budgets, and the recovery's one list of block
+/// slices, with one to spare.
+const RELEASE_ALLOCATIONS_MAX: u64 = 4;
+
+/// Heap blocks allocated, process-wide, while `f` runs.
+fn allocations<R>(f: impl FnOnce() -> R) -> u64 {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    std::hint::black_box(f());
+    ALLOCATIONS.load(Ordering::Relaxed) - before
+}
 
 /// One measured metric.
 #[derive(Debug, Clone, Serialize)]
@@ -314,7 +361,7 @@ fn bench_range(strategy: RangeStrategy, n: usize, reps: usize, rows: &mut Vec<Ho
         .expect("range plan compiles");
     let hist: Vec<f64> = (0..n).map(|i| ((i * 13) % 7) as f64).collect();
     let budgets = plan.solution().group_budgets.clone();
-    let label = plan.label();
+    let label = plan.label().to_string();
     let session = Session::bind_histogram(Arc::new(plan), &hist).expect("histogram matches");
 
     // The CG arm's inputs: the plan's row groups and inverse-variance
@@ -513,7 +560,7 @@ fn bench_f64_write(count: usize, reps: usize, rows: &mut Vec<HotPathRow>) {
 fn release_tree_reference(release: &SessionRelease) -> Value {
     let mut fields = vec![
         ("seed".into(), u64_value(release.seed)),
-        ("label".into(), Value::String(release.label.clone())),
+        ("label".into(), Value::String(release.label.to_string())),
         (
             "achieved_epsilon".into(),
             Value::Number(release.achieved_epsilon),
@@ -528,7 +575,15 @@ fn release_tree_reference(release: &SessionRelease) -> Value {
         ),
     ];
     match &release.answers {
-        Answers::Marginals(tables) => fields.push(("answers".into(), tables.serialize_value())),
+        Answers::Marginals(marginals) => {
+            let tables = marginals.iter().map(|(mask, cells)| {
+                Value::Object(vec![
+                    ("attributes".into(), mask.serialize_value()),
+                    ("cells".into(), cells.serialize_value()),
+                ])
+            });
+            fields.push(("answers".into(), Value::Array(tables.collect())));
+        }
         Answers::Ranges(counts) => fields.push(("ranges".into(), counts.serialize_value())),
     }
     Value::Object(fields)
@@ -595,6 +650,10 @@ fn fourier_bind_reference(counts: &[f64], targets: &ObservationOperator) -> Vec<
     coeffs
 }
 
+/// Alternated repetitions of the bind pair, in smoke and full runs alike:
+/// at the smoke runs' 3, one pinned run in ten read below the gate's floor.
+const BIND_REPS: usize = 15;
+
 /// Times `Session::bind` of the NLTCS Q2 `F+` plan against the dense-fold
 /// reference, after checking that both observe the same bytes. Returns
 /// `reference / bind`.
@@ -645,17 +704,22 @@ fn bench_bind(nltcs: &Dataset, reps: usize, rows: &mut Vec<HotPathRow>) -> f64 {
     ratio
 }
 
-/// Microseconds of one `Session::release` of NLTCS Q2 under each of the
-/// four marginal strategies, optimal budgets.
-fn bench_nltcs_releases(nltcs: &Dataset, reps: usize, rows: &mut Vec<HotPathRow>) {
-    let workload = Workload::all_k_way(&nltcs.schema, 2).expect("Q2 builds");
-    for strategy in [
-        StrategyKind::Fourier,
-        StrategyKind::Workload,
-        StrategyKind::Cluster,
-        StrategyKind::Identity,
+/// Microseconds and heap allocations of one `Session::release` of NLTCS
+/// Q2 under each of the four marginal strategies, optimal budgets, and the
+/// allocations of one NLTCS Q1 `F+` release; each count is taken after
+/// warm-up releases have filled the scratch pools. Returns the `F+` counts
+/// (Q1, Q2).
+fn bench_nltcs_releases(nltcs: &Dataset, reps: usize, rows: &mut Vec<HotPathRow>) -> (u64, u64) {
+    let mut fourier = (0, 0);
+    for (k, strategy) in [
+        (1, StrategyKind::Fourier),
+        (2, StrategyKind::Fourier),
+        (2, StrategyKind::Workload),
+        (2, StrategyKind::Cluster),
+        (2, StrategyKind::Identity),
     ] {
-        let plan = PlanBuilder::marginals(workload.clone(), strategy)
+        let workload = Workload::all_k_way(&nltcs.schema, k).expect("Qk builds");
+        let plan = PlanBuilder::marginals(workload, strategy)
             .for_schema(&nltcs.schema)
             .compile()
             .expect("plan compiles");
@@ -665,15 +729,34 @@ fn bench_nltcs_releases(nltcs: &Dataset, reps: usize, rows: &mut Vec<HotPathRow>
             seed += 1;
             std::hint::black_box(session.release(seed).expect("release succeeds"));
         });
+        let allocs = allocations(|| session.release(seed + 1).expect("release succeeds"));
         let label = session.plan().label();
-        println!("{:>22}: {:.1} µs", format!("nltcs Q2 {label}"), t * 1e6);
+        println!(
+            "{:>22}: {:.1} µs, {allocs} allocations",
+            format!("nltcs Q{k} {label}"),
+            t * 1e6
+        );
+        if k == 2 {
+            rows.push(row(
+                "release",
+                &format!("nltcs_q2_{label}_us"),
+                t * 1e6,
+                "us",
+            ));
+        }
         rows.push(row(
             "release",
-            &format!("nltcs_q2_{label}_us"),
-            t * 1e6,
-            "us",
+            &format!("nltcs_q{k}_{label}_allocations"),
+            allocs as f64,
+            "count",
         ));
+        match (k, strategy) {
+            (1, StrategyKind::Fourier) => fourier.0 = allocs,
+            (2, StrategyKind::Fourier) => fourier.1 = allocs,
+            _ => {}
+        }
     }
+    fourier
 }
 
 /// Microseconds of one diagonal `ObservationOperator::gls_solve` for all
@@ -1080,7 +1163,7 @@ fn main() {
     );
     rows.push(row("release", "fourier_q2_single_us", t_single * 1e6, "us"));
     bench_gls_solve(schema_bits, single_reps, &mut rows);
-    bench_nltcs_releases(&nltcs, reps, &mut rows);
+    let release_allocations = bench_nltcs_releases(&nltcs, reps, &mut rows);
 
     // ── 4. Range release vs one CG solve ───────────────────────────────
     let n = 1usize << 16;
@@ -1100,8 +1183,8 @@ fn main() {
     bench_release_write(&releases, reps, &mut rows);
 
     // ── 6. Marginal bind vs the dense fold ─────────────────────────────
-    println!("== bind (NLTCS Q2 F+, best of {reps}) ==");
-    let bind_ratio = bench_bind(&nltcs, reps, &mut rows);
+    println!("== bind (NLTCS Q2 F+, best of {BIND_REPS}) ==");
+    let bind_ratio = bench_bind(&nltcs, BIND_REPS, &mut rows);
     bench_fold(if smoke { 12 } else { 20 }, reps, &mut rows);
 
     // ── 7. Cold plans vs one cached plan ───────────────────────────────
@@ -1198,14 +1281,21 @@ fn main() {
         //
         // The bind gate is a floor on the occupied-cell sum. Its dense
         // fold uses the library's `table::marginalize`, which folds
-        // without copying its input, so NLTCS Q2 F+ binds 1.6–2.3× faster
-        // than the fold at smoke size (20 runs on two cores, alternated
-        // timing) and 1.43–2.14× at full size (ten runs). A bind that fell
-        // back to the fold measures 0.9–1.0×.
+        // without copying its input. Timed as best of 3 alternated reps,
+        // one pinned smoke run in ten read 1.44×; best of 15 (`BIND_REPS`)
+        // read 1.69–2.12× on two cores and 2.11–2.61× pinned, passing ten
+        // alternated smoke runs each, while a copy whose bind always takes
+        // the fold read 0.88–0.99× and 0.97–1.01×, failing every run.
         //
-        // The single-release gate is a count, not a timing: a Q2 `F+`
+        // The single-release gates are counts, not timings. A Q2 `F+`
         // release is below the grain-size floor, so no chunk of it may run
-        // on a pool worker (waking one costs more than the recovery).
+        // on a pool worker (waking one costs more than the recovery). And
+        // a release writes its answers into one buffer, so its heap
+        // allocations do not grow with the number of targets: 3 for NLTCS
+        // Q1 and Q2 `F+` alike (the answers, the budgets, the list of
+        // block slices), where one vector per target made them 21 and 125.
+        // A copy that allocates one vector per target in the recovery read
+        // 19 and 123 and failed every run.
         //
         // The plan gate is a count too: `k` cold plans solve the budgets
         // `k` times, and one cached plan serves the whole batch from one
@@ -1270,6 +1360,14 @@ fn main() {
                     stream_floor,
                 );
             }
+        }
+        let (q1_allocations, q2_allocations) = release_allocations;
+        if q1_allocations != q2_allocations || q2_allocations > RELEASE_ALLOCATIONS_MAX {
+            failures.push(format!(
+                "single NLTCS F+ releases allocated {q1_allocations} heap blocks (Q1, 16 \
+                 targets) and {q2_allocations} (Q2, 120 targets): expected the same count, \
+                 at most {RELEASE_ALLOCATIONS_MAX}, whatever the number of targets"
+            ));
         }
         if single_on_workers > 0 {
             failures.push(format!(

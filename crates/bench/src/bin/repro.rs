@@ -171,8 +171,8 @@ fn measured_noise(
             let answers = r.answers.into_marginals().expect("marginal plan");
             let l1: f64 = answers
                 .iter()
-                .zip(&exact)
-                .map(|(a, e)| a.l1_distance(e).expect("aligned"))
+                .zip(exact.iter())
+                .map(|((_, a), (_, e))| a.iter().zip(e).map(|(x, y)| (x - y).abs()).sum::<f64>())
                 .sum();
             l1 / workload.len() as f64
         })
@@ -364,7 +364,7 @@ fn ablation_consistency(checks: &mut Checks) {
         let counts: Vec<f64> = (0..1usize << d).map(|_| rng.gen_range(0.0..8.0)).collect();
         let exact = workload.true_answers(&ContingencyTable::from_counts(counts));
         // Inconsistent noisy observations (uniform unit-scale noise).
-        let mut noisy: Vec<f64> = exact.iter().flat_map(|m| m.values().to_vec()).collect();
+        let mut noisy = exact.into_cells();
         noisy
             .iter_mut()
             .for_each(|v| *v += rng.gen_range(-3.0..3.0));
@@ -393,6 +393,7 @@ fn ablation_consistency(checks: &mut Checks) {
         let dataspace_seconds = t1.elapsed().as_secs_f64();
 
         let gaps = fourier_answers
+            .cells()
             .iter()
             .zip(&data_answers)
             .map(|(a, b)| (a - b).abs());
@@ -482,7 +483,7 @@ fn calibration(checks: &mut Checks) {
                 WorkloadSpec::Marginals { strategy, .. } => (
                     "2-way, d=8",
                     Session::bind(Arc::clone(&plan), &table),
-                    flatten(Answers::Marginals(marginals.true_answers(&table))),
+                    marginals.true_answers(&table).into_cells(),
                     matches!(strategy, Identity | Fourier),
                 ),
                 WorkloadSpec::Ranges { .. } => (
@@ -494,13 +495,19 @@ fn calibration(checks: &mut Checks) {
             };
             let releases = session.and_then(|s| s.release_batch(&seeds));
             let squared_error: f64 = (releases.expect("calibration releases succeed").into_iter())
-                .flat_map(|r| flatten(r.answers).into_iter().zip(&exact))
+                .flat_map(|r| {
+                    let values = match r.answers {
+                        Answers::Marginals(m) => m.into_cells(),
+                        Answers::Ranges(v) => v,
+                    };
+                    values.into_iter().zip(&exact)
+                })
                 .map(|(a, e)| (a - e) * (a - e))
                 .sum();
             let observed = squared_error / seeds.len() as f64;
             let predicted: f64 = plan.query_variances().iter().sum();
             let ratio = observed / predicted;
-            let method = plan.label();
+            let method = plan.label().to_string();
             let (low, high) = (if two_sided { 0.9 } else { 0.0 }, 1.1);
             checks.claim(low <= ratio && ratio <= high, || {
                 format!("{workload} {method} {mechanism}: observed/predicted MSE {ratio:.4}")
@@ -518,12 +525,4 @@ fn calibration(checks: &mut Checks) {
     }
     let title = "Calibration: observed / predicted total MSE over 2000 seeds";
     report("calibration", &render_rows(title, &rows), &rows, checks);
-}
-
-/// All answer values of a release, in workload order.
-fn flatten(answers: Answers) -> Vec<f64> {
-    match answers {
-        Answers::Marginals(tables) => tables.iter().flat_map(|t| t.values().to_vec()).collect(),
-        Answers::Ranges(values) => values,
-    }
 }

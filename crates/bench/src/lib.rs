@@ -267,7 +267,7 @@ pub fn accuracy_sweep(
                 };
                 check_budgets(&plan, checks);
                 let at = format!("{dataset} {} {} ε={eps}", family.label(), plan.label());
-                let base = seed ^ fxhash(&plan.label());
+                let base = seed ^ fxhash(plan.label());
                 let session = Session::bind(plan, &data.table).expect("plan matches the table");
                 let seeds: Vec<u64> = (0..n_trials)
                     .map(|t| base.wrapping_add((e_idx * 10_000 + t) as u64))
@@ -291,7 +291,7 @@ pub fn accuracy_sweep(
                 out.push(AccuracyPoint {
                     dataset: dataset.to_string(),
                     workload: family.label(),
-                    method: session.plan().label(),
+                    method: session.plan().label().to_string(),
                     epsilon: eps,
                     relative_error: err_sum / n_trials as f64,
                     trials: n_trials,

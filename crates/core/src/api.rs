@@ -15,7 +15,11 @@
 //!    a histogram), computing the exact observations `z = S·x` once, and
 //!    serves releases: [`Session::release`] for one, or
 //!    [`Session::release_batch`] to fan a whole batch of seeds out with
-//!    rayon. Every release is deterministic in its seed. The same session
+//!    rayon. Every release is deterministic in its seed. A marginal
+//!    release's answers are one [`MarginalSet`]: every cell in one buffer,
+//!    in workload order, with the plan's mask list shared rather than
+//!    copied — the layout of [`crate::workload::Workload::true_answers`],
+//!    which the metrics and consistency functions take. The same session
 //!    type also maintains its observations under streamed record-level
 //!    deltas ([`Session::ingest`]), optionally over a sliding window.
 //! 3. [`PlanCache`] memoizes compiled plans keyed by (schema fingerprint,
@@ -44,7 +48,7 @@
 //! assert_eq!(releases.len(), 3);
 //! ```
 
-use crate::marginal::MarginalTable;
+use crate::marginal::MarginalSet;
 use crate::range::{RangeStrategy, RangeWorkload};
 use crate::release::StrategyKind;
 use crate::schema::Schema;
@@ -292,6 +296,9 @@ pub struct Plan {
     achieved_epsilon: f64,
     predicted_variance: f64,
     query_variances: Vec<f64>,
+    /// [`Plan::label`], shared with every release rather than formatted
+    /// per release.
+    label: Arc<str>,
     /// Shared so [`Plan::resolved_at`] can re-solve at another privacy
     /// level without recompiling the strategy.
     compiled: Arc<Compiled>,
@@ -361,6 +368,10 @@ impl Plan {
             ));
         }
         let query_variances = compiled.predict_query_variances(&group_sigma2)?;
+        let label = match budgeting {
+            Budgeting::Uniform => spec.strategy_label().into(),
+            Budgeting::Optimal => format!("{}+", spec.strategy_label()).into(),
+        };
         Ok(Plan {
             spec,
             budgeting,
@@ -371,6 +382,7 @@ impl Plan {
             achieved_epsilon: achieved,
             predicted_variance,
             query_variances,
+            label,
             compiled,
         })
     }
@@ -490,11 +502,8 @@ impl Plan {
 
     /// Display label matching the paper's figure legends, e.g. `"F+"` for
     /// Fourier with optimal budgets or `"H"` for the uniform-budget tree.
-    pub fn label(&self) -> String {
-        match self.budgeting {
-            Budgeting::Uniform => self.spec.strategy_label().to_string(),
-            Budgeting::Optimal => format!("{}+", self.spec.strategy_label()),
-        }
+    pub fn label(&self) -> &str {
+        &self.label
     }
 
     /// A stable 64-bit fingerprint of everything that identifies the plan
@@ -532,22 +541,23 @@ pub struct SessionRelease {
     pub predicted_variance: f64,
     /// Achieved ε implied by the budgets.
     pub achieved_epsilon: f64,
-    /// Method label, e.g. `"F+"`.
-    pub label: String,
+    /// Method label, e.g. `"F+"`, shared with the plan.
+    pub label: Arc<str>,
 }
 
 /// Workload answers, one variant per workload family.
 #[derive(Debug, Clone)]
 pub enum Answers {
-    /// Consistent noisy marginal tables, workload order.
-    Marginals(Vec<MarginalTable>),
+    /// Consistent noisy marginals in one buffer, workload order; the masks
+    /// are the plan's, shared.
+    Marginals(MarginalSet),
     /// Noisy range counts, workload order.
     Ranges(Vec<f64>),
 }
 
 impl Answers {
-    /// The marginal tables, when this is a marginal release.
-    pub fn marginals(&self) -> Option<&[MarginalTable]> {
+    /// The marginals, when this is a marginal release.
+    pub fn marginals(&self) -> Option<&MarginalSet> {
         match self {
             Answers::Marginals(m) => Some(m),
             Answers::Ranges(_) => None,
@@ -562,8 +572,8 @@ impl Answers {
         }
     }
 
-    /// Consumes the marginal tables, when this is a marginal release.
-    pub fn into_marginals(self) -> Option<Vec<MarginalTable>> {
+    /// Consumes the marginals, when this is a marginal release.
+    pub fn into_marginals(self) -> Option<MarginalSet> {
         match self {
             Answers::Marginals(m) => Some(m),
             Answers::Ranges(_) => None,
@@ -880,7 +890,7 @@ fn release_bound(
         group_budgets,
         predicted_variance: plan.predicted_variance,
         achieved_epsilon,
-        label: plan.label(),
+        label: Arc::clone(&plan.label),
     })
 }
 
@@ -1044,7 +1054,7 @@ mod tests {
             let session = Session::bind(Arc::clone(&plan), &table).unwrap();
             let r = session.release(7).unwrap();
             assert_eq!(r.answers.marginals().unwrap().len(), workload2().len());
-            assert_eq!(r.label, plan.label());
+            assert_eq!(&*r.label, plan.label());
         }
     }
 
@@ -1187,8 +1197,8 @@ mod tests {
             let single = session.release(seed).unwrap();
             assert_eq!(r.seed, seed);
             let (a, b) = (r.answers.marginals().unwrap(), single.answers.marginals());
-            for (ma, mb) in a.iter().zip(b.unwrap()) {
-                assert_eq!(ma.values(), mb.values());
+            for ((_, ma), (_, mb)) in a.iter().zip(b.unwrap().iter()) {
+                assert_eq!(ma, mb);
             }
         }
     }
@@ -1221,14 +1231,14 @@ mod tests {
             .release(3)
             .unwrap();
         let b = Session::bind(fresh, &table).unwrap().release(3).unwrap();
-        for (x, y) in a
+        for ((_, x), (_, y)) in a
             .answers
             .marginals()
             .unwrap()
             .iter()
-            .zip(b.answers.marginals().unwrap())
+            .zip(b.answers.marginals().unwrap().iter())
         {
-            assert_eq!(x.values(), y.values());
+            assert_eq!(x, y);
         }
         // The compiled operator really is shared, not rebuilt.
         assert!(Arc::ptr_eq(&base.compiled, &resolved.compiled));
@@ -1303,14 +1313,14 @@ mod tests {
         // ...and the releases are byte-identical.
         let a = stream.release(9).unwrap();
         let b = fresh.release(9).unwrap();
-        for (ma, mb) in a
+        for ((_, ma), (_, mb)) in a
             .answers
             .marginals()
             .unwrap()
             .iter()
-            .zip(b.answers.marginals().unwrap())
+            .zip(b.answers.marginals().unwrap().iter())
         {
-            assert_eq!(ma.values(), mb.values());
+            assert_eq!(ma, mb);
         }
     }
 

@@ -7,11 +7,12 @@
 //! prior work — which this module builds and solves with the `dp-opt`
 //! simplex. The marginals' block map ([`ObservationOperator`]) lays out
 //! the program: each cell's row sits at its block's coefficient positions,
-//! and the fitted marginals are the block map's tables of the solution.
+//! and the fitted marginals are the block map applied to the solution.
+//! Every function here takes a [`MarginalSet`], whose one buffer is the
+//! program's cell order.
 
 use crate::fourier::{CoefficientSpace, ObservationOperator};
-use crate::marginal::{marginal_fourier_entry, MarginalTable};
-use crate::mask::AttrMask;
+use crate::marginal::{aggregate, marginal_fourier_entry, MarginalSet};
 use crate::CoreError;
 use dp_opt::simplex::{solve_lp, ConstraintOp, LinearProgram};
 
@@ -27,19 +28,19 @@ pub enum ConsistencyNorm {
 /// Finds the consistent marginals closest (in the chosen norm) to the given
 /// noisy marginals, by optimizing over their Fourier coefficients.
 ///
-/// Returns the consistent marginals in the same order. The sizes are the
+/// Returns the consistent marginals in the same layout. The sizes are the
 /// paper's: `2m + K` (+1 for `L∞`) LP variables for `K` observed cells,
 /// versus `N`-variable programs in prior work.
 pub fn make_consistent(
     d: usize,
-    noisy: &[MarginalTable],
+    noisy: &MarginalSet,
     norm: ConsistencyNorm,
-) -> Result<Vec<MarginalTable>, CoreError> {
+) -> Result<MarginalSet, CoreError> {
     if noisy.is_empty() {
-        return Ok(Vec::new());
+        return Ok(noisy.clone());
     }
-    let masks: Vec<AttrMask> = noisy.iter().map(|m| m.mask()).collect();
-    let op = ObservationOperator::new(&CoefficientSpace::from_marginals(d, &masks), &masks)?;
+    let masks = noisy.masks();
+    let op = ObservationOperator::new(&CoefficientSpace::from_marginals(d, masks), masks)?;
     let m = op.num_coeffs();
     let k = op.num_cells();
 
@@ -58,9 +59,8 @@ pub fn make_consistent(
 
     let mut constraints: Vec<(Vec<f64>, ConstraintOp, f64)> = Vec::with_capacity(2 * k);
     let mut cell_index = 0usize;
-    for (i, mt) in noisy.iter().enumerate() {
-        let alpha = mt.mask();
-        for (rank, &y) in mt.values().iter().enumerate() {
+    for (i, (alpha, cells)) in noisy.iter().enumerate() {
+        for (rank, &y) in cells.iter().enumerate() {
             let gamma = alpha.expand_cell(rank);
             // Row of R over the coefficient space, at the block's positions.
             let mut pos_row = vec![0.0; nvars];
@@ -90,7 +90,7 @@ pub fn make_consistent(
     };
     let sol = solve_lp(&lp).map_err(|e| CoreError::Opt(e.into()))?;
     let coeffs: Vec<f64> = (0..m).map(|j| sol.x[j] - sol.x[m + j]).collect();
-    Ok(op.tables(&coeffs))
+    Ok(op.apply(&coeffs))
 }
 
 /// The triangle-inequality utility guarantee of Section 3.3: applied to
@@ -98,27 +98,21 @@ pub fn make_consistent(
 /// by consistency is at most the `Lp` error of the noisy input, i.e. the
 /// error at most doubles. This helper measures both sides for a test or
 /// report: returns `(‖noisy − exact‖_p, ‖consistent − exact‖_p)`.
+///
+/// # Panics
+/// Panics unless the three sets share one layout.
 pub fn consistency_error_pair(
-    exact: &[MarginalTable],
-    noisy: &[MarginalTable],
-    consistent: &[MarginalTable],
+    exact: &MarginalSet,
+    noisy: &MarginalSet,
+    consistent: &MarginalSet,
     norm: ConsistencyNorm,
 ) -> (f64, f64) {
-    let err = |a: &[MarginalTable], b: &[MarginalTable]| -> f64 {
-        let devs = a
-            .iter()
-            .zip(b)
-            .flat_map(|(x, y)| {
-                x.values()
-                    .iter()
-                    .zip(y.values())
-                    .map(|(u, v)| (u - v).abs())
-                    .collect::<Vec<_>>()
-            })
-            .collect::<Vec<_>>();
+    let err = |a: &MarginalSet, b: &MarginalSet| -> f64 {
+        assert_eq!(a.masks(), b.masks(), "the marginal sets differ in layout");
+        let devs = a.cells().iter().zip(b.cells()).map(|(u, v)| (u - v).abs());
         match norm {
-            ConsistencyNorm::L1 => devs.iter().sum(),
-            ConsistencyNorm::LInf => devs.iter().fold(0.0f64, |m, &v| m.max(v)),
+            ConsistencyNorm::L1 => devs.sum(),
+            ConsistencyNorm::LInf => devs.fold(0.0f64, f64::max),
         }
     };
     (err(noisy, exact), err(consistent, exact))
@@ -129,21 +123,14 @@ pub fn consistency_error_pair(
 /// `tol`. (This is necessary for consistency with a common dataset, and —
 /// for answers reconstructed from a single coefficient vector, as ours are
 /// — also sufficient.)
-pub fn is_consistent(marginals: &[MarginalTable], tol: f64) -> bool {
-    for i in 0..marginals.len() {
-        for j in (i + 1)..marginals.len() {
-            let common = marginals[i].mask().intersect(marginals[j].mask());
-            let (Ok(a), Ok(b)) = (
-                marginals[i].aggregate_to(common),
-                marginals[j].aggregate_to(common),
-            ) else {
+pub fn is_consistent(marginals: &MarginalSet, tol: f64) -> bool {
+    for (i, (mi, ci)) in marginals.iter().enumerate() {
+        for (mj, cj) in marginals.iter().skip(i + 1) {
+            let common = mi.intersect(mj);
+            let (Ok(a), Ok(b)) = (aggregate(mi, ci, common), aggregate(mj, cj, common)) else {
                 return false;
             };
-            if a.values()
-                .iter()
-                .zip(b.values())
-                .any(|(x, y)| (x - y).abs() > tol)
-            {
+            if a.iter().zip(&b).any(|(x, y)| (x - y).abs() > tol) {
                 return false;
             }
         }
@@ -154,6 +141,7 @@ pub fn is_consistent(marginals: &[MarginalTable], tol: f64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mask::AttrMask;
     use crate::table::ContingencyTable;
     use crate::workload::Workload;
 
@@ -163,23 +151,12 @@ mod tests {
         (t, w)
     }
 
-    fn perturb(exact: &[MarginalTable], deltas: &[f64]) -> Vec<MarginalTable> {
-        let mut i = 0usize;
-        exact
-            .iter()
-            .map(|m| {
-                let vals: Vec<f64> = m
-                    .values()
-                    .iter()
-                    .map(|v| {
-                        let out = v + deltas[i % deltas.len()];
-                        i += 1;
-                        out
-                    })
-                    .collect();
-                MarginalTable::new(m.mask(), vals)
-            })
-            .collect()
+    fn perturb(exact: &MarginalSet, deltas: &[f64]) -> MarginalSet {
+        let mut noisy = exact.clone();
+        for (i, v) in noisy.cells_mut().iter_mut().enumerate() {
+            *v += deltas[i % deltas.len()];
+        }
+        noisy
     }
 
     #[test]
@@ -188,8 +165,8 @@ mod tests {
         let exact = w.true_answers(&t);
         for norm in [ConsistencyNorm::L1, ConsistencyNorm::LInf] {
             let fixed = make_consistent(3, &exact, norm).unwrap();
-            for (a, b) in fixed.iter().zip(&exact) {
-                for (x, y) in a.values().iter().zip(b.values()) {
+            for ((_, a), (_, b)) in fixed.iter().zip(exact.iter()) {
+                for (x, y) in a.iter().zip(b) {
                     assert!((x - y).abs() < 1e-6, "{norm:?}: {x} vs {y}");
                 }
             }
@@ -231,16 +208,11 @@ mod tests {
         let noisy = perturb(&exact, &[4.0, -4.0]);
         let l1 = make_consistent(3, &noisy, ConsistencyNorm::L1).unwrap();
         let linf = make_consistent(3, &noisy, ConsistencyNorm::LInf).unwrap();
-        let max_dev = |a: &[MarginalTable]| -> f64 {
-            a.iter()
-                .zip(&noisy)
-                .flat_map(|(x, y)| {
-                    x.values()
-                        .iter()
-                        .zip(y.values())
-                        .map(|(u, v)| (u - v).abs())
-                        .collect::<Vec<_>>()
-                })
+        let max_dev = |a: &MarginalSet| -> f64 {
+            a.cells()
+                .iter()
+                .zip(noisy.cells())
+                .map(|(u, v)| (u - v).abs())
                 .fold(0.0f64, f64::max)
         };
         assert!(max_dev(&linf) <= max_dev(&l1) + 1e-6);
@@ -253,10 +225,11 @@ mod tests {
         let noisy = perturb(&exact, &[4.0, -1.0, 0.5]);
         let l1 = make_consistent(3, &noisy, ConsistencyNorm::L1).unwrap();
         let linf = make_consistent(3, &noisy, ConsistencyNorm::LInf).unwrap();
-        let total_dev = |a: &[MarginalTable]| -> f64 {
-            a.iter()
-                .zip(&noisy)
-                .map(|(x, y)| x.l1_distance(y).unwrap())
+        let total_dev = |a: &MarginalSet| -> f64 {
+            a.cells()
+                .iter()
+                .zip(noisy.cells())
+                .map(|(u, v)| (u - v).abs())
                 .sum()
         };
         assert!(total_dev(&l1) <= total_dev(&linf) + 1e-6);
@@ -264,22 +237,18 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        assert!(make_consistent(3, &[], ConsistencyNorm::L1)
+        let empty = MarginalSet::new(Vec::new(), Vec::new());
+        assert!(make_consistent(3, &empty, ConsistencyNorm::L1)
             .unwrap()
             .is_empty());
     }
 
     #[test]
     fn is_consistent_detects_disagreement() {
-        let good = vec![
-            MarginalTable::new(AttrMask(0b01), vec![3.0, 2.0]),
-            MarginalTable::new(AttrMask(0b10), vec![4.0, 1.0]),
-        ];
+        let masks = vec![AttrMask(0b01), AttrMask(0b10)];
+        let good = MarginalSet::new(masks.clone(), vec![3.0, 2.0, 4.0, 1.0]);
         assert!(is_consistent(&good, 1e-9)); // totals agree (5 = 5)
-        let bad = vec![
-            MarginalTable::new(AttrMask(0b01), vec![3.0, 2.0]),
-            MarginalTable::new(AttrMask(0b10), vec![4.0, 2.0]),
-        ];
+        let bad = MarginalSet::new(masks, vec![3.0, 2.0, 4.0, 2.0]);
         assert!(!is_consistent(&bad, 1e-9)); // totals 5 vs 6
     }
 }

@@ -189,8 +189,8 @@ mod tests {
         for r in session.release_batch(&seeds).unwrap() {
             let answers = r.answers.into_marginals().unwrap();
             let mut idx = 0;
-            for (ans, ex) in answers.iter().zip(&exact) {
-                for (a, e) in ans.values().iter().zip(ex.values()) {
+            for ((_, ans), (_, ex)) in answers.iter().zip(exact.iter()) {
+                for (a, e) in ans.iter().zip(ex) {
                     sq[idx] += (a - e) * (a - e) / trials as f64;
                     idx += 1;
                 }

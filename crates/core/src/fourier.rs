@@ -12,20 +12,20 @@
 //! [`ObservationOperator`] is the one owner of that block map. Its `new`
 //! lays out each marginal's block once — mask, coefficient positions,
 //! Hadamard scale, cell offset — and every use of the theorem runs through
-//! it: the forward map to concatenated cells ([`ObservationOperator::apply`])
-//! or to one table per marginal ([`ObservationOperator::tables`], the
-//! recovery of every Fourier-space release), the inverse map from exact
-//! cells to coefficients ([`ObservationOperator::coefficients`], the
-//! Fourier bind), the transpose, and the weighted normal equations of the
+//! it: the one forward map, to the marginals' cells in one buffer
+//! ([`ObservationOperator::apply`], the recovery of every Fourier-space
+//! release and the consistency fits), the inverse map from exact cells to
+//! coefficients ([`ObservationOperator::coefficients`], the Fourier bind),
+//! the transpose, and the weighted normal equations of the
 //! generalized-least-squares recovery/consistency step.
 
-use crate::marginal::MarginalTable;
+use crate::marginal::MarginalSet;
 use crate::mask::AttrMask;
-use crate::table::min_len;
+use crate::table::fill_blocks;
 use crate::CoreError;
 use dp_linalg::{cg_solve, CgOptions};
-use rayon::prelude::*;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// An indexed set of Fourier coefficients (the variables of the fast
 /// consistency LS/LP of Section 4.3).
@@ -93,7 +93,9 @@ impl CoefficientSpace {
 #[derive(Debug, Clone)]
 pub struct ObservationOperator {
     d: usize,
-    masks: Vec<AttrMask>,
+    /// Shared with every [`MarginalSet`] that [`ObservationOperator::apply`]
+    /// returns.
+    masks: Arc<[AttrMask]>,
     /// One block per mask, in mask order.
     blocks: Vec<Block>,
     num_coeffs: usize,
@@ -113,9 +115,8 @@ struct Block {
 }
 
 impl Block {
-    /// The forward kernel, shared by [`ObservationOperator::apply`] and
-    /// [`ObservationOperator::tables`]: the block's cells from coefficient
-    /// values into `out` — gather, one WHT, scale.
+    /// The forward kernel of [`ObservationOperator::apply`]: the block's
+    /// cells from coefficient values into `out` — gather, one WHT, scale.
     fn cells_into(&self, coeffs: &[f64], out: &mut [f64]) {
         for (o, &p) in out.iter_mut().zip(&self.positions) {
             *o = coeffs[p as usize];
@@ -161,7 +162,7 @@ impl ObservationOperator {
         }
         Ok(ObservationOperator {
             d,
-            masks: observed.to_vec(),
+            masks: observed.into(),
             blocks,
             num_coeffs: space.len(),
             num_cells: offset,
@@ -209,44 +210,26 @@ impl ObservationOperator {
             .map(move |(alpha, b)| b.cell_offset + alpha.compress_cell(cell & alpha.0))
     }
 
-    /// Applies `R`: coefficients → concatenated cells.
-    pub fn apply(&self, coeffs: &[f64]) -> Vec<f64> {
-        debug_assert_eq!(coeffs.len(), self.num_coeffs);
-        let mut out = vec![0.0; self.num_cells];
-        for b in &self.blocks {
-            b.cells_into(coeffs, &mut out[b.rows()]);
-        }
-        out
-    }
-
-    /// Applies `R` one marginal at a time: each block's cells as a table
-    /// (Theorem 4.1(2)), in block order. The recovery of `F`, `Q` and `C`
+    /// Applies `R`: coefficients → the marginals' cells in one buffer, in
+    /// block order (Theorem 4.1(2)). The recovery of `F`, `Q` and `C`
     /// releases.
     ///
     /// The blocks fan out across cores in chunks of at least
     /// `table::PARALLEL_MIN_CELLS` (8 192) cell-passes
     /// (`2^{‖α‖}` cells times one gather and `‖α‖` butterfly levels per
     /// block), so a small workload, such as NLTCS Q2 (1 440 cell-passes), is
-    /// recovered on the calling thread. Results are collected in order, so
-    /// the layout moves no byte.
-    pub fn tables(&self, coeffs: &[f64]) -> Vec<MarginalTable> {
+    /// recovered on the calling thread.
+    pub fn apply(&self, coeffs: &[f64]) -> MarginalSet {
         debug_assert_eq!(coeffs.len(), self.num_coeffs);
         let work = self
             .masks
             .iter()
             .map(|alpha| alpha.cell_count() * (alpha.weight() as usize + 1))
             .sum();
-        self.masks
-            .par_iter()
-            .with_min_len(min_len(self.masks.len(), work))
-            .enumerate()
-            .map(|(i, &alpha)| {
-                let b = &self.blocks[i];
-                let mut cells = vec![0.0; b.positions.len()];
-                b.cells_into(coeffs, &mut cells);
-                MarginalTable::new(alpha, cells)
-            })
-            .collect()
+        let cells = fill_blocks(&self.masks, work, |i, _, out| {
+            self.blocks[i].cells_into(coeffs, out)
+        });
+        MarginalSet::new(Arc::clone(&self.masks), cells)
     }
 
     /// The inverse block map: block `i`'s exact coefficients from its
@@ -283,8 +266,10 @@ impl ObservationOperator {
     pub fn apply_transposed(&self, cells: &[f64]) -> Vec<f64> {
         debug_assert_eq!(cells.len(), self.num_cells);
         let mut out = vec![0.0; self.num_coeffs];
+        let mut buf = Vec::new();
         for b in &self.blocks {
-            let mut buf: Vec<f64> = cells[b.rows()].to_vec();
+            buf.clear();
+            buf.extend_from_slice(&cells[b.rows()]);
             dp_linalg::fwht(&mut buf);
             for (&p, v) in b.positions.iter().zip(&buf) {
                 out[p as usize] += v * b.scale;
@@ -360,7 +345,7 @@ impl ObservationOperator {
         let weighted: Vec<f64> = cells.iter().zip(cell_weights).map(|(c, w)| c * w).collect();
         let rhs = self.apply_transposed(&weighted);
         let apply = |v: &[f64]| -> Vec<f64> {
-            let mut rv = self.apply(v);
+            let mut rv = self.apply(v).into_cells();
             for (r, &w) in rv.iter_mut().zip(cell_weights) {
                 *r *= w;
             }
@@ -423,8 +408,8 @@ mod tests {
         let t = table();
         let mut coeffs = vec![0.0; s.len()];
         let mut scratch = Vec::new();
-        for (i, m) in w.true_answers(&t).iter().enumerate() {
-            for (p, c) in op.coefficients(i, m.values(), &mut scratch) {
+        for (i, (_, cells)) in w.true_answers(&t).iter().enumerate() {
+            for (p, c) in op.coefficients(i, cells, &mut scratch) {
                 coeffs[p] = c;
             }
         }
@@ -434,10 +419,10 @@ mod tests {
             assert!((c - oracle).abs() < 1e-10, "beta={beta}: {c} vs {oracle}");
         }
         // Reconstruction returns the exact marginals.
-        for (rec, &alpha) in op.tables(&coeffs).iter().zip(w.marginals()) {
+        for ((mask, rec), &alpha) in op.apply(&coeffs).iter().zip(w.marginals()) {
             let direct = t.marginal(alpha);
-            assert_eq!(rec.mask(), alpha);
-            for (a, b) in rec.values().iter().zip(direct.values()) {
+            assert_eq!(mask, alpha);
+            for (a, b) in rec.iter().zip(direct.values()) {
                 assert!((a - b).abs() < 1e-10);
             }
         }
@@ -462,14 +447,41 @@ mod tests {
             .collect()
     }
 
-    /// The block-map oracle: the per-table forward map, flattened, equals
-    /// `apply` bit for bit, whatever the coefficient values; the inverse
-    /// map undoes the forward map exactly on integer marginals; and `new`
-    /// refuses a marginal outside the support before building anything.
+    /// The block-map oracle: `apply` above the grain floor, fanned out
+    /// across cores, equals a per-block walk on the calling thread bit for
+    /// bit, whatever the coefficient values; the inverse map undoes the
+    /// forward map exactly on integer marginals; and `new` refuses a
+    /// marginal outside the support before building anything.
     #[test]
     fn block_map_walks_agree_bit_for_bit() {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let mut rng = StdRng::seed_from_u64(41);
+
+        // All 3-way marginals over 16 bits: 560 blocks of 8 cells, a gather
+        // and three butterfly levels each, enough work for several chunks.
+        let schema = crate::schema::Schema::binary(16).unwrap();
+        let wide = Workload::all_k_way(&schema, 3).unwrap();
+        let space = CoefficientSpace::from_marginals(16, wide.marginals());
+        let op = ObservationOperator::new(&space, wide.marginals()).unwrap();
+        assert!(wide.total_cells() * 4 > 2 * crate::table::PARALLEL_MIN_CELLS);
+        for _ in 0..20 {
+            let coeffs = awkward_coefficients(&mut rng, space.len());
+            let mut walk = Vec::new();
+            for (i, &alpha) in wide.marginals().iter().enumerate() {
+                let mut block: Vec<f64> = op
+                    .positions(i)
+                    .iter()
+                    .map(|&p| coeffs[p as usize])
+                    .collect();
+                dp_linalg::fwht(&mut block);
+                let scale = 2f64.powf(16.0 / 2.0 - alpha.weight() as f64);
+                walk.extend(block.iter().map(|v| v * scale));
+            }
+            let applied = op.apply(&coeffs);
+            assert_eq!(applied.masks(), wide.marginals());
+            assert_eq!(bits(applied.cells()), bits(&walk));
+        }
+
         let w = Workload::new(
             6,
             vec![
@@ -483,15 +495,6 @@ mod tests {
         .unwrap();
         let s = CoefficientSpace::from_marginals(6, w.marginals());
         let op = ObservationOperator::new(&s, w.marginals()).unwrap();
-        for _ in 0..20 {
-            let coeffs = awkward_coefficients(&mut rng, s.len());
-            let flat: Vec<f64> = op
-                .tables(&coeffs)
-                .iter()
-                .flat_map(|m| m.values().to_vec())
-                .collect();
-            assert_eq!(bits(&flat), bits(&op.apply(&coeffs)));
-        }
 
         // inverse ∘ forward on exact integer marginals: the coefficients
         // filled from the tables reproduce the tables bit for bit, and
@@ -500,18 +503,16 @@ mod tests {
         let exact = ContingencyTable::from_counts(counts).marginals(w.marginals());
         let mut coeffs = vec![f64::NAN; s.len()];
         let mut scratch = Vec::new();
-        for (i, m) in exact.iter().enumerate() {
-            for (p, c) in op.coefficients(i, m.values(), &mut scratch) {
+        for (i, (_, cells)) in exact.iter().enumerate() {
+            for (p, c) in op.coefficients(i, cells, &mut scratch) {
                 assert!(coeffs[p].is_nan() || coeffs[p].to_bits() == c.to_bits());
                 coeffs[p] = c;
             }
         }
-        for (rec, m) in op.tables(&coeffs).iter().zip(&exact) {
-            assert_eq!(bits(rec.values()), bits(m.values()));
-        }
+        assert_eq!(bits(op.apply(&coeffs).cells()), bits(exact.cells()));
         let mut again = Vec::new();
-        for (i, rec) in op.tables(&coeffs).iter().enumerate() {
-            let pairs: Vec<(usize, f64)> = op.coefficients(i, rec.values(), &mut again).collect();
+        for (i, (_, rec)) in op.apply(&coeffs).iter().enumerate() {
+            let pairs: Vec<(usize, f64)> = op.coefficients(i, rec, &mut again).collect();
             for (p, c) in pairs {
                 assert_eq!(c.to_bits(), coeffs[p].to_bits());
             }
@@ -546,7 +547,7 @@ mod tests {
             }
         }
         let v = vec![0.3, -1.2, 2.0, 0.7];
-        let via_op = op.apply(&v);
+        let via_op = op.apply(&v).into_cells();
         let via_dense = dense.matvec(&v).unwrap();
         for (a, b) in via_op.iter().zip(&via_dense) {
             assert!((a - b).abs() < 1e-10);
@@ -564,11 +565,7 @@ mod tests {
         let (s, w) = space_and_workload();
         let op = ObservationOperator::new(&s, w.marginals()).unwrap();
         let t = table();
-        let cells: Vec<f64> = w
-            .true_answers(&t)
-            .iter()
-            .flat_map(|m| m.values().iter().copied())
-            .collect();
+        let cells = w.true_answers(&t).into_cells();
         let f = op.gls_solve(&cells, &[1.0, 1.0]).unwrap();
         for (&beta, &c) in s.support().iter().zip(&f) {
             assert!((c - t.fourier_coefficient(beta)).abs() < 1e-9);
@@ -599,9 +596,11 @@ mod tests {
         let op = ObservationOperator::new(&s, w.marginals()).unwrap();
         let cells = vec![10.0, 2.0, 3.0, 1.0, 4.0, 0.0]; // wildly inconsistent
         let f = op.gls_solve(&cells, &[1.0, 1.0]).unwrap();
-        let [a, ab] = <[MarginalTable; 2]>::try_from(op.tables(&f)).unwrap();
-        let agg = ab.aggregate_to(AttrMask(0b100)).unwrap();
-        for (x, y) in a.values().iter().zip(agg.values()) {
+        let fitted = op.apply(&f);
+        let [(_, a), (ab_mask, ab)] =
+            <[_; 2]>::try_from(fitted.iter().collect::<Vec<_>>()).unwrap();
+        let agg = crate::marginal::aggregate(ab_mask, ab, AttrMask(0b100)).unwrap();
+        for (x, y) in a.iter().zip(&agg) {
             assert!((x - y).abs() < 1e-9);
         }
     }
@@ -634,10 +633,12 @@ mod tests {
         // A-marginal says [10, 0]; AB-marginal says totals [0, 0, 0, 0].
         let cells = vec![10.0, 0.0, 0.0, 0.0, 0.0, 0.0];
         let f_heavy_a = op.gls_solve(&cells, &[100.0, 0.01]).unwrap();
-        let a_est = &op.tables(&f_heavy_a)[0];
-        assert!(a_est.values()[0] > 9.0, "{:?}", a_est.values());
+        let a_est = op.apply(&f_heavy_a);
+        let a_est = a_est.iter().next().unwrap().1;
+        assert!(a_est[0] > 9.0, "{:?}", a_est);
         let f_heavy_ab = op.gls_solve(&cells, &[0.01, 100.0]).unwrap();
-        let a_est2 = &op.tables(&f_heavy_ab)[0];
-        assert!(a_est2.values()[0] < 1.0, "{:?}", a_est2.values());
+        let a_est2 = op.apply(&f_heavy_ab);
+        let a_est2 = a_est2.iter().next().unwrap().1;
+        assert!(a_est2[0] < 1.0, "{:?}", a_est2);
     }
 }

@@ -48,7 +48,17 @@
 //! // Phase 2: bind the table and draw a batch of releases.
 //! let session = Session::bind(Arc::new(plan), &table).unwrap();
 //! let releases = session.release_batch(&[7, 8, 9]).unwrap();
-//! assert_eq!(releases[0].answers.marginals().unwrap().len(), workload.len());
+//!
+//! // A release's marginals are one buffer in workload order, laid out like
+//! // the exact answers; each marginal is a `(mask, cells)` view into it.
+//! let answers = releases[0].answers.marginals().unwrap();
+//! let exact = workload.true_answers(&table);
+//! assert_eq!(answers.masks(), exact.masks());
+//! for (mask, cells) in answers.iter() {
+//!     assert_eq!(cells.len(), mask.cell_count());
+//! }
+//! let error = average_relative_error(answers, &exact).unwrap();
+//! assert!(error.is_finite());
 //! ```
 
 pub mod analysis;
@@ -77,7 +87,7 @@ pub mod prelude {
         Answers, Plan, PlanBuilder, PlanCache, Session, SessionRelease, WorkloadSpec,
     };
     pub use crate::cluster::ClusterConfig;
-    pub use crate::marginal::MarginalTable;
+    pub use crate::marginal::{MarginalSet, MarginalTable};
     pub use crate::mask::AttrMask;
     pub use crate::metrics::{average_absolute_error, average_relative_error};
     pub use crate::range::{RangeStrategy, RangeWorkload};

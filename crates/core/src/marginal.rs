@@ -2,6 +2,7 @@
 //! Section 4.1 / Theorem 4.1 of the paper.
 
 use crate::mask::AttrMask;
+use std::sync::Arc;
 
 /// The value vector of one marginal `Cα x`, with cells indexed by the
 /// compressed rank of their dominated index `γ ≼ α` (see
@@ -46,52 +47,105 @@ impl MarginalTable {
         self.values[self.mask.compress_cell(gamma)]
     }
 
-    /// Sum of all cells (equals the table total for a true marginal).
-    pub fn sum(&self) -> f64 {
-        self.values.iter().sum()
-    }
-
-    /// Mean cell value — the denominator of the paper's relative-error
-    /// metric.
-    pub fn mean(&self) -> f64 {
-        self.sum() / self.values.len() as f64
-    }
-
     /// Aggregates this marginal down to a coarser one over `target ≼ mask`,
     /// summing cells that agree on the target attributes. This is the
     /// recovery step used when a strategy materializes a *superset*
     /// marginal (e.g. the cluster strategy answering `A` from `A,B` as in
     /// the paper's Figure 1(d)).
     pub fn aggregate_to(&self, target: AttrMask) -> Result<MarginalTable, MarginalError> {
-        if !target.dominated_by(self.mask) {
-            return Err(MarginalError::NotDominated {
-                target,
-                source: self.mask,
-            });
-        }
-        let mut out = vec![0.0; target.cell_count()];
-        for (rank, &v) in self.values.iter().enumerate() {
-            let gamma = self.mask.expand_cell(rank);
-            out[target.compress_cell(gamma & target.0)] += v;
-        }
-        Ok(MarginalTable::new(target, out))
+        aggregate(self.mask, &self.values, target).map(|cells| MarginalTable::new(target, cells))
+    }
+}
+
+/// The cells of the marginal over `target ≼ source` from the cells of the
+/// marginal over `source`, each added into the target cell it agrees with
+/// ([`MarginalTable::aggregate_to`] on a borrowed view).
+pub fn aggregate(
+    source: AttrMask,
+    cells: &[f64],
+    target: AttrMask,
+) -> Result<Vec<f64>, MarginalError> {
+    if !target.dominated_by(source) {
+        return Err(MarginalError::NotDominated { target, source });
+    }
+    let mut out = vec![0.0; target.cell_count()];
+    for (rank, &v) in cells.iter().enumerate() {
+        let gamma = source.expand_cell(rank);
+        out[target.compress_cell(gamma & target.0)] += v;
+    }
+    Ok(out)
+}
+
+/// A set of marginals as one value: the masks, in workload order, and one
+/// buffer of all their cells concatenated in that order — the layout of
+/// [`ObservationOperator::apply`](crate::fourier::ObservationOperator::apply),
+/// of a `Q` plan's observations and of the rows of
+/// [`Workload::query_matrix`](crate::workload::Workload::query_matrix).
+/// Releases, exact answers, metrics and consistency all use it. The masks
+/// are shared, so a release allocates its cells and nothing per marginal.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MarginalSet {
+    masks: Arc<[AttrMask]>,
+    cells: Vec<f64>,
+}
+
+impl MarginalSet {
+    /// Wraps the cells of the marginals over `masks`, concatenated in mask
+    /// order.
+    ///
+    /// # Panics
+    /// Panics unless `cells` holds `Σ 2^{‖α‖}` values.
+    pub fn new(masks: impl Into<Arc<[AttrMask]>>, cells: Vec<f64>) -> Self {
+        let masks = masks.into();
+        let expected: usize = masks.iter().map(|m| m.cell_count()).sum();
+        assert_eq!(cells.len(), expected, "the marginals need {expected} cells");
+        MarginalSet { masks, cells }
     }
 
-    /// L1 distance to another marginal over the same mask (the error
-    /// measure `‖Cα x − C̃α‖₁` of Section 4.2).
-    pub fn l1_distance(&self, other: &MarginalTable) -> Result<f64, MarginalError> {
-        if self.mask != other.mask {
-            return Err(MarginalError::MaskMismatch {
-                left: self.mask,
-                right: other.mask,
-            });
-        }
-        Ok(self
-            .values
-            .iter()
-            .zip(&other.values)
-            .map(|(a, b)| (a - b).abs())
-            .sum())
+    /// The masks, in order.
+    #[inline]
+    pub fn masks(&self) -> &[AttrMask] {
+        &self.masks
+    }
+
+    /// Every cell, marginal after marginal.
+    #[inline]
+    pub fn cells(&self) -> &[f64] {
+        &self.cells
+    }
+
+    /// Every cell, mutably (the layout cannot change).
+    #[inline]
+    pub fn cells_mut(&mut self) -> &mut [f64] {
+        &mut self.cells
+    }
+
+    /// Consumes the set into its cell buffer.
+    pub fn into_cells(self) -> Vec<f64> {
+        self.cells
+    }
+
+    /// Number of marginals.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.masks.len()
+    }
+
+    /// True when the set holds no marginal.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.masks.is_empty()
+    }
+
+    /// Each marginal as `(mask, cells)`, in order; cells are indexed by
+    /// [`AttrMask::compress_cell`].
+    pub fn iter(&self) -> impl Iterator<Item = (AttrMask, &[f64])> + '_ {
+        let mut rest = &self.cells[..];
+        self.masks.iter().map(move |&alpha| {
+            let (cells, tail) = rest.split_at(alpha.cell_count());
+            rest = tail;
+            (alpha, cells)
+        })
     }
 }
 
@@ -105,13 +159,6 @@ pub enum MarginalError {
         /// Source marginal's mask.
         source: AttrMask,
     },
-    /// Two marginals over different masks were combined.
-    MaskMismatch {
-        /// Left operand's mask.
-        left: AttrMask,
-        /// Right operand's mask.
-        right: AttrMask,
-    },
 }
 
 impl std::fmt::Display for MarginalError {
@@ -119,9 +166,6 @@ impl std::fmt::Display for MarginalError {
         match self {
             MarginalError::NotDominated { target, source } => {
                 write!(f, "marginal {target} is not dominated by {source}")
-            }
-            MarginalError::MaskMismatch { left, right } => {
-                write!(f, "marginal masks differ: {left} vs {right}")
             }
         }
     }
@@ -200,19 +244,26 @@ mod tests {
     }
 
     #[test]
-    fn l1_distance() {
-        let m1 = MarginalTable::new(AttrMask(0b1), vec![1.0, 2.0]);
-        let m2 = MarginalTable::new(AttrMask(0b1), vec![0.0, 4.0]);
-        assert_eq!(m1.l1_distance(&m2).unwrap(), 3.0);
-        let m3 = MarginalTable::new(AttrMask(0b10), vec![0.0, 0.0]);
-        assert!(m1.l1_distance(&m3).is_err());
+    fn sets_view_each_marginal_in_order() {
+        let set = MarginalSet::new(
+            vec![AttrMask(0b1), AttrMask(0b11)],
+            vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+        );
+        let views: Vec<_> = set.iter().collect();
+        assert_eq!(
+            views,
+            [
+                (AttrMask(0b1), &[1.0, 2.0][..]),
+                (AttrMask(0b11), &[3.0, 4.0, 5.0, 6.0][..])
+            ]
+        );
+        assert_eq!(set.len(), 2);
     }
 
     #[test]
-    fn mean_and_sum() {
-        let m = MarginalTable::new(AttrMask(0b11), vec![1.0, 2.0, 3.0, 2.0]);
-        assert_eq!(m.sum(), 8.0);
-        assert_eq!(m.mean(), 2.0);
+    #[should_panic(expected = "need 6 cells")]
+    fn a_set_with_the_wrong_cell_count_panics() {
+        MarginalSet::new(vec![AttrMask(0b1), AttrMask(0b11)], vec![1.0; 5]);
     }
 
     #[test]
@@ -259,11 +310,6 @@ mod tests {
         let e = MarginalError::NotDominated {
             target: AttrMask(0b1),
             source: AttrMask(0b10),
-        };
-        assert!(!e.to_string().is_empty());
-        let e = MarginalError::MaskMismatch {
-            left: AttrMask(0b1),
-            right: AttrMask(0b10),
         };
         assert!(!e.to_string().is_empty());
     }

@@ -3,87 +3,87 @@
 //! The paper measures "the average absolute error per entry in the set of
 //! marginal queries", scaled "by the mean true answer of its respective
 //! marginal query" to give a *relative* error.
+//!
+//! Every metric takes released and exact answers as [`MarginalSet`]s (a
+//! release's [`crate::api::Answers::marginals`] and
+//! [`crate::workload::Workload::true_answers`]), checks once that the two
+//! share one layout, and sums each marginal's cells on its own before
+//! combining marginals.
 
-use crate::marginal::MarginalTable;
+use crate::marginal::MarginalSet;
 use crate::CoreError;
 
-/// Average absolute error per released cell across a set of marginals.
-pub fn average_absolute_error(
-    answers: &[MarginalTable],
-    exact: &[MarginalTable],
-) -> Result<f64, CoreError> {
+/// Checks once that `answers` and `exact` share one layout: the same
+/// number of marginals, over the same masks.
+fn check_layout(
+    context: &'static str,
+    answers: &MarginalSet,
+    exact: &MarginalSet,
+) -> Result<(), CoreError> {
     if answers.len() != exact.len() {
         return Err(CoreError::Shape {
-            context: "average_absolute_error",
+            context,
             expected: exact.len(),
             actual: answers.len(),
         });
     }
-    let mut total = 0.0;
-    let mut cells = 0usize;
-    for (a, e) in answers.iter().zip(exact) {
-        total += a
-            .l1_distance(e)
-            .map_err(|_| CoreError::Singular("marginal mask mismatch in metrics"))?;
-        cells += e.values().len();
+    if answers.masks() != exact.masks() {
+        return Err(CoreError::Singular("marginal mask mismatch in metrics"));
     }
-    Ok(total / cells as f64)
+    Ok(())
+}
+
+/// `‖a − e‖₁` of one marginal's cells (the error measure
+/// `‖Cα x − C̃α‖₁` of Section 4.2).
+fn l1(a: &[f64], e: &[f64]) -> f64 {
+    a.iter().zip(e).map(|(x, y)| (x - y).abs()).sum()
+}
+
+/// Average absolute error per released cell across a set of marginals.
+pub fn average_absolute_error(
+    answers: &MarginalSet,
+    exact: &MarginalSet,
+) -> Result<f64, CoreError> {
+    check_layout("average_absolute_error", answers, exact)?;
+    let total: f64 = answers
+        .iter()
+        .zip(exact.iter())
+        .map(|((_, a), (_, e))| l1(a, e))
+        .sum();
+    Ok(total / exact.cells().len() as f64)
 }
 
 /// The paper's relative-error metric: each marginal's per-entry absolute
 /// error is scaled by that marginal's mean true cell value, then averaged
 /// over marginals.
 pub fn average_relative_error(
-    answers: &[MarginalTable],
-    exact: &[MarginalTable],
+    answers: &MarginalSet,
+    exact: &MarginalSet,
 ) -> Result<f64, CoreError> {
-    if answers.len() != exact.len() {
-        return Err(CoreError::Shape {
-            context: "average_relative_error",
-            expected: exact.len(),
-            actual: answers.len(),
-        });
-    }
+    check_layout("average_relative_error", answers, exact)?;
     let mut total = 0.0;
-    for (a, e) in answers.iter().zip(exact) {
-        let abs_per_entry = a
-            .l1_distance(e)
-            .map_err(|_| CoreError::Singular("marginal mask mismatch in metrics"))?
-            / e.values().len() as f64;
-        let mean = e.mean();
+    for ((_, a), (_, e)) in answers.iter().zip(exact.iter()) {
+        let cells = e.len() as f64;
+        let mean = e.iter().sum::<f64>() / cells;
         if mean <= 0.0 {
             return Err(CoreError::Singular(
                 "relative error undefined for a marginal with non-positive mean",
             ));
         }
-        total += abs_per_entry / mean;
+        total += l1(a, e) / cells / mean;
     }
     Ok(total / answers.len() as f64)
 }
 
 /// Maximum absolute cell error across all marginals (the `p = ∞` error of
 /// Section 3.3).
-pub fn max_absolute_error(
-    answers: &[MarginalTable],
-    exact: &[MarginalTable],
-) -> Result<f64, CoreError> {
-    if answers.len() != exact.len() {
-        return Err(CoreError::Shape {
-            context: "max_absolute_error",
-            expected: exact.len(),
-            actual: answers.len(),
-        });
-    }
-    let mut worst = 0.0f64;
-    for (a, e) in answers.iter().zip(exact) {
-        if a.mask() != e.mask() {
-            return Err(CoreError::Singular("marginal mask mismatch in metrics"));
-        }
-        for (x, y) in a.values().iter().zip(e.values()) {
-            worst = worst.max((x - y).abs());
-        }
-    }
-    Ok(worst)
+pub fn max_absolute_error(answers: &MarginalSet, exact: &MarginalSet) -> Result<f64, CoreError> {
+    check_layout("max_absolute_error", answers, exact)?;
+    Ok(answers
+        .cells()
+        .iter()
+        .zip(exact.cells())
+        .fold(0.0f64, |worst, (x, y)| worst.max((x - y).abs())))
 }
 
 #[cfg(test)]
@@ -91,15 +91,10 @@ mod tests {
     use super::*;
     use crate::mask::AttrMask;
 
-    fn pair() -> (Vec<MarginalTable>, Vec<MarginalTable>) {
-        let exact = vec![
-            MarginalTable::new(AttrMask(0b01), vec![4.0, 6.0]),
-            MarginalTable::new(AttrMask(0b11), vec![1.0, 3.0, 2.0, 4.0]),
-        ];
-        let noisy = vec![
-            MarginalTable::new(AttrMask(0b01), vec![5.0, 5.0]),
-            MarginalTable::new(AttrMask(0b11), vec![1.5, 2.5, 2.0, 4.0]),
-        ];
+    fn pair() -> (MarginalSet, MarginalSet) {
+        let masks = vec![AttrMask(0b01), AttrMask(0b11)];
+        let exact = MarginalSet::new(masks.clone(), vec![4.0, 6.0, 1.0, 3.0, 2.0, 4.0]);
+        let noisy = MarginalSet::new(masks, vec![5.0, 5.0, 1.5, 2.5, 2.0, 4.0]);
         (noisy, exact)
     }
 
@@ -137,15 +132,16 @@ mod tests {
     #[test]
     fn length_mismatch_rejected() {
         let (noisy, exact) = pair();
-        assert!(average_absolute_error(&noisy[..1], &exact).is_err());
-        assert!(average_relative_error(&noisy[..1], &exact).is_err());
-        assert!(max_absolute_error(&noisy[..1], &exact).is_err());
+        let noisy = MarginalSet::new(&noisy.masks()[..1], noisy.cells()[..2].to_vec());
+        assert!(average_absolute_error(&noisy, &exact).is_err());
+        assert!(average_relative_error(&noisy, &exact).is_err());
+        assert!(max_absolute_error(&noisy, &exact).is_err());
     }
 
     #[test]
     fn zero_mean_marginal_rejected_for_relative() {
-        let exact = vec![MarginalTable::new(AttrMask(0b1), vec![0.0, 0.0])];
-        let noisy = vec![MarginalTable::new(AttrMask(0b1), vec![1.0, 0.0])];
+        let exact = MarginalSet::new(vec![AttrMask(0b1)], vec![0.0, 0.0]);
+        let noisy = MarginalSet::new(vec![AttrMask(0b1)], vec![1.0, 0.0]);
         assert!(average_relative_error(&noisy, &exact).is_err());
     }
 }

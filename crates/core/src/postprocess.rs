@@ -19,8 +19,7 @@
 //!   preserved for free.
 
 use crate::fourier::{CoefficientSpace, ObservationOperator};
-use crate::marginal::MarginalTable;
-use crate::mask::AttrMask;
+use crate::marginal::MarginalSet;
 use crate::CoreError;
 
 /// The easy case of Section 6: clamp a noisy base-count vector at 0 and
@@ -64,11 +63,11 @@ impl Default for ProjectOptions {
 /// Definition 2.3 plus the Section-6 extras.
 pub fn project_nonnegative(
     d: usize,
-    marginals: &[MarginalTable],
+    marginals: &MarginalSet,
     opts: ProjectOptions,
-) -> Result<(Vec<f64>, Vec<MarginalTable>), CoreError> {
+) -> Result<(Vec<f64>, MarginalSet), CoreError> {
     if marginals.is_empty() {
-        return Ok((Vec::new(), Vec::new()));
+        return Ok((Vec::new(), marginals.clone()));
     }
     if d > opts.max_bits {
         return Err(CoreError::Shape {
@@ -77,17 +76,17 @@ pub fn project_nonnegative(
             actual: d,
         });
     }
-    let masks: Vec<AttrMask> = marginals.iter().map(|m| m.mask()).collect();
-    let space = CoefficientSpace::from_marginals(d, &masks);
-    let op = ObservationOperator::new(&space, &masks)?;
+    let masks = marginals.masks();
+    let space = CoefficientSpace::from_marginals(d, masks);
+    let op = ObservationOperator::new(&space, masks)?;
     // Average the coefficient estimates over the marginals that contain
     // them (inputs are assumed consistent, so they agree; averaging makes
     // the call robust to slight numerical inconsistency).
     let mut coeffs = vec![0.0; space.len()];
     let mut hits = vec![0u32; space.len()];
     let mut scratch = Vec::new();
-    for (i, m) in marginals.iter().enumerate() {
-        for (pos, c) in op.coefficients(i, m.values(), &mut scratch) {
+    for (i, (_, cells)) in marginals.iter().enumerate() {
+        for (pos, c) in op.coefficients(i, cells, &mut scratch) {
             coeffs[pos] += c;
             hits[pos] += 1;
         }
@@ -115,7 +114,11 @@ pub fn project_nonnegative(
     // negative cells even for exactly consistent inputs), so rescale back
     // to the released total afterwards — the total is the DC coefficient
     // times 2^{d/2}, i.e. what every input marginal sums to.
-    let target_total: f64 = marginals.iter().map(|m| m.sum()).sum::<f64>() / marginals.len() as f64;
+    let target_total: f64 = marginals
+        .iter()
+        .map(|(_, cells)| cells.iter().sum::<f64>())
+        .sum::<f64>()
+        / marginals.len() as f64;
     for v in &mut x {
         if *v < 0.0 {
             *v = 0.0;
@@ -134,7 +137,7 @@ pub fn project_nonnegative(
     }
 
     let table = crate::table::ContingencyTable::from_counts(x);
-    let out = table.marginals(&masks);
+    let out = table.marginals(masks);
     Ok((table.counts().to_vec(), out))
 }
 
@@ -169,6 +172,7 @@ fn round_preserving_total(x: &mut [f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mask::AttrMask;
     use crate::table::ContingencyTable;
     use crate::workload::Workload;
 
@@ -193,37 +197,31 @@ mod tests {
         // The exact marginals come from non-negative integral data whose
         // min-norm preimage may differ from t, but the *marginals* must be
         // reproduced exactly (they are determined by the coefficients).
-        for (p, e) in projected.iter().zip(&exact) {
-            for (a, b) in p.values().iter().zip(e.values()) {
+        for ((_, p), (_, e)) in projected.iter().zip(exact.iter()) {
+            for (a, b) in p.iter().zip(e) {
                 assert!((a - b).abs() < 1.0 + 1e-9, "{a} vs {b}");
             }
         }
         // Totals are preserved exactly.
-        assert!((projected[0].sum() - exact[0].sum()).abs() < 1e-6);
+        let first_total = |set: &MarginalSet| set.iter().next().unwrap().1.iter().sum::<f64>();
+        assert!((first_total(&projected) - first_total(&exact)).abs() < 1e-6);
     }
 
     #[test]
     fn projection_output_is_nonnegative_and_integral() {
         let (t, w) = exact_setup();
         // Perturb to introduce negatives and fractions.
-        let noisy: Vec<MarginalTable> = w
-            .true_answers(&t)
-            .into_iter()
-            .map(|m| {
-                let vals: Vec<f64> = m
-                    .values()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, v)| v + if i % 2 == 0 { -2.7 } else { 1.3 })
-                    .collect();
-                MarginalTable::new(m.mask(), vals)
-            })
-            .collect();
+        let mut noisy = w.true_answers(&t);
+        // Every marginal has an even cell count, so a cell's parity within
+        // its marginal is its parity in the buffer.
+        for (i, v) in noisy.cells_mut().iter_mut().enumerate() {
+            *v += if i % 2 == 0 { -2.7 } else { 1.3 };
+        }
         let (counts, projected) =
             project_nonnegative(3, &noisy, ProjectOptions::default()).unwrap();
         assert!(counts.iter().all(|&v| v >= 0.0 && v.fract() == 0.0));
-        for m in &projected {
-            assert!(m.values().iter().all(|&v| v >= 0.0 && v.fract() == 0.0));
+        for (_, cells) in projected.iter() {
+            assert!(cells.iter().all(|&v| v >= 0.0 && v.fract() == 0.0));
         }
         // Projected marginals are mutually consistent (they come from one
         // synthetic table).
@@ -233,14 +231,10 @@ mod tests {
     #[test]
     fn non_integral_mode_keeps_fractions() {
         let (t, w) = exact_setup();
-        let noisy: Vec<MarginalTable> = w
-            .true_answers(&t)
-            .into_iter()
-            .map(|m| {
-                let vals: Vec<f64> = m.values().iter().map(|v| v + 0.25).collect();
-                MarginalTable::new(m.mask(), vals)
-            })
-            .collect();
+        let mut noisy = w.true_answers(&t);
+        for v in noisy.cells_mut() {
+            *v += 0.25;
+        }
         let (counts, _) = project_nonnegative(
             3,
             &noisy,
@@ -268,7 +262,7 @@ mod tests {
 
     #[test]
     fn domain_cap_is_enforced() {
-        let m = vec![MarginalTable::new(AttrMask(0b1), vec![1.0, 2.0])];
+        let m = MarginalSet::new(vec![AttrMask(0b1)], vec![1.0, 2.0]);
         let res = project_nonnegative(
             30,
             &m,
@@ -282,7 +276,8 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        let (c, m) = project_nonnegative(3, &[], ProjectOptions::default()).unwrap();
+        let empty = MarginalSet::new(Vec::new(), Vec::new());
+        let (c, m) = project_nonnegative(3, &empty, ProjectOptions::default()).unwrap();
         assert!(c.is_empty() && m.is_empty());
     }
 }

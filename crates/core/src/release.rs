@@ -6,7 +6,7 @@
 //! spaces, clustering, and the block maps ([`ObservationOperator`]) of the
 //! observed and target marginals — without consulting a table. The block
 //! maps hold every marginal's layout (positions, scale, cell offset), so
-//! recovery is the targets' [`ObservationOperator::tables`]; the functions
+//! recovery is the targets' [`ObservationOperator::apply`]; the functions
 //! below `compile` are the Fourier bind and variance arithmetic the
 //! strategy's maps call, both reading the targets' block map. Binding a
 //! plan to a table and drawing releases is the job of
@@ -68,7 +68,7 @@ pub(crate) fn compile(
             let s = workload.len() as f64 * n as f64;
             let kind = Kind::MarginalIdentity {
                 d,
-                targets: targets.to_vec(),
+                targets: targets.into(),
             };
             (vec![GroupSpec { c: 1.0, s }], vec![0; n], kind)
         }
@@ -149,8 +149,8 @@ pub(crate) fn fourier_observations(x: &[f64], targets: &ObservationOperator) -> 
     let mut coeffs = vec![0.0; targets.num_coeffs()];
     let mut scratch = Vec::new();
     let marginals = count_marginals(x, targets.domain_bits(), targets.masks());
-    for (i, m) in marginals.iter().enumerate() {
-        for (p, c) in targets.coefficients(i, m.values(), &mut scratch) {
+    for (i, (_, cells)) in marginals.iter().enumerate() {
+        for (p, c) in targets.coefficients(i, cells, &mut scratch) {
             coeffs[p] = c;
         }
     }
@@ -181,7 +181,7 @@ pub(crate) fn fourier_variances(targets: &ObservationOperator, group_sigma2: &[f
 mod tests {
     use super::*;
     use crate::api::{PlanBuilder, Session};
-    use crate::marginal::MarginalTable;
+    use crate::marginal::{aggregate, MarginalSet};
     use crate::table::ContingencyTable;
     use dp_mech::{Neighboring, PrivacyLevel};
     use std::sync::Arc;
@@ -215,16 +215,16 @@ mod tests {
         Session::bind(Arc::new(plan), &small_table()).unwrap()
     }
 
-    fn check_consistent(answers: &[MarginalTable]) {
+    fn check_consistent(answers: &MarginalSet) {
         // Every pair of answers must agree on the marginal of their
         // intersection (a necessary and, for downward-closed recovery from
         // a single coefficient vector, sufficient consistency condition).
-        for i in 0..answers.len() {
-            for j in (i + 1)..answers.len() {
-                let common = answers[i].mask().intersect(answers[j].mask());
-                let a = answers[i].aggregate_to(common).unwrap();
-                let b = answers[j].aggregate_to(common).unwrap();
-                for (x, y) in a.values().iter().zip(b.values()) {
+        for (i, (mi, ci)) in answers.iter().enumerate() {
+            for (mj, cj) in answers.iter().skip(i + 1) {
+                let common = mi.intersect(mj);
+                let a = aggregate(mi, ci, common).unwrap();
+                let b = aggregate(mj, cj, common).unwrap();
+                for (x, y) in a.iter().zip(&b) {
                     assert!((x - y).abs() < 1e-6, "inconsistent at {common}: {x} vs {y}");
                 }
             }
@@ -360,8 +360,8 @@ mod tests {
             let a = s.release(1234).unwrap();
             let b = s.release(1234).unwrap();
             let pairs = a.answers.marginals().unwrap().iter();
-            for (ma, mb) in pairs.zip(b.answers.marginals().unwrap()) {
-                assert_eq!(ma.values(), mb.values(), "{strategy:?}");
+            for ((_, ma), (_, mb)) in pairs.zip(b.answers.marginals().unwrap().iter()) {
+                assert_eq!(ma, mb, "{strategy:?}");
             }
         }
     }
@@ -378,8 +378,8 @@ mod tests {
             let s = session(&w, StrategyKind::Fourier, Budgeting::Optimal, pure);
             let mut total = 0.0;
             for r in s.release_batch(&seeds).unwrap() {
-                for (a, e) in r.answers.marginals().unwrap().iter().zip(&exact) {
-                    total += a.l1_distance(e).unwrap();
+                for ((_, a), (_, e)) in r.answers.marginals().unwrap().iter().zip(exact.iter()) {
+                    total += a.iter().zip(e).map(|(x, y)| (x - y).abs()).sum::<f64>();
                 }
             }
             total
@@ -417,14 +417,14 @@ mod tests {
         let seeds: Vec<u64> = (11..11 + trials).collect();
         let mut mean = [vec![0.0; 4], vec![0.0; 4]];
         for r in s.release_batch(&seeds).unwrap() {
-            for (acc, ans) in mean.iter_mut().zip(r.answers.marginals().unwrap()) {
-                for (a, v) in acc.iter_mut().zip(ans.values()) {
+            for (acc, (_, ans)) in mean.iter_mut().zip(r.answers.marginals().unwrap().iter()) {
+                for (a, v) in acc.iter_mut().zip(ans) {
                     *a += v / trials as f64;
                 }
             }
         }
-        for (acc, ex) in mean.iter().zip(&exact) {
-            for (a, e) in acc.iter().zip(ex.values()) {
+        for (acc, (_, ex)) in mean.iter().zip(exact.iter()) {
+            for (a, e) in acc.iter().zip(ex) {
                 assert!((a - e).abs() < 0.5, "mean {a} vs exact {e}");
             }
         }

@@ -2,20 +2,18 @@
 //! shared wire codecs of the plan inputs.
 //!
 //! Written by hand (rather than derived) because every one of these types
-//! guards an invariant — mask/cell-count agreement, validated cardinality,
-//! deduplicated in-domain workloads — and deserialization must re-enter
-//! through the validating constructors instead of bypassing them.
+//! guards an invariant — validated cardinality, deduplicated in-domain
+//! workloads — and deserialization must re-enter through the validating
+//! constructors instead of bypassing them.
 //!
-//! Wire format (JSON via the workspace's `serde_json`): a marginal table
-//! travels as
+//! Wire format (JSON via the workspace's `serde_json`): an attribute mask
+//! travels as its `u64` bit pattern. The release document (seed, label,
+//! achieved ε, budgets, answers) is encoded in one place,
+//! `dp_service::protocol`, where each released marginal travels as
 //!
 //! ```json
 //! {"attributes": 3, "cells": [1.0, 0.0, 2.0, 1.0]}
 //! ```
-//!
-//! with its attribute mask as the mask's `u64` bit pattern. The release
-//! document that carries such tables (seed, label, achieved ε, budgets,
-//! answers) is encoded in one place, `dp_service::protocol`.
 //!
 //! [`Plan`] documents additionally carry the solved budgets, the privacy
 //! parameters and the variance predictions, so a compiled plan can be
@@ -28,7 +26,6 @@
 
 use crate::api::{Plan, WorkloadSpec};
 use crate::cluster::ClusterConfig;
-use crate::marginal::MarginalTable;
 use crate::mask::AttrMask;
 use crate::range::{RangeStrategy, RangeWorkload};
 use crate::release::StrategyKind;
@@ -183,30 +180,6 @@ impl Deserialize for AttrMask {
             return Err(DeError::new(format!("invalid attribute mask {bits}")));
         }
         Ok(AttrMask(bits))
-    }
-}
-
-impl Serialize for MarginalTable {
-    fn serialize_value(&self) -> Value {
-        Value::Object(vec![
-            ("attributes".into(), self.mask().serialize_value()),
-            ("cells".into(), self.values().serialize_value()),
-        ])
-    }
-}
-
-impl Deserialize for MarginalTable {
-    fn deserialize_value(value: &Value) -> Result<Self, DeError> {
-        let mask = AttrMask::deserialize_value(field(value, "attributes")?)?;
-        let cells = Vec::<f64>::deserialize_value(field(value, "cells")?)?;
-        if cells.len() != mask.cell_count() {
-            return Err(DeError::new(format!(
-                "marginal over {mask} needs {} cells, got {}",
-                mask.cell_count(),
-                cells.len()
-            )));
-        }
-        Ok(MarginalTable::new(mask, cells))
     }
 }
 
@@ -549,13 +522,6 @@ mod tests {
 
     #[test]
     fn invalid_documents_are_rejected_by_the_validating_constructors() {
-        // Wrong cell count for the mask.
-        let bad = Value::Object(vec![
-            ("attributes".into(), Value::Number(3.0)),
-            ("cells".into(), Value::Array(vec![Value::Number(1.0)])),
-        ]);
-        assert!(MarginalTable::deserialize_value(&bad).is_err());
-
         // Cardinality 1 is rejected by Attribute::new.
         let bad = Value::Object(vec![
             ("name".into(), Value::String("x".into())),
@@ -572,7 +538,7 @@ mod tests {
         assert!(Workload::deserialize_value(&bad).is_err());
 
         // Missing fields are reported.
-        assert!(MarginalTable::deserialize_value(&Value::Object(vec![])).is_err());
+        assert!(Attribute::deserialize_value(&Value::Object(vec![])).is_err());
         // Negative / fractional masks are rejected.
         assert!(AttrMask::deserialize_value(&Value::Number(-1.0)).is_err());
         assert!(AttrMask::deserialize_value(&Value::Number(1.5)).is_err());

@@ -22,8 +22,14 @@
 //! and [`crate::range`] (ranges). The Fourier-space marginal variants hold
 //! their layout as block maps ([`ObservationOperator`]): the observed
 //! marginals' rows and the targets' coefficient positions, scales and
-//! cell offsets are read from them, never recomputed per map. Everything
-//! else is written once, here:
+//! cell offsets are read from them, never recomputed per map. Every
+//! marginal map writes one buffer in that layout: `Q`/`C` observations,
+//! the Fourier bind's exact marginals and the identity recovery's folds
+//! through [`crate::table`]'s one fan-out over block slices, the `F`,
+//! `Q` and `C` recoveries through [`ObservationOperator::apply`]. A
+//! marginal release's answers are that buffer and the plan's shared mask
+//! list, a [`MarginalSet`], so it allocates no vector per target.
+//! Everything else is written once, here:
 //! solving for uniform or optimal budgets, re-validating the achieved ε
 //! (Proposition 3.1) on every release, and drawing noise through
 //! [`dp_mech::noise`] (parallel over observation chunks, with
@@ -32,6 +38,7 @@
 use crate::api::{Answers, WorkloadSpec};
 use crate::cluster::Clustering;
 use crate::fourier::{CoefficientSpace, ObservationOperator};
+use crate::marginal::MarginalSet;
 use crate::mask::AttrMask;
 use crate::range::{haar_range_coeffs, RangeStrategy, RangeWorkload};
 use crate::table::{count_marginals, marginalize_all};
@@ -43,7 +50,7 @@ use dp_opt::budget::{
     uniform_group_budgets_gaussian, BudgetSolution, GroupSpec,
 };
 use rand::Rng;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// The noise stream lives in [`dp_mech::noise`]; these re-exports keep the
 /// paths benchmarks name.
@@ -63,7 +70,7 @@ pub enum Budgeting {
 pub(crate) enum Kind {
     /// Marginal `I`: observe every base cell; each target marginal
     /// aggregates the noisy counts.
-    MarginalIdentity { d: usize, targets: Vec<AttrMask> },
+    MarginalIdentity { d: usize, targets: Arc<[AttrMask]> },
     /// Marginal `Q` (the workload itself) and `C` (cluster centroids, with
     /// the clustering that answers each target from one centroid): observe
     /// the cells of the observed marginals, recover by GLS in
@@ -180,10 +187,7 @@ impl Compiled {
         Ok(match &self.kind {
             Kind::MarginalIdentity { .. } | Kind::RangeIdentity { .. } => x.to_vec(),
             Kind::ObservedMarginals { observed, .. } => {
-                count_marginals(x, observed.domain_bits(), observed.masks())
-                    .iter()
-                    .flat_map(|m| m.values().iter().copied())
-                    .collect()
+                count_marginals(x, observed.domain_bits(), observed.masks()).into_cells()
             }
             Kind::Fourier { targets, .. } => release::fourier_observations(x, targets),
             Kind::Hierarchical { workload } => {
@@ -262,16 +266,14 @@ impl Compiled {
         Ok(match &self.kind {
             // `x̂ = z` is the GLS estimate for S = I; aggregating one noisy
             // table is automatically consistent.
-            Kind::MarginalIdentity { d, targets } => {
-                Answers::Marginals(marginalize_all(noisy, *d, targets))
-            }
+            Kind::MarginalIdentity { d, targets } => Answers::Marginals(MarginalSet::new(
+                Arc::clone(targets),
+                marginalize_all(noisy, *d, targets),
+            )),
             Kind::ObservedMarginals {
                 observed, targets, ..
-            } => {
-                let coeffs = observed.gls_solve(noisy, group_weights)?;
-                Answers::Marginals(targets.tables(&coeffs))
-            }
-            Kind::Fourier { targets, .. } => Answers::Marginals(targets.tables(noisy)),
+            } => Answers::Marginals(targets.apply(&observed.gls_solve(noisy, group_weights)?)),
+            Kind::Fourier { targets, .. } => Answers::Marginals(targets.apply(noisy)),
             Kind::RangeIdentity { workload } => Answers::Ranges(workload.true_answers(noisy)?),
             Kind::Hierarchical { workload } => {
                 range::tree_gls(workload.domain(), noisy, rows, group_weights, x, half);

@@ -3,10 +3,17 @@
 //! As in the paper's Figure 1(a), a database over `d` binary attributes is
 //! represented as the vector of counts over its linearized domain: `x_β` is
 //! the number of tuples whose encoded attribute values equal `β`.
+//!
+//! Its marginals come out as one [`MarginalSet`], all cells in one buffer
+//! in mask order. Every marginal path — exact answers, `Q`/`C`
+//! observations, the identity recovery's folds and, in
+//! [`crate::fourier`], the block map's forward map — fills such a buffer
+//! through one fan-out over its block slices, under one grain-size floor
+//! (`PARALLEL_MIN_CELLS` cells per chunk).
 
 use std::sync::{Arc, Mutex};
 
-use crate::marginal::MarginalTable;
+use crate::marginal::{MarginalSet, MarginalTable};
 use crate::mask::AttrMask;
 use crate::schema::{Schema, SchemaError};
 use crate::CoreError;
@@ -140,15 +147,14 @@ impl ContingencyTable {
     /// `Σ_{β : β∧α=γ} x_β`, indexed by [`AttrMask::compress_cell`]. Same
     /// path and cost as [`ContingencyTable::marginals`].
     pub fn marginal(&self, alpha: AttrMask) -> MarginalTable {
-        let mut one = self.marginals(&[alpha]);
-        one.pop().expect("one marginal per mask")
+        MarginalTable::new(alpha, self.marginals(&[alpha]).into_cells())
     }
 
-    /// Computes several marginals, fanned out across cores — the exact
-    /// answers of a workload. Count data takes one O(N) scan for its
-    /// [`occupied_cells`] plus O(occupied cells) per marginal
+    /// Computes several marginals into one buffer, fanned out across cores
+    /// — the exact answers of a workload. Count data takes one O(N) scan
+    /// for its [`occupied_cells`] plus O(occupied cells) per marginal
     /// ([`sum_occupied`]); other vectors take the [`marginalize`] fold.
-    pub fn marginals(&self, alphas: &[AttrMask]) -> Vec<MarginalTable> {
+    pub fn marginals(&self, alphas: &[AttrMask]) -> MarginalSet {
         count_marginals(&self.counts, self.d, alphas)
     }
 
@@ -207,7 +213,7 @@ pub fn sum_occupied(cells: &[(u64, f64)], alpha: AttrMask) -> Vec<f64> {
 /// under the `marginal_wire` benchmark's load. A cell touched costs about
 /// 2 ns in a fold ([`marginalize`], d = 16), 3–7 ns in an occupied-cell
 /// sum ([`sum_occupied`], NLTCS) and 11–19 ns per pass of a small block
-/// WHT with its coefficient gather (`ObservationOperator::tables`, Q1–Q4 over
+/// WHT with its coefficient gather (`ObservationOperator::apply`, Q1–Q4 over
 /// NLTCS). So a call splits only above 30 µs of fold, 50 µs of sums or
 /// 180 µs of recovery work, where a wake-up costs a small share of it.
 /// One NLTCS Q2 `F+` recovery (120 four-cell blocks, 1 440 cell-passes,
@@ -227,32 +233,76 @@ pub(crate) fn min_len(items: usize, cells: usize) -> usize {
         .max(1)
 }
 
+/// Blocks per chunk of a [`fill_blocks`] call over `blocks` blocks that
+/// touch `work` cells: at least [`min_len`], and otherwise the chunk count
+/// the rayon shim gives its indexed iterators, about eight per thread.
+/// The shim hands out each chunk of `par_chunks_mut` as one task, so
+/// without that cap the NLTCS Q2 bind (120 blocks, two per chunk at the
+/// floor) would be 60 tasks instead of 15.
+fn block_chunk(blocks: usize, work: usize) -> usize {
+    let per_thread = blocks.div_ceil(8 * rayon::current_num_threads());
+    min_len(blocks, work).max(per_thread)
+}
+
+/// Fills a buffer laid out by `masks` — block `i` is the `2^{‖α_i‖}` cells
+/// of marginal `i`, in mask order, zeroed — with `fill(i, α_i, block)`:
+/// the one fan-out of the marginal paths (recovery, folds, exact sums).
+/// The blocks fan out across cores in chunks of at least
+/// [`min_len`]`(masks.len(), work)` blocks ([`block_chunk`]), `work` being
+/// the cells the whole call touches, so a small call stays on the calling
+/// thread. Each block is written by one call of `fill` whatever the
+/// chunking, so the bytes do not depend on it.
+pub(crate) fn fill_blocks<F>(masks: &[AttrMask], work: usize, fill: F) -> Vec<f64>
+where
+    F: Fn(usize, AttrMask, &mut [f64]) + Sync,
+{
+    use rayon::prelude::*;
+    let mut out = vec![0.0; masks.iter().map(|m| m.cell_count()).sum()];
+    let mut rest = &mut out[..];
+    let mut blocks: Vec<(usize, AttrMask, &mut [f64])> = Vec::with_capacity(masks.len());
+    for (i, &alpha) in masks.iter().enumerate() {
+        let (block, tail) = std::mem::take(&mut rest).split_at_mut(alpha.cell_count());
+        blocks.push((i, alpha, block));
+        rest = tail;
+    }
+    blocks
+        .par_chunks_mut(block_chunk(masks.len(), work))
+        .for_each(|chunk| {
+            for (i, alpha, block) in chunk {
+                fill(*i, *alpha, block);
+            }
+        });
+    out
+}
+
 /// The exact marginals of a count vector: one O(N) scan for the
 /// [`occupied_cells`], then O(occupied) per marginal, with no copy of the
 /// vector. The sum is exact, so the bytes equal the [`marginalize`] fold's;
 /// vectors that fail the exactness test take the fold. The one marginal
 /// path for data vectors — bind, rebase and exact workload answers.
 ///
-/// The marginals fan out across cores in chunks of at least
-/// [`PARALLEL_MIN_CELLS`] cells touched (occupied cells read plus marginal
-/// cells written), so a small table or workload stays on the calling
-/// thread. Results are collected in order, so the layout moves no byte.
-pub(crate) fn count_marginals(counts: &[f64], d: usize, alphas: &[AttrMask]) -> Vec<MarginalTable> {
-    use rayon::prelude::*;
-    match occupied_cells(counts) {
+/// The marginals fan out across cores ([`fill_blocks`]) in chunks of at
+/// least [`PARALLEL_MIN_CELLS`] cells touched (occupied cells read plus
+/// marginal cells written), so a small table or workload stays on the
+/// calling thread.
+pub(crate) fn count_marginals(counts: &[f64], d: usize, alphas: &[AttrMask]) -> MarginalSet {
+    let cells = match occupied_cells(counts) {
         Some(cells) => {
             let work = alphas
                 .iter()
                 .map(|alpha| cells.len() + alpha.cell_count())
                 .sum();
-            alphas
-                .par_iter()
-                .with_min_len(min_len(alphas.len(), work))
-                .map(|&alpha| MarginalTable::new(alpha, sum_occupied(&cells, alpha)))
-                .collect()
+            // Each marginal is summed apart and copied in once: thousands
+            // of additions into a block that shares a cache line with
+            // another thread's block made the NLTCS Q1 and Q2 binds about
+            // 10% slower at nproc = 2.
+            fill_blocks(alphas, work, |_, alpha, out| {
+                out.copy_from_slice(&sum_occupied(&cells, alpha))
+            })
         }
         None => marginalize_all(counts, d, alphas),
-    }
+    };
+    MarginalSet::new(alphas, cells)
 }
 
 /// Marginalizes a raw count vector over `d` bits down to the cells of
@@ -262,20 +312,29 @@ pub(crate) fn count_marginals(counts: &[f64], d: usize, alphas: &[AttrMask]) -> 
 /// surviving bits keep their relative order, so the output indexing
 /// matches [`AttrMask::compress_cell`]. The path for noisy vectors.
 pub fn marginalize(counts: &[f64], d: usize, alpha: AttrMask) -> Vec<f64> {
-    marginalize_in(counts, d, alpha, &mut Vec::new())
+    let mut out = vec![0.0; alpha.cell_count()];
+    marginalize_into(counts, d, alpha, &mut Vec::new(), &mut out);
+    out
 }
 
-/// [`marginalize`] with `work` as the fold buffer: it grows to `2^{d−1}`
-/// cells and keeps its capacity, and only the marginal-sized answer is
-/// allocated.
-fn marginalize_in(counts: &[f64], d: usize, alpha: AttrMask, work: &mut Vec<f64>) -> Vec<f64> {
+/// [`marginalize`] into `out` (the marginal's `2^{‖α‖}` cells), with
+/// `work` as the fold buffer: it grows to `2^{d−1}` cells and keeps its
+/// capacity, so nothing is allocated once it has.
+fn marginalize_into(
+    counts: &[f64],
+    d: usize,
+    alpha: AttrMask,
+    work: &mut Vec<f64>,
+    out: &mut [f64],
+) {
     debug_assert_eq!(counts.len(), 1usize << d);
     // Fold out cleared bits from highest to lowest so each fold is a
     // contiguous halves-add (cache friendly); relative order of surviving
     // bits is preserved either way.
     let mut cleared = (0..d).rev().filter(|&bit| alpha.0 >> bit & 1 == 0);
     let Some(first) = cleared.next() else {
-        return counts.to_vec();
+        out.copy_from_slice(counts);
+        return;
     };
     let half_stride = 1usize << first;
     work.clear();
@@ -299,7 +358,7 @@ fn marginalize_in(counts: &[f64], d: usize, alpha: AttrMask, work: &mut Vec<f64>
         }
         work.truncate(n / 2);
     }
-    work.to_vec()
+    out.copy_from_slice(work);
 }
 
 /// Fold buffers of [`marginalize_all`], reused across calls. Each fold of
@@ -310,33 +369,27 @@ fn marginalize_in(counts: &[f64], d: usize, alpha: AttrMask, work: &mut Vec<f64>
 /// folded does not keep a buffer of its own.
 static FOLD_POOL: Mutex<Vec<Vec<f64>>> = Mutex::new(Vec::new());
 
-/// [`marginalize`] for several marginals of one (noisy) vector, each folded
-/// in a buffer checked out of a process-wide pool. The marginals fan out
-/// across cores in chunks of at least [`PARALLEL_MIN_CELLS`] cells read
-/// (`2^d` per marginal), so only a tiny vector stays on the calling
-/// thread. Results are collected in order, so the layout moves no byte.
-pub(crate) fn marginalize_all(counts: &[f64], d: usize, alphas: &[AttrMask]) -> Vec<MarginalTable> {
-    use rayon::prelude::*;
-    alphas
-        .par_iter()
-        .with_min_len(min_len(alphas.len(), alphas.len() * counts.len()))
-        .map(|&alpha| {
-            let mut work = FOLD_POOL
-                .lock()
-                .map(|mut pool| pool.pop())
-                .ok()
-                .flatten()
-                .unwrap_or_default();
-            let values = marginalize_in(counts, d, alpha, &mut work);
-            if let Ok(mut pool) = FOLD_POOL.lock() {
-                // One buffer per thread that can fold at once is enough.
-                if pool.len() < rayon::current_num_threads() {
-                    pool.push(work);
-                }
+/// [`marginalize`] for several marginals of one (noisy) vector into one
+/// buffer in mask order, each folded in a buffer checked out of a
+/// process-wide pool. The marginals fan out across cores ([`fill_blocks`])
+/// in chunks of at least [`PARALLEL_MIN_CELLS`] cells read (`2^d` per
+/// marginal), so only a tiny vector stays on the calling thread.
+pub(crate) fn marginalize_all(counts: &[f64], d: usize, alphas: &[AttrMask]) -> Vec<f64> {
+    fill_blocks(alphas, alphas.len() * counts.len(), |_, alpha, out| {
+        let mut work = FOLD_POOL
+            .lock()
+            .map(|mut pool| pool.pop())
+            .ok()
+            .flatten()
+            .unwrap_or_default();
+        marginalize_into(counts, d, alpha, &mut work, out);
+        if let Ok(mut pool) = FOLD_POOL.lock() {
+            // One buffer per thread that can fold at once is enough.
+            if pool.len() < rayon::current_num_threads() {
+                pool.push(work);
             }
-            MarginalTable::new(alpha, values)
-        })
-        .collect()
+        }
+    })
 }
 
 #[cfg(test)]
@@ -377,11 +430,13 @@ mod tests {
             AttrMask(0),
             AttrMask(0x3ff),
         ];
-        // Twice, so the second call reuses the pooled buffers.
+        // Twice, so the second call reuses the pooled buffers. The one
+        // buffer holds each target's fold at its offset.
         for _ in 0..2 {
-            for m in marginalize_all(&counts, 10, &alphas) {
-                assert_eq!(m.values(), &marginalize(&counts, 10, m.mask())[..]);
-                assert_eq!(m.values().len(), m.mask().cell_count());
+            let set = MarginalSet::new(&alphas[..], marginalize_all(&counts, 10, &alphas));
+            for (mask, cells) in set.iter() {
+                assert_eq!(cells, &marginalize(&counts, 10, mask)[..]);
+                assert_eq!(cells.len(), mask.cell_count());
             }
         }
     }
@@ -434,8 +489,8 @@ mod tests {
         let t = figure1_table();
         let alphas = [AttrMask(0b100), AttrMask(0b110), AttrMask(0b011)];
         let batch = t.marginals(&alphas);
-        for (mt, &a) in batch.iter().zip(&alphas) {
-            assert_eq!(mt.values(), t.marginal(a).values());
+        for ((_, cells), &a) in batch.iter().zip(&alphas) {
+            assert_eq!(cells, t.marginal(a).values());
         }
     }
 

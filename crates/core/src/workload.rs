@@ -240,8 +240,9 @@ impl Workload {
         out
     }
 
-    /// Exact answers `Cα x` for every workload marginal, in one pass.
-    pub fn true_answers(&self, table: &ContingencyTable) -> Vec<crate::marginal::MarginalTable> {
+    /// Exact answers `Cα x` for every workload marginal, in one pass, in
+    /// the layout of a release's answers.
+    pub fn true_answers(&self, table: &ContingencyTable) -> crate::marginal::MarginalSet {
         assert_eq!(table.dims(), self.d, "table dimensionality mismatch");
         table.marginals(&self.marginals)
     }
@@ -410,15 +411,12 @@ mod tests {
         let t = ContingencyTable::from_counts(vec![1.0, 2.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0]);
         let w = Workload::new(3, vec![AttrMask(0b100), AttrMask(0b110)]).unwrap();
         let ans = w.true_answers(&t);
-        assert_eq!(ans[0].values(), &[4.0, 1.0]);
-        assert_eq!(ans[1].values(), &[3.0, 1.0, 0.0, 1.0]);
-        // Matches the explicit query matrix applied to x.
+        let views: Vec<_> = ans.iter().map(|(_, cells)| cells).collect();
+        assert_eq!(views[0], &[4.0, 1.0]);
+        assert_eq!(views[1], &[3.0, 1.0, 0.0, 1.0]);
+        // Matches the explicit query matrix applied to x: one layout.
         let q = w.query_matrix();
         let y = q.matvec(t.counts()).unwrap();
-        let flat: Vec<f64> = ans
-            .iter()
-            .flat_map(|m| m.values().iter().copied())
-            .collect();
-        assert_eq!(y, flat);
+        assert_eq!(y, ans.cells());
     }
 }

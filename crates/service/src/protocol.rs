@@ -612,7 +612,7 @@ fn write_numbers(values: &[f64], out: &mut String) {
 }
 
 /// Appends the wire document of one release to `out`: seed, accounting,
-/// and the answers (marginal tables or range counts), streamed with no
+/// and the answers (marginals or range counts), streamed with no
 /// [`Value`] tree. This is the one release encoder: served replies, the
 /// replay cache and the CLI `release` command all carry its bytes. The
 /// numeric rendering is exact (`f64` values round-trip bit-for-bit), so
@@ -629,16 +629,16 @@ pub fn write_release(release: &SessionRelease, out: &mut String) {
     out.push_str(",\"group_budgets\":");
     write_numbers(&release.group_budgets, out);
     match &release.answers {
-        Answers::Marginals(tables) => {
+        Answers::Marginals(marginals) => {
             out.push_str(",\"answers\":[");
-            for (i, table) in tables.iter().enumerate() {
+            for (i, (mask, cells)) in marginals.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
                 out.push_str("{\"attributes\":");
-                write_u64(table.mask().0, out);
+                write_u64(mask.0, out);
                 out.push_str(",\"cells\":");
-                write_numbers(table.values(), out);
+                write_numbers(cells, out);
                 out.push('}');
             }
             out.push(']');
@@ -659,7 +659,7 @@ pub fn write_release(release: &SessionRelease, out: &mut String) {
 pub(crate) fn release_len_hint(release: &SessionRelease) -> usize {
     let numbers = release.group_budgets.len()
         + match &release.answers {
-            Answers::Marginals(tables) => tables.iter().map(|t| t.values().len() + 1).sum(),
+            Answers::Marginals(marginals) => marginals.cells().len() + marginals.len(),
             Answers::Ranges(counts) => counts.len(),
         };
     128 + release.label.len() + 24 * numbers

@@ -25,17 +25,10 @@ fn main() {
 
     // Simulate the "noise marginals independently" strategy without any
     // recovery step: the result is inconsistent.
-    let noisy: Vec<MarginalTable> = exact
-        .iter()
-        .map(|m| {
-            let vals: Vec<f64> = m
-                .values()
-                .iter()
-                .map(|v| v + rng.gen_range(-6.0..6.0))
-                .collect();
-            MarginalTable::new(m.mask(), vals)
-        })
-        .collect();
+    let mut noisy = exact.clone();
+    for v in noisy.cells_mut() {
+        *v += rng.gen_range(-6.0..6.0);
+    }
     println!(
         "noisy marginals consistent? {}",
         is_consistent(&noisy, 1e-6)
@@ -44,11 +37,10 @@ fn main() {
     // L2 repair via the Fourier-space GLS (diagonal normal equations).
     let space = CoefficientSpace::from_marginals(d, workload.marginals());
     let op = ObservationOperator::new(&space, workload.marginals()).expect("support covers");
-    let cells: Vec<f64> = noisy.iter().flat_map(|m| m.values().to_vec()).collect();
     let coeffs = op
-        .gls_solve(&cells, &vec![1.0; workload.len()])
+        .gls_solve(noisy.cells(), &vec![1.0; workload.len()])
         .expect("solvable");
-    let l2 = op.tables(&coeffs);
+    let l2 = op.apply(&coeffs);
 
     // L1 and L∞ repairs via the simplex LP over the same m coefficients.
     let l1 = make_consistent(d, &noisy, ConsistencyNorm::L1).expect("LP solvable");

@@ -6,6 +6,7 @@
 //! Run with `cargo run --release --example quickstart`.
 
 use datacube_dp::prelude::*;
+use dp_core::marginal::aggregate;
 use std::sync::Arc;
 
 fn main() {
@@ -55,26 +56,25 @@ fn main() {
     let rel = average_relative_error(answers, &exact).expect("aligned answers");
     println!("average relative error: {rel:.4}");
 
-    // Show one released marginal next to the truth.
-    let m = &answers[0];
-    println!("\nmarginal over attributes {} (noisy vs exact):", m.mask());
-    for (noisy, truth) in m.values().iter().zip(exact[0].values()) {
+    // Show one released marginal next to the truth. The answers are one
+    // buffer; `iter` views each marginal as `(mask, cells)`.
+    let views: Vec<(AttrMask, &[f64])> = answers.iter().collect();
+    let (mask, cells) = views[0];
+    println!("\nmarginal over attributes {mask} (noisy vs exact):");
+    let (_, truths) = exact.iter().next().expect("the workload is not empty");
+    for (noisy, truth) in cells.iter().zip(truths) {
         println!("  {noisy:>10.2}  vs  {truth:>8.1}");
     }
 
     // The released marginals are mutually consistent: aggregating any two
     // to their common sub-marginal agrees.
-    let common = answers[0].mask().intersect(answers[1].mask());
-    let a = answers[0]
-        .aggregate_to(common)
-        .expect("intersection is dominated");
-    let b = answers[1]
-        .aggregate_to(common)
-        .expect("intersection is dominated");
+    let ((mask_a, cells_a), (mask_b, cells_b)) = (views[0], views[1]);
+    let common = mask_a.intersect(mask_b);
+    let a = aggregate(mask_a, cells_a, common).expect("intersection is dominated");
+    let b = aggregate(mask_b, cells_b, common).expect("intersection is dominated");
     let gap: f64 = a
-        .values()
         .iter()
-        .zip(b.values())
+        .zip(&b)
         .map(|(x, y)| (x - y).abs())
         .fold(0.0, f64::max);
     println!("\nconsistency check: max disagreement between overlapping marginals = {gap:.2e}");
@@ -83,8 +83,8 @@ fn main() {
     let batch = session.release_batch(&[1, 2, 3]).expect("batch succeeds");
     let again = session.release(2).expect("release succeeds");
     assert_eq!(
-        batch[1].answers.marginals().unwrap()[0].values(),
-        again.answers.marginals().unwrap()[0].values(),
+        batch[1].answers.marginals().unwrap().cells(),
+        again.answers.marginals().unwrap().cells(),
         "same (plan, data, seed) ⇒ same bytes, batched or not"
     );
     println!(

@@ -259,13 +259,13 @@ fn run_release(args: &ReleaseArgs) -> RunResult {
     let mut releases = session.release_batch(&args.seeds.seeds())?;
     if args.nonnegative {
         for release in &mut releases {
-            if let Answers::Marginals(tables) = &mut release.answers {
+            if let Answers::Marginals(marginals) = &mut release.answers {
                 let (_, projected) = dp_core::postprocess::project_nonnegative(
                     schema.domain_bits(),
-                    tables,
+                    marginals,
                     dp_core::postprocess::ProjectOptions::default(),
                 )?;
-                *tables = projected;
+                *marginals = projected;
             }
         }
     }
@@ -274,7 +274,7 @@ fn run_release(args: &ReleaseArgs) -> RunResult {
     eprintln!(
         "released {} × {} marginals with method {} (achieved ε = {:.6} per release, one plan)",
         releases.len(),
-        first.answers.marginals().map_or(0, <[_]>::len),
+        first.answers.marginals().map_or(0, |m| m.len()),
         first.label,
         first.achieved_epsilon
     );

@@ -179,6 +179,82 @@ fn q2_gaussian_and_batched_releases_match_the_library() {
     assert!(std::fs::read(&path).unwrap() == cli, "--output file bytes");
 }
 
+/// FNV-1a of a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf29ce484222325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100000001b3)
+    })
+}
+
+/// The lines of `release --nonnegative` through the library: each release
+/// of an NLTCS `all_k_way(k)` batch projected onto non-negative integral
+/// synthetic data by `postprocess::project_nonnegative`, then written.
+fn library_nonnegative_release(
+    k: usize,
+    strategy: StrategyKind,
+    budgets: Budgeting,
+    seeds: &[u64],
+) -> Vec<u8> {
+    let schema = dp_data::nltcs_schema();
+    let plan = library_plan(&schema, k, strategy, budgets, PURE);
+    let session = Session::bind(Arc::new(plan), nltcs_table()).unwrap();
+    let mut lines = String::new();
+    for mut release in session.release_batch(seeds).unwrap() {
+        if let Answers::Marginals(marginals) = &mut release.answers {
+            let options = dp_core::postprocess::ProjectOptions::default();
+            let projected =
+                dp_core::postprocess::project_nonnegative(schema.domain_bits(), marginals, options);
+            *marginals = projected.unwrap().1;
+        }
+        protocol::write_release(&release, &mut lines);
+        lines.push('\n');
+    }
+    lines.into_bytes()
+}
+
+/// `release --nonnegative` prints the library's projection of the
+/// library's releases, byte for byte, with the digests pinned before
+/// releases held one answer buffer.
+#[test]
+fn nonnegative_releases_match_the_library_and_pinned_digests() {
+    let with = |extra: &[&str]| {
+        let mut args = vec!["release", "--dataset", "nltcs", "--epsilon", "0.5"];
+        args.extend_from_slice(extra);
+        args.push("--nonnegative");
+        stdout_of(&args)
+    };
+
+    let cli = with(&[
+        "--workload",
+        "q1",
+        "--strategy",
+        "f",
+        "--budgets",
+        "optimal",
+        "--seed",
+        "9",
+        "--batch",
+        "2",
+    ]);
+    assert_eq!(fnv1a(&cli), 0x6d07e08e0c703275, "q1 F+");
+    let lib = library_nonnegative_release(1, StrategyKind::Fourier, Budgeting::Optimal, &[9, 10]);
+    assert!(cli == lib, "q1 F+");
+
+    let cli = with(&[
+        "--workload",
+        "q2",
+        "--strategy",
+        "q",
+        "--budgets",
+        "uniform",
+        "--seed",
+        "3",
+    ]);
+    assert_eq!(fnv1a(&cli), 0x3473d97d91053d86, "q2 Q");
+    let lib = library_nonnegative_release(2, StrategyKind::Workload, Budgeting::Uniform, &[3]);
+    assert!(cli == lib, "q2 Q");
+}
+
 #[test]
 fn plan_documents_match_the_library() {
     for (name, schema) in [

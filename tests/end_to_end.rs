@@ -213,11 +213,11 @@ fn adult_schema_pipeline_smoke() {
     assert!(is_consistent(&answers, 1e-5));
     // The marginal over (sex, salary) has 4 cells even though other
     // attributes have dead encoding space.
-    let sex_salary = answers
+    let (_, sex_salary) = answers
         .iter()
-        .find(|m| m.mask() == schema.attribute_set_mask(&[2, 3]).unwrap())
+        .find(|&(mask, _)| mask == schema.attribute_set_mask(&[2, 3]).unwrap())
         .expect("workload contains (sex, salary)");
-    assert_eq!(sex_salary.values().len(), 4);
+    assert_eq!(sex_salary.len(), 4);
 }
 
 #[test]

@@ -56,7 +56,7 @@ fn fourier_space_gls_matches_dense_gls_recovery() {
     let op = ObservationOperator::new(&space, w.marginals()).unwrap();
     let weights: Vec<f64> = variances_per_marginal.iter().map(|v| 1.0 / v).collect();
     let coeffs = op.gls_solve(&noisy, &weights).unwrap();
-    let fast = op.apply(&coeffs);
+    let fast = op.apply(&coeffs).into_cells();
 
     // Oracle: dense GLS. S = Q is rank-deficient over N, so augment with a
     // tiny-weight identity block to make SᵀΣ⁻¹S invertible; the large

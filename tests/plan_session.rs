@@ -46,9 +46,9 @@ fn marginal_digest(release: &SessionRelease) -> u64 {
     h.bytes(release.label.as_bytes());
     h.floats(&[release.achieved_epsilon]);
     h.floats(&release.group_budgets);
-    for m in release.answers.marginals().unwrap() {
-        h.bytes(&m.mask().0.to_le_bytes());
-        h.floats(m.values());
+    for (mask, cells) in release.answers.marginals().unwrap().iter() {
+        h.bytes(&mask.0.to_le_bytes());
+        h.floats(cells);
     }
     h.0
 }
@@ -249,14 +249,7 @@ fn batch_output_is_independent_of_batch_size_and_thread_count() {
         .unwrap();
     let session = Session::bind(Arc::new(plan), &table).unwrap();
 
-    let flat = |r: &SessionRelease| -> Vec<f64> {
-        r.answers
-            .marginals()
-            .unwrap()
-            .iter()
-            .flat_map(|m| m.values().to_vec())
-            .collect()
-    };
+    let flat = |r: &SessionRelease| r.answers.marginals().unwrap().cells().to_vec();
 
     // The full batch, a prefix batch, a shuffled batch and singles must all
     // produce the same bytes per seed — batch composition cannot leak into
@@ -297,9 +290,9 @@ proptest::proptest! {
         let batch_b = session.release_batch(&seeds).unwrap();
         for ((a, b), &seed) in batch_a.iter().zip(&batch_b).zip(&seeds) {
             let single = session.release(seed).unwrap();
-            let fa: Vec<f64> = a.answers.marginals().unwrap().iter().flat_map(|m| m.values().to_vec()).collect();
-            let fb: Vec<f64> = b.answers.marginals().unwrap().iter().flat_map(|m| m.values().to_vec()).collect();
-            let fs: Vec<f64> = single.answers.marginals().unwrap().iter().flat_map(|m| m.values().to_vec()).collect();
+            let fa = a.answers.marginals().unwrap().cells();
+            let fb = b.answers.marginals().unwrap().cells();
+            let fs = single.answers.marginals().unwrap().cells();
             proptest::prop_assert_eq!(&fa, &fb);
             proptest::prop_assert_eq!(&fa, &fs);
         }
@@ -327,14 +320,14 @@ fn cached_plans_serve_byte_identical_releases() {
     let fresh = Arc::new(build().compile().unwrap());
     let from_cache = Session::bind(first, &table).unwrap().release(11).unwrap();
     let from_fresh = Session::bind(fresh, &table).unwrap().release(11).unwrap();
-    for (a, b) in from_cache
+    for ((_, a), (_, b)) in from_cache
         .answers
         .marginals()
         .unwrap()
         .iter()
-        .zip(from_fresh.answers.marginals().unwrap())
+        .zip(from_fresh.answers.marginals().unwrap().iter())
     {
-        assert_eq!(a.values(), b.values());
+        assert_eq!(a, b);
     }
 }
 
@@ -366,14 +359,14 @@ fn plans_round_trip_through_serde_json_and_release_identically() {
         .unwrap()
         .release(99)
         .unwrap();
-    for (ma, mb) in a
+    for ((_, ma), (_, mb)) in a
         .answers
         .marginals()
         .unwrap()
         .iter()
-        .zip(b.answers.marginals().unwrap())
+        .zip(b.answers.marginals().unwrap().iter())
     {
-        assert_eq!(ma.values(), mb.values());
+        assert_eq!(ma, mb);
     }
 
     // Range plans (including sketches, whose seed travels exactly) too.

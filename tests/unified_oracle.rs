@@ -43,11 +43,7 @@ fn replay_workload_noise(
     group_budgets: &[f64],
     seed: u64,
 ) -> Vec<f64> {
-    let exact: Vec<f64> = w
-        .true_answers(table)
-        .iter()
-        .flat_map(|m| m.values().to_vec())
-        .collect();
+    let exact = w.true_answers(table).into_cells();
     let mut row_groups = Vec::with_capacity(exact.len());
     for (g, alpha) in w.marginals().iter().enumerate() {
         row_groups.extend(std::iter::repeat_n(g as u32, alpha.cell_count()));
@@ -77,13 +73,7 @@ fn marginal_planner_matches_dense_gls_oracle_with_seeded_rng() {
 
     let session = marginal_session(&table, &w, StrategyKind::Workload, 1.0);
     let release = session.release(seed).unwrap();
-    let fast: Vec<f64> = release
-        .answers
-        .marginals()
-        .unwrap()
-        .iter()
-        .flat_map(|m| m.values().to_vec())
-        .collect();
+    let fast = release.answers.into_marginals().unwrap().into_cells();
 
     // Identical noisy z, replayed from the same seed and the returned
     // budgets.
@@ -133,10 +123,10 @@ fn marginal_releases_are_bitwise_deterministic_per_seed() {
         let a = session.release(99).unwrap();
         let b = session.release(99).unwrap();
         let pairs = a.answers.marginals().unwrap().iter();
-        for (ma, mb) in pairs.zip(b.answers.marginals().unwrap()) {
+        for ((_, ma), (_, mb)) in pairs.zip(b.answers.marginals().unwrap().iter()) {
             // Bit-for-bit: the parallel noise path must not depend on
             // scheduling.
-            assert_eq!(ma.values(), mb.values(), "{strategy:?}");
+            assert_eq!(ma, mb, "{strategy:?}");
         }
         assert_eq!(a.group_budgets, b.group_budgets);
     }
