@@ -4,8 +4,10 @@
 //!   reference encoder (the tree-copying encoder the codec replaced) did.
 //! - Release lines (written directly by `write_release` and rendered from
 //!   its decoded view `session_release_to_value`), whole release reply
-//!   lines and plan documents match pinned FNV-1a digests, so the
-//!   documents' field layout and numbers cannot drift either. Cached and
+//!   lines, plan documents and request lines match pinned FNV-1a digests,
+//!   so the documents' field layout and numbers cannot drift either. A
+//!   plan document missing an input is refused; a `compile` object may
+//!   omit the budgeting and the neighbouring. Cached and
 //!   recomputed replays send the fresh bytes, and every op's `respond`
 //!   line equals the rendered `handle` view.
 //! - Plan ids of default `C`, `F`, `I` and `H` plans, and of a `C` plan
@@ -287,6 +289,96 @@ fn plan_documents_match_their_pinned_digests() {
         .map(|plan| fnv1a64(render_line(&plan.serialize_value()).as_bytes()))
         .collect();
     assert_eq!(digests, PINNED_PLANS);
+}
+
+/// Digests of every `request_lines()` line, in order: they pin the bytes
+/// of each request encoder, the `compile` object's plan inputs included.
+const PINNED_REQUESTS: [u64; 13] = [
+    0x1fab7b25dc55717d,
+    0x32679a8ac5593ce9,
+    0x582fce70b0180c0b,
+    0x65862a815d58878e,
+    0x337cda2eca441e74,
+    0xb583ed6c781abaf9,
+    0x98c1c522f66e129b,
+    0x15f223c962f30dcb,
+    0xcd2b90f9d1e7b9b4,
+    0x520c40d7261f917a,
+    0x8d42044b806861f8,
+    0x0c15ca6c285ea232,
+    0xdc1f087f85b10094,
+];
+
+#[test]
+fn request_lines_match_their_pinned_digests() {
+    let digests: Vec<u64> = request_lines()
+        .iter()
+        .map(|line| fnv1a64(line.as_bytes()))
+        .collect();
+    assert_eq!(digests, PINNED_REQUESTS);
+}
+
+/// A shipped plan document names every input: one that lacks
+/// `budgeting`, `neighboring` or `schema_fingerprint` is refused. Only the
+/// `compile` object may omit the budgeting (optimal) and the neighbouring
+/// (add/remove), and then registers the plan that names them.
+#[test]
+fn plan_documents_need_every_input_and_compile_objects_default_two() {
+    let privacy = PrivacyLevel::Pure { epsilon: 0.25 };
+    let plan = PlanBuilder::new(toy_spec())
+        .privacy(privacy)
+        .compile()
+        .unwrap();
+    let Value::Object(fields) = plan.serialize_value() else {
+        panic!("plan serializes as an object");
+    };
+    for missing in ["budgeting", "neighboring", "schema_fingerprint"] {
+        let doc: Vec<(String, Value)> = fields
+            .iter()
+            .filter(|(k, _)| k != missing)
+            .cloned()
+            .collect();
+        let doc = Value::Object(doc);
+        assert!(Plan::deserialize_value(&doc).is_err(), "without {missing}");
+        let line = render_line(&Value::Object(vec![
+            ("op".into(), Value::String("register_plan".into())),
+            ("tenant".into(), Value::String("t".into())),
+            ("plan".into(), doc),
+        ]));
+        assert!(
+            matches!(
+                Request::from_value(&parse_line(&line).unwrap()),
+                Err(ServiceError::Protocol(_))
+            ),
+            "without {missing}"
+        );
+    }
+
+    let service = DpService::new(Accountant::in_memory());
+    service
+        .open_tenant("t", PrivacyLevel::Pure { epsilon: 1.0 })
+        .unwrap();
+    let spec = render_line(&toy_spec().serialize_value());
+    let register = |inputs: &str| {
+        let line = format!(
+            r#"{{"op":"register_plan","tenant":"t","compile":{{"spec":{spec},{inputs}}}}}"#
+        );
+        let request = Request::from_value(&parse_line(&line).unwrap()).unwrap();
+        let reply = parse_line(&service.respond(request, None).unwrap()).unwrap();
+        reply
+            .get_field("plan_id")
+            .and_then(Value::as_str)
+            .unwrap()
+            .to_owned()
+    };
+    let bare = register(r#""privacy":{"epsilon":0.25}"#);
+    let named =
+        register(r#""budgeting":"optimal","privacy":{"epsilon":0.25},"neighboring":"add_remove""#);
+    assert_eq!(bare, named);
+    assert_eq!(bare, dp_service::registry::plan_id(&plan));
+    let other =
+        register(r#""budgeting":"uniform","privacy":{"epsilon":0.25},"neighboring":"replace""#);
+    assert_ne!(bare, other);
 }
 
 /// Two ledger records exactly as the reference encoder wrote them: tricky
