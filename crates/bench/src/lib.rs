@@ -267,7 +267,8 @@ pub fn accuracy_sweep(
                 };
                 check_budgets(&plan, checks);
                 let at = format!("{dataset} {} {} ε={eps}", family.label(), plan.label());
-                let base = seed ^ fxhash(plan.label());
+                // Each method draws from its own seed stream.
+                let base = seed ^ dp_core::fnv1a64(plan.label().bytes().map(u64::from));
                 let session = Session::bind(plan, &data.table).expect("plan matches the table");
                 let seeds: Vec<u64> = (0..n_trials)
                     .map(|t| base.wrapping_add((e_idx * 10_000 + t) as u64))
@@ -367,13 +368,6 @@ pub fn runtime_sweep(
         }
     }
     out
-}
-
-/// Deterministic tiny string hash for per-method RNG streams.
-fn fxhash(s: &str) -> u64 {
-    s.bytes().fold(0xcbf29ce484222325u64, |h, b| {
-        (h ^ b as u64).wrapping_mul(0x100000001b3)
-    })
 }
 
 /// Renders accuracy points as the paper-style series: one block per

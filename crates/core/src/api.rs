@@ -5,12 +5,15 @@
 //! solving the Step-2 budget allocation, predicting per-query variances.
 //! This module makes that split explicit:
 //!
-//! 1. [`PlanBuilder`] compiles a [`WorkloadSpec`] (marginal *or* range
-//!    workloads behind one enum) into a [`Plan`]: the compiled strategy
-//!    operator, solved noise budgets, achieved ε and per-query variance
-//!    predictions. No table or histogram is consulted. Plans are
-//!    serde-serializable (see [`crate::serde_impls`]) so they can be
-//!    shipped between processes.
+//! 1. [`PlanBuilder`] holds a plan's inputs — a [`WorkloadSpec`] (marginal
+//!    *or* range workloads behind one enum), the budgeting mode, the
+//!    privacy level, the neighbouring convention and the schema tag — and
+//!    is the plan's identity: the [`Plan`] it compiles keeps it, and its
+//!    cache key and [`Plan::fingerprint`] are computed from it alone.
+//!    Compiling yields the strategy operator, solved noise budgets,
+//!    achieved ε and per-query variance predictions. No table or histogram
+//!    is consulted. Plans are serde-serializable (see
+//!    [`crate::serde_impls`]) so they can be shipped between processes.
 //! 2. [`Session`] binds a plan to concrete data (a [`ContingencyTable`] or
 //!    a histogram), computing the exact observations `z = S·x` once, and
 //!    serves releases: [`Session::release`] for one, or
@@ -22,11 +25,11 @@
 //!    which the metrics and consistency functions take. The same session
 //!    type also maintains its observations under streamed record-level
 //!    deltas ([`Session::ingest`]), optionally over a sliding window.
-//! 3. [`PlanCache`] memoizes compiled plans keyed by (schema fingerprint,
-//!    workload, strategy, budgeting, privacy, neighbouring), so a service
-//!    handling repeated requests performs the budget solve (and the cluster
-//!    search, coefficient-space construction, …) exactly once per distinct
-//!    request shape.
+//! 3. [`PlanCache`] memoizes compiled plans keyed by their builder's
+//!    inputs (schema fingerprint, workload, strategy, budgeting, privacy,
+//!    neighbouring), so a service handling repeated requests performs the
+//!    budget solve (and the cluster search, coefficient-space construction,
+//!    …) exactly once per distinct request shape.
 //!
 //! ```
 //! use dp_core::api::{PlanBuilder, Session};
@@ -57,7 +60,7 @@ use crate::table::ContingencyTable;
 use crate::workload::Workload;
 use crate::{
     cluster::{ClusterConfig, Clustering},
-    CoreError,
+    fnv1a64, CoreError,
 };
 use dp_mech::noise::{mechanism_factor, noise_variance};
 use dp_mech::{Neighboring, PrivacyLevel};
@@ -168,30 +171,31 @@ impl WorkloadSpec {
 /// Two schemas that encode to the same bit layout but describe different
 /// relations fingerprint differently.
 pub fn schema_fingerprint(schema: &Schema) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    let mut mix = |b: u64| {
-        h = (h ^ b).wrapping_mul(0x100000001b3);
-    };
-    for a in schema.attributes() {
-        for byte in a.name.bytes() {
-            mix(byte as u64);
-        }
-        mix(0xff); // name terminator
-        mix(a.cardinality as u64);
-    }
-    h
+    // 0xff terminates each name.
+    fnv1a64(schema.attributes().iter().flat_map(|a| {
+        a.name
+            .bytes()
+            .map(u64::from)
+            .chain([0xff, a.cardinality as u64])
+    }))
 }
 
-/// Builder for a data-independent [`Plan`]. Defaults: optimal budgets,
-/// pure ε-DP at ε = 1, add/remove-one neighbours (the paper's experimental
+/// A plan's inputs, and the builder of the data-independent [`Plan`] they
+/// determine: the workload spec, the budgeting mode, the privacy level, the
+/// neighbouring convention and the schema tag. A plan is a pure function of
+/// them, so they are its identity: they key the [`PlanCache`] and
+/// [`Plan::fingerprint`], a [`Plan`] keeps its builder, and one wire
+/// encoder writes them for plan documents and `compile` requests alike
+/// (see [`crate::serde_impls`]). Defaults: optimal budgets, pure ε-DP at
+/// ε = 1, add/remove-one neighbours (the paper's experimental
 /// configuration).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlanBuilder {
-    spec: WorkloadSpec,
-    budgeting: Budgeting,
-    privacy: PrivacyLevel,
-    neighboring: Neighboring,
-    schema_tag: u64,
+    pub(crate) spec: WorkloadSpec,
+    pub(crate) budgeting: Budgeting,
+    pub(crate) privacy: PrivacyLevel,
+    pub(crate) neighboring: Neighboring,
+    pub(crate) schema_tag: u64,
 }
 
 impl PlanBuilder {
@@ -250,15 +254,26 @@ impl PlanBuilder {
         self
     }
 
-    /// The cache key of the plan this builder would compile.
+    /// The cache key of the plan this builder would compile: the `u64`
+    /// encoding of (schema tag, spec, budgeting, privacy, neighbouring).
     fn key(&self) -> PlanKey {
-        plan_key(
-            &self.spec,
-            self.budgeting,
-            self.privacy,
-            self.neighboring,
-            self.schema_tag,
-        )
+        let mut words = vec![self.schema_tag];
+        self.spec.key_words(&mut words);
+        words.push(match self.budgeting {
+            Budgeting::Uniform => 0,
+            Budgeting::Optimal => 1,
+        });
+        match self.privacy {
+            PrivacyLevel::Pure { epsilon } => words.extend([0, epsilon.to_bits()]),
+            PrivacyLevel::Approx { epsilon, delta } => {
+                words.extend([1, epsilon.to_bits(), delta.to_bits()])
+            }
+        }
+        words.push(match self.neighboring {
+            Neighboring::AddRemove => 0,
+            Neighboring::Replace => 1,
+        });
+        PlanKey(words)
     }
 
     /// Compiles the plan: builds the strategy operator (including the
@@ -269,15 +284,7 @@ impl PlanBuilder {
     pub fn compile(self) -> Result<Plan, CoreError> {
         let compiled = Compiled::build(&self.spec)?;
         let solution = solve_budgets(compiled.specs(), self.privacy, self.budgeting)?;
-        Plan::finish(
-            self.spec,
-            self.budgeting,
-            self.privacy,
-            self.neighboring,
-            self.schema_tag,
-            Arc::new(compiled),
-            solution,
-        )
+        Plan::finish(self, Arc::new(compiled), solution)
     }
 }
 
@@ -287,11 +294,8 @@ impl PlanBuilder {
 /// [`PlanCache`]; ship it between processes via serde (the receiving side
 /// recompiles the operator from the spec and reuses the solved budgets).
 pub struct Plan {
-    spec: WorkloadSpec,
-    budgeting: Budgeting,
-    privacy: PrivacyLevel,
-    neighboring: Neighboring,
-    schema_tag: u64,
+    /// The inputs the plan was compiled from: its identity.
+    inputs: PlanBuilder,
     solution: BudgetSolution,
     achieved_epsilon: f64,
     predicted_variance: f64,
@@ -308,7 +312,7 @@ impl std::fmt::Debug for Plan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Plan")
             .field("label", &self.label())
-            .field("queries", &self.spec.num_queries())
+            .field("queries", &self.inputs.spec.num_queries())
             .field("groups", &self.solution.group_budgets.len())
             .field("achieved_epsilon", &self.achieved_epsilon)
             .field("predicted_variance", &self.predicted_variance)
@@ -320,31 +324,24 @@ impl PartialEq for Plan {
     /// Two plans are equal when every serialized (data) part matches; the
     /// compiled operators are deterministic functions of those parts.
     fn eq(&self, other: &Plan) -> bool {
-        self.spec == other.spec
-            && self.budgeting == other.budgeting
-            && self.privacy == other.privacy
-            && self.neighboring == other.neighboring
-            && self.schema_tag == other.schema_tag
+        self.inputs == other.inputs
             && self.solution == other.solution
             && self.achieved_epsilon == other.achieved_epsilon
     }
 }
 
 impl Plan {
-    /// Finishes a plan from a compiled strategy and a budget solution:
-    /// validates feasibility (Proposition 3.1) and derives the variance
-    /// predictions. Shared by [`PlanBuilder::compile`],
+    /// Finishes a plan from its inputs, their compiled strategy and a
+    /// budget solution: validates feasibility (Proposition 3.1) and derives
+    /// the variance predictions. Shared by [`PlanBuilder::compile`],
     /// [`Plan::resolved_at`] and the serde deserializer (which reuses a
     /// shipped solution instead of re-solving).
-    pub(crate) fn finish(
-        spec: WorkloadSpec,
-        budgeting: Budgeting,
-        privacy: PrivacyLevel,
-        neighboring: Neighboring,
-        schema_tag: u64,
+    fn finish(
+        inputs: PlanBuilder,
         compiled: Arc<Compiled>,
         solution: BudgetSolution,
     ) -> Result<Plan, CoreError> {
+        let (privacy, neighboring) = (inputs.privacy, inputs.neighboring);
         privacy.validate()?;
         let (budgets, achieved) =
             release_budgets(compiled.specs(), privacy, &solution, neighboring)?;
@@ -360,7 +357,7 @@ impl Plan {
                 }
             })
             .collect();
-        if matches!(spec, WorkloadSpec::Ranges { .. })
+        if matches!(inputs.spec, WorkloadSpec::Ranges { .. })
             && group_sigma2.iter().any(|v| !v.is_finite())
         {
             return Err(CoreError::Singular(
@@ -368,16 +365,13 @@ impl Plan {
             ));
         }
         let query_variances = compiled.predict_query_variances(&group_sigma2)?;
-        let label = match budgeting {
-            Budgeting::Uniform => spec.strategy_label().into(),
-            Budgeting::Optimal => format!("{}+", spec.strategy_label()).into(),
+        let strategy = inputs.spec.strategy_label();
+        let label = match inputs.budgeting {
+            Budgeting::Uniform => strategy.into(),
+            Budgeting::Optimal => format!("{strategy}+").into(),
         };
         Ok(Plan {
-            spec,
-            budgeting,
-            privacy,
-            neighboring,
-            schema_tag,
+            inputs,
             solution,
             achieved_epsilon: achieved,
             predicted_variance,
@@ -391,14 +385,10 @@ impl Plan {
     /// strategy operator from the spec, then revalidates and reuses the
     /// shipped budget solution — no Step-2 solve.
     pub(crate) fn from_shipped_parts(
-        spec: WorkloadSpec,
-        budgeting: Budgeting,
-        privacy: PrivacyLevel,
-        neighboring: Neighboring,
-        schema_tag: u64,
+        inputs: PlanBuilder,
         solution: BudgetSolution,
     ) -> Result<Plan, CoreError> {
-        let compiled = Compiled::build(&spec)?;
+        let compiled = Compiled::build(&inputs.spec)?;
         // The shipped objective drives predicted_variance downstream, so a
         // tampered document must not smuggle optimistic accounting: it has
         // to equal `Σ_r s_r/η_r²` for the recompiled specs and shipped
@@ -413,15 +403,7 @@ impl Plan {
                 ));
             }
         }
-        Plan::finish(
-            spec,
-            budgeting,
-            privacy,
-            neighboring,
-            schema_tag,
-            Arc::new(compiled),
-            solution,
-        )
+        Plan::finish(inputs, Arc::new(compiled), solution)
     }
 
     /// Re-solves this plan at another privacy level and/or budgeting mode,
@@ -433,37 +415,34 @@ impl Plan {
         privacy: PrivacyLevel,
         budgeting: Budgeting,
     ) -> Result<Plan, CoreError> {
-        let compiled = Arc::clone(&self.compiled);
-        let solution = solve_budgets(compiled.specs(), privacy, budgeting)?;
-        Plan::finish(
-            self.spec.clone(),
-            budgeting,
-            privacy,
-            self.neighboring,
-            self.schema_tag,
-            compiled,
-            solution,
-        )
+        let solution = solve_budgets(self.compiled.specs(), privacy, budgeting)?;
+        let inputs = self.inputs.clone().privacy(privacy).budgeting(budgeting);
+        Plan::finish(inputs, Arc::clone(&self.compiled), solution)
+    }
+
+    /// The inputs the plan was compiled from.
+    pub(crate) fn inputs(&self) -> &PlanBuilder {
+        &self.inputs
     }
 
     /// The workload spec the plan answers.
     pub fn spec(&self) -> &WorkloadSpec {
-        &self.spec
+        &self.inputs.spec
     }
 
     /// The budget-allocation mode.
     pub fn budgeting(&self) -> Budgeting {
-        self.budgeting
+        self.inputs.budgeting
     }
 
     /// The privacy guarantee the plan was solved for.
     pub fn privacy(&self) -> PrivacyLevel {
-        self.privacy
+        self.inputs.privacy
     }
 
     /// The neighbouring-database convention.
     pub fn neighboring(&self) -> Neighboring {
-        self.neighboring
+        self.inputs.neighboring
     }
 
     /// The solved per-group budgets `η_r` as produced by the Step-2
@@ -510,19 +489,7 @@ impl Plan {
     /// (schema tag, workload, strategy, budgeting, privacy, neighbouring) —
     /// the hash of its [`PlanCache`] key.
     pub fn fingerprint(&self) -> u64 {
-        plan_key(
-            &self.spec,
-            self.budgeting,
-            self.privacy,
-            self.neighboring,
-            self.schema_tag,
-        )
-        .mix()
-    }
-
-    /// The schema tag the plan was compiled with (0 when untagged).
-    pub(crate) fn schema_tag(&self) -> u64 {
-        self.schema_tag
+        self.inputs.key().mix()
     }
 }
 
@@ -703,7 +670,7 @@ impl Session {
     /// Binds a plan to an **empty** dataset — the usual entry point for a
     /// stream that begins from nothing.
     pub fn empty(plan: Arc<Plan>) -> Result<Session, CoreError> {
-        let counts = vec![0.0; plan.spec.domain_size()];
+        let counts = vec![0.0; plan.spec().domain_size()];
         Session::observed(plan, Arc::new(counts))
     }
 
@@ -879,9 +846,9 @@ fn release_bound(
     let mut rng = StdRng::seed_from_u64(seed);
     let (answers, group_budgets, achieved_epsilon) = plan.compiled.release(
         observations,
-        plan.privacy,
+        plan.privacy(),
         &plan.solution,
-        plan.neighboring,
+        plan.neighboring(),
         &mut rng,
     )?;
     Ok(SessionRelease {
@@ -897,7 +864,7 @@ fn release_bound(
 /// Full observation of a raw data vector — the bind, empty-bind and rebase
 /// path of [`Session`].
 fn observe_counts(plan: &Plan, counts: &[f64]) -> Result<Vec<f64>, CoreError> {
-    let expected = plan.spec.domain_size();
+    let expected = plan.spec().domain_size();
     if counts.len() != expected {
         return Err(CoreError::Shape {
             context: "session data vector",
@@ -908,46 +875,15 @@ fn observe_counts(plan: &Plan, counts: &[f64]) -> Result<Vec<f64>, CoreError> {
     plan.compiled.observe(counts)
 }
 
-/// Canonical cache key: the `u64` encoding of (schema tag, spec,
-/// budgeting, privacy, neighbouring).
+/// Canonical cache key: the `u64` encoding of a [`PlanBuilder`]'s inputs
+/// ([`PlanBuilder::key`]).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct PlanKey(Vec<u64>);
-
-/// Encodes a plan's identity into its cache key — shared by
-/// [`PlanBuilder::key`] and [`Plan::fingerprint`] so neither clones the
-/// workload to compute it.
-fn plan_key(
-    spec: &WorkloadSpec,
-    budgeting: Budgeting,
-    privacy: PrivacyLevel,
-    neighboring: Neighboring,
-    schema_tag: u64,
-) -> PlanKey {
-    let mut words = vec![schema_tag];
-    spec.key_words(&mut words);
-    words.push(match budgeting {
-        Budgeting::Uniform => 0,
-        Budgeting::Optimal => 1,
-    });
-    match privacy {
-        PrivacyLevel::Pure { epsilon } => words.extend([0, epsilon.to_bits()]),
-        PrivacyLevel::Approx { epsilon, delta } => {
-            words.extend([1, epsilon.to_bits(), delta.to_bits()])
-        }
-    }
-    words.push(match neighboring {
-        Neighboring::AddRemove => 0,
-        Neighboring::Replace => 1,
-    });
-    PlanKey(words)
-}
 
 impl PlanKey {
     /// FNV-mixes the key words into one stable `u64`.
     fn mix(&self) -> u64 {
-        self.0.iter().fold(0xcbf29ce484222325u64, |h, &w| {
-            (h ^ w).wrapping_mul(0x100000001b3)
-        })
+        fnv1a64(self.0.iter().copied())
     }
 }
 

@@ -109,6 +109,17 @@ pub use crate::schema::Schema;
 pub use crate::table::ContingencyTable;
 pub use crate::workload::Workload;
 
+/// 64-bit FNV-1a over a sequence of words (bytes are fed as
+/// `u64::from(b)`): the one stable, dependency-free hash of the workspace,
+/// behind schema fingerprints, plan fingerprints, the service's WAL
+/// checksums and the benchmarks' per-method seeds. Each of those digests
+/// is persisted or pinned, so the fold must never change.
+pub fn fnv1a64(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        (h ^ w).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
 /// Errors surfaced by the core framework.
 #[derive(Debug)]
 pub enum CoreError {

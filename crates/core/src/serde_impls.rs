@@ -15,16 +15,21 @@
 //! {"attributes": 3, "cells": [1.0, 0.0, 2.0, 1.0]}
 //! ```
 //!
-//! [`Plan`] documents additionally carry the solved budgets, the privacy
-//! parameters and the variance predictions, so a compiled plan can be
-//! shipped between processes; deserialization recompiles the strategy
-//! operator from the spec and re-validates the shipped budgets (see the
-//! [`Deserialize`] impl for [`Plan`]). Privacy levels, budgeting modes and
-//! neighbouring conventions have one codec each here ([`privacy_value`],
+//! A plan's inputs (a [`PlanBuilder`]: spec, budgeting, privacy,
+//! neighbouring) have one encoder, which plan documents and the service's
+//! `compile` requests share. A `compile` object is the input fields alone;
+//! its decoder keeps the builder's defaults for an absent budgeting or
+//! neighbouring. A [`Plan`] document follows the same fields with the
+//! schema fingerprint, the solved budgets and the variance predictions, so
+//! a compiled plan can be shipped between processes; it must name every
+//! input, and deserialization recompiles the strategy operator from the
+//! spec and re-validates the shipped budgets (see the [`Deserialize`] impl
+//! for [`Plan`]). Privacy levels, budgeting modes and neighbouring
+//! conventions have one codec each here ([`privacy_value`],
 //! [`budgeting_value`], [`neighboring_value`] and their inverses), which
 //! every other layer reuses.
 
-use crate::api::{Plan, WorkloadSpec};
+use crate::api::{Plan, PlanBuilder, WorkloadSpec};
 use crate::cluster::ClusterConfig;
 use crate::mask::AttrMask;
 use crate::range::{RangeStrategy, RangeWorkload};
@@ -392,19 +397,58 @@ fn refuse_oversized(spec: WorkloadSpec) -> Result<WorkloadSpec, DeError> {
     Ok(spec)
 }
 
-impl Serialize for Plan {
-    /// A plan's wire format carries everything data-like — spec, budgeting,
-    /// privacy, neighbouring, the solved budgets and the variance
-    /// predictions. The compiled operator is *not* shipped: the receiving
-    /// side recompiles it deterministically from the spec (and keeps the
-    /// shipped budget solution, skipping the Step-2 solve).
+/// The one encoder of a plan's inputs: `spec`, `budgeting`, `privacy` and
+/// `neighboring`, in that order. A `compile` request sends them alone; a
+/// plan document follows them with its schema fingerprint and solution.
+fn input_fields(inputs: &PlanBuilder) -> Vec<(String, Value)> {
+    vec![
+        ("spec".into(), inputs.spec.serialize_value()),
+        ("budgeting".into(), budgeting_value(inputs.budgeting)),
+        ("privacy".into(), privacy_value(inputs.privacy)),
+        ("neighboring".into(), neighboring_value(inputs.neighboring)),
+    ]
+}
+
+impl Serialize for PlanBuilder {
+    /// The `compile` object of a `register_plan` request: the input fields
+    /// alone. The schema tag stays behind; a server compiles untagged.
     fn serialize_value(&self) -> Value {
-        Value::Object(vec![
-            ("spec".into(), self.spec().serialize_value()),
-            ("budgeting".into(), budgeting_value(self.budgeting())),
-            ("privacy".into(), privacy_value(self.privacy())),
-            ("neighboring".into(), neighboring_value(self.neighboring())),
-            ("schema_fingerprint".into(), u64_value(self.schema_tag())),
+        Value::Object(input_fields(self))
+    }
+}
+
+impl Deserialize for PlanBuilder {
+    /// Inverse of the `Serialize` impl. It starts from
+    /// [`PlanBuilder::new`], so an absent `budgeting` or `neighboring`
+    /// keeps the builder's default; `spec` and `privacy` are required. A
+    /// plan document requires all four (see the [`Plan`] impl).
+    fn deserialize_value(value: &Value) -> Result<Self, DeError> {
+        let mut inputs = PlanBuilder::new(WorkloadSpec::deserialize_value(field(value, "spec")?)?);
+        if let Some(budgeting) = value.get_field("budgeting") {
+            inputs = inputs.budgeting(budgeting_from(budgeting)?);
+        }
+        inputs = inputs.privacy(privacy_from(field(value, "privacy")?)?);
+        if let Some(neighboring) = value.get_field("neighboring") {
+            inputs = inputs.neighboring(neighboring_from(neighboring)?);
+        }
+        Ok(inputs)
+    }
+}
+
+impl Serialize for Plan {
+    /// A plan's wire format carries everything data-like — the inputs
+    /// (spec, budgeting, privacy, neighbouring, schema fingerprint), the
+    /// solved budgets and the variance predictions. The compiled operator
+    /// is *not* shipped: the receiving side recompiles it deterministically
+    /// from the spec (and keeps the shipped budget solution, skipping the
+    /// Step-2 solve).
+    fn serialize_value(&self) -> Value {
+        let mut fields = input_fields(self.inputs());
+        fields.extend([
+            (
+                "schema_fingerprint".into(),
+                u64_value(self.inputs().schema_tag),
+            ),
             (
                 "group_budgets".into(),
                 self.solution().group_budgets.serialize_value(),
@@ -425,7 +469,8 @@ impl Serialize for Plan {
                 "query_variances".into(),
                 self.query_variances().serialize_value(),
             ),
-        ])
+        ]);
+        Value::Object(fields)
     }
 }
 
@@ -435,16 +480,17 @@ impl Deserialize for Plan {
     /// feasibility). The achieved ε and variance predictions are re-derived
     /// — a tampered document cannot smuggle optimistic accounting.
     fn deserialize_value(value: &Value) -> Result<Self, DeError> {
-        let spec = WorkloadSpec::deserialize_value(field(value, "spec")?)?;
-        let budgeting = budgeting_from(field(value, "budgeting")?)?;
-        let privacy = privacy_from(field(value, "privacy")?)?;
-        let neighboring = neighboring_from(field(value, "neighboring")?)?;
-        let schema_tag = u64_from(field(value, "schema_fingerprint")?, "schema fingerprint")?;
+        let mut inputs = PlanBuilder::deserialize_value(value)?;
+        // Unlike a `compile` object, a shipped plan names every input.
+        for name in ["budgeting", "neighboring"] {
+            field(value, name)?;
+        }
+        inputs.schema_tag = u64_from(field(value, "schema_fingerprint")?, "schema fingerprint")?;
         let solution = BudgetSolution {
             group_budgets: Vec::<f64>::deserialize_value(field(value, "group_budgets")?)?,
             objective: f64::deserialize_value(field(value, "objective")?)?,
         };
-        Plan::from_shipped_parts(spec, budgeting, privacy, neighboring, schema_tag, solution)
+        Plan::from_shipped_parts(inputs, solution)
             .map_err(|e: CoreError| DeError::new(format!("invalid plan document: {e}")))
     }
 }
@@ -469,7 +515,6 @@ impl Deserialize for Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prelude::*;
 
     #[test]
     fn plan_input_codecs_roundtrip_and_refuse_wrong_types() {

@@ -96,6 +96,7 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 use crate::error::ServiceError;
 use crate::fail_point;
 use crate::protocol::{parse_line, render_line};
+use dp_core::fnv1a64;
 use dp_core::serde_impls::{privacy_from, privacy_value, u64_from, u64_value};
 use dp_mech::{BudgetLedger, PrivacyLevel};
 use serde::Value;
@@ -393,20 +394,11 @@ pub struct Accountant {
     wal: Option<Wal>,
 }
 
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// Appends a `"crc"` field holding the FNV-1a 64 of the record as rendered
 /// *without* it. Rendering is deterministic (insertion-ordered keys, exact
 /// f64 round-trip), so verification re-renders and compares.
 fn seal(record: Value) -> Value {
-    let crc = fnv1a64(render_line(&record).as_bytes());
+    let crc = fnv1a64(render_line(&record).bytes().map(u64::from));
     let Value::Object(mut fields) = record else {
         unreachable!("ledger records are always objects");
     };
@@ -426,7 +418,7 @@ fn verify_seal(record: &Value) -> Result<(), String> {
     let stored = fields[pos].1.as_str().ok_or("crc is not a string")?;
     let mut without = fields.clone();
     without.remove(pos);
-    let crc = fnv1a64(render_line(&Value::Object(without)).as_bytes());
+    let crc = fnv1a64(render_line(&Value::Object(without)).bytes().map(u64::from));
     if format!("{crc:016x}") != stored {
         return Err("checksum mismatch".into());
     }

@@ -58,7 +58,7 @@ use crate::protocol::{
 use crate::transport::{Connection, TcpConnection};
 use dp_core::api::WorkloadSpec;
 use dp_core::serde_impls::privacy_from;
-use dp_core::{Budgeting, Plan};
+use dp_core::{Budgeting, Plan, PlanBuilder};
 use dp_mech::{Neighboring, PrivacyLevel};
 use serde::{Serialize as _, Value};
 
@@ -368,10 +368,10 @@ impl Client {
     ) -> Result<String, ServiceError> {
         let response = self.call(&Request::RegisterCompile {
             tenant: tenant.into(),
-            spec,
-            budgeting,
-            privacy,
-            neighboring,
+            plan: PlanBuilder::new(spec)
+                .budgeting(budgeting)
+                .privacy(privacy)
+                .neighboring(neighboring),
         })?;
         string_field(&response, "plan_id")
     }

@@ -20,9 +20,13 @@
 //! `register_plan` accepts either a full serialized [`Plan`] document (the
 //! output of `datacube-dp plan`; budgets already solved, no server-side
 //! solve) or a `compile` object — the data-independent plan *inputs* (spec,
-//! budgeting, privacy, neighbouring) — which the server compiles through
-//! its shared [`dp_core::api::PlanCache`], so K tenants registering the
-//! same shape cost exactly one strategy compile and one budget solve.
+//! budgeting, privacy, neighbouring), decoded into one [`PlanBuilder`] —
+//! which the server compiles through its shared
+//! [`dp_core::api::PlanCache`], so K tenants registering the same shape
+//! cost exactly one strategy compile and one budget solve. Plan documents
+//! and `compile` objects write the inputs with one encoder (see
+//! [`dp_core::serde_impls`]); only a `compile` object may omit the
+//! budgeting (optimal) and the neighbouring (add/remove).
 //!
 //! `release` may carry a client-generated `request_id` idempotency key:
 //! retries reusing the id (after a timeout, a dropped connection, or even
@@ -91,14 +95,10 @@
 //! `1.` or `01`), and one that overflows to ±∞ is refused.
 
 use crate::error::ServiceError;
-use dp_core::api::{Answers, SessionRelease, WorkloadSpec};
-use dp_core::serde_impls::{
-    budgeting_from, budgeting_value, neighboring_from, neighboring_value, privacy_from,
-    privacy_value, u64_from, u64_value,
-};
-use dp_core::Budgeting;
-use dp_core::Plan;
-use dp_mech::{Neighboring, PrivacyLevel};
+use dp_core::api::{Answers, SessionRelease};
+use dp_core::serde_impls::{privacy_from, privacy_value, u64_from, u64_value};
+use dp_core::{Plan, PlanBuilder};
+use dp_mech::PrivacyLevel;
 use serde::{DeError, Deserialize, Serialize, Value};
 use serde_json::{render_number, render_string};
 
@@ -175,14 +175,8 @@ pub enum Request {
     RegisterCompile {
         /// Tenant name.
         tenant: String,
-        /// The workload spec to compile.
-        spec: WorkloadSpec,
-        /// Budget-allocation mode.
-        budgeting: Budgeting,
-        /// Privacy guarantee to solve for.
-        privacy: PrivacyLevel,
-        /// Neighbouring-database convention.
-        neighboring: Neighboring,
+        /// The plan's inputs, to compile.
+        plan: PlanBuilder,
     },
     /// Binds a registered plan to a loaded table/histogram.
     Bind {
@@ -287,26 +281,12 @@ impl Request {
                         plan: Box::new(plan),
                     })
                 } else if let Some(compile) = value.get_field("compile") {
-                    let spec = WorkloadSpec::deserialize_value(field(compile, "spec")?)
-                        .map_err(|e| ServiceError::Protocol(format!("invalid spec: {e}")))?;
                     // The compile form lets a client omit the budgeting
                     // (optimal) and the neighbouring (add/remove).
-                    let budgeting = match compile.get_field("budgeting") {
-                        Some(v) => budgeting_from(v).map_err(protocol_error)?,
-                        None => Budgeting::Optimal,
-                    };
-                    let neighboring = match compile.get_field("neighboring") {
-                        Some(v) => neighboring_from(v).map_err(protocol_error)?,
-                        None => Neighboring::AddRemove,
-                    };
-                    Ok(Request::RegisterCompile {
-                        tenant,
-                        spec,
-                        budgeting,
-                        privacy: privacy_from(field(compile, "privacy")?)
-                            .map_err(protocol_error)?,
-                        neighboring,
-                    })
+                    let plan = PlanBuilder::deserialize_value(compile).map_err(|e| {
+                        ServiceError::Protocol(format!("invalid compile object: {e}"))
+                    })?;
+                    Ok(Request::RegisterCompile { tenant, plan })
                 } else {
                     Err(ServiceError::Protocol(
                         "register_plan needs a `plan` document or a `compile` object".into(),
@@ -378,24 +358,10 @@ impl Request {
                 ("tenant".into(), Value::String(tenant.clone())),
                 ("plan".into(), plan.serialize_value()),
             ]),
-            Request::RegisterCompile {
-                tenant,
-                spec,
-                budgeting,
-                privacy,
-                neighboring,
-            } => Value::Object(vec![
+            Request::RegisterCompile { tenant, plan } => Value::Object(vec![
                 ("op".into(), Value::String("register_plan".into())),
                 ("tenant".into(), Value::String(tenant.clone())),
-                (
-                    "compile".into(),
-                    Value::Object(vec![
-                        ("spec".into(), spec.serialize_value()),
-                        ("budgeting".into(), budgeting_value(*budgeting)),
-                        ("privacy".into(), privacy_value(*privacy)),
-                        ("neighboring".into(), neighboring_value(*neighboring)),
-                    ]),
-                ),
+                ("compile".into(), plan.serialize_value()),
             ]),
             Request::Bind {
                 tenant,
@@ -852,16 +818,19 @@ mod tests {
         let line = format!(
             r#"{{"op": "register_plan", "tenant": "t", "compile": {{"spec": {COMPILE_SPEC}, "privacy": {{"epsilon": 1}}}}}}"#
         );
-        let Request::RegisterCompile {
-            budgeting,
-            neighboring,
-            ..
-        } = Request::from_value(&parse_line(&line).unwrap()).unwrap()
+        let Request::RegisterCompile { plan, .. } =
+            Request::from_value(&parse_line(&line).unwrap()).unwrap()
         else {
             panic!("must parse as a compile registration");
         };
-        assert_eq!(budgeting, Budgeting::Optimal);
-        assert_eq!(neighboring, Neighboring::AddRemove);
+        let spec =
+            dp_core::api::WorkloadSpec::deserialize_value(&parse_line(COMPILE_SPEC).unwrap())
+                .unwrap();
+        let named = PlanBuilder::new(spec)
+            .budgeting(dp_core::Budgeting::Optimal)
+            .privacy(PrivacyLevel::Pure { epsilon: 1.0 })
+            .neighboring(dp_mech::Neighboring::AddRemove);
+        assert_eq!(plan, named);
     }
 
     /// Decodes a `register_plan` line carrying `spec`, in the `compile`

@@ -367,19 +367,9 @@ impl DpService {
                 let id = self.register_plan(&tenant, *plan)?;
                 Ok(ok_line(vec![("plan_id".into(), Value::String(id))]))
             }
-            Request::RegisterCompile {
-                tenant,
-                spec,
-                budgeting,
-                privacy,
-                neighboring,
-            } => {
+            Request::RegisterCompile { tenant, plan } => {
                 self.auth.check_tenant(&tenant, credential)?;
-                let builder = PlanBuilder::new(spec)
-                    .budgeting(budgeting)
-                    .privacy(privacy)
-                    .neighboring(neighboring);
-                let id = self.register_compiled(&tenant, builder)?;
+                let id = self.register_compiled(&tenant, plan)?;
                 Ok(ok_line(vec![("plan_id".into(), Value::String(id))]))
             }
             Request::Bind {

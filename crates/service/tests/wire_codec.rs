@@ -441,10 +441,7 @@ fn request_lines() -> Vec<String> {
         },
         Request::RegisterCompile {
             tenant: "t".into(),
-            spec: toy_spec(),
-            budgeting: Budgeting::Optimal,
-            privacy,
-            neighboring: Neighboring::AddRemove,
+            plan: PlanBuilder::new(toy_spec()).privacy(privacy),
         },
         Request::RegisterPlan {
             tenant: "t".into(),
@@ -509,10 +506,7 @@ fn response_lines() -> Vec<String> {
     });
     let registered = handle(Request::RegisterCompile {
         tenant: "t".into(),
-        spec: toy_spec(),
-        budgeting: Budgeting::Optimal,
-        privacy: PrivacyLevel::Pure { epsilon: 0.25 },
-        neighboring: Neighboring::AddRemove,
+        plan: PlanBuilder::new(toy_spec()).privacy(PrivacyLevel::Pure { epsilon: 0.25 }),
     });
     let plan_id = registered.get_field("plan_id").unwrap().as_str().unwrap();
     let bound = handle(Request::Bind {
@@ -790,10 +784,7 @@ fn scripted_session(plan: Plan) -> Vec<Request> {
         },
         Request::RegisterCompile {
             tenant: "t".into(),
-            spec: toy_spec(),
-            budgeting: Budgeting::Optimal,
-            privacy,
-            neighboring: Neighboring::AddRemove,
+            plan: PlanBuilder::new(toy_spec()).privacy(privacy),
         },
         Request::RegisterPlan {
             tenant: "t".into(),

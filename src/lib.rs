@@ -16,3 +16,8 @@ pub use dp_service as service;
 pub mod cli;
 
 pub use dp_core::prelude;
+
+/// The README's Rust snippets, compiled and run as doctests.
+#[doc = include_str!("../README.md")]
+#[cfg(doctest)]
+pub struct ReadmeDoctests;
