@@ -1,16 +1,17 @@
 //! The performance benchmark of the workspace: every measured row of
 //! `BENCH_baseline.json` outside `fig6_runtime` comes from this binary, in
 //! one row schema (`section`, `metric`, `value`, `unit`, `nproc`). Its
-//! sections, each with the one condition `--check` gates it on:
+//! sections, each with what `--check` gates it on (one condition, two
+//! floors for `bind`):
 //!
 //! | section | measures | `--check` condition |
 //! |---|---|---|
 //! | `noising` | cells noised/s, the fused pass vs a per-value reference | floor 0.75× (parity) |
 //! | `wht` | effective GB/s, the lane/blocked butterfly vs a scalar one | floor 1.05× |
-//! | `release` | `release_batch` releases/s and one release of a Fourier Q2 plan; one NLTCS Q2 release per strategy `F+`/`Q+`/`C+`/`I+`, and its heap allocations, with those of one NLTCS Q1 `F+` release; the diagonal `ObservationOperator::gls_solve` | counts: no chunk of a single release on a pool worker; a single NLTCS Q1 `F+` release (16 targets) and Q2 `F+` release (120 targets) allocate the same number of heap blocks, at most 4 |
+//! | `release` | `release_batch` releases/s and one release of a Fourier Q2 plan; one NLTCS Q2 release per strategy `F+`/`Q+`/`C+`/`I+`, and its heap allocations, with those of one NLTCS Q1 `F+` release; the diagonal `ObservationOperator::gls_solve` | counts: no chunk of a single release on a pool worker; a single NLTCS Q1 `F+` release (16 targets) and Q2 `F+` release (120 targets) allocate the same number of heap blocks, at most 2 |
 //! | `range` | a W+ and an H+ release vs one CG solve; the recovery alone vs `dp_bench::reference`, with minor faults | floor 5× |
 //! | `json` | the shim's `f64` writer and `write_release` vs `format!` and a `Value` tree | identity, asserted on every run |
-//! | `bind` | a marginal `Session::bind` vs the dense fold, 15 alternated reps (times best-of, speedup the median per-rep ratio); the noisy-vector fold | floor 1.5× |
+//! | `bind` | NLTCS Q2 and Q3 `F+` `Session::bind` vs the dense fold and vs per-target occupied-cell sums (`dp_bench::reference`), 15 alternated reps per pair (times best-of, speedups the median per-rep ratio); the noisy-vector fold | Q2 floors: 1.5× over the dense fold, 3× over per-target sums |
 //! | `plan` | 32 NLTCS Q2 `F+` releases from cold plans vs one cached plan and one batch; one 1024-group budget solve | count: 32 budget solves cold, 1 cached |
 //! | `cluster` | the reference greedy cluster search vs the optimized one, per workload size ℓ | floor 2.5× at the largest ℓ |
 //! | `stream` | per-update rebind vs `Session::ingest` in a continual-release loop, per family, strategy and domain | floor per strategy and domain: update path 3× in smoke runs, whole loop 10× at 2^16+ in full runs |
@@ -80,9 +81,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// The most heap blocks a single NLTCS `F+` release may allocate: the
-/// answer buffer, the budgets, and the recovery's one list of block
-/// slices, with one to spare.
-const RELEASE_ALLOCATIONS_MAX: u64 = 4;
+/// answer buffer and the budgets. Its recovery is one chunk, which fills
+/// the buffer's blocks in place with no list of them.
+const RELEASE_ALLOCATIONS_MAX: u64 = 2;
 
 /// Heap blocks allocated, process-wide, while `f` runs.
 fn allocations<R>(f: impl FnOnce() -> R) -> u64 {
@@ -632,12 +633,27 @@ fn bench_release_write(releases: &[SessionRelease], reps: usize, rows: &mut Vec<
     rows.push(row("json", "release_write_speedup", ratio, "x"));
 }
 
-/// The dense marginal bind, kept as the reference: copy the table's
-/// counts, fold them down to each target marginal with
-/// `table::marginalize` (fanned out across cores), then fill the Fourier
-/// coefficients from the folds through the targets' block map, the
-/// inverse `ObservationOperator::coefficients` the bind itself runs.
-fn fourier_bind_reference(counts: &[f64], targets: &ObservationOperator) -> Vec<f64> {
+/// The Fourier coefficients filled from the targets' exact marginals
+/// (`cells`, in mask order) through the targets' block map, the inverse
+/// `ObservationOperator::coefficients` the bind itself runs.
+fn coefficients_from(targets: &ObservationOperator, cells: &[f64]) -> Vec<f64> {
+    let mut coeffs = vec![0.0; targets.num_coeffs()];
+    let mut scratch = Vec::new();
+    let mut rest = cells;
+    for (i, alpha) in targets.masks().iter().enumerate() {
+        let (block, tail) = rest.split_at(alpha.cell_count());
+        rest = tail;
+        for (p, c) in targets.coefficients(i, block, &mut scratch) {
+            coeffs[p] = c;
+        }
+    }
+    coeffs
+}
+
+/// The dense marginal bind, kept as a reference: copy the table's counts,
+/// fold them down to each target marginal with `table::marginalize`
+/// (fanned out across cores), then fill the Fourier coefficients.
+fn fourier_bind_dense(counts: &[f64], targets: &ObservationOperator) -> Vec<f64> {
     use rayon::prelude::*;
     let counts = counts.to_vec();
     let d = targets.domain_bits();
@@ -646,26 +662,29 @@ fn fourier_bind_reference(counts: &[f64], targets: &ObservationOperator) -> Vec<
         .par_iter()
         .map(|&alpha| dp_core::table::marginalize(&counts, d, alpha))
         .collect();
-    let mut coeffs = vec![0.0; targets.num_coeffs()];
-    let mut scratch = Vec::new();
-    for (i, cells) in folds.iter().enumerate() {
-        for (p, c) in targets.coefficients(i, cells, &mut scratch) {
-            coeffs[p] = c;
-        }
-    }
-    coeffs
+    coefficients_from(targets, &folds.concat())
 }
 
-/// Alternated repetitions of the bind pair, in smoke and full runs alike:
+/// The bind as it was before targets shared parent marginals, kept as a
+/// reference: the per-target occupied-cell sums of
+/// `dp_bench::reference::per_target_marginals`, then the coefficients.
+fn fourier_bind_per_target(counts: &[f64], targets: &ObservationOperator) -> Vec<f64> {
+    let cells = dp_bench::reference::per_target_marginals(counts, targets.masks())
+        .expect("the table holds counts");
+    coefficients_from(targets, &cells)
+}
+
+/// Alternated repetitions of each bind pair, in smoke and full runs alike:
 /// at the smoke runs' 3, one pinned run in ten read below the gate's floor.
 const BIND_REPS: usize = 15;
 
-/// Times `Session::bind` of the NLTCS Q2 `F+` plan against the dense-fold
-/// reference, after checking that both observe the same bytes. The `_ms`
-/// rows are best-of; the speedup row, and the return value, is the median
-/// per-rep `reference / bind`.
-fn bench_bind(nltcs: &Dataset, reps: usize, rows: &mut Vec<HotPathRow>) -> f64 {
-    let workload = Workload::all_k_way(&nltcs.schema, 2).expect("Q2 builds");
+/// Times `Session::bind` of the NLTCS Qk `F+` plan against the dense-fold
+/// and the per-target references, after checking that all three observe
+/// the same bytes. The `_ms` rows are best-of; the speedup rows, and the
+/// return values (dense, per-target), are the median per-rep
+/// `reference / bind`.
+fn bench_bind(nltcs: &Dataset, k: usize, reps: usize, rows: &mut Vec<HotPathRow>) -> (f64, f64) {
+    let workload = Workload::all_k_way(&nltcs.schema, k).expect("Qk builds");
     let plan = Arc::new(
         PlanBuilder::marginals(workload.clone(), StrategyKind::Fourier)
             .for_schema(&nltcs.schema)
@@ -676,38 +695,53 @@ fn bench_bind(nltcs: &Dataset, reps: usize, rows: &mut Vec<HotPathRow>) -> f64 {
     let space = CoefficientSpace::from_marginals(table.dims(), workload.marginals());
     let targets = ObservationOperator::new(&space, workload.marginals()).expect("targets lie in F");
     let bound = Session::bind(Arc::clone(&plan), table).expect("table matches plan");
-    let reference = fourier_bind_reference(table.counts(), &targets);
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     assert_eq!(
         bits(bound.observations()),
-        bits(&reference),
+        bits(&fourier_bind_dense(table.counts(), &targets)),
         "the occupied-cell bind diverged from the dense fold"
     );
+    assert_eq!(
+        bits(bound.observations()),
+        bits(&fourier_bind_per_target(table.counts(), &targets)),
+        "the parent-shared bind diverged from the per-target sums"
+    );
 
-    let (t_bind, t_ref, ratio) = time_best_pair(
-        reps,
-        || {
-            std::hint::black_box(Session::bind(Arc::clone(&plan), table).expect("bind succeeds"));
-        },
-        || {
-            std::hint::black_box(fourier_bind_reference(table.counts(), &targets));
-        },
-    );
+    let bind = || {
+        std::hint::black_box(Session::bind(Arc::clone(&plan), table).expect("bind succeeds"));
+    };
+    let (t_bind, t_dense, dense_ratio) = time_best_pair(reps, bind, || {
+        std::hint::black_box(fourier_bind_dense(table.counts(), &targets));
+    });
+    let (t_bind_too, t_per_target, per_target_ratio) = time_best_pair(reps, bind, || {
+        std::hint::black_box(fourier_bind_per_target(table.counts(), &targets));
+    });
+    let t_bind = t_bind.min(t_bind_too);
     println!(
-        "{:>22}: bind {:.2} ms, dense fold {:.2} ms, median speedup {ratio:.1}×",
-        "nltcs Q2 F+",
+        "{:>22}: bind {:.2} ms, dense fold {:.2} ms ({dense_ratio:.1}×), per-target sums \
+         {:.2} ms ({per_target_ratio:.1}×)",
+        format!("nltcs Q{k} F+"),
         t_bind * 1e3,
-        t_ref * 1e3,
+        t_dense * 1e3,
+        t_per_target * 1e3,
     );
-    rows.push(row("bind", "nltcs_q2_fourier_ms", t_bind * 1e3, "ms"));
+    let metric = |name: &str| format!("nltcs_q{k}_fourier{name}");
+    rows.push(row("bind", &metric("_ms"), t_bind * 1e3, "ms"));
+    rows.push(row("bind", &metric("_dense_fold_ms"), t_dense * 1e3, "ms"));
+    rows.push(row("bind", &metric("_speedup"), dense_ratio, "x"));
     rows.push(row(
         "bind",
-        "nltcs_q2_fourier_dense_fold_ms",
-        t_ref * 1e3,
+        &metric("_per_target_ms"),
+        t_per_target * 1e3,
         "ms",
     ));
-    rows.push(row("bind", "nltcs_q2_fourier_speedup", ratio, "x"));
-    ratio
+    rows.push(row(
+        "bind",
+        &metric("_per_target_speedup"),
+        per_target_ratio,
+        "x",
+    ));
+    (dense_ratio, per_target_ratio)
 }
 
 /// Microseconds and heap allocations of one `Session::release` of NLTCS
@@ -1188,9 +1222,10 @@ fn main() {
     println!("== json (d = {schema_bits} Fourier Q2 release, 64 seeds, best of {reps}) ==");
     bench_release_write(&releases, reps, &mut rows);
 
-    // ── 6. Marginal bind vs the dense fold ─────────────────────────────
-    println!("== bind (NLTCS Q2 F+, {BIND_REPS} alternated reps) ==");
-    let bind_ratio = bench_bind(&nltcs, BIND_REPS, &mut rows);
+    // ── 6. Marginal bind vs the dense fold and per-target sums ─────────
+    println!("== bind (NLTCS Q2 and Q3 F+, {BIND_REPS} alternated reps) ==");
+    let (bind_ratio, bind_per_target_ratio) = bench_bind(&nltcs, 2, BIND_REPS, &mut rows);
+    bench_bind(&nltcs, 3, BIND_REPS, &mut rows);
     bench_fold(if smoke { 12 } else { 20 }, reps, &mut rows);
 
     // ── 7. Cold plans vs one cached plan ───────────────────────────────
@@ -1296,17 +1331,27 @@ fn main() {
         // read 1.28×). It read 1.9–2.1× on two cores and 2.0–2.1× pinned,
         // passing ten alternated smoke runs each, while a copy whose bind
         // always takes the fold read 1.00–1.04× and 1.01–1.02×, failing
-        // every run.
+        // every run. Since binds share parent marginals it reads 7.3–11.4×
+        // on two cores and 14.3–15.3× pinned.
+        //
+        // The per-target bind gate is a floor on the parent lattice: the
+        // same bind against one occupied-cell pass per target, each cell
+        // indexed bit by bit (`dp_bench::reference`), timed like the dense
+        // gate. In ten alternated smoke runs each it read 4.0–5.4× on two
+        // cores and 7.2–8.2× pinned, while a copy whose `count_marginals`
+        // sums per target (with the byte lookups) read 1.19–1.43× and
+        // 1.21–1.22×, failing every run.
         //
         // The single-release gates are counts, not timings. A Q2 `F+`
         // release is below the grain-size floor, so no chunk of it may run
         // on a pool worker (waking one costs more than the recovery). And
         // a release writes its answers into one buffer, so its heap
-        // allocations do not grow with the number of targets: 3 for NLTCS
-        // Q1 and Q2 `F+` alike (the answers, the budgets, the list of
-        // block slices), where one vector per target made them 21 and 125.
-        // A copy that allocates one vector per target in the recovery read
-        // 19 and 123 and failed every run.
+        // allocations do not grow with the number of targets: 2 for NLTCS
+        // Q1 and Q2 `F+` alike (the answers, the budgets), at nproc = 2 and
+        // pinned, where one vector per target made them 21 and 125 and a
+        // list of the recovery's block slices made them 3. A copy that
+        // allocates one vector per target in the recovery read 19 and 123
+        // and failed every run.
         //
         // The plan gate is a count too: `k` cold plans solve the budgets
         // `k` times, and one cached plan serves the whole batch from one
@@ -1330,6 +1375,7 @@ fn main() {
         let wht_floor = 1.05;
         let range_floor = 5.0;
         let bind_floor = 1.5;
+        let bind_per_target_floor = 3.0;
         let cluster_floor = 2.5;
         let (stream_gate, stream_floor, stream_from) = if smoke {
             ("update", 3.0, 1 << 12)
@@ -1356,6 +1402,11 @@ fn main() {
             "NLTCS Q2 F+ bind over the dense fold",
             bind_ratio,
             bind_floor,
+        );
+        floor(
+            "NLTCS Q2 F+ bind over per-target sums",
+            bind_per_target_ratio,
+            bind_per_target_floor,
         );
         let largest = ells[ells.len() - 1];
         floor(

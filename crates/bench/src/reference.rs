@@ -1,14 +1,19 @@
-//! The range-recovery kernels as they were before they ran in place, kept
-//! as byte-identity references: `tests/recovery_oracle.rs` compares the
-//! library's kernels with them bit for bit, and `hot_path` times the
-//! library's W+ and H+ recovery against them. Nothing on a release path
-//! calls this module.
+//! Kernels as they were before they were optimized, kept as byte-identity
+//! references: the range-recovery kernels before they ran in place
+//! (`tests/recovery_oracle.rs` compares the library's kernels with them
+//! bit for bit, and `hot_path` times the library's W+ and H+ recovery
+//! against them), and the exact marginals summed per target before binds
+//! shared parent marginals (`hot_path` times binds against them). Nothing
+//! on a release or bind path calls this module.
 //!
-//! Each kernel allocates what the old code allocated: an `n`-cell buffer
-//! per Haar transform, one vector per tree level, an `n + 1` prefix
+//! Each range kernel allocates what the old code allocated: an `n`-cell
+//! buffer per Haar transform, one vector per tree level, an `n + 1` prefix
 //! vector, and fresh vectors for the W+ copy and the H+ weighting.
 
+use dp_core::mask::AttrMask;
 use dp_core::range::RangeWorkload;
+use dp_core::table::occupied_cells;
+use rayon::prelude::*;
 
 /// Forward orthonormal Haar transform, one level at a time through a full
 /// `n`-cell buffer.
@@ -140,4 +145,24 @@ pub fn tree_recovery(
     }
     haar_inverse(&mut x);
     prefix_answers(workload.ranges(), &x)
+}
+
+/// The exact marginals of a count vector as binds summed them before
+/// targets shared parents: one pass over the occupied cells per target,
+/// each cell's index found bit by bit with `AttrMask::compress_cell`, the
+/// targets fanned out across cores; the cells in mask order. `None` for
+/// vectors that take the dense fold (`dp_core::table::occupied_cells`).
+pub fn per_target_marginals(counts: &[f64], alphas: &[AttrMask]) -> Option<Vec<f64>> {
+    let cells = occupied_cells(counts)?;
+    let blocks: Vec<Vec<f64>> = alphas
+        .par_iter()
+        .map(|&alpha| {
+            let mut out = vec![0.0; alpha.cell_count()];
+            for &(cell, c) in &cells {
+                out[alpha.compress_cell(cell & alpha.0)] += c;
+            }
+            out
+        })
+        .collect();
+    Some(blocks.concat())
 }

@@ -580,8 +580,10 @@ impl Answers {
 ///
 /// [`Session::ingest`] is therefore O(|column|) — never O(2^d). A fresh
 /// [`Session::bind`] of a marginal plan shares the table's counts (no
-/// copy) and sums its observations from the occupied cells: one O(2^d)
-/// scan plus O(occupied cells × observed marginals). A release from a
+/// copy) and sums its observations from the occupied cells once per
+/// parent marginal shared by several targets: one O(2^d) scan, plus
+/// parents × occupied cells, plus the parents' cells read once per target
+/// folded out of them. A release from a
 /// streamed-to session is byte-identical to one from a session freshly
 /// bound to the same data (up to float accumulation; see
 /// [`Session::rebase`]).
@@ -640,6 +642,15 @@ struct SlidingWindow {
 
 impl Session {
     /// Binds a **marginal** plan to a contingency table.
+    ///
+    /// The table's counts are shared, not copied. The exact observations
+    /// of count data cost one O(2^d) scan for the occupied cells, one pass
+    /// over them per parent marginal (targets grouped into unions of at
+    /// most `occupied /` [`PARENT_SHARE`](crate::table::PARENT_SHARE)
+    /// cells), and one fold of each target out of its parent's cells:
+    /// about `2^d + parents × occupied + Σ parent cells per target`, where
+    /// summing per target cost `targets × occupied` (NLTCS Q2 `F+`: 4
+    /// passes instead of 120).
     ///
     /// Fails with [`CoreError::InvalidPlan`] for range plans (use
     /// [`Session::bind_histogram`]) and with a shape error when the table's

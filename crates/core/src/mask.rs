@@ -161,6 +161,74 @@ impl std::fmt::Display for AttrMask {
     }
 }
 
+/// `PEXT8[m][b]`: the bits of byte `b` at the set bits of byte `m`,
+/// gathered into the low bits in order — [`AttrMask::compress_cell`] of one
+/// byte, for every byte mask at once (64 KiB; a mask reads one 256-byte
+/// row per byte).
+static PEXT8: [[u8; 256]; 256] = pext8_table();
+
+const fn pext8_table() -> [[u8; 256]; 256] {
+    let mut table = [[0u8; 256]; 256];
+    let mut m = 0usize;
+    while m < 256 {
+        // Each entry is an entry before it plus the rank bit of its
+        // lowest set bit: the rank among m's set bits, if m has that bit.
+        let mut b = 1usize;
+        while b < 256 {
+            let low = b & b.wrapping_neg();
+            let rank_bit = if m & low == 0 {
+                0
+            } else {
+                1 << (m & (low - 1)).count_ones()
+            };
+            table[m][b] = table[m][b & (b - 1)] | rank_bit;
+            b += 1;
+        }
+        m += 1;
+    }
+    table
+}
+
+/// [`AttrMask::compress_cell`] by table lookup: for each nonzero byte of
+/// the mask, the byte's row of a per-byte PEXT table and the rank of its
+/// lowest bit, so a cell's rank is one lookup, shift and OR per such byte
+/// — O(d/8) in place of `compress_cell`'s O(‖α‖) bit loop, with nothing
+/// built or allocated per mask. Bits of the cell outside the mask are
+/// ignored: `compress(cell)` is `mask.compress_cell(cell & mask.0)`.
+#[derive(Debug, Clone, Copy)]
+pub struct CellCompressor {
+    /// `(cell shift, table row, rank shift)` per nonzero mask byte.
+    bytes: [(u32, &'static [u8; 256], u32); 8],
+    len: usize,
+}
+
+impl CellCompressor {
+    /// The lookups of `mask`.
+    pub fn new(mask: AttrMask) -> Self {
+        let mut bytes = [(0, &PEXT8[0], 0); 8];
+        let (mut len, mut rank) = (0, 0);
+        for at in (0..64).step_by(8) {
+            let byte = (mask.0 >> at) as u8;
+            if byte != 0 {
+                bytes[len] = (at, &PEXT8[byte as usize], rank);
+                len += 1;
+                rank += byte.count_ones();
+            }
+        }
+        CellCompressor { bytes, len }
+    }
+
+    /// The rank of `cell ∧ mask` among the mask's cells.
+    #[inline]
+    pub fn compress(&self, cell: u64) -> usize {
+        self.bytes[..self.len]
+            .iter()
+            .fold(0, |rank, &(at, row, shift)| {
+                rank | (row[(cell >> at) as u8 as usize] as usize) << shift
+            })
+    }
+}
+
 /// Iterator over the downset of a mask; see [`AttrMask::subsets`].
 #[derive(Debug, Clone)]
 pub struct SubsetIter {
@@ -279,6 +347,12 @@ mod tests {
             for s in m.subsets() {
                 proptest::prop_assert!(s.dominated_by(m));
             }
+        }
+
+        #[test]
+        fn byte_tables_compress_like_the_bit_loop(mask in 0u64..u64::MAX, cell in 0u64..u64::MAX) {
+            let m = AttrMask(mask);
+            proptest::prop_assert_eq!(CellCompressor::new(m).compress(cell), m.compress_cell(cell & mask));
         }
 
         #[test]

@@ -143,7 +143,8 @@ fn observed_marginals(
 }
 
 /// The exact Fourier coefficients of the support, filled from the target
-/// marginals (summed from the occupied cells, see [`count_marginals`]) by
+/// marginals (summed from the occupied cells once per shared parent and
+/// folded out of it, see [`count_marginals`]) by
 /// the targets' inverse block map, with one shared WHT buffer.
 pub(crate) fn fourier_observations(x: &[f64], targets: &ObservationOperator) -> Vec<f64> {
     let mut coeffs = vec![0.0; targets.num_coeffs()];

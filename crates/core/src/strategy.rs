@@ -179,8 +179,9 @@ impl Compiled {
     /// The exact observations `z = S·x` of a data vector (contingency
     /// counts or histogram, of the spec's domain size) — the one
     /// data-dependent step, run once per bind. Marginal (`Q`/`C`/`F`)
-    /// plans cost one O(N) scan plus O(occupied cells × observed
-    /// marginals) for count data, with no per-marginal copy of `x`
+    /// plans cost one O(N) scan, plus one pass over the occupied cells per
+    /// shared parent marginal, plus the parents' cells once per target
+    /// folded out of them, for count data, with no copy of `x`
     /// ([`count_marginals`]); identity plans copy `x`, and range plans
     /// apply their O(n) or O(n log n) operator.
     pub(crate) fn observe(&self, x: &[f64]) -> Result<Vec<f64>, CoreError> {

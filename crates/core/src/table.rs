@@ -9,12 +9,15 @@
 //! observations, the identity recovery's folds and, in
 //! [`crate::fourier`], the block map's forward map — fills such a buffer
 //! through one fan-out over its block slices, under one grain-size floor
-//! (`PARALLEL_MIN_CELLS` cells per chunk).
+//! (`PARALLEL_MIN_CELLS` cells per chunk). Exact marginals of count data
+//! form a small lattice: targets share parent marginals ([`parents`]),
+//! each summed once from the occupied cells, and each target is folded out
+//! of its parent.
 
 use std::sync::{Arc, Mutex};
 
 use crate::marginal::{MarginalSet, MarginalTable};
-use crate::mask::AttrMask;
+use crate::mask::{AttrMask, CellCompressor};
 use crate::schema::{Schema, SchemaError};
 use crate::CoreError;
 
@@ -152,8 +155,9 @@ impl ContingencyTable {
 
     /// Computes several marginals into one buffer, fanned out across cores
     /// — the exact answers of a workload. Count data takes one O(N) scan
-    /// for its [`occupied_cells`] plus O(occupied cells) per marginal
-    /// ([`sum_occupied`]); other vectors take the [`marginalize`] fold.
+    /// for its [`occupied_cells`], one pass over them per shared parent
+    /// ([`parents`], [`sum_occupied`]) and one fold per marginal out of its
+    /// parent; other vectors take the [`marginalize`] fold.
     pub fn marginals(&self, alphas: &[AttrMask]) -> MarginalSet {
         count_marginals(&self.counts, self.d, alphas)
     }
@@ -194,13 +198,74 @@ pub fn occupied_cells(counts: &[f64]) -> Option<Vec<(u64, f64)>> {
 }
 
 /// The marginal over `alpha` of [`occupied_cells`]: each count added, in
-/// cell order, into cell `alpha.compress_cell(cell ∧ alpha)`.
+/// cell order, into cell `alpha.compress_cell(cell ∧ alpha)`, its index
+/// looked up one byte at a time ([`CellCompressor`]), O(d/8) per occupied
+/// cell. Exact marginals run one such pass per parent ([`parents`]), not
+/// per target.
 pub fn sum_occupied(cells: &[(u64, f64)], alpha: AttrMask) -> Vec<f64> {
+    let index = CellCompressor::new(alpha);
     let mut out = vec![0.0; alpha.cell_count()];
     for &(cell, c) in cells {
-        out[alpha.compress_cell(cell & alpha.0)] += c;
+        out[index.compress(cell)] += c;
     }
     out
+}
+
+/// Occupied cells per cell of a shared parent: [`parents`] lets targets
+/// share a parent of at most `occupied / PARENT_SHARE` cells.
+///
+/// A target's fold reads about twice its parent's cells, so a wider cap
+/// trades passes for dearer folds. Measured serially, pinned to one core
+/// of a 2-core VM (best of 15, three runs; the exact sums and folds only,
+/// after the occupied-cell scan), per-target passes against shares 2, 4, 8
+/// and 16: NLTCS Q2 (120 targets, 5 507 occupied cells) 1.43–1.54 ms
+/// against 0.17–0.19, 0.13–0.21, 0.13–0.21 and 0.16–0.25 ms; NLTCS Q3
+/// (560 targets) 6.6–7.1 ms against 0.76–0.78, 0.57–0.58, 0.74–0.77 and
+/// 0.57–0.59 ms; synthetic Adult Q2 (28 targets, 15 261 occupied cells)
+/// 1.02–1.14 ms against 0.36–0.40, 0.34–0.38, 0.44–0.49 and 0.53–0.59 ms;
+/// Adult Q3 (56 targets) 2.3–3.4 ms against 1.0–1.6, 1.1–1.7, 1.3–1.9
+/// and 1.5–2.2 ms. A share of 4 is at or near the best on each.
+pub const PARENT_SHARE: usize = 4;
+
+/// The parents of a set of target marginals ([`parents`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Parents {
+    /// The parent masks, in order of first use.
+    pub masks: Vec<AttrMask>,
+    /// Each target's parent, an index into `masks`; the target is
+    /// dominated by it.
+    pub of_target: Vec<usize>,
+}
+
+/// Groups `targets` first-fit into parents for a count vector with
+/// `occupied` occupied cells: each target joins the first parent whose
+/// union with it stays within `occupied /` [`PARENT_SHARE`] cells, and
+/// otherwise opens a parent of its own. A target wider than that cap is its
+/// own parent and takes no other. O(targets × parents): only parents within
+/// the cap are tried.
+pub fn parents(targets: &[AttrMask], occupied: usize) -> Parents {
+    let max_weight = (occupied / PARENT_SHARE).checked_ilog2();
+    let fits = |mask: AttrMask| max_weight.is_some_and(|w| mask.weight() <= w);
+    let mut masks: Vec<AttrMask> = Vec::new();
+    let mut open: Vec<usize> = Vec::new();
+    let mut of_target = Vec::with_capacity(targets.len());
+    for &target in targets {
+        let parent = match open.iter().find(|&&p| fits(masks[p].union(target))) {
+            Some(&p) => {
+                masks[p] = masks[p].union(target);
+                p
+            }
+            None => {
+                if fits(target) {
+                    open.push(masks.len());
+                }
+                masks.push(target);
+                masks.len() - 1
+            }
+        };
+        of_target.push(parent);
+    }
+    Parents { masks, of_target }
 }
 
 /// Cells a fan-out over marginals touches per chunk, at least, when it is
@@ -211,15 +276,15 @@ pub fn sum_occupied(cells: &[(u64, f64)], alpha: AttrMask) -> Vec<f64> {
 /// 16 chunks of trivial work cost 3–4 µs of wall time and 4–7 µs of CPU
 /// in isolation (`getrusage`), and about 20 µs of process CPU per release
 /// under the `marginal_wire` benchmark's load. A cell touched costs about
-/// 2 ns in a fold ([`marginalize`], d = 16), 3–7 ns in an occupied-cell
-/// sum ([`sum_occupied`], NLTCS) and 11–19 ns per pass of a small block
-/// WHT with its coefficient gather (`ObservationOperator::apply`, Q1–Q4 over
-/// NLTCS). So a call splits only above 30 µs of fold, 50 µs of sums or
-/// 180 µs of recovery work, where a wake-up costs a small share of it.
-/// One NLTCS Q2 `F+` recovery (120 four-cell blocks, 1 440 cell-passes,
-/// about 20 µs) stays on the caller; its bind (120 marginals × 5 507
-/// occupied cells) and every `I` recovery fold (2^d cells per marginal)
-/// still fan out.
+/// 1–2 ns in a fold ([`marginalize`], d = 16), about 2 ns in an
+/// occupied-cell sum ([`sum_occupied`] with byte lookups, NLTCS) and
+/// 11–19 ns per pass of a small block WHT with its coefficient gather
+/// (`ObservationOperator::apply`, Q1–Q4 over NLTCS). So a call splits only
+/// above 15–30 µs of folds or sums or 180 µs of recovery work, where a
+/// wake-up costs a small share of it. One NLTCS Q2 `F+` recovery (120
+/// four-cell blocks, 1 440 cell-passes, about 20 µs) stays on the caller;
+/// its bind's folds (120 targets out of parents of up to 1 024 cells) and
+/// every `I` recovery fold (2^d cells per marginal) fan out.
 pub(crate) const PARALLEL_MIN_CELLS: usize = 1 << 13;
 
 /// The `with_min_len` of a fan-out over `items` items that touch `cells`
@@ -251,53 +316,87 @@ fn block_chunk(blocks: usize, work: usize) -> usize {
 /// [`min_len`]`(masks.len(), work)` blocks ([`block_chunk`]), `work` being
 /// the cells the whole call touches, so a small call stays on the calling
 /// thread. Each block is written by one call of `fill` whatever the
-/// chunking, so the bytes do not depend on it.
+/// chunking, so the bytes do not depend on it. A call that is one chunk,
+/// or runs on one thread, loops over the blocks in place and allocates
+/// nothing beyond the buffer.
 pub(crate) fn fill_blocks<F>(masks: &[AttrMask], work: usize, fill: F) -> Vec<f64>
 where
     F: Fn(usize, AttrMask, &mut [f64]) + Sync,
 {
     use rayon::prelude::*;
     let mut out = vec![0.0; masks.iter().map(|m| m.cell_count()).sum()];
-    let mut rest = &mut out[..];
-    let mut blocks: Vec<(usize, AttrMask, &mut [f64])> = Vec::with_capacity(masks.len());
-    for (i, &alpha) in masks.iter().enumerate() {
-        let (block, tail) = std::mem::take(&mut rest).split_at_mut(alpha.cell_count());
-        blocks.push((i, alpha, block));
-        rest = tail;
-    }
-    blocks
-        .par_chunks_mut(block_chunk(masks.len(), work))
-        .for_each(|chunk| {
+    let blocks = masks
+        .iter()
+        .enumerate()
+        .scan(&mut out[..], |rest, (i, &alpha)| {
+            let (block, tail) = std::mem::take(rest).split_at_mut(alpha.cell_count());
+            *rest = tail;
+            Some((i, alpha, block))
+        });
+    let chunk = block_chunk(masks.len(), work);
+    if chunk >= masks.len() || rayon::current_num_threads() == 1 {
+        // One chunk, run here: no list of blocks to hand out.
+        blocks.for_each(|(i, alpha, block)| fill(i, alpha, block));
+    } else {
+        let mut list = Vec::with_capacity(masks.len());
+        list.extend(blocks);
+        list.par_chunks_mut(chunk).for_each(|chunk| {
             for (i, alpha, block) in chunk {
                 fill(*i, *alpha, block);
             }
         });
+    }
     out
 }
 
-/// The exact marginals of a count vector: one O(N) scan for the
-/// [`occupied_cells`], then O(occupied) per marginal, with no copy of the
-/// vector. The sum is exact, so the bytes equal the [`marginalize`] fold's;
-/// vectors that fail the exactness test take the fold. The one marginal
-/// path for data vectors — bind, rebase and exact workload answers.
+/// The exact marginals of a count vector, with no copy of the vector:
+/// one O(N) scan for the [`occupied_cells`], one pass over them per
+/// parent ([`parents`], [`sum_occupied`]), and one fold of each target
+/// out of its parent's cells ([`marginalize`]'s fold) — about
+/// `parents × occupied + Σ parent cells per target`, where summing per
+/// target cost `targets × occupied`. Every partial sum of such a vector
+/// is an exact integer, so the bytes equal the [`marginalize`] fold's
+/// whatever the grouping; vectors that fail the exactness test take the
+/// fold. The one marginal path for data vectors — bind, rebase and exact
+/// workload answers.
 ///
-/// The marginals fan out across cores ([`fill_blocks`]) in chunks of at
-/// least [`PARALLEL_MIN_CELLS`] cells touched (occupied cells read plus
-/// marginal cells written), so a small table or workload stays on the
-/// calling thread.
+/// The parents and then the targets fan out across cores ([`fill_blocks`])
+/// in chunks of at least [`PARALLEL_MIN_CELLS`] cells touched, so a small
+/// table or workload stays on the calling thread.
 pub(crate) fn count_marginals(counts: &[f64], d: usize, alphas: &[AttrMask]) -> MarginalSet {
     let cells = match occupied_cells(counts) {
         Some(cells) => {
-            let work = alphas
+            let parents = parents(alphas, cells.len());
+            let work = parents
+                .masks
                 .iter()
-                .map(|alpha| cells.len() + alpha.cell_count())
+                .map(|p| cells.len() + p.cell_count())
                 .sum();
-            // Each marginal is summed apart and copied in once: thousands
+            // Each parent is summed apart and copied in once: thousands
             // of additions into a block that shares a cache line with
             // another thread's block made the NLTCS Q1 and Q2 binds about
             // 10% slower at nproc = 2.
-            fill_blocks(alphas, work, |_, alpha, out| {
-                out.copy_from_slice(&sum_occupied(&cells, alpha))
+            let sums = fill_blocks(&parents.masks, work, |_, parent, out| {
+                out.copy_from_slice(&sum_occupied(&cells, parent))
+            });
+            let offsets: Vec<usize> = parents
+                .masks
+                .iter()
+                .scan(0, |next, p| {
+                    Some(std::mem::replace(next, *next + p.cell_count()))
+                })
+                .collect();
+            let work = alphas
+                .iter()
+                .zip(&parents.of_target)
+                .map(|(alpha, &p)| parents.masks[p].cell_count() + alpha.cell_count())
+                .sum();
+            fill_blocks(alphas, work, |i, alpha, out| {
+                let p = parents.of_target[i];
+                let parent = parents.masks[p];
+                let within = AttrMask(parent.compress_cell(alpha.0) as u64);
+                let sum = &sums[offsets[p]..][..parent.cell_count()];
+                fold_pooled(sum, parent.weight() as usize, within, out);
             })
         }
         None => marginalize_all(counts, d, alphas),
@@ -369,6 +468,28 @@ fn marginalize_into(
 /// folded does not keep a buffer of its own.
 static FOLD_POOL: Mutex<Vec<Vec<f64>>> = Mutex::new(Vec::new());
 
+/// [`marginalize_into`] with a fold buffer checked out of [`FOLD_POOL`].
+fn fold_pooled(counts: &[f64], d: usize, alpha: AttrMask, out: &mut [f64]) {
+    if out.len() == counts.len() {
+        // A full mask folds nothing: no buffer to check out.
+        out.copy_from_slice(counts);
+        return;
+    }
+    let mut work = FOLD_POOL
+        .lock()
+        .map(|mut pool| pool.pop())
+        .ok()
+        .flatten()
+        .unwrap_or_default();
+    marginalize_into(counts, d, alpha, &mut work, out);
+    if let Ok(mut pool) = FOLD_POOL.lock() {
+        // One buffer per thread that can fold at once is enough.
+        if pool.len() < rayon::current_num_threads() {
+            pool.push(work);
+        }
+    }
+}
+
 /// [`marginalize`] for several marginals of one (noisy) vector into one
 /// buffer in mask order, each folded in a buffer checked out of a
 /// process-wide pool. The marginals fan out across cores ([`fill_blocks`])
@@ -376,19 +497,7 @@ static FOLD_POOL: Mutex<Vec<Vec<f64>>> = Mutex::new(Vec::new());
 /// marginal), so only a tiny vector stays on the calling thread.
 pub(crate) fn marginalize_all(counts: &[f64], d: usize, alphas: &[AttrMask]) -> Vec<f64> {
     fill_blocks(alphas, alphas.len() * counts.len(), |_, alpha, out| {
-        let mut work = FOLD_POOL
-            .lock()
-            .map(|mut pool| pool.pop())
-            .ok()
-            .flatten()
-            .unwrap_or_default();
-        marginalize_into(counts, d, alpha, &mut work, out);
-        if let Ok(mut pool) = FOLD_POOL.lock() {
-            // One buffer per thread that can fold at once is enough.
-            if pool.len() < rayon::current_num_threads() {
-                pool.push(work);
-            }
-        }
+        fold_pooled(counts, d, alpha, out)
     })
 }
 
@@ -414,9 +523,9 @@ mod tests {
         // NLTCS Q1 `F+` recovery and an empty table's marginals.
         assert!(!splits(16, 16 * 2 * 2));
         assert!(!splits(8, 0));
-        // The NLTCS Q2 bind (5 507 occupied cells) keeps the 16 chunks a
-        // 2-thread call of 120 items had before the floor.
-        assert!(120 / min_len(120, 120 * (5507 + 4)) >= 16);
+        // The NLTCS Q2 bind's folds: 120 targets out of 1 024-cell
+        // parents split into 15 chunks.
+        assert_eq!(120 / min_len(120, 120 * (1024 + 4)), 15);
         // `I` recovery folds 2^d cells per marginal: no floor at all.
         assert_eq!(min_len(8, 8 << 16), 1);
     }
